@@ -18,12 +18,23 @@ import (
 
 // Filter is a classic Bloom filter using Kirsch–Mitzenmacher double hashing
 // over a SHA-256 base digest.
+//
+// The filter lives in its wire layout: one byte slice holding the 24-byte
+// header (nbits, hashes, entries — big-endian uint64 each) followed by
+// the bit array as big-endian 64-bit words. Bit pos is bit pos%64 of
+// word pos/64, i.e. bit pos%8 of body byte (pos/8)^7. Marshal is
+// therefore a copy and Unmarshal a validate-and-wrap; nothing is ever
+// re-encoded.
 type Filter struct {
-	bits    []uint64
-	nbits   uint64
-	hashes  int
-	entries uint64 // number of Add calls, for stats
+	data   []byte // header + words, exactly what Marshal returns
+	nbits  uint64 // data[0:8], cached for the probe loop
+	hashes int    // data[8:16], cached for the probe loop
 }
+
+const (
+	headerSize = 24
+	entriesOff = 16
+)
 
 // New creates a filter sized for n expected entries at the given target
 // false-positive rate. n and fpRate are clamped to sane minimums.
@@ -46,7 +57,10 @@ func New(n int, fpRate float64) *Filter {
 	if k > 16 {
 		k = 16
 	}
-	return &Filter{bits: make([]uint64, (m+63)/64), nbits: m, hashes: k}
+	data := make([]byte, headerSize+8*((m+63)/64))
+	binary.BigEndian.PutUint64(data[0:8], m)
+	binary.BigEndian.PutUint64(data[8:16], uint64(k))
+	return &Filter{data: data, nbits: m, hashes: k}
 }
 
 func baseHashes(addr types.Address) (uint64, uint64) {
@@ -54,14 +68,20 @@ func baseHashes(addr types.Address) (uint64, uint64) {
 	return binary.BigEndian.Uint64(h[0:8]), binary.BigEndian.Uint64(h[8:16])
 }
 
+func (f *Filter) addEntries(n uint64) {
+	hdr := f.data[entriesOff:headerSize]
+	binary.BigEndian.PutUint64(hdr, binary.BigEndian.Uint64(hdr)+n)
+}
+
 // Add inserts an address.
 func (f *Filter) Add(addr types.Address) {
 	h1, h2 := baseHashes(addr)
+	body := f.data[headerSize:]
 	for i := 0; i < f.hashes; i++ {
 		pos := (h1 + uint64(i)*h2) % f.nbits
-		f.bits[pos/64] |= 1 << (pos % 64)
+		body[(pos>>3)^7] |= 1 << (pos & 7)
 	}
-	f.entries++
+	f.addEntries(1)
 }
 
 // AddRepeat records another insertion of the address most recently passed
@@ -71,7 +91,7 @@ func (f *Filter) Add(addr types.Address) {
 // compound keys use it for the consecutive versions of one address —
 // which is most of a merge's entries under COLE's multi-version
 // workloads.
-func (f *Filter) AddRepeat() { f.entries++ }
+func (f *Filter) AddRepeat() { f.addEntries(1) }
 
 // Union folds another filter into f: the bit arrays OR together and the
 // entry counters add. Both filters must share the exact geometry (they
@@ -85,10 +105,11 @@ func (f *Filter) Union(o *Filter) error {
 		return fmt.Errorf("bloom: union of mismatched filters (nbits %d vs %d, hashes %d vs %d)",
 			f.nbits, o.nbits, f.hashes, o.hashes)
 	}
-	for i, w := range o.bits {
-		f.bits[i] |= w
+	dst := f.data[headerSize:]
+	for i, b := range o.data[headerSize:] {
+		dst[i] |= b
 	}
-	f.entries += o.entries
+	f.addEntries(o.Entries())
 	return nil
 }
 
@@ -96,9 +117,10 @@ func (f *Filter) Union(o *Filter) error {
 // absent).
 func (f *Filter) MayContain(addr types.Address) bool {
 	h1, h2 := baseHashes(addr)
+	body := f.data[headerSize:]
 	for i := 0; i < f.hashes; i++ {
 		pos := (h1 + uint64(i)*h2) % f.nbits
-		if f.bits[pos/64]&(1<<(pos%64)) == 0 {
+		if body[(pos>>3)^7]&(1<<(pos&7)) == 0 {
 			return false
 		}
 	}
@@ -109,16 +131,11 @@ func (f *Filter) MayContain(addr types.Address) bool {
 // live L0 filter into each published read view so lock-free readers never
 // probe a bit array that Add is concurrently mutating.
 func (f *Filter) Clone() *Filter {
-	return &Filter{
-		bits:    append([]uint64(nil), f.bits...),
-		nbits:   f.nbits,
-		hashes:  f.hashes,
-		entries: f.entries,
-	}
+	return &Filter{data: append([]byte(nil), f.data...), nbits: f.nbits, hashes: f.hashes}
 }
 
 // Entries returns the number of insertions.
-func (f *Filter) Entries() uint64 { return f.entries }
+func (f *Filter) Entries() uint64 { return binary.BigEndian.Uint64(f.data[entriesOff:headerSize]) }
 
 // Bits returns the filter size in bits.
 func (f *Filter) Bits() uint64 { return f.nbits }
@@ -126,50 +143,45 @@ func (f *Filter) Bits() uint64 { return f.nbits }
 // Digest hashes the filter contents; it is combined with the run's Merkle
 // root when computing the state root digest so verifiers can authenticate
 // non-membership answers.
-func (f *Filter) Digest() types.Hash {
-	return types.HashData(f.Marshal())
-}
+func (f *Filter) Digest() types.Hash { return types.HashData(f.data) }
 
-// Marshal serializes the filter (stored in the run's metadata file).
-func (f *Filter) Marshal() []byte {
-	buf := make([]byte, 8+8+8+8*len(f.bits))
-	binary.BigEndian.PutUint64(buf[0:8], f.nbits)
-	binary.BigEndian.PutUint64(buf[8:16], uint64(f.hashes))
-	binary.BigEndian.PutUint64(buf[16:24], f.entries)
-	for i, w := range f.bits {
-		binary.BigEndian.PutUint64(buf[24+8*i:], w)
-	}
-	return buf
-}
+// Marshal serializes the filter (stored in the run's metadata file, and
+// disclosed whole in Bloom non-membership proofs). The result is a
+// caller-owned copy: it never aliases the live filter, so a caller may
+// keep or mutate it freely.
+func (f *Filter) Marshal() []byte { return append([]byte(nil), f.data...) }
 
-// Unmarshal parses a filter serialized by Marshal.
+// Unmarshal wraps a filter serialized by Marshal after validating its
+// header against the body length. The returned filter ALIASES b — no
+// bytes are decoded or copied — so it is for read-only use (MayContain,
+// Entries, Digest, Marshal, Clone) for as long as b is left unmodified;
+// Clone it before calling Add or Union.
 func Unmarshal(b []byte) (*Filter, error) {
-	if len(b) < 24 {
+	if len(b) < headerSize {
 		return nil, fmt.Errorf("bloom: truncated header: %d bytes", len(b))
 	}
 	nbits := binary.BigEndian.Uint64(b[0:8])
-	hashes := int(binary.BigEndian.Uint64(b[8:16]))
-	entries := binary.BigEndian.Uint64(b[16:24])
-	words := int((nbits + 63) / 64)
+	hashes := binary.BigEndian.Uint64(b[8:16])
 	if hashes < 1 || hashes > 64 || nbits == 0 {
 		return nil, fmt.Errorf("bloom: corrupt header: nbits=%d hashes=%d", nbits, hashes)
 	}
-	if len(b) != 24+8*words {
-		return nil, fmt.Errorf("bloom: body length %d, want %d", len(b)-24, 8*words)
+	// (nbits-1)/64+1 is ⌈nbits/64⌉ without the wrap nbits+63 has near
+	// 2^64; compared in uint64 so a header claiming more words than any
+	// slice can hold is rejected by the length check, not truncated by it.
+	body := uint64(len(b) - headerSize)
+	if words := (nbits-1)/64 + 1; body%8 != 0 || body/8 != words {
+		return nil, fmt.Errorf("bloom: body length %d, want %d words for nbits=%d", body, words, nbits)
 	}
-	f := &Filter{bits: make([]uint64, words), nbits: nbits, hashes: hashes, entries: entries}
-	for i := range f.bits {
-		f.bits[i] = binary.BigEndian.Uint64(b[24+8*i:])
-	}
-	return f, nil
+	return &Filter{data: b, nbits: nbits, hashes: int(hashes)}, nil
 }
 
 // EstimatedFPRate returns the expected false-positive rate given the number
 // of entries inserted so far.
 func (f *Filter) EstimatedFPRate() float64 {
-	if f.entries == 0 {
+	entries := f.Entries()
+	if entries == 0 {
 		return 0
 	}
 	k := float64(f.hashes)
-	return math.Pow(1-math.Exp(-k*float64(f.entries)/float64(f.nbits)), k)
+	return math.Pow(1-math.Exp(-k*float64(entries)/float64(f.nbits)), k)
 }

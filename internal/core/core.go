@@ -591,7 +591,7 @@ func OpenWithScheduler(opts Options, sched *merge.Scheduler) (*Engine, error) {
 	}
 	// Publish the initial read view (the reopened structure with empty L0
 	// groups) so readers are lock-free from the first Get.
-	e.publishLocked()
+	e.publishLocked(e.hashListLocked())
 	// Register with the metrics exposition (/metrics serves every open
 	// engine's counters, labeled by store and shard). An engine that owns
 	// its merge pool also exposes the pool; for a shared pool the shard

@@ -56,7 +56,6 @@ func (rr *runRef) release() {
 type memView struct {
 	tree   *mbtree.Tree
 	filter *bloom.Filter
-	root   types.Hash
 }
 
 // view is one published, immutable snapshot of the engine: everything a
@@ -108,40 +107,30 @@ func (e *Engine) acquireView() *view {
 	}
 }
 
-// publishLocked builds the view of the current structure and swaps it in,
-// releasing the publisher reference of the previous view. Caller holds
-// e.mu and must have warmed the L0 root hashes (rootDigestLocked does),
-// so that the frozen snapshots are clean and reader operations on them
-// never write a hash cache.
-func (e *Engine) publishLocked() {
-	v := &view{height: e.committed}
+// publishLocked turns the hash list of the current structure into a view
+// and swaps it in, releasing the publisher reference of the previous
+// view. Caller holds e.mu and passes a list assembled since the last
+// structural change or Put: assembling it warmed the L0 root hashes, so
+// the frozen snapshots are clean and reader operations on them never
+// write a hash cache.
+func (e *Engine) publishLocked(hl hashList) {
+	v := &view{height: e.committed, root: hl.root, runs: hl.runs}
 	v.refs.Store(1) // the publisher's reference
-	wg := e.mem[e.memWriting]
-	wg.tree.RootHash()
+	for _, rr := range v.runs {
+		rr.acquire()
+	}
 	// The writing group keeps absorbing Puts after publication: snapshot
 	// its tree (O(1), copy-on-write) and clone its filter. The merging
 	// group is shared as-is: it stays frozen for its whole lifetime —
 	// cascadeAsync installs a fresh group into the slot before promoting
 	// it back to the writing role, so a group object published here never
 	// absorbs Puts while views still hold it.
+	wg := e.mem[e.memWriting]
 	v.mems = append(v.mems, &memView{tree: wg.tree.Snapshot(), filter: wg.filter.Clone()})
 	if e.opts.AsyncMerge {
 		mg := e.mem[1-e.memWriting]
-		mg.tree.RootHash()
 		v.mems = append(v.mems, &memView{tree: mg.tree, filter: mg.filter})
 	}
-	list := make([]types.Hash, 0, len(v.mems)+16)
-	for _, m := range v.mems {
-		m.root = m.tree.RootHash()
-		list = append(list, m.root)
-	}
-	e.forEachRunLocked(func(rr *runRef) bool {
-		rr.acquire()
-		v.runs = append(v.runs, rr)
-		list = append(list, rr.r.Digest())
-		return true
-	})
-	v.root = types.HashConcat(list...)
 	if old := e.viewPtr.Swap(v); old != nil {
 		old.release()
 	}

@@ -180,14 +180,14 @@ func (e *Engine) Commit() (types.Hash, error) {
 	// manifest write so that a cascade checkpoint persists its own height's
 	// root: every height at or below the durable checkpoint has its digest
 	// in the durable history.
-	root := e.rootDigestLocked()
-	e.recordRootLocked(e.committed, root)
+	hl := e.hashListLocked()
+	e.recordRootLocked(e.committed, hl.root)
 	if cascaded && !e.opts.PipelinedCommit {
 		if err := e.writeManifest(); err != nil {
 			return types.Hash{}, err
 		}
 	}
-	// Publish after the digest warmed every L0 hash (the frozen snapshots
+	// Publish after the hash list warmed every L0 hash (the frozen snapshots
 	// must be clean for concurrent readers) and after the manifest write
 	// (or after its bytes were captured, when pipelined), then retire the
 	// runs the cascade removed: the fresh view excludes them, and views
@@ -201,10 +201,10 @@ func (e *Engine) Commit() (types.Hash, error) {
 		if err != nil {
 			return types.Hash{}, err
 		}
-		e.publishLocked()
+		e.publishLocked(hl)
 		e.startCommitIOLocked(raw)
 	} else {
-		e.publishLocked()
+		e.publishLocked(hl)
 		e.retireLocked()
 	}
 	d := int64(time.Since(start))
@@ -217,35 +217,54 @@ func (e *Engine) Commit() (types.Hash, error) {
 	if e.tr != nil {
 		e.trace(obs.EvCommit, -1, 0, e.committed, time.Duration(d))
 	}
-	return root, nil
+	return hl.root, nil
 }
 
 // RootDigest returns the current Hstate without committing.
 func (e *Engine) RootDigest() types.Hash {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.rootDigestLocked()
+	return e.hashListLocked().root
 }
 
-// rootHashListLocked assembles root_hash_list in canonical order: the L0
+// hashList is root_hash_list (§4) materialised once for the current
+// structure: what Commit returns as Hstate and what publishLocked turns
+// into the read view, so the two cannot disagree.
+type hashList struct {
+	// runs is the committed run list in canonical search order.
+	runs []*runRef
+	// root is Hstate: the hash of the L0 group roots followed by the
+	// digest of each entry of runs.
+	root types.Hash
+}
+
+// hashListLocked assembles root_hash_list in canonical order: the L0
 // group roots (writing then merging), then per level the writing-group run
 // digests newest-first followed by the merging-group run digests
 // newest-first. This order equals the read search order, which is what
 // lets provenance verifiers walk proof parts and digests in lockstep.
-func (e *Engine) rootHashListLocked() []types.Hash {
-	list := []types.Hash{e.mem[e.memWriting].tree.RootHash()}
+//
+// Its cost is the block's own work — rehashing the L0 nodes the block
+// dirtied — plus one field read per run: run digests were fixed when the
+// runs were opened. As a side effect every L0 hash is warm afterwards.
+func (e *Engine) hashListLocked() hashList {
+	n := 0
+	for _, lv := range e.levels {
+		n += len(lv.groups[0]) + len(lv.groups[1])
+	}
+	hl := hashList{runs: make([]*runRef, 0, n)}
+	digests := make([]types.Hash, 0, len(e.mem)+n)
+	digests = append(digests, e.mem[e.memWriting].tree.RootHash())
 	if e.opts.AsyncMerge {
-		list = append(list, e.mem[1-e.memWriting].tree.RootHash())
+		digests = append(digests, e.mem[1-e.memWriting].tree.RootHash())
 	}
 	e.forEachRunLocked(func(rr *runRef) bool {
-		list = append(list, rr.r.Digest())
+		hl.runs = append(hl.runs, rr)
+		digests = append(digests, rr.r.Digest())
 		return true
 	})
-	return list
-}
-
-func (e *Engine) rootDigestLocked() types.Hash {
-	return types.HashConcat(e.rootHashListLocked()...)
+	hl.root = types.HashConcat(digests...)
+	return hl
 }
 
 // ensureLevel extends the level list so that levels[i] exists.
@@ -711,8 +730,7 @@ func (e *Engine) FlushAll() error {
 	if err := e.writeManifest(); err != nil {
 		return err
 	}
-	e.rootDigestLocked() // warm L0 hashes for the snapshot
-	e.publishLocked()
+	e.publishLocked(e.hashListLocked())
 	e.retireLocked()
 	return nil
 }

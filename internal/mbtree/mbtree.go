@@ -48,7 +48,6 @@ type Tree struct {
 
 type node interface {
 	minKey() types.CompoundKey
-	digest() types.Hash
 }
 
 type leafNode struct {
@@ -426,7 +425,68 @@ func (t *Tree) RootHash() types.Hash {
 	if t.root == nil {
 		return types.ZeroHash
 	}
-	return t.root.digest()
+	buf := t.newHashBuf()
+	return digest(t.root, &buf)
+}
+
+// hashBuf is the node-encoding buffer one RootHash (or ProveRange) call
+// threads through its recursion, so rehashing a block's dirty nodes
+// allocates once instead of once per node. It belongs to the call, not
+// the tree: frozen snapshots are hashed and proven concurrently. A clean
+// tree never touches it, so those reads allocate nothing.
+type hashBuf struct {
+	b       []byte
+	nodeMax int // encoded size of a node at full fanout
+}
+
+func (t *Tree) newHashBuf() hashBuf {
+	const slot = max(types.EntrySize, types.CompoundKeySize+types.HashSize)
+	return hashBuf{nodeMax: 1 + t.fanout*slot}
+}
+
+// sized returns the buffer resliced to n bytes, allocating it on first
+// use.
+func (h *hashBuf) sized(n int) []byte {
+	if cap(h.b) < n {
+		h.b = make([]byte, max(n, h.nodeMax))
+	}
+	return h.b[:n]
+}
+
+// digest returns n's Merkle digest, recomputing (and caching) it when the
+// node is dirty.
+func digest(n node, buf *hashBuf) types.Hash {
+	switch nd := n.(type) {
+	case *leafNode:
+		if nd.dirty {
+			nd.hash = hashLeaf(buf.sized(1+len(nd.entries)*types.EntrySize), nd.entries)
+			nd.dirty = false
+		}
+		return nd.hash
+	case *internalNode:
+		if nd.dirty {
+			// Children first: they encode into the same buffer, so this
+			// node's own encoding starts only once every child digest is
+			// cached and the loop below reads them back clean.
+			for _, c := range nd.children {
+				digest(c, buf)
+			}
+			b := buf.sized(1 + len(nd.children)*(types.CompoundKeySize+types.HashSize))
+			b[0] = internalHashTag
+			off := 1
+			for i, c := range nd.children {
+				nd.mins[i].PutBytes(b[off:])
+				off += types.CompoundKeySize
+				h := digest(c, buf)
+				copy(b[off:], h[:])
+				off += types.HashSize
+			}
+			nd.hash = types.HashData(b)
+			nd.dirty = false
+		}
+		return nd.hash
+	}
+	panic("mbtree: unknown node type")
 }
 
 func (n *leafNode) minKey() types.CompoundKey {
@@ -436,50 +496,22 @@ func (n *leafNode) minKey() types.CompoundKey {
 	return n.entries[0].Key
 }
 
-func (n *leafNode) digest() types.Hash {
-	if !n.dirty {
-		return n.hash
-	}
-	buf := make([]byte, 1+len(n.entries)*types.EntrySize)
-	buf[0] = leafHashTag
-	for i, e := range n.entries {
-		types.EncodeEntry(buf[1+i*types.EntrySize:], e)
-	}
-	n.hash = types.HashData(buf)
-	n.dirty = false
-	return n.hash
-}
-
 func (n *internalNode) minKey() types.CompoundKey { return n.mins[0] }
 
-func (n *internalNode) digest() types.Hash {
-	if !n.dirty {
-		return n.hash
+// hashLeaf encodes a leaf's entry list into b (exactly
+// 1+len(entries)·EntrySize bytes) and hashes it.
+func hashLeaf(b []byte, entries []types.Entry) types.Hash {
+	b[0] = leafHashTag
+	for i, e := range entries {
+		types.EncodeEntry(b[1+i*types.EntrySize:], e)
 	}
-	buf := make([]byte, 1+len(n.children)*(types.CompoundKeySize+types.HashSize))
-	buf[0] = internalHashTag
-	off := 1
-	for i, c := range n.children {
-		n.mins[i].PutBytes(buf[off:])
-		off += types.CompoundKeySize
-		h := c.digest()
-		copy(buf[off:], h[:])
-		off += types.HashSize
-	}
-	n.hash = types.HashData(buf)
-	n.dirty = false
-	return n.hash
+	return types.HashData(b)
 }
 
 // LeafHash recomputes the digest of a revealed leaf entry list (used by
 // proof verification).
 func LeafHash(entries []types.Entry) types.Hash {
-	buf := make([]byte, 1+len(entries)*types.EntrySize)
-	buf[0] = leafHashTag
-	for i, e := range entries {
-		types.EncodeEntry(buf[1+i*types.EntrySize:], e)
-	}
-	return types.HashData(buf)
+	return hashLeaf(make([]byte, 1+len(entries)*types.EntrySize), entries)
 }
 
 // InternalHash recomputes the digest of an internal node from its

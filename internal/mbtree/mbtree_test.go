@@ -195,6 +195,60 @@ func TestRootHashChangesOnInsert(t *testing.T) {
 	}
 }
 
+// rehash recomputes a node's digest from content with the exported
+// verifier-side hash functions, ignoring every cached hash.
+func rehash(n node) types.Hash {
+	switch nd := n.(type) {
+	case *leafNode:
+		return LeafHash(nd.entries)
+	case *internalNode:
+		hs := make([]types.Hash, len(nd.children))
+		for i, c := range nd.children {
+			hs[i] = rehash(c)
+		}
+		return InternalHash(nd.mins, hs)
+	}
+	panic("unknown node")
+}
+
+// TestRootHashAllocatesOncePerCall: rehashing a block's worth of dirty
+// nodes shares one encoding buffer across the whole recursion (it used to
+// allocate one per dirty node), a clean tree allocates nothing, and the
+// digests are the ones a from-scratch recomputation yields.
+func TestRootHashAllocatesOncePerCall(t *testing.T) {
+	tr, _ := New(16)
+	fillRandom(t, tr, 4000, 5)
+	tr.RootHash()
+	r := rand.New(rand.NewSource(6))
+	inserts := make([]types.CompoundKey, 100)
+	for i := range inserts {
+		inserts[i] = key(r.Uint64(), 9)
+	}
+	// One "block": overwrite 100 scattered keys (the warm-up call inserts
+	// them; after that an overwrite allocates nothing), dirtying ~100
+	// leaves and their ancestors, then optionally rehash.
+	block := func(hash bool) float64 {
+		return testing.AllocsPerRun(20, func() {
+			for i, k := range inserts {
+				tr.Insert(k, val(uint64(i)))
+			}
+			if hash {
+				tr.RootHash()
+			}
+		})
+	}
+	if perHash := block(true) - block(false); perHash != 1 {
+		t.Fatalf("RootHash over ~100 dirty leaves allocates %.0f times, want 1 shared buffer", perHash)
+	}
+	tr.RootHash()
+	if n := testing.AllocsPerRun(100, func() { tr.RootHash() }); n != 0 {
+		t.Fatalf("RootHash on a clean tree allocates %.0f times", n)
+	}
+	if got, want := tr.RootHash(), rehash(tr.root); got != want {
+		t.Fatalf("cached root %x differs from a from-scratch recomputation %x", got, want)
+	}
+}
+
 func TestRangeQuery(t *testing.T) {
 	tr, _ := New(4)
 	a := types.AddressFromUint64(1)

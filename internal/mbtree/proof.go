@@ -66,11 +66,12 @@ func (t *Tree) ProveRange(lo, hi types.CompoundKey) ([]types.Entry, *Proof, erro
 		return nil, p, nil
 	}
 	var results []types.Entry
-	p.Root = t.proveNode(t.root, lo, hi, &results)
+	buf := t.newHashBuf() // touched only if a pruned subtree is still dirty
+	p.Root = proveNode(t.root, lo, hi, &results, &buf)
 	return results, p, nil
 }
 
-func (t *Tree) proveNode(n node, lo, hi types.CompoundKey, results *[]types.Entry) *ProofNode {
+func proveNode(n node, lo, hi types.CompoundKey, results *[]types.Entry, buf *hashBuf) *ProofNode {
 	switch nd := n.(type) {
 	case *leafNode:
 		for _, e := range nd.entries {
@@ -93,9 +94,9 @@ func (t *Tree) proveNode(n node, lo, hi types.CompoundKey, results *[]types.Entr
 				open = false
 			}
 			if open {
-				out.Children[i] = ProofChild{MinKey: childLo, Node: t.proveNode(c, lo, hi, results)}
+				out.Children[i] = ProofChild{MinKey: childLo, Node: proveNode(c, lo, hi, results, buf)}
 			} else {
-				h := c.digest()
+				h := digest(c, buf)
 				out.Children[i] = ProofChild{MinKey: childLo, Node: &ProofNode{Pruned: &h}}
 			}
 		}

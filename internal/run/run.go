@@ -159,9 +159,14 @@ type Run struct {
 	count   int64
 	layers  []layerMeta
 	mhtRoot types.Hash
-	filter  *bloom.Filter
-	minKey  types.CompoundKey
-	maxKey  types.CompoundKey
+	// filter wraps the Bloom bytes of the .met image Open read (no copy,
+	// read-only). The run is immutable, so both digests below are
+	// computed once, in Open, and every later read is a field load.
+	filter      *bloom.Filter
+	bloomDigest types.Hash
+	digest      types.Hash
+	minKey      types.CompoundKey
+	maxKey      types.CompoundKey
 
 	values *pagefile.File
 	index  *pagefile.File
@@ -472,19 +477,22 @@ func Open(dir string, id uint64, params Params) (*Run, error) {
 		_ = index.Close()
 		return nil, types.CorruptFrom(merklePath(dir, id), err)
 	}
+	bloomDigest := filter.Digest()
 	return &Run{
-		ID:      id,
-		dir:     dir,
-		params:  params,
-		count:   meta.Count,
-		layers:  meta.Layers,
-		mhtRoot: meta.Root,
-		filter:  filter,
-		minKey:  meta.MinKey,
-		maxKey:  meta.MaxKey,
-		values:  values,
-		index:   index,
-		merkle:  merkle,
+		ID:          id,
+		dir:         dir,
+		params:      params,
+		count:       meta.Count,
+		layers:      meta.Layers,
+		mhtRoot:     meta.Root,
+		filter:      filter,
+		bloomDigest: bloomDigest,
+		digest:      types.HashData(meta.Root[:], bloomDigest[:]),
+		minKey:      meta.MinKey,
+		maxKey:      meta.MaxKey,
+		values:      values,
+		index:       index,
+		merkle:      merkle,
 	}, nil
 }
 
@@ -494,8 +502,9 @@ func (r *Run) Count() int64 { return r.count }
 // MHTRoot returns the Merkle file root hash.
 func (r *Run) MHTRoot() types.Hash { return r.mhtRoot }
 
-// BloomDigest returns the digest of the serialized Bloom filter.
-func (r *Run) BloomDigest() types.Hash { return r.filter.Digest() }
+// BloomDigest returns the digest of the serialized Bloom filter,
+// computed once when the run was opened.
+func (r *Run) BloomDigest() types.Hash { return r.bloomDigest }
 
 // MayContain probes the run's Bloom filter: false means no version of
 // addr exists in this run, so point lookups can skip its learned index
@@ -504,15 +513,14 @@ func (r *Run) BloomDigest() types.Hash { return r.filter.Digest() }
 func (r *Run) MayContain(addr types.Address) bool { return r.filter.MayContain(addr) }
 
 // BloomBytes returns the serialized Bloom filter (for non-membership
-// proofs).
+// proofs). The result is a caller-owned copy of the resident bytes: a
+// proof never aliases the filter the read path probes.
 func (r *Run) BloomBytes() []byte { return r.filter.Marshal() }
 
 // Digest returns the run's contribution to root_hash_list:
 // H(mht_root ‖ bloom_digest), binding both data and filter (§4).
-func (r *Run) Digest() types.Hash {
-	bd := r.filter.Digest()
-	return types.HashData(r.mhtRoot[:], bd[:])
-}
+// Computed once when the run was opened.
+func (r *Run) Digest() types.Hash { return r.digest }
 
 // Digest recomputes a run digest from its components (verifier side).
 func Digest(mhtRoot types.Hash, bloomBytes []byte) types.Hash {
@@ -810,9 +818,11 @@ func readMeta(fsys vfs.FS, path string) (runMeta, error) {
 	if err != nil {
 		return runMeta{}, err
 	}
-	if off+int(blen) > len(body) {
+	if blen > uint64(len(body)-off) {
 		return runMeta{}, fmt.Errorf("run: meta %s bloom truncated", path)
 	}
-	m.Bloom = append([]byte(nil), body[off:off+int(blen)]...)
+	// Aliases raw, which ReadFile handed to this call alone: Open wraps
+	// these bytes as the run's resident filter without another copy.
+	m.Bloom = body[off : off+int(blen)]
 	return m, nil
 }

@@ -429,6 +429,70 @@ func TestDigestBindsBloomAndRoot(t *testing.T) {
 	}
 }
 
+// TestDigestsComputedOnceAtOpen pins the cost model of an immutable run:
+// Digest and BloomDigest are field reads (no allocation, hence no
+// re-marshal or re-hash of the filter), and they equal what a verifier
+// recomputes from the disclosed parts — after Build, after a reopen, and
+// for a partitioned build.
+func TestDigestsComputedOnceAtOpen(t *testing.T) {
+	entries := genEntries(13, 400, 4)
+	count := int64(len(entries))
+	params := Params{Fanout: 4}
+	check := func(name string, r *Run) {
+		t.Helper()
+		if r.Digest() != Digest(r.MHTRoot(), r.BloomBytes()) {
+			t.Fatalf("%s: memoized digest differs from the verifier-side reconstruction", name)
+		}
+		if r.BloomDigest() != types.HashData(r.BloomBytes()) {
+			t.Fatalf("%s: memoized bloom digest differs from the hash of the filter bytes", name)
+		}
+		var sink types.Hash
+		if n := testing.AllocsPerRun(100, func() { sink = r.Digest() }); n != 0 {
+			t.Fatalf("%s: Digest allocates %.0f times per call", name, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { sink = r.BloomDigest() }); n != 0 {
+			t.Fatalf("%s: BloomDigest allocates %.0f times per call", name, n)
+		}
+		_ = sink
+	}
+
+	dir := t.TempDir()
+	built, err := Build(dir, 1, count, params, NewSliceIterator(entries))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Build", built)
+	want := built.Digest()
+	built.Close()
+
+	reopened, err := Open(dir, 1, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	check("Open", reopened)
+	if reopened.Digest() != want {
+		t.Fatal("digest changed across reopen")
+	}
+
+	sources := buildSources(t, t.TempDir(), entries, 3, params)
+	spans, err := PlanRuns(sources, 4, params.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := BuildPartitioned(t.TempDir(), 1, count, params, spans,
+		func(sp Span) (Iterator, error) { return MergeRunsRange(sources, sp), nil },
+		Parallel{Spawn: func(fn func()) { go fn() }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer part.Close()
+	check("BuildPartitioned", part)
+	if part.Digest() != want {
+		t.Fatal("partitioned build's digest differs from the sequential build's")
+	}
+}
+
 func TestSingleEntryRun(t *testing.T) {
 	addr := types.AddressFromUint64(6)
 	entries := []types.Entry{{Key: types.CompoundKey{Addr: addr, Blk: 3}, Value: types.ValueFromUint64(9)}}
