@@ -268,11 +268,11 @@ func BenchmarkProvQueryAndVerify(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lo := uint64(blocks - 16 + 1)
-		_, proof, err := s.ProvQuery(hot, lo, blocks)
+		_, proof, err := s.Prov(hot, lo, blocks)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := cole.VerifyProv(root, hot, lo, blocks, proof); err != nil {
+		if _, err := proof.Verify(root, hot, lo, blocks); err != nil {
 			b.Fatal(err)
 		}
 	}

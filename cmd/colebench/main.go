@@ -287,7 +287,7 @@ func main() {
 	}
 	if all || *exp == "compaction" {
 		// Single-shard by design: the experiment isolates the merge data
-		// path (legacy vs streaming IO) from shard parallelism.
+		// path from shard parallelism.
 		c := pipelineCfg()
 		c.Shards = 0
 		run("compaction", func() (*bench.Table, error) {

@@ -157,18 +157,11 @@ func main() {
 		return
 	}
 
-	// A 1-shard store is byte-compatible with the unsharded engine, so the
-	// sharded open serves every store directory, old or new.
-	store, err := cole.OpenSharded(opts)
+	store, err := cole.Open(opts)
 	if err != nil {
 		fail("open: %v", err)
 	}
 	defer store.Close()
-
-	// The data commands drive the store purely through the backend-
-	// agnostic cole.DB interface; only the shard-aware output (stat's
-	// balance table, prov's shard column) needs the concrete handle.
-	var db cole.DB = store
 
 	switch args[0] {
 	case "put":
@@ -189,17 +182,17 @@ func main() {
 				Value: cole.ValueFromBytes([]byte(parts[1])),
 			})
 		}
-		if err := db.BeginBlock(h); err != nil {
+		if err := store.BeginBlock(h); err != nil {
 			fail("begin block: %v", err)
 		}
-		if err := db.PutBatch(batch); err != nil {
+		if err := store.PutBatch(batch); err != nil {
 			fail("put: %v", err)
 		}
-		root, err := db.Commit()
+		root, err := store.Commit()
 		if err != nil {
 			fail("commit: %v", err)
 		}
-		if err := db.FlushAll(); err != nil {
+		if err := store.FlushAll(); err != nil {
 			fail("flush: %v", err)
 		}
 		fmt.Printf("block %d committed, Hstate=%s\n", h, root)
@@ -207,7 +200,7 @@ func main() {
 		if len(args) != 2 {
 			fail("get <addr>")
 		}
-		v, ok, err := db.Get(cole.AddressFromString(args[1]))
+		v, ok, err := store.Get(cole.AddressFromString(args[1]))
 		if err != nil {
 			fail("get: %v", err)
 		}
@@ -227,7 +220,7 @@ func main() {
 		// A snapshot pins one committed height so every address of the
 		// batch is answered from the same consistent state, even on a
 		// multi-shard store.
-		snap := db.Snapshot()
+		snap := store.Snapshot()
 		defer snap.Release()
 		res, err := snap.GetBatch(addrs)
 		if err != nil {
@@ -245,7 +238,7 @@ func main() {
 		if len(args) != 3 {
 			fail("getat <addr> <height>")
 		}
-		v, blk, ok, err := db.GetAt(cole.AddressFromString(args[1]), parseU64(args[2]))
+		v, blk, ok, err := store.GetAt(cole.AddressFromString(args[1]), parseU64(args[2]))
 		if err != nil {
 			fail("getat: %v", err)
 		}
@@ -260,17 +253,17 @@ func main() {
 		}
 		addr := cole.AddressFromString(args[1])
 		lo, hi := parseU64(args[2]), parseU64(args[3])
-		_, proof, err := store.ProvQuery(addr, lo, hi)
+		_, proof, err := store.Prov(addr, lo, hi)
 		if err != nil {
 			fail("prov: %v", err)
 		}
 		root := store.RootDigest()
-		verified, err := cole.VerifyShardProv(root, addr, lo, hi, proof)
+		verified, err := proof.Verify(root, addr, lo, hi)
 		if err != nil {
 			fail("verification FAILED: %v", err)
 		}
 		fmt.Printf("%d versions in [%d,%d], proof %d bytes (shard %d of %d), verified against Hstate %s\n",
-			len(verified), lo, hi, proof.Size(), proof.Shard, store.Shards(), root)
+			len(verified), lo, hi, proof.Size(), store.ShardOf(addr), store.Shards(), root)
 		for _, v := range verified {
 			fmt.Printf("  block %6d: %s\n", v.Blk, renderValue(v.Value))
 		}
@@ -281,7 +274,7 @@ func main() {
 		// One pinned snapshot: the dump is a consistent full export
 		// (every retained version of every address, sorted by
 		// ⟨address, block⟩) even while the store keeps committing.
-		n, err := db.Export(func(a cole.Address, blk uint64, v cole.Value) error {
+		n, err := store.Export(func(a cole.Address, blk uint64, v cole.Value) error {
 			_, werr := fmt.Printf("%s %d %s\n", a, blk, renderValue(v))
 			return werr
 		})
@@ -384,7 +377,7 @@ func runTrace(opts cole.Options, args []string) error {
 	}
 	tracer := cole.NewTracer(0)
 	opts.Trace = tracer
-	store, err := cole.OpenSharded(opts)
+	store, err := cole.Open(opts)
 	if err != nil {
 		return fmt.Errorf("open: %w", err)
 	}
@@ -465,7 +458,7 @@ func writeTraceArtifacts(tr *cole.Tracer, out string) error {
 // printStatJSON is the machine-readable form of stat. Stats.Hist is a
 // live histogram handle excluded from the struct's own JSON encoding,
 // so the percentile summaries are attached as an explicit section.
-func printStatJSON(store *cole.ShardedStore, st cole.Stats, sb cole.StorageBreakdown) {
+func printStatJSON(store *cole.Store, st cole.Stats, sb cole.StorageBreakdown) {
 	lat := map[string]interface{}{}
 	if st.Hist != nil {
 		lat["commit"] = st.Hist.Commit.Summary()

@@ -20,19 +20,20 @@
 //
 //	v, ok, _ := store.Get(cole.AddressFromString("alice"))
 //
-//	versions, proof, _ := store.ProvQuery(addr, 1, 100)
-//	verified, err := cole.VerifyProv(hstate, addr, 1, 100, proof)
+//	versions, proof, _ := store.Prov(addr, 1, 100)
+//	verified, err := proof.Verify(hstate, addr, 1, 100)
 //
 // Two write strategies are available: the default synchronous merge
 // (Algorithm 1) and the checkpoint-based asynchronous merge of §5
 // (Options.AsyncMerge), which removes write stalls while keeping the
 // state root digest deterministic across nodes.
 //
-// Block-oriented ingestion should use PutBatch, which applies a block's
-// updates under one lock acquisition (and, on a sharded store, routes
-// them to all shards in one pass); background merges across all levels
-// and shards run on one bounded worker pool sized by
-// Options.MergeWorkers.
+// There is one store type: Open serves Options.Shards ≥ 1 hash-partitioned
+// engines (one engine lives at the directory root, exactly as an
+// unsharded store always has). Block-oriented ingestion should use
+// PutBatch, which applies a block's updates under one lock acquisition
+// per shard, routed in one pass; background merges across all levels and
+// shards run on one bounded worker pool sized by Options.MergeWorkers.
 //
 // The implementation lives in internal/ packages (engine, learned index,
 // Merkle files, MB-tree, and the paper's baselines); this package is the
@@ -41,7 +42,6 @@ package cole
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
 
 	"cole/internal/core"
@@ -50,7 +50,6 @@ import (
 	"cole/internal/run"
 	"cole/internal/shard"
 	"cole/internal/types"
-	"cole/internal/vfs"
 )
 
 // Address identifies a ledger state (fixed 20 bytes).
@@ -73,7 +72,8 @@ type Update = types.Update
 // Version is one provenance result: the value held from block Blk.
 type Version = core.Version
 
-// Proof authenticates a provenance query against a state root digest.
+// Proof is one engine's provenance proof: what Prov returns on a
+// one-shard store, and the Inner part of a ShardProof.
 type Proof = core.Proof
 
 // Stats aggregates engine counters.
@@ -137,9 +137,9 @@ func AsCorrupt(err error) (ec *ErrCorrupt, ok bool) {
 // Finding is one integrity defect VerifyStore pinned to a file.
 type Finding = run.Finding
 
-// VerifyStore scrubs a closed store directory — sharded or not — and
-// reports every integrity defect: layout and manifest files, and every
-// run's metadata checksum, file geometry, and stored Merkle root. A full
+// VerifyStore scrubs a closed store directory and reports every
+// integrity defect: layout and manifest files, and every run's metadata
+// checksum, file geometry, and stored Merkle root. A full
 // scrub (fast=false) additionally re-walks every entry, recomputes every
 // Merkle node, and proves learned-index coverage for every key. The
 // store must not be open. notes carries non-fatal observations (orphan
@@ -170,17 +170,9 @@ func ValueFromUint64(x uint64) Value { return types.ValueFromUint64(x) }
 // oversized input).
 func ValueFromBytes(b []byte) Value { return types.ValueFromBytes(b) }
 
-// DB is the unified store surface: every operation a workload driver,
-// tool, or embedder needs, implemented by both Store (one engine) and
-// ShardedStore (hash-partitioned engines). Code written against DB runs
-// unchanged over any backend — the benchmark harness drives every
-// system × shard-count combination through this one type, and the same
-// holds for CLIs and services layered on the store.
-//
-// Provenance goes through Prov, whose proof handle is verified via
-// ProvProof.Verify; callers that need the concrete proof structure (to
-// serialize it, or to inspect shard routing) keep using the typed
-// ProvQuery methods on the concrete store types.
+// DB is the store surface as an interface: every operation a workload
+// driver, tool, or embedder needs, implemented by *Store. Code that takes
+// a DB can be handed a test double or a wrapper instead of a store.
 type DB interface {
 	// BeginBlock starts block `height` (monotone; COLE does not fork).
 	BeginBlock(height uint64) error
@@ -197,7 +189,7 @@ type DB interface {
 	// GetBatch resolves many point lookups against one committed state.
 	GetBatch(addrs []Address) ([]ReadResult, error)
 	// Snapshot pins the current committed state for consistent reads.
-	Snapshot() Snapshot
+	Snapshot() *Snapshot
 	// Prov answers a provenance query with a verifiable proof handle.
 	Prov(addr Address, blkLo, blkHi uint64) ([]Version, ProvProof, error)
 	// Export streams every live entry, sorted by ⟨address, height⟩.
@@ -218,349 +210,66 @@ type DB interface {
 	Close() error
 }
 
-// Both store types present the full unified surface.
-var (
-	_ DB = (*Store)(nil)
-	_ DB = (*ShardedStore)(nil)
-)
+var _ DB = (*Store)(nil)
 
-// ProvProof is a backend-independent provenance proof handle: the
-// single-engine Merkle proof or the sharded proof (inner proof plus the
-// shard-root path), checked the same way either way.
-type ProvProof interface {
-	// Verify checks the proof against the root digest published in a
-	// block header and returns the authenticated versions, newest first.
-	Verify(hstate Hash, addr Address, blkLo, blkHi uint64) ([]Version, error)
-	// Size approximates the proof's wire size in bytes.
-	Size() int
-}
+// ProvProof is the provenance proof handle Prov returns: a *Proof from a
+// one-shard store (the combined digest IS that engine's Hstate), a
+// *ShardProof otherwise. Verify checks it against the root digest
+// published in a block header and returns the authenticated versions,
+// newest first; Size approximates its wire size in bytes.
+type ProvProof = shard.ProvProof
 
-// Store is a COLE storage engine instance.
-type Store struct {
-	engine *core.Engine
-	unlock func()
-}
-
-// Open creates or reopens a store in opts.Dir. Stores with Shards > 1 are
-// served by OpenSharded (a Store wraps exactly one engine); opening a
-// directory that holds a multi-shard store fails rather than presenting
-// an empty view of it. The directory's advisory lock is held until
-// Close, so concurrent opens and offline reshards fail loudly.
-func Open(opts Options) (*Store, error) {
-	if opts.Shards > 1 {
-		return nil, fmt.Errorf("cole: Options.Shards = %d; use OpenSharded for a multi-shard store", opts.Shards)
-	}
-	// The advisory flock guards against concurrent processes; an injected
-	// filesystem (Options.FS) is process-local, so there is nothing for
-	// the kernel lock to arbitrate.
-	unlock := func() {}
-	if vfs.IsOS(vfs.OrOS(opts.FS)) {
-		var err error
-		unlock, err = shard.LockDir(opts.Dir)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := shard.GuardSingleEngineFS(opts.FS, opts.Dir); err != nil {
-		unlock()
-		return nil, fmt.Errorf("%w; use OpenSharded", err)
-	}
-	e, err := core.Open(opts)
-	if err != nil {
-		unlock()
-		return nil, err
-	}
-	return &Store{engine: e, unlock: unlock}, nil
-}
-
-// BeginBlock starts block `height` (monotone; COLE does not fork).
-func (s *Store) BeginBlock(height uint64) error { return s.engine.BeginBlock(height) }
-
-// Put writes a state update into the open block.
-func (s *Store) Put(addr Address, v Value) error { return s.engine.Put(addr, v) }
-
-// PutBatch writes a block's updates under one lock acquisition, collapsing
-// duplicate addresses to their last write. Digests are byte-identical to
-// issuing the same updates through sequential Put calls.
-func (s *Store) PutBatch(updates []Update) error { return s.engine.PutBatch(updates) }
-
-// Commit seals the open block, runs any due flush/merge cascade, and
-// returns the state root digest Hstate for the block header.
-func (s *Store) Commit() (Hash, error) { return s.engine.Commit() }
-
-// Get returns the latest committed value of addr. Reads are lock-free
-// and snapshot-isolated: they observe the state of the last committed
-// block (never the writes of a block still being built) and run
-// concurrently with commits, merges, and each other.
-func (s *Store) Get(addr Address) (Value, bool, error) { return s.engine.Get(addr) }
-
-// GetAt returns the value of addr active at block height blk and the
-// height at which it was written.
-func (s *Store) GetAt(addr Address, blk uint64) (Value, uint64, bool, error) {
-	return s.engine.GetAt(addr, blk)
-}
-
-// GetBatch resolves many point lookups against one consistent committed
-// state, in input order.
-func (s *Store) GetBatch(addrs []Address) ([]ReadResult, error) {
-	return s.engine.GetBatch(addrs)
-}
-
-// Snapshot pins the store's current committed state for any number of
-// consistent reads at one block height, concurrently with commits and
-// merges. Release it when done so storage reclaimed by merges can be
-// freed.
-func (s *Store) Snapshot() Snapshot { return s.engine.Snapshot() }
-
-// ProvQuery returns the versions of addr written within [blkLo, blkHi]
-// (newest first) and a proof verifiable against the current root digest.
-func (s *Store) ProvQuery(addr Address, blkLo, blkHi uint64) ([]Version, *Proof, error) {
-	return s.engine.ProvQuery(addr, blkLo, blkHi)
-}
-
-// Prov is the backend-independent form of ProvQuery (the DB interface):
-// the same versions and proof, behind the ProvProof handle.
-func (s *Store) Prov(addr Address, blkLo, blkHi uint64) ([]Version, ProvProof, error) {
-	versions, proof, err := s.ProvQuery(addr, blkLo, blkHi)
-	if proof == nil {
-		// Avoid a typed-nil inside the interface on error paths.
-		return versions, nil, err
-	}
-	return versions, proof, err
-}
-
-// Export streams every live entry of the store — all retained versions
-// of all addresses, globally sorted by ⟨address, block height⟩ —
-// through fn, from one pinned snapshot: the export is consistent with a
-// single committed height and runs concurrently with commits and
-// merges. Returns the number of entries streamed; fn returning an error
-// aborts with that error.
-func (s *Store) Export(fn func(addr Address, blk uint64, v Value) error) (int64, error) {
-	snap := s.engine.Snapshot()
-	defer snap.Release()
-	return exportEntries(snap.Entries(), fn)
-}
-
-// VerifyProv verifies a provenance proof against a state root digest from
-// a block header and returns the authenticated versions.
-func VerifyProv(hstate Hash, addr Address, blkLo, blkHi uint64, proof *Proof) ([]Version, error) {
-	return core.VerifyProv(hstate, addr, blkLo, blkHi, proof)
-}
-
-// RootDigest returns the current Hstate.
-func (s *Store) RootDigest() Hash { return s.engine.RootDigest() }
-
-// Height returns the last committed block height.
-func (s *Store) Height() uint64 { return s.engine.Height() }
-
-// CheckpointHeight returns the recovery point: blocks above it must be
-// replayed after a crash (§4.3).
-func (s *Store) CheckpointHeight() uint64 { return s.engine.CheckpointHeight() }
-
-// Storage reports the on-disk footprint.
-func (s *Store) Storage() StorageBreakdown { return s.engine.Storage() }
-
-// Stats returns engine counters.
-func (s *Store) Stats() Stats { return s.engine.Stats() }
-
-// FlushAll persists the in-memory level for a clean shutdown.
-func (s *Store) FlushAll() error { return s.engine.FlushAll() }
-
-// Close joins background merges, releases file handles, and drops the
-// directory lock. Unflushed L0 data is recovered by block replay; call
-// FlushAll first to avoid replay.
-func (s *Store) Close() error {
-	err := s.engine.Close()
-	if s.unlock != nil {
-		s.unlock()
-		s.unlock = nil
-	}
-	return err
-}
-
-// Snapshot is a pinned, immutable read handle on a store's committed
-// state at one block height. All reads through it are lock-free and
-// mutually consistent (on a sharded store, across every shard), and run
-// concurrently with commits and background merges. Snapshots pin
-// resources: Release them (idempotent) so run files retired by merges can
-// be reclaimed.
-type Snapshot interface {
-	// Height returns the committed block height the snapshot observes.
-	Height() uint64
-	// Root returns the state digest (Hstate, or the combined shard
-	// digest) the snapshot's reads are consistent with.
-	Root() Hash
-	// Get returns the latest value of addr as of the snapshot.
-	Get(addr Address) (Value, bool, error)
-	// GetAt returns the value of addr active at block height blk.
-	GetAt(addr Address, blk uint64) (Value, uint64, bool, error)
-	// GetBatch resolves many point lookups, in input order.
-	GetBatch(addrs []Address) ([]ReadResult, error)
-	// Release unpins the snapshot (safe to call more than once).
-	Release()
-}
-
-// ShardProof authenticates a provenance query against a sharded store's
-// combined digest: the owning shard's inner COLE proof plus the shard
-// index and the sibling shard roots.
+// ShardProof authenticates a provenance query against a multi-shard
+// store's combined digest: the owning shard's inner COLE proof plus the
+// shard index and the Merkle path of its root.
 type ShardProof = shard.Proof
 
-// ShardedStore hash-partitions the address space across Options.Shards
-// independent engines (each in its own subdirectory of Options.Dir) and
-// commits them in parallel. The per-block digest deterministically
-// combines the per-shard Hstate roots; with Shards = 1 it equals the
-// single-engine digest, so a one-shard store is byte-compatible with a
-// Store opened by Open.
-type ShardedStore struct {
-	store *shard.Store
-}
+// Store is a COLE store: Options.Shards independent engines (one by
+// default) that hash-partition the address space and commit in parallel.
+// One engine lives directly in Options.Dir, several in shard-NN
+// subdirectories. The per-block digest deterministically combines the
+// per-shard Hstate roots; with one shard it is that engine's Hstate, so
+// digests and proofs are those of the unsharded engine of the paper.
+//
+// Reads (Get, GetAt, GetBatch, Prov, Snapshot) are lock-free and
+// snapshot-isolated: they observe the state of the last committed block,
+// never the writes of a block still being built, and run concurrently
+// with commits, merges, and each other. Close drops the directory lock;
+// unflushed L0 data is recovered by replaying blocks above
+// CheckpointHeight, so call FlushAll first to avoid replay.
+type Store = shard.Store
 
-// OpenSharded creates or reopens a sharded store in opts.Dir. Shards = 0
-// adopts the count persisted in the store directory (1 for a fresh one);
-// an explicit count must match the persisted one on reopen.
-func OpenSharded(opts Options) (*ShardedStore, error) {
-	s, err := shard.Open(opts)
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedStore{store: s}, nil
-}
+// Open creates or reopens a store in opts.Dir. Shards = 0 adopts the count
+// persisted in the directory (1 for a fresh one, and for a legacy
+// directory written before stores pinned their layout); an explicit count
+// must match the persisted one on reopen. The directory's advisory lock
+// is held until Close, so concurrent opens and offline reshards fail
+// loudly.
+func Open(opts Options) (*Store, error) { return shard.Open(opts) }
 
-// Shards returns the partition count.
-func (s *ShardedStore) Shards() int { return s.store.Shards() }
+// ShardedStore is Store.
+//
+// Deprecated: use Store.
+type ShardedStore = Store
 
-// Generation returns the store's reshard generation: 0 until the first
-// Reshard, then the number of reshards applied to the directory.
-func (s *ShardedStore) Generation() uint64 { return s.store.Generation() }
+// OpenSharded is Open.
+//
+// Deprecated: use Open.
+func OpenSharded(opts Options) (*Store, error) { return Open(opts) }
 
-// ShardOf returns the partition that owns addr.
-func (s *ShardedStore) ShardOf(addr Address) int { return s.store.ShardIndex(addr) }
+// Snapshot is a pinned, immutable read handle on a store's committed
+// state at one block height (Height, Root, Get, GetAt, GetBatch). All
+// reads through it are lock-free and mutually consistent across every
+// shard, and run concurrently with commits and background merges.
+// Snapshots pin resources: Release them (idempotent) so run files retired
+// by merges can be reclaimed.
+type Snapshot = shard.Snapshot
 
-// BeginBlock starts block `height` on every shard (monotone; no forks).
-func (s *ShardedStore) BeginBlock(height uint64) error { return s.store.BeginBlock(height) }
-
-// Put routes a state update to the owning shard.
-func (s *ShardedStore) Put(addr Address, v Value) error { return s.store.Put(addr, v) }
-
-// PutBatch pre-buckets a block's updates per shard and applies each
-// bucket concurrently with one engine call — the hot write path for
-// block-oriented ingestion. All shards' background merges share one
-// bounded worker pool (Options.MergeWorkers).
-func (s *ShardedStore) PutBatch(updates []Update) error { return s.store.PutBatch(updates) }
-
-// Commit seals the open block across all shards in parallel and returns
-// the combined state root digest for the block header. The digest is
-// deterministic regardless of shard goroutine completion order. During
-// post-crash replay, a shard whose checkpoint already covers a replayed
-// block contributes the exact root it originally committed at that
-// height (persisted per-shard root history, Options.RootHistory deep),
-// so replayed digests reproduce the originally published headers; a
-// height that has aged out of the retained history falls back to the
-// shard's current root, and with AsyncMerge an actively replaying
-// shard's own digests converge from its first re-triggered cascade.
-func (s *ShardedStore) Commit() (Hash, error) { return s.store.Commit() }
-
-// Get returns the latest committed value of addr (lock-free, snapshot
-// isolated; see Store.Get).
-func (s *ShardedStore) Get(addr Address) (Value, bool, error) { return s.store.Get(addr) }
-
-// GetAt returns the value of addr active at block height blk.
-func (s *ShardedStore) GetAt(addr Address, blk uint64) (Value, uint64, bool, error) {
-	return s.store.GetAt(addr, blk)
-}
-
-// GetBatch resolves many point lookups in one pass: addresses are
-// bucketed per shard, buckets fan out concurrently, and all results
-// observe the same committed block height, in input order.
-func (s *ShardedStore) GetBatch(addrs []Address) ([]ReadResult, error) {
-	return s.store.GetBatch(addrs)
-}
-
-// Snapshot pins all shard views atomically at one committed block height:
-// cross-shard reads through it are mutually consistent even while blocks
-// keep committing. Release it when done.
-func (s *ShardedStore) Snapshot() Snapshot { return s.store.Snapshot() }
-
-// ProvQuery returns the versions of addr written within [blkLo, blkHi]
-// (newest first) and a proof verifiable against the combined digest.
-func (s *ShardedStore) ProvQuery(addr Address, blkLo, blkHi uint64) ([]Version, *ShardProof, error) {
-	return s.store.ProvQuery(addr, blkLo, blkHi)
-}
-
-// Prov is the backend-independent form of ProvQuery (the DB interface):
-// the same versions and proof, behind the ProvProof handle.
-func (s *ShardedStore) Prov(addr Address, blkLo, blkHi uint64) ([]Version, ProvProof, error) {
-	versions, proof, err := s.ProvQuery(addr, blkLo, blkHi)
-	if proof == nil {
-		// Avoid a typed-nil inside the interface on error paths.
-		return versions, nil, err
-	}
-	return versions, proof, err
-}
-
-// Export streams every live entry of all shards, globally sorted by
-// ⟨address, block height⟩, through fn — see Store.Export. The snapshot
-// pins every shard atomically, so the export is one consistent
-// cross-shard state.
-func (s *ShardedStore) Export(fn func(addr Address, blk uint64, v Value) error) (int64, error) {
-	snap := s.store.Snapshot()
-	defer snap.Release()
-	return exportEntries(snap.Entries(), fn)
-}
-
-// exportEntries drains a merged snapshot iterator into fn.
-func exportEntries(it *run.MergeIterator, fn func(addr Address, blk uint64, v Value) error) (int64, error) {
-	var n int64
-	for {
-		e, ok := it.Next()
-		if !ok {
-			break
-		}
-		if err := fn(e.Key.Addr, e.Key.Blk, e.Value); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, it.Err()
-}
-
-// VerifyShardProv verifies a sharded provenance proof against the
-// combined state root digest from a block header and returns the
-// authenticated versions.
-func VerifyShardProv(hstate Hash, addr Address, blkLo, blkHi uint64, proof *ShardProof) ([]Version, error) {
-	return shard.VerifyProv(hstate, addr, blkLo, blkHi, proof)
-}
-
-// RootDigest returns the current combined digest.
-func (s *ShardedStore) RootDigest() Hash { return s.store.RootDigest() }
-
-// Height returns the highest committed block height across shards.
-func (s *ShardedStore) Height() uint64 { return s.store.Height() }
-
-// CheckpointHeight returns the lowest shard checkpoint: blocks above it
-// must be replayed after a crash.
-func (s *ShardedStore) CheckpointHeight() uint64 { return s.store.CheckpointHeight() }
-
-// Storage reports the on-disk footprint summed across shards.
-func (s *ShardedStore) Storage() StorageBreakdown { return s.store.Storage() }
-
-// Stats returns engine counters summed across shards.
-func (s *ShardedStore) Stats() Stats { return s.store.Stats() }
-
-// FlushAll persists every shard's in-memory level for a clean shutdown.
-func (s *ShardedStore) FlushAll() error { return s.store.FlushAll() }
-
-// Close joins background merges and releases file handles on every shard.
-func (s *ShardedStore) Close() error { return s.store.Close() }
-
-// ShardStat is one shard's balance snapshot: stored entries, on-disk
-// bytes, routed writes, and merge back-pressure events. A persistently
-// lopsided entry/byte spread is the cue that a Reshard is worth its
-// rewrite cost.
+// ShardStat is one shard's balance snapshot (Store.ShardStats): stored
+// entries, on-disk bytes, routed writes, and merge back-pressure events.
+// A persistently lopsided entry/byte spread is the cue that a Reshard is
+// worth its rewrite cost.
 type ShardStat = shard.ShardStat
-
-// ShardStats returns each shard's balance snapshot, in shard order.
-func (s *ShardedStore) ShardStats() []ShardStat { return s.store.ShardStats() }
 
 // ReshardOptions tunes an offline Reshard; the zero value uses the store
 // defaults. Structural parameters (size ratio, MHT fanout, merge mode)

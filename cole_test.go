@@ -1,11 +1,13 @@
 package cole_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"cole"
+	"cole/internal/core"
 )
 
 // TestFacadeEndToEnd exercises the public API surface: the full
@@ -46,14 +48,14 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("getat: %v %v %v %v", v.Uint64(), at, ok, err)
 	}
 
-	versions, proof, err := store.ProvQuery(addr, 20, 30)
+	versions, proof, err := store.Prov(addr, 20, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(versions) != 11 {
 		t.Fatalf("%d versions", len(versions))
 	}
-	verified, err := cole.VerifyProv(root, addr, 20, 30, proof)
+	verified, err := proof.Verify(root, addr, 20, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,12 +110,12 @@ func TestValueHelpers(t *testing.T) {
 	}
 }
 
-// TestShardedFacade exercises the sharded public surface: parallel
-// commit, verified provenance against the combined digest, and the
-// guards that keep sharded and unsharded opens from crossing wires.
+// TestShardedFacade exercises a multi-shard store through the public
+// surface: parallel commit, verified provenance against the combined
+// digest, and a reopen that adopts the persisted shard count.
 func TestShardedFacade(t *testing.T) {
 	dir := t.TempDir()
-	store, err := cole.OpenSharded(cole.Options{Dir: dir, Shards: 4, MemCapacity: 32})
+	store, err := cole.Open(cole.Options{Dir: dir, Shards: 4, MemCapacity: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,28 +132,30 @@ func TestShardedFacade(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, proof, err := store.ProvQuery(addr, 1, 10)
+	_, proof, err := store.Prov(addr, 1, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	versions, err := cole.VerifyShardProv(root, addr, 1, 10, proof)
+	versions, err := proof.Verify(root, addr, 1, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(versions) != 10 {
 		t.Fatalf("verified %d versions, want 10", len(versions))
 	}
+	if err := store.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Open must refuse the multi-shard directory rather than present an
-	// empty single-engine view of it.
-	if _, err := cole.Open(cole.Options{Dir: dir}); err == nil {
-		t.Fatal("cole.Open accepted a 4-shard store directory")
+	// Open with Shards unset adopts the persisted count and serves the
+	// directory; a different explicit count is refused.
+	if _, err := cole.Open(cole.Options{Dir: dir, Shards: 2, MemCapacity: 32}); err == nil {
+		t.Fatal("cole.Open reopened a 4-shard store with Shards=2")
 	}
-	// OpenSharded with Shards unset adopts the persisted count.
-	reopened, err := cole.OpenSharded(cole.Options{Dir: dir, MemCapacity: 32})
+	reopened, err := cole.Open(cole.Options{Dir: dir, MemCapacity: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +163,81 @@ func TestShardedFacade(t *testing.T) {
 	if reopened.Shards() != 4 {
 		t.Fatalf("reopen adopted %d shards, want 4", reopened.Shards())
 	}
+	if v, ok, err := reopened.Get(addr); err != nil || !ok || v.Uint64() != 10 {
+		t.Fatalf("get after reopen: %v %v %v", v.Uint64(), ok, err)
+	}
+}
+
+// TestOpenLegacyDirectory: a directory written by a bare engine (root
+// MANIFEST, no SHARDS file — what Open produced before stores pinned
+// their layout) reopens through Open with identical digest, reads and a
+// verifying proof, and gains a one-shard SHARDS pin.
+func TestOpenLegacyDirectory(t *testing.T) {
+	dir := t.TempDir()
+	opts := cole.Options{Dir: dir, MemCapacity: 16, SizeRatio: 2}
+	e, err := core.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := make([]cole.Address, 6)
+	for i := range addrs {
+		addrs[i] = cole.AddressFromString(fmt.Sprintf("legacy-%d", i))
+	}
+	for h := uint64(1); h <= 40; h++ {
+		if err := e.BeginBlock(h); err != nil {
+			t.Fatal(err)
+		}
+		for i, a := range addrs {
+			if err := e.Put(a, cole.ValueFromUint64(h*10+uint64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := e.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	root := e.RootDigest()
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "SHARDS")); !os.IsNotExist(err) {
+		t.Fatalf("a bare engine wrote a SHARDS file: %v", err)
+	}
+
+	store, err := cole.Open(opts)
+	if err != nil {
+		t.Fatalf("open legacy directory: %v", err)
+	}
+	defer store.Close()
+	if store.Shards() != 1 || store.Height() != 40 || store.RootDigest() != root {
+		t.Fatalf("legacy reopen: %d shards, height %d, digest match %v", store.Shards(), store.Height(), store.RootDigest() == root)
+	}
+	for i, a := range addrs {
+		if v, ok, err := store.Get(a); err != nil || !ok || v.Uint64() != 400+uint64(i) {
+			t.Fatalf("get %d: %v %v %v", i, v.Uint64(), ok, err)
+		}
+		if v, at, ok, err := store.GetAt(a, 17); err != nil || !ok || at != 17 || v.Uint64() != 170+uint64(i) {
+			t.Fatalf("getat %d: %v %d %v %v", i, v.Uint64(), at, ok, err)
+		}
+	}
+	versions, proof, err := store.Prov(addrs[2], 5, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if verified, err := proof.Verify(root, addrs[2], 5, 30); err != nil || len(verified) != 26 || len(versions) != 26 {
+		t.Fatalf("prov over the legacy directory: %d/%d versions, err %v", len(versions), len(verified), err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "SHARDS"))
+	if err != nil || string(raw) != `{"shards":1}` {
+		t.Fatalf("SHARDS pin after legacy open: %q, %v", raw, err)
+	}
 }
 
 // TestOpenRejectsCorruptShardManifest: a damaged SHARDS file must fail
-// both open paths rather than let Open present an empty engine view.
+// the open rather than present an empty view.
 func TestOpenRejectsCorruptShardManifest(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "SHARDS"), []byte("{not json"), 0o644); err != nil {
@@ -171,16 +246,13 @@ func TestOpenRejectsCorruptShardManifest(t *testing.T) {
 	if _, err := cole.Open(cole.Options{Dir: dir}); err == nil {
 		t.Fatal("cole.Open accepted a corrupt SHARDS file")
 	}
-	if _, err := cole.OpenSharded(cole.Options{Dir: dir}); err == nil {
-		t.Fatal("cole.OpenSharded accepted a corrupt SHARDS file")
-	}
 }
 
 // TestOpenRejectsOrphanedShardDirs: shard subdirectories whose SHARDS
-// file was lost must not open as an empty unsharded store.
+// file was lost must not open as an empty one-shard store.
 func TestOpenRejectsOrphanedShardDirs(t *testing.T) {
 	dir := t.TempDir()
-	s, err := cole.OpenSharded(cole.Options{Dir: dir, Shards: 2, MemCapacity: 32})
+	s, err := cole.Open(cole.Options{Dir: dir, Shards: 2, MemCapacity: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,49 +263,16 @@ func TestOpenRejectsOrphanedShardDirs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := cole.Open(cole.Options{Dir: dir}); err == nil {
-		t.Fatal("cole.Open accepted a dir with orphaned shard subdirectories")
-	}
-	if _, err := cole.OpenSharded(cole.Options{Dir: dir}); err == nil {
-		t.Fatal("cole.OpenSharded (Shards=0) accepted a dir with orphaned shard subdirectories")
+		t.Fatal("cole.Open (Shards=0) accepted a dir with orphaned shard subdirectories")
 	}
 }
 
-// TestSnapshotFacade exercises the public Snapshot interface on both the
-// single-engine store and the sharded store: pinned height, consistent
-// batched reads, and isolation from later commits.
+// TestSnapshotFacade exercises Snapshot at one and four shards: pinned
+// height, consistent batched reads, and isolation from later commits.
 func TestSnapshotFacade(t *testing.T) {
-	open := map[string]func(dir string) (interface {
-		BeginBlock(uint64) error
-		PutBatch([]cole.Update) error
-		Commit() (cole.Hash, error)
-		Snapshot() cole.Snapshot
-		GetBatch([]cole.Address) ([]cole.ReadResult, error)
-		Close() error
-	}, error){
-		"store": func(dir string) (interface {
-			BeginBlock(uint64) error
-			PutBatch([]cole.Update) error
-			Commit() (cole.Hash, error)
-			Snapshot() cole.Snapshot
-			GetBatch([]cole.Address) ([]cole.ReadResult, error)
-			Close() error
-		}, error) {
-			return cole.Open(cole.Options{Dir: dir, MemCapacity: 16})
-		},
-		"sharded": func(dir string) (interface {
-			BeginBlock(uint64) error
-			PutBatch([]cole.Update) error
-			Commit() (cole.Hash, error)
-			Snapshot() cole.Snapshot
-			GetBatch([]cole.Address) ([]cole.ReadResult, error)
-			Close() error
-		}, error) {
-			return cole.OpenSharded(cole.Options{Dir: dir, MemCapacity: 16, Shards: 4})
-		},
-	}
-	for name, opener := range open {
-		t.Run(name, func(t *testing.T) {
-			s, err := opener(t.TempDir())
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s, err := cole.Open(cole.Options{Dir: t.TempDir(), MemCapacity: 16, Shards: shards})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -299,22 +338,34 @@ func TestSnapshotFacade(t *testing.T) {
 	}
 }
 
-// TestDBInterfaceBothBackends drives the full unified surface through
-// cole.DB for both implementations: the same code path exercises a
-// single-engine Store and a ShardedStore, including a provenance query
-// verified through the backend-independent ProvProof handle.
-func TestDBInterfaceBothBackends(t *testing.T) {
-	open := map[string]func(dir string) (cole.DB, error){
-		"store": func(dir string) (cole.DB, error) {
-			return cole.Open(cole.Options{Dir: dir, MemCapacity: 32, SizeRatio: 2})
-		},
-		"sharded": func(dir string) (cole.DB, error) {
-			return cole.OpenSharded(cole.Options{Dir: dir, MemCapacity: 32, SizeRatio: 2, Shards: 2})
-		},
+// engineProof returns the engine proof inside either kind of ProvProof.
+func engineProof(t *testing.T, p cole.ProvProof, shards int) *cole.Proof {
+	t.Helper()
+	switch p := p.(type) {
+	case *cole.Proof:
+		if shards != 1 {
+			t.Fatalf("a %d-shard store returned a bare engine proof", shards)
+		}
+		return p
+	case *cole.ShardProof:
+		if shards == 1 {
+			t.Fatal("a one-shard store wrapped its engine proof")
+		}
+		return p.Inner
 	}
-	for name, openDB := range open {
-		t.Run(name, func(t *testing.T) {
-			db, err := openDB(t.TempDir())
+	t.Fatalf("unknown proof type %T", p)
+	return nil
+}
+
+// TestDBInterface drives the full surface through cole.DB at one and four
+// shards: the same code path, including a provenance query whose proof —
+// the engine proof at one shard, a ShardProof otherwise — verifies through
+// ProvProof.Verify and is rejected once tampered with.
+func TestDBInterface(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			var db cole.DB
+			db, err := cole.Open(cole.Options{Dir: t.TempDir(), MemCapacity: 32, SizeRatio: 2, Shards: shards})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -379,6 +430,21 @@ func TestDBInterfaceBothBackends(t *testing.T) {
 			}
 			if _, err := proof.Verify(cole.Hash{}, addrs[1], 10, 20); err == nil {
 				t.Fatal("proof verified against a wrong digest")
+			}
+			// Tamper with the engine proof inside whichever kind came back:
+			// an unsearched component digest, else an L0 tree root.
+			inner := engineProof(t, proof, shards)
+			switch {
+			case len(inner.Unsearched) > 0:
+				inner.Unsearched[0][0] ^= 1
+			case len(inner.Runs) > 0:
+				inner.Runs[0].MHTRoot[0] ^= 1
+				inner.Runs[0].BloomDigest[0] ^= 1
+			default:
+				t.Fatal("proof has no disk component to tamper with")
+			}
+			if _, err := proof.Verify(root, addrs[1], 10, 20); err == nil {
+				t.Fatal("tampered proof verified")
 			}
 
 			var exported int64

@@ -56,16 +56,16 @@ func main() {
 	}
 	fmt.Printf("\n%d blocks executed, header chain verified ✓\n", len(headers))
 
-	sb := backend.Engine.Storage()
-	st := backend.Engine.Stats()
+	sb := backend.Store.Storage()
+	st := backend.Store.Stats()
 	fmt.Printf("storage: %d entries, %d runs, %d levels, %.2f MB on disk\n",
 		sb.Entries, sb.Runs, sb.Levels, float64(sb.DataBytes+sb.IndexBytes)/(1<<20))
 	fmt.Printf("engine:  %d puts, %d flushes, %d merges (%d waits)\n",
 		st.Puts, st.Flushes, st.Merges, st.MergeWaits)
 
-	// Crash: drop the engine without flushing. The checkpoint tells us
+	// Crash: drop the store without flushing. The checkpoint tells us
 	// which blocks to replay.
-	checkpoint := backend.Engine.CheckpointHeight()
+	checkpoint := backend.Store.CheckpointHeight()
 	finalRoot := headers[len(headers)-1].Hstate
 	_ = backend.Close()
 	fmt.Printf("\nsimulated crash at height %d; durable checkpoint is %d\n", blocks, checkpoint)

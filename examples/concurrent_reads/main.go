@@ -26,7 +26,7 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	sharded, err := cole.OpenSharded(cole.Options{
+	store, err := cole.Open(cole.Options{
 		Dir:         dir,
 		Shards:      4,
 		MemCapacity: 256,
@@ -35,10 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Everything below drives the store purely through the cole.DB
-	// interface: swap in cole.Open and the demo runs unchanged on a
-	// single-engine store.
-	var store cole.DB = sharded
+	// Drop Shards and the demo runs unchanged on a one-engine store.
 	defer store.Close()
 
 	// Every block writes the block height into a "height marker" under

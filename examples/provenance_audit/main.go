@@ -61,11 +61,11 @@ func main() {
 
 	// The auditor asks: how did the supply change in blocks [301, 400]?
 	lo, hi := uint64(301), uint64(400)
-	versions, proof, err := store.ProvQuery(supply, lo, hi)
+	versions, proof, err := store.Prov(supply, lo, hi)
 	if err != nil {
 		log.Fatal(err)
 	}
-	verified, err := cole.VerifyProv(hstate, supply, lo, hi, proof)
+	verified, err := proof.Verify(hstate, supply, lo, hi)
 	if err != nil {
 		log.Fatalf("audit failed: %v", err)
 	}
@@ -88,10 +88,13 @@ func main() {
 
 	// A dishonest node inflates a historical supply figure: the Merkle
 	// evidence no longer hashes to Hstate.
-	_, evilProof, err := store.ProvQuery(supply, lo, hi)
+	// (A one-shard store hands back the engine proof itself; a sharded
+	// store wraps it as (*cole.ShardProof).Inner.)
+	_, evil, err := store.Prov(supply, lo, hi)
 	if err != nil {
 		log.Fatal(err)
 	}
+	evilProof := evil.(*cole.Proof)
 	tampered := false
 	for _, rp := range evilProof.Runs {
 		if rp.Prov != nil && len(rp.Prov.Span) > 0 {
@@ -116,21 +119,25 @@ func main() {
 	if !tampered {
 		log.Fatal("audit demo expected on-disk versions to tamper with")
 	}
-	if _, err := cole.VerifyProv(hstate, supply, lo, hi, evilProof); err == nil {
+	if _, err := evilProof.Verify(hstate, supply, lo, hi); err == nil {
 		log.Fatal("tampered history passed verification?!")
 	} else {
 		fmt.Printf("\ndishonest node detected: %v ✓\n", err)
 	}
 
 	// A node hiding a version (dropping part of the span) is also caught.
-	_, holeProof, _ := store.ProvQuery(supply, lo, hi)
+	_, hole, err := store.Prov(supply, lo, hi)
+	if err != nil {
+		log.Fatal(err)
+	}
+	holeProof := hole.(*cole.Proof)
 	for _, rp := range holeProof.Runs {
 		if rp.Prov != nil && len(rp.Prov.Results) > 1 {
 			rp.Prov.Results = rp.Prov.Results[1:]
 			break
 		}
 	}
-	if _, err := cole.VerifyProv(hstate, supply, lo, hi, holeProof); err == nil {
+	if _, err := holeProof.Verify(hstate, supply, lo, hi); err == nil {
 		log.Fatal("hidden version passed verification?!")
 	} else {
 		fmt.Printf("hidden version detected: %v ✓\n", err)

@@ -64,13 +64,13 @@ func main() {
 	}
 	fmt.Printf("alice at block 2:     %d (written at block %d)\n", v.Uint64(), at)
 
-	// ProvQuery + VerifyProv: the full version history with integrity
+	// Prov + proof.Verify: the full version history with integrity
 	// proof, checked against the published state root.
-	versions, proof, err := store.ProvQuery(alice, 1, 5)
+	versions, proof, err := store.Prov(alice, 1, 5)
 	if err != nil {
 		log.Fatal(err)
 	}
-	verified, err := cole.VerifyProv(lastRoot, alice, 1, 5, proof)
+	verified, err := proof.Verify(lastRoot, alice, 1, 5)
 	if err != nil {
 		log.Fatalf("verification failed: %v", err)
 	}
@@ -83,7 +83,7 @@ func main() {
 	// Tampered proofs are rejected.
 	badRoot := lastRoot
 	badRoot[0] ^= 0xFF
-	if _, err := cole.VerifyProv(badRoot, alice, 1, 5, proof); err == nil {
+	if _, err := proof.Verify(badRoot, alice, 1, 5); err == nil {
 		log.Fatal("tampered root verified?!")
 	}
 	fmt.Println("\ntampered state root correctly rejected ✓")

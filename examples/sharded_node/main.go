@@ -25,7 +25,7 @@ const (
 // single engine call (digests are byte-identical to looped Put). Keyed
 // to the height so the crash-recovery replay below regenerates
 // identical blocks.
-func putBlock(store *cole.ShardedStore, h uint64) (cole.Hash, error) {
+func putBlock(store *cole.Store, h uint64) (cole.Hash, error) {
 	if err := store.BeginBlock(h); err != nil {
 		return cole.Hash{}, err
 	}
@@ -53,7 +53,7 @@ func main() {
 	// each in its own subdirectory; Commit runs them in parallel and
 	// combines the per-shard roots deterministically.
 	opts := cole.Options{Dir: dir, Shards: shards, MemCapacity: 48}
-	store, err := cole.OpenSharded(opts)
+	store, err := cole.Open(opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,16 +73,16 @@ func main() {
 
 	// A provenance proof carries the owning shard's COLE proof plus an
 	// O(log N) Merkle path from the shard's root to the combined digest.
-	versions, proof, err := store.ProvQuery(alice, 1, blocks)
+	versions, proof, err := store.Prov(alice, 1, blocks)
 	if err != nil {
 		log.Fatal(err)
 	}
-	verified, err := cole.VerifyShardProv(lastRoot, alice, 1, blocks, proof)
+	verified, err := proof.Verify(lastRoot, alice, 1, blocks)
 	if err != nil {
 		log.Fatalf("verification failed: %v", err)
 	}
 	fmt.Printf("provenance: %d versions, %d returned by verification, proof %d bytes (shard %d)\n",
-		len(versions), len(verified), proof.Size(), proof.Shard)
+		len(versions), len(verified), proof.Size(), proof.(*cole.ShardProof).Shard)
 
 	// Crash: close without flushing. Unflushed per-shard memory is lost;
 	// the store recovers by replaying blocks above the lowest shard
@@ -93,7 +93,7 @@ func main() {
 	if err := store.Close(); err != nil {
 		log.Fatal(err)
 	}
-	store, err = cole.OpenSharded(opts)
+	store, err = cole.Open(opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestColeAndMPTAgreeOnProvenance(t *testing.T) {
 		}
 	}
 
-	hstate := coleB.Engine.RootDigest()
+	hstate := coleB.Store.RootDigest()
 	r := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 30; trial++ {
 		addr := chain.KVAddr(workload.ProvKey(r.Intn(20)))
@@ -53,11 +53,11 @@ func TestColeAndMPTAgreeOnProvenance(t *testing.T) {
 		}
 
 		// COLE: verified version list.
-		_, proof, err := coleB.Engine.ProvQuery(addr, lo, hi)
+		_, proof, err := coleB.Store.Prov(addr, lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		coleVersions, err := core.VerifyProv(hstate, addr, lo, hi, proof)
+		coleVersions, err := proof.Verify(hstate, addr, lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func TestGetAtConsistentWithProvQuery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	versions, _, err := store.ProvQuery(addr, 1, blocks)
+	versions, _, err := store.Prov(addr, 1, blocks)
 	if err != nil {
 		t.Fatal(err)
 	}

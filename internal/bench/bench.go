@@ -9,13 +9,13 @@ package bench
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
 
 	"cole/internal/chain"
 	"cole/internal/core"
+	"cole/internal/hist"
 	"cole/internal/kvstore"
 	"cole/internal/obs"
 	"cole/internal/workload"
@@ -44,14 +44,14 @@ const (
 
 // SystemSpec configures the storage engine under test, independent of
 // the traffic driven through it: partitioning, merge scheduling, the
-// write pipeline, the compaction IO mode, and the structural parameters.
+// write pipeline, and the structural parameters.
 type SystemSpec struct {
 	MemCap    int     // COLE B (entries per L0 group)
 	MemBytes  int     // kvstore write buffer for baselines
 	SizeRatio int     // T
 	Fanout    int     // m
 	BloomFP   float64 // bloom false-positive target
-	Shards    int     // COLE shard count (0/1 = single engine)
+	Shards    int     // COLE shard count (0/1 = one engine)
 	// MergeWorkers bounds the shared background merge pool for the COLE
 	// systems (0 = GOMAXPROCS); the budget spans every level of every
 	// shard.
@@ -65,10 +65,6 @@ type SystemSpec struct {
 	// (chain.Batched → PutBatch) instead of per-update Put calls.
 	// Digests are identical either way.
 	Batched bool
-	// IOMode selects the merge/build data path: "" or "streaming" is the
-	// full streaming pipeline, "legacy" reverts to per-entry hashing and
-	// one-page IO granularity (run files stay byte-identical either way).
-	IOMode string
 	// PacingTarget is the compaction-debt level (bytes of in-flight merge
 	// input) at which ingest backpressure reaches its full per-block
 	// delay; 0 disables pacing. The stalls experiment's paced cells
@@ -215,7 +211,7 @@ type Result struct {
 	// unfinished merge + jobs queued behind a full worker pool); COLE
 	// systems only.
 	MergeWaits int64
-	// ShardPuts is the per-shard write count (sharded COLE only) and
+	// ShardPuts is the per-shard write count (COLE systems only) and
 	// Imbalance its max/mean ratio — 1.0 is perfectly balanced routing.
 	// The counts are what reached the shards: a Batched run coalesces
 	// duplicate addresses inside each block before routing, so compare
@@ -243,19 +239,13 @@ type Result struct {
 	ReshardMBps    float64 `json:",omitempty"`
 	TPSBefore      float64 `json:",omitempty"`
 	TPSAfter       float64 `json:",omitempty"`
-	// Compaction measurements (the compaction experiment): IOMode labels
-	// the pipeline leg — "legacy" reverts the per-entry CPU work and
-	// syscall granularity (1-page windows/writes, every leaf and Bloom
-	// hash recomputed) while "streaming" is the full pipeline; both legs
-	// read merges outside the LRU, so the cache columns describe the
-	// current bypass architecture, not a delta against the seed's
-	// cache-polluting reads. MergeBytes is the level-merge volume,
-	// MergeMBps that volume per second spent inside merge builds, and
-	// PageReads / CacheHits the point-read page-cache totals (physical
-	// reads vs LRU hits), which stay intact under heavy compaction.
-	// MergePartitions is the key-range fan-out the row ran with (set on
-	// the partition-sweep rows and any engine phase with the knob set).
-	IOMode          string  `json:",omitempty"`
+	// Compaction measurements (the compaction experiment): MergeBytes is
+	// the level-merge volume, MergeMBps that volume per second spent
+	// inside merge builds, and PageReads / CacheHits the point-read
+	// page-cache totals (physical reads vs LRU hits), which merges bypass
+	// and so stay intact under heavy compaction. MergePartitions is the
+	// key-range fan-out the row ran with (set on the partition-sweep rows
+	// and any engine phase with the knob set).
 	MergePartitions int     `json:",omitempty"`
 	MergeBytes      int64   `json:",omitempty"`
 	MergeMBps       float64 `json:",omitempty"`
@@ -269,8 +259,8 @@ type Result struct {
 	Shards    int            `json:",omitempty"`
 	ReadOps   int64          `json:",omitempty"`
 	WriteOps  int64          `json:",omitempty"`
-	ReadLat   *HistSummary   `json:",omitempty"`
-	CommitLat *HistSummary   `json:",omitempty"`
+	ReadLat   *hist.Summary  `json:",omitempty"`
+	CommitLat *hist.Summary  `json:",omitempty"`
 	Amp       *Amplification `json:",omitempty"`
 	// Stall measurements (the stalls experiment): Pacing and MergeMode
 	// name the matrix cell ("paced"/"unpaced" × "preemptible"/
@@ -306,64 +296,42 @@ type backendHandle struct {
 func openSystem(sys System, dir string, cfg Config) (*backendHandle, error) {
 	switch sys {
 	case SysCOLE, SysCOLEAsync:
-		o := core.Options{
-			Dir:              dir,
-			MemCapacity:      cfg.MemCap,
-			SizeRatio:        cfg.SizeRatio,
-			Fanout:           cfg.Fanout,
-			BloomFP:          cfg.BloomFP,
-			AsyncMerge:       sys == SysCOLEAsync,
-			Shards:           cfg.Shards,
-			MergeWorkers:     cfg.MergeWorkers,
-			MergePartitions:  cfg.MergePartitions,
-			LegacyCompaction: cfg.IOMode == "legacy",
-			Trace:            cfg.Trace,
-		}
-		// The batched pipeline buffers each block and lands it as one
-		// PutBatch; digests are unchanged, so it is purely a perf knob.
-		maybeBatch := func(b chain.BatchBackend) chain.StateBackend {
-			if cfg.Batched {
-				return chain.NewBatched(b)
-			}
-			return b
-		}
-		if cfg.Shards > 1 {
-			b, err := chain.OpenShardedCole(o)
-			if err != nil {
-				return nil, err
-			}
-			return &backendHandle{
-				backend: maybeBatch(b),
-				measure: func() (int64, int64, int64, int) {
-					_ = b.Store.FlushAll()
-					sb := b.Store.Storage()
-					return sb.DataBytes + sb.IndexBytes, sb.DataBytes, sb.IndexBytes, sb.Levels
-				},
-				stats: func() (int64, []int64) {
-					puts := make([]int64, 0, b.Store.Shards())
-					for _, ss := range b.Store.ShardStats() {
-						puts = append(puts, ss.Puts)
-					}
-					return b.Store.Stats().MergeWaits, puts
-				},
-				close: func() { _ = b.Close() },
-			}, nil
-		}
-		b, err := chain.OpenCole(o)
+		b, err := chain.OpenCole(core.Options{
+			Dir:             dir,
+			MemCapacity:     cfg.MemCap,
+			SizeRatio:       cfg.SizeRatio,
+			Fanout:          cfg.Fanout,
+			BloomFP:         cfg.BloomFP,
+			AsyncMerge:      sys == SysCOLEAsync,
+			Shards:          cfg.Shards,
+			MergeWorkers:    cfg.MergeWorkers,
+			MergePartitions: cfg.MergePartitions,
+			Trace:           cfg.Trace,
+		})
 		if err != nil {
 			return nil, err
 		}
+		// The batched pipeline buffers each block and lands it as one
+		// PutBatch; digests are unchanged, so it is purely a perf knob.
+		var backend chain.StateBackend = b
+		if cfg.Batched {
+			backend = chain.NewBatched(b)
+		}
 		return &backendHandle{
-			backend: maybeBatch(b),
+			backend: backend,
 			measure: func() (int64, int64, int64, int) {
 				// Persist L0 so on-disk size reflects all data, as the
 				// paper measures storage after the run.
-				_ = b.Engine.FlushAll()
-				sb := b.Engine.Storage()
+				_ = b.Store.FlushAll()
+				sb := b.Store.Storage()
 				return sb.DataBytes + sb.IndexBytes, sb.DataBytes, sb.IndexBytes, sb.Levels
 			},
 			stats: func() (int64, []int64) {
-				return b.Engine.Stats().MergeWaits, nil
+				puts := make([]int64, 0, b.Store.Shards())
+				for _, ss := range b.Store.ShardStats() {
+					puts = append(puts, ss.Puts)
+				}
+				return b.Store.Stats().MergeWaits, puts
 			},
 			close: func() { _ = b.Close() },
 		}, nil
@@ -580,10 +548,4 @@ func fmtDur(d time.Duration) string {
 	default:
 		return fmt.Sprintf("%.1fµs", float64(d.Nanoseconds())/1000)
 	}
-}
-
-// subdir joins a base with a run-specific name, creating it.
-func subdir(base, name string) (string, error) {
-	d := filepath.Join(base, name)
-	return d, os.MkdirAll(d, 0o755)
 }

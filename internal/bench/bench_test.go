@@ -178,10 +178,10 @@ func TestReportJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round-trip lost data: %+v", got)
 	}
 	// The machine-readable results must expose the merge-tuning fields
-	// (MergeWaits always, ShardPuts for the multi-shard runs).
+	// (MergeWaits always, one ShardPuts count per shard).
 	multi := 0
 	for _, r := range got.Tables[0].Results {
-		if len(r.ShardPuts) > 0 {
+		if len(r.ShardPuts) > 1 {
 			multi++
 		}
 	}
@@ -211,26 +211,15 @@ func TestCompactionBenchTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two merge-only rows, the partition-width sweep, then two rows per
-	// system.
+	// The partition-width sweep, then one row per system.
 	sweepRows := len(mergePartitionWidths)
-	want := 2 + sweepRows + 4
+	want := sweepRows + 2
 	if len(table.Rows) != want || len(table.Results) != want {
 		t.Fatalf("expected %d rows, got %d rows / %d results", want, len(table.Rows), len(table.Results))
 	}
-	for i, res := range table.Results {
-		if res.IOMode != "legacy" && res.IOMode != "streaming" {
-			t.Fatalf("row %d: missing io mode: %+v", i, res)
-		}
-	}
 	// The isolated rows must carry a real bandwidth number; the engine
 	// rows must carry the sustained-write counters.
-	for _, res := range table.Results[:2] {
-		if res.MergeMBps <= 0 || res.MergeBytes <= 0 {
-			t.Fatalf("merge-only row lacks bandwidth: %+v", res)
-		}
-	}
-	for i, res := range table.Results[2 : 2+sweepRows] {
+	for i, res := range table.Results[:sweepRows] {
 		if res.MergePartitions != mergePartitionWidths[i] {
 			t.Fatalf("sweep row %d: partitions = %d, want %d", i, res.MergePartitions, mergePartitionWidths[i])
 		}
@@ -238,7 +227,7 @@ func TestCompactionBenchTiny(t *testing.T) {
 			t.Fatalf("partition-sweep row lacks bandwidth: %+v", res)
 		}
 	}
-	for _, res := range table.Results[2+sweepRows:] {
+	for _, res := range table.Results[sweepRows:] {
 		if res.TPS <= 0 || res.PageReads+res.CacheHits == 0 {
 			t.Fatalf("engine row lacks counters: %+v", res)
 		}

@@ -13,7 +13,7 @@ import (
 
 // compactionReadsPerBlock is how many point reads follow each commit in
 // the compaction experiment: enough traffic to populate the page-cache
-// counters (and show that streaming merges do not thrash the LRU)
+// counters (and show that merges do not thrash the LRU)
 // without turning the sustained-write phase into a read benchmark.
 const compactionReadsPerBlock = 16
 
@@ -29,46 +29,35 @@ const compactionMergeFloor = 200_000
 // the best-of-N convention of the shardscale sweep.
 const compactionMergeReps = 3
 
-// CompactionBench measures the merge/build data path, comparing the
-// legacy compaction granularity (one page per write syscall, one-page
-// merge reads, one SHA-256 leaf hash and one Bloom base hash per merged
-// entry) against the streaming pipeline (~1 MiB readahead windows,
-// coalesced page writes, Merkle leaf-hash passthrough, consecutive-
-// version Bloom fast path). Every merged entry is re-read, re-hashed,
+// CompactionBench measures the merge/build data path (~1 MiB readahead
+// windows, coalesced page writes, Merkle leaf-hash passthrough,
+// consecutive-version Bloom fast path). Every merged entry is re-read
 // and re-written, so sustained write TPS is gated by this bandwidth —
 // exactly the back-pressure MergeWaits counts.
 //
-// Two phases per IO mode:
+// Two phases:
 //
 //   - an isolated k-way merge of SizeRatio sorted runs built from the
-//     workload's entries, timed with nothing else running — the clean
-//     merge-bandwidth number (identical data path for COLE and COLE*;
-//     only scheduling differs);
+//     workload's entries, timed with nothing else running, at each
+//     partition width — the clean merge-bandwidth number (identical data
+//     path for COLE and COLE*; only scheduling differs);
 //   - a sustained-write engine phase per system (COLE, COLE*) reporting
 //     write TPS, merge waits, point-read page-cache hits/misses, and
 //     commit-latency tails while compactions run in the background.
-//
-// Both modes produce byte-identical run files and digests (golden
-// tested); only the IO/CPU cost differs.
 func CompactionBench(cfg Config, scratch string) (*Table, error) {
 	cfg = cfg.Defaults()
 	t := &Table{
-		Title:   "Compaction pipeline: merge bandwidth and sustained-write behavior (legacy vs streaming IO)",
-		Columns: []string{"phase", "io-mode", "write(TPS)", "merge(MB/s)", "speedup", "mergewaits", "pagereads", "cachehits", "p99", "max(tail)"},
+		Title:   "Compaction pipeline: merge bandwidth and sustained-write behavior",
+		Columns: []string{"phase", "write(TPS)", "merge(MB/s)", "speedup", "mergewaits", "pagereads", "cachehits", "p99", "max(tail)"},
 		Notes: []string{
-			"legacy: 1-page write syscalls, 1-page merge reads, leaf + bloom hashes recomputed per merged entry",
-			"streaming: ~1 MiB coalesced writes + readahead, leaf hashes streamed from the source .mrk files",
-			fmt.Sprintf("merge-only: isolated %d-way sort-merge of the workload's entries, best of %d reps", cfg.SizeRatio, compactionMergeReps),
-			"merge-par: the same isolated streaming merge fanned across W key-range partitions (speedup vs its own w=1 row; output runs byte-identical at every width)",
+			fmt.Sprintf("merge-par: isolated %d-way sort-merge of the workload's entries fanned across W key-range partitions, best of %d reps (speedup vs the w=1 row; output runs byte-identical at every width)", cfg.SizeRatio, compactionMergeReps),
 			"engine rows: merge(MB/s) is level-merge volume over wall time inside level-merge builds (background merges time-slice with the foreground on small hosts)",
-			"pagereads/cachehits count the point-read page cache, which merges bypass in BOTH legs (the legacy leg reverts syscall granularity and per-entry hashing, not the seed's cache-routed reads)",
-			"speedup is streaming over the legacy leg of the same phase",
-			"run files and digests are byte-identical across both modes (golden-tested)",
+			"pagereads/cachehits count the point-read page cache, which merges bypass",
 		},
 	}
 	addRow := func(phase string, res Result, base float64) {
 		speedup := "-"
-		if res.IOMode == "streaming" && base > 0 {
+		if base > 0 {
 			speedup = fmt.Sprintf("%.2fx", res.MergeMBps/base)
 		}
 		tps := "-"
@@ -82,7 +71,7 @@ func CompactionBench(cfg Config, scratch string) (*Table, error) {
 			return fmtDur(d)
 		}
 		t.Rows = append(t.Rows, []string{
-			phase, res.IOMode, tps,
+			phase, tps,
 			fmt.Sprintf("%.1f", res.MergeMBps), speedup,
 			fmt.Sprint(res.MergeWaits), fmt.Sprint(res.PageReads), fmt.Sprint(res.CacheHits),
 			lat(res.Latency.P99), lat(res.Latency.Max),
@@ -90,17 +79,6 @@ func CompactionBench(cfg Config, scratch string) (*Table, error) {
 		t.Results = append(t.Results, res)
 	}
 
-	var mergeBase float64
-	for _, mode := range []string{"legacy", "streaming"} {
-		res, err := isolatedMergeRun(mode, cfg, scratch)
-		if err != nil {
-			return nil, fmt.Errorf("merge-only (%s): %w", mode, err)
-		}
-		if mode == "legacy" {
-			mergeBase = res.MergeMBps
-		}
-		addRow("merge-only", res, mergeBase)
-	}
 	sweep, err := isolatedPartitionSweep(cfg, scratch)
 	if err != nil {
 		return nil, fmt.Errorf("merge partition sweep: %w", err)
@@ -115,17 +93,11 @@ func CompactionBench(cfg Config, scratch string) (*Table, error) {
 		addRow(fmt.Sprintf("merge-par(w=%d)", res.MergePartitions), res, base)
 	}
 	for _, sys := range []System{SysCOLE, SysCOLEAsync} {
-		var base float64
-		for _, mode := range []string{"legacy", "streaming"} {
-			res, err := compactionRun(sys, mode, cfg, scratch)
-			if err != nil {
-				return nil, fmt.Errorf("%s (%s): %w", sys, mode, err)
-			}
-			if mode == "legacy" {
-				base = res.MergeMBps
-			}
-			addRow(string(sys), res, base)
+		res, err := compactionRun(sys, cfg, scratch)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", sys, err)
 		}
+		addRow(string(sys), res, 0)
 	}
 	return t, nil
 }
@@ -162,81 +134,14 @@ func compactionEntries(cfg Config, total int) []types.Entry {
 	return entries
 }
 
-// isolatedMergeRun builds cfg.SizeRatio sorted runs from the workload's
-// entry stream and times their k-way merge into one run, with nothing
-// else on the host's plate: the clean merge-bandwidth measurement.
-func isolatedMergeRun(mode string, cfg Config, scratch string) (Result, error) {
-	dir, err := tempDir(scratch, "compaction-merge")
-	if err != nil {
-		return Result{}, err
-	}
-	defer cleanup(dir)
-
-	total := cfg.Blocks * cfg.TxPerBlock
-	if total < compactionMergeFloor {
-		total = compactionMergeFloor
-	}
-	entries := compactionEntries(cfg, total)
-	params := run.Params{PageSize: 0, Fanout: cfg.Fanout, BloomFP: cfg.BloomFP}
-	if mode == "legacy" {
-		params.MergeReadahead = 1
-		params.WriteBufferPages = 1
-		params.LegacyCompaction = true
-	}
-	// Stripe the sorted stream round-robin into SizeRatio sorted sources:
-	// interleaved key ranges, the shape of a level's run group.
-	ways := cfg.SizeRatio
-	perRun := make([][]types.Entry, ways)
-	for i, e := range entries {
-		perRun[i%ways] = append(perRun[i%ways], e)
-	}
-	runs := make([]*run.Run, ways)
-	for k := range runs {
-		r, err := run.Build(dir, uint64(k), int64(len(perRun[k])), params, run.NewSliceIterator(perRun[k]))
-		if err != nil {
-			return Result{}, err
-		}
-		runs[k] = r
-	}
-	defer func() {
-		for _, r := range runs {
-			if r != nil {
-				_ = r.Close()
-			}
-		}
-	}()
-
-	res := Result{Workload: "compaction", IOMode: mode, Txs: len(entries)}
-	res.MergeBytes = int64(len(entries)) * types.EntrySize
-	for rep := 0; rep < compactionMergeReps; rep++ {
-		start := time.Now()
-		it := run.MergeRuns(runs)
-		out, err := run.Build(dir, uint64(1000+rep), int64(len(entries)), params, it)
-		if err != nil {
-			return Result{}, err
-		}
-		if err := it.Err(); err != nil {
-			return Result{}, err
-		}
-		elapsed := time.Since(start)
-		if mbps := float64(res.MergeBytes) / (1 << 20) / elapsed.Seconds(); mbps > res.MergeMBps {
-			res.MergeMBps = mbps
-			res.Elapsed = elapsed
-		}
-		if err := out.Remove(); err != nil {
-			return Result{}, err
-		}
-	}
-	return res, nil
-}
-
 // mergePartitionWidths is the compaction experiment's partition sweep:
 // the same isolated merge fanned across 1, 2, 4, and 8 key-range spans.
 var mergePartitionWidths = []int{1, 2, 4, 8}
 
-// isolatedPartitionSweep builds the streaming-mode source runs once and
-// times their k-way merge at each partition width. W=1 is the sequential
-// streaming build; wider rows plan page-aligned spans and fan them
+// isolatedPartitionSweep builds cfg.SizeRatio sorted source runs from the
+// workload's entry stream once and times their k-way merge into one run
+// at each partition width, with nothing else on the host's plate. W=1 is
+// the sequential build; wider rows plan page-aligned spans and fan them
 // across goroutines exactly like the engine's partitioned merges (which
 // route through the merge pool instead — same data path). The output is
 // byte-identical at every width, so the sweep isolates pure wall-time
@@ -278,7 +183,7 @@ func isolatedPartitionSweep(cfg Config, scratch string) ([]Result, error) {
 	var out []Result
 	id := uint64(2000)
 	for _, w := range mergePartitionWidths {
-		res := Result{Workload: "compaction", IOMode: "streaming", MergePartitions: w, Txs: len(entries)}
+		res := Result{Workload: "compaction", MergePartitions: w, Txs: len(entries)}
 		res.MergeBytes = int64(len(entries)) * types.EntrySize
 		for rep := 0; rep < compactionMergeReps; rep++ {
 			start := time.Now()
@@ -316,20 +221,12 @@ func partitionedMergeOnce(dir string, id uint64, runs []*run.Run, count int64, p
 				func(sp run.Span) (run.Iterator, error) { return run.MergeRunsRange(runs, sp), nil }, par)
 		}
 	}
-	it := run.MergeRuns(runs)
-	r, err := run.Build(dir, id, count, params, it)
-	if err != nil {
-		return nil, err
-	}
-	if err := it.Err(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return run.Build(dir, id, count, params, run.MergeRuns(runs))
 }
 
 // compactionRun drives one engine through the sustained-write phase and
 // gathers the compaction counters.
-func compactionRun(sys System, mode string, cfg Config, scratch string) (Result, error) {
+func compactionRun(sys System, cfg Config, scratch string) (Result, error) {
 	dir, err := tempDir(scratch, "compaction")
 	if err != nil {
 		return Result{}, err
@@ -353,11 +250,6 @@ func compactionRun(sys System, mode string, cfg Config, scratch string) (Result,
 		MergeWorkers:    cfg.MergeWorkers,
 		MergePartitions: cfg.MergePartitions,
 	}
-	if mode == "legacy" {
-		opts.MergeReadahead = 1
-		opts.WriteBufferPages = 1
-		opts.LegacyCompaction = true
-	}
 	e, err := core.Open(opts)
 	if err != nil {
 		return Result{}, err
@@ -369,7 +261,7 @@ func compactionRun(sys System, mode string, cfg Config, scratch string) (Result,
 	for i := range addrs {
 		addrs[i] = types.AddressFromUint64(uint64(i))
 	}
-	res := Result{System: sys, Workload: "compaction", IOMode: mode, MergePartitions: cfg.MergePartitions, Blocks: cfg.Blocks, Txs: total}
+	res := Result{System: sys, Workload: "compaction", MergePartitions: cfg.MergePartitions, Blocks: cfg.Blocks, Txs: total}
 	upd := make([]types.Update, cfg.TxPerBlock)
 	start := time.Now()
 	for b := 1; b <= cfg.Blocks; b++ {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"cole/internal/chain"
-	"cole/internal/core"
 	"cole/internal/mpt"
 	"cole/internal/shard"
 	"cole/internal/types"
@@ -224,13 +223,11 @@ func (o ProvOptions) defaults() ProvOptions {
 
 // provStore is a built provenance store queried by Fig14/Fig15.
 type provStore struct {
-	sys    System
 	height uint64
-	// exactly one of cole, sharded, mpt is set
-	cole    *core.Engine
-	sharded *shard.Store
-	mpt     *chain.MPTBackend
-	h       *backendHandle
+	// exactly one of cole, mpt is set
+	cole *shard.Store
+	mpt  *chain.MPTBackend
+	h    *backendHandle
 }
 
 // buildProvStore loads 100 base states then applies update blocks.
@@ -258,7 +255,7 @@ func buildProvStore(sys System, cfg Config, opts ProvOptions, dir string) (*prov
 			return nil, err
 		}
 	}
-	ps := &provStore{sys: sys, height: c.Height(), h: h}
+	ps := &provStore{height: c.Height(), h: h}
 	// The batched pipeline wraps the COLE backends; provenance queries
 	// need the concrete store behind it.
 	backend := h.backend
@@ -267,9 +264,7 @@ func buildProvStore(sys System, cfg Config, opts ProvOptions, dir string) (*prov
 	}
 	switch b := backend.(type) {
 	case *chain.ColeBackend:
-		ps.cole = b.Engine
-	case *chain.ShardedColeBackend:
-		ps.sharded = b.Store
+		ps.cole = b.Store
 	case *chain.MPTBackend:
 		ps.mpt = b
 	default:
@@ -290,22 +285,11 @@ func (ps *provStore) query(rng *rand.Rand, base int, q int) (time.Duration, int,
 	start := time.Now()
 	if ps.cole != nil {
 		hstate := ps.cole.RootDigest()
-		_, proof, err := ps.cole.ProvQuery(addr, lo, hi)
+		_, proof, err := ps.cole.Prov(addr, lo, hi)
 		if err != nil {
 			return 0, 0, err
 		}
-		if _, err := core.VerifyProv(hstate, addr, lo, hi, proof); err != nil {
-			return 0, 0, err
-		}
-		return time.Since(start), proof.Size(), nil
-	}
-	if ps.sharded != nil {
-		hstate := ps.sharded.RootDigest()
-		_, proof, err := ps.sharded.ProvQuery(addr, lo, hi)
-		if err != nil {
-			return 0, 0, err
-		}
-		if _, err := shard.VerifyProv(hstate, addr, lo, hi, proof); err != nil {
+		if _, err := proof.Verify(hstate, addr, lo, hi); err != nil {
 			return 0, 0, err
 		}
 		return time.Since(start), proof.Size(), nil

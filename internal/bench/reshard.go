@@ -72,7 +72,7 @@ func reshardOnce(cfg Config, target int, scratch string) (Result, []string, erro
 	}
 
 	gen, load := newKVStoreSource(cfg)
-	drive := func(b *chain.ShardedColeBackend, start uint64, load []chain.Tx) (float64, error) {
+	drive := func(b *chain.ColeBackend, start uint64, load []chain.Tx) (float64, error) {
 		c := chain.New(chain.NewBatched(b), start)
 		for len(load) > 0 {
 			n := cfg.TxPerBlock
@@ -94,7 +94,7 @@ func reshardOnce(cfg Config, target int, scratch string) (Result, []string, erro
 	}
 
 	// Phase 1: build and measure the source layout.
-	b, err := chain.OpenShardedCole(opts)
+	b, err := chain.OpenCole(opts)
 	if err != nil {
 		return Result{}, nil, err
 	}
@@ -122,7 +122,7 @@ func reshardOnce(cfg Config, target int, scratch string) (Result, []string, erro
 	// the same pipeline.
 	reopened := opts
 	reopened.Shards = 0
-	b2, err := chain.OpenShardedCole(reopened)
+	b2, err := chain.OpenCole(reopened)
 	if err != nil {
 		return Result{}, nil, err
 	}

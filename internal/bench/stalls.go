@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"cole"
+	"cole/internal/hist"
 	"cole/internal/obs"
 	"cole/internal/types"
 	"cole/internal/workload"
@@ -367,10 +368,10 @@ func StallBench(cfg Config, scratch string) (*Table, error) {
 			t.Rows = append(t.Rows, []string{
 				string(sys), res.Pacing, res.MergeMode,
 				fmt.Sprint(res.Blocks), fmt.Sprintf("%.0f", res.TPS),
-				latCell(res.CommitLat, func(s *HistSummary) time.Duration { return s.P50 }),
-				latCell(res.CommitLat, func(s *HistSummary) time.Duration { return s.P99 }),
-				latCell(res.CommitLat, func(s *HistSummary) time.Duration { return s.P999 }),
-				latCell(res.CommitLat, func(s *HistSummary) time.Duration { return s.Max }),
+				latCell(res.CommitLat, func(s *hist.Summary) time.Duration { return s.P50 }),
+				latCell(res.CommitLat, func(s *hist.Summary) time.Duration { return s.P99 }),
+				latCell(res.CommitLat, func(s *hist.Summary) time.Duration { return s.P999 }),
+				latCell(res.CommitLat, func(s *hist.Summary) time.Duration { return s.Max }),
 				fmtDur(time.Duration(res.StallNanos)),
 				fmtDur(time.Duration(res.PaceNanos)),
 				fmt.Sprint(res.Preemptions),

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cole"
+	"cole/internal/hist"
 	"cole/internal/types"
 	"cole/internal/workload"
 )
@@ -17,8 +18,8 @@ type openLoopResult struct {
 	readOps   int64
 	writeOps  int64
 	blocks    int64
-	readLat   Hist
-	commitLat Hist
+	readLat   hist.Hist
+	commitLat hist.Hist
 	amp       Amplification
 	// stats is the engine counter snapshot taken right before the final
 	// FlushAll, so stall/pace/commit counters describe the driven run,
@@ -92,7 +93,7 @@ func runOpenLoop(db cole.DB, spec workload.Spec) (*openLoopResult, error) {
 	// the channel so the dispatcher can never block on a dead pool.
 	var (
 		res    openLoopResult
-		hists  = make([]Hist, spec.Concurrency)
+		hists  = make([]hist.Hist, spec.Concurrency)
 		reads  = make(chan readReq, spec.Concurrency*64)
 		wg     sync.WaitGroup
 		failed atomic.Bool
@@ -109,7 +110,7 @@ func runOpenLoop(db cole.DB, spec workload.Spec) (*openLoopResult, error) {
 	}
 	for w := 0; w < spec.Concurrency; w++ {
 		wg.Add(1)
-		go func(h *Hist) {
+		go func(h *hist.Hist) {
 			defer wg.Done()
 			for req := range reads {
 				if failed.Load() {
@@ -269,16 +270,11 @@ func Workloads(cfg Config, specs []workload.Spec, shards []int, scratchDir strin
 					Fanout:       cfg.Fanout,
 					BloomFP:      cfg.BloomFP,
 					AsyncMerge:   sys == SysCOLEAsync,
+					Shards:       n,
 					MergeWorkers: cfg.MergeWorkers,
 					Trace:        cfg.Trace,
 				}
-				var db cole.DB
-				if n > 1 {
-					opts.Shards = n
-					db, err = cole.OpenSharded(opts)
-				} else {
-					db, err = cole.Open(opts)
-				}
+				db, err := cole.Open(opts)
 				if err != nil {
 					cleanup(dir)
 					return nil, err
@@ -308,9 +304,9 @@ func Workloads(cfg Config, specs []workload.Spec, shards []int, scratchDir strin
 					t.Rows = append(t.Rows, []string{
 						string(res.Workload), string(sys), fmt.Sprintf("%d", n),
 						fmt.Sprintf("%.0f", res.TPS),
-						latCell(res.ReadLat, func(s *HistSummary) time.Duration { return s.P50 }),
-						latCell(res.ReadLat, func(s *HistSummary) time.Duration { return s.P99 }),
-						latCell(res.CommitLat, func(s *HistSummary) time.Duration { return s.P99 }),
+						latCell(res.ReadLat, func(s *hist.Summary) time.Duration { return s.P50 }),
+						latCell(res.ReadLat, func(s *hist.Summary) time.Duration { return s.P99 }),
+						latCell(res.CommitLat, func(s *hist.Summary) time.Duration { return s.P99 }),
 						fmt.Sprintf("%.2f", r.amp.Write),
 						fmt.Sprintf("%.2f", r.amp.Read),
 						fmt.Sprintf("%.2f", r.amp.Space),
@@ -330,7 +326,7 @@ func Workloads(cfg Config, specs []workload.Spec, shards []int, scratchDir strin
 // latCell renders one percentile of a possibly-absent histogram summary
 // (a write-only workload has no read ladder, a read-only one commits no
 // full blocks).
-func latCell(s *HistSummary, pick func(*HistSummary) time.Duration) string {
+func latCell(s *hist.Summary, pick func(*hist.Summary) time.Duration) string {
 	if s == nil {
 		return "-"
 	}

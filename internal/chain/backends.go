@@ -13,8 +13,8 @@ import (
 	"cole/internal/types"
 )
 
-// blockOverlay gives a COLE backend read-your-writes inside an open
-// block: engine reads are snapshot-isolated at the last commit, so the
+// blockOverlay gives the COLE backend read-your-writes inside an open
+// block: store reads are snapshot-isolated at the last commit, so the
 // executor's intra-block reads (a transfer reading a balance an earlier
 // transaction in the same block wrote) are served from this overlay while
 // everything else comes from a snapshot pinned at BeginBlock. The engine
@@ -32,23 +32,23 @@ func (o *blockOverlay) reset()                                  { clear(o.writes
 func (o *blockOverlay) put(a types.Address, v types.Value)      { o.writes[a] = v }
 func (o *blockOverlay) get(a types.Address) (types.Value, bool) { v, ok := o.writes[a]; return v, ok }
 
-// ColeBackend adapts the COLE engine (sync or async) to StateBackend.
-// Each block executes over a Snapshot pinned at BeginBlock (lock-free,
-// stable reads while background merges run) plus the block's own write
-// overlay.
+// ColeBackend adapts a COLE store (sync or async merge, any shard count)
+// to StateBackend. Each block executes over a Snapshot pinned at
+// BeginBlock (lock-free, stable reads while background merges run) plus
+// the block's own write overlay.
 type ColeBackend struct {
-	Engine  *core.Engine
-	snap    *core.Snapshot
+	Store   *shard.Store
+	snap    *shard.Snapshot
 	overlay *blockOverlay
 }
 
-// OpenCole opens a COLE backend.
+// OpenCole opens a COLE backend with opts.Shards partitions.
 func OpenCole(opts core.Options) (*ColeBackend, error) {
-	e, err := core.Open(opts)
+	s, err := shard.Open(opts)
 	if err != nil {
 		return nil, err
 	}
-	return &ColeBackend{Engine: e, overlay: newBlockOverlay()}, nil
+	return &ColeBackend{Store: s, overlay: newBlockOverlay()}, nil
 }
 
 // BeginBlock implements StateBackend: it pins the pre-block snapshot all
@@ -56,13 +56,13 @@ func OpenCole(opts core.Options) (*ColeBackend, error) {
 func (b *ColeBackend) BeginBlock(h uint64) error {
 	// No stale snapshot can be pinned here: Commit releases it whatever
 	// its outcome, so b.snap is non-nil only while a block is open — and
-	// then the engine rejects the nested BeginBlock below, keeping the
+	// then the store rejects the nested BeginBlock below, keeping the
 	// active block's pin (and its isolation) intact.
-	if err := b.Engine.BeginBlock(h); err != nil {
+	if err := b.Store.BeginBlock(h); err != nil {
 		return err
 	}
 	b.releaseSnap()
-	b.snap = b.Engine.Snapshot()
+	b.snap = b.Store.Snapshot()
 	b.overlay.reset()
 	return nil
 }
@@ -76,94 +76,6 @@ func (b *ColeBackend) releaseSnap() {
 
 // Put implements StateBackend.
 func (b *ColeBackend) Put(addr types.Address, v types.Value) error {
-	if err := b.Engine.Put(addr, v); err != nil {
-		return err
-	}
-	b.overlay.put(addr, v)
-	return nil
-}
-
-// PutBatch implements BatchBackend.
-func (b *ColeBackend) PutBatch(updates []types.Update) error {
-	if err := b.Engine.PutBatch(updates); err != nil {
-		return err
-	}
-	for _, u := range updates {
-		b.overlay.put(u.Addr, u.Value)
-	}
-	return nil
-}
-
-// Get implements StateBackend: the open block's own writes win, then the
-// pinned pre-block snapshot (or the live engine view between blocks).
-func (b *ColeBackend) Get(addr types.Address) (types.Value, bool, error) {
-	if v, ok := b.overlay.get(addr); ok {
-		return v, true, nil
-	}
-	if b.snap != nil {
-		return b.snap.Get(addr)
-	}
-	return b.Engine.Get(addr)
-}
-
-// Commit implements StateBackend. The overlay is dropped whatever the
-// outcome: on success the engine serves the block's writes, and on error
-// between-block Gets must not keep serving values that never committed.
-func (b *ColeBackend) Commit() (types.Hash, error) {
-	root, err := b.Engine.Commit()
-	b.releaseSnap()
-	b.overlay.reset()
-	return root, err
-}
-
-// Close implements StateBackend.
-func (b *ColeBackend) Close() error {
-	b.releaseSnap()
-	return b.Engine.Close()
-}
-
-// ShardedColeBackend adapts a sharded COLE store (N engines, parallel
-// per-shard commit) to StateBackend, with the same snapshot-plus-overlay
-// block execution as ColeBackend.
-type ShardedColeBackend struct {
-	Store   *shard.Store
-	snap    *shard.Snapshot
-	overlay *blockOverlay
-}
-
-// OpenShardedCole opens a sharded COLE backend with opts.Shards
-// partitions.
-func OpenShardedCole(opts core.Options) (*ShardedColeBackend, error) {
-	s, err := shard.Open(opts)
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedColeBackend{Store: s, overlay: newBlockOverlay()}, nil
-}
-
-// BeginBlock implements StateBackend.
-func (b *ShardedColeBackend) BeginBlock(h uint64) error {
-	// See ColeBackend.BeginBlock: a failed BeginBlock either finds no
-	// snapshot pinned (Commit always released it) or preserves the open
-	// block's pin.
-	if err := b.Store.BeginBlock(h); err != nil {
-		return err
-	}
-	b.releaseSnap()
-	b.snap = b.Store.Snapshot()
-	b.overlay.reset()
-	return nil
-}
-
-func (b *ShardedColeBackend) releaseSnap() {
-	if b.snap != nil {
-		b.snap.Release()
-		b.snap = nil
-	}
-}
-
-// Put implements StateBackend.
-func (b *ShardedColeBackend) Put(addr types.Address, v types.Value) error {
 	if err := b.Store.Put(addr, v); err != nil {
 		return err
 	}
@@ -172,7 +84,7 @@ func (b *ShardedColeBackend) Put(addr types.Address, v types.Value) error {
 }
 
 // PutBatch implements BatchBackend.
-func (b *ShardedColeBackend) PutBatch(updates []types.Update) error {
+func (b *ColeBackend) PutBatch(updates []types.Update) error {
 	if err := b.Store.PutBatch(updates); err != nil {
 		return err
 	}
@@ -182,8 +94,9 @@ func (b *ShardedColeBackend) PutBatch(updates []types.Update) error {
 	return nil
 }
 
-// Get implements StateBackend.
-func (b *ShardedColeBackend) Get(addr types.Address) (types.Value, bool, error) {
+// Get implements StateBackend: the open block's own writes win, then the
+// pinned pre-block snapshot (or the live store view between blocks).
+func (b *ColeBackend) Get(addr types.Address) (types.Value, bool, error) {
 	if v, ok := b.overlay.get(addr); ok {
 		return v, true, nil
 	}
@@ -194,8 +107,9 @@ func (b *ShardedColeBackend) Get(addr types.Address) (types.Value, bool, error) 
 }
 
 // Commit implements StateBackend. The overlay is dropped whatever the
-// outcome (see ColeBackend.Commit).
-func (b *ShardedColeBackend) Commit() (types.Hash, error) {
+// outcome: on success the store serves the block's writes, and on error
+// between-block Gets must not keep serving values that never committed.
+func (b *ColeBackend) Commit() (types.Hash, error) {
 	root, err := b.Store.Commit()
 	b.releaseSnap()
 	b.overlay.reset()
@@ -203,7 +117,7 @@ func (b *ShardedColeBackend) Commit() (types.Hash, error) {
 }
 
 // Close implements StateBackend.
-func (b *ShardedColeBackend) Close() error {
+func (b *ColeBackend) Close() error {
 	b.releaseSnap()
 	return b.Store.Close()
 }

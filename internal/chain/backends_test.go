@@ -35,9 +35,9 @@ func squatRunFiles(t *testing.T, dir string, upToID uint64) {
 	}
 }
 
-// TestColeBackendCommitFailureDropsOverlay: when Engine.Commit fails, the
+// TestColeBackendCommitFailureDropsOverlay: when the store Commit fails, the
 // block's writes never became durable, so between-block Gets (which fall
-// through to the engine once the snapshot is released) must not keep
+// through to the store once the snapshot is released) must not keep
 // serving them from the backend's write overlay.
 func TestColeBackendCommitFailureDropsOverlay(t *testing.T) {
 	dir := t.TempDir()
@@ -122,11 +122,11 @@ func TestColeBackendBeginBlockErrorSnapshotDiscipline(t *testing.T) {
 	}
 }
 
-// TestShardedColeBackendCommitFailureDropsOverlay is the sharded twin of
-// the ColeBackend overlay test.
-func TestShardedColeBackendCommitFailureDropsOverlay(t *testing.T) {
+// TestColeBackendCommitFailureDropsOverlaySharded is the overlay test on
+// a two-shard store, where only some shards' cascades fail.
+func TestColeBackendCommitFailureDropsOverlaySharded(t *testing.T) {
 	dir := t.TempDir()
-	b, err := OpenShardedCole(core.Options{Dir: dir, MemCapacity: 8, SizeRatio: 2, Fanout: 4, Shards: 2})
+	b, err := OpenCole(core.Options{Dir: dir, MemCapacity: 8, SizeRatio: 2, Fanout: 4, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"cole/internal/run"
 	"cole/internal/types"
 )
 
@@ -61,44 +62,80 @@ func runFileBytes(t *testing.T, dir string) map[string][]byte {
 	return out
 }
 
-// TestEngineGoldenStreamingVsLegacy runs identical block sequences
-// through an engine with the streaming compaction pipeline and one with
-// the legacy IO/CPU path (1-page syscalls, per-entry re-hashing), across
-// sync and async cascades: every per-block Hstate and every on-disk run
-// file must be byte-identical — the streaming rebuild is pure
-// restructuring, never a format or digest change.
-func TestEngineGoldenStreamingVsLegacy(t *testing.T) {
+// plainIterator hides a run iterator's stored leaf hashes, so a rebuild
+// through it recomputes every Merkle leaf from the entry bytes.
+type plainIterator struct{ inner run.Iterator }
+
+func (p plainIterator) Next() (types.Entry, bool) { return p.inner.Next() }
+
+// TestEngineGoldenStreamingVsReference runs identical block sequences
+// through an engine with the default streaming pipeline (readahead,
+// coalesced writes, auto-partitioned merges) and a reference engine at
+// 1-page IO with sequential merges, across sync and async cascades: every
+// per-block Hstate and every on-disk run file must be byte-identical.
+// Every surviving run — each the product of leaf-hash passthrough along a
+// chain of merges — is then rebuilt from its own entries with every leaf
+// hash recomputed, and must again match byte for byte: passthrough is
+// pure restructuring, never a format or digest change.
+func TestEngineGoldenStreamingVsReference(t *testing.T) {
 	for _, async := range []bool{false, true} {
 		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
 			const blocks = 60 // several cascades deep at MemCapacity 32, T 2
 
-			legacyOpts := testOpts(t, async)
-			legacyOpts.MergeReadahead = 1
-			legacyOpts.WriteBufferPages = 1
-			legacyOpts.LegacyCompaction = true
-			legacy := openEngine(t, legacyOpts)
-			legacyRoots := driveBlocks(t, legacy, blocks)
+			refOpts := testOpts(t, async)
+			refOpts.MergeReadahead = 1
+			refOpts.WriteBufferPages = 1
+			refOpts.MergePartitions = 1
+			ref := openEngine(t, refOpts)
+			refRoots := driveBlocks(t, ref, blocks)
 
 			streamOpts := testOpts(t, async)
 			stream := openEngine(t, streamOpts)
 			streamRoots := driveBlocks(t, stream, blocks)
 
-			for b := range legacyRoots {
-				if legacyRoots[b] != streamRoots[b] {
-					t.Fatalf("block %d: Hstate differs between legacy and streaming pipelines", b+1)
+			for b := range refRoots {
+				if refRoots[b] != streamRoots[b] {
+					t.Fatalf("block %d: Hstate differs between reference and streaming pipelines", b+1)
 				}
 			}
-			lf, sf := runFileBytes(t, legacyOpts.Dir), runFileBytes(t, streamOpts.Dir)
-			if len(lf) == 0 || len(lf) != len(sf) {
-				t.Fatalf("run file sets differ: %d vs %d", len(lf), len(sf))
+			rf, sf := runFileBytes(t, refOpts.Dir), runFileBytes(t, streamOpts.Dir)
+			if len(rf) == 0 || len(rf) != len(sf) {
+				t.Fatalf("run file sets differ: %d vs %d", len(rf), len(sf))
 			}
-			for name, want := range lf {
+			for name, want := range rf {
 				got, ok := sf[name]
 				if !ok {
 					t.Fatalf("streaming store is missing %s", name)
 				}
 				if !bytes.Equal(got, want) {
-					t.Fatalf("%s differs between legacy and streaming pipelines", name)
+					t.Fatalf("%s differs between reference and streaming pipelines", name)
+				}
+			}
+
+			st, err := ReadStoreState(nil, streamOpts.Dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			params := streamOpts.withDefaults().runParams()
+			for _, id := range st.RunIDs {
+				r, err := run.Open(streamOpts.Dir, id, params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rebuildDir := t.TempDir()
+				rebuilt, err := run.Build(rebuildDir, id, r.Count(), refOpts.withDefaults().runParams(), plainIterator{r.Iter()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rebuilt.Digest() != r.Digest() {
+					t.Fatalf("run %d: digest differs from a recomputed rebuild", id)
+				}
+				rebuilt.Close()
+				r.Close()
+				for name, got := range runFileBytes(t, rebuildDir) {
+					if !bytes.Equal(got, sf[name]) {
+						t.Fatalf("%s differs from a recomputed rebuild", name)
+					}
 				}
 			}
 		})

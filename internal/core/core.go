@@ -95,12 +95,6 @@ type Options struct {
 	// syscall. Default 256 (~1 MiB at 4 KiB pages); the on-disk files are
 	// byte-identical for any value.
 	WriteBufferPages int
-	// LegacyCompaction makes run builds recompute every Merkle leaf hash
-	// (instead of streaming the precomputed ones from the source runs'
-	// Merkle files) and re-hash the Bloom base digest for every entry —
-	// the seed's per-entry CPU path, kept as an ablation knob for the
-	// compaction benchmark (output bytes are identical either way).
-	LegacyCompaction bool
 	// AsyncMerge selects COLE* (checkpoint-based asynchronous merge).
 	AsyncMerge bool
 	// MBTreeFanout is the L0 Merkle B+-tree fanout. Default 16.
@@ -110,10 +104,10 @@ type Options struct {
 	// on-disk format is identical).
 	OptimalPLA bool
 	// Shards is the number of independent engine partitions the address
-	// space is hash-split across. Default 1 = a single engine (today's
-	// behavior). Values above 1 are consumed by the shard layer
-	// (internal/shard, cole.OpenSharded); a single Engine always serves
-	// exactly one shard and ignores this field.
+	// space is hash-split across; 0 adopts the count the directory was
+	// created with (1 for a fresh one). Consumed by the store layer
+	// (internal/shard, cole.Open); an Engine always serves exactly one
+	// shard and ignores this field.
 	Shards int
 	// MergeWorkers bounds how many background flush/merge jobs run
 	// concurrently. 0 selects GOMAXPROCS. A sharded store opens its
@@ -170,7 +164,6 @@ type Options struct {
 	// planning pass, never wider than the pool. The partitioned build is
 	// byte-identical to the sequential one (stitched value/Merkle/Bloom/
 	// index output), so the knob affects wall time only, never digests.
-	// LegacyCompaction forces sequential merges regardless.
 	MergePartitions int
 	// RootHistory is how many recent (height → Hstate) pairs the engine
 	// retains and persists in its manifest. The shard layer reads them
@@ -259,7 +252,6 @@ func (o Options) runParams() run.Params {
 		MergeReadahead:   o.MergeReadahead,
 		WriteBufferPages: o.WriteBufferPages,
 		OptimalPLA:       o.OptimalPLA,
-		LegacyCompaction: o.LegacyCompaction,
 		VerifyReads:      o.VerifyReads,
 		FS:               o.FS,
 	}

@@ -46,15 +46,11 @@ type StoreState struct {
 	NextRunID uint64
 }
 
-// ReadStoreState loads an engine directory's manifest without opening the
-// engine. A directory with no manifest (a fresh or never-cascaded engine)
-// yields a zero state with no runs, which is a valid empty source.
-func ReadStoreState(dir string) (*StoreState, error) {
-	return ReadStoreStateFS(vfs.OS{}, dir)
-}
-
-// ReadStoreStateFS is ReadStoreState on an explicit filesystem.
-func ReadStoreStateFS(fsys vfs.FS, dir string) (*StoreState, error) {
+// ReadStoreState loads an engine directory's manifest from fsys (nil = the
+// real filesystem) without opening the engine. A directory with no
+// manifest (a fresh or never-cascaded engine) yields a zero state with no
+// runs, which is a valid empty source.
+func ReadStoreState(fsys vfs.FS, dir string) (*StoreState, error) {
 	raw, err := vfs.OrOS(fsys).ReadFile(filepath.Join(dir, "MANIFEST"))
 	if errors.Is(err, iofs.ErrNotExist) {
 		return &StoreState{}, nil
@@ -99,40 +95,23 @@ func bulkLevel(count int64, memCap, ratio int) int {
 	return idx
 }
 
-// InstallBulk builds a complete engine directory from a sorted entry
-// stream: one bottom-level run (value + learned-index + Merkle + Bloom
-// files, exactly as a level merge would write them) and a manifest
-// recording it at height `height` with an empty replay window
-// (Replay = Height — the installed state is fully durable). count must
-// equal the number of entries src yields; a zero count installs a valid
-// empty engine. The directory must not already hold an engine.
-//
-// The install starts a fresh root-history epoch: the manifest carries no
-// historical roots, because digests recorded under a different partition
-// count do not combine into the new store's headers.
-func InstallBulk(opts Options, height uint64, count int64, src run.Iterator) error {
-	return InstallBulkFrom(opts, height, count, func(dir string, id uint64, params run.Params) (*run.Run, error) {
-		r, err := run.Build(dir, id, count, params, src)
-		if err != nil {
-			// A source iterator that died mid-stream surfaces as a count
-			// mismatch inside Build; report the underlying I/O error.
-			if ei, ok := src.(run.ErrIterator); ok && ei.Err() != nil {
-				return nil, ei.Err()
-			}
-			return nil, err
-		}
-		return r, nil
-	})
-}
-
 // BuildFunc builds the single bottom-level run of a bulk install at the
 // given directory/id/params and returns it opened.
 type BuildFunc func(dir string, id uint64, params run.Params) (*run.Run, error)
 
-// InstallBulkFrom is InstallBulk with the run construction delegated to
-// the caller: reshard uses it to build the destination run partitioned
-// by key range (run.BuildPartitioned) instead of from one sequential
-// iterator. The build must produce exactly count entries.
+// InstallBulkFrom builds a complete engine directory around one
+// bottom-level run (value + learned-index + Merkle + Bloom files, exactly
+// as a level merge would write them) and a manifest recording it at
+// height `height` with an empty replay window (Replay = Height — the
+// installed state is fully durable). The run construction is the
+// caller's: reshard builds it partitioned by key range
+// (run.BuildPartitioned). The build must produce exactly count entries; a
+// zero count installs a valid empty engine without calling build. The
+// directory must not already hold an engine.
+//
+// The install starts a fresh root-history epoch: the manifest carries no
+// historical roots, because digests recorded under a different partition
+// count do not combine into the new store's headers.
 func InstallBulkFrom(opts Options, height uint64, count int64, build BuildFunc) error {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {

@@ -96,15 +96,18 @@ func TestInstallBulkRoundTrip(t *testing.T) {
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Key.Less(entries[j].Key) })
 	opts := Options{Dir: dir, MemCapacity: 64}
-	if err := InstallBulk(opts, 10, count, run.NewSliceIterator(entries)); err != nil {
+	build := func(dir string, id uint64, params run.Params) (*run.Run, error) {
+		return run.Build(dir, id, count, params, run.NewSliceIterator(entries))
+	}
+	if err := InstallBulkFrom(opts, 10, count, build); err != nil {
 		t.Fatalf("install: %v", err)
 	}
 	// A second install into the same directory must refuse.
-	if err := InstallBulk(opts, 10, count, run.NewSliceIterator(entries)); err == nil {
+	if err := InstallBulkFrom(opts, 10, count, build); err == nil {
 		t.Fatal("double install succeeded")
 	}
 
-	st, err := ReadStoreState(dir)
+	st, err := ReadStoreState(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +158,7 @@ func TestInstallBulkRoundTrip(t *testing.T) {
 func TestInstallBulkEmpty(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Dir: dir, MemCapacity: 64}
-	if err := InstallBulk(opts, 7, 0, run.NewSliceIterator(nil)); err != nil {
+	if err := InstallBulkFrom(opts, 7, 0, nil); err != nil {
 		t.Fatalf("install: %v", err)
 	}
 	e, err := Open(opts)
@@ -183,7 +186,7 @@ func TestInstallBulkEmpty(t *testing.T) {
 // TestReadStoreStateMissing reports a fresh directory as non-existent
 // durable state.
 func TestReadStoreStateMissing(t *testing.T) {
-	st, err := ReadStoreState(t.TempDir())
+	st, err := ReadStoreState(nil, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

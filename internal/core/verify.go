@@ -75,7 +75,7 @@ func VerifyStore(fsys vfs.FS, dir string, fast bool) (findings []run.Finding, no
 		// The page size is recorded per run, not in the manifest; a
 		// metadata failure here resurfaces from run.Verify with full
 		// attribution, so the probe error itself is dropped.
-		if ps, perr := run.PageSizeOfFS(fsys, dir, id); perr == nil {
+		if ps, perr := run.PageSizeOf(fsys, dir, id); perr == nil {
 			params.PageSize = ps
 		}
 		findings = append(findings, run.Verify(dir, id, params, fast)...)

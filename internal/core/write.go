@@ -587,11 +587,7 @@ const autoPartitionBytes = 8 << 20
 // mergeWidth picks how many key-range spans a merge of count entries is
 // cut into. An explicit Options.MergePartitions ≥ 1 is used as-is; 0
 // sizes by merged volume and caps at the pool's worker budget.
-// LegacyCompaction pins the pre-partitioning behavior.
 func (e *Engine) mergeWidth(count int64) int {
-	if e.opts.LegacyCompaction {
-		return 1
-	}
 	if w := e.opts.MergePartitions; w > 0 {
 		return w
 	}
@@ -645,15 +641,7 @@ func (e *Engine) buildLevelRun(id uint64, count int64, runs []*run.Run, pri merg
 				func(sp run.Span) (run.Iterator, error) { return e.chunked(run.MergeRunsRange(runs, sp), pri, lvl), nil }, par)
 		}
 	}
-	it := run.MergeRuns(runs)
-	r, err := run.Build(e.opts.Dir, id, count, e.opts.runParams(), e.chunked(it, pri, lvl))
-	if err != nil {
-		return nil, err
-	}
-	if err := it.Err(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return run.Build(e.opts.Dir, id, count, e.opts.runParams(), e.chunked(run.MergeRuns(runs), pri, lvl))
 }
 
 // FlushAll forces the L0 contents to disk and joins all merge threads,

@@ -193,11 +193,11 @@ func checkCrashPoint(t *testing.T, c config, n int64, roots []types.Hash, want m
 	// recovered digest (spot-checked; the full scrub below rebuilds
 	// every Merkle node anyway).
 	for i := 0; i < accounts; i += 7 {
-		vers, p, err := s.ProvQuery(acct(i), 1, blocks)
+		vers, p, err := s.Prov(acct(i), 1, blocks)
 		if err != nil {
 			t.Fatalf("crash at op %d: prov query account %d: %v", n, i, err)
 		}
-		got, err := shard.VerifyProv(hstate, acct(i), 1, blocks, p)
+		got, err := p.Verify(hstate, acct(i), 1, blocks)
 		if err != nil {
 			t.Fatalf("crash at op %d: proof for account %d does not verify: %v", n, i, err)
 		}

@@ -102,11 +102,11 @@ func TestReshardCrashSweep(t *testing.T) {
 		// Historical versions survive the rewrite too.
 		for i := 0; i < accounts; i += 5 {
 			hstate := s.RootDigest()
-			vers, p, perr := s.ProvQuery(acct(i), 1, blocks)
+			vers, p, perr := s.Prov(acct(i), 1, blocks)
 			if perr != nil {
 				t.Fatalf("crash at op %d: prov query account %d: %v", n, i, perr)
 			}
-			if _, verr := shard.VerifyProv(hstate, acct(i), 1, blocks, p); verr != nil {
+			if _, verr := p.Verify(hstate, acct(i), 1, blocks); verr != nil {
 				t.Fatalf("crash at op %d: proof for account %d does not verify: %v", n, i, verr)
 			}
 			_ = vers

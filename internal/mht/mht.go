@@ -86,22 +86,20 @@ type Writer struct {
 	done      bool
 }
 
-// CreateWriter creates a Merkle file for n leaves with fanout m ≥ 2,
-// coalescing writes with the default buffer.
+// CreateWriter is CreateWriterFS on the real filesystem with the default
+// write-coalescing buffer.
 func CreateWriter(path string, n int64, m int) (*Writer, error) {
-	return CreateWriterSize(path, n, m, 0)
+	return CreateWriterFS(nil, path, n, m, 0)
 }
 
-// CreateWriterSize creates a Merkle file whose node writes are coalesced
-// into syscalls of roughly bufBytes (0 selects DefaultWriteBufferBytes;
-// small values restore the per-group write granularity). The on-disk
-// bytes and root are identical for every buffer size.
-func CreateWriterSize(path string, n int64, m int, bufBytes int) (*Writer, error) {
-	return CreateWriterSizeFS(vfs.OS{}, path, n, m, bufBytes)
-}
-
-// CreateWriterSizeFS is CreateWriterSize on an explicit filesystem.
-func CreateWriterSizeFS(fsys vfs.FS, path string, n int64, m int, bufBytes int) (*Writer, error) {
+// CreateWriterFS creates a Merkle file on fsys (nil = the real
+// filesystem) for n leaves with fanout m ≥ 2, whose node writes are
+// coalesced into syscalls of roughly bufBytes (0 selects
+// DefaultWriteBufferBytes; small values give per-group write
+// granularity). The on-disk bytes and root are identical for every
+// buffer size.
+func CreateWriterFS(fsys vfs.FS, path string, n int64, m int, bufBytes int) (*Writer, error) {
+	fsys = vfs.OrOS(fsys)
 	if m < 2 {
 		return nil, fmt.Errorf("mht: fanout %d < 2", m)
 	}
@@ -273,13 +271,15 @@ type File struct {
 	hashReads atomic.Int64
 }
 
-// Open opens a Merkle file for n leaves with fanout m.
+// Open is OpenFS on the real filesystem.
 func Open(path string, n int64, m int) (*File, error) {
-	return OpenFS(vfs.OS{}, path, n, m)
+	return OpenFS(nil, path, n, m)
 }
 
-// OpenFS is Open on an explicit filesystem.
+// OpenFS opens a Merkle file on fsys (nil = the real filesystem) for n
+// leaves with fanout m.
 func OpenFS(fsys vfs.FS, path string, n int64, m int) (*File, error) {
+	fsys = vfs.OrOS(fsys)
 	if m < 2 || n < 1 {
 		return nil, fmt.Errorf("mht: invalid geometry n=%d m=%d", n, m)
 	}

@@ -64,16 +64,12 @@ type SharedWriter struct {
 	closed    bool
 }
 
-// CreateShared creates a Merkle file for n leaves with fanout m ≥ 2,
-// sized and laid out exactly as CreateWriterSize would. bufBytes is the
-// per-layer, per-span write-coalescing budget (0 selects
-// DefaultWriteBufferBytes).
-func CreateShared(path string, n int64, m int, bufBytes int) (*SharedWriter, error) {
-	return CreateSharedFS(vfs.OS{}, path, n, m, bufBytes)
-}
-
-// CreateSharedFS is CreateShared on an explicit filesystem.
-func CreateSharedFS(fsys vfs.FS, path string, n int64, m int, bufBytes int) (*SharedWriter, error) {
+// CreateShared creates a Merkle file on fsys (nil = the real filesystem)
+// for n leaves with fanout m ≥ 2, sized and laid out exactly as
+// CreateWriterFS would. bufBytes is the per-layer, per-span
+// write-coalescing budget (0 selects DefaultWriteBufferBytes).
+func CreateShared(fsys vfs.FS, path string, n int64, m int, bufBytes int) (*SharedWriter, error) {
+	fsys = vfs.OrOS(fsys)
 	if m < 2 {
 		return nil, fmt.Errorf("mht: fanout %d < 2", m)
 	}

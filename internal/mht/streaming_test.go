@@ -35,7 +35,7 @@ func TestWriterCoalescingByteIdentical(t *testing.T) {
 		var wantRoot types.Hash
 		for i, bufBytes := range []int{1 /* per-group */, 256, 4096, 0 /* default */} {
 			path := filepath.Join(dir, fmt.Sprintf("n%d-m%d-b%d.mrk", tc.n, tc.m, bufBytes))
-			w, err := CreateWriterSize(path, tc.n, tc.m, bufBytes)
+			w, err := CreateWriterFS(nil, path, tc.n, tc.m, bufBytes)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -80,22 +80,18 @@ type Writer struct {
 	closed   bool
 }
 
-// CreateWriter creates (truncating) a record file for streaming writes
-// with the default write-coalescing buffer.
+// CreateWriter is CreateWriterFS on the real filesystem with the default
+// write-coalescing buffer.
 func CreateWriter(path string, pageSize, recSize int) (*Writer, error) {
-	return CreateWriterSize(path, pageSize, recSize, 0)
+	return CreateWriterFS(nil, path, pageSize, recSize, 0)
 }
 
-// CreateWriterSize creates a record file whose writes are coalesced into
-// bufPages-page syscalls (0 selects DefaultWriteBufferPages; 1 restores
-// the one-syscall-per-page behavior). The on-disk bytes are identical
-// for every buffer size.
-func CreateWriterSize(path string, pageSize, recSize, bufPages int) (*Writer, error) {
-	return CreateWriterSizeFS(vfs.OS{}, path, pageSize, recSize, bufPages)
-}
-
-// CreateWriterSizeFS is CreateWriterSize on an explicit filesystem.
-func CreateWriterSizeFS(fsys vfs.FS, path string, pageSize, recSize, bufPages int) (*Writer, error) {
+// CreateWriterFS creates (truncating) a record file on fsys (nil = the
+// real filesystem) whose writes are coalesced into bufPages-page
+// syscalls (0 selects DefaultWriteBufferPages; 1 is one syscall per
+// page). The on-disk bytes are identical for every buffer size.
+func CreateWriterFS(fsys vfs.FS, path string, pageSize, recSize, bufPages int) (*Writer, error) {
+	fsys = vfs.OrOS(fsys)
 	if PerPage(pageSize, recSize) < 1 {
 		return nil, fmt.Errorf("pagefile: record size %d does not fit page size %d", recSize, pageSize)
 	}
@@ -239,15 +235,17 @@ type File struct {
 	seqReads  atomic.Int64
 }
 
-// Open opens a record file for reading. count is the number of records (the
-// run metadata records it; the file itself is page-padded so its size alone
-// is ambiguous). cachePages bounds the per-file page cache (≥1).
+// Open is OpenFS on the real filesystem.
 func Open(path string, pageSize, recSize int, count int64, cachePages int) (*File, error) {
-	return OpenFS(vfs.OS{}, path, pageSize, recSize, count, cachePages)
+	return OpenFS(nil, path, pageSize, recSize, count, cachePages)
 }
 
-// OpenFS is Open on an explicit filesystem.
+// OpenFS opens a record file on fsys (nil = the real filesystem) for
+// reading. count is the number of records (the run metadata records it;
+// the file itself is page-padded so its size alone is ambiguous).
+// cachePages bounds the per-file page cache (≥1).
 func OpenFS(fsys vfs.FS, path string, pageSize, recSize int, count int64, cachePages int) (*File, error) {
+	fsys = vfs.OrOS(fsys)
 	if PerPage(pageSize, recSize) < 1 {
 		return nil, fmt.Errorf("pagefile: record size %d does not fit page size %d", recSize, pageSize)
 	}

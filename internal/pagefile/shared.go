@@ -25,14 +25,10 @@ type SharedWriter struct {
 	closed   bool
 }
 
-// CreateShared creates (truncating) a record file pre-sized for count
-// records.
-func CreateShared(path string, pageSize, recSize int, count int64) (*SharedWriter, error) {
-	return CreateSharedFS(vfs.OS{}, path, pageSize, recSize, count)
-}
-
-// CreateSharedFS is CreateShared on an explicit filesystem.
-func CreateSharedFS(fsys vfs.FS, path string, pageSize, recSize int, count int64) (*SharedWriter, error) {
+// CreateShared creates (truncating) a record file on fsys (nil = the real
+// filesystem) pre-sized for count records.
+func CreateShared(fsys vfs.FS, path string, pageSize, recSize int, count int64) (*SharedWriter, error) {
+	fsys = vfs.OrOS(fsys)
 	perPage := PerPage(pageSize, recSize)
 	if perPage < 1 {
 		return nil, fmt.Errorf("pagefile: record size %d does not fit page size %d", recSize, pageSize)

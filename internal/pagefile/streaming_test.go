@@ -17,7 +17,7 @@ func TestWriterCoalescingByteIdentical(t *testing.T) {
 	write := func(name string, bufPages int) []byte {
 		t.Helper()
 		path := filepath.Join(dir, name)
-		w, err := CreateWriterSize(path, DefaultPageSize, testRecSize, bufPages)
+		w, err := CreateWriterFS(nil, path, DefaultPageSize, testRecSize, bufPages)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,15 +13,15 @@ import (
 	"cole/internal/types"
 )
 
-// rehashIterator strips the leaf hashes from a hashed source so Build is
-// forced onto the legacy recompute path.
+// rehashIterator strips the leaf hashes from a hashed source so Build
+// recomputes every one.
 type rehashIterator struct{ inner run.Iterator }
 
 func (r rehashIterator) Next() (types.Entry, bool) { return r.inner.Next() }
 
 // TestReshardGoldenPassthrough proves the spooled leaf hashes survive
 // the reshard hop intact: every destination run the rewrite bulk-built
-// (through spool-carried hashes) is byte-for-byte the run a legacy
+// (through spool-carried hashes) is byte-for-byte the run a recomputing
 // rebuild from its own entry stream would produce — same learned index,
 // Merkle file, Bloom filter, metadata, and digest.
 func TestReshardGoldenPassthrough(t *testing.T) {
@@ -33,13 +33,13 @@ func TestReshardGoldenPassthrough(t *testing.T) {
 		t.Fatalf("reshard: %v", err)
 	}
 
-	n, gen, pinned, err := shard.PersistedLayout(dir)
+	n, gen, pinned, err := shard.PersistedLayout(nil, dir)
 	if err != nil || !pinned || n != 3 {
 		t.Fatalf("layout after reshard: n=%d pinned=%v err=%v", n, pinned, err)
 	}
 	for j := 0; j < n; j++ {
 		engDir := shard.EngineDir(dir, gen, n, j)
-		st, err := core.ReadStoreState(engDir)
+		st, err := core.ReadStoreState(nil, engDir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,22 +48,16 @@ func TestReshardGoldenPassthrough(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Legacy rebuild of the same run from its own entries, leaf
-			// hashes recomputed from scratch.
+			// Rebuild of the same run from its own entries at 1-page IO,
+			// leaf hashes recomputed from scratch.
 			rebuildDir := t.TempDir()
-			params := run.Params{
-				Fanout: 4, MergeReadahead: 1, WriteBufferPages: 1, LegacyCompaction: true,
-			}
-			it := r.Iter()
-			rebuilt, err := run.Build(rebuildDir, id, r.Count(), params, rehashIterator{it})
+			params := run.Params{Fanout: 4, MergeReadahead: 1, WriteBufferPages: 1}
+			rebuilt, err := run.Build(rebuildDir, id, r.Count(), params, rehashIterator{r.Iter()})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := it.Err(); err != nil {
-				t.Fatal(err)
-			}
 			if rebuilt.Digest() != r.Digest() {
-				t.Fatalf("shard %d run %d: digest differs from legacy rebuild", j, id)
+				t.Fatalf("shard %d run %d: digest differs from the recomputed rebuild", j, id)
 			}
 			for _, name := range run.Files(id) {
 				want, err := os.ReadFile(filepath.Join(engDir, name))
@@ -75,7 +69,7 @@ func TestReshardGoldenPassthrough(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got, want) {
-					t.Fatalf("shard %d run %d: %s differs from legacy rebuild", j, id, name)
+					t.Fatalf("shard %d run %d: %s differs from the recomputed rebuild", j, id, name)
 				}
 			}
 			rebuilt.Close()
@@ -98,7 +92,7 @@ func TestReshardGoldenPartitionedWorkers(t *testing.T) {
 			t.Fatalf("reshard with %d workers: %v", w, err)
 		}
 	}
-	n, gen, pinned, err := shard.PersistedLayout(dirs[1])
+	n, gen, pinned, err := shard.PersistedLayout(nil, dirs[1])
 	if err != nil || !pinned || n != toShards {
 		t.Fatalf("layout after reshard: n=%d pinned=%v err=%v", n, pinned, err)
 	}

@@ -187,7 +187,7 @@ func Reshard(dir string, shards int, opts Options) (*Report, error) {
 		}
 		defer unlock()
 	}
-	n, gen, pinned, err := shard.PersistedLayoutFS(fsys, dir)
+	n, gen, pinned, err := shard.PersistedLayout(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +207,7 @@ func Reshard(dir string, shards int, opts Options) (*Report, error) {
 	srcDirs := make([]string, n)
 	for i := 0; i < n; i++ {
 		srcDirs[i] = shard.EngineDir(dir, gen, n, i)
-		if states[i], err = core.ReadStoreStateFS(fsys, srcDirs[i]); err != nil {
+		if states[i], err = core.ReadStoreState(fsys, srcDirs[i]); err != nil {
 			return nil, fmt.Errorf("reshard: source shard %d: %w", i, err)
 		}
 	}
@@ -257,7 +257,7 @@ func Reshard(dir string, shards int, opts Options) (*Report, error) {
 	adopt:
 		for i, st := range states {
 			for _, id := range st.RunIDs {
-				ps, err := run.PageSizeOfFS(fsys, srcDirs[i], id)
+				ps, err := run.PageSizeOf(fsys, srcDirs[i], id)
 				if err != nil {
 					return nil, fmt.Errorf("reshard: read run %d of source shard %d: %w", id, i, err)
 				}
@@ -494,7 +494,7 @@ func Reshard(dir string, shards int, opts Options) (*Report, error) {
 	if err := opts.fail(StepCommit); err != nil {
 		return nil, err
 	}
-	if err := shard.InstallManifestFS(fsys, dir, shards, newGen); err != nil {
+	if err := shard.InstallManifest(fsys, dir, shards, newGen); err != nil {
 		return nil, fmt.Errorf("reshard: commit: %w", err)
 	}
 
@@ -504,7 +504,7 @@ func Reshard(dir string, shards int, opts Options) (*Report, error) {
 	if err := opts.fail(StepCleanup); err != nil {
 		return nil, err
 	}
-	shard.RemoveGenerationFS(fsys, dir, gen, n)
+	shard.RemoveGeneration(fsys, dir, gen, n)
 
 	return &Report{
 		FromShards: n,

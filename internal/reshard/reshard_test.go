@@ -118,11 +118,11 @@ func collectAnswers(t *testing.T, s *shard.Store, accounts int) *answers {
 				a.getAts[key] = fmt.Sprintf("%d:%s", wblk, v)
 			}
 		}
-		versions, proof, err := s.ProvQuery(addr(i), 1, a.height)
+		versions, proof, err := s.Prov(addr(i), 1, a.height)
 		if err != nil {
 			t.Fatalf("prov %d: %v", i, err)
 		}
-		if _, err := shard.VerifyProv(root, addr(i), 1, a.height, proof); err != nil {
+		if _, err := proof.Verify(root, addr(i), 1, a.height); err != nil {
 			t.Fatalf("prov proof %d does not verify: %v", i, err)
 		}
 		a.provs[i] = versions

@@ -8,9 +8,8 @@ import (
 )
 
 // benchMergeBuild times a 4-way sort-merge rebuild of version-clustered
-// runs — the level-merge data path — under the given params, so the
-// legacy and streaming pipelines can be compared with
-// `go test -bench MergeBuild ./internal/run`.
+// runs — the level-merge data path — under the given params
+// (`go test -bench MergeBuild ./internal/run`).
 func benchMergeBuild(b *testing.B, params Params) {
 	dir := b.TempDir()
 	const nAddrs, versions, ways = 20000, 8, 4
@@ -58,10 +57,6 @@ func benchMergeBuild(b *testing.B, params Params) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkMergeBuildLegacy(b *testing.B) {
-	benchMergeBuild(b, Params{Fanout: 4, MergeReadahead: 1, WriteBufferPages: 1, LegacyCompaction: true})
 }
 
 func BenchmarkMergeBuildStreaming(b *testing.B) {

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"cole/internal/bloom"
 	"cole/internal/types"
 )
 
@@ -33,19 +34,24 @@ func runFiles(t *testing.T, dir string, id uint64) map[string][]byte {
 	return out
 }
 
-// TestBuildGoldenStreamingVsLegacy is the byte-compatibility oracle for
-// the streaming compaction pipeline: the same merged entry stream built
-// through the legacy path (1-page IO, every leaf and Bloom hash
-// recomputed) and the streaming path (readahead + coalesced writes +
-// leaf-hash passthrough) must produce byte-identical .val/.idx/.mrk/.met
-// files and equal run digests — for both PLA builders.
-func TestBuildGoldenStreamingVsLegacy(t *testing.T) {
+// plainIterator hides a source's HashedIterator side so the builder
+// recomputes every Merkle leaf hash: the independent reference the
+// passthrough path is compared against.
+type plainIterator struct{ inner Iterator }
+
+func (p plainIterator) Next() (types.Entry, bool) { return p.inner.Next() }
+
+// TestBuildGoldenPassthroughVsRecompute is the byte-compatibility oracle
+// of the streaming build: the same merged entry stream built with every
+// leaf hash recomputed and 1-page IO (the reference) and with leaf-hash
+// passthrough, readahead and coalesced writes must produce byte-identical
+// .val/.idx/.mrk/.met files and equal run digests — for both PLA
+// builders — and the run's Bloom filter must equal one built with a full
+// Add per entry (no consecutive-version fast path).
+func TestBuildGoldenPassthroughVsRecompute(t *testing.T) {
 	entries := genEntries(7, 800, 8)
 	for _, optimal := range []bool{false, true} {
-		legacyParams := Params{
-			Fanout: 4, OptimalPLA: optimal,
-			MergeReadahead: 1, WriteBufferPages: 1, LegacyCompaction: true,
-		}
+		refParams := Params{Fanout: 4, OptimalPLA: optimal, MergeReadahead: 1, WriteBufferPages: 1}
 		streamParams := Params{Fanout: 4, OptimalPLA: optimal}
 
 		// Shared source runs (built once; the builders under test consume
@@ -61,34 +67,33 @@ func TestBuildGoldenStreamingVsLegacy(t *testing.T) {
 			sources = append(sources, r)
 		}
 
-		legacyDir, streamDir := t.TempDir(), t.TempDir()
-		itL := MergeRuns(sources)
-		legacyRun, err := Build(legacyDir, 9, int64(len(entries)), legacyParams, itL)
+		refDir, streamDir := t.TempDir(), t.TempDir()
+		refRun, err := Build(refDir, 9, int64(len(entries)), refParams, plainIterator{MergeRuns(sources)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer legacyRun.Close()
-		if err := itL.Err(); err != nil {
-			t.Fatal(err)
-		}
-		itS := MergeRuns(sources)
-		streamRun, err := Build(streamDir, 9, int64(len(entries)), streamParams, itS)
+		defer refRun.Close()
+		streamRun, err := Build(streamDir, 9, int64(len(entries)), streamParams, MergeRuns(sources))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer streamRun.Close()
-		if err := itS.Err(); err != nil {
-			t.Fatal(err)
-		}
 
-		if legacyRun.Digest() != streamRun.Digest() {
+		if refRun.Digest() != streamRun.Digest() {
 			t.Fatalf("optimal=%v: run digests differ", optimal)
 		}
-		lf, sf := runFiles(t, legacyDir, 9), runFiles(t, streamDir, 9)
-		for ext, want := range lf {
+		rf, sf := runFiles(t, refDir, 9), runFiles(t, streamDir, 9)
+		for ext, want := range rf {
 			if !bytes.Equal(sf[ext], want) {
 				t.Fatalf("optimal=%v: %s files differ (%d vs %d bytes)", optimal, ext, len(sf[ext]), len(want))
 			}
+		}
+		filter := bloom.New(len(entries), 0.01)
+		for _, e := range entries {
+			filter.Add(e.Key.Addr)
+		}
+		if !bytes.Equal(streamRun.BloomBytes(), filter.Marshal()) {
+			t.Fatalf("optimal=%v: Bloom filter differs from one Add per entry", optimal)
 		}
 
 		// The merged output also answers every read identically.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"cole/internal/bloom"
 	"cole/internal/mht"
 	"cole/internal/pagefile"
 	"cole/internal/pla"
@@ -40,14 +39,6 @@ func (p Parallel) yield(wait func()) {
 	p.Yield(wait)
 }
 
-// spanResult is what one span build hands the stitcher.
-type spanResult struct {
-	filter *bloom.Filter
-	minKey types.CompoundKey
-	maxKey types.CompoundKey
-	err    error
-}
-
 // BuildPartitioned builds a run from a planned set of key-range spans,
 // fanning the span builds across the Parallel hooks. openSpan returns
 // the sorted entry iterator of one span (its bounded k-way merge). The
@@ -66,7 +57,7 @@ type spanResult struct {
 //     sequential; it reads what was just written (page-cache warm)
 //     instead of re-merging the sources.
 func BuildPartitioned(dir string, id uint64, count int64, params Params, spans []Span,
-	openSpan func(Span) (Iterator, error), par Parallel) (*Run, error) {
+	openSpan func(Span) (Iterator, error), par Parallel) (r *Run, err error) {
 	params = params.withDefaults()
 	if params.Fanout < 2 {
 		return nil, fmt.Errorf("run: MHT fanout %d < 2", params.Fanout)
@@ -92,47 +83,43 @@ func BuildPartitioned(dir string, id uint64, count int64, params Params, spans [
 		return nil, fmt.Errorf("run: spans cover %d entries, expected %d", spanned, count)
 	}
 
-	perPage := int64(pagefile.PerPage(params.PageSize, types.EntrySize))
-	wbufPages := params.WriteBufferPages
-	if vp := (count + perPage - 1) / perPage; int64(wbufPages) > vp {
-		wbufPages = int(vp)
-	}
-
-	valW, err := pagefile.CreateSharedFS(params.FS, valuePath(dir, id), params.PageSize, types.EntrySize, count)
+	wbufPages := writeBufferPages(count, params)
+	valW, err := pagefile.CreateShared(params.FS, valuePath(dir, id), params.PageSize, types.EntrySize, count)
 	if err != nil {
 		return nil, err
 	}
-	mrkW, err := mht.CreateSharedFS(params.FS, merklePath(dir, id), count, params.Fanout, wbufPages*params.PageSize)
+	mrkW, err := mht.CreateShared(params.FS, merklePath(dir, id), count, params.Fanout, wbufPages*params.PageSize)
 	if err != nil {
 		valW.Abort()
 		return nil, err
 	}
-	abort := func() {
-		valW.Abort()
-		mrkW.Abort()
-		_ = params.FS.Remove(indexPath(dir, id))
-		_ = params.FS.Remove(metaPath(dir, id))
-	}
+	defer func() {
+		if err != nil {
+			valW.Abort()
+			mrkW.Abort()
+			_ = params.FS.Remove(indexPath(dir, id))
+			_ = params.FS.Remove(metaPath(dir, id))
+		}
+	}()
 
 	results := make([]spanResult, len(spans))
+	errs := make([]error, len(spans))
 	var wg sync.WaitGroup
 	for i := range spans {
 		wg.Add(1)
 		i := i
 		par.spawn(func() {
 			defer wg.Done()
-			results[i] = buildSpan(valW, mrkW, count, params, wbufPages, spans[i], openSpan)
+			results[i], errs[i] = buildSpan(valW, mrkW, count, params, wbufPages, spans[i], openSpan)
 		})
 	}
 	par.yield(wg.Wait)
 
 	for i, res := range results {
-		if res.err != nil {
-			abort()
-			return nil, fmt.Errorf("run: span %d [%d,%d): %w", i, spans[i].Lo, spans[i].Hi, res.err)
+		if errs[i] != nil {
+			return nil, fmt.Errorf("span %d [%d,%d): %w", i, spans[i].Lo, spans[i].Hi, errs[i])
 		}
 		if i > 0 && !results[i-1].maxKey.Less(res.minKey) {
-			abort()
 			return nil, fmt.Errorf("run: span %d starts at %v, not above previous max %v",
 				i, res.minKey, results[i-1].maxKey)
 		}
@@ -141,11 +128,9 @@ func BuildPartitioned(dir string, id uint64, count int64, params Params, spans [
 	// Sequential index rebuild over the freshly written value file.
 	layers, err := buildIndexFromValues(dir, id, count, params, wbufPages, valW)
 	if err != nil {
-		abort()
 		return nil, err
 	}
 	if err := valW.Finish(); err != nil {
-		abort()
 		return nil, err
 	}
 
@@ -155,175 +140,90 @@ func BuildPartitioned(dir string, id uint64, count int64, params Params, spans [
 	}
 	root, err := mrkW.Stitch(leafSpans)
 	if err != nil {
-		abort()
 		return nil, err
 	}
 
-	filter := results[0].filter
+	whole := spanResult{filter: results[0].filter, minKey: results[0].minKey, maxKey: results[len(results)-1].maxKey}
 	for _, res := range results[1:] {
-		if err := filter.Union(res.filter); err != nil {
-			abort()
+		if err := whole.filter.Union(res.filter); err != nil {
 			return nil, err
 		}
 	}
-	if filter.Entries() != uint64(count) {
-		abort()
-		return nil, fmt.Errorf("run: unioned filter holds %d entries, expected %d", filter.Entries(), count)
+	if whole.filter.Entries() != uint64(count) {
+		return nil, fmt.Errorf("run: unioned filter holds %d entries, expected %d", whole.filter.Entries(), count)
 	}
-
-	meta := runMeta{
-		Count:  count,
-		Fanout: params.Fanout,
-		Layers: layers,
-		Root:   root,
-		Bloom:  filter.Marshal(),
-		MinKey: results[0].minKey,
-		MaxKey: results[len(results)-1].maxKey,
-		PageSz: params.PageSize,
-	}
-	if err := writeMeta(params.FS, metaPath(dir, id), meta); err != nil {
-		abort()
-		return nil, err
-	}
-	return Open(dir, id, params)
+	return finishRun(dir, id, count, params, layers, root, whole)
 }
 
-// buildSpan streams one span's merged entries into its slices of the
-// shared value and Merkle files, and builds its Bloom contribution.
+// buildSpan runs the per-entry loop over one span's merged entries,
+// writing into its slices of the shared value and Merkle files. The index
+// is rebuilt afterwards (see BuildPartitioned), so no key feed.
 func buildSpan(valW *pagefile.SharedWriter, mrkW *mht.SharedWriter, count int64, params Params,
-	wbufPages int, sp Span, openSpan func(Span) (Iterator, error)) (res spanResult) {
-	fail := func(err error) spanResult {
-		res.err = err
-		return res
-	}
+	wbufPages int, sp Span, openSpan func(Span) (Iterator, error)) (spanResult, error) {
 	seg, err := valW.Segment(sp.Lo, wbufPages)
 	if err != nil {
-		return fail(err)
+		return spanResult{}, err
 	}
 	mspan, err := mrkW.Span(sp.Lo, sp.Hi)
 	if err != nil {
-		return fail(err)
+		return spanResult{}, err
 	}
 	src, err := openSpan(sp)
 	if err != nil {
-		return fail(err)
+		return spanResult{}, err
 	}
-
-	// The span filter gets the full run's geometry so the union marshals
-	// byte-identically to one sequential pass.
-	filter := bloom.New(int(count), params.BloomFP)
-
-	var hashSrc HashedIterator
-	if h, ok := src.(HashedIterator); ok && h.Hashed() && !params.LegacyCompaction {
-		hashSrc = h
-	}
-
-	want := sp.Hi - sp.Lo
-	var seen int64
-	entryBuf := make([]byte, types.EntrySize)
-	for {
-		e, ok := src.Next()
-		if !ok {
-			break
-		}
-		if seen >= want {
-			return fail(fmt.Errorf("span yielded more than %d entries", want))
-		}
-		sameAddr := seen > 0 && e.Key.Addr == res.maxKey.Addr && !params.LegacyCompaction
-		if seen == 0 {
-			res.minKey = e.Key
-		}
-		res.maxKey = e.Key
-		types.EncodeEntry(entryBuf, e)
-		if err := seg.Append(entryBuf); err != nil {
-			return fail(err)
-		}
-		var leaf types.Hash
-		if hashSrc != nil {
-			if leaf, err = hashSrc.LeafHash(); err != nil {
-				return fail(err)
-			}
-		} else {
-			leaf = types.HashEntry(e)
-		}
-		if err := mspan.Add(leaf); err != nil {
-			return fail(err)
-		}
-		// A span whose first entries continue the previous span's address
-		// re-Adds it: the bit pattern is idempotent and both paths count
-		// one entry, so the union stays byte-identical.
-		if sameAddr {
-			filter.AddRepeat()
-		} else {
-			filter.Add(e.Key.Addr)
-		}
-		seen++
-	}
-	if err := sourceErr(src); err != nil {
-		return fail(err)
-	}
-	if seen != want {
-		return fail(fmt.Errorf("span yielded %d entries, expected %d", seen, want))
+	res, err := writeEntries(src, sp.Hi-sp.Lo, count, params, seg.Append, mspan.Add, nil)
+	if err != nil {
+		return res, err
 	}
 	if err := seg.Close(); err != nil {
-		return fail(err)
+		return res, err
 	}
-	if err := mspan.Close(); err != nil {
-		return fail(err)
-	}
-	res.filter = filter
-	return res
+	return res, mspan.Close()
 }
 
 // buildIndexFromValues streams the shared value file's keys (still warm
 // in the page cache) through the standard PLA construction — identical,
 // by construction, to the index the sequential builder would emit.
 func buildIndexFromValues(dir string, id uint64, count int64, params Params,
-	wbufPages int, valW *pagefile.SharedWriter) ([]layerMeta, error) {
-	idxW, err := pagefile.CreateWriterSizeFS(params.FS, indexPath(dir, id), params.PageSize, pla.ModelSize, wbufPages)
+	wbufPages int, valW *pagefile.SharedWriter) (layers []layerMeta, err error) {
+	idxW, err := pagefile.CreateWriterFS(params.FS, indexPath(dir, id), params.PageSize, pla.ModelSize, wbufPages)
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			idxW.Abort()
+		}
+	}()
 	ib := newIndexBuilder(idxW, params)
 	epsVal := pagefile.Epsilon(params.PageSize, types.EntrySize)
 	builder, err := newSegmentBuilder(params.OptimalPLA, epsVal, ib.writeModel)
 	if err != nil {
-		idxW.Abort()
 		return nil, err
 	}
 	reader := valW.Reader(params.MergeReadahead)
 	for pos := int64(0); pos < count; pos++ {
 		rec, ok, err := reader.Next()
 		if err != nil {
-			idxW.Abort()
 			return nil, err
 		}
 		if !ok {
-			idxW.Abort()
 			return nil, fmt.Errorf("run: value read-back ended at %d of %d entries", pos, count)
 		}
 		k, err := types.DecodeCompoundKey(rec[:types.CompoundKeySize])
 		if err != nil {
-			idxW.Abort()
 			return nil, err
 		}
 		if err := builder.Add(k, pos); err != nil {
-			idxW.Abort()
 			return nil, err
 		}
 	}
 	if err := builder.Finish(); err != nil {
-		idxW.Abort()
 		return nil, err
 	}
-	layers, err := ib.finishLayers()
-	if err != nil {
-		idxW.Abort()
+	if layers, err = ib.finishLayers(); err != nil {
 		return nil, err
 	}
-	if err := idxW.Finish(); err != nil {
-		idxW.Abort()
-		return nil, err
-	}
-	return layers, nil
+	return layers, idxW.Finish()
 }

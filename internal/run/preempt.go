@@ -44,7 +44,7 @@ func (c *ChunkedIterator) Next() (types.Entry, bool) {
 }
 
 // Hashed implements HashedIterator by delegation: chunking preserves the
-// source's leaf-hash passthrough (Build and buildSpan type-assert for
+// source's leaf-hash passthrough (writeEntries type-asserts for
 // it, and losing it would silently re-hash every merged entry).
 func (c *ChunkedIterator) Hashed() bool {
 	h, ok := c.src.(HashedIterator)

@@ -94,13 +94,6 @@ type Params struct {
 	// models per run at a higher build cost. Both produce identical
 	// on-disk formats, so the flag only matters at build time.
 	OptimalPLA bool
-	// LegacyCompaction reverts Build's per-entry CPU path to the
-	// pre-streaming behavior: every Merkle leaf hash is recomputed even
-	// when the source supplies precomputed ones, and every entry re-hashes
-	// the Bloom base digest instead of taking the consecutive-version fast
-	// path. An ablation knob for the compaction benchmark; the output
-	// files are byte-identical either way.
-	LegacyCompaction bool
 	// VerifyReads makes every point lookup check the returned entry
 	// against its stored Merkle leaf hash, turning silent value-page
 	// bit rot into a typed ErrCorrupt at the cost of one hash read and
@@ -192,8 +185,10 @@ func Files(id uint64) []string {
 }
 
 // Build streams a sorted iterator into a new run. count must equal the
-// number of entries the iterator yields.
-func Build(dir string, id uint64, count int64, params Params, src Iterator) (*Run, error) {
+// number of entries the iterator yields. It is the one-span case of the
+// per-entry loop (writeEntries) over ordinary append-only writers, with
+// the bottom PLA layer fed inline so a flush never reads its keys back.
+func Build(dir string, id uint64, count int64, params Params, src Iterator) (r *Run, err error) {
 	params = params.withDefaults()
 	if params.Fanout < 2 {
 		return nil, fmt.Errorf("run: MHT fanout %d < 2", params.Fanout)
@@ -202,149 +197,176 @@ func Build(dir string, id uint64, count int64, params Params, src Iterator) (*Ru
 		return nil, fmt.Errorf("run: empty runs are not built (count=%d)", count)
 	}
 
-	// Cap the coalescing buffers at the value file's own page count: a
-	// small run (an L0 flush, a shallow level) should not pay a ~1 MiB
-	// allocation per file to save syscalls it will never issue. The
-	// index and Merkle files are never larger than the value file.
-	wbufPages := params.WriteBufferPages
-	if vp := (count + int64(pagefile.PerPage(params.PageSize, types.EntrySize)) - 1) /
-		int64(pagefile.PerPage(params.PageSize, types.EntrySize)); int64(wbufPages) > vp {
-		wbufPages = int(vp)
-	}
-	valW, err := pagefile.CreateWriterSizeFS(params.FS, valuePath(dir, id), params.PageSize, types.EntrySize, wbufPages)
+	wbufPages := writeBufferPages(count, params)
+	valW, err := pagefile.CreateWriterFS(params.FS, valuePath(dir, id), params.PageSize, types.EntrySize, wbufPages)
 	if err != nil {
 		return nil, err
 	}
-	idxW, err := pagefile.CreateWriterSizeFS(params.FS, indexPath(dir, id), params.PageSize, pla.ModelSize, wbufPages)
+	idxW, err := pagefile.CreateWriterFS(params.FS, indexPath(dir, id), params.PageSize, pla.ModelSize, wbufPages)
 	if err != nil {
 		valW.Abort()
 		return nil, err
 	}
-	mrkW, err := mht.CreateWriterSizeFS(params.FS, merklePath(dir, id), count, params.Fanout, wbufPages*params.PageSize)
+	mrkW, err := mht.CreateWriterFS(params.FS, merklePath(dir, id), count, params.Fanout, wbufPages*params.PageSize)
 	if err != nil {
 		valW.Abort()
 		idxW.Abort()
 		return nil, err
 	}
-	abort := func() {
-		valW.Abort()
-		idxW.Abort()
-		mrkW.Abort()
-		_ = params.FS.Remove(metaPath(dir, id))
-	}
+	defer func() {
+		if err != nil {
+			valW.Abort()
+			idxW.Abort()
+			mrkW.Abort()
+			_ = params.FS.Remove(metaPath(dir, id))
+		}
+	}()
 
-	filter := bloom.New(int(count), params.BloomFP)
-	epsVal := pagefile.Epsilon(params.PageSize, types.EntrySize)
-
-	// Bottom model layer: learn over (key, value-file position). Collect
-	// each emitted model's (kmin, index-file position) to drive the upper
-	// layers — O(#models) memory, a tiny fraction of the data.
-	var (
-		seen   int64
-		minKey types.CompoundKey
-		maxKey types.CompoundKey
-	)
+	// Bottom model layer: learn over (key, value-file position). The index
+	// builder collects each emitted model's (kmin, index-file position) to
+	// drive the upper layers — O(#models) memory, a tiny fraction of the
+	// data.
 	ib := newIndexBuilder(idxW, params)
-	builder, err := newSegmentBuilder(params.OptimalPLA, epsVal, ib.writeModel)
+	builder, err := newSegmentBuilder(params.OptimalPLA, pagefile.Epsilon(params.PageSize, types.EntrySize), ib.writeModel)
 	if err != nil {
-		abort()
 		return nil, err
 	}
+	res, err := writeEntries(src, count, count, params, valW.Append, mrkW.Add, builder)
+	if err != nil {
+		return nil, err
+	}
+	if err := builder.Finish(); err != nil {
+		return nil, err
+	}
+	layers, err := ib.finishLayers()
+	if err != nil {
+		return nil, err
+	}
+	if err := idxW.Finish(); err != nil {
+		return nil, err
+	}
+	if err := valW.Finish(); err != nil {
+		return nil, err
+	}
+	root, err := mrkW.Finish()
+	if err != nil {
+		return nil, err
+	}
+	return finishRun(dir, id, count, params, layers, root, res)
+}
 
-	// Leaf-hash passthrough: when the source can replay precomputed leaf
-	// hashes (a run's .mrk file, a reshard spool, or a merge of such
-	// sources), consume them instead of re-running SHA-256 over every
-	// entry. L0 flushes arrive as plain slice iterators — no Merkle file
-	// exists yet — and keep hashing. The output is byte-identical either
-	// way: a stored leaf hash IS types.HashEntry of its entry.
+// writeBufferPages caps the coalescing buffers at the value file's own
+// page count: a small run (an L0 flush, a shallow level) should not pay a
+// ~1 MiB allocation per file to save syscalls it will never issue. The
+// index and Merkle files are never larger than the value file.
+func writeBufferPages(count int64, params Params) int {
+	perPage := int64(pagefile.PerPage(params.PageSize, types.EntrySize))
+	if vp := (count + perPage - 1) / perPage; int64(params.WriteBufferPages) > vp {
+		return int(vp)
+	}
+	return params.WriteBufferPages
+}
+
+// spanResult is what one pass of writeEntries hands its caller: the
+// span's Bloom contribution and key bounds.
+type spanResult struct {
+	filter *bloom.Filter
+	minKey types.CompoundKey
+	maxKey types.CompoundKey
+}
+
+// writeEntries is the per-entry loop of every run build — a whole
+// sequential build is one call, a partitioned build one call per span:
+// encode the entry and append it to the value file, take its Merkle leaf
+// hash from the source when it can replay precomputed ones (a run's .mrk
+// file, a reshard spool, or a merge of such sources — a stored leaf hash
+// IS types.HashEntry of its entry) and compute it otherwise (L0 flushes
+// arrive as plain slices), add the leaf, and insert the address into a
+// Bloom filter with the full run's geometry. keys, when non-nil, receives
+// every key with its position in the span (the inline PLA feed).
+//
+// src must yield exactly want entries. A source that died mid-stream is
+// reported by its own error, not as the count mismatch it also causes.
+func writeEntries(src Iterator, want, count int64, params Params,
+	appendValue func([]byte) error, addLeaf func(types.Hash) error,
+	keys segmentBuilder) (res spanResult, err error) {
+	// Every span's filter gets the full run's geometry so the union of the
+	// spans marshals byte-identically to one sequential pass.
+	res.filter = bloom.New(int(count), params.BloomFP)
 	var hashSrc HashedIterator
-	if h, ok := src.(HashedIterator); ok && h.Hashed() && !params.LegacyCompaction {
+	if h, ok := src.(HashedIterator); ok && h.Hashed() {
 		hashSrc = h
 	}
-
+	var seen int64
 	entryBuf := make([]byte, types.EntrySize)
 	for {
 		e, ok := src.Next()
 		if !ok {
 			break
 		}
+		if seen >= want {
+			return res, fmt.Errorf("run: iterator yielded more than %d entries", want)
+		}
 		// Consecutive versions of one address are adjacent in compound-key
 		// order; the filter insert is idempotent, so only the first needs
-		// the SHA-256 base hashes.
-		sameAddr := seen > 0 && e.Key.Addr == maxKey.Addr && !params.LegacyCompaction
+		// the SHA-256 base hashes. A span whose first entries continue the
+		// previous span's address re-Adds it: both paths count one entry,
+		// so the union stays byte-identical.
+		sameAddr := seen > 0 && e.Key.Addr == res.maxKey.Addr
 		if seen == 0 {
-			minKey = e.Key
+			res.minKey = e.Key
 		}
-		maxKey = e.Key
+		res.maxKey = e.Key
 		types.EncodeEntry(entryBuf, e)
-		if err := valW.Append(entryBuf); err != nil {
-			abort()
-			return nil, err
+		if err := appendValue(entryBuf); err != nil {
+			return res, err
 		}
-		if err := builder.Add(e.Key, seen); err != nil {
-			abort()
-			return nil, err
+		if keys != nil {
+			if err := keys.Add(e.Key, seen); err != nil {
+				return res, err
+			}
 		}
 		var leaf types.Hash
 		if hashSrc != nil {
 			if leaf, err = hashSrc.LeafHash(); err != nil {
-				abort()
-				return nil, err
+				return res, err
 			}
 		} else {
 			leaf = types.HashEntry(e)
 		}
-		if err := mrkW.Add(leaf); err != nil {
-			abort()
-			return nil, err
+		if err := addLeaf(leaf); err != nil {
+			return res, err
 		}
 		if sameAddr {
-			filter.AddRepeat()
+			res.filter.AddRepeat()
 		} else {
-			filter.Add(e.Key.Addr)
+			res.filter.Add(e.Key.Addr)
 		}
 		seen++
 	}
-	if seen != count {
-		abort()
-		return nil, fmt.Errorf("run: iterator yielded %d entries, expected %d", seen, count)
+	if err := sourceErr(src); err != nil {
+		return res, err
 	}
-	if err := builder.Finish(); err != nil {
-		abort()
-		return nil, err
+	if seen != want {
+		return res, fmt.Errorf("run: iterator yielded %d entries, expected %d", seen, want)
 	}
+	return res, nil
+}
 
-	layers, err := ib.finishLayers()
-	if err != nil {
-		abort()
-		return nil, err
-	}
-	if err := idxW.Finish(); err != nil {
-		abort()
-		return nil, err
-	}
-	if err := valW.Finish(); err != nil {
-		abort()
-		return nil, err
-	}
-	root, err := mrkW.Finish()
-	if err != nil {
-		abort()
-		return nil, err
-	}
-
+// finishRun writes the metadata file — the run's commit point — and opens
+// the finished run. res carries the whole run's filter and key bounds.
+func finishRun(dir string, id uint64, count int64, params Params, layers []layerMeta, root types.Hash, res spanResult) (*Run, error) {
 	meta := runMeta{
 		Count:  count,
 		Fanout: params.Fanout,
 		Layers: layers,
 		Root:   root,
-		Bloom:  filter.Marshal(),
-		MinKey: minKey,
-		MaxKey: maxKey,
+		Bloom:  res.filter.Marshal(),
+		MinKey: res.minKey,
+		MaxKey: res.maxKey,
 		PageSz: params.PageSize,
 	}
 	if err := writeMeta(params.FS, metaPath(dir, id), meta); err != nil {
-		abort()
 		return nil, err
 	}
 	return Open(dir, id, params)
@@ -424,13 +446,9 @@ func (b *indexBuilder) finishLayers() ([]layerMeta, error) {
 
 // PageSizeOf reads the page size a run was built with from its metadata,
 // so offline tools (reshard) can adopt the store's real geometry instead
-// of requiring the operator to recall its creation options.
-func PageSizeOf(dir string, id uint64) (int, error) {
-	return PageSizeOfFS(vfs.OS{}, dir, id)
-}
-
-// PageSizeOfFS is PageSizeOf on an explicit filesystem.
-func PageSizeOfFS(fsys vfs.FS, dir string, id uint64) (int, error) {
+// of requiring the operator to recall its creation options. A nil fsys is
+// the real filesystem.
+func PageSizeOf(fsys vfs.FS, dir string, id uint64) (int, error) {
 	m, err := readMeta(vfs.OrOS(fsys), metaPath(dir, id))
 	if err != nil {
 		return 0, err

@@ -1,6 +1,7 @@
 package run
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -201,6 +202,14 @@ func TestReopenRun(t *testing.T) {
 	_ = e
 }
 
+// dyingIterator ends early with a read failure (an ErrIterator).
+type dyingIterator struct {
+	*SliceIterator
+	err error
+}
+
+func (d *dyingIterator) Err() error { return d.err }
+
 func TestBuildValidation(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := Build(dir, 1, 0, Params{Fanout: 4}, NewSliceIterator(nil)); err == nil {
@@ -213,6 +222,12 @@ func TestBuildValidation(t *testing.T) {
 	entries := genEntries(7, 10, 2)
 	if _, err := Build(dir, 2, int64(len(entries))+5, Params{Fanout: 4}, NewSliceIterator(entries)); err == nil {
 		t.Fatal("count mismatch must be rejected")
+	}
+	// A source that died mid-stream is reported by its own error, not as
+	// the count mismatch it also causes.
+	dead := &dyingIterator{SliceIterator: NewSliceIterator(entries[:4]), err: errors.New("injected read failure")}
+	if _, err := Build(dir, 3, int64(len(entries)), Params{Fanout: 4}, dead); !errors.Is(err, dead.err) {
+		t.Fatalf("build over a dead source: %v, want its read failure", err)
 	}
 	// Aborted builds must not leave files behind for the failed id.
 	files, _ := filepath.Glob(filepath.Join(dir, "run-*"))

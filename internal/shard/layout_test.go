@@ -16,28 +16,25 @@ func writeShardsFile(t *testing.T, dir, content string) {
 	}
 }
 
-// TestPersistedCountEdgeCases covers the SHARDS-file parser directly:
+// TestPersistedLayoutEdgeCases covers the SHARDS-file parser directly:
 // fresh directories, valid files (with and without a generation),
 // corrupt JSON, and out-of-range counts.
-func TestPersistedCountEdgeCases(t *testing.T) {
+func TestPersistedLayoutEdgeCases(t *testing.T) {
 	dir := t.TempDir()
-	if _, ok, err := PersistedCount(dir); err != nil || ok {
+	if _, _, ok, err := PersistedLayout(nil, dir); err != nil || ok {
 		t.Fatalf("fresh dir: ok=%v err=%v, want unpinned", ok, err)
 	}
 
 	writeShardsFile(t, dir, `{"shards":4}`)
-	n, gen, ok, err := PersistedLayout(dir)
+	n, gen, ok, err := PersistedLayout(nil, dir)
 	if err != nil || !ok || n != 4 || gen != 0 {
 		t.Fatalf("valid file: n=%d gen=%d ok=%v err=%v", n, gen, ok, err)
 	}
 
 	writeShardsFile(t, dir, `{"shards":4,"gen":3}`)
-	n, gen, ok, err = PersistedLayout(dir)
+	n, gen, ok, err = PersistedLayout(nil, dir)
 	if err != nil || !ok || n != 4 || gen != 3 {
 		t.Fatalf("generation file: n=%d gen=%d ok=%v err=%v", n, gen, ok, err)
-	}
-	if n2, ok2, err2 := PersistedCount(dir); err2 != nil || !ok2 || n2 != 4 {
-		t.Fatalf("PersistedCount over a generation file: n=%d ok=%v err=%v", n2, ok2, err2)
 	}
 
 	for _, bad := range []string{
@@ -48,7 +45,7 @@ func TestPersistedCountEdgeCases(t *testing.T) {
 		`{"shards":100000}`,
 	} {
 		writeShardsFile(t, dir, bad)
-		if _, _, _, err := PersistedLayout(dir); err == nil {
+		if _, _, _, err := PersistedLayout(nil, dir); err == nil {
 			t.Errorf("content %q accepted", bad)
 		}
 	}
@@ -71,56 +68,6 @@ func TestOpenRejectsCorruptShardsFile(t *testing.T) {
 	}
 	if _, err := Open(core.Options{Dir: dir, Shards: 2, MemCapacity: 64}); err == nil {
 		t.Fatal("corrupt SHARDS opened with an explicit count")
-	}
-}
-
-// TestGuardSingleEngine covers every branch of the single-engine guard:
-// clean legacy dirs pass; multi-shard, resharded-generation, orphaned,
-// and corrupt layouts are refused.
-func TestGuardSingleEngine(t *testing.T) {
-	// Fresh and legacy-unsharded directories are fine.
-	if err := GuardSingleEngine(t.TempDir()); err != nil {
-		t.Fatalf("fresh dir refused: %v", err)
-	}
-	legacy := t.TempDir()
-	e, err := core.Open(core.Options{Dir: legacy, MemCapacity: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Close()
-	if err := GuardSingleEngine(legacy); err != nil {
-		t.Fatalf("legacy engine dir refused: %v", err)
-	}
-
-	// Multi-shard store.
-	multi := t.TempDir()
-	writeShardsFile(t, multi, `{"shards":4}`)
-	if err := GuardSingleEngine(multi); err == nil {
-		t.Fatal("multi-shard dir accepted")
-	}
-
-	// Resharded generation: one shard, but the engine no longer lives at
-	// the directory root.
-	gen := t.TempDir()
-	writeShardsFile(t, gen, `{"shards":1,"gen":2}`)
-	if err := GuardSingleEngine(gen); err == nil {
-		t.Fatal("resharded 1-shard dir accepted (its root holds no engine)")
-	}
-
-	// Orphaned shard subdirectories without a SHARDS file.
-	orphan := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(orphan, "shard-00"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := GuardSingleEngine(orphan); err == nil {
-		t.Fatal("orphaned shard dirs accepted")
-	}
-
-	// Corrupt SHARDS file.
-	corrupt := t.TempDir()
-	writeShardsFile(t, corrupt, "garbage")
-	if err := GuardSingleEngine(corrupt); err == nil {
-		t.Fatal("corrupt SHARDS accepted")
 	}
 }
 

@@ -80,7 +80,7 @@ func TestReplayReproducesHistoricalDigests(t *testing.T) {
 			replayFrom := make([]uint64, n)
 			convergedFrom := make([]uint64, n)
 			for i := 0; i < n; i++ {
-				st, err := core.ReadStoreState(EngineDir(opts.Dir, 0, n, i))
+				st, err := core.ReadStoreState(nil, EngineDir(opts.Dir, 0, n, i))
 				if err != nil {
 					t.Fatal(err)
 				}

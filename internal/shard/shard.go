@@ -1,5 +1,6 @@
-// Package shard partitions the COLE address space across N independent
-// core.Engine instances and commits them in parallel.
+// Package shard is the COLE store every consumer opens: it partitions the
+// address space across N ≥ 1 independent core.Engine instances and commits
+// them in parallel.
 //
 // A single engine serializes its whole write path behind one mutex, so at
 // commit time the flush/merge cascade of a busy block runs alone on one
@@ -82,7 +83,7 @@ func CombineRoots(roots []types.Hash) types.Hash {
 	return types.HashData(rootDomain, top[:])
 }
 
-// Store is a sharded COLE store: N engines behind one block interface.
+// Store is the COLE store: N ≥ 1 engines behind one block interface.
 type Store struct {
 	opts core.Options
 	n    int
@@ -158,11 +159,14 @@ func EngineDir(dir string, gen uint64, n, i int) string {
 // the next generation inside it before committing the SHARDS file.
 func GenDir(dir string, gen uint64) string { return filepath.Join(dir, genDirName(gen)) }
 
-// Open creates or reopens a sharded store in opts.Dir. opts.Shards selects
-// the partition count: 0 adopts the count persisted in the directory's
-// SHARDS file (1 for a fresh or legacy directory), and an explicit count
-// must match the persisted one on reopen. With one shard the engine lives
-// directly in opts.Dir; with more, each shard i lives in opts.Dir/shard-NN.
+// Open creates or reopens a store in opts.Dir. opts.Shards selects the
+// partition count: 0 adopts the count persisted in the directory's SHARDS
+// file (1 for a fresh directory or a legacy one — an engine at the root
+// with no SHARDS file, which Open pins as a one-shard store), and an
+// explicit count must match the persisted one on reopen. With one shard
+// the engine lives directly in opts.Dir; with more, each shard i lives in
+// opts.Dir/shard-NN. The directory's advisory lock is held until Close,
+// so concurrent opens and offline reshards fail loudly.
 func Open(opts core.Options) (*Store, error) {
 	n := opts.Shards
 	if n < 0 || n > MaxShards {
@@ -192,7 +196,7 @@ func Open(opts core.Options) (*Store, error) {
 			unlock()
 		}
 	}()
-	persisted, gen, pinned, err := PersistedLayoutFS(fsys, opts.Dir)
+	persisted, gen, pinned, err := PersistedLayout(fsys, opts.Dir)
 	if err != nil {
 		return nil, err
 	}
@@ -230,8 +234,6 @@ func Open(opts core.Options) (*Store, error) {
 	s := &Store{opts: opts, n: n, gen: gen, sched: merge.New(opts.MergeWorkers), active: make([]bool, n)}
 	for i := 0; i < n; i++ {
 		s.allIdx = append(s.allIdx, i)
-	}
-	for i := 0; i < n; i++ {
 		eo := opts
 		eo.Shards = 1
 		eo.ShardIndex = i
@@ -245,11 +247,13 @@ func Open(opts core.Options) (*Store, error) {
 		}
 		s.engines = append(s.engines, e)
 	}
-	if err := writeManifest(fsys, opts.Dir, n); err != nil {
-		for _, e := range s.engines {
-			_ = e.Close()
+	if !pinned {
+		if err := InstallManifest(fsys, opts.Dir, n, 0); err != nil {
+			for _, e := range s.engines {
+				_ = e.Close()
+			}
+			return nil, err
 		}
-		return nil, err
 	}
 	// The store owns the shared merge pool, so it (not the engines, which
 	// only register pools they own) exposes the pool's queue counters.
@@ -265,6 +269,9 @@ func Open(opts core.Options) (*Store, error) {
 // through untouched. The innermost attribution wins, so an already
 // stamped error is never re-stamped.
 func stampShard(err error, i int) error {
+	if err == nil {
+		return nil // before ec is declared: errors.As makes it escape
+	}
 	var ec *types.ErrCorrupt
 	if errors.As(err, &ec) && ec.Shard < 0 {
 		ec.Shard = i
@@ -281,50 +288,11 @@ func guardOrphanedShards(fsys vfs.FS, dir string) error {
 	return nil
 }
 
-// GuardSingleEngine returns an error when dir cannot be served by a bare
-// single engine: its SHARDS file pins multiple shards, a resharded
-// generation (whose engine no longer lives at the root), or is corrupt,
-// or it has shard subdirectories with no SHARDS file at all. Callers
-// that open an engine directly in dir (bypassing Open) use this to avoid
-// presenting an empty view of sharded data.
-func GuardSingleEngine(dir string) error { return GuardSingleEngineFS(vfs.OS{}, dir) }
-
-// GuardSingleEngineFS is GuardSingleEngine on an injected filesystem.
-func GuardSingleEngineFS(fsys vfs.FS, dir string) error {
-	fsys = vfs.OrOS(fsys)
-	n, gen, ok, err := PersistedLayoutFS(fsys, dir)
-	if err != nil {
-		return err
-	}
-	if ok && n > 1 {
-		return fmt.Errorf("shard: %s holds a %d-shard store; open it as a sharded store", dir, n)
-	}
-	if ok && gen > 0 {
-		return fmt.Errorf("shard: %s holds a resharded store (generation %d); open it as a sharded store", dir, gen)
-	}
-	if !ok {
-		return guardOrphanedShards(fsys, dir)
-	}
-	return nil
-}
-
-// PersistedCount reports the shard count pinned in dir's SHARDS file;
-// ok is false when the directory is fresh or holds a legacy unsharded
-// store.
-func PersistedCount(dir string) (count int, ok bool, err error) {
-	count, _, ok, err = PersistedLayout(dir)
-	return count, ok, err
-}
-
 // PersistedLayout reports the shard count and reshard generation pinned
-// in dir's SHARDS file; ok is false when the directory is fresh or holds
-// a legacy unsharded store (no SHARDS file).
-func PersistedLayout(dir string) (count int, gen uint64, ok bool, err error) {
-	return PersistedLayoutFS(vfs.OS{}, dir)
-}
-
-// PersistedLayoutFS is PersistedLayout on an injected filesystem.
-func PersistedLayoutFS(fsys vfs.FS, dir string) (count int, gen uint64, ok bool, err error) {
+// in dir's SHARDS file on fsys (nil = the real filesystem); ok is false
+// when the directory is fresh or holds a legacy unsharded store (no
+// SHARDS file).
+func PersistedLayout(fsys vfs.FS, dir string) (count int, gen uint64, ok bool, err error) {
 	raw, err := vfs.OrOS(fsys).ReadFile(filepath.Join(dir, manifestName))
 	if errors.Is(err, iofs.ErrNotExist) {
 		return 0, 0, false, nil
@@ -348,13 +316,8 @@ func PersistedLayoutFS(fsys vfs.FS, dir string) (count int, gen uint64, ok bool,
 // reshard — before the rename the store serves its old layout
 // untouched, after it the new generation's engines are live — and the
 // reshard deletes the old generation right behind it, so the rename
-// must be durable, not just atomic.
-func InstallManifest(dir string, n int, gen uint64) error {
-	return InstallManifestFS(vfs.OS{}, dir, n, gen)
-}
-
-// InstallManifestFS is InstallManifest on an injected filesystem.
-func InstallManifestFS(fsys vfs.FS, dir string, n int, gen uint64) error {
+// must be durable, not just atomic. A nil fsys is the real filesystem.
+func InstallManifest(fsys vfs.FS, dir string, n int, gen uint64) error {
 	if n < 1 || n > MaxShards {
 		return fmt.Errorf("shard: shard count %d out of range [1,%d]", n, MaxShards)
 	}
@@ -366,14 +329,6 @@ func InstallManifestFS(fsys vfs.FS, dir string, n int, gen uint64) error {
 	// directory after it, so the new layout either is fully on disk or
 	// the old SHARDS file survives intact.
 	return vfs.WriteFileAtomic(vfs.OrOS(fsys), filepath.Join(dir, manifestName), raw, 0o644)
-}
-
-func writeManifest(fsys vfs.FS, dir string, n int) error {
-	path := filepath.Join(dir, manifestName)
-	if _, err := fsys.Stat(path); err == nil {
-		return nil // already pinned (and checked against) by Open
-	}
-	return InstallManifestFS(fsys, dir, n, 0)
 }
 
 // sweepStaleGenerations removes the leftovers a committed or abandoned
@@ -411,13 +366,9 @@ var shardDirPattern = regexp.MustCompile(`^shard-[0-9]{2}$`)
 // generation — the cleanup counterpart of sweepStaleGenerations, kept
 // next to it so the two share one notion of what a generation's files
 // are. Best-effort: the SHARDS file no longer references the layout, so
-// anything left behind is swept by the next Open.
-func RemoveGeneration(dir string, gen uint64, n int) {
-	RemoveGenerationFS(vfs.OS{}, dir, gen, n)
-}
-
-// RemoveGenerationFS is RemoveGeneration on an injected filesystem.
-func RemoveGenerationFS(fsys vfs.FS, dir string, gen uint64, n int) {
+// anything left behind is swept by the next Open. A nil fsys is the real
+// filesystem.
+func RemoveGeneration(fsys vfs.FS, dir string, gen uint64, n int) {
 	fsys = vfs.OrOS(fsys)
 	if gen > 0 {
 		_ = fsys.RemoveAll(GenDir(dir, gen))
@@ -450,7 +401,7 @@ func RemoveGenerationFS(fsys vfs.FS, dir string, gen uint64, n int) {
 // cost lands on every block of the hot write path. Every listed shard
 // is attempted even after a failure, so an error never leaves later
 // shards at divergent lifecycle states.
-func (s *Store) runOn(idxs []int, fn func(i int) error) error {
+func runOn(idxs []int, fn func(i int) error) error {
 	if len(idxs) == 1 || runtime.GOMAXPROCS(0) == 1 {
 		var first error
 		for _, i := range idxs {
@@ -479,7 +430,7 @@ func (s *Store) runOn(idxs []int, fn func(i int) error) error {
 }
 
 // runShards invokes fn for every shard index (see runOn).
-func (s *Store) runShards(fn func(i int) error) error { return s.runOn(s.allIdx, fn) }
+func (s *Store) runShards(fn func(i int) error) error { return runOn(s.allIdx, fn) }
 
 // Shards returns the partition count.
 func (s *Store) Shards() int { return s.n }
@@ -488,8 +439,8 @@ func (s *Store) Shards() int { return s.n }
 // the store is first resharded, then the count of reshards applied.
 func (s *Store) Generation() uint64 { return s.gen }
 
-// ShardIndex returns the partition owning addr.
-func (s *Store) ShardIndex(addr types.Address) int { return ShardOf(addr, s.n) }
+// ShardOf returns the partition owning addr.
+func (s *Store) ShardOf(addr types.Address) int { return ShardOf(addr, s.n) }
 
 // BeginBlock opens block `height` on every shard that has not yet
 // committed it. During normal operation that is all of them; after a crash
@@ -588,7 +539,7 @@ func (s *Store) PutBatch(updates []types.Update) error {
 	// Fan out only over shards that actually received updates: a small
 	// block on a wide store would otherwise spawn a goroutine per empty
 	// bucket.
-	return s.runOn(nonEmpty, func(i int) error {
+	return runOn(nonEmpty, func(i int) error {
 		return s.engines[i].PutBatch(buckets[i])
 	})
 }
@@ -684,6 +635,29 @@ func (s *Store) Snapshot() *Snapshot {
 	return snap
 }
 
+// Export streams every live entry of the store — all retained versions
+// of all addresses, globally sorted by ⟨address, block height⟩ — through
+// fn, from one pinned snapshot: the export is consistent with a single
+// committed height across every shard and runs concurrently with commits
+// and merges. Returns the number of entries streamed; fn returning an
+// error aborts with that error.
+func (s *Store) Export(fn func(addr types.Address, blk uint64, v types.Value) error) (int64, error) {
+	snap := s.Snapshot()
+	defer snap.Release()
+	it := snap.Entries()
+	var n int64
+	for {
+		e, ok := it.Next()
+		if !ok {
+			return n, it.Err()
+		}
+		if err := fn(e.Key.Addr, e.Key.Blk, e.Value); err != nil {
+			return n, err
+		}
+		n++
+	}
+}
+
 // Snapshot is a pinned, consistent read handle over all shards of the
 // store: every read observes the same committed block height on every
 // shard, lock-free, concurrently with commits and merges.
@@ -736,15 +710,10 @@ func (sn *Snapshot) GetBatch(addrs []types.Address) ([]core.ReadResult, error) {
 	if len(addrs) == 0 {
 		return nil, nil
 	}
-	out := make([]core.ReadResult, len(addrs))
 	if sn.n == 1 {
-		res, err := sn.shards[0].GetBatch(addrs)
-		if err != nil {
-			return nil, err
-		}
-		copy(out, res)
-		return out, nil
+		return sn.shards[0].GetBatch(addrs)
 	}
+	out := make([]core.ReadResult, len(addrs))
 	buckets := make([][]types.Address, sn.n)
 	positions := make([][]int, sn.n)
 	var nonEmpty []int
@@ -756,7 +725,7 @@ func (sn *Snapshot) GetBatch(addrs []types.Address) ([]core.ReadResult, error) {
 		buckets[i] = append(buckets[i], addr)
 		positions[i] = append(positions[i], pos)
 	}
-	resolve := func(i int) error {
+	err := runOn(nonEmpty, func(i int) error {
 		res, err := sn.shards[i].GetBatch(buckets[i])
 		if err != nil {
 			return stampShard(err, i)
@@ -765,29 +734,9 @@ func (sn *Snapshot) GetBatch(addrs []types.Address) ([]core.ReadResult, error) {
 			out[pos] = res[k]
 		}
 		return nil
-	}
-	if len(nonEmpty) == 1 || runtime.GOMAXPROCS(0) == 1 {
-		for _, i := range nonEmpty {
-			if err := resolve(i); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	errs := make([]error, len(nonEmpty))
-	var wg sync.WaitGroup
-	for k, i := range nonEmpty {
-		wg.Add(1)
-		go func(k, i int) {
-			defer wg.Done()
-			errs[k] = resolve(i)
-		}(k, i)
-	}
-	wg.Wait()
-	for k, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", nonEmpty[k], err)
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -823,6 +772,18 @@ func (sn *Snapshot) Release() {
 	}
 }
 
+// ProvProof is a provenance proof handle: the engine's Merkle proof
+// (*core.Proof, what a one-shard store returns — its combined digest IS
+// that engine's Hstate) or the sharded *Proof (inner proof plus the
+// shard-root path), checked the same way either way.
+type ProvProof interface {
+	// Verify checks the proof against the root digest published in a
+	// block header and returns the authenticated versions, newest first.
+	Verify(hstate types.Hash, addr types.Address, blkLo, blkHi uint64) ([]core.Version, error)
+	// Size approximates the proof's wire size in bytes.
+	Size() int
+}
+
 // Proof authenticates a provenance query against the combined multi-shard
 // digest: the owning shard's inner COLE proof, its Hstate root, and the
 // Merkle path from that root up to the combined digest. The path carries
@@ -845,14 +806,6 @@ type Proof struct {
 	Inner *core.Proof
 }
 
-// Verify checks the proof against a combined block-header digest and
-// returns the authenticated versions — the method form of VerifyProv, so
-// a proof can be checked through a backend-independent interface without
-// naming its concrete type.
-func (p *Proof) Verify(hstate types.Hash, addr types.Address, blkLo, blkHi uint64) ([]core.Version, error) {
-	return VerifyProv(hstate, addr, blkLo, blkHi, p)
-}
-
 // Size approximates the proof's wire size in bytes: the inner proof, the
 // shard root, the Merkle path, and the two index fields.
 func (p *Proof) Size() int {
@@ -866,13 +819,22 @@ func (p *Proof) Size() int {
 	return s
 }
 
-// ProvQuery answers a provenance query from the owning shard and wraps
-// its proof with the Merkle path of the owning shard's root inside the
-// combined digest. The proof verifies against the combined digest of the
-// last committed block: the store read-lock excludes commits while the
-// published per-shard view roots are gathered, and the inner query runs
-// against the owning shard's pinned view — no engine mutex is taken.
-func (s *Store) ProvQuery(addr types.Address, blkLo, blkHi uint64) ([]core.Version, *Proof, error) {
+// Prov returns the versions of addr written within [blkLo, blkHi] (newest
+// first) and a proof that verifies against the combined digest of the
+// last committed block. The owning shard answers from its published view
+// — no engine mutex is taken. A one-shard store returns that engine's
+// proof as is; otherwise the proof is wrapped with the Merkle path of the
+// owning shard's root inside the combined digest, gathered under the
+// store read-lock (which excludes commits) so the per-shard view roots
+// are mutually consistent.
+func (s *Store) Prov(addr types.Address, blkLo, blkHi uint64) ([]core.Version, ProvProof, error) {
+	if s.n == 1 {
+		versions, proof, err := s.engines[0].ProvQuery(addr, blkLo, blkHi)
+		if err != nil {
+			return nil, nil, stampShard(err, 0)
+		}
+		return versions, proof, nil
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	idx := ShardOf(addr, s.n)
@@ -882,10 +844,6 @@ func (s *Store) ProvQuery(addr types.Address, blkLo, blkHi uint64) ([]core.Versi
 	if err != nil {
 		return nil, nil, stampShard(err, idx)
 	}
-	p := &Proof{Shard: idx, Shards: s.n, Inner: inner, Root: snap.Root()}
-	if s.n == 1 {
-		return versions, p, nil
-	}
 	roots := make([]types.Hash, s.n)
 	for i, e := range s.engines {
 		if i == idx {
@@ -894,6 +852,7 @@ func (s *Store) ProvQuery(addr types.Address, blkLo, blkHi uint64) ([]core.Versi
 		}
 		roots[i] = e.ViewRoot()
 	}
+	p := &Proof{Shard: idx, Shards: s.n, Inner: inner, Root: snap.Root()}
 	p.Path, err = mht.ProveRangeOf(roots, ShardRootFanout, int64(idx), int64(idx))
 	if err != nil {
 		return nil, nil, fmt.Errorf("shard: root path: %w", err)
@@ -901,12 +860,12 @@ func (s *Store) ProvQuery(addr types.Address, blkLo, blkHi uint64) ([]core.Versi
 	return versions, p, nil
 }
 
-// VerifyProv verifies a sharded provenance proof against the combined
+// Verify checks a sharded provenance proof against the combined
 // block-header digest: the address must route to the claimed shard, the
 // shard root's Merkle path must reproduce hstate, and the inner proof
 // must verify against the owning shard's root. Returns the authenticated
 // versions, newest first.
-func VerifyProv(hstate types.Hash, addr types.Address, blkLo, blkHi uint64, p *Proof) ([]core.Version, error) {
+func (p *Proof) Verify(hstate types.Hash, addr types.Address, blkLo, blkHi uint64) ([]core.Version, error) {
 	if p == nil {
 		return nil, fmt.Errorf("shard: nil proof")
 	}

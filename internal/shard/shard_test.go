@@ -124,19 +124,25 @@ func TestShards1Compat(t *testing.T) {
 		}
 	}
 
-	// A 1-shard proof verifies against the digest through the shard path
-	// and its inner proof through the plain path.
+	// A 1-shard store answers with the engine's own proof, which verifies
+	// against the digest directly — and through the shard path when
+	// wrapped as a pathless one-shard Proof.
 	addr := testAddr(7)
 	hstate := s.RootDigest()
-	_, proof, err := s.ProvQuery(addr, 1, blocks)
+	_, pp, err := s.Prov(addr, 1, blocks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := VerifyProv(hstate, addr, 1, blocks, proof); err != nil {
-		t.Fatalf("shard-path verification failed: %v", err)
+	inner, ok := pp.(*core.Proof)
+	if !ok {
+		t.Fatalf("1-shard Prov returned %T, want the engine proof", pp)
 	}
-	if _, err := core.VerifyProv(hstate, addr, 1, blocks, proof.Inner); err != nil {
-		t.Fatalf("inner proof does not verify against the same digest: %v", err)
+	if _, err := pp.Verify(hstate, addr, 1, blocks); err != nil {
+		t.Fatalf("engine proof does not verify against the 1-shard digest: %v", err)
+	}
+	wrapped := &Proof{Shard: 0, Shards: 1, Root: hstate, Inner: inner}
+	if _, err := wrapped.Verify(hstate, addr, 1, blocks); err != nil {
+		t.Fatalf("shard-path verification failed: %v", err)
 	}
 
 	// Layout compatibility: the single-engine manifest lives directly in
@@ -168,16 +174,16 @@ func TestProvRoundTrip(t *testing.T) {
 
 	for i := 0; i < accounts; i++ {
 		addr := testAddr(i)
-		versions, proof, err := s.ProvQuery(addr, 1, blocks)
+		versions, proof, err := s.Prov(addr, 1, blocks)
 		if err != nil {
 			t.Fatalf("prov %d: %v", i, err)
 		}
 		if len(versions) == 0 {
 			t.Fatalf("prov %d: no versions for a written address", i)
 		}
-		verified, err := VerifyProv(hstate, addr, 1, blocks, proof)
+		verified, err := proof.Verify(hstate, addr, 1, blocks)
 		if err != nil {
-			t.Fatalf("verify %d (shard %d): %v", i, proof.Shard, err)
+			t.Fatalf("verify %d (shard %d): %v", i, proof.(*Proof).Shard, err)
 		}
 		if len(verified) != len(versions) {
 			t.Fatalf("verify %d: %d versions, query returned %d", i, len(verified), len(versions))
@@ -192,10 +198,11 @@ func TestProvRoundTrip(t *testing.T) {
 	// Tampering with a sibling hash in the root Merkle path must break
 	// verification.
 	addr := testAddr(3)
-	_, proof, err := s.ProvQuery(addr, 1, blocks)
+	_, pp, err := s.Prov(addr, 1, blocks)
 	if err != nil {
 		t.Fatal(err)
 	}
+	proof := pp.(*Proof)
 	if proof.Path == nil {
 		t.Fatal("multi-shard proof carries no root Merkle path")
 	}
@@ -215,18 +222,19 @@ func TestProvRoundTrip(t *testing.T) {
 	if !tampered {
 		t.Fatal("4-shard root path has no sibling hashes to tamper with")
 	}
-	if _, err := VerifyProv(hstate, addr, 1, blocks, proof); err == nil {
+	if _, err := proof.Verify(hstate, addr, 1, blocks); err == nil {
 		t.Fatal("verification accepted a tampered root-path sibling")
 	}
 
 	// A proof claiming the wrong shard must be rejected before the path
 	// is even checked.
-	_, proof, err = s.ProvQuery(addr, 1, blocks)
+	_, pp, err = s.Prov(addr, 1, blocks)
 	if err != nil {
 		t.Fatal(err)
 	}
+	proof = pp.(*Proof)
 	proof.Shard = (proof.Shard + 1) % proof.Shards
-	if _, err := VerifyProv(hstate, addr, 1, blocks, proof); err == nil {
+	if _, err := proof.Verify(hstate, addr, 1, blocks); err == nil {
 		t.Fatal("verification accepted a proof from the wrong shard")
 	}
 
@@ -234,7 +242,7 @@ func TestProvRoundTrip(t *testing.T) {
 	proof.Shard = ShardOf(addr, proof.Shards)
 	bad := hstate
 	bad[0] ^= 0xff
-	if _, err := VerifyProv(bad, addr, 1, blocks, proof); err == nil {
+	if _, err := proof.Verify(bad, addr, 1, blocks); err == nil {
 		t.Fatal("verification accepted a mismatched Hstate")
 	}
 }

@@ -15,7 +15,7 @@ func markerAddrs(t *testing.T, s *Store) []types.Address {
 	seen := 0
 	for i := 0; seen < s.Shards(); i++ {
 		a := testAddr(1_000_000 + i)
-		idx := s.ShardIndex(a)
+		idx := s.ShardOf(a)
 		if out[idx] == (types.Address{}) {
 			out[idx] = a
 			seen++
