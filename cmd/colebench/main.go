@@ -41,13 +41,12 @@
 // -shards adds a sharded column next to the single-store one.
 //
 // The stalls experiment measures commit tail latency under a sustained
-// open-loop write stream across {paced, unpaced} × {preemptible,
-// monolithic} for both COLE systems: preemptible cells run chunked
-// merges, the pipelined commit, and the sorted L0 bulk-load; paced cells
-// apply compaction-debt backpressure (-pacing-target overrides the
-// auto-sized debt level, -rate the calibrated arrival rate). A
-// digest-identity pass first proves every cell commits byte-identical
-// per-block Hstate digests.
+// open-loop write stream across {unpaced, paced} for both COLE systems
+// on a one-worker merge pool: paced cells apply compaction-debt
+// backpressure (-pacing-target overrides the auto-sized debt level,
+// -rate the calibrated arrival rate). A digest-identity pass first
+// proves both cells of a system commit byte-identical per-block Hstate
+// digests.
 package main
 
 import (

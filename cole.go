@@ -26,7 +26,11 @@
 // Two write strategies are available: the default synchronous merge
 // (Algorithm 1) and the checkpoint-based asynchronous merge of §5
 // (Options.AsyncMerge), which removes write stalls while keeping the
-// state root digest deterministic across nodes.
+// state root digest deterministic across nodes. That is the write
+// path's only fork: either way a commit that restructures the store
+// writes its manifest before it returns, so CheckpointHeight never
+// names a height that is not yet durable, and background merges are
+// always chunked and preemptible by a waiting flush.
 //
 // There is one store type: Open serves Options.Shards ≥ 1 hash-partitioned
 // engines (one engine lives at the directory root, exactly as an

@@ -262,17 +262,15 @@ type Result struct {
 	ReadLat   *hist.Summary  `json:",omitempty"`
 	CommitLat *hist.Summary  `json:",omitempty"`
 	Amp       *Amplification `json:",omitempty"`
-	// Stall measurements (the stalls experiment): Pacing and MergeMode
-	// name the matrix cell ("paced"/"unpaced" × "preemptible"/
-	// "monolithic"), PacingTarget the debt level the paced cells ran
-	// with, Rate the open-loop arrival rate in ops/s, and the counters
-	// are the engine's own session totals — time commits spent blocked
-	// on unfinished merges (StallNanos), time the pacer injected ahead
-	// of writes (PaceNanos), the worst single commit (MaxCommitNanos),
-	// and how often chunked merges handed their worker slot to more
-	// urgent work (Preemptions).
+	// Stall measurements (the stalls experiment): Pacing names the matrix
+	// cell ("paced"/"unpaced"), PacingTarget the debt level the paced
+	// cells ran with, Rate the open-loop arrival rate in ops/s, and the
+	// counters are the engine's own session totals — time commits spent
+	// blocked on unfinished merges (StallNanos), time the pacer injected
+	// ahead of writes (PaceNanos), the worst single commit
+	// (MaxCommitNanos), and how often chunked merges handed their worker
+	// slot to more urgent work (Preemptions).
 	Pacing         string  `json:",omitempty"`
-	MergeMode      string  `json:",omitempty"`
 	PacingTarget   int64   `json:",omitempty"`
 	Rate           float64 `json:",omitempty"`
 	StallNanos     int64   `json:",omitempty"`

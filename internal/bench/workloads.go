@@ -27,12 +27,14 @@ type openLoopResult struct {
 	stats cole.Stats
 }
 
-// readReq is one point read dispatched to a reader worker. issued is the
-// operation's scheduled arrival time: under a target rate it can precede
+// readReq is one point read dispatched to a reader worker. Under a target
+// rate issued is the operation's scheduled arrival time: it can precede
 // the dispatch (the op queued behind a slow store), and the recorded
 // latency is measured from it — the open-loop convention that keeps tail
 // latency honest under saturation instead of silently omitting the
-// queueing delay (coordinated omission).
+// queueing delay (coordinated omission). In a closed loop (Rate 0) there
+// is no schedule to be late for — the dispatcher itself keeps the queue
+// full — so issued stays zero and the worker times the read from dequeue.
 type readReq struct {
 	addr   types.Address
 	issued time.Time
@@ -116,6 +118,9 @@ func runOpenLoop(db cole.DB, spec workload.Spec) (*openLoopResult, error) {
 				if failed.Load() {
 					continue
 				}
+				if req.issued.IsZero() {
+					req.issued = time.Now()
+				}
 				if _, _, err := db.Get(req.addr); err != nil {
 					fail(fmt.Errorf("read %x: %w", req.addr, err))
 					continue
@@ -156,7 +161,11 @@ func runOpenLoop(db cole.DB, spec workload.Spec) (*openLoopResult, error) {
 		op := gen.Next()
 		issued++
 		if op.Read {
-			reads <- readReq{addr: op.Addr, issued: now, record: recording}
+			req := readReq{addr: op.Addr, record: recording}
+			if spec.Rate > 0 {
+				req.issued = now
+			}
+			reads <- req
 			if recording {
 				res.readOps++
 			}

@@ -150,3 +150,38 @@ func TestWorkloadsMatrix(t *testing.T) {
 		t.Fatal("rendered table missing workload label")
 	}
 }
+
+// slowGetDB is a store whose point reads take about a millisecond.
+type slowGetDB struct{ cole.DB }
+
+func (s slowGetDB) Get(addr cole.Address) (cole.Value, bool, error) {
+	time.Sleep(time.Millisecond)
+	return s.DB.Get(addr)
+}
+
+// TestClosedLoopReadLatencyExcludesQueueWait: with no target rate the
+// dispatcher fills the read queue as fast as the workers drain it, so a
+// read's latency must be its service time, not the time it sat behind
+// the 64 requests the harness itself queued ahead of it.
+func TestClosedLoopReadLatencyExcludesQueueWait(t *testing.T) {
+	db, err := cole.Open(cole.Options{Dir: t.TempDir(), MemCapacity: 128, SizeRatio: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+
+	spec := smokeSpec("uniform", 0.9)
+	spec.Concurrency = 1
+	spec.Duration = 300 * time.Millisecond
+	r, err := runOpenLoop(slowGetDB{db}, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := r.readLat.Summary()
+	if sum == nil {
+		t.Fatal("no reads recorded")
+	}
+	if sum.P50 >= 5*time.Millisecond {
+		t.Fatalf("closed-loop read p50 = %v for a ~1ms Get: queue wait is being reported as read latency", sum.P50)
+	}
+}

@@ -69,22 +69,21 @@ type plainIterator struct{ inner run.Iterator }
 func (p plainIterator) Next() (types.Entry, bool) { return p.inner.Next() }
 
 // TestEngineGoldenStreamingVsReference runs identical block sequences
-// through an engine with the default streaming pipeline (readahead,
-// coalesced writes, auto-partitioned merges) and a reference engine at
-// 1-page IO with sequential merges, across sync and async cascades: every
-// per-block Hstate and every on-disk run file must be byte-identical.
-// Every surviving run — each the product of leaf-hash passthrough along a
-// chain of merges — is then rebuilt from its own entries with every leaf
-// hash recomputed, and must again match byte for byte: passthrough is
-// pure restructuring, never a format or digest change.
+// through an engine with the default pipeline (auto-partitioned merges)
+// and a reference engine with sequential merges, across sync and async
+// cascades: every per-block Hstate and every on-disk run file must be
+// byte-identical. Every surviving run — each the product of leaf-hash
+// passthrough along a chain of merges, read and written through ~1 MiB
+// buffers — is then rebuilt from its own entries at 1-page IO with every
+// leaf hash recomputed, and must again match byte for byte: passthrough,
+// readahead and write coalescing are pure restructuring, never a format
+// or digest change.
 func TestEngineGoldenStreamingVsReference(t *testing.T) {
 	for _, async := range []bool{false, true} {
 		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
 			const blocks = 60 // several cascades deep at MemCapacity 32, T 2
 
 			refOpts := testOpts(t, async)
-			refOpts.MergeReadahead = 1
-			refOpts.WriteBufferPages = 1
 			refOpts.MergePartitions = 1
 			ref := openEngine(t, refOpts)
 			refRoots := driveBlocks(t, ref, blocks)
@@ -117,13 +116,14 @@ func TestEngineGoldenStreamingVsReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			params := streamOpts.withDefaults().runParams()
+			params.MergeReadahead, params.WriteBufferPages = 1, 1
 			for _, id := range st.RunIDs {
 				r, err := run.Open(streamOpts.Dir, id, params)
 				if err != nil {
 					t.Fatal(err)
 				}
 				rebuildDir := t.TempDir()
-				rebuilt, err := run.Build(rebuildDir, id, r.Count(), refOpts.withDefaults().runParams(), plainIterator{r.Iter()})
+				rebuilt, err := run.Build(rebuildDir, id, r.Count(), params, plainIterator{r.Iter()})
 				if err != nil {
 					t.Fatal(err)
 				}

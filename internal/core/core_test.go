@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cole/internal/types"
@@ -151,15 +152,27 @@ func TestBlockDiscipline(t *testing.T) {
 	}
 }
 
+// TestOptionsValidation: every rejected setting fails Open with an error
+// naming the offending field.
 func TestOptionsValidation(t *testing.T) {
-	if _, err := Open(Options{}); err == nil {
-		t.Fatal("missing dir must fail")
-	}
-	if _, err := Open(Options{Dir: t.TempDir(), SizeRatio: 1}); err == nil {
-		t.Fatal("size ratio 1 must fail")
-	}
-	if _, err := Open(Options{Dir: t.TempDir(), Fanout: 1}); err == nil {
-		t.Fatal("fanout 1 must fail")
+	for _, tc := range []struct {
+		field string
+		opts  Options
+	}{
+		{"Dir", Options{}},
+		{"MemCapacity", Options{Dir: t.TempDir(), MemCapacity: -1}},
+		{"SizeRatio", Options{Dir: t.TempDir(), SizeRatio: 1}},
+		{"Fanout", Options{Dir: t.TempDir(), Fanout: 1}},
+		{"MergeChunk", Options{Dir: t.TempDir(), MergeChunk: -1}}, // no monolithic merges
+	} {
+		e, err := Open(tc.opts)
+		if err == nil {
+			e.Close()
+			t.Fatalf("invalid %s opened", tc.field)
+		}
+		if !strings.Contains(err.Error(), tc.field) {
+			t.Fatalf("invalid %s: error %q does not name the field", tc.field, err)
+		}
 	}
 }
 

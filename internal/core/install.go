@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 
 	"cole/internal/run"
-	"cole/internal/types"
 	"cole/internal/vfs"
 )
 
@@ -175,12 +174,7 @@ func InstallBulkFrom(opts Options, height uint64, count int64, build BuildFunc) 
 func (s *Snapshot) Entries() *run.MergeIterator {
 	var its []run.Iterator
 	for _, m := range s.v.mems {
-		entries := make([]types.Entry, 0, m.tree.Size())
-		_ = m.tree.ForEach(func(e types.Entry) error {
-			entries = append(entries, e)
-			return nil
-		})
-		its = append(its, run.NewSliceIterator(entries))
+		its = append(its, run.NewSliceIterator(collectTree(m.tree)))
 	}
 	for _, rr := range s.v.runs {
 		its = append(its, rr.r.Iter())

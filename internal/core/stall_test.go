@@ -12,27 +12,27 @@ import (
 	"cole/internal/types"
 )
 
-// TestChunkedMergeMatchesMonolithic drives identical workloads through a
-// chunked-preemptible engine and a monolithic one on ONE-worker pools,
-// in both merge modes: with a single slot every flush the commit path
-// needs contends with every deep merge, so any preemption bug surfaces
-// as a deadlock or a digest divergence. Chunking must be invisible in
-// the output — byte-identical digests block for block.
-func TestChunkedMergeMatchesMonolithic(t *testing.T) {
+// TestMergeChunkQuantumInvisible drives identical workloads through an
+// engine that checkpoints its merges every 8 entries and one at the
+// default quantum (which these small merges never reach) on ONE-worker
+// pools, in both merge modes: with a single slot every flush the commit
+// path needs contends with every deep merge, so any preemption bug
+// surfaces as a deadlock or a digest divergence. The quantum must be
+// invisible in the output — byte-identical digests block for block.
+func TestMergeChunkQuantumInvisible(t *testing.T) {
 	for _, async := range []bool{false, true} {
 		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
-			optsChunked := testOpts(t, async)
-			optsChunked.MergeWorkers = 1
-			optsChunked.MergeChunk = 8 // checkpoint every 8 entries: maximal interleaving
-			optsMono := testOpts(t, async)
-			optsMono.MergeWorkers = 1
-			optsMono.MergeChunk = -1 // monolithic merges
-			ec := openEngine(t, optsChunked)
-			em := openEngine(t, optsMono)
+			optsFine := testOpts(t, async)
+			optsFine.MergeWorkers = 1
+			optsFine.MergeChunk = 8 // checkpoint every 8 entries: maximal interleaving
+			optsDefault := testOpts(t, async)
+			optsDefault.MergeWorkers = 1
+			ef := openEngine(t, optsFine)
+			ed := openEngine(t, optsDefault)
 			const blocks, writes, accounts = 100, 12, 60
 			for h := uint64(1); h <= blocks; h++ {
 				batch := batchFor(h, writes, accounts)
-				for _, e := range []*Engine{ec, em} {
+				for _, e := range []*Engine{ef, ed} {
 					if err := e.BeginBlock(h); err != nil {
 						t.Fatal(err)
 					}
@@ -40,20 +40,17 @@ func TestChunkedMergeMatchesMonolithic(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				rc, err := ec.Commit()
+				rf, err := ef.Commit()
 				if err != nil {
 					t.Fatal(err)
 				}
-				rm, err := em.Commit()
+				rd, err := ed.Commit()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if rc != rm {
-					t.Fatalf("block %d: chunked digest %s != monolithic digest %s", h, rc, rm)
+				if rf != rd {
+					t.Fatalf("block %d: digest %s at quantum 8 != %s at the default quantum", h, rf, rd)
 				}
-			}
-			if got := em.Stats().Preemptions; got != 0 {
-				t.Fatalf("monolithic engine recorded %d preemptions", got)
 			}
 		})
 	}
@@ -232,130 +229,6 @@ func TestPacingBackpressure(t *testing.T) {
 	}
 	if debt := e.CompactionDebt(); debt != 0 {
 		t.Fatalf("compaction debt %d after FlushAll, want 0", debt)
-	}
-}
-
-// TestPipelinedCommitDeterminism runs ≥60 cascading blocks through a
-// pipelined engine and an unpipelined one, in both merge modes: every
-// block's header digest must be byte-identical (pipelining moves only
-// WHEN the manifest bytes and retirements hit disk, never WHAT), commit
-// tail stats must be recorded, and the pipelined store must reopen from
-// its deferred manifests with the same root.
-func TestPipelinedCommitDeterminism(t *testing.T) {
-	for _, async := range []bool{false, true} {
-		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
-			optsP := testOpts(t, async)
-			optsP.PipelinedCommit = true
-			optsU := testOpts(t, async)
-			ep, err := Open(optsP)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eu := openEngine(t, optsU)
-			const blocks, writes, accounts = 80, 12, 40
-			for h := uint64(1); h <= blocks; h++ {
-				batch := batchFor(h, writes, accounts)
-				for _, e := range []*Engine{ep, eu} {
-					if err := e.BeginBlock(h); err != nil {
-						t.Fatal(err)
-					}
-					if err := e.PutBatch(batch); err != nil {
-						t.Fatal(err)
-					}
-				}
-				rp, err := ep.Commit()
-				if err != nil {
-					t.Fatal(err)
-				}
-				ru, err := eu.Commit()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rp != ru {
-					t.Fatalf("block %d: pipelined digest %s != unpipelined digest %s", h, rp, ru)
-				}
-			}
-			st := ep.Stats()
-			if st.Commits != blocks {
-				t.Fatalf("Commits = %d, want %d", st.Commits, blocks)
-			}
-			if st.CommitNanos <= 0 || st.MaxCommitNanos <= 0 || st.MaxCommitNanos > st.CommitNanos {
-				t.Fatalf("implausible commit tail stats: total=%d max=%d", st.CommitNanos, st.MaxCommitNanos)
-			}
-			if err := ep.FlushAll(); err != nil {
-				t.Fatal(err)
-			}
-			if err := eu.FlushAll(); err != nil {
-				t.Fatal(err)
-			}
-			// FlushAll may regroup L0 into runs (Hstate-preserving in sync
-			// mode, Hstate-shifting in async where the merging-group root
-			// leaves the list), but both engines must agree on the result.
-			postFlush := ep.RootDigest()
-			if pu := eu.RootDigest(); postFlush != pu {
-				t.Fatalf("post-flush pipelined digest %s != unpipelined %s", postFlush, pu)
-			}
-			if err := ep.Close(); err != nil {
-				t.Fatal(err)
-			}
-			// Reopen: the deferred manifests must have landed coherently.
-			ep2, err := Open(optsP)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ep2.Close()
-			if got := ep2.RootDigest(); got != postFlush {
-				t.Fatalf("reopened pipelined digest %s != post-flush digest %s", got, postFlush)
-			}
-		})
-	}
-}
-
-// TestPipelinedCommitCrashReplay crashes a pipelined engine (Close
-// without FlushAll) mid-stream and replays from the recovered
-// checkpoint: the deferred manifest writes must never leave the store
-// unable to reproduce its pre-crash digest.
-func TestPipelinedCommitCrashReplay(t *testing.T) {
-	opts := testOpts(t, true)
-	opts.PipelinedCommit = true
-	e, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const blocks, writes, accounts = 61, 10, 30
-	var pre types.Hash
-	for h := uint64(1); h <= blocks; h++ {
-		if err := e.BeginBlock(h); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.PutBatch(batchFor(h, writes, accounts)); err != nil {
-			t.Fatal(err)
-		}
-		if pre, err = e.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.Close(); err != nil { // crash: L0 lost
-		t.Fatal(err)
-	}
-	e2, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
-	for h := e2.CheckpointHeight() + 1; h <= blocks; h++ {
-		if err := e2.BeginBlock(h); err != nil {
-			t.Fatal(err)
-		}
-		if err := e2.PutBatch(batchFor(h, writes, accounts)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e2.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := e2.RootDigest(); got != pre {
-		t.Fatalf("replayed digest %s != pre-crash digest %s", got, pre)
 	}
 }
 

@@ -182,61 +182,57 @@ func TestSnapshotPinnedAcrossFirstCascade(t *testing.T) {
 }
 
 // TestCommitDigestMatchesViewRoot: the digest Commit returns is exactly
-// the published view's root (and the root a fresh Snapshot reports), on
-// the plain and the pipelined commit branch; FlushAll, which restructures
-// the store between commits, publishes a view whose root is the live
-// RootDigest and which proofs verify against. All three publish from the
-// one hash list they computed the digest from.
+// the published view's root (and the root a fresh Snapshot reports);
+// FlushAll, which restructures the store between commits, publishes a
+// view whose root is the live RootDigest and which proofs verify against.
+// Both publish from the one hash list they computed the digest from.
 func TestCommitDigestMatchesViewRoot(t *testing.T) {
 	for _, async := range []bool{false, true} {
-		for _, pipelined := range []bool{false, true} {
-			opts := testOpts(t, async)
-			opts.MemCapacity = 8
-			opts.PipelinedCommit = pipelined
-			e := openEngine(t, opts)
-			for h := uint64(1); h <= 30; h++ {
-				if err := e.BeginBlock(h); err != nil {
-					t.Fatal(err)
-				}
-				if err := e.Put(types.AddressFromUint64(h%5), types.ValueFromUint64(h)); err != nil {
-					t.Fatal(err)
-				}
-				root, err := e.Commit()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if vr := e.ViewRoot(); vr != root {
-					t.Fatalf("async=%v pipelined=%v h=%d: view root %x != commit digest %x", async, pipelined, h, vr, root)
-				}
-				snap := e.Snapshot()
-				if snap.Root() != root || snap.Height() != h {
-					t.Fatalf("async=%v pipelined=%v h=%d: snapshot root/height mismatch", async, pipelined, h)
-				}
-				snap.Release()
-				if rd := e.RootDigest(); rd != root {
-					t.Fatalf("async=%v pipelined=%v h=%d: live RootDigest drifted from commit digest", async, pipelined, h)
-				}
-				if h%7 != 0 {
-					continue
-				}
-				if err := e.FlushAll(); err != nil {
-					t.Fatal(err)
-				}
-				flushed := e.RootDigest()
-				if vr := e.ViewRoot(); vr != flushed {
-					t.Fatalf("async=%v pipelined=%v h=%d: view root %x != RootDigest %x after FlushAll", async, pipelined, h, vr, flushed)
-				}
-				addr := types.AddressFromUint64(h % 5)
-				_, proof, err := e.ProvQuery(addr, 1, h)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := VerifyProv(flushed, addr, 1, h, proof); err != nil {
-					t.Fatalf("async=%v pipelined=%v h=%d: proof against the FlushAll view: %v", async, pipelined, h, err)
-				}
+		opts := testOpts(t, async)
+		opts.MemCapacity = 8
+		e := openEngine(t, opts)
+		for h := uint64(1); h <= 30; h++ {
+			if err := e.BeginBlock(h); err != nil {
+				t.Fatal(err)
 			}
-			e.Close()
+			if err := e.Put(types.AddressFromUint64(h%5), types.ValueFromUint64(h)); err != nil {
+				t.Fatal(err)
+			}
+			root, err := e.Commit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if vr := e.ViewRoot(); vr != root {
+				t.Fatalf("async=%v h=%d: view root %x != commit digest %x", async, h, vr, root)
+			}
+			snap := e.Snapshot()
+			if snap.Root() != root || snap.Height() != h {
+				t.Fatalf("async=%v h=%d: snapshot root/height mismatch", async, h)
+			}
+			snap.Release()
+			if rd := e.RootDigest(); rd != root {
+				t.Fatalf("async=%v h=%d: live RootDigest drifted from commit digest", async, h)
+			}
+			if h%7 != 0 {
+				continue
+			}
+			if err := e.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			flushed := e.RootDigest()
+			if vr := e.ViewRoot(); vr != flushed {
+				t.Fatalf("async=%v h=%d: view root %x != RootDigest %x after FlushAll", async, h, vr, flushed)
+			}
+			addr := types.AddressFromUint64(h % 5)
+			_, proof, err := e.ProvQuery(addr, 1, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := VerifyProv(flushed, addr, 1, h, proof); err != nil {
+				t.Fatalf("async=%v h=%d: proof against the FlushAll view: %v", async, h, err)
+			}
 		}
+		e.Close()
 	}
 }
 

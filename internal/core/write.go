@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cole/internal/mbtree"
 	"cole/internal/merge"
 	"cole/internal/obs"
 	"cole/internal/run"
@@ -151,16 +152,9 @@ func (e *Engine) Commit() (types.Hash, error) {
 	e.inBlock = false
 	e.committed = e.height
 
-	var err error
-	cascaded := false
-	if e.mem[e.memWriting].tree.Size() >= e.opts.MemCapacity {
-		cascaded = true
-		// This cascade will supersede the previous pipelined commit's
-		// manifest: join its I/O first so writes stay ordered and a
-		// deferred failure surfaces here instead of being overwritten.
-		if err := e.joinCommitIOLocked(); err != nil {
-			return types.Hash{}, err
-		}
+	cascaded := e.mem[e.memWriting].tree.Size() >= e.opts.MemCapacity
+	if cascaded {
+		var err error
 		if e.opts.AsyncMerge {
 			err = e.cascadeAsync()
 			// Blocks since the previous cascade live in the merging
@@ -182,31 +176,20 @@ func (e *Engine) Commit() (types.Hash, error) {
 	// in the durable history.
 	hl := e.hashListLocked()
 	e.recordRootLocked(e.committed, hl.root)
-	if cascaded && !e.opts.PipelinedCommit {
+	if cascaded {
+		// Inline, before Commit returns: CheckpointHeight promises a
+		// durable checkpoint, and a caller may trim its block log to it.
 		if err := e.writeManifest(); err != nil {
 			return types.Hash{}, err
 		}
 	}
 	// Publish after the hash list warmed every L0 hash (the frozen snapshots
-	// must be clean for concurrent readers) and after the manifest write
-	// (or after its bytes were captured, when pipelined), then retire the
-	// runs the cascade removed: the fresh view excludes them, and views
-	// still pinning them keep their files alive.
-	if cascaded && e.opts.PipelinedCommit {
-		// Pipelined: capture the exact manifest bytes under the lock, then
-		// persist them — and unlink the retired runs' files strictly after
-		// the rename — on a background goroutine, overlapping this block's
-		// trailing I/O with the next block's execution and hashing.
-		raw, err := e.marshalManifestLocked()
-		if err != nil {
-			return types.Hash{}, err
-		}
-		e.publishLocked(hl)
-		e.startCommitIOLocked(raw)
-	} else {
-		e.publishLocked(hl)
-		e.retireLocked()
-	}
+	// must be clean for concurrent readers) and after the manifest write,
+	// then retire the runs the cascade removed: the manifest no longer
+	// names them, the fresh view excludes them, and views still pinning
+	// them keep their files alive.
+	e.publishLocked(hl)
+	e.retireLocked()
 	d := int64(time.Since(start))
 	e.stats.Commits++
 	e.stats.CommitNanos += d
@@ -276,66 +259,167 @@ func (e *Engine) ensureLevel(i int) *level {
 }
 
 // collectTree snapshots an MB-tree's entries in key order.
-func collectTree(g *memGroup) []types.Entry {
-	out := make([]types.Entry, 0, g.tree.Size())
-	_ = g.tree.ForEach(func(e types.Entry) error {
+func collectTree(t *mbtree.Tree) []types.Entry {
+	out := make([]types.Entry, 0, t.Size())
+	_ = t.ForEach(func(e types.Entry) error {
 		out = append(out, e)
 		return nil
 	})
 	return out
 }
 
+// dispatchFunc is how a run-build job reaches the merge pool:
+// Scheduler.Run (COLE — the committing goroutine blocks until the job is
+// done) or Scheduler.Submit (COLE* — the job runs in the background and a
+// later checkpoint joins it).
+type dispatchFunc func(job func(), pri merge.Priority, onWait func())
+
+// startJob is the one run-build job: allocate the run id (here, under the
+// engine lock, so ids are deterministic), dispatch build to the pool in
+// lane pri inside its trace bracket, and return the state commitMerge
+// later installs. lvl is the destination level index — 0 marks an L0
+// flush — and bytes the entry volume, both only for the trace events.
+func (e *Engine) startJob(lvl int32, bytes int64, pri merge.Priority, dispatch dispatchFunc, build func(id uint64) (*run.Run, error)) *mergeState {
+	id := e.nextRunID
+	e.nextRunID++
+	evStart, evEnd := obs.EvMergeStart, obs.EvMergeEnd
+	if lvl == 0 {
+		evStart, evEnd = obs.EvFlushStart, obs.EvFlushEnd
+	}
+	ms := &mergeState{done: make(chan struct{})}
+	dispatch(func() {
+		defer close(ms.done)
+		start := time.Now()
+		if e.tr != nil {
+			e.trace(evStart, lvl, bytes, id, 0)
+		}
+		ms.newRun, ms.err = build(id)
+		ms.elapsed = time.Since(start)
+		if e.tr != nil {
+			e.trace(evEnd, lvl, bytes, id, ms.elapsed)
+		}
+	}, pri, e.noteMergeWait)
+	return ms
+}
+
+// startFlush builds a new L1 run from a snapshot of L0 group g's tree, on
+// the pool's flush lane. g must not absorb Puts while the job runs (the
+// job only ever reads the tree).
+func (e *Engine) startFlush(g *memGroup, dispatch dispatchFunc) *mergeState {
+	size := int64(g.tree.Size()) * types.EntrySize
+	return e.startJob(0, size, merge.PriorityFlush, dispatch, func(id uint64) (*run.Run, error) {
+		entries := collectTree(g.tree)
+		return run.Build(e.opts.Dir, id, int64(len(entries)), e.opts.runParams(), run.NewSliceIterator(entries))
+	})
+}
+
+// startMerge sort-merges runs (a full group of levels[levelIdx]) into a
+// run destined for the next level, in lane pri.
+func (e *Engine) startMerge(levelIdx int, runs []*run.Run, pri merge.Priority, dispatch dispatchFunc) *mergeState {
+	var count int64
+	for _, r := range runs {
+		count += r.Count()
+	}
+	lvl := int32(levelIdx + 1)
+	return e.startJob(lvl, count*types.EntrySize, pri, dispatch, func(id uint64) (*run.Run, error) {
+		return e.buildLevelRun(id, count, runs, pri, lvl)
+	})
+}
+
+// commitMerge joins a flush or merge job and publishes its run into the
+// writing group of the destination level (the commit checkpoint of §5;
+// for COLE the job has already finished and this only installs it).
+func (e *Engine) commitMerge(ms *mergeState, destLevel int) error {
+	select {
+	case <-ms.done:
+	default:
+		// Slow node: the interval between start and commit checkpoints was
+		// not enough; block until the merge finishes (Algorithm 5 line 9).
+		// The blocked time is the commit stall pacing exists to prevent —
+		// measured here so `-exp stalls` and `coledb stat` can report it.
+		e.mergeWaits.Add(1)
+		stallStart := time.Now()
+		<-ms.done
+		stall := time.Since(stallStart)
+		e.stats.StallNanos += int64(stall)
+		if e.tr != nil {
+			e.trace(obs.EvStall, int32(destLevel), 0, 0, stall)
+		}
+	}
+	// newRun, err and elapsed were written by the job before done closed
+	// (happens-before via the channel), so reading them here under mu is
+	// safe.
+	if ms.err != nil {
+		if destLevel == 0 {
+			return fmt.Errorf("core: flush L0: %w", ms.err)
+		}
+		return fmt.Errorf("core: merge into L%d: %w", destLevel+1, ms.err)
+	}
+	lv := e.ensureLevel(destLevel)
+	lv.groups[lv.writing] = append(lv.groups[lv.writing], newRunRef(ms.newRun))
+	// destLevel 0 receives L0 flushes; deeper levels receive sort-merges.
+	if destLevel == 0 {
+		e.stats.FlushBytes += ms.newRun.Count() * types.EntrySize
+	} else {
+		e.stats.MergeBytes += ms.newRun.Count() * types.EntrySize
+		e.stats.MergeNanos += int64(ms.elapsed)
+	}
+	return nil
+}
+
+// commitLevelMerge joins the in-flight merge of levels[i], if any,
+// installs its run in the next level, and queues the merged group's runs
+// for retirement.
+func (e *Engine) commitLevelMerge(i int) error {
+	lv := e.levels[i]
+	if lv.merge == nil {
+		return nil
+	}
+	if err := e.commitMerge(lv.merge, i+1); err != nil {
+		return err
+	}
+	lv.merge = nil
+	e.retiring = append(e.retiring, lv.groups[lv.merging()]...)
+	lv.groups[lv.merging()] = nil
+	return nil
+}
+
+// flushNow flushes the L0 group in slot gi into L1 while the caller
+// waits, and installs a fresh group in the slot: the commit-path flush of
+// Algorithm 1 and FlushAll's final flushes.
+func (e *Engine) flushNow(gi int) error {
+	if err := e.commitMerge(e.startFlush(e.mem[gi], e.sched.Run), 0); err != nil {
+		return err
+	}
+	e.mem[gi] = newMemGroup(e.opts)
+	e.stats.Flushes++
+	return nil
+}
+
 // cascadeSync is Algorithm 1: flush L0 into L1, then merge every full
 // level into the next, inline. The run builds execute on the shared merge
 // pool (blocking until done): one engine sees no difference, but the
 // parallel per-shard commits of a sharded store stay within the store's
-// worker budget instead of each running a full cascade at once.
+// worker budget instead of each running a full cascade at once. The whole
+// cascade is the commit path, so its merges run — and fan their
+// partitions out — in the flush lane, unchunked: a commit must never
+// queue behind background maintenance.
 func (e *Engine) cascadeSync() error {
-	g := e.mem[e.memWriting]
-	entries := collectTree(g)
-	id := e.nextRunID
-	e.nextRunID++
-	var r *run.Run
-	var err error
-	// The whole sync cascade is the commit path, so its jobs run in the
-	// flush lane: a commit must never queue behind background maintenance.
-	e.sched.Run(func() {
-		var fs time.Time
-		if e.tr != nil {
-			fs = time.Now()
-			e.trace(obs.EvFlushStart, 0, int64(len(entries))*types.EntrySize, id, 0)
-		}
-		r, err = run.Build(e.opts.Dir, id, int64(len(entries)), e.opts.runParams(), run.NewSliceIterator(entries))
-		if e.tr != nil {
-			e.trace(obs.EvFlushEnd, 0, int64(len(entries))*types.EntrySize, id, time.Since(fs))
-		}
-	}, merge.PriorityFlush, e.noteMergeWait)
-	if err != nil {
-		return fmt.Errorf("core: flush L0: %w", err)
-	}
-	fresh, err := newMemGroup(e.opts)
-	if err != nil {
+	if err := e.flushNow(e.memWriting); err != nil {
 		return err
 	}
-	e.mem[e.memWriting] = fresh
-	e.ensureLevel(0).groups[0] = append(e.levels[0].groups[0], newRunRef(r))
-	e.stats.Flushes++
-	e.stats.FlushBytes += r.Count() * types.EntrySize
-
 	for i := 0; i < len(e.levels); i++ {
 		lv := e.levels[i]
 		if len(lv.groups[0]) < e.opts.SizeRatio {
 			break
 		}
-		merged, err := e.buildMergedRun(i+1, runsOf(lv.groups[0]))
-		if err != nil {
+		ms := e.startMerge(i, runsOf(lv.groups[0]), merge.PriorityFlush, e.sched.Run)
+		if err := e.commitMerge(ms, i+1); err != nil {
 			return err
 		}
 		e.retiring = append(e.retiring, lv.groups[0]...)
 		lv.groups[0] = nil
-		e.ensureLevel(i + 1).groups[0] = append(e.levels[i+1].groups[0], newRunRef(merged))
 		e.stats.Merges++
-		e.stats.MergeBytes += merged.Count() * types.EntrySize
 	}
 	return nil
 }
@@ -357,17 +441,13 @@ func (e *Engine) cascadeAsync() error {
 	// whether the group whose flush just committed or the empty group from
 	// Open/FlushAll when no merge was pending — may still be pinned by
 	// readers and must never start absorbing Puts.
-	fresh, err := newMemGroup(e.opts)
-	if err != nil {
-		return err
-	}
-	e.mem[1-e.memWriting] = fresh
+	e.mem[1-e.memWriting] = newMemGroup(e.opts)
 	// Switch roles: the full writing group becomes the merging group.
 	e.memWriting = 1 - e.memWriting
 	mg := e.mem[1-e.memWriting]
 	// Warm the hash cache so the flush goroutine only ever reads the tree.
 	mg.tree.RootHash()
-	e.memMerge = e.startMemFlush(mg)
+	e.memMerge = e.startFlush(mg, e.sched.Submit)
 	e.stats.Flushes++
 
 	// Level checkpoints.
@@ -376,95 +456,28 @@ func (e *Engine) cascadeAsync() error {
 		if len(lv.groups[lv.writing]) < e.opts.SizeRatio {
 			break
 		}
-		if lv.merge != nil {
-			if err := e.commitMerge(lv.merge, i+1); err != nil {
-				return err
-			}
-			lv.merge = nil
-			e.retiring = append(e.retiring, lv.groups[lv.merging()]...)
-			lv.groups[lv.merging()] = nil
+		if err := e.commitLevelMerge(i); err != nil {
+			return err
 		}
 		lv.writing = lv.merging()
-		mgRuns := lv.groups[lv.merging()]
-		lv.merge = e.startLevelMerge(i, runsOf(mgRuns))
+		e.startLevelMerge(i)
 		e.stats.Merges++
 	}
 	return nil
 }
 
-// commitMerge joins a merge thread and publishes its run into the writing
-// group of the destination level (the commit checkpoint of §5).
-func (e *Engine) commitMerge(ms *mergeState, destLevel int) error {
-	select {
-	case <-ms.done:
-	default:
-		// Slow node: the interval between start and commit checkpoints was
-		// not enough; block until the merge finishes (Algorithm 5 line 9).
-		// The blocked time is the commit stall pacing exists to prevent —
-		// measured here so `-exp stalls` and `coledb stat` can report it.
-		e.mergeWaits.Add(1)
-		stallStart := time.Now()
-		<-ms.done
-		stall := time.Since(stallStart)
-		e.stats.StallNanos += int64(stall)
-		if e.tr != nil {
-			e.trace(obs.EvStall, int32(destLevel), 0, 0, stall)
-		}
+// startLevelMerge hands the merging group of levels[i] to a background
+// merge (Algorithm 5's start checkpoint, and its restart after reopen).
+// The merge that builds L2 from levels[0] backs up the very next cascade;
+// everything deeper is bulk maintenance a commit should never queue
+// behind.
+func (e *Engine) startLevelMerge(i int) {
+	pri := merge.PriorityDeep
+	if i == 0 {
+		pri = merge.PriorityMerge
 	}
-	if ms.err != nil {
-		return fmt.Errorf("core: background merge failed: %w", ms.err)
-	}
-	lv := e.ensureLevel(destLevel)
-	lv.groups[lv.writing] = append(lv.groups[lv.writing], newRunRef(ms.newRun))
-	// destLevel 0 receives L0 flushes; deeper levels receive sort-merges.
-	// ms.elapsed was written by the job before done closed (happens-before
-	// via the channel), so reading it here under mu is safe.
-	if destLevel == 0 {
-		e.stats.FlushBytes += ms.newRun.Count() * types.EntrySize
-	} else {
-		e.stats.MergeBytes += ms.newRun.Count() * types.EntrySize
-		e.stats.MergeNanos += int64(ms.elapsed)
-	}
-	return nil
-}
-
-// startMemFlush submits the L0 flush job to the merge pool: it snapshots
-// the merging group's tree and builds a new L1 run. The run id is
-// assigned here, under the engine lock, so ids are deterministic.
-func (e *Engine) startMemFlush(g *memGroup) *mergeState {
-	id := e.nextRunID
-	e.nextRunID++
-	size := int64(g.tree.Size()) * types.EntrySize
-	ms := &mergeState{done: make(chan struct{})}
-	e.sched.Submit(func() {
-		defer close(ms.done)
-		var fs time.Time
-		if e.tr != nil {
-			fs = time.Now()
-			e.trace(obs.EvFlushStart, 0, size, id, 0)
-		}
-		entries := collectTree(g)
-		r, err := run.Build(e.opts.Dir, id, int64(len(entries)), e.opts.runParams(), run.NewSliceIterator(entries))
-		if e.tr != nil {
-			e.trace(obs.EvFlushEnd, 0, size, id, time.Since(fs))
-		}
-		if err != nil {
-			ms.err = err
-			return
-		}
-		ms.newRun = r
-	}, merge.PriorityFlush, e.noteMergeWait)
-	return ms
-}
-
-// levelPriority maps a level merge to its scheduler lane: the merge that
-// builds L1+1 from levels[0] backs up the very next cascade, everything
-// deeper is bulk maintenance a commit should never queue behind.
-func levelPriority(levelIdx int) merge.Priority {
-	if levelIdx == 0 {
-		return merge.PriorityMerge
-	}
-	return merge.PriorityDeep
+	lv := e.levels[i]
+	lv.merge = e.startMerge(i, runsOf(lv.groups[lv.merging()]), pri, e.sched.Submit)
 }
 
 // defaultMergeChunk is the preemption quantum when Options.MergeChunk is
@@ -473,109 +486,32 @@ func levelPriority(levelIdx int) merge.Priority {
 // that the probe (two atomic loads) never shows up in merge bandwidth.
 const defaultMergeChunk = 16384
 
-func (e *Engine) chunkQuantum() int {
-	if e.opts.MergeChunk < 0 {
-		return 0
-	}
-	if e.opts.MergeChunk == 0 {
-		return defaultMergeChunk
-	}
-	return e.opts.MergeChunk
-}
-
-// chunked wraps a merge source so the job checkpoints every quantum
+// chunked wraps a merge source so the job checkpoints every MergeChunk
 // entries and hands its worker slot to queued higher-priority work
 // (run.Chunked + Scheduler.Preempt). Flush-lane jobs are never wrapped —
 // nothing outranks them, so the probe would be dead weight on the
 // commit path. lvl tags the trace events with the merge's destination
 // level index.
 func (e *Engine) chunked(it run.Iterator, pri merge.Priority, lvl int32) run.Iterator {
-	q := e.chunkQuantum()
-	if q <= 0 || pri == merge.PriorityFlush {
+	if pri == merge.PriorityFlush {
 		return it
 	}
-	if e.tr == nil {
-		return run.Chunked(it, q, func() {
-			if e.sched.Preempt(pri, nil) {
-				e.preemptions.Add(1)
-			}
-		})
-	}
-	// Traced variant: every checkpoint is an instant, and a preemption
-	// records how long the merge sat re-queued — exactly one trace
-	// preempt event per counted preemption, the invariant the stalls
-	// benchmark cross-checks.
-	return run.Chunked(it, q, func() {
-		e.trace(obs.EvMergeChunk, lvl, 0, 0, 0)
+	// When traced, every checkpoint is an instant and a preemption records
+	// how long the merge sat re-queued — exactly one trace preempt event
+	// per counted preemption, the invariant the stalls benchmark
+	// cross-checks.
+	return run.Chunked(it, e.opts.MergeChunk, func() {
+		if e.tr != nil {
+			e.trace(obs.EvMergeChunk, lvl, 0, 0, 0)
+		}
 		start := time.Now()
 		if e.sched.Preempt(pri, nil) {
 			e.preemptions.Add(1)
-			e.trace(obs.EvMergePreempt, lvl, 0, 0, time.Since(start))
+			if e.tr != nil {
+				e.trace(obs.EvMergePreempt, lvl, 0, 0, time.Since(start))
+			}
 		}
 	})
-}
-
-// startLevelMerge submits the sort-merge of a level's merging group into
-// a run destined for the next level.
-func (e *Engine) startLevelMerge(levelIdx int, runs []*run.Run) *mergeState {
-	id := e.nextRunID
-	e.nextRunID++
-	var count int64
-	for _, r := range runs {
-		count += r.Count()
-	}
-	ms := &mergeState{done: make(chan struct{})}
-	pri := levelPriority(levelIdx)
-	lvl := int32(levelIdx + 1)
-	e.sched.Submit(func() {
-		defer close(ms.done)
-		start := time.Now()
-		defer func() { ms.elapsed = time.Since(start) }()
-		if e.tr != nil {
-			e.trace(obs.EvMergeStart, lvl, count*types.EntrySize, id, 0)
-		}
-		r, err := e.buildLevelRun(id, count, runs, pri, lvl)
-		if e.tr != nil {
-			e.trace(obs.EvMergeEnd, lvl, count*types.EntrySize, id, time.Since(start))
-		}
-		if err != nil {
-			ms.err = err
-			return
-		}
-		ms.newRun = r
-	}, pri, e.noteMergeWait)
-	return ms
-}
-
-// buildMergedRun sort-merges a group of runs synchronously (Algorithm 1
-// lines 8–11), on the shared merge pool. lvl is the destination level
-// index, used only to tag trace events.
-func (e *Engine) buildMergedRun(lvl int, runs []*run.Run) (*run.Run, error) {
-	id := e.nextRunID
-	e.nextRunID++
-	var count int64
-	for _, r := range runs {
-		count += r.Count()
-	}
-	var merged *run.Run
-	var err error
-	// Inline (Algorithm 1) merges block the commit, so they run — and fan
-	// their partitions out — in the flush lane, unchunked.
-	e.sched.Run(func() {
-		start := time.Now()
-		if e.tr != nil {
-			e.trace(obs.EvMergeStart, int32(lvl), count*types.EntrySize, id, 0)
-		}
-		merged, err = e.buildLevelRun(id, count, runs, merge.PriorityFlush, int32(lvl))
-		e.stats.MergeNanos += int64(time.Since(start))
-		if e.tr != nil {
-			e.trace(obs.EvMergeEnd, int32(lvl), count*types.EntrySize, id, time.Since(start))
-		}
-	}, merge.PriorityFlush, e.noteMergeWait)
-	if err != nil {
-		return nil, fmt.Errorf("core: level merge: %w", err)
-	}
-	return merged, nil
 }
 
 // autoPartitionBytes is the merged volume one key-range span should
@@ -602,10 +538,10 @@ func (e *Engine) mergeWidth(count int64) int {
 }
 
 // buildLevelRun builds a level merge's destination run, partitioned by
-// key range when the width says so. The caller already holds a
-// merge-pool slot (startLevelMerge's job, buildMergedRun's Run), so the
-// spans go out via SubmitPartition and the join runs inside Yield: the
-// parent's released slot is what feeds its own spans on a narrow pool.
+// key range when the width says so. The caller is a startMerge job and
+// already holds a merge-pool slot, so the spans go out via
+// SubmitPartition and the join runs inside Yield: the parent's released
+// slot is what feeds its own spans on a narrow pool.
 // The partitioned output is byte-identical to the sequential build, so
 // the choice never reaches digests or the manifest.
 func (e *Engine) buildLevelRun(id uint64, count int64, runs []*run.Run, pri merge.Priority, lvl int32) (*run.Run, error) {
@@ -655,63 +591,27 @@ func (e *Engine) FlushAll() error {
 	if e.inBlock {
 		return fmt.Errorf("core: FlushAll inside an open block")
 	}
-	// Join the pipelined commit I/O before writing another manifest.
-	if err := e.joinCommitIOLocked(); err != nil {
-		return err
-	}
 	// Join and commit async threads first so groups are quiescent.
 	if e.memMerge != nil {
 		if err := e.commitMerge(e.memMerge, 0); err != nil {
 			return err
 		}
 		e.memMerge = nil
-		fresh, err := newMemGroup(e.opts)
-		if err != nil {
-			return err
-		}
-		e.mem[1-e.memWriting] = fresh
+		e.mem[1-e.memWriting] = newMemGroup(e.opts)
 	}
-	for i := 0; i < len(e.levels); i++ {
-		lv := e.levels[i]
-		if lv.merge != nil {
-			if err := e.commitMerge(lv.merge, i+1); err != nil {
-				return err
-			}
-			lv.merge = nil
-			e.retiring = append(e.retiring, lv.groups[lv.merging()]...)
-			lv.groups[lv.merging()] = nil
+	for i := range e.levels {
+		if err := e.commitLevelMerge(i); err != nil {
+			return err
 		}
 	}
 	// Flush any remaining L0 entries (both groups) as a final run.
 	for _, gi := range []int{e.memWriting, 1 - e.memWriting} {
-		g := e.mem[gi]
-		if g.tree.Size() == 0 {
+		if e.mem[gi].tree.Size() == 0 {
 			continue
 		}
-		entries := collectTree(g)
-		id := e.nextRunID
-		e.nextRunID++
-		var fs time.Time
-		if e.tr != nil {
-			fs = time.Now()
-			e.trace(obs.EvFlushStart, 0, int64(len(entries))*types.EntrySize, id, 0)
-		}
-		r, err := run.Build(e.opts.Dir, id, int64(len(entries)), e.opts.runParams(), run.NewSliceIterator(entries))
-		if e.tr != nil {
-			e.trace(obs.EvFlushEnd, 0, int64(len(entries))*types.EntrySize, id, time.Since(fs))
-		}
-		if err != nil {
+		if err := e.flushNow(gi); err != nil {
 			return err
 		}
-		lv := e.ensureLevel(0)
-		lv.groups[lv.writing] = append(lv.groups[lv.writing], newRunRef(r))
-		fresh, err := newMemGroup(e.opts)
-		if err != nil {
-			return err
-		}
-		e.mem[gi] = fresh
-		e.stats.Flushes++
-		e.stats.FlushBytes += r.Count() * types.EntrySize
 	}
 	e.checkpoint = e.committed
 	e.lastCascade = e.committed

@@ -8,6 +8,7 @@ import (
 	"go/token"
 	iofs "io/fs"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -116,5 +117,148 @@ func TestNoFSConstructorTwins(t *testing.T) {
 	}
 	if allowed != len(pathOnlyConstructors) {
 		t.Errorf("%d of the %d allow-listed path-only constructors still have an FS twin; prune the list", allowed, len(pathOnlyConstructors))
+	}
+}
+
+// optionsFieldCount is the size core.Options is held to: a new knob must
+// retire one, or argue its way past this number in review.
+const optionsFieldCount = 19
+
+// unsetOptions are the core.Options fields no non-test file outside
+// internal/core sets, each with the reason it stays a field anyway.
+var unsetOptions = map[string]string{
+	"VerifyReads": "safety check an operator opts into; the corruption-matrix tests turn it on",
+	"RootHistory": "replay-digest ring depth; tests shrink it to exercise the trim",
+	"SortedBatch": "the faster L0 insert path, a format bit until a version bump makes it the only one (ROADMAP item 4)",
+}
+
+// isOptionsType reports whether expr spells core.Options or cole.Options
+// (optionally behind a pointer).
+func isOptionsType(expr ast.Expr) bool {
+	if star, ok := expr.(*ast.StarExpr); ok {
+		expr = star.X
+	}
+	sel, ok := expr.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Options" {
+		return false
+	}
+	pkg, ok := sel.X.(*ast.Ident)
+	return ok && (pkg.Name == "core" || pkg.Name == "cole")
+}
+
+// optionsLiteral returns expr as a core/cole.Options composite literal
+// (optionally behind &), or nil.
+func optionsLiteral(expr ast.Expr) *ast.CompositeLit {
+	if u, ok := expr.(*ast.UnaryExpr); ok && u.Op == token.AND {
+		expr = u.X
+	}
+	if cl, ok := expr.(*ast.CompositeLit); ok && cl.Type != nil && isOptionsType(cl.Type) {
+		return cl
+	}
+	return nil
+}
+
+// TestOptionsFieldsHaveCallers: every core.Options field earns its place.
+// A field counts as set when a non-test file outside internal/core names
+// it in a core.Options / cole.Options literal, or assigns it on a
+// variable the file declares with that type (a parameter, a var, or a
+// literal). Fields nobody sets sit in unsetOptions with a reason; an
+// entry there that has gained a setter (or lost its field) is stale and
+// fails too.
+func TestOptionsFieldsHaveCallers(t *testing.T) {
+	var fields []string
+	set := map[string]string{} // field → first setter (file:line)
+	walkSources(t, func(rel string, fset *token.FileSet, f *ast.File) {
+		if rel == "internal/core/core.go" {
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok || ts.Name.Name != "Options" {
+					return true
+				}
+				for _, fld := range ts.Type.(*ast.StructType).Fields.List {
+					for _, name := range fld.Names {
+						fields = append(fields, name.Name)
+					}
+				}
+				return false
+			})
+		}
+		if strings.HasPrefix(rel, "internal/core/") {
+			return
+		}
+		note := func(field string, pos token.Pos) {
+			if _, seen := set[field]; !seen {
+				set[field] = rel + ":" + strconv.Itoa(fset.Position(pos).Line)
+			}
+		}
+		vars := map[string]bool{} // identifiers this file declares as Options
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Field: // parameters and results
+				if isOptionsType(n.Type) {
+					for _, name := range n.Names {
+						vars[name.Name] = true
+					}
+				}
+			case *ast.ValueSpec:
+				for i, name := range n.Names {
+					if (n.Type != nil && isOptionsType(n.Type)) || (i < len(n.Values) && optionsLiteral(n.Values[i]) != nil) {
+						vars[name.Name] = true
+					}
+				}
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					if id, ok := lhs.(*ast.Ident); ok && i < len(n.Rhs) && optionsLiteral(n.Rhs[i]) != nil {
+						vars[id.Name] = true
+					}
+				}
+			}
+			return true
+		})
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				if n.Type == nil || !isOptionsType(n.Type) {
+					return true
+				}
+				for _, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						if key, ok := kv.Key.(*ast.Ident); ok {
+							note(key.Name, kv.Pos())
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					sel, ok := lhs.(*ast.SelectorExpr)
+					if !ok {
+						continue
+					}
+					if id, ok := sel.X.(*ast.Ident); ok && vars[id.Name] {
+						note(sel.Sel.Name, sel.Pos())
+					}
+				}
+			}
+			return true
+		})
+	})
+	if len(fields) != optionsFieldCount {
+		t.Errorf("core.Options has %d fields, want %d: %v", len(fields), optionsFieldCount, fields)
+	}
+	isField := map[string]bool{}
+	for _, name := range fields {
+		isField[name] = true
+		_, allowed := unsetOptions[name]
+		switch setter, isSet := set[name]; {
+		case !isSet && !allowed:
+			t.Errorf("core.Options.%s is set by no non-test file outside internal/core: make it a constant, or add it to unsetOptions with the reason it stays", name)
+		case isSet && allowed:
+			t.Errorf("core.Options.%s is in unsetOptions but %s sets it: prune the entry", name, setter)
+		}
+	}
+	for name := range unsetOptions {
+		if !isField[name] {
+			t.Errorf("unsetOptions names %s, which is not a core.Options field: prune the entry", name)
+		}
 	}
 }

@@ -10,10 +10,10 @@ import (
 // Chrome trace-event export: the retained timeline rendered as the JSON
 // object format Perfetto and chrome://tracing open directly. Each shard
 // becomes a process, and within it activities get stable lanes
-// (threads): the commit path, the pipelined commit-IO lane, the flush
-// lane, one lane per merge level, and one per partition-span slot — so
-// a stalls run shows flushes overtaking preempted deep merges at a
-// glance.
+// (threads): the commit path (manifest writes and run retirements nest
+// inside their commit), the flush lane, one lane per merge level, and
+// one per partition-span slot — so a stalls run shows flushes overtaking
+// preempted deep merges at a glance.
 //
 // Span-shaped events (flush/merge/span ends, commits, stalls, pacing
 // sleeps, manifest writes, preemption waits) are emitted as complete
@@ -23,21 +23,18 @@ import (
 // matching end event already carries the whole slice.
 
 const (
-	laneCommit   = 0
-	laneCommitIO = 1
-	laneFlush    = 2
-	laneMerge    = 10 // + level
-	laneSpan     = 100
-	laneSpanMod  = 32 // span lanes cycle per level to bound lane count
+	laneCommit  = 0
+	laneFlush   = 1
+	laneMerge   = 10 // + level
+	laneSpan    = 100
+	laneSpanMod = 32 // span lanes cycle per level to bound lane count
 )
 
 // chromeLane maps an event to its thread lane within the shard process.
 func chromeLane(ev Event) int {
 	switch ev.Type {
-	case EvCommit, EvStall, EvPace, EvViewPublish:
+	case EvCommit, EvStall, EvPace, EvManifest, EvViewPublish, EvViewRetire:
 		return laneCommit
-	case EvManifest, EvViewRetire:
-		return laneCommitIO
 	case EvFlushStart, EvFlushEnd:
 		return laneFlush
 	case EvSpanStart, EvSpanEnd:
@@ -55,8 +52,6 @@ func chromeLaneName(lane int) string {
 	switch {
 	case lane == laneCommit:
 		return "commit"
-	case lane == laneCommitIO:
-		return "commit-io"
 	case lane == laneFlush:
 		return "flush"
 	case lane >= laneSpan:

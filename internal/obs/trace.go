@@ -30,7 +30,7 @@ const (
 	EvMergeStart
 	EvMergeEnd
 	// EvMergeChunk marks a preemption checkpoint reached by a chunked
-	// merge (every MergeChunk entries).
+	// merge (every Options.MergeChunk entries).
 	EvMergeChunk
 	// EvMergePreempt records a chunked merge handing its worker slot to
 	// a queued higher-priority job; Dur is the time spent re-queued.
@@ -44,8 +44,8 @@ const (
 	// EvStall records a commit blocking on an unfinished async merge
 	// (the write stall COLE⁺ identifies); Dur is the wait.
 	EvStall
-	// EvManifest is one manifest write — inline on the commit path, or
-	// on the background IO lane under PipelinedCommit.
+	// EvManifest is one manifest write, inline on the commit path (a
+	// cascade commit or FlushAll).
 	EvManifest
 	// EvViewPublish marks a new read view becoming visible (ID = block
 	// height).

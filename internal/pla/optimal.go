@@ -51,11 +51,9 @@ type optPoint struct {
 
 // NewOptimalBuilder mirrors NewBuilder for the optimal algorithm.
 func NewOptimalBuilder(eps int, emit func(Model) error) (*OptimalBuilder, error) {
-	b, err := NewBuilder(eps, emit) // reuse validation
-	if err != nil {
+	if err := checkEpsilon(eps); err != nil {
 		return nil, err
 	}
-	_ = b
 	return &OptimalBuilder{eps: float64(eps) - 0.75, epsInt: int64(eps), emit: emit}, nil
 }
 

@@ -236,9 +236,8 @@ func Open(opts core.Options) (*Store, error) {
 		s.allIdx = append(s.allIdx, i)
 		eo := opts
 		eo.Shards = 1
-		eo.ShardIndex = i
 		eo.Dir = EngineDir(opts.Dir, gen, n, i)
-		e, err := core.OpenWithScheduler(eo, s.sched)
+		e, err := core.OpenWithScheduler(eo, s.sched, i)
 		if err != nil {
 			for _, prev := range s.engines {
 				_ = prev.Close()
@@ -302,12 +301,21 @@ func PersistedLayout(fsys vfs.FS, dir string) (count int, gen uint64, ok bool, e
 	}
 	var m shardManifest
 	if err := json.Unmarshal(raw, &m); err != nil {
-		return 0, 0, false, fmt.Errorf("shard: corrupt %s file: %w", manifestName, err)
+		return 0, 0, false, &layoutError{fmt.Sprintf("layout file does not parse: %v", err)}
 	}
 	if m.Shards < 1 || m.Shards > MaxShards {
-		return 0, 0, false, fmt.Errorf("shard: %s file pins count %d out of range [1,%d]", manifestName, m.Shards, MaxShards)
+		return 0, 0, false, &layoutError{fmt.Sprintf("layout pins shard count %d out of range [1,%d]", m.Shards, MaxShards)}
 	}
 	return m.Shards, m.Gen, true, nil
+}
+
+// layoutError is a SHARDS file that was read but does not pin a valid
+// layout — damage, as opposed to an I/O failure reading it: Open refuses
+// the store, VerifyStore reports detail as a finding against the file.
+type layoutError struct{ detail string }
+
+func (e *layoutError) Error() string {
+	return fmt.Sprintf("shard: corrupt %s file: %s", manifestName, e.detail)
 }
 
 // InstallManifest atomically (re)pins dir's partition layout: the SHARDS

@@ -1,10 +1,8 @@
 package shard
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	iofs "io/fs"
 	"path/filepath"
 
 	"cole/internal/core"
@@ -35,8 +33,14 @@ func VerifyStore(fsys vfs.FS, dir string, fast bool) (findings []run.Finding, no
 		defer unlock()
 	}
 	layoutPath := filepath.Join(dir, manifestName)
-	raw, rerr := fsys.ReadFile(layoutPath)
-	if errors.Is(rerr, iofs.ErrNotExist) {
+	n, gen, pinned, lerr := PersistedLayout(fsys, dir)
+	var damaged *layoutError
+	switch {
+	case errors.As(lerr, &damaged):
+		return []run.Finding{{File: layoutPath, Page: -1, Detail: damaged.detail}}, nil, nil
+	case lerr != nil:
+		return nil, nil, lerr
+	case !pinned:
 		// Legacy/unsharded layout: one engine at the store root. A
 		// directory of shard subdirectories with no SHARDS file is the
 		// torn-layout state Open refuses; the scrub reports it instead.
@@ -45,23 +49,8 @@ func VerifyStore(fsys vfs.FS, dir string, fast bool) (findings []run.Finding, no
 		}
 		return core.VerifyStore(fsys, dir, fast)
 	}
-	if rerr != nil {
-		if _, serr := fsys.Stat(dir); serr != nil {
-			return nil, nil, fmt.Errorf("shard: %s is not a store directory", dir)
-		}
-		return nil, nil, rerr
-	}
-	var m shardManifest
-	if uerr := json.Unmarshal(raw, &m); uerr != nil {
-		return []run.Finding{{File: layoutPath, Page: -1,
-			Detail: fmt.Sprintf("layout file does not parse: %v", uerr)}}, nil, nil
-	}
-	if m.Shards < 1 || m.Shards > MaxShards {
-		return []run.Finding{{File: layoutPath, Page: -1,
-			Detail: fmt.Sprintf("layout pins shard count %d out of range [1,%d]", m.Shards, MaxShards)}}, nil, nil
-	}
-	for i := 0; i < m.Shards; i++ {
-		ed := EngineDir(dir, m.Gen, m.Shards, i)
+	for i := 0; i < n; i++ {
+		ed := EngineDir(dir, gen, n, i)
 		if _, serr := fsys.Stat(ed); serr != nil && ed != dir {
 			findings = append(findings, run.Finding{File: ed, Page: -1,
 				Detail: fmt.Sprintf("shard %d engine directory missing", i)})
