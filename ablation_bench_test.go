@@ -138,12 +138,12 @@ func BenchmarkAblationBloom(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// Addresses far outside the populated id space.
 			addr := types.AddressFromUint64(1<<40 + uint64(i))
-			_, _, found, skip, err := r.Get(addr)
-			if err != nil || found {
-				b.Fatal(err, found)
-			}
-			if skip {
+			if !r.MayContain(addr) {
 				skipped++
+				continue
+			}
+			if _, _, found, err := r.SearchAt(addr, types.MaxBlock); err != nil || found {
+				b.Fatal(err, found)
 			}
 		}
 		if b.N > 0 {
@@ -157,7 +157,7 @@ func BenchmarkAblationBloom(b *testing.B) {
 		// skip those).
 		present := entries[len(entries)/2].Key.Addr
 		for i := 0; i < b.N; i++ {
-			if _, _, found, _, err := r.Get(present); err != nil || !found {
+			if _, _, found, err := r.SearchAt(present, types.MaxBlock); err != nil || !found {
 				b.Fatal(err, found)
 			}
 		}
@@ -181,7 +181,7 @@ func BenchmarkAblationPageSize(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				e := entries[rng.Intn(len(entries))]
-				_, _, found, _, err := r.GetAt(e.Key.Addr, e.Key.Blk)
+				_, _, found, err := r.SearchAt(e.Key.Addr, e.Key.Blk)
 				if err != nil || !found {
 					b.Fatal(err, found)
 				}

@@ -306,8 +306,9 @@ func main() {
 		if st.PageReads+st.CacheHits > 0 {
 			hitRate = 100 * float64(st.CacheHits) / float64(st.PageReads+st.CacheHits)
 		}
-		fmt.Printf("page cache:  %d physical reads, %d hits (%.1f%% hit rate; merges bypass the cache)\n",
-			st.PageReads, st.CacheHits, hitRate)
+		resident, budget := store.PageCacheBytes()
+		fmt.Printf("page cache:  %d of %d KiB resident; %d value pages read, %d hits (%.1f%% hit rate; indexes are resident, merges bypass the cache)\n",
+			resident>>10, budget>>10, st.PageReads, st.CacheHits, hitRate)
 		// Commit-tail health: mean vs worst commit shows whether checkpoint
 		// stalls ever formed, and the stall/pace split shows whether the
 		// wait was eaten as a cliff (stall) or amortized by ingest pacing.

@@ -39,6 +39,14 @@
 // per shard, routed in one pass; background merges across all levels and
 // shards run on one bounded worker pool sized by Options.MergeWorkers.
 //
+// Reads are lock-free over published views and cost what the paper's
+// Algorithms 6 and 7 say: the address is hashed once for every Bloom
+// filter of the view, each run's learned index is resident (decoded when
+// the run is opened, a small fraction of its Bloom filter's size), a
+// search touches at most two value pages, and nothing is allocated. Value
+// pages are cached in one fixed 1 MiB cache per store, shared by every run
+// of every shard — there is no cache option to size.
+//
 // The implementation lives in internal/ packages (engine, learned index,
 // Merkle files, MB-tree, and the paper's baselines); this package is the
 // stable public surface.
@@ -123,10 +131,11 @@ func ServeMetrics(addr string) (string, func() error, error) { return obs.Serve(
 
 // ErrCorrupt is the typed error every read and scrub path reports when
 // a store file's bytes fail an integrity invariant (checksum mismatch,
-// Merkle hash mismatch, broken key ordering, learned-index miss,
-// truncation): it pins the damage to a store, shard, level, file, and
-// page instead of returning garbage or panicking. Match it with
-// errors.As or AsCorrupt; Stats.CorruptReads counts reads that hit one.
+// Merkle hash mismatch, broken key ordering, a learned model that breaks
+// its error bound, truncation): it pins the damage to a store, shard,
+// level, file, and page instead of returning garbage or panicking. Match
+// it with errors.As or AsCorrupt; Stats.CorruptReads counts reads that
+// hit one.
 // A store that surfaces ErrCorrupt needs an offline VerifyStore
 // (`coledb fsck`) and restore/re-sync of the damaged files.
 type ErrCorrupt = types.ErrCorrupt

@@ -9,6 +9,7 @@
 package bloom
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -63,9 +64,17 @@ func New(n int, fpRate float64) *Filter {
 	return &Filter{data: data, nbits: m, hashes: k}
 }
 
-func baseHashes(addr types.Address) (uint64, uint64) {
-	h := types.HashData(addr[:])
-	return binary.BigEndian.Uint64(h[0:8]), binary.BigEndian.Uint64(h[8:16])
+// Probe is an address reduced to the two base hashes every filter's
+// double hashing starts from: the first 16 bytes of SHA-256(addr). A point
+// lookup probes every L0 group and run of the store for the same address,
+// so it computes the Probe once and hands it down; the digest lives on the
+// caller's stack and nothing is allocated.
+type Probe struct{ h1, h2 uint64 }
+
+// NewProbe hashes addr for any number of MayContainProbe calls.
+func NewProbe(addr types.Address) Probe {
+	h := sha256.Sum256(addr[:])
+	return Probe{binary.BigEndian.Uint64(h[0:8]), binary.BigEndian.Uint64(h[8:16])}
 }
 
 func (f *Filter) addEntries(n uint64) {
@@ -75,10 +84,10 @@ func (f *Filter) addEntries(n uint64) {
 
 // Add inserts an address.
 func (f *Filter) Add(addr types.Address) {
-	h1, h2 := baseHashes(addr)
+	p := NewProbe(addr)
 	body := f.data[headerSize:]
 	for i := 0; i < f.hashes; i++ {
-		pos := (h1 + uint64(i)*h2) % f.nbits
+		pos := (p.h1 + uint64(i)*p.h2) % f.nbits
 		body[(pos>>3)^7] |= 1 << (pos & 7)
 	}
 	f.addEntries(1)
@@ -115,11 +124,13 @@ func (f *Filter) Union(o *Filter) error {
 
 // MayContain reports whether addr may be present (false means definitely
 // absent).
-func (f *Filter) MayContain(addr types.Address) bool {
-	h1, h2 := baseHashes(addr)
+func (f *Filter) MayContain(addr types.Address) bool { return f.MayContainProbe(NewProbe(addr)) }
+
+// MayContainProbe is MayContain for an address hashed once by NewProbe.
+func (f *Filter) MayContainProbe(p Probe) bool {
 	body := f.data[headerSize:]
 	for i := 0; i < f.hashes; i++ {
-		pos := (h1 + uint64(i)*h2) % f.nbits
+		pos := (p.h1 + uint64(i)*p.h2) % f.nbits
 		if body[(pos>>3)^7]&(1<<(pos&7)) == 0 {
 			return false
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"testing"
 
 	"cole/internal/types"
@@ -22,6 +23,14 @@ type wordFilter struct {
 
 func newWordFilter(f *Filter) *wordFilter {
 	return &wordFilter{bits: make([]uint64, (f.nbits+63)/64), nbits: f.nbits, hashes: f.hashes}
+}
+
+// baseHashes is the pre-Probe derivation of the two base hashes (a
+// streaming SHA-256 through types.HashData), kept as the reference
+// NewProbe's stack hash must equal.
+func baseHashes(addr types.Address) (uint64, uint64) {
+	h := types.HashData(addr[:])
+	return binary.BigEndian.Uint64(h[0:8]), binary.BigEndian.Uint64(h[8:16])
 }
 
 func (f *wordFilter) add(addr types.Address) {
@@ -205,5 +214,39 @@ func TestUnmarshalRejectsWordCountOverflow(t *testing.T) {
 	binary.BigEndian.PutUint64(b[8:16], 1<<63+3)
 	if _, err := Unmarshal(b); err == nil {
 		t.Fatal("hashes=2^63+3 must be rejected")
+	}
+}
+
+// TestProbeMatchesAddress: hashing once changes nothing. For random
+// addresses NewProbe carries exactly the base hashes the streaming
+// SHA-256 derivation gave, and on filters of every geometry the probe
+// form answers what the address form answers, with no allocation.
+func TestProbeMatchesAddress(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	addrs := make([]types.Address, 4000)
+	for i := range addrs {
+		rng.Read(addrs[i][:])
+		h1, h2 := baseHashes(addrs[i])
+		if p := NewProbe(addrs[i]); p != (Probe{h1, h2}) {
+			t.Fatalf("address %v: probe %+v, reference hashes (%d, %d)", addrs[i], p, h1, h2)
+		}
+	}
+	for _, geo := range []struct {
+		n  int
+		fp float64
+	}{{1, 0.5}, {10, 0.01}, {3000, 0.01}, {100, 0.6}} {
+		f := New(geo.n, geo.fp)
+		for _, a := range addrs[:geo.n] {
+			f.Add(a)
+		}
+		for _, a := range addrs {
+			if f.MayContain(a) != f.MayContainProbe(NewProbe(a)) {
+				t.Fatalf("n=%d fp=%v address %v: address and probe forms disagree", geo.n, geo.fp, a)
+			}
+		}
+	}
+	f := New(100, 0.01)
+	if allocs := testing.AllocsPerRun(100, func() { f.Add(addrs[0]); f.MayContain(addrs[1]) }); allocs != 0 {
+		t.Fatalf("Add + MayContain allocate %v times", allocs)
 	}
 }

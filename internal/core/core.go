@@ -38,6 +38,12 @@
 // reference-counted: their files are unlinked only after the manifest no
 // longer names them AND the last view that could see them is released, so
 // an in-flight reader can never touch a deleted file (see view.go).
+//
+// A lookup hashes its address once (bloom.Probe) for every filter of the
+// view, searches runs whose learned indexes are resident, and pins value
+// pages in the one page cache the store's engines share (pagefile.Cache);
+// a set of that cache is the only lock it can touch, and it allocates
+// nothing.
 package core
 
 import (
@@ -93,13 +99,6 @@ type Options struct {
 	// Default 0.01. Set by internal/bench from its Config (one value for
 	// COLE and the baselines' filters).
 	BloomFP float64
-	// CachePages bounds each file's page cache: the per-file LRU that
-	// point reads (Get/GetAt/ProvQuery) hit. Streaming merges bypass it
-	// entirely, so it can stay small without merge traffic thrashing it.
-	// Default 16. No caller needs another value today (reshard only
-	// forwards its own option); ROADMAP item 2 replaces it with one
-	// store-wide byte budget.
-	CachePages int
 	// AsyncMerge selects COLE* (checkpoint-based asynchronous merge, §5)
 	// over COLE (Algorithm 1) — the paper's comparison. Set by
 	// `coledb -async`, every colebench experiment's COLE* rows, and the
@@ -220,9 +219,6 @@ func (o Options) withDefaults() Options {
 	if o.BloomFP == 0 {
 		o.BloomFP = 0.01
 	}
-	if o.CachePages == 0 {
-		o.CachePages = 16
-	}
 	if o.MergeChunk == 0 {
 		o.MergeChunk = defaultMergeChunk
 	}
@@ -252,16 +248,41 @@ func (o Options) validate() error {
 	return nil
 }
 
+// runParams is the run-layer view of the options. Runs opened with it
+// get private page caches; an engine's own runs share its cache
+// (Engine.runParams).
 func (o Options) runParams() run.Params {
 	return run.Params{
 		PageSize:    o.PageSize,
 		Fanout:      o.Fanout,
 		BloomFP:     o.BloomFP,
-		CachePages:  o.CachePages,
 		OptimalPLA:  o.OptimalPLA,
 		VerifyReads: o.VerifyReads,
 		FS:          o.FS,
 	}
+}
+
+func (e *Engine) runParams() run.Params {
+	p := e.opts.runParams()
+	p.Cache = e.cache
+	return p
+}
+
+// PageCacheBytes is the memory a store spends on cached value pages: one
+// budget for every run of every shard. It is a constant because no caller
+// needs another value (it equals what the 16-page per-file value caches
+// it replaced added up to on a 16-run store; their index-file twins are
+// not needed any more); it becomes an option the day two callers need
+// different ones.
+const PageCacheBytes = 1 << 20
+
+// NewPageCache returns a store's page cache for the given page size
+// (0 = the default).
+func NewPageCache(pageSize int) *pagefile.Cache {
+	if pageSize == 0 {
+		pageSize = pagefile.DefaultPageSize
+	}
+	return pagefile.NewCache(pageSize, PageCacheBytes/pageSize)
 }
 
 // memGroup is one in-memory L0 group: an MB-tree plus an address Bloom
@@ -347,6 +368,9 @@ type Engine struct {
 	// sched runs every background flush/merge job; possibly shared with
 	// other engines (one pool across all shards of a sharded store).
 	sched *merge.Scheduler
+	// cache holds the value pages point reads touch, for every run the
+	// engine opens; shared with the other engines of a store like sched.
+	cache *pagefile.Cache
 
 	// PutBatch dedup scratch, reused across blocks so the hot batch path
 	// stays allocation-free (guarded by mu). entryBuf is the sorted
@@ -509,11 +533,12 @@ type Stats struct {
 	// worker slot to queued higher-priority work (Options.MergeChunk).
 	Preemptions int64
 	// PageReads / CacheHits aggregate the point-read page-cache counters
-	// (value + index files) across the store's runs: physical 4 KiB reads
-	// vs LRU hits. Streaming merges never touch these caches, so a busy
-	// compaction does not depress the hit rate. SeqReads counts the
-	// cache-bypassing readahead fetches of streaming merge readers —
-	// the compaction read traffic the other two deliberately exclude.
+	// across the store's runs: value pages read from disk vs found in the
+	// cache (learned indexes are resident and touch neither). Streaming
+	// merges never touch the cache, so a busy compaction does not depress
+	// the hit rate. SeqReads counts the cache-bypassing readahead fetches
+	// of streaming merge readers — the compaction read traffic the other
+	// two deliberately exclude.
 	PageReads int64
 	CacheHits int64
 	SeqReads  int64
@@ -539,19 +564,20 @@ type Stats struct {
 }
 
 // Open creates or reopens a COLE store in opts.Dir with its own merge
-// pool of opts.MergeWorkers workers.
+// pool of opts.MergeWorkers workers and its own page cache.
 func Open(opts Options) (*Engine, error) {
-	return OpenWithScheduler(opts, nil, 0)
+	return OpenShared(opts, nil, nil, 0)
 }
 
-// OpenWithScheduler creates or reopens a COLE store whose background
-// flush/merge jobs run on sched; a nil sched gets a private pool of
-// opts.MergeWorkers workers. The shard layer opens all its engines over
-// one shared scheduler so the merge budget covers the whole store, and
-// passes each engine's position as shardIndex: it tags the engine's
-// telemetry (trace events, metric labels) and has no effect on storage
-// or digests.
-func OpenWithScheduler(opts Options, sched *merge.Scheduler, shardIndex int) (*Engine, error) {
+// OpenShared creates or reopens a COLE store whose background flush/merge
+// jobs run on sched and whose point reads cache pages in cache; a nil
+// sched gets a private pool of opts.MergeWorkers workers, a nil cache a
+// private NewPageCache. The shard layer opens all its engines over one
+// scheduler and one cache so the merge budget and the memory budget cover
+// the whole store, and passes each engine's position as shardIndex: it
+// tags the engine's telemetry (trace events, metric labels) and has no
+// effect on storage or digests.
+func OpenShared(opts Options, sched *merge.Scheduler, cache *pagefile.Cache, shardIndex int) (*Engine, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -563,7 +589,10 @@ func OpenWithScheduler(opts Options, sched *merge.Scheduler, shardIndex int) (*E
 	if ownPool {
 		sched = merge.New(opts.MergeWorkers)
 	}
-	e := &Engine{opts: opts, sched: sched, tr: opts.Trace, shardID: int32(shardIndex)}
+	if cache == nil {
+		cache = NewPageCache(opts.PageSize)
+	}
+	e := &Engine{opts: opts, sched: sched, cache: cache, tr: opts.Trace, shardID: int32(shardIndex)}
 	for i := range e.mem {
 		e.mem[i] = newMemGroup(opts)
 	}
@@ -702,7 +731,7 @@ func (e *Engine) loadManifest() error {
 		lv := &level{writing: ls.Writing}
 		for g := 0; g < 2; g++ {
 			for _, id := range ls.Groups[g] {
-				r, err := run.Open(e.opts.Dir, id, e.opts.runParams())
+				r, err := run.Open(e.opts.Dir, id, e.runParams())
 				if err != nil {
 					return fmt.Errorf("core: open run %d of level %d: %w", id, li+1, e.decorateCorrupt(err, li+1))
 				}
@@ -882,7 +911,7 @@ func (e *Engine) HistoricalRoot(height uint64) (types.Hash, bool) {
 // Stats returns a snapshot of the engine counters. Read counters are
 // atomics fed by the lock-free read path; write counters are gathered
 // under the engine lock. PageReads/CacheHits sum the live runs' current
-// page-cache counters plus the totals of runs already retired by merges
+// value-page counters plus the totals of runs already retired by merges
 // (accumulated into e.stats at retirement).
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()

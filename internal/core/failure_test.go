@@ -1,11 +1,18 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"cole/internal/pagefile"
+	"cole/internal/pla"
+	"cole/internal/run"
 	"cole/internal/types"
 )
 
@@ -254,5 +261,86 @@ func TestStrayNonRunFilesIgnored(t *testing.T) {
 	}
 	if !strings.HasPrefix(filepath.Base(e2.manifestPath()), "MANIFEST") {
 		t.Fatal("sanity")
+	}
+}
+
+// TestDamagedLearnedModelIsACorruptRead: no digest covers the .idx file,
+// so a model whose intercept is three pages off passes Open. A Get that
+// lands under it must fail with a typed corruption error naming the file
+// (counted in Stats.CorruptReads) — answering "absent", or with an older
+// version from a deeper run, would be a silent wrong answer. Every read
+// that does succeed still returns the oracle's value.
+func TestDamagedLearnedModelIsACorruptRead(t *testing.T) {
+	opts := testOpts(t, false)
+	e := openEngine(t, opts)
+	o := newOracle()
+	const addrSpace = 400
+	runWorkload(t, e, o, 59, 150, 20, addrSpace)
+	if err := e.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+
+	// Shift every model of every single-layer run of eight pages or more.
+	idxFiles, err := filepath.Glob(filepath.Join(opts.Dir, "run-*.idx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const perPage = pagefile.DefaultPageSize / types.EntrySize
+	damaged := 0
+	for _, path := range idxFiles {
+		var id uint64
+		if _, err := fmt.Sscanf(filepath.Base(path), "run-%016x.idx", &id); err != nil {
+			t.Fatal(err)
+		}
+		r, err := run.Open(opts.Dir, id, run.Params{Fanout: opts.Fanout})
+		if err != nil {
+			t.Fatal(err)
+		}
+		count, layers, models := r.Count(), r.Layers(), int(r.Models())
+		r.Close()
+		if layers != 1 || count < 8*perPage {
+			continue
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < models; j++ {
+			off := j*pla.ModelSize + types.CompoundKeySize + 8
+			ic := math.Float64frombits(binary.BigEndian.Uint64(raw[off:]))
+			binary.BigEndian.PutUint64(raw[off:], math.Float64bits(ic+3*perPage))
+		}
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		damaged++
+	}
+	if damaged == 0 {
+		t.Fatal("the store has no single-layer run of eight pages to damage")
+	}
+
+	e2 := openEngine(t, opts)
+	corrupt := int64(0)
+	for i := 0; i < addrSpace; i++ {
+		addr := types.AddressFromUint64(uint64(i))
+		v, ok, err := e2.Get(addr)
+		if err != nil {
+			var ec *types.ErrCorrupt
+			if !errors.As(err, &ec) || !strings.HasSuffix(ec.File, ".idx") || ec.Store != opts.Dir {
+				t.Fatalf("Get(%d): %v, want a corruption error naming an .idx file of the store", i, err)
+			}
+			corrupt++
+			continue
+		}
+		if want, wantOK := o.latest(addr); ok != wantOK || (ok && v != want.Value) {
+			t.Fatalf("Get(%d) = (%v, %v), the oracle says (%v, %v): a damaged model was served silently", i, v, ok, want.Value, wantOK)
+		}
+	}
+	if corrupt == 0 {
+		t.Fatal("no read noticed the damaged models")
+	}
+	if st := e2.Stats(); st.CorruptReads != corrupt {
+		t.Fatalf("Stats.CorruptReads = %d, reads that failed = %d", st.CorruptReads, corrupt)
 	}
 }

@@ -122,6 +122,7 @@ func (e *Engine) provInView(v *view, addr types.Address, blkLo, blkHi uint64) ([
 	proof := &Proof{Addr: addr, BlkLo: blkLo, BlkHi: blkHi}
 	var versions []Version
 	stopped := false
+	probe := bloom.NewProbe(addr)
 
 	for _, m := range v.mems {
 		entries, p, err := m.tree.ProveRange(kl, ku)
@@ -148,7 +149,7 @@ func (e *Engine) provInView(v *view, addr types.Address, blkLo, blkHi uint64) ([
 			proof.Unsearched = append(proof.Unsearched, r.Digest())
 			continue
 		}
-		res, err := r.ProvSearch(addr, blkLo, blkHi)
+		res, err := r.ProvSearchProbe(probe, addr, blkLo, blkHi)
 		if err != nil {
 			return nil, nil, e.noteCorrupt(err)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"cole/internal/bloom"
 	"cole/internal/types"
 )
 
@@ -68,10 +69,13 @@ func (e *Engine) getBatchInView(v *view, addrs []types.Address) ([]ReadResult, e
 	start := time.Now()
 	e.gets.Add(int64(len(addrs)))
 	out := make([]ReadResult, len(addrs))
+	var skips int64
+	defer func() { e.bloomSkips.Add(skips) }()
 	for i, addr := range addrs {
-		hit, ok, err := e.lookupInView(v, addr, types.MaxBlock)
+		hit, ok, skipped, err := searchView(v, addr, types.MaxBlock)
+		skips += skipped
 		if err != nil {
-			return nil, err
+			return nil, e.noteCorrupt(err)
 		}
 		out[i] = ReadResult{Value: hit.Value, Blk: hit.Blk, Found: ok}
 	}
@@ -102,33 +106,49 @@ func (e *Engine) lookup(addr types.Address, blk uint64) (versionHit, bool, error
 	return hit, ok, err
 }
 
-// lookupInView is the zero-lock point lookup (Algorithm 6) over one
-// published view: L0 snapshots first (filter-gated tree predecessor),
-// then every run newest-to-oldest, probing each run's Bloom filter before
-// descending its learned index — a filter miss skips the run without any
-// page read and is counted in Stats.BloomSkips.
+// lookupInView is one point lookup over a published view, with its
+// counters: the runs its Bloom probes skipped land in Stats.BloomSkips in
+// one add, a corruption error in Stats.CorruptReads.
 func (e *Engine) lookupInView(v *view, addr types.Address, blk uint64) (versionHit, bool, error) {
+	hit, ok, skips, err := searchView(v, addr, blk)
+	if skips > 0 {
+		e.bloomSkips.Add(skips)
+	}
+	if err != nil {
+		return versionHit{}, false, e.noteCorrupt(err)
+	}
+	return hit, ok, nil
+}
+
+// searchView is the zero-lock, zero-allocation point lookup (Algorithm 6)
+// over one published view: L0 snapshots first (filter-gated tree
+// predecessor), then every run newest-to-oldest, probing each run's Bloom
+// filter before descending its learned index — a filter miss skips the
+// run without any page read and is counted in skips. The address is
+// hashed once, for every filter of the view.
+func searchView(v *view, addr types.Address, blk uint64) (hit versionHit, ok bool, skips int64, err error) {
 	key := types.CompoundKey{Addr: addr, Blk: blk}
+	probe := bloom.NewProbe(addr)
 	for _, m := range v.mems {
-		if !m.filter.MayContain(addr) {
+		if !m.filter.MayContainProbe(probe) {
 			continue
 		}
 		if ent, ok := m.tree.Predecessor(key); ok && ent.Key.Addr == addr {
-			return versionHit{Value: ent.Value, Blk: ent.Key.Blk}, true, nil
+			return versionHit{Value: ent.Value, Blk: ent.Key.Blk}, true, skips, nil
 		}
 	}
 	for _, rr := range v.runs {
-		if !rr.r.MayContain(addr) {
-			e.bloomSkips.Add(1)
+		if !rr.r.MayContainProbe(probe) {
+			skips++
 			continue
 		}
 		ent, _, ok, err := rr.r.SearchAt(addr, blk)
 		if err != nil {
-			return versionHit{}, false, e.noteCorrupt(err)
+			return versionHit{}, false, skips, err
 		}
 		if ok {
-			return versionHit{Value: ent.Value, Blk: ent.Key.Blk}, true, nil
+			return versionHit{Value: ent.Value, Blk: ent.Key.Blk}, true, skips, nil
 		}
 	}
-	return versionHit{}, false, nil
+	return versionHit{}, false, skips, nil
 }

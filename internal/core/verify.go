@@ -71,7 +71,7 @@ func VerifyStore(fsys vfs.FS, dir string, fast bool) (findings []run.Finding, no
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
 	for _, id := range ids {
-		params := run.Params{Fanout: m.Fanout, CachePages: 4, FS: fsys}
+		params := run.Params{Fanout: m.Fanout, FS: fsys}
 		// The page size is recorded per run, not in the manifest; a
 		// metadata failure here resurfaces from run.Verify with full
 		// attribution, so the probe error itself is dropped.

@@ -148,10 +148,10 @@ func (e *Engine) retireLocked() {
 		// Fold the run's point-read cache counters into the engine totals
 		// before the files can be reclaimed, so Stats stays cumulative
 		// across merges.
-		v, i := rr.r.IOStats()
-		e.stats.PageReads += v.PageReads + i.PageReads
-		e.stats.CacheHits += v.CacheHits + i.CacheHits
-		e.stats.SeqReads += v.SeqReads + i.SeqReads
+		v, _ := rr.r.IOStats()
+		e.stats.PageReads += v.PageReads
+		e.stats.CacheHits += v.CacheHits
+		e.stats.SeqReads += v.SeqReads
 		rr.retired.Store(true)
 		rr.release()
 		if e.tr != nil {

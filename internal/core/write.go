@@ -309,7 +309,7 @@ func (e *Engine) startFlush(g *memGroup, dispatch dispatchFunc) *mergeState {
 	size := int64(g.tree.Size()) * types.EntrySize
 	return e.startJob(0, size, merge.PriorityFlush, dispatch, func(id uint64) (*run.Run, error) {
 		entries := collectTree(g.tree)
-		return run.Build(e.opts.Dir, id, int64(len(entries)), e.opts.runParams(), run.NewSliceIterator(entries))
+		return run.Build(e.opts.Dir, id, int64(len(entries)), e.runParams(), run.NewSliceIterator(entries))
 	})
 }
 
@@ -573,11 +573,11 @@ func (e *Engine) buildLevelRun(id uint64, count int64, runs []*run.Run, pri merg
 			// Each span holds its own pool slot, so each preempts
 			// independently: one queued flush pauses one span, not the
 			// whole fan-out.
-			return run.BuildPartitioned(e.opts.Dir, id, count, e.opts.runParams(), spans,
+			return run.BuildPartitioned(e.opts.Dir, id, count, e.runParams(), spans,
 				func(sp run.Span) (run.Iterator, error) { return e.chunked(run.MergeRunsRange(runs, sp), pri, lvl), nil }, par)
 		}
 	}
-	return run.Build(e.opts.Dir, id, count, e.opts.runParams(), e.chunked(run.MergeRuns(runs), pri, lvl))
+	return run.Build(e.opts.Dir, id, count, e.runParams(), e.chunked(run.MergeRuns(runs), pri, lvl))
 }
 
 // FlushAll forces the L0 contents to disk and joins all merge threads,

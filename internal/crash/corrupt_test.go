@@ -55,7 +55,11 @@ func TestCorruptionMatrix(t *testing.T) {
 		// find the key, so VerifyReads must catch the lie via the stored
 		// Merkle leaf hash.
 		{name: "value-page", shards: 1, suffix: ".val", off: 30, corruptGet: true},
-		{name: "learned-index", shards: 1, suffix: ".idx", off: 0},
+		// Offset 0 is the first model's anchor key, which run.Open checks
+		// against the run's minimum key when it loads the index. (Slope or
+		// intercept damage passes Open and is the search's to catch:
+		// run.TestDamagedModelFailsClosed.)
+		{name: "learned-index", shards: 1, suffix: ".idx", off: 0, openFails: true},
 		{name: "merkle-node", shards: 1, suffix: ".mrk", off: 0},
 		{name: "run-meta", shards: 1, suffix: ".met", off: 0, openFails: true},
 		{name: "engine-manifest", shards: 1, suffix: "MANIFEST", off: 1, openFails: true},
@@ -123,7 +127,7 @@ func TestCorruptionMatrix(t *testing.T) {
 					_ = s2.Close()
 					t.Fatalf("reopen succeeded with corrupt %s", k.name)
 				}
-				if k.suffix == ".met" {
+				if k.suffix == ".met" || k.suffix == ".idx" {
 					var ec *types.ErrCorrupt
 					if !errors.As(err, &ec) {
 						t.Fatalf("reopen error for corrupt %s is not typed ErrCorrupt: %v", k.name, err)

@@ -10,18 +10,18 @@
 // two pages.
 //
 // Writers stream append-only (runs are immutable once built) and coalesce
-// many pages per write syscall; point readers go through a small per-file
-// LRU page cache and count disk reads vs cache hits so benchmarks can
-// report IO cost. Sequential consumers (level merges, exports, reshard)
-// instead use SequentialReader, which reads large readahead windows into
-// a private buffer and never touches the shared LRU — a background
-// compaction cannot evict the working set of concurrent point readers.
+// many pages per write syscall; point readers pin pages in a Cache shared
+// by every file of a store (File.Pin) and count disk reads vs cache hits
+// so benchmarks can report IO cost. Sequential consumers (level merges,
+// exports, reshard) instead use SequentialReader, which reads large
+// readahead windows into a private buffer and never touches the cache — a
+// background compaction cannot evict the working set of concurrent point
+// readers.
 package pagefile
 
 import (
 	"fmt"
 	"os"
-	"sync"
 	"sync/atomic"
 
 	"cole/internal/vfs"
@@ -59,7 +59,7 @@ type IOStats struct {
 	PageReads int64
 	CacheHits int64
 	// SeqReads counts pages fetched by SequentialReaders: streaming IO
-	// that never touched (or evicted from) the LRU cache.
+	// that never touched (or evicted from) the page cache.
 	SeqReads int64
 }
 
@@ -217,8 +217,8 @@ func (w *Writer) Abort() {
 	_ = w.fs.Remove(w.path)
 }
 
-// File reads records from a page-padded file through an LRU page cache.
-// It is safe for concurrent readers.
+// File reads records from a page-padded file through a page cache. It is
+// safe for concurrent readers.
 type File struct {
 	f        vfs.File
 	path     string
@@ -227,27 +227,35 @@ type File struct {
 	perPage  int
 	count    int64
 
-	mu    sync.Mutex
-	cache *lruCache
+	cache *Cache
+	id    uint64 // this handle's key in cache
 
 	pageReads atomic.Int64
 	cacheHits atomic.Int64
 	seqReads  atomic.Int64
 }
 
-// Open is OpenFS on the real filesystem.
+// Open is OpenFS on the real filesystem with a private cache of
+// cachePages pages.
 func Open(path string, pageSize, recSize int, count int64, cachePages int) (*File, error) {
-	return OpenFS(nil, path, pageSize, recSize, count, cachePages)
+	return OpenFS(nil, path, pageSize, recSize, count, NewCache(pageSize, cachePages))
 }
 
 // OpenFS opens a record file on fsys (nil = the real filesystem) for
 // reading. count is the number of records (the run metadata records it;
-// the file itself is page-padded so its size alone is ambiguous).
-// cachePages bounds the per-file page cache (≥1).
-func OpenFS(fsys vfs.FS, path string, pageSize, recSize int, count int64, cachePages int) (*File, error) {
+// the file itself is page-padded so its size alone is ambiguous). Point
+// reads go through cache, which the file may share with any number of
+// others; nil gives it a private one of DefaultCachePages pages.
+func OpenFS(fsys vfs.FS, path string, pageSize, recSize int, count int64, cache *Cache) (*File, error) {
 	fsys = vfs.OrOS(fsys)
 	if PerPage(pageSize, recSize) < 1 {
 		return nil, fmt.Errorf("pagefile: record size %d does not fit page size %d", recSize, pageSize)
+	}
+	if cache == nil {
+		cache = NewCache(pageSize, DefaultCachePages)
+	}
+	if cache.PageSize() != pageSize {
+		return nil, fmt.Errorf("pagefile: %s has %d-byte pages, its cache holds %d-byte pages", path, pageSize, cache.PageSize())
 	}
 	f, err := fsys.Open(path)
 	if err != nil {
@@ -264,9 +272,6 @@ func OpenFS(fsys vfs.FS, path string, pageSize, recSize int, count int64, cacheP
 		_ = f.Close()
 		return nil, fmt.Errorf("pagefile: %s has %d bytes, need %d for %d records", path, st.Size(), needPages*int64(pageSize), count)
 	}
-	if cachePages < 1 {
-		cachePages = 1
-	}
 	return &File{
 		f:        f,
 		path:     path,
@@ -274,7 +279,8 @@ func OpenFS(fsys vfs.FS, path string, pageSize, recSize int, count int64, cacheP
 		recSize:  recSize,
 		perPage:  perPage,
 		count:    count,
-		cache:    newLRUCache(cachePages),
+		cache:    cache,
+		id:       cache.newHandle(),
 	}, nil
 }
 
@@ -303,46 +309,64 @@ func (r *File) PageBounds(page int64) (lo, hi int64) {
 	return lo, hi
 }
 
-// page returns the cached contents of a page, reading it if necessary.
-func (r *File) pageData(page int64) ([]byte, error) {
-	if page < 0 || page >= r.NumPages() {
-		return nil, fmt.Errorf("pagefile: page %d out of range [0,%d) in %s", page, r.NumPages(), r.path)
-	}
-	r.mu.Lock()
-	if data, ok := r.cache.get(page); ok {
-		r.mu.Unlock()
-		r.cacheHits.Add(1)
-		return data, nil
-	}
-	r.mu.Unlock()
-
-	data := make([]byte, r.pageSize)
-	if _, err := r.f.ReadAt(data, page*int64(r.pageSize)); err != nil {
-		return nil, fmt.Errorf("pagefile: read page %d of %s: %w", page, r.path, err)
-	}
-	r.pageReads.Add(1)
-
-	r.mu.Lock()
-	r.cache.put(page, data)
-	r.mu.Unlock()
-	return data, nil
+// Page is one pinned page of a File: Records holds its N records back to
+// back. The bytes belong to a cache frame that cannot be recycled until
+// Release, so decode what is needed, Release, and never touch Records
+// afterwards.
+type Page struct {
+	Records []byte
+	N       int
+	frame   *frame // nil for an uncached scratch read
 }
 
-// Record copies record i into dst (len ≥ recSize) and returns dst[:recSize].
-// Use RecordView when the caller decodes immediately and never retains
-// the bytes: Record pays a second copy (cached page → dst) for the right
-// to hold the buffer indefinitely.
-func (r *File) Record(i int64, dst []byte) ([]byte, error) {
-	data, err := r.RecordView(i)
-	if err != nil {
-		return nil, err
+// Release unpins the page.
+func (p Page) Release() {
+	if p.frame != nil {
+		p.frame.pins.Add(-1)
 	}
-	n := copy(dst, data)
-	return dst[:n], nil
+}
+
+// Pin returns a page of the file, from the cache when it is there and
+// read into a recycled frame when it is not.
+func (r *File) Pin(page int64) (Page, error) {
+	if page < 0 || page >= r.NumPages() {
+		return Page{}, fmt.Errorf("pagefile: page %d out of range [0,%d) in %s", page, r.NumPages(), r.path)
+	}
+	fr, hit, err := r.cache.pin(r, page)
+	if err != nil {
+		return Page{}, err
+	}
+	var data []byte
+	if fr != nil {
+		data = fr.data
+	} else {
+		// Every frame the page could use is pinned by other readers:
+		// serve this one read from a buffer of its own.
+		data = make([]byte, r.pageSize)
+		if err := r.readPage(data, page); err != nil {
+			return Page{}, err
+		}
+	}
+	if hit {
+		r.cacheHits.Add(1)
+	} else {
+		r.pageReads.Add(1)
+	}
+	lo, hi := r.PageBounds(page)
+	n := int(hi - lo)
+	return Page{Records: data[:n*r.recSize], N: n, frame: fr}, nil
+}
+
+// readPage fills dst with one whole page.
+func (r *File) readPage(dst []byte, page int64) error {
+	if _, err := r.f.ReadAt(dst, page*int64(r.pageSize)); err != nil {
+		return fmt.Errorf("pagefile: read page %d of %s: %w", page, r.path, err)
+	}
+	return nil
 }
 
 // RecordAt reads record i into dst (len == recSize) with one positional
-// syscall, bypassing — and never populating — the LRU page cache. This
+// syscall, bypassing — and never populating — the page cache. This
 // is the merge planner's probe path: planning a partitioned merge
 // touches a few hundred scattered records per source and must not evict
 // concurrent point readers' working set. Accounted under SeqReads with
@@ -362,35 +386,6 @@ func (r *File) RecordAt(i int64, dst []byte) error {
 	return nil
 }
 
-// RecordView returns record i as a view into the cached page: no copy.
-// The bytes are immutable (pages are never modified once cached) but the
-// caller must not mutate them; decode before issuing writes that could
-// recycle buffers elsewhere, and prefer Record for anything retained.
-func (r *File) RecordView(i int64) ([]byte, error) {
-	if i < 0 || i >= r.count {
-		return nil, fmt.Errorf("pagefile: record %d out of range [0,%d) in %s", i, r.count, r.path)
-	}
-	data, err := r.pageData(r.PageOf(i))
-	if err != nil {
-		return nil, err
-	}
-	off := int(i%int64(r.perPage)) * r.recSize
-	return data[off : off+r.recSize], nil
-}
-
-// PageRecords returns the raw records of a page as a single byte slice of
-// length numRecords*recSize (a view of the cached page; callers must not
-// mutate it).
-func (r *File) PageRecords(page int64) ([]byte, int, error) {
-	data, err := r.pageData(page)
-	if err != nil {
-		return nil, 0, err
-	}
-	lo, hi := r.PageBounds(page)
-	n := int(hi - lo)
-	return data[:n*r.recSize], n, nil
-}
-
 // Stats returns cumulative IO counters.
 func (r *File) Stats() IOStats {
 	return IOStats{
@@ -402,12 +397,12 @@ func (r *File) Stats() IOStats {
 
 // SequentialReader streams a file's records in position order through a
 // private readahead buffer: each refill fetches up to `window` pages in
-// one ReadAt syscall, and nothing ever touches the File's LRU cache or
-// mutex. This is the read side of the compaction pipeline — a background
-// level merge scanning whole runs neither evicts the working set of
-// concurrent point readers nor serializes against them. Safe to use
-// concurrently with point reads on the same File (ReadAt carries no
-// shared offset); each SequentialReader itself is single-consumer.
+// one ReadAt syscall, and nothing ever touches the page cache. This is
+// the read side of the compaction pipeline — a background level merge
+// scanning whole runs neither evicts the working set of concurrent point
+// readers nor serializes against them. Safe to use concurrently with
+// point reads on the same File (ReadAt carries no shared offset); each
+// SequentialReader itself is single-consumer.
 type SequentialReader struct {
 	f         *File
 	buf       []byte
@@ -489,80 +484,3 @@ func (r *File) Close() error { return r.f.Close() }
 
 // Path returns the underlying file path.
 func (r *File) Path() string { return r.path }
-
-// lruCache is a minimal LRU keyed by page number.
-type lruCache struct {
-	cap   int
-	items map[int64]*lruNode
-	head  *lruNode // most recent
-	tail  *lruNode // least recent
-}
-
-type lruNode struct {
-	key        int64
-	data       []byte
-	prev, next *lruNode
-}
-
-func newLRUCache(capacity int) *lruCache {
-	return &lruCache{cap: capacity, items: make(map[int64]*lruNode, capacity)}
-}
-
-func (c *lruCache) get(key int64) ([]byte, bool) {
-	n, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.moveFront(n)
-	return n.data, true
-}
-
-func (c *lruCache) put(key int64, data []byte) {
-	if n, ok := c.items[key]; ok {
-		n.data = data
-		c.moveFront(n)
-		return
-	}
-	n := &lruNode{key: key, data: data}
-	c.items[key] = n
-	c.pushFront(n)
-	if len(c.items) > c.cap {
-		evict := c.tail
-		c.unlink(evict)
-		delete(c.items, evict.key)
-	}
-}
-
-func (c *lruCache) pushFront(n *lruNode) {
-	n.prev = nil
-	n.next = c.head
-	if c.head != nil {
-		c.head.prev = n
-	}
-	c.head = n
-	if c.tail == nil {
-		c.tail = n
-	}
-}
-
-func (c *lruCache) unlink(n *lruNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		c.head = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		c.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
-}
-
-func (c *lruCache) moveFront(n *lruNode) {
-	if c.head == n {
-		return
-	}
-	c.unlink(n)
-	c.pushFront(n)
-}

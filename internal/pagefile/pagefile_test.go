@@ -41,6 +41,21 @@ func writeFile(t *testing.T, dir string, n int64) string {
 	return path
 }
 
+// record copies record i out of its pinned page: the point-read pattern
+// (pin, use, release) as one call.
+func record(f *File, i int64, dst []byte) ([]byte, error) {
+	if i < 0 || i >= f.Count() {
+		return nil, os.ErrInvalid
+	}
+	pg, err := f.Pin(f.PageOf(i))
+	if err != nil {
+		return nil, err
+	}
+	defer pg.Release()
+	off := int(i%int64(f.PerPage())) * testRecSize
+	return dst[:copy(dst, pg.Records[off:off+testRecSize])], nil
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	const n = 1000
 	path := writeFile(t, t.TempDir(), n)
@@ -51,7 +66,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	defer f.Close()
 	buf := make([]byte, testRecSize)
 	for i := int64(0); i < n; i++ {
-		rec, err := f.Record(i, buf)
+		rec, err := record(f, i, buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +130,7 @@ func TestPageBounds(t *testing.T) {
 	}
 }
 
-func TestPageRecordsView(t *testing.T) {
+func TestPinnedPageRecords(t *testing.T) {
 	const n = 200
 	path := writeFile(t, t.TempDir(), n)
 	f, err := Open(path, DefaultPageSize, testRecSize, n, 2)
@@ -124,10 +139,11 @@ func TestPageRecordsView(t *testing.T) {
 	}
 	defer f.Close()
 	for p := int64(0); p < f.NumPages(); p++ {
-		data, cnt, err := f.PageRecords(p)
+		pg, err := f.Pin(p)
 		if err != nil {
 			t.Fatal(err)
 		}
+		data, cnt := pg.Records, pg.N
 		lo, hi := f.PageBounds(p)
 		if int64(cnt) != hi-lo {
 			t.Fatalf("page %d count %d, want %d", p, cnt, hi-lo)
@@ -137,6 +153,7 @@ func TestPageRecordsView(t *testing.T) {
 				t.Fatalf("page %d record %d corrupted", p, i)
 			}
 		}
+		pg.Release()
 	}
 }
 
@@ -152,7 +169,7 @@ func TestCacheHitsAccounting(t *testing.T) {
 	// First pass: all disk reads. Second pass: all cache hits.
 	for pass := 0; pass < 2; pass++ {
 		for i := int64(0); i < n; i++ {
-			if _, err := f.Record(i, buf); err != nil {
+			if _, err := record(f, i, buf); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -177,10 +194,10 @@ func TestCacheEviction(t *testing.T) {
 	buf := make([]byte, testRecSize)
 	// Alternate between first and last page: every access evicts.
 	for i := 0; i < 10; i++ {
-		if _, err := f.Record(0, buf); err != nil {
+		if _, err := record(f, 0, buf); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.Record(n-1, buf); err != nil {
+		if _, err := record(f, n-1, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -188,7 +205,7 @@ func TestCacheEviction(t *testing.T) {
 		t.Fatalf("expected thrashing reads, got %d", st.PageReads)
 	}
 	// Correctness under eviction.
-	rec, _ := f.Record(0, buf)
+	rec, _ := record(f, 0, buf)
 	if !bytes.Equal(rec, makeRec(0)) {
 		t.Fatal("record corrupted under eviction")
 	}
@@ -203,13 +220,13 @@ func TestOutOfRangeErrors(t *testing.T) {
 	}
 	defer f.Close()
 	buf := make([]byte, testRecSize)
-	if _, err := f.Record(-1, buf); err == nil {
+	if _, err := record(f, -1, buf); err == nil {
 		t.Fatal("negative index must error")
 	}
-	if _, err := f.Record(n, buf); err == nil {
+	if _, err := record(f, n, buf); err == nil {
 		t.Fatal("past-end index must error")
 	}
-	if _, _, err := f.PageRecords(99); err == nil {
+	if _, err := f.Pin(99); err == nil {
 		t.Fatal("out-of-range page must error")
 	}
 }
@@ -276,7 +293,7 @@ func TestConcurrentReaders(t *testing.T) {
 			buf := make([]byte, testRecSize)
 			for i := 0; i < 3000; i++ {
 				idx := r.Int63n(n)
-				rec, err := f.Record(idx, buf)
+				rec, err := record(f, idx, buf)
 				if err != nil {
 					done <- err
 					return
@@ -293,28 +310,5 @@ func TestConcurrentReaders(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-func TestLRUCacheUnit(t *testing.T) {
-	c := newLRUCache(2)
-	c.put(1, []byte{1})
-	c.put(2, []byte{2})
-	if _, ok := c.get(1); !ok {
-		t.Fatal("1 should be cached")
-	}
-	c.put(3, []byte{3}) // evicts 2 (1 was just used)
-	if _, ok := c.get(2); ok {
-		t.Fatal("2 should have been evicted")
-	}
-	if _, ok := c.get(1); !ok {
-		t.Fatal("1 should survive")
-	}
-	if _, ok := c.get(3); !ok {
-		t.Fatal("3 should be cached")
-	}
-	c.put(3, []byte{33}) // update in place
-	if v, _ := c.get(3); v[0] != 33 {
-		t.Fatal("update must replace data")
 	}
 }

@@ -88,7 +88,7 @@ func TestSequentialReaderMatchesRecord(t *testing.T) {
 
 // TestSequentialReaderCacheIsolation is the tentpole's core claim at the
 // pagefile layer: a full sequential scan (what a level merge does) must
-// not evict a single page from a concurrent point reader's LRU cache.
+// not evict a single page from a concurrent point reader's page cache.
 func TestSequentialReaderCacheIsolation(t *testing.T) {
 	const n, cachePages = 2000, 4
 	path := writeFile(t, t.TempDir(), n)
@@ -107,7 +107,7 @@ func TestSequentialReaderCacheIsolation(t *testing.T) {
 	}
 	buf := make([]byte, testRecSize)
 	for _, i := range working {
-		if _, err := f.Record(i, buf); err != nil {
+		if _, err := record(f, i, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -128,7 +128,7 @@ func TestSequentialReaderCacheIsolation(t *testing.T) {
 	// Re-read the working set: every access must hit the cache — zero
 	// evictions, zero new physical page reads.
 	for _, i := range working {
-		if _, err := f.Record(i, buf); err != nil {
+		if _, err := record(f, i, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,41 +141,9 @@ func TestSequentialReaderCacheIsolation(t *testing.T) {
 	}
 }
 
-// TestRecordViewMatchesRecord checks the zero-copy view returns the same
-// bytes as the copying Record.
-func TestRecordViewMatchesRecord(t *testing.T) {
-	const n = 500
-	path := writeFile(t, t.TempDir(), n)
-	f, err := Open(path, DefaultPageSize, testRecSize, n, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	buf := make([]byte, testRecSize)
-	for i := int64(0); i < n; i += 37 {
-		view, err := f.RecordView(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, err := f.Record(i, buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(view, rec) {
-			t.Fatalf("record %d: view differs from copy", i)
-		}
-	}
-	if _, err := f.RecordView(-1); err == nil {
-		t.Fatal("negative index accepted")
-	}
-	if _, err := f.RecordView(n); err == nil {
-		t.Fatal("out-of-range index accepted")
-	}
-}
-
 // TestConcurrentSequentialAndPointReads races streaming scans against
 // point reads on one File (the -race lane's target): sequential readers
-// share the fd via ReadAt and must not disturb the LRU's correctness.
+// share the fd via ReadAt and must not disturb the cache's correctness.
 func TestConcurrentSequentialAndPointReads(t *testing.T) {
 	const n = 3000
 	path := writeFile(t, t.TempDir(), n)
@@ -215,7 +183,7 @@ func TestConcurrentSequentialAndPointReads(t *testing.T) {
 			buf := make([]byte, testRecSize)
 			for k := 0; k < 500; k++ {
 				i := (seed*7919 + int64(k)*104729) % n
-				rec, err := f.Record(i, buf)
+				rec, err := record(f, i, buf)
 				if err != nil {
 					errs <- err
 					return

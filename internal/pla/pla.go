@@ -218,7 +218,9 @@ func (b *Builder) Models() int64 { return b.models }
 // SearchPage performs the predecessor binary search of Algorithm 7 over a
 // page of encoded models: it returns the rightmost model with kmin ≤ key
 // and its index within the page. ok is false when key precedes every model
-// on the page.
+// on the page. Runs search their index decoded and resident; this is the
+// on-disk form of the same search, which the benchmark's pla probe and
+// the run package's reference descent use.
 func SearchPage(page []byte, n int, key types.CompoundKey) (Model, int, bool) {
 	lo, hi := 0, n-1
 	found := -1
@@ -242,12 +244,6 @@ func SearchPage(page []byte, n int, key types.CompoundKey) (Model, int, bool) {
 		return Model{}, -1, false
 	}
 	return m, found, true
-}
-
-// FirstKMin decodes the kmin of the i-th model on a page without decoding
-// the whole record.
-func FirstKMin(page []byte, i int) (types.CompoundKey, error) {
-	return types.DecodeCompoundKey(page[i*ModelSize:])
 }
 
 func cmpKeyBytes(a, b []byte) int {

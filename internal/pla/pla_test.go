@@ -253,11 +253,6 @@ func TestSearchPage(t *testing.T) {
 	if !ok || idx != 9 || m.KMin.Blk != 100 {
 		t.Fatalf("after: ok=%v idx=%d kmin=%d", ok, idx, m.KMin.Blk)
 	}
-	// FirstKMin helper.
-	k, err := FirstKMin(page, 3)
-	if err != nil || k.Blk != 40 {
-		t.Fatalf("FirstKMin = %v, %v", k, err)
-	}
 }
 
 func TestSegmentCountReasonableOnRandomData(t *testing.T) {

@@ -88,9 +88,6 @@ type Options struct {
 	// BloomFP is the Bloom false-positive target for the rebuilt runs
 	// (0 = 0.01).
 	BloomFP float64
-	// CachePages bounds each rebuilt run's page cache during the build
-	// (0 = 16).
-	CachePages int
 	// Workers bounds the rewrite's concurrency (0 = GOMAXPROCS). With
 	// more workers than source (or destination) shards, the surplus goes
 	// to key-range partitioning inside each shard: source streams spool
@@ -270,7 +267,7 @@ func Reshard(dir string, shards int, opts Options) (*Report, error) {
 	// Open every committed source run directly from the manifests — the
 	// engines are never opened, so the source directories are not
 	// mutated (no orphan sweep, no restarted background merges).
-	params := run.Params{PageSize: opts.PageSize, Fanout: base.Fanout, BloomFP: opts.BloomFP, CachePages: opts.CachePages, FS: fsys}
+	params := run.Params{PageSize: opts.PageSize, Fanout: base.Fanout, BloomFP: opts.BloomFP, FS: fsys}
 	srcRuns := make([][]*run.Run, n)
 	defer func() {
 		for _, runs := range srcRuns {
@@ -423,7 +420,6 @@ func Reshard(dir string, shards int, opts Options) (*Report, error) {
 		Fanout:      base.Fanout,
 		PageSize:    opts.PageSize,
 		BloomFP:     opts.BloomFP,
-		CachePages:  opts.CachePages,
 		AsyncMerge:  base.Async,
 		OptimalPLA:  opts.OptimalPLA,
 		FS:          fsys,

@@ -6,7 +6,9 @@
 //     page-padded);
 //   - index file: the disk-optimized learned index — layers of ε-bounded
 //     models built bottom-up (Algorithm 3), each layer page-aligned so the
-//     top layer is exactly the last page;
+//     top layer is exactly the last page. Open decodes it once and keeps
+//     every layer resident (it is a small fraction of the Bloom filter's
+//     size), so a search reads no index page;
 //   - Merkle file: the m-ary complete MHT over the value entries
 //     (Algorithm 4), sharing positions with the value file;
 //   - metadata: entry count, layer geometry, MHT root, and the serialized
@@ -76,10 +78,14 @@ func (s *SliceIterator) Next() (types.Entry, bool) {
 
 // Params configures run construction and opening.
 type Params struct {
-	PageSize   int     // disk page size (pagefile.DefaultPageSize if 0)
-	Fanout     int     // MHT fanout m (must be ≥ 2)
-	BloomFP    float64 // bloom false-positive target (0.01 if 0)
-	CachePages int     // per-file page cache (16 if 0)
+	PageSize int     // disk page size (pagefile.DefaultPageSize if 0)
+	Fanout   int     // MHT fanout m (must be ≥ 2)
+	BloomFP  float64 // bloom false-positive target (0.01 if 0)
+	// Cache is the page cache point reads of the value file go through: a
+	// store hands every run of every engine its one cache. nil gives the
+	// run a private one of pagefile.DefaultCachePages pages, which is what
+	// standalone openers (fsck, reshard, probes) want.
+	Cache *pagefile.Cache
 	// MergeReadahead is the window, in pages, that streaming run readers
 	// (Iter: level merges, exports, reshard sources) fetch per syscall,
 	// bypassing the point-read page cache. Default 256 (~1 MiB at 4 KiB
@@ -123,9 +129,6 @@ func (p Params) withDefaults() Params {
 	if p.BloomFP == 0 {
 		p.BloomFP = 0.01
 	}
-	if p.CachePages == 0 {
-		p.CachePages = 16
-	}
 	if p.MergeReadahead == 0 {
 		p.MergeReadahead = pagefile.DefaultReadaheadPages
 	}
@@ -149,8 +152,11 @@ type Run struct {
 	dir    string
 	params Params
 
-	count   int64
-	layers  []layerMeta
+	count  int64
+	layers []layerMeta
+	// models is the learned index, decoded from the .idx file by Open:
+	// models[l] is layer l (0 = the bottom layer, over value positions).
+	models  [][]pla.Model
 	mhtRoot types.Hash
 	// filter wraps the Bloom bytes of the .met image Open read (no copy,
 	// read-only). The run is immutable, so both digests below are
@@ -162,7 +168,6 @@ type Run struct {
 	maxKey      types.CompoundKey
 
 	values *pagefile.File
-	index  *pagefile.File
 	merkle *mht.File
 }
 
@@ -477,22 +482,17 @@ func Open(dir string, id uint64, params Params) (*Run, error) {
 	if err != nil {
 		return nil, types.CorruptFrom(metaPath(dir, id), fmt.Errorf("run %d: %w", id, err))
 	}
-	values, err := pagefile.OpenFS(params.FS, valuePath(dir, id), params.PageSize, types.EntrySize, meta.Count, params.CachePages)
+	models, err := loadIndex(params.FS, indexPath(dir, id), params.PageSize, meta.Layers, meta.MinKey)
+	if err != nil {
+		return nil, err
+	}
+	values, err := pagefile.OpenFS(params.FS, valuePath(dir, id), params.PageSize, types.EntrySize, meta.Count, params.Cache)
 	if err != nil {
 		return nil, types.CorruptFrom(valuePath(dir, id), err)
-	}
-	totalModels := int64(0)
-	lastLayer := meta.Layers[len(meta.Layers)-1]
-	totalModels = (lastLayer.StartPage)*int64(pagefile.PerPage(params.PageSize, pla.ModelSize)) + lastLayer.Models
-	index, err := pagefile.OpenFS(params.FS, indexPath(dir, id), params.PageSize, pla.ModelSize, totalModels, params.CachePages)
-	if err != nil {
-		_ = values.Close()
-		return nil, types.CorruptFrom(indexPath(dir, id), err)
 	}
 	merkle, err := mht.OpenFS(params.FS, merklePath(dir, id), meta.Count, meta.Fanout)
 	if err != nil {
 		_ = values.Close()
-		_ = index.Close()
 		return nil, types.CorruptFrom(merklePath(dir, id), err)
 	}
 	bloomDigest := filter.Digest()
@@ -502,6 +502,7 @@ func Open(dir string, id uint64, params Params) (*Run, error) {
 		params:      params,
 		count:       meta.Count,
 		layers:      meta.Layers,
+		models:      models,
 		mhtRoot:     meta.Root,
 		filter:      filter,
 		bloomDigest: bloomDigest,
@@ -509,9 +510,55 @@ func Open(dir string, id uint64, params Params) (*Run, error) {
 		minKey:      meta.MinKey,
 		maxKey:      meta.MaxKey,
 		values:      values,
-		index:       index,
 		merkle:      merkle,
 	}, nil
+}
+
+// loadIndex reads a run's whole .idx file and decodes every model layer.
+// No digest covers the file, so everything a search relies on is checked
+// here: the layers tile the file's pages bottom-up and end in a one-page
+// top layer, and each layer's anchors start at the run's minimum key and
+// strictly increase. What cannot be checked without the keys — that a
+// slope and intercept keep their ε promise — is checked by every search.
+func loadIndex(fsys vfs.FS, path string, pageSize int, layers []layerMeta, minKey types.CompoundKey) ([][]pla.Model, error) {
+	raw, err := fsys.ReadFile(path)
+	if err != nil {
+		return nil, types.CorruptFrom(path, err)
+	}
+	perPage := int64(pagefile.PerPage(pageSize, pla.ModelSize))
+	if perPage < 1 {
+		return nil, fmt.Errorf("run: model record does not fit page size %d", pageSize)
+	}
+	filePages := int64(len(raw) / pageSize)
+	models := make([][]pla.Model, len(layers))
+	nextPage := int64(0)
+	for li, l := range layers {
+		top := li == len(layers)-1
+		if l.Models < 1 || l.Pages != (l.Models+perPage-1)/perPage || l.StartPage != nextPage ||
+			l.Pages > filePages-nextPage || (top && l.Pages != 1) {
+			return nil, types.NewCorrupt(path, -1, fmt.Sprintf(
+				"layer %d (%d models on %d pages from page %d) does not fit a %d-page index", li, l.Models, l.Pages, l.StartPage, filePages))
+		}
+		nextPage += l.Pages
+		layer := make([]pla.Model, l.Models)
+		for j := range layer {
+			page := l.StartPage + int64(j)/perPage
+			off := page*int64(pageSize) + int64(j)%perPage*pla.ModelSize
+			m, err := pla.DecodeModel(raw[off : off+pla.ModelSize])
+			if err != nil {
+				return nil, types.NewCorrupt(path, page, err.Error())
+			}
+			if j == 0 && m.KMin != minKey {
+				return nil, types.NewCorrupt(path, page, fmt.Sprintf("layer %d starts at %v, the run at %v", li, m.KMin, minKey))
+			}
+			if j > 0 && m.KMin.Cmp(layer[j-1].KMin) <= 0 {
+				return nil, types.NewCorrupt(path, page, fmt.Sprintf("layer %d model %d does not start above its predecessor", li, j))
+			}
+			layer[j] = m
+		}
+		models[li] = layer
+	}
+	return models, nil
 }
 
 // Count returns the number of entries.
@@ -529,6 +576,10 @@ func (r *Run) BloomDigest() types.Hash { return r.bloomDigest }
 // entirely. The filter is immutable once the run is built, making the
 // probe safe for concurrent readers.
 func (r *Run) MayContain(addr types.Address) bool { return r.filter.MayContain(addr) }
+
+// MayContainProbe is MayContain for an address the caller hashed once
+// for the whole run list.
+func (r *Run) MayContainProbe(p bloom.Probe) bool { return r.filter.MayContainProbe(p) }
 
 // BloomBytes returns the serialized Bloom filter (for non-membership
 // proofs). The result is a caller-owned copy of the resident bytes: a
@@ -567,9 +618,9 @@ func (r *Run) Models() int64 {
 // Iter returns a sequential iterator over the run's entries in key order
 // (used by level sort-merges, exports, and reshard). It streams through
 // a private readahead buffer (Params.MergeReadahead pages per syscall)
-// that bypasses the run's point-read page cache entirely: a background
-// merge scanning this run evicts nothing from concurrent readers' caches
-// and takes no per-record lock. Read errors surface through Err.
+// that bypasses the point-read page cache entirely: a background merge
+// scanning this run evicts nothing concurrent readers have cached and
+// takes no lock. Read errors surface through Err.
 func (r *Run) Iter() *RunIterator {
 	return &RunIterator{r: r, sr: r.values.SequentialReader(r.params.MergeReadahead)}
 }
@@ -647,15 +698,18 @@ func (it *RunIterator) LeafHash() (types.Hash, error) {
 // Err reports a read failure that terminated the iterator early.
 func (it *RunIterator) Err() error { return it.err }
 
-// EntryAt reads the entry at a value-file position through the run's
-// page cache (the point-read path; decoded immediately, so the cached
-// page is never copied).
+// EntryAt reads the entry at a value-file position through the page
+// cache (the point-read path: pin, decode, unpin).
 func (r *Run) EntryAt(pos int64) (types.Entry, error) {
-	rec, err := r.values.RecordView(pos)
+	if pos < 0 || pos >= r.count {
+		return types.Entry{}, fmt.Errorf("run %d: position %d out of range [0,%d)", r.ID, pos, r.count)
+	}
+	pg, err := r.values.Pin(r.values.PageOf(pos))
 	if err != nil {
 		return types.Entry{}, err
 	}
-	return types.DecodeEntry(rec)
+	defer pg.Release()
+	return types.DecodeEntry(pg.Records[int(pos%int64(r.values.PerPage()))*types.EntrySize:])
 }
 
 // ProveRange builds an MHT range proof over value-file positions [lo, hi].
@@ -664,22 +718,19 @@ func (r *Run) ProveRange(lo, hi int64) (*mht.RangeProof, error) {
 }
 
 // IOStats reports cumulative page reads on the value and index files.
+// The index half is zero: the index is resident from Open on.
 func (r *Run) IOStats() (value, index pagefile.IOStats) {
-	return r.values.Stats(), r.index.Stats()
+	return r.values.Stats(), pagefile.IOStats{}
 }
 
 // Close releases all file handles.
 func (r *Run) Close() error {
 	err1 := r.values.Close()
-	err2 := r.index.Close()
-	err3 := r.merkle.Close()
+	err2 := r.merkle.Close()
 	if err1 != nil {
 		return err1
 	}
-	if err2 != nil {
-		return err2
-	}
-	return err3
+	return err2
 }
 
 // Remove closes the run and deletes its files (level-merge cleanup).

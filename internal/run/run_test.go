@@ -42,6 +42,16 @@ func buildRun(t *testing.T, entries []types.Entry, params Params) *Run {
 	return r
 }
 
+// get is what the engine does per run: probe the Bloom filter, then
+// search for the version of addr active at blk (types.MaxBlock = latest).
+func get(r *Run, addr types.Address, blk uint64) (e types.Entry, pos int64, found, skipped bool, err error) {
+	if !r.MayContain(addr) {
+		return types.Entry{}, 0, false, true, nil
+	}
+	e, pos, found, err = r.SearchAt(addr, blk)
+	return e, pos, found, false, err
+}
+
 func TestBuildAndGetEveryAddress(t *testing.T) {
 	entries := genEntries(1, 500, 6)
 	r := buildRun(t, entries, Params{Fanout: 4})
@@ -52,7 +62,7 @@ func TestBuildAndGetEveryAddress(t *testing.T) {
 		latest[e.Key.Addr] = e
 	}
 	for addr, want := range latest {
-		e, pos, found, skipped, err := r.Get(addr)
+		e, pos, found, skipped, err := get(r, addr, types.MaxBlock)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +83,7 @@ func TestGetAbsentAddress(t *testing.T) {
 	r := buildRun(t, entries, Params{Fanout: 4})
 	miss := 0
 	for i := 1000; i < 1200; i++ {
-		e, _, found, skipped, err := r.Get(types.AddressFromUint64(uint64(i)))
+		e, _, found, skipped, err := get(r, types.AddressFromUint64(uint64(i)), types.MaxBlock)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +118,7 @@ func TestGetAtHistoricalVersions(t *testing.T) {
 		{40, 40, true}, {1000, 40, true},
 	}
 	for _, c := range cases {
-		e, _, found, _, err := r.GetAt(addr, c.q)
+		e, _, found, _, err := get(r, addr, c.q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +205,7 @@ func TestReopenRun(t *testing.T) {
 	if r2.Digest() != digest || r2.MHTRoot() != root {
 		t.Fatal("digests changed across reopen")
 	}
-	e, _, found, _, err := r2.Get(entries[0].Key.Addr)
+	e, _, found, _, err := get(r2, entries[0].Key.Addr, types.MaxBlock)
 	if err != nil || !found {
 		t.Fatalf("reopened run lookup failed: %v", err)
 	}
@@ -512,7 +522,7 @@ func TestSingleEntryRun(t *testing.T) {
 	addr := types.AddressFromUint64(6)
 	entries := []types.Entry{{Key: types.CompoundKey{Addr: addr, Blk: 3}, Value: types.ValueFromUint64(9)}}
 	r := buildRun(t, entries, Params{Fanout: 2})
-	e, _, found, _, err := r.Get(addr)
+	e, _, found, _, err := get(r, addr, types.MaxBlock)
 	if err != nil || !found || e != entries[0] {
 		t.Fatalf("single entry get: %v %v %v", e, found, err)
 	}

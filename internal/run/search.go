@@ -3,38 +3,18 @@ package run
 import (
 	"fmt"
 
+	"cole/internal/bloom"
 	"cole/internal/mht"
+	"cole/internal/pagefile"
 	"cole/internal/pla"
 	"cole/internal/types"
 )
 
-// Get searches the run for the latest version of addr (Algorithm 7 with
-// Kq = ⟨addr, max_int⟩). skipped reports a Bloom-filter miss (the run was
-// not touched). found reports whether any version of addr exists here.
-func (r *Run) Get(addr types.Address) (e types.Entry, pos int64, found, skipped bool, err error) {
-	if !r.filter.MayContain(addr) {
-		return types.Entry{}, 0, false, true, nil
-	}
-	e, pos, ok, err := r.predecessor(types.MaxKeyFor(addr))
-	if err != nil || !ok || e.Key.Addr != addr {
-		return types.Entry{}, 0, false, false, err
-	}
-	return e, pos, true, false, nil
-}
-
-// GetAt searches the run for the version of addr active at block height
-// blk (the newest version with Key.Blk ≤ blk).
-func (r *Run) GetAt(addr types.Address, blk uint64) (e types.Entry, pos int64, found, skipped bool, err error) {
-	if !r.filter.MayContain(addr) {
-		return types.Entry{}, 0, false, true, nil
-	}
-	e, pos, ok, err := r.SearchAt(addr, blk)
-	return e, pos, ok, false, err
-}
-
-// SearchAt is GetAt without the Bloom probe: the engine's read path
-// consults MayContain itself (to count filter skips) and then descends
-// the learned index directly, avoiding a second round of filter hashing.
+// SearchAt finds the version of addr active at block height blk (the
+// newest with Key.Blk ≤ blk; types.MaxBlock asks for the latest) by
+// descending the learned index. It does not consult the Bloom filter: the
+// engine's read path probes MayContain itself, to count filter skips and
+// to hash the address once for the whole run list.
 func (r *Run) SearchAt(addr types.Address, blk uint64) (types.Entry, int64, bool, error) {
 	e, pos, ok, err := r.predecessor(types.CompoundKey{Addr: addr, Blk: blk})
 	if err != nil || !ok || e.Key.Addr != addr {
@@ -43,41 +23,36 @@ func (r *Run) SearchAt(addr types.Address, blk uint64) (types.Entry, int64, bool
 	return e, pos, true, nil
 }
 
-// predecessor locates the entry with the largest key ≤ kq using the
-// learned index: binary search on the top-layer page, then model-guided
-// descent touching at most two or three pages per layer (Algorithm 7).
+// predecessor locates the entry with the largest key ≤ kq (Algorithm 7):
+// binary search on the top model layer, then per layer one prediction and
+// a search of the ±ε window around it — all over the resident index —
+// and at the bottom at most two value pages.
 func (r *Run) predecessor(kq types.CompoundKey) (types.Entry, int64, bool, error) {
 	if kq.Cmp(r.minKey) < 0 {
 		return types.Entry{}, 0, false, nil
 	}
-	perPage := int64(r.index.PerPage())
-
-	// Top layer: exactly one page.
-	top := r.layers[len(r.layers)-1]
-	data, valid, err := r.modelsPage(top, top.StartPage)
-	if err != nil {
-		return types.Entry{}, 0, false, err
-	}
-	model, _, ok := pla.SearchPage(data, valid, kq)
-	if !ok {
-		// kq ≥ minKey implies the first model covers it; defensive only.
-		return types.Entry{}, 0, false, nil
-	}
-
-	// Descend through the lower model layers.
-	for li := len(r.layers) - 1; li >= 1; li-- {
-		target := r.layers[li-1]
-		pred := model.Predict(kq) // global record slot in the index file
-		page := clamp(pred/perPage, target.StartPage, target.StartPage+target.Pages-1)
-		model, err = r.findModel(target, page, kq)
-		if err != nil {
-			return types.Entry{}, 0, false, err
+	// Every layer's first anchor is minKey ≤ kq (loadIndex), so the top
+	// layer always has a predecessor.
+	li := len(r.models) - 1
+	layer := r.models[li]
+	i := searchModels(layer, 0, len(layer)-1, kq)
+	// A key between two trained keys can be predicted one slot past ε.
+	window := int64(pagefile.Epsilon(r.params.PageSize, pla.ModelSize)) + 1
+	perPage := int64(pagefile.PerPage(r.params.PageSize, pla.ModelSize))
+	for ; li >= 1; li-- {
+		below := r.models[li-1]
+		// Upper models predict global record slots of the index file; the
+		// layer below starts on a page boundary.
+		at := clamp(layer[i].Predict(kq)-r.layers[li-1].StartPage*perPage, 0, int64(len(below)-1))
+		lo, hi := int(max(at-window, 0)), int(min(at+window, int64(len(below)-1)))
+		i = searchModels(below, lo, hi, kq)
+		if i < 0 || (i == hi && hi+1 < len(below) && below[hi+1].KMin.Cmp(kq) <= 0) {
+			return types.Entry{}, 0, false, r.epsilonViolation(li, kq)
 		}
+		layer = below
 	}
 
-	// Bottom layer model → value file position.
-	pred := model.Predict(kq)
-	e, pos, ok, err := r.findEntry(pred, kq)
+	e, pos, ok, err := r.findEntry(layer[i].Predict(kq), kq)
 	if err == nil && ok && r.params.VerifyReads {
 		err = r.verifyEntry(e, pos)
 	}
@@ -85,6 +60,32 @@ func (r *Run) predecessor(kq types.CompoundKey) (types.Entry, int64, bool, error
 		return types.Entry{}, 0, false, err
 	}
 	return e, pos, ok, nil
+}
+
+// searchModels returns the index of the rightmost model of layer[lo..hi]
+// with KMin ≤ kq, or −1.
+func searchModels(layer []pla.Model, lo, hi int, kq types.CompoundKey) int {
+	found := -1
+	for lo <= hi {
+		mid := (lo + hi) / 2
+		if layer[mid].KMin.Cmp(kq) <= 0 {
+			found = mid
+			lo = mid + 1
+		} else {
+			hi = mid - 1
+		}
+	}
+	return found
+}
+
+// epsilonViolation is the error of a search that did not find kq's
+// predecessor where a model of the given index layer promised it: the
+// model's slope or intercept is damaged, and since no digest covers the
+// .idx file the search itself is the only check. Serving "not found"
+// instead would silently answer from an older run.
+func (r *Run) epsilonViolation(layer int, kq types.CompoundKey) error {
+	return types.NewCorrupt(indexPath(r.dir, r.ID), -1,
+		fmt.Sprintf("run %d: a layer-%d model predicts %v outside its error bound", r.ID, layer, kq))
 }
 
 // verifyEntry checks an entry read from the value file against its
@@ -103,130 +104,72 @@ func (r *Run) verifyEntry(e types.Entry, pos int64) error {
 	return nil
 }
 
-// modelsPage reads an index page and returns its raw records plus the
-// number of valid models on it (layer padding slots are excluded).
-func (r *Run) modelsPage(layer layerMeta, page int64) ([]byte, int, error) {
-	data, _, err := r.index.PageRecords(page)
-	if err != nil {
-		return nil, 0, err
-	}
-	perPage := int64(r.index.PerPage())
-	valid := layer.Models - (page-layer.StartPage)*perPage
-	if valid > perPage {
-		valid = perPage
-	}
-	if valid < 1 {
-		return nil, 0, types.NewCorrupt(indexPath(r.dir, r.ID), page,
-			fmt.Sprintf("run %d: page %d outside layer models", r.ID, page))
-	}
-	return data, int(valid), nil
-}
-
-// findModel locates the rightmost model with kmin ≤ kq near the predicted
-// page within a layer. The learned bound keeps the true model within one
-// page of the prediction, so at most two extra page reads occur.
-func (r *Run) findModel(layer layerMeta, page int64, kq types.CompoundKey) (pla.Model, error) {
-	first := layer.StartPage
-	last := layer.StartPage + layer.Pages - 1
-	data, valid, err := r.modelsPage(layer, page)
-	if err != nil {
-		return pla.Model{}, err
-	}
-	firstK, err := pla.FirstKMin(data, 0)
-	if err != nil {
-		return pla.Model{}, err
-	}
-	if kq.Less(firstK) {
-		if page == first {
-			return pla.Model{}, types.NewCorrupt(indexPath(r.dir, r.ID), page,
-				fmt.Sprintf("run %d: key %v precedes layer start", r.ID, kq))
-		}
-		page--
-		data, valid, err = r.modelsPage(layer, page)
-		if err != nil {
-			return pla.Model{}, err
-		}
-	} else {
-		lastK, err := pla.FirstKMin(data, valid-1)
-		if err != nil {
-			return pla.Model{}, err
-		}
-		if lastK.Less(kq) && page < last {
-			// Predecessor may sit on the next page.
-			nData, nValid, err := r.modelsPage(layer, page+1)
-			if err != nil {
-				return pla.Model{}, err
-			}
-			nFirst, err := pla.FirstKMin(nData, 0)
-			if err != nil {
-				return pla.Model{}, err
-			}
-			if !kq.Less(nFirst) {
-				data, valid = nData, nValid
-			}
-		}
-	}
-	m, _, ok := pla.SearchPage(data, valid, kq)
-	if !ok {
-		return pla.Model{}, types.NewCorrupt(indexPath(r.dir, r.ID), page,
-			fmt.Sprintf("run %d: model search missed for %v", r.ID, kq))
-	}
-	return m, nil
-}
-
-// findEntry locates the predecessor entry of kq near the predicted value
-// file position.
+// findEntry locates the predecessor entry of kq (≥ the run's minimum key)
+// near the predicted value-file position. ε is half a page, so the entry
+// is on the predicted page or a neighbour: one page is pinned at a time,
+// two are touched at most — three when the hit is the last record of a
+// page reached by stepping right, where the step itself has to be
+// checked against the page after.
 func (r *Run) findEntry(pred int64, kq types.CompoundKey) (types.Entry, int64, bool, error) {
 	perPage := int64(r.values.PerPage())
-	page := clamp(pred/perPage, 0, r.values.NumPages()-1)
+	last := r.values.NumPages() - 1
+	page := clamp(pred/perPage, 0, last)
 
-	data, n, err := r.values.PageRecords(page)
+	e, idx, n, err := r.searchPage(page, kq)
 	if err != nil {
 		return types.Entry{}, 0, false, err
 	}
-	firstK, err := types.DecodeCompoundKey(data)
-	if err != nil {
-		return types.Entry{}, 0, false, types.CorruptFrom(valuePath(r.dir, r.ID), err)
-	}
-	if kq.Less(firstK) {
-		if page == 0 {
-			return types.Entry{}, 0, false, nil
-		}
+	switch {
+	case idx < 0 && page == 0:
+		return types.Entry{}, 0, false, types.NewCorrupt(valuePath(r.dir, r.ID), 0,
+			fmt.Sprintf("run %d: first key is above the run's minimum key", r.ID))
+	case idx < 0:
+		// kq precedes the page: its predecessor ends the page before, or
+		// the model broke its bound.
 		page--
-		data, n, err = r.values.PageRecords(page)
+		if e, idx, _, err = r.searchPage(page, kq); err != nil {
+			return types.Entry{}, 0, false, err
+		}
+		if idx < 0 {
+			return types.Entry{}, 0, false, r.epsilonViolation(0, kq)
+		}
+	case idx == n-1 && page < last:
+		// kq is at or past the page's last key: the predecessor may start
+		// the next page.
+		ne, nidx, nn, err := r.searchPage(page+1, kq)
 		if err != nil {
 			return types.Entry{}, 0, false, err
 		}
-	} else {
-		lastK, err := types.DecodeCompoundKey(data[(n-1)*types.EntrySize:])
-		if err != nil {
-			return types.Entry{}, 0, false, types.CorruptFrom(valuePath(r.dir, r.ID), err)
-		}
-		if lastK.Less(kq) && page < r.values.NumPages()-1 {
-			nData, nN, err := r.values.PageRecords(page + 1)
-			if err != nil {
-				return types.Entry{}, 0, false, err
-			}
-			nFirst, err := types.DecodeCompoundKey(nData)
-			if err != nil {
-				return types.Entry{}, 0, false, types.CorruptFrom(valuePath(r.dir, r.ID), err)
-			}
-			if !kq.Less(nFirst) {
-				data, n = nData, nN
-				page++
+		if nidx >= 0 {
+			page++
+			e, idx = ne, nidx
+			if idx == nn-1 && page < last {
+				if _, after, _, err := r.searchPage(page+1, kq); err != nil {
+					return types.Entry{}, 0, false, err
+				} else if after >= 0 {
+					return types.Entry{}, 0, false, r.epsilonViolation(0, kq)
+				}
 			}
 		}
 	}
-	idx := predecessorInPage(data, n, kq)
-	if idx < 0 {
-		return types.Entry{}, 0, false, nil
-	}
-	e, err := types.DecodeEntry(data[idx*types.EntrySize:])
+	return e, page*perPage + int64(idx), true, nil
+}
+
+// searchPage pins one value page, finds the rightmost entry with key ≤ kq
+// on it and decodes that entry before the pin is dropped. idx is −1 when
+// every key on the page is above kq; n is the page's entry count.
+func (r *Run) searchPage(page int64, kq types.CompoundKey) (e types.Entry, idx, n int, err error) {
+	pg, err := r.values.Pin(page)
 	if err != nil {
-		return types.Entry{}, 0, false, types.CorruptFrom(valuePath(r.dir, r.ID), err)
+		return types.Entry{}, 0, 0, err
 	}
-	lo, _ := r.values.PageBounds(page)
-	return e, lo + int64(idx), true, nil
+	defer pg.Release()
+	if idx = predecessorInPage(pg.Records, pg.N, kq); idx >= 0 {
+		if e, err = types.DecodeEntry(pg.Records[idx*types.EntrySize:]); err != nil {
+			return types.Entry{}, 0, 0, types.CorruptFrom(valuePath(r.dir, r.ID), err)
+		}
+	}
+	return e, idx, pg.N, nil
 }
 
 // predecessorInPage returns the index of the rightmost entry with
@@ -297,10 +240,16 @@ type ProvResult struct {
 // ProvSearch finds the versions of addr within block heights
 // [blkLo, blkHi] and builds the Merkle evidence for them.
 func (r *Run) ProvSearch(addr types.Address, blkLo, blkHi uint64) (*ProvResult, error) {
+	return r.ProvSearchProbe(bloom.NewProbe(addr), addr, blkLo, blkHi)
+}
+
+// ProvSearchProbe is ProvSearch for a caller that walks a run list and
+// hashed addr once (p must be bloom.NewProbe(addr)).
+func (r *Run) ProvSearchProbe(p bloom.Probe, addr types.Address, blkLo, blkHi uint64) (*ProvResult, error) {
 	if blkHi < blkLo {
 		return nil, fmt.Errorf("run: inverted block range [%d,%d]", blkLo, blkHi)
 	}
-	if !r.filter.MayContain(addr) {
+	if !r.filter.MayContainProbe(p) {
 		return &ProvResult{BloomMiss: true}, nil
 	}
 	// Anchor at K_l = ⟨addr, blk_l − 1⟩ (the paper's boundary key): the
@@ -319,25 +268,35 @@ func (r *Run) ProvSearch(addr types.Address, blkLo, blkHi uint64) (*ProvResult, 
 
 	res := &ProvResult{SpanLo: spanLo}
 	pos := spanLo
-	for pos < r.count {
-		e, err := r.EntryAt(pos)
+	perPage := int64(r.values.PerPage())
+	for done := false; !done && pos < r.count; {
+		pg, err := r.values.Pin(pos / perPage)
 		if err != nil {
 			return nil, err
 		}
-		res.Span = append(res.Span, e)
-		if e.Key.Addr == addr {
-			if e.Key.Blk >= blkLo && e.Key.Blk <= blkHi {
-				res.Results = append(res.Results, e)
+		for i := int(pos % perPage); i < pg.N; i++ {
+			e, err := types.DecodeEntry(pg.Records[i*types.EntrySize:])
+			if err != nil {
+				pg.Release()
+				return nil, types.CorruptFrom(valuePath(r.dir, r.ID), err)
 			}
-			if e.Key.Blk < blkLo {
-				res.StopEarly = true
+			res.Span = append(res.Span, e)
+			if e.Key.Addr == addr {
+				if e.Key.Blk >= blkLo && e.Key.Blk <= blkHi {
+					res.Results = append(res.Results, e)
+				}
+				if e.Key.Blk < blkLo {
+					res.StopEarly = true
+				}
 			}
+			if ku.Less(e.Key) {
+				// First entry beyond K_u: right completeness boundary.
+				done = true
+				break
+			}
+			pos++
 		}
-		if ku.Less(e.Key) {
-			// First entry beyond K_u: right completeness boundary.
-			break
-		}
-		pos++
+		pg.Release()
 	}
 	if pos >= r.count {
 		pos = r.count - 1

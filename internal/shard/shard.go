@@ -24,7 +24,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	iofs "io/fs"
 	"path/filepath"
 	"regexp"
@@ -37,6 +36,7 @@ import (
 	"cole/internal/merge"
 	"cole/internal/mht"
 	"cole/internal/obs"
+	"cole/internal/pagefile"
 	"cole/internal/run"
 	"cole/internal/types"
 	"cole/internal/vfs"
@@ -57,15 +57,19 @@ const ShardRootFanout = 4
 // Merkle tree (proofs carry O(log N) siblings) instead of hashed flat.
 var rootDomain = []byte("COLE-SHARD-ROOTS/v2\x00")
 
-// ShardOf routes an address to its owning partition: FNV-1a over the
-// 20 address bytes, mod n. Deterministic across processes and platforms.
+// ShardOf routes an address to its owning partition: 64-bit FNV-1a over
+// the 20 address bytes, mod n. Deterministic across processes and
+// platforms. The loop is inline because every read routes through it:
+// no hasher object, whatever the toolchain makes of hash/fnv's.
 func ShardOf(addr types.Address, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	h := fnv.New64a()
-	h.Write(addr[:])
-	return int(h.Sum64() % uint64(n))
+	h := uint64(14695981039346656037)
+	for _, b := range addr {
+		h = (h ^ uint64(b)) * 1099511628211
+	}
+	return int(h % uint64(n))
 }
 
 // CombineRoots folds per-shard Hstate roots (shard-index order) into the
@@ -92,6 +96,10 @@ type Store struct {
 	// merge jobs run on, so the aggregate merge concurrency is bounded by
 	// Options.MergeWorkers regardless of the shard count.
 	sched *merge.Scheduler
+	// cache is the single page cache every shard's point reads go
+	// through: the store's memory for cached value pages is one
+	// core.PageCacheBytes budget regardless of shard and run counts.
+	cache *pagefile.Cache
 
 	// unlock releases the directory's advisory flock (held from Open to
 	// Close so concurrent opens and offline reshards fail loudly).
@@ -167,7 +175,11 @@ func GenDir(dir string, gen uint64) string { return filepath.Join(dir, genDirNam
 // the engine lives directly in opts.Dir; with more, each shard i lives in
 // opts.Dir/shard-NN. The directory's advisory lock is held until Close,
 // so concurrent opens and offline reshards fail loudly.
-func Open(opts core.Options) (*Store, error) {
+func Open(opts core.Options) (*Store, error) { return open(opts, nil) }
+
+// open is Open over a given page cache (nil = the standard one); tests
+// pass tiny ones to force misses and recycling.
+func open(opts core.Options, cache *pagefile.Cache) (*Store, error) {
 	n := opts.Shards
 	if n < 0 || n > MaxShards {
 		return nil, fmt.Errorf("shard: Shards %d out of range [0,%d]", n, MaxShards)
@@ -231,13 +243,16 @@ func Open(opts core.Options) (*Store, error) {
 		// directories, superseded generation-0 engines) are swept here.
 		sweepStaleGenerations(fsys, opts.Dir, gen)
 	}
-	s := &Store{opts: opts, n: n, gen: gen, sched: merge.New(opts.MergeWorkers), active: make([]bool, n)}
+	if cache == nil {
+		cache = core.NewPageCache(opts.PageSize)
+	}
+	s := &Store{opts: opts, n: n, gen: gen, sched: merge.New(opts.MergeWorkers), cache: cache, active: make([]bool, n)}
 	for i := 0; i < n; i++ {
 		s.allIdx = append(s.allIdx, i)
 		eo := opts
 		eo.Shards = 1
 		eo.Dir = EngineDir(opts.Dir, gen, n, i)
-		e, err := core.OpenWithScheduler(eo, s.sched, i)
+		e, err := core.OpenShared(eo, s.sched, s.cache, i)
 		if err != nil {
 			for _, prev := range s.engines {
 				_ = prev.Close()
@@ -1061,6 +1076,10 @@ func (s *Store) ShardStats() []ShardStat {
 
 // Scheduler exposes the store's shared merge pool.
 func (s *Store) Scheduler() *merge.Scheduler { return s.sched }
+
+// PageCacheBytes reports the memory the store's page cache holds now and
+// the most it will ever hold.
+func (s *Store) PageCacheBytes() (resident, budget int64) { return s.cache.Bytes() }
 
 // FlushAll persists every shard's in-memory level in parallel, for a
 // clean shutdown.
