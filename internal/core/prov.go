@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"cole/internal/bloom"
@@ -119,7 +120,11 @@ func (e *Engine) provInView(v *view, addr types.Address, blkLo, blkHi uint64) ([
 
 	kl := types.ProvLowerKey(addr, blkLo)
 	ku := types.ProvUpperKey(addr, blkHi)
-	proof := &Proof{Addr: addr, BlkLo: blkLo, BlkHi: blkHi}
+	proof := &Proof{
+		Addr: addr, BlkLo: blkLo, BlkHi: blkHi,
+		Mem:  make([]MemPart, 0, len(v.mems)),
+		Runs: make([]RunPart, 0, len(v.runs)),
+	}
 	var versions []Version
 	stopped := false
 	probe := bloom.NewProbe(addr)
@@ -170,9 +175,12 @@ func (e *Engine) provInView(v *view, addr types.Address, blkLo, blkHi uint64) ([
 		}
 	}
 
-	sort.Slice(versions, func(i, j int) bool { return versions[i].Blk > versions[j].Blk })
+	slices.SortFunc(versions, newestFirst)
 	return versions, proof, nil
 }
+
+// newestFirst orders versions by descending block height.
+func newestFirst(a, b Version) int { return cmp.Compare(b.Blk, a.Blk) }
 
 // VerifyProv checks a provenance proof against the published state root
 // digest Hstate and returns the authenticated versions, newest first.
@@ -262,7 +270,7 @@ func VerifyProv(hstate types.Hash, addr types.Address, blkLo, blkHi uint64, proo
 	if types.HashConcat(digests...) != hstate {
 		return nil, fmt.Errorf("core: reconstructed state digest does not match Hstate")
 	}
-	sort.Slice(versions, func(i, j int) bool { return versions[i].Blk > versions[j].Blk })
+	slices.SortFunc(versions, newestFirst)
 	for i := 1; i < len(versions); i++ {
 		if versions[i].Blk == versions[i-1].Blk {
 			return nil, fmt.Errorf("core: duplicate version at block %d", versions[i].Blk)

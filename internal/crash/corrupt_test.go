@@ -3,10 +3,12 @@ package crash
 import (
 	"errors"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"cole/internal/core"
+	"cole/internal/mht"
 	"cole/internal/shard"
 	"cole/internal/types"
 	"cole/internal/vfs"
@@ -50,6 +52,10 @@ func TestCorruptionMatrix(t *testing.T) {
 		off        int64 // chosen inside covered bytes, never padding
 		openFails  bool  // the flip is fatal at reopen (metadata kinds)
 		corruptGet bool  // a VerifyReads lookup must surface ErrCorrupt
+		// upper targets the largest run's Merkle file instead, at a
+		// non-root node of layer 2 (off bytes into it): the resident
+		// layers a provenance proof loads.
+		upper bool
 	}{
 		// Offset 30 lands in the first entry's value bytes: lookups still
 		// find the key, so VerifyReads must catch the lie via the stored
@@ -61,6 +67,7 @@ func TestCorruptionMatrix(t *testing.T) {
 		// run.TestDamagedModelFailsClosed.)
 		{name: "learned-index", shards: 1, suffix: ".idx", off: 0, openFails: true},
 		{name: "merkle-node", shards: 1, suffix: ".mrk", off: 0},
+		{name: "merkle-upper", shards: 1, suffix: ".mrk", off: 7, upper: true},
 		{name: "run-meta", shards: 1, suffix: ".met", off: 0, openFails: true},
 		{name: "engine-manifest", shards: 1, suffix: "MANIFEST", off: 1, openFails: true},
 		{name: "shard-layout", shards: 2, suffix: "SHARDS", off: 1, openFails: true},
@@ -95,9 +102,12 @@ func TestCorruptionMatrix(t *testing.T) {
 			if len(targets) == 0 {
 				t.Fatalf("store has no %s file to corrupt", k.suffix)
 			}
-			target := targets[0]
-			if err := fs.FlipByte(target, k.off); err != nil {
-				t.Fatalf("flip %s@%d: %v", target, k.off, err)
+			target, off := targets[0], k.off
+			if k.upper {
+				target, off = upperNode(t, fs, targets, k.off)
+			}
+			if err := fs.FlipByte(target, off); err != nil {
+				t.Fatalf("flip %s@%d: %v", target, off, err)
 			}
 
 			// The scrub must pinpoint the damaged file, not just notice
@@ -117,6 +127,12 @@ func TestCorruptionMatrix(t *testing.T) {
 			}
 			if !pinned {
 				t.Fatalf("scrub found damage but pinned the wrong file(s): %v (want %s)", findings, target)
+			}
+			if k.upper {
+				for _, verifyReads := range []bool{false, true} {
+					provFailsClosed(t, fs, target, verifyReads)
+				}
+				return
 			}
 
 			s2, err := shard.Open(core.Options{
@@ -181,6 +197,89 @@ func TestCorruptionMatrix(t *testing.T) {
 			}
 		})
 	}
+}
+
+// upperNode picks the largest of a store's Merkle files and returns it
+// with the file offset of byte off of node 1 of its layer 2 — not the
+// root, since the run has more than m² entries.
+func upperNode(t *testing.T, fs *vfs.MemFS, mrks []string, off int64) (string, int64) {
+	t.Helper()
+	const m = 4 // the default Merkle fanout
+	var target string
+	var size int64
+	for _, p := range mrks {
+		st, err := fs.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Size() > size {
+			target, size = p, st.Size()
+		}
+	}
+	n := int64(1)
+	for mht.TotalNodes(mht.LayerCounts(n, m))*types.HashSize < size {
+		n++
+	}
+	if n <= m*m {
+		t.Fatalf("the largest run has %d entries; a non-root layer-2 node needs more than %d", n, m*m)
+	}
+	return target, (mht.LayerOffsets(mht.LayerCounts(n, m))[2]+1)*types.HashSize + off
+}
+
+// provFailsClosed reopens a store whose Merkle file mrk has a damaged
+// upper-layer node and asks every account's provenance over a few
+// windows: each answer must be a typed ErrCorrupt naming mrk, counted in
+// Stats, or a proof that verifies to the schedule's versions — never a
+// proof the client rejects.
+func provFailsClosed(t *testing.T, fs *vfs.MemFS, mrk string, verifyReads bool) {
+	t.Helper()
+	s, err := shard.Open(core.Options{Dir: storeDir, Shards: 1, MemCapacity: 8, FS: fs, VerifyReads: verifyReads})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer func() { _ = s.Close() }()
+	root := s.RootDigest()
+	sawCorrupt := 0
+	for i := 0; i < accounts; i++ {
+		for _, w := range [][2]uint64{{1, blocks}, {1, 4}, {5, 12}, {blocks - 3, blocks}} {
+			_, proof, err := s.Prov(acct(i), w[0], w[1])
+			if err != nil {
+				var ec *types.ErrCorrupt
+				if !errors.As(err, &ec) || filepath.Base(ec.File) != filepath.Base(mrk) {
+					t.Fatalf("VerifyReads=%v Prov(%d, %v): %v, want an ErrCorrupt naming %s", verifyReads, i, w, err, mrk)
+				}
+				sawCorrupt++
+				continue
+			}
+			got, err := proof.Verify(root, acct(i), w[0], w[1])
+			if err != nil {
+				t.Fatalf("VerifyReads=%v Prov(%d, %v) served a proof the client rejects: %v", verifyReads, i, w, err)
+			}
+			if want := versionsIn(acct(i), w[0], w[1]); !slices.Equal(got, want) {
+				t.Fatalf("VerifyReads=%v Prov(%d, %v) = %v, want %v", verifyReads, i, w, got, want)
+			}
+		}
+	}
+	if sawCorrupt == 0 {
+		t.Fatalf("VerifyReads=%v: no provenance query went through the damaged run", verifyReads)
+	}
+	if st := s.Stats(); st.CorruptReads != int64(sawCorrupt) {
+		t.Fatalf("VerifyReads=%v: Stats.CorruptReads = %d, %d queries failed", verifyReads, st.CorruptReads, sawCorrupt)
+	}
+}
+
+// versionsIn replays the schedule: the versions of a written in heights
+// [lo, hi], newest first.
+func versionsIn(a types.Address, lo, hi uint64) []core.Version {
+	var out []core.Version
+	for h := hi; h >= lo; h-- {
+		for _, u := range batchFor(h) {
+			if u.Addr == a {
+				out = append(out, core.Version{Blk: h, Value: u.Value})
+			}
+		}
+	}
+	return out
 }
 
 // runBase strips the extension: two files of the same run share it.

@@ -325,6 +325,58 @@ func TestProveRangeEmptyTree(t *testing.T) {
 	}
 }
 
+// chainProof is a forged proof: depth-1 internal nodes, each with one
+// child whose separator is the smallest key (valid at every level), over
+// a one-entry leaf.
+func chainProof(depth int) *Proof {
+	n := &ProofNode{Leaf: []types.Entry{{Key: rawKey(1, 1), Value: val(1)}}}
+	for i := 1; i < depth; i++ {
+		n = &ProofNode{Children: []ProofChild{{MinKey: types.CompoundKey{}, Node: n}}}
+	}
+	return &Proof{Lo: rawKey(0, 0), Hi: rawKey(2, 0), Root: n}
+}
+
+// proofDepth is the number of levels of a proof's deepest path.
+func proofDepth(n *ProofNode) int {
+	d := 0
+	for _, c := range n.Children {
+		d = max(d, proofDepth(c.Node))
+	}
+	return d + 1
+}
+
+// TestReconstructRangeBoundsDepth: a proof deeper than maxProofDepth is
+// refused before it is walked — a deep enough chain would otherwise
+// exhaust the verifier's stack — while one at the bound is walked, and
+// the deepest honest tree the tests build (minimum fanout, many entries)
+// stays far below it and verifies.
+func TestReconstructRangeBoundsDepth(t *testing.T) {
+	if _, _, err := ReconstructRange(chainProof(maxProofDepth + 1)); err == nil {
+		t.Fatalf("a %d-level chain was walked", maxProofDepth+1)
+	}
+	if _, _, err := ReconstructRange(chainProof(1 << 16)); err == nil {
+		t.Fatal("a 65 536-level chain was walked")
+	}
+	if _, _, err := ReconstructRange(chainProof(maxProofDepth)); err != nil {
+		t.Fatalf("a %d-level chain was refused: %v", maxProofDepth, err)
+	}
+
+	tr, _ := New(3)
+	for i := uint64(0); i < 20000; i++ {
+		tr.Insert(rawKey(i, i), val(i))
+	}
+	_, proof, err := tr.ProveRange(rawKey(0, 0), rawKey(20000, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := proofDepth(proof.Root); d < 9 || d > maxProofDepth {
+		t.Fatalf("a fanout-3 tree of 20 000 entries proves %d levels deep", d)
+	}
+	if got, err := VerifyRange(tr.RootHash(), proof); err != nil || len(got) != 20000 {
+		t.Fatalf("deepest honest proof: %d entries, %v", len(got), err)
+	}
+}
+
 func TestProveRangeInvertedRejected(t *testing.T) {
 	tr, _ := New(4)
 	tr.Insert(key(1, 1), val(1))

@@ -122,7 +122,7 @@ func ReconstructRange(p *Proof) (types.Hash, []types.Entry, error) {
 		lastKey *types.CompoundKey
 	)
 	upper := types.CompoundKey{Addr: types.Address{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, Blk: types.MaxBlock}
-	h, err := verifyNode(p.Root, p.Lo, p.Hi, types.CompoundKey{}, upper, &results, &lastKey)
+	h, err := verifyNode(p.Root, 1, p.Lo, p.Hi, types.CompoundKey{}, upper, &results, &lastKey)
 	if err != nil {
 		return types.Hash{}, nil, err
 	}
@@ -142,10 +142,22 @@ func VerifyRange(rootHash types.Hash, p *Proof) ([]types.Entry, error) {
 	return results, nil
 }
 
-// verifyNode recomputes the node digest. ivLo/ivHi bound the keys this
-// subtree may contain (from ancestors' separator keys); pruned subtrees
-// are rejected if those bounds intersect the query range.
-func verifyNode(n *ProofNode, lo, hi, ivLo, ivHi types.CompoundKey, results *[]types.Entry, lastKey **types.CompoundKey) (types.Hash, error) {
+// maxProofDepth bounds the levels of a proof ReconstructRange walks. A
+// B+-tree of fanout ≥ 3 splits full nodes in half, so a tree of n entries
+// is at most log2(n) + 1 levels deep: 64 levels is more than any tree
+// holds. A deeper proof is a forgery, and refusing it before descending
+// keeps an untrusted chain of single-child nodes from exhausting the
+// verifier's stack — a fatal error no recover can catch.
+const maxProofDepth = 64
+
+// verifyNode recomputes the digest of the node at the given depth (the
+// root is 1). ivLo/ivHi bound the keys this subtree may contain (from
+// ancestors' separator keys); pruned subtrees are rejected if those
+// bounds intersect the query range.
+func verifyNode(n *ProofNode, depth int, lo, hi, ivLo, ivHi types.CompoundKey, results *[]types.Entry, lastKey **types.CompoundKey) (types.Hash, error) {
+	if depth > maxProofDepth {
+		return types.Hash{}, fmt.Errorf("mbtree: proof deeper than %d levels", maxProofDepth)
+	}
 	switch {
 	case n.Pruned != nil:
 		// The subtree's keys lie in [ivLo, ivHi) (ivHi is the next
@@ -179,7 +191,7 @@ func verifyNode(n *ProofNode, lo, hi, ivLo, ivHi types.CompoundKey, results *[]t
 			if childLo.Cmp(ivLo) < 0 || childHi.Cmp(ivHi) > 0 {
 				return types.Hash{}, fmt.Errorf("mbtree: child interval escapes parent bounds")
 			}
-			h, err := verifyNode(c.Node, lo, hi, childLo, childHi, results, lastKey)
+			h, err := verifyNode(c.Node, depth+1, lo, hi, childLo, childHi, results, lastKey)
 			if err != nil {
 				return types.Hash{}, err
 			}

@@ -13,11 +13,24 @@
 // boundary groups; verification recomputes the root. Because value file and
 // Merkle file share positions, a provenance scan's results are proven by
 // the positions of its first and last entries (§6.2).
+//
+// A File proves from two sources. Layers 0 and 1 stay on disk and cost a
+// proof one read each, of just the boundary-group nodes it needs. Layers
+// 2 and up — at most n/(m(m−1)) + log_m n hashes, ≈ 2.7 B/entry at
+// fanout 4 — are loaded by the first proof that needs them, in one read
+// of the file's tail, and kept for the File's lifetime. They are
+// validated before they are served (every node above layer 2 must hash
+// its children and the top must be the committed root); damage is an
+// ErrCorrupt naming the file and nothing is kept, so the next proof
+// retries the load.
 package mht
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"os"
+	"sync"
 	"sync/atomic"
 
 	"cole/internal/types"
@@ -54,6 +67,19 @@ func TotalNodes(counts []int64) int64 {
 		t += c
 	}
 	return t
+}
+
+// boundaryGroups returns the node range a range proof covers at one
+// layer for the span [l, h] of that layer: from the first node of l's
+// group to the last node of h's group (the layer's last node when that
+// group is the short one).
+func boundaryGroups(count int64, m, l, h int64) (start, end int64) {
+	start = (l / m) * m
+	end = (h/m)*m + m - 1
+	if end >= count {
+		end = count - 1
+	}
+	return start, end
 }
 
 // DefaultWriteBufferBytes is the per-layer coalescing budget of a Writer
@@ -257,6 +283,11 @@ func (w *Writer) Abort() {
 	_ = w.fs.Remove(w.path)
 }
 
+// residentFrom is the lowest layer a File keeps in memory. Layer i holds
+// ⌈n/m^i⌉ nodes, so from layer 2 up the resident share is at most
+// n/(m(m−1)) + log_m n hashes; layer 1 alone would add n/m more.
+const residentFrom = 2
+
 // File reads a Merkle file produced by Writer.
 type File struct {
 	f       vfs.File
@@ -265,20 +296,31 @@ type File struct {
 	n       int64
 	counts  []int64
 	offsets []int64
+	root    types.Hash // the committed root; zero when unknown
+
+	// upper holds layers residentFrom and up in file order, published
+	// once loaded and validated; proofs read it without a lock. loadMu
+	// only serialises the loads, so concurrent first proofs read the
+	// file's tail once.
+	upper  atomic.Pointer[[]byte]
+	loadMu sync.Mutex
 
 	// hashReads is atomic: proof building runs on the engine's lock-free
 	// read path, where any number of readers share one File.
 	hashReads atomic.Int64
 }
 
-// Open is OpenFS on the real filesystem.
+// Open is OpenFS on the real filesystem, with no committed root to check
+// the resident layers' top against.
 func Open(path string, n int64, m int) (*File, error) {
-	return OpenFS(nil, path, n, m)
+	return OpenFS(nil, path, n, m, types.Hash{})
 }
 
 // OpenFS opens a Merkle file on fsys (nil = the real filesystem) for n
-// leaves with fanout m.
-func OpenFS(fsys vfs.FS, path string, n int64, m int) (*File, error) {
+// leaves with fanout m. root is the root the file was committed with (a
+// run's .met root); the resident layers are checked against it when they
+// load. The zero hash checks them for internal consistency only.
+func OpenFS(fsys vfs.FS, path string, n int64, m int, root types.Hash) (*File, error) {
 	fsys = vfs.OrOS(fsys)
 	if m < 2 || n < 1 {
 		return nil, fmt.Errorf("mht: invalid geometry n=%d m=%d", n, m)
@@ -297,7 +339,7 @@ func OpenFS(fsys vfs.FS, path string, n int64, m int) (*File, error) {
 		_ = f.Close()
 		return nil, fmt.Errorf("mht: %s has %d bytes, need %d", path, st.Size(), TotalNodes(counts)*types.HashSize)
 	}
-	return &File{f: f, path: path, m: m, n: n, counts: counts, offsets: LayerOffsets(counts)}, nil
+	return &File{f: f, path: path, m: m, n: n, counts: counts, offsets: LayerOffsets(counts), root: root}, nil
 }
 
 // Layers returns the number of MHT layers.
@@ -324,7 +366,10 @@ func (r *File) Root() (types.Hash, error) {
 	return r.NodeHash(len(r.counts)-1, 0)
 }
 
-// HashReads returns how many node hashes were fetched (IO accounting).
+// HashReads returns how many reads NodeHash and ProveRange issued (IO
+// accounting): one per NodeHash, at most one per on-disk layer of a
+// proof, and one for the resident layers' load. LeafStream's windows are
+// not counted.
 func (r *File) HashReads() int64 { return r.hashReads.Load() }
 
 // LeafReader streams the bottom-layer leaf hashes through a private
@@ -385,8 +430,11 @@ func (l *LeafReader) At(i int64) (types.Hash, error) {
 	return h, nil
 }
 
-// Close releases the file handle.
-func (r *File) Close() error { return r.f.Close() }
+// Close releases the file handle and the resident layers.
+func (r *File) Close() error {
+	r.upper.Store(nil)
+	return r.f.Close()
+}
 
 // RangeProof authenticates the leaves at positions [Lo, Hi] of an n-leaf
 // m-ary MHT. Per layer it carries the sibling hashes to the left of the
@@ -411,46 +459,163 @@ func (p *RangeProof) Size() int {
 	return nh*types.HashSize + 8*3 + 4 + 2*len(p.Left)
 }
 
-// ProveRange builds a range proof for leaf positions [lo, hi].
+// ProveRange builds a range proof for leaf positions [lo, hi]: siblings
+// on layers 0 and 1 cost one read per layer, those above come from the
+// resident layers (loaded by the first proof that needs them). Every
+// sibling is copied into one array the proof owns.
 func (r *File) ProveRange(lo, hi int64) (*RangeProof, error) {
 	if lo < 0 || hi < lo || hi >= r.n {
 		return nil, fmt.Errorf("mht: bad range [%d,%d] of %d leaves", lo, hi, r.n)
 	}
 	p := &RangeProof{N: r.n, M: r.m, Lo: lo, Hi: hi}
+	layers := len(r.counts) - 1 // the root layer carries no siblings
+	if layers == 0 {
+		return p, nil
+	}
+	var upper []byte
+	if layers > residentFrom {
+		var err error
+		if upper, err = r.resident(); err != nil {
+			return nil, err
+		}
+	}
+	m := int64(r.m)
+	var total int64
+	for layer, l, h := 0, lo, hi; layer < layers; layer, l, h = layer+1, l/m, h/m {
+		start, end := boundaryGroups(r.counts[layer], m, l, h)
+		total += l - start + end - h
+	}
+	siblings := make([]types.Hash, total)
+	p.Left, p.Right = make([][]types.Hash, layers), make([][]types.Hash, layers)
 	l, h := lo, hi
-	for layer := 0; layer < len(r.counts)-1; layer++ {
-		groupStart := (l / int64(r.m)) * int64(r.m)
-		groupEnd := (h/int64(r.m))*int64(r.m) + int64(r.m) - 1
-		if groupEnd >= r.counts[layer] {
-			groupEnd = r.counts[layer] - 1
-		}
-		var left, right []types.Hash
-		for i := groupStart; i < l; i++ {
-			hh, err := r.NodeHash(layer, i)
-			if err != nil {
+	for layer := 0; layer < layers; layer++ {
+		start, end := boundaryGroups(r.counts[layer], m, l, h)
+		nl, nr := l-start, end-h
+		// Full slice expressions: appending to one layer's siblings must
+		// not overwrite the next.
+		left, right := siblings[:nl:nl], siblings[nl:nl+nr:nl+nr]
+		siblings = siblings[nl+nr:]
+		switch {
+		case nl+nr == 0:
+		case layer >= residentFrom:
+			at := r.offsets[layer] - r.offsets[residentFrom]
+			copyHashes(left, upper[(at+start)*types.HashSize:])
+			copyHashes(right, upper[(at+h+1)*types.HashSize:])
+		default:
+			if err := r.readSiblings(layer, start, end, l, h, left, right); err != nil {
 				return nil, err
 			}
-			left = append(left, hh)
 		}
-		for i := h + 1; i <= groupEnd; i++ {
-			hh, err := r.NodeHash(layer, i)
-			if err != nil {
-				return nil, err
-			}
-			right = append(right, hh)
+		// An empty side stays nil, so proofs match the per-node reference
+		// prover field for field.
+		if nl > 0 {
+			p.Left[layer] = left
 		}
-		p.Left = append(p.Left, left)
-		p.Right = append(p.Right, right)
-		l /= int64(r.m)
-		h /= int64(r.m)
+		if nr > 0 {
+			p.Right[layer] = right
+		}
+		l /= m
+		h /= m
 	}
 	return p, nil
+}
+
+// readBufs recycles the byte buffers on-disk sibling reads land in.
+var readBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// readSiblings fills left and right — the nodes [start, l) and (h, end]
+// of an on-disk layer — with one read of the nodes between the first and
+// the last of them.
+func (r *File) readSiblings(layer int, start, end, l, h int64, left, right []types.Hash) error {
+	first, last := start, end
+	if len(left) == 0 {
+		first = h + 1
+	}
+	if len(right) == 0 {
+		last = l - 1
+	}
+	bp := readBufs.Get().(*[]byte)
+	defer readBufs.Put(bp)
+	size := int(last-first+1) * types.HashSize
+	if cap(*bp) < size {
+		*bp = make([]byte, size)
+	}
+	buf := (*bp)[:size]
+	if _, err := r.f.ReadAt(buf, (r.offsets[layer]+first)*types.HashSize); err != nil {
+		return fmt.Errorf("mht: read layer %d nodes [%d,%d] of %s: %w", layer, first, last, r.path, err)
+	}
+	r.hashReads.Add(1)
+	copyHashes(left, buf)
+	if len(right) > 0 {
+		copyHashes(right, buf[(h+1-first)*types.HashSize:])
+	}
+	return nil
+}
+
+// copyHashes fills dst from consecutive hash records of src.
+func copyHashes(dst []types.Hash, src []byte) {
+	for i := range dst {
+		copy(dst[i][:], src[i*types.HashSize:])
+	}
+}
+
+// resident returns layers residentFrom and up, loading them on first use.
+// A failed load — an I/O error or a validation failure — publishes
+// nothing, so the next proof tries again.
+func (r *File) resident() ([]byte, error) {
+	if u := r.upper.Load(); u != nil {
+		return *u, nil
+	}
+	r.loadMu.Lock()
+	defer r.loadMu.Unlock()
+	if u := r.upper.Load(); u != nil {
+		return *u, nil
+	}
+	base := r.offsets[residentFrom]
+	buf := make([]byte, (TotalNodes(r.counts)-base)*types.HashSize)
+	if _, err := r.f.ReadAt(buf, base*types.HashSize); err != nil {
+		return nil, fmt.Errorf("mht: read layers %d and up of %s: %w", residentFrom, r.path, err)
+	}
+	r.hashReads.Add(1)
+	if err := r.checkResident(buf); err != nil {
+		return nil, err
+	}
+	r.upper.Store(&buf)
+	return buf, nil
+}
+
+// checkResident validates loaded upper layers before they are served:
+// every node above the lowest resident layer must be the hash of its
+// children, and the top must be the committed root. A damaged node of
+// any resident layer fails one of the two — its parent's check, or, for
+// the root, the comparison with the committed one.
+func (r *File) checkResident(buf []byte) error {
+	base := r.offsets[residentFrom]
+	m := int64(r.m)
+	for layer := residentFrom + 1; layer < len(r.counts); layer++ {
+		children := r.offsets[layer-1] - base
+		for i := int64(0); i < r.counts[layer]; i++ {
+			lo, hi := children+i*m, children+min((i+1)*m, r.counts[layer-1])
+			at := (r.offsets[layer] - base + i) * types.HashSize
+			sum := sha256.Sum256(buf[lo*types.HashSize : hi*types.HashSize])
+			if !bytes.Equal(sum[:], buf[at:at+types.HashSize]) {
+				return types.NewCorrupt(r.path, r.offsets[layer]+i,
+					fmt.Sprintf("layer %d node %d is not the hash of its children", layer, i))
+			}
+		}
+	}
+	if top := buf[len(buf)-types.HashSize:]; r.root != (types.Hash{}) && !bytes.Equal(top, r.root[:]) {
+		return types.NewCorrupt(r.path, TotalNodes(r.counts)-1, "root does not match the committed root")
+	}
+	return nil
 }
 
 // VerifyRange recomputes the root from the claimed leaf hashes of
 // positions [proof.Lo, proof.Hi] and the proof's flanking siblings.
 // It returns the reconstructed root; the caller compares it against the
-// authenticated root (e.g. from root_hash_list / Hstate).
+// authenticated root (e.g. from root_hash_list / Hstate). Two byte
+// buffers serve every layer: the covered nodes, and the parents hashed
+// from them.
 func VerifyRange(proof *RangeProof, leaves []types.Hash) (types.Hash, error) {
 	if proof.N < 1 || proof.M < 2 {
 		return types.Hash{}, fmt.Errorf("mht: corrupt proof geometry n=%d m=%d", proof.N, proof.M)
@@ -461,46 +626,50 @@ func VerifyRange(proof *RangeProof, leaves []types.Hash) (types.Hash, error) {
 	if int64(len(leaves)) != proof.Hi-proof.Lo+1 {
 		return types.Hash{}, fmt.Errorf("mht: %d leaf hashes for range [%d,%d]", len(leaves), proof.Lo, proof.Hi)
 	}
-	counts := LayerCounts(proof.N, proof.M)
-	if len(proof.Left) != len(counts)-1 || len(proof.Right) != len(counts)-1 {
-		return types.Hash{}, fmt.Errorf("mht: proof has %d layers, want %d", len(proof.Left), len(counts)-1)
-	}
 	m := int64(proof.M)
-	cur := leaves
-	l, h := proof.Lo, proof.Hi
-	for layer := 0; layer < len(counts)-1; layer++ {
-		groupStart := (l / m) * m
-		groupEnd := (h/m)*m + m - 1
-		if groupEnd >= counts[layer] {
-			groupEnd = counts[layer] - 1
-		}
-		if int64(len(proof.Left[layer])) != l-groupStart ||
-			int64(len(proof.Right[layer])) != groupEnd-h {
+	layers := 0 // len(LayerCounts(N, M)) - 1, without the slice
+	for c := proof.N; c > 1; c = (c + m - 1) / m {
+		layers++
+	}
+	if len(proof.Left) != layers || len(proof.Right) != layers {
+		return types.Hash{}, fmt.Errorf("mht: proof has %d layers, want %d", len(proof.Left), layers)
+	}
+	cur := make([]byte, 0, len(leaves)*types.HashSize)
+	for i := range leaves {
+		cur = append(cur, leaves[i][:]...)
+	}
+	var span []byte
+	count, l, h := proof.N, proof.Lo, proof.Hi
+	for layer := 0; layer < layers; layer++ {
+		start, end := boundaryGroups(count, m, l, h)
+		left, right := proof.Left[layer], proof.Right[layer]
+		if int64(len(left)) != l-start || int64(len(right)) != end-h {
 			return types.Hash{}, fmt.Errorf("mht: layer %d sibling count mismatch", layer)
 		}
-		// Assemble the full covered node span [groupStart, groupEnd].
-		span := make([]types.Hash, 0, groupEnd-groupStart+1)
-		span = append(span, proof.Left[layer]...)
-		span = append(span, cur...)
-		span = append(span, proof.Right[layer]...)
-		// Hash each complete (possibly short, if last) group into parents.
-		var parents []types.Hash
-		for gs := groupStart; gs <= groupEnd; gs += m {
-			ge := gs + m - 1
-			if ge > groupEnd {
-				ge = groupEnd
-			}
-			grp := span[gs-groupStart : ge-groupStart+1]
-			parents = append(parents, types.HashConcat(grp...))
+		// The covered nodes [start, end]; start is group-aligned, so every
+		// m nodes of span (the last group possibly short) hash to a parent.
+		span = span[:0]
+		for i := range left {
+			span = append(span, left[i][:]...)
 		}
-		cur = parents
+		span = append(span, cur...)
+		for i := range right {
+			span = append(span, right[i][:]...)
+		}
+		cur = cur[:0]
+		nodes := int64(len(span) / types.HashSize)
+		for g := int64(0); g < nodes; g += m {
+			parent := sha256.Sum256(span[g*types.HashSize : min(g+m, nodes)*types.HashSize])
+			cur = append(cur, parent[:]...)
+		}
+		count = (count + m - 1) / m
 		l /= m
 		h /= m
 	}
-	if len(cur) != 1 {
-		return types.Hash{}, fmt.Errorf("mht: verification converged to %d nodes", len(cur))
+	if len(cur) != types.HashSize {
+		return types.Hash{}, fmt.Errorf("mht: verification converged to %d nodes", len(cur)/types.HashSize)
 	}
-	return cur[0], nil
+	return types.Hash(cur), nil
 }
 
 // ProveRangeOf builds a range proof for leaf positions [lo, hi] of an
@@ -521,13 +690,9 @@ func ProveRangeOf(leaves []types.Hash, m int, lo, hi int64) (*RangeProof, error)
 	layer := leaves
 	l, h := lo, hi
 	for li := 0; li < len(counts)-1; li++ {
-		groupStart := (l / int64(m)) * int64(m)
-		groupEnd := (h/int64(m))*int64(m) + int64(m) - 1
-		if groupEnd >= counts[li] {
-			groupEnd = counts[li] - 1
-		}
-		p.Left = append(p.Left, append([]types.Hash(nil), layer[groupStart:l]...))
-		p.Right = append(p.Right, append([]types.Hash(nil), layer[h+1:groupEnd+1]...))
+		start, end := boundaryGroups(counts[li], int64(m), l, h)
+		p.Left = append(p.Left, append([]types.Hash(nil), layer[start:l]...))
+		p.Right = append(p.Right, append([]types.Hash(nil), layer[h+1:end+1]...))
 		next := make([]types.Hash, 0, counts[li+1])
 		for i := int64(0); i < counts[li]; i += int64(m) {
 			j := i + int64(m)

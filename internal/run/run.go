@@ -490,7 +490,7 @@ func Open(dir string, id uint64, params Params) (*Run, error) {
 	if err != nil {
 		return nil, types.CorruptFrom(valuePath(dir, id), err)
 	}
-	merkle, err := mht.OpenFS(params.FS, merklePath(dir, id), meta.Count, meta.Fanout)
+	merkle, err := mht.OpenFS(params.FS, merklePath(dir, id), meta.Count, meta.Fanout, meta.Root)
 	if err != nil {
 		_ = values.Close()
 		return nil, types.CorruptFrom(merklePath(dir, id), err)

@@ -2,6 +2,7 @@ package run
 
 import (
 	"fmt"
+	"slices"
 
 	"cole/internal/bloom"
 	"cole/internal/mht"
@@ -274,7 +275,12 @@ func (r *Run) ProvSearchProbe(p bloom.Probe, addr types.Address, blkLo, blkHi ui
 		if err != nil {
 			return nil, err
 		}
-		for i := int(pos % perPage); i < pg.N; i++ {
+		// The span's share of this page ends at the first key past K_u:
+		// one binary search sizes Span before a single entry is decoded.
+		first := int(pos % perPage)
+		last := min(predecessorInPage(pg.Records, pg.N, ku)+1, pg.N-1)
+		res.Span = slices.Grow(res.Span, max(last, first)-first+1)
+		for i := first; i < pg.N; i++ {
 			e, err := types.DecodeEntry(pg.Records[i*types.EntrySize:])
 			if err != nil {
 				pg.Release()
@@ -353,7 +359,7 @@ func ReconstructProv(addr types.Address, blkLo, blkHi uint64, res *ProvResult) (
 	if res.SpanHi != res.Proof.N-1 && !ku.Less(res.Span[len(res.Span)-1].Key) {
 		return types.Hash{}, nil, fmt.Errorf("run: span may omit results on the right")
 	}
-	var out []types.Entry
+	out := make([]types.Entry, 0, len(res.Results))
 	for _, e := range res.Span {
 		if e.Key.Addr == addr && e.Key.Blk >= blkLo && e.Key.Blk <= blkHi {
 			out = append(out, e)
