@@ -1,7 +1,5 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out:
 //
-//   - PLA construction: greedy shrinking-cone (default, O(1) state)
-//     vs the paper's exact convex-hull method (fewer models, buffered);
 //   - Bloom filters: read cost with and without run filters;
 //   - Page size: the ε = records/page/2 trade-off between prediction
 //     slack and page fan-in;
@@ -16,7 +14,6 @@ import (
 	"sort"
 	"testing"
 
-	"cole/internal/pla"
 	"cole/internal/run"
 	"cole/internal/types"
 )
@@ -48,77 +45,24 @@ func ablationEntries(n int) []types.Entry {
 	return dedup
 }
 
-// BenchmarkAblationPLABuilders compares segment counts and build speed of
-// the two ε-bounded PLA constructions on the same stream.
-func BenchmarkAblationPLABuilders(b *testing.B) {
-	entries := ablationEntries(200_000)
-	const eps = 34
-	for _, variant := range []struct {
-		name string
-		mk   func(emit func(pla.Model) error) (interface {
-			Add(types.CompoundKey, int64) error
-			Finish() error
-		}, error)
-	}{
-		{"greedy", func(emit func(pla.Model) error) (interface {
-			Add(types.CompoundKey, int64) error
-			Finish() error
-		}, error) {
-			return pla.NewBuilder(eps, emit)
-		}},
-		{"optimal", func(emit func(pla.Model) error) (interface {
-			Add(types.CompoundKey, int64) error
-			Finish() error
-		}, error) {
-			return pla.NewOptimalBuilder(eps, emit)
-		}},
-	} {
-		b.Run(variant.name, func(b *testing.B) {
-			var models int
+// BenchmarkAblationRunBuild measures end-to-end run construction (value +
+// index + Merkle files) at three Merkle fanouts.
+func BenchmarkAblationRunBuild(b *testing.B) {
+	entries := ablationEntries(50_000)
+	for _, m := range []int{2, 4, 16} {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			var models int64
 			for i := 0; i < b.N; i++ {
-				models = 0
-				builder, err := variant.mk(func(pla.Model) error { models++; return nil })
+				dir := b.TempDir()
+				r, err := run.Build(dir, 1, int64(len(entries)), run.Params{Fanout: m}, run.NewSliceIterator(entries))
 				if err != nil {
 					b.Fatal(err)
 				}
-				for j, e := range entries {
-					if err := builder.Add(e.Key, int64(j)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := builder.Finish(); err != nil {
-					b.Fatal(err)
-				}
+				models = r.Models()
+				r.Close()
 			}
 			b.ReportMetric(float64(models), "models")
-			b.ReportMetric(float64(len(entries))/float64(models), "keys/model")
 		})
-	}
-}
-
-// BenchmarkAblationRunBuild measures end-to-end run construction (value +
-// index + Merkle files) under both PLA variants and two Merkle fanouts.
-func BenchmarkAblationRunBuild(b *testing.B) {
-	entries := ablationEntries(50_000)
-	for _, optimal := range []bool{false, true} {
-		for _, m := range []int{2, 4, 16} {
-			name := fmt.Sprintf("pla=%s/m=%d", map[bool]string{false: "greedy", true: "optimal"}[optimal], m)
-			b.Run(name, func(b *testing.B) {
-				var models int64
-				for i := 0; i < b.N; i++ {
-					dir := b.TempDir()
-					r, err := run.Build(dir, 1, int64(len(entries)),
-						run.Params{Fanout: m, OptimalPLA: optimal},
-						run.NewSliceIterator(entries))
-					if err != nil {
-						b.Fatal(err)
-					}
-					models = r.Models()
-					r.Close()
-				}
-				b.ReportMetric(float64(models), "models")
-			})
-		}
 	}
 }
 

@@ -9,7 +9,7 @@
 //	colebench -exp mergesched -merge-workers 8
 //	colebench -exp readscale -readers 8
 //	colebench -exp workloads -duration 5s -conc 8 -shards 4
-//	colebench -exp stalls -duration 5s -pacing-target 8388608
+//	colebench -exp stalls -duration 5s
 //	colebench -exp all -json results.json
 //
 // Experiments: fig9 fig10 fig11 fig12 fig13 fig14 fig15 table1
@@ -20,9 +20,6 @@
 // shardscale (and the reshard target sweep) it sets the top of the
 // power-of-two sweep. -merge-workers W bounds the
 // shared background merge pool (for mergesched: the top of its sweep);
-// -merge-partitions W fans each level merge across W key-range spans of
-// the shared pool (0 auto-sizes by merge volume; output runs are
-// byte-identical at any width);
 // -readers R sets the top of readscale's reader-goroutine sweep; -batch
 // routes each block through the batched write pipeline (off by default
 // so the paper-replication figures keep the paper's per-Put methodology;
@@ -41,12 +38,10 @@
 // -shards adds a sharded column next to the single-store one.
 //
 // The stalls experiment measures commit tail latency under a sustained
-// open-loop write stream across {unpaced, paced} for both COLE systems
-// on a one-worker merge pool: paced cells apply compaction-debt
-// backpressure (-pacing-target overrides the auto-sized debt level,
-// -rate the calibrated arrival rate). A digest-identity pass first
-// proves both cells of a system commit byte-identical per-block Hstate
-// digests.
+// open-loop write stream for both COLE systems on a one-worker merge
+// pool with a fine preemption quantum (-rate overrides the calibrated
+// arrival rate). A digest-identity pass first proves each cell's options
+// commit the per-block Hstate digests of default options.
 package main
 
 import (
@@ -75,7 +70,6 @@ func main() {
 		shards   = flag.Int("shards", 0, "COLE shard count (shardscale: top of the 1,2,4,... sweep)")
 		readers  = flag.Int("readers", 0, "readscale: top of the 1,2,4,... reader-goroutine sweep (default 8)")
 		workers  = flag.Int("merge-workers", 0, "shared merge worker budget, 0 = GOMAXPROCS (mergesched: top of the 1,2,4,... sweep)")
-		mergePar = flag.Int("merge-partitions", 0, "key-range partitions per level merge: 1 = sequential, 0 = auto-size by merge volume (byte-identical output at any width)")
 		batch    = flag.Bool("batch", false, "apply each block's writes as one PutBatch (COLE systems only; shardscale/mergesched always batch)")
 		jsonOut  = flag.String("json", "", "also write a machine-readable report (tables + raw measurements) to this path")
 		scratch  = flag.String("scratch", "", "scratch directory (default: system temp)")
@@ -85,7 +79,6 @@ func main() {
 		conc     = flag.Int("conc", 0, "workloads: concurrent reader goroutines (default 4)")
 		keys     = flag.Int("keys", 0, "workloads: key population (default: the scale preset's record count)")
 		rate     = flag.Float64("rate", 0, "workloads/stalls: target arrival rate in ops/s (0 = closed loop; stalls calibrates its own)")
-		paceTgt  = flag.Int64("pacing-target", 0, "stalls: compaction-debt bytes at which ingest pacing reaches full delay (0 = auto-size from memcap)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile per experiment to <path>-<exp><ext>")
 		memProf  = flag.String("memprofile", "", "write a post-experiment heap profile per experiment to <path>-<exp><ext>")
 		traceOut = flag.String("trace-out", "", "attach the lifecycle tracer to every store and write per-experiment Chrome traces to <path>-<exp><ext> (+ JSONL next to each)")
@@ -123,7 +116,6 @@ func main() {
 		cfg.Shards = *shards
 	}
 	cfg.MergeWorkers = *workers
-	cfg.MergePartitions = *mergePar
 	cfg.Batched = *batch
 	cfg.Seed = *seed
 	if *duration > 0 {
@@ -139,7 +131,6 @@ func main() {
 		cfg.Keys = *keys
 	}
 	cfg.Rate = *rate
-	cfg.PacingTarget = *paceTgt
 	prov.ScratchDir = *scratch
 
 	// The tracer must be in cfg before any experiment block runs: the

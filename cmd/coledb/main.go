@@ -310,15 +310,14 @@ func main() {
 		fmt.Printf("page cache:  %d of %d KiB resident; %d value pages read, %d hits (%.1f%% hit rate; indexes are resident, merges bypass the cache)\n",
 			resident>>10, budget>>10, st.PageReads, st.CacheHits, hitRate)
 		// Commit-tail health: mean vs worst commit shows whether checkpoint
-		// stalls ever formed, and the stall/pace split shows whether the
-		// wait was eaten as a cliff (stall) or amortized by ingest pacing.
+		// stalls ever formed.
 		meanCommit := time.Duration(0)
 		if st.Commits > 0 {
 			meanCommit = time.Duration(st.CommitNanos / st.Commits)
 		}
-		fmt.Printf("commit tail: %d commits, mean %s, worst %s; stalled %s, paced %s, %d merge preemptions\n",
+		fmt.Printf("commit tail: %d commits, mean %s, worst %s; stalled %s, %d merge preemptions\n",
 			st.Commits, meanCommit, time.Duration(st.MaxCommitNanos),
-			time.Duration(st.StallNanos), time.Duration(st.PaceNanos), st.Preemptions)
+			time.Duration(st.StallNanos), st.Preemptions)
 		fmt.Printf("Hstate:      %s\n", store.RootDigest())
 		if shards := store.ShardStats(); len(shards) > 1 {
 			var totalE, totalB, maxE, maxB int64

@@ -98,10 +98,9 @@ type Stats = core.Stats
 type OpHists = core.OpHists
 
 // Tracer is a fixed-size, lock-free ring of engine lifecycle events
-// (flush/merge/commit phases, pacing sleeps, preemptions, view
-// publishes). Set one on Options.Trace to record a run, then export it
-// with WriteJSONL or WriteChromeTrace (the latter opens in Perfetto /
-// chrome://tracing). A single tracer may be shared by every shard of a
+// (flush/merge/commit phases, preemptions, view publishes). Set one on
+// Options.Trace to record a run, then export it with WriteJSONL or
+// WriteChromeTrace (the latter opens in Perfetto / chrome://tracing). A single tracer may be shared by every shard of a
 // store; events carry the recording shard. When the ring fills, further
 // events are dropped and counted (Stats.TraceDropped), never
 // overwritten.

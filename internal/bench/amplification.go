@@ -82,8 +82,6 @@ func statsDelta(base, now core.Stats) core.Stats {
 	now.Commits -= base.Commits
 	now.CommitNanos -= base.CommitNanos
 	now.StallNanos -= base.StallNanos
-	now.PaceNanos -= base.PaceNanos
-	now.PaceSleeps -= base.PaceSleeps
 	now.Preemptions -= base.Preemptions
 	now.PageReads -= base.PageReads
 	now.CacheHits -= base.CacheHits

@@ -56,22 +56,12 @@ type SystemSpec struct {
 	// systems (0 = GOMAXPROCS); the budget spans every level of every
 	// shard.
 	MergeWorkers int
-	// MergePartitions is COLE's intra-merge key-range fan-out (core
-	// Options.MergePartitions): 1 sequential, 0 auto-sized by merge
-	// volume. Purely a wall-time knob — run files are byte-identical at
-	// every width.
-	MergePartitions int
 	// Batched routes each block's writes through the batched pipeline
 	// (chain.Batched → PutBatch) instead of per-update Put calls.
 	// Digests are identical either way.
 	Batched bool
-	// PacingTarget is the compaction-debt level (bytes of in-flight merge
-	// input) at which ingest backpressure reaches its full per-block
-	// delay; 0 disables pacing. The stalls experiment's paced cells
-	// auto-size it from MemCap when the knob is unset.
-	PacingTarget int64
 	// Trace, when set, records engine lifecycle events (flushes, merge
-	// chunks, preemptions, pacing sleeps, commit phases) into the given
+	// chunks, preemptions, commit phases) into the given
 	// ring for post-run export; nil (the default) keeps the recording
 	// branches disabled. The COLE systems thread it into every engine
 	// they open; the baselines ignore it.
@@ -244,8 +234,7 @@ type Result struct {
 	// inside merge builds, and PageReads / CacheHits the point-read
 	// page-cache totals (physical reads vs LRU hits), which merges bypass
 	// and so stay intact under heavy compaction. MergePartitions is the
-	// key-range fan-out the row ran with (set on the partition-sweep rows
-	// and any engine phase with the knob set).
+	// key-range fan-out of a partition-sweep row.
 	MergePartitions int     `json:",omitempty"`
 	MergeBytes      int64   `json:",omitempty"`
 	MergeMBps       float64 `json:",omitempty"`
@@ -262,19 +251,14 @@ type Result struct {
 	ReadLat   *hist.Summary  `json:",omitempty"`
 	CommitLat *hist.Summary  `json:",omitempty"`
 	Amp       *Amplification `json:",omitempty"`
-	// Stall measurements (the stalls experiment): Pacing names the matrix
-	// cell ("paced"/"unpaced"), PacingTarget the debt level the paced
-	// cells ran with, Rate the open-loop arrival rate in ops/s, and the
-	// counters are the engine's own session totals — time commits spent
-	// blocked on unfinished merges (StallNanos), time the pacer injected
-	// ahead of writes (PaceNanos), the worst single commit
-	// (MaxCommitNanos), and how often chunked merges handed their worker
-	// slot to more urgent work (Preemptions).
-	Pacing         string  `json:",omitempty"`
-	PacingTarget   int64   `json:",omitempty"`
+	// Stall measurements (the stalls experiment): Rate is the open-loop
+	// arrival rate in ops/s, and the counters are the engine's own
+	// session totals — time commits spent blocked on unfinished merges
+	// (StallNanos), the worst single commit (MaxCommitNanos), and how
+	// often chunked merges handed their worker slot to more urgent work
+	// (Preemptions).
 	Rate           float64 `json:",omitempty"`
 	StallNanos     int64   `json:",omitempty"`
-	PaceNanos      int64   `json:",omitempty"`
 	MaxCommitNanos int64   `json:",omitempty"`
 	Preemptions    int64   `json:",omitempty"`
 	blockLats      []time.Duration
@@ -295,16 +279,15 @@ func openSystem(sys System, dir string, cfg Config) (*backendHandle, error) {
 	switch sys {
 	case SysCOLE, SysCOLEAsync:
 		b, err := chain.OpenCole(core.Options{
-			Dir:             dir,
-			MemCapacity:     cfg.MemCap,
-			SizeRatio:       cfg.SizeRatio,
-			Fanout:          cfg.Fanout,
-			BloomFP:         cfg.BloomFP,
-			AsyncMerge:      sys == SysCOLEAsync,
-			Shards:          cfg.Shards,
-			MergeWorkers:    cfg.MergeWorkers,
-			MergePartitions: cfg.MergePartitions,
-			Trace:           cfg.Trace,
+			Dir:          dir,
+			MemCapacity:  cfg.MemCap,
+			SizeRatio:    cfg.SizeRatio,
+			Fanout:       cfg.Fanout,
+			BloomFP:      cfg.BloomFP,
+			AsyncMerge:   sys == SysCOLEAsync,
+			Shards:       cfg.Shards,
+			MergeWorkers: cfg.MergeWorkers,
+			Trace:        cfg.Trace,
 		})
 		if err != nil {
 			return nil, err

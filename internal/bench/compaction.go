@@ -241,14 +241,13 @@ func compactionRun(sys System, cfg Config, scratch string) (Result, error) {
 		memCap = total / 8
 	}
 	opts := core.Options{
-		Dir:             dir,
-		MemCapacity:     memCap,
-		SizeRatio:       cfg.SizeRatio,
-		Fanout:          cfg.Fanout,
-		BloomFP:         cfg.BloomFP,
-		AsyncMerge:      sys == SysCOLEAsync,
-		MergeWorkers:    cfg.MergeWorkers,
-		MergePartitions: cfg.MergePartitions,
+		Dir:          dir,
+		MemCapacity:  memCap,
+		SizeRatio:    cfg.SizeRatio,
+		Fanout:       cfg.Fanout,
+		BloomFP:      cfg.BloomFP,
+		AsyncMerge:   sys == SysCOLEAsync,
+		MergeWorkers: cfg.MergeWorkers,
 	}
 	e, err := core.Open(opts)
 	if err != nil {
@@ -261,7 +260,7 @@ func compactionRun(sys System, cfg Config, scratch string) (Result, error) {
 	for i := range addrs {
 		addrs[i] = types.AddressFromUint64(uint64(i))
 	}
-	res := Result{System: sys, Workload: "compaction", MergePartitions: cfg.MergePartitions, Blocks: cfg.Blocks, Txs: total}
+	res := Result{System: sys, Workload: "compaction", Blocks: cfg.Blocks, Txs: total}
 	upd := make([]types.Update, cfg.TxPerBlock)
 	start := time.Now()
 	for b := 1; b <= cfg.Blocks; b++ {

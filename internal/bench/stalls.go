@@ -12,15 +12,6 @@ import (
 	"cole/internal/workload"
 )
 
-// pacingLabel names a cell of the stalls matrix by whether ingest pacing
-// is on.
-func pacingLabel(paced bool) string {
-	if paced {
-		return "paced"
-	}
-	return "unpaced"
-}
-
 // stallChunk is the experiment's preemption quantum: a quarter of a flush
 // volume — fine enough that even a level-1 merge of these small stores
 // reaches several checkpoints, coarse enough that checkpoint overhead
@@ -36,8 +27,7 @@ func stallChunk(memCap int) int {
 // defaults apart from the store shape the harness was configured with,
 // the stallChunk quantum, and a narrow merge pool — the experiment's
 // point: commits must compete with compaction for the same workers.
-// Paced cells add the debt target.
-func stallOptions(dir string, cfg Config, sys System, paced bool, target int64, memCap int) cole.Options {
+func stallOptions(dir string, cfg Config, sys System, memCap int) cole.Options {
 	o := cole.Options{
 		Dir:          dir,
 		MemCapacity:  memCap,
@@ -51,34 +41,17 @@ func stallOptions(dir string, cfg Config, sys System, paced bool, target int64, 
 	if o.MergeWorkers == 0 {
 		o.MergeWorkers = 1
 	}
-	if paced {
-		o.PacingTarget = target
-	}
 	return o
 }
 
-// stallPacingTarget picks the debt level for the paced cells: an explicit
-// cfg.PacingTarget wins, else 16 level-1 merge volumes — roughly one
-// deep merge's worth of backlog. The target has to sit between two
-// failure modes: near one routine L1 merge it throttles healthy
-// steady-state ingest with multi-millisecond delays and pushes the
-// paced tail up instead of down, while far above the deep-merge volume
-// the pacer never engages and commits eat the backlog as stalls.
-func stallPacingTarget(cfg Config) int64 {
-	if cfg.PacingTarget > 0 {
-		return cfg.PacingTarget
-	}
-	return 16 * int64(cfg.MemCap) * types.EntrySize * int64(cfg.SizeRatio)
-}
-
-// stallIdentity proves pacing is digest-transparent: the same
-// deterministic block sequence driven through the unpaced and the paced
-// cell of one system must commit byte-identical per-block Hstate digests
-// — pacing moves time, and the preemptions it provokes move merge
-// scheduling, but neither may move a single hash. A deliberately tiny L0
-// (and with it a tiny chunk quantum) makes the sequence cascade and
-// checkpoint constantly.
-func stallIdentity(cfg Config, sys System, target int64, scratch string) error {
+// stallIdentity proves the cell's scheduling is digest-transparent: the
+// same deterministic block sequence driven through default Options and
+// through the cell's options (stallChunk quantum, narrow pool) must
+// commit byte-identical per-block Hstate digests — the quantum and the
+// preemptions it allows move merge scheduling, never a hash. A
+// deliberately tiny L0 (and with it a tiny chunk quantum) makes the
+// sequence cascade and checkpoint constantly.
+func stallIdentity(cfg Config, sys System, scratch string) error {
 	const (
 		memCap   = 64
 		blocks   = 64
@@ -89,19 +62,23 @@ func stallIdentity(cfg Config, sys System, target int64, scratch string) error {
 		db  cole.DB
 		dir string
 	}
-	var runs []cellRun // unpaced, then paced
+	var runs []cellRun // default options, then the cell's
 	defer func() {
 		for _, cr := range runs {
 			_ = cr.db.Close()
 			cleanup(cr.dir)
 		}
 	}()
-	for _, paced := range []bool{false, true} {
+	for i := 0; i < 2; i++ {
 		dir, err := tempDir(scratch, "stalls-id")
 		if err != nil {
 			return err
 		}
-		db, err := cole.Open(stallOptions(dir, cfg, sys, paced, target, memCap))
+		o := stallOptions(dir, cfg, sys, memCap)
+		if i == 0 {
+			o.MergeWorkers, o.MergeChunk = 0, 0 // the engine's defaults
+		}
+		db, err := cole.Open(o)
 		if err != nil {
 			cleanup(dir)
 			return err
@@ -138,7 +115,7 @@ func stallIdentity(cfg Config, sys System, target int64, scratch string) error {
 			if i == 0 {
 				ref = root
 			} else if root != ref {
-				return fmt.Errorf("stalls: %s block %d: paced digest %s != unpaced digest %s", sys, h, root, ref)
+				return fmt.Errorf("stalls: %s block %d: digest %s at quantum %d != %s at default options", sys, h, root, stallChunk(memCap), ref)
 			}
 		}
 	}
@@ -146,12 +123,11 @@ func stallIdentity(cfg Config, sys System, target int64, scratch string) error {
 }
 
 // stallRate calibrates the open-loop arrival rate: an explicit cfg.Rate
-// wins, else a short closed-loop probe of the unpaced COLE* cell measures
-// raw write capacity and the matrix runs at 60% of it — fast enough that
+// wins, else a short closed-loop probe of the COLE* cell measures raw
+// write capacity and the experiment runs at 60% of it — fast enough that
 // merge debt accumulates and commit checkpoints land on unfinished
-// merges, slow enough that a paced engine can absorb the backpressure
-// without falling behind on throughput.
-func stallRate(cfg Config, spec workload.Spec, target int64, scratch string) (float64, error) {
+// merges, slow enough that the engine keeps up on throughput.
+func stallRate(cfg Config, spec workload.Spec, scratch string) (float64, error) {
 	if cfg.Rate > 0 {
 		return cfg.Rate, nil
 	}
@@ -170,7 +146,7 @@ func stallRate(cfg Config, spec workload.Spec, target int64, scratch string) (fl
 		return 0, err
 	}
 	defer cleanup(dir)
-	db, err := cole.Open(stallOptions(dir, cfg, SysCOLEAsync, false, target, cfg.MemCap))
+	db, err := cole.Open(stallOptions(dir, cfg, SysCOLEAsync, cfg.MemCap))
 	if err != nil {
 		return 0, err
 	}
@@ -187,25 +163,22 @@ func stallRate(cfg Config, spec workload.Spec, target int64, scratch string) (fl
 }
 
 // StallBench is the tail-latency experiment behind `colebench -exp
-// stalls`: a sustained open-loop write run through {unpaced, paced} for
-// both COLE systems, reporting the commit-latency ladder
-// (p50/p99/p99.9/max) plus the engine's own stall, pacing, and preemption
-// counters. All cells of one system share the same arrival rate, so their
-// mean throughput is comparable and the ladder isolates the tail. Before
-// the clock starts, a digest-identity pass proves both cells commit
-// byte-identical per-block Hstate digests on a shared deterministic block
-// sequence.
+// stalls`: a sustained open-loop write run through both COLE systems,
+// reporting the commit-latency ladder (p50/p99/p99.9/max) plus the
+// engine's own stall and preemption counters. Both cells share the same
+// arrival rate, so their mean throughput is comparable and the ladder
+// isolates the tail. Before the clock starts, a digest-identity pass
+// proves each cell's options commit the per-block Hstate digests of
+// default Options on a shared deterministic block sequence.
 func StallBench(cfg Config, scratch string) (*Table, error) {
 	cfg = cfg.Defaults()
-	target := stallPacingTarget(cfg)
 
 	t := &Table{
-		Title: "Stalls: open-loop commit tail latency, unpaced vs paced ingest",
-		Columns: []string{"system", "pacing", "blocks", "ops/s",
-			"commit p50", "p99", "p99.9", "max", "stall", "paced", "preempts"},
+		Title: "Stalls: open-loop commit tail latency",
+		Columns: []string{"system", "blocks", "ops/s",
+			"commit p50", "p99", "p99.9", "max", "stall", "preempts"},
 		Notes: []string{
-			fmt.Sprintf("paced cells ramp to full per-block delay at %d bytes of compaction debt", target),
-			"stall = time commits spent blocked on unfinished merges; paced = delay the pacer injected ahead of writes",
+			"stall = time commits spent blocked on unfinished merges",
 		},
 	}
 
@@ -230,13 +203,13 @@ func StallBench(cfg Config, scratch string) (*Table, error) {
 
 	systems := []System{SysCOLE, SysCOLEAsync}
 	for _, sys := range systems {
-		if err := stallIdentity(cfg, sys, target, scratch); err != nil {
+		if err := stallIdentity(cfg, sys, scratch); err != nil {
 			return nil, err
 		}
 	}
-	t.Notes = append(t.Notes, "digest identity: the paced and unpaced cells commit byte-identical per-block Hstate digests (verified)")
+	t.Notes = append(t.Notes, "digest identity: each cell's options commit the per-block Hstate digests of default Options (verified)")
 
-	rate, err := stallRate(cfg, spec, target, scratch)
+	rate, err := stallRate(cfg, spec, scratch)
 	if err != nil {
 		return nil, err
 	}
@@ -247,44 +220,29 @@ func StallBench(cfg Config, scratch string) (*Table, error) {
 	// verified against the engine's own counters (cfg.Trace set).
 	traceChecked := 0
 	for _, sys := range systems {
-		var unpacedP999 time.Duration
-		for _, paced := range []bool{false, true} {
-			res, checked, err := stallCell(cfg, sys, paced, target, spec, scratch)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", sys, pacingLabel(paced), err)
-			}
-			if checked {
-				traceChecked++
-			}
-			t.Results = append(t.Results, res)
-			t.Rows = append(t.Rows, []string{
-				string(sys), res.Pacing,
-				fmt.Sprint(res.Blocks), fmt.Sprintf("%.0f", res.TPS),
-				latCell(res.CommitLat, func(s *hist.Summary) time.Duration { return s.P50 }),
-				latCell(res.CommitLat, func(s *hist.Summary) time.Duration { return s.P99 }),
-				latCell(res.CommitLat, func(s *hist.Summary) time.Duration { return s.P999 }),
-				latCell(res.CommitLat, func(s *hist.Summary) time.Duration { return s.Max }),
-				fmtDur(time.Duration(res.StallNanos)),
-				fmtDur(time.Duration(res.PaceNanos)),
-				fmt.Sprint(res.Preemptions),
-			})
-			if res.CommitLat == nil {
-				continue
-			}
-			if !paced {
-				unpacedP999 = res.CommitLat.P999
-			} else if p := res.CommitLat.P999; unpacedP999 > 0 && p > 0 {
-				t.Notes = append(t.Notes, fmt.Sprintf(
-					"%s: p99.9 commit %s paced vs %s unpaced (unpaced/paced = %.1fx)",
-					sys, p.Round(time.Microsecond), unpacedP999.Round(time.Microsecond),
-					float64(unpacedP999)/float64(p)))
-			}
+		res, checked, err := stallCell(cfg, sys, spec, scratch)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", sys, err)
 		}
+		if checked {
+			traceChecked++
+		}
+		t.Results = append(t.Results, res)
+		t.Rows = append(t.Rows, []string{
+			string(sys),
+			fmt.Sprint(res.Blocks), fmt.Sprintf("%.0f", res.TPS),
+			latCell(res.CommitLat, func(s *hist.Summary) time.Duration { return s.P50 }),
+			latCell(res.CommitLat, func(s *hist.Summary) time.Duration { return s.P99 }),
+			latCell(res.CommitLat, func(s *hist.Summary) time.Duration { return s.P999 }),
+			latCell(res.CommitLat, func(s *hist.Summary) time.Duration { return s.Max }),
+			fmtDur(time.Duration(res.StallNanos)),
+			fmt.Sprint(res.Preemptions),
+		})
 	}
 	if traceChecked > 0 {
 		t.Notes = append(t.Notes, fmt.Sprintf(
-			"trace verification: preempt/pace event counts matched Stats.Preemptions/PaceSleeps on %d/%d timed cells",
-			traceChecked, 2*len(systems)))
+			"trace verification: preempt event counts matched Stats.Preemptions on %d/%d timed cells",
+			traceChecked, len(systems)))
 	}
 	return t, nil
 }
@@ -292,7 +250,7 @@ func StallBench(cfg Config, scratch string) (*Table, error) {
 // stallCell runs one timed cell on a fresh store. checked reports that
 // the cell's trace event counts were verified against the engine's own
 // counters (cfg.Trace set and the ring lost nothing).
-func stallCell(cfg Config, sys System, paced bool, target int64, spec workload.Spec, scratch string) (res Result, checked bool, err error) {
+func stallCell(cfg Config, sys System, spec workload.Spec, scratch string) (res Result, checked bool, err error) {
 	dir, err := tempDir(scratch, "stalls")
 	if err != nil {
 		return res, false, err
@@ -300,12 +258,11 @@ func stallCell(cfg Config, sys System, paced bool, target int64, spec workload.S
 	defer cleanup(dir)
 	// Only the timed cells are traced: the identity pass and the rate
 	// probe would otherwise fill the ring with events no one exports.
-	o := stallOptions(dir, cfg, sys, paced, target, cfg.MemCap)
+	o := stallOptions(dir, cfg, sys, cfg.MemCap)
 	o.Trace = cfg.Trace
-	var preemptBase, paceBase, dropBase int64
+	var preemptBase, dropBase int64
 	if cfg.Trace != nil {
 		preemptBase = cfg.Trace.CountType(obs.EvMergePreempt)
-		paceBase = cfg.Trace.CountType(obs.EvPace)
 		dropBase = cfg.Trace.Dropped()
 	}
 	db, err := cole.Open(o)
@@ -327,16 +284,12 @@ func stallCell(cfg Config, sys System, paced bool, target int64, spec workload.S
 		if got := cfg.Trace.CountType(obs.EvMergePreempt) - preemptBase; got != st.Preemptions {
 			return res, false, fmt.Errorf("%d preempt trace events, %d Stats.Preemptions", got, st.Preemptions)
 		}
-		if got := cfg.Trace.CountType(obs.EvPace) - paceBase; got != st.PaceSleeps {
-			return res, false, fmt.Errorf("%d pace trace events, %d Stats.PaceSleeps", got, st.PaceSleeps)
-		}
 		checked = true
 	}
 	st := r.stats
 	res = Result{
 		System:         sys,
 		Workload:       Workload(spec.Label()),
-		Pacing:         pacingLabel(paced),
 		Rate:           spec.Rate,
 		Blocks:         int(r.blocks),
 		Txs:            int(r.writeOps),
@@ -344,12 +297,8 @@ func stallCell(cfg Config, sys System, paced bool, target int64, spec workload.S
 		WriteOps:       r.writeOps,
 		CommitLat:      r.commitLat.Summary(),
 		StallNanos:     st.StallNanos,
-		PaceNanos:      st.PaceNanos,
 		MaxCommitNanos: st.MaxCommitNanos,
 		Preemptions:    st.Preemptions,
-	}
-	if paced {
-		res.PacingTarget = target
 	}
 	if secs := r.elapsed.Seconds(); secs > 0 {
 		res.TPS = float64(r.writeOps) / secs

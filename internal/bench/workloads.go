@@ -22,7 +22,7 @@ type openLoopResult struct {
 	commitLat hist.Hist
 	amp       Amplification
 	// stats is the engine counter snapshot taken right before the final
-	// FlushAll, so stall/pace/commit counters describe the driven run,
+	// FlushAll, so stall/commit counters describe the driven run,
 	// not the shutdown join of whatever merges were still in flight.
 	stats cole.Stats
 }

@@ -84,8 +84,8 @@ func TestEngineGoldenStreamingVsReference(t *testing.T) {
 			const blocks = 60 // several cascades deep at MemCapacity 32, T 2
 
 			refOpts := testOpts(t, async)
-			refOpts.MergePartitions = 1
 			ref := openEngine(t, refOpts)
+			ref.fixedMergeWidth = 1
 			refRoots := driveBlocks(t, ref, blocks)
 
 			streamOpts := testOpts(t, async)

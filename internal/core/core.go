@@ -104,13 +104,6 @@ type Options struct {
 	// `coledb -async`, every colebench experiment's COLE* rows, and the
 	// benchmark's node_mixed workload.
 	AsyncMerge bool
-	// OptimalPLA builds run indexes with the exact convex-hull segment
-	// construction (the paper's Algorithm 2) instead of the default
-	// greedy cone; the on-disk format is identical. Paper-ablation knob:
-	// ablation_bench_test.go measures both builders at the run layer, and
-	// no caller turns it on for a store (reshard only forwards its own
-	// option).
-	OptimalPLA bool
 	// Shards is the number of independent engine partitions the address
 	// space is hash-split across; 0 adopts the count the directory was
 	// created with (1 for a fresh one). Consumed by the store layer
@@ -137,18 +130,6 @@ type Options struct {
 	// `-exp stalls` (B/4, so even an L1 merge reaches several
 	// checkpoints on its small stores).
 	MergeChunk int
-	// PacingTarget is the compaction-debt level, in bytes, at which
-	// ingest pacing reaches full strength. Debt is the entry volume of
-	// all in-flight background merges (work the structure owes before it
-	// is caught up); while debt is nonzero, Commit and PutBatch absorb a
-	// delay that grows smoothly (quadratically) with debt/target, capped
-	// at paceMaxDelay. This converts the rare multi-second commit stall
-	// (a checkpoint landing on an unfinished cascade, Stats.StallNanos)
-	// into many sub-millisecond delays (Stats.PaceNanos). 0 disables
-	// pacing (the default). A reasonable target is a few cascades' worth
-	// of bytes: MemCapacity × EntrySize × SizeRatio. Set by the paced
-	// cells of `-exp stalls` (`-pacing-target`).
-	PacingTarget int64
 	// SortedBatch makes PutBatch bulk-load the L0 MB-tree: the deduped
 	// batch is sorted by address and inserted through the tree's sorted
 	// fast path (one descent per leaf instead of one per key). The tree's
@@ -160,25 +141,8 @@ type Options struct {
 	// (mbtree.insert_sorted_ns vs insert_ns in BENCH_11_layers.json), kept
 	// until a format bump can make it the only one (ROADMAP item 4).
 	SortedBatch bool
-	// MergePartitions bounds how many key-range spans one level merge is
-	// cut into and fanned across the merge pool. 1 keeps merges
-	// sequential; 0 (the default) sizes each merge automatically — wide
-	// enough to matter only when the merged volume justifies the
-	// planning pass, never wider than the pool. The partitioned build is
-	// byte-identical to the sequential one (stitched value/Merkle/Bloom/
-	// index output), so the knob affects wall time only, never digests.
-	// Set by `colebench -merge-partitions` (the compaction sweep).
-	MergePartitions int
-	// RootHistory is how many recent (height → Hstate) pairs the engine
-	// retains and persists in its manifest. The shard layer reads them
-	// back during post-crash replay so a shard whose checkpoint already
-	// covers a replayed block can contribute its exact historical root to
-	// the combined digest instead of its current one. Default 512; no
-	// caller outside the tests (which shrink it to exercise the ring's
-	// trim) needs another depth.
-	RootHistory int
 	// Trace attaches an opt-in lifecycle event tracer: every flush,
-	// merge (start/chunk/preempt/end), pacing sleep, commit phase
+	// merge (start/chunk/preempt/end), commit phase
 	// (stall, manifest write, view publish/retire), and partition span
 	// records a typed, timestamped event into the tracer's fixed ring
 	// (internal/obs). nil (the default) disables tracing; every
@@ -222,9 +186,6 @@ func (o Options) withDefaults() Options {
 	if o.MergeChunk == 0 {
 		o.MergeChunk = defaultMergeChunk
 	}
-	if o.RootHistory == 0 {
-		o.RootHistory = 512
-	}
 	o.FS = vfs.OrOS(o.FS)
 	return o
 }
@@ -256,7 +217,6 @@ func (o Options) runParams() run.Params {
 		PageSize:    o.PageSize,
 		Fanout:      o.Fanout,
 		BloomFP:     o.BloomFP,
-		OptimalPLA:  o.OptimalPLA,
 		VerifyReads: o.VerifyReads,
 		FS:          o.FS,
 	}
@@ -355,7 +315,7 @@ type Engine struct {
 	retiring []*runRef
 
 	// rootHistory is the ring of the most recent (height → Hstate) pairs,
-	// oldest first, capped at opts.RootHistory. Persisted with the
+	// oldest first, capped at rootHistoryDepth. Persisted with the
 	// manifest so replay can reproduce the exact combined digests of
 	// blocks this engine's checkpoint already covers (see HistoricalRoot).
 	rootHistory []RootRecord
@@ -371,6 +331,10 @@ type Engine struct {
 	// cache holds the value pages point reads touch, for every run the
 	// engine opens; shared with the other engines of a store like sched.
 	cache *pagefile.Cache
+	// fixedMergeWidth, when nonzero, replaces mergeWidth's volume rule.
+	// Only tests set it, to pin the sequential and partitioned builds
+	// their golden comparisons need.
+	fixedMergeWidth int
 
 	// PutBatch dedup scratch, reused across blocks so the hot batch path
 	// stays allocation-free (guarded by mu). entryBuf is the sorted
@@ -389,12 +353,8 @@ type Engine struct {
 	bloomSkips     atomic.Int64
 	mergeWaits     atomic.Int64
 	partitionWaits atomic.Int64
-	// paceNanos accumulates ingest-pacing sleeps (taken outside mu so a
-	// paced writer never blocks Stats); paceSleeps counts them.
 	// preemptions counts chunked merges that handed their slot to
 	// higher-priority work, incremented from merge-job goroutines.
-	paceNanos   atomic.Int64
-	paceSleeps  atomic.Int64
 	preemptions atomic.Int64
 	// corruptReads counts typed corruption errors surfaced by the read
 	// path (see Options.VerifyReads and types.ErrCorrupt).
@@ -427,11 +387,11 @@ func (e *Engine) trace(typ obs.EventType, level int32, bytes int64, id uint64, d
 // unconditionally; Stats carries a snapshot, and the shard layer merges
 // the per-shard snapshots so store-level quantiles reflect every shard.
 type OpHists struct {
-	// Commit is in-engine commit latency (lock to published view,
-	// pacing excluded — the same quantity CommitNanos totals).
+	// Commit is in-engine commit latency (lock to published view — the
+	// same quantity CommitNanos totals).
 	Commit hist.Hist
 	// PutBatch is the in-lock latency of batched ingest (dedup + tree
-	// insert), pacing excluded.
+	// insert).
 	PutBatch hist.Hist
 	// Get covers single point lookups (Get/GetAt, engine or snapshot).
 	Get hist.Hist
@@ -515,7 +475,7 @@ type Stats struct {
 	MergeBytes int64
 	MergeNanos int64
 	// Commits counts committed blocks; CommitNanos their total in-engine
-	// latency (lock acquisition to published view, pacing excluded) and
+	// latency (lock acquisition to published view) and
 	// MaxCommitNanos the single worst commit — the tail the stall
 	// benchmark and `coledb stat` bound.
 	Commits        int64
@@ -523,12 +483,12 @@ type Stats struct {
 	MaxCommitNanos int64
 	// StallNanos is the total time commit checkpoints spent blocked on
 	// unfinished background merges (the slow-node path of Algorithm 5
-	// line 9) — the cliff that pacing and preemption exist to remove.
-	// PaceNanos is the total ingest-pacing delay absorbed smoothly by
-	// Commit/PutBatch instead; with pacing working, StallNanos ≈ 0 while
-	// PaceNanos grows by many small, bounded increments.
+	// line 9) — the cliff that preemption exists to shorten.
 	StallNanos int64
-	PaceNanos  int64
+	// PaceNanos is always 0: the engine no longer paces ingest. The
+	// field stays only because the benchmark harness still reads it
+	// (core.pace_ms), and goes when that harness next changes.
+	PaceNanos int64
 	// Preemptions counts chunked-merge checkpoints that handed their
 	// worker slot to queued higher-priority work (Options.MergeChunk).
 	Preemptions int64
@@ -542,10 +502,6 @@ type Stats struct {
 	PageReads int64
 	CacheHits int64
 	SeqReads  int64
-	// PaceSleeps counts individual ingest-pacing delays (PaceNanos
-	// totals their time): with pacing working, many small sleeps replace
-	// one giant stall.
-	PaceSleeps int64
 	// TraceDropped is how many lifecycle events did not fit in the
 	// tracer's ring buffer (0 when tracing is off). A sharded store
 	// shares one tracer, so its Stats reports the max across shards, not
@@ -873,18 +829,26 @@ func (e *Engine) CheckpointHeight() uint64 {
 	return e.checkpoint
 }
 
+// rootHistoryDepth is how many recent (height → Hstate) pairs an engine
+// retains and persists in its manifest. The shard layer reads them back
+// during post-crash replay so a shard whose checkpoint already covers a
+// replayed block can contribute its exact historical root to the
+// combined digest instead of its current one. A replayed height older
+// than this falls back to the shard's current root.
+const rootHistoryDepth = 512
+
 // recordRootLocked appends the committed (height, root) pair to the root
 // history. Replay re-commits heights already recorded: entries at or
 // above the new height are dropped first, so the history stays strictly
 // increasing and the replayed digests (which are deterministic) land in
-// the same slots. The ring is trimmed to opts.RootHistory.
+// the same slots. The ring is trimmed to rootHistoryDepth.
 func (e *Engine) recordRootLocked(height uint64, root types.Hash) {
 	h := e.rootHistory
 	for len(h) > 0 && h[len(h)-1].Height >= height {
 		h = h[:len(h)-1]
 	}
 	h = append(h, RootRecord{Height: height, Root: hexHash(root)})
-	if excess := len(h) - e.opts.RootHistory; excess > 0 {
+	if excess := len(h) - rootHistoryDepth; excess > 0 {
 		h = append(h[:0], h[excess:]...)
 	}
 	e.rootHistory = h
@@ -892,7 +856,7 @@ func (e *Engine) recordRootLocked(height uint64, root types.Hash) {
 
 // HistoricalRoot returns the Hstate digest the engine committed at the
 // given block height, if the height is still inside the retained root
-// history (Options.RootHistory commits deep, persisted with the
+// history (rootHistoryDepth commits deep, persisted with the
 // manifest). The shard layer uses it during post-crash replay: a shard
 // whose checkpoint already covers a replayed block contributes this
 // exact historical root to the combined digest, so replayed headers
@@ -932,8 +896,6 @@ func (e *Engine) Stats() Stats {
 	st.BloomSkips = e.bloomSkips.Load()
 	st.MergeWaits = e.mergeWaits.Load()
 	st.PartitionWaits = e.partitionWaits.Load()
-	st.PaceNanos = e.paceNanos.Load()
-	st.PaceSleeps = e.paceSleeps.Load()
 	st.Preemptions = e.preemptions.Load()
 	st.CorruptReads = e.corruptReads.Load()
 	st.TraceDropped = e.tr.Dropped()

@@ -34,20 +34,21 @@ func sweepCommit(e *Engine, h uint64) (types.Hash, error) {
 
 // TestMergeIOErrorSweep injects a non-crash I/O error (MemFS.FailAt) at
 // every filesystem operation of the first commit whose cascade runs a
-// level merge, with the merge sequential (MergePartitions 1) and
-// partitioned (4). A failing Commit must report the injected error itself
-// — a read error from a source run is not to be masked as the count
-// mismatch it also causes — and must publish nothing; after Close and
-// reopen, replay from the checkpoint reproduces the golden digests of
-// every block up to and including the merging one.
+// level merge, with the merge sequential (width 1) and partitioned (4).
+// A failing Commit must report the injected error itself — a read error
+// from a source run is not to be masked as the count mismatch it also
+// causes — and must publish nothing; after Close and reopen, replay from
+// the checkpoint reproduces the golden digests of every block up to and
+// including the merging one.
 func TestMergeIOErrorSweep(t *testing.T) {
 	for _, width := range []int{1, 4} {
 		t.Run(fmt.Sprintf("partitions=%d", width), func(t *testing.T) {
 			open := func(fs *vfs.MemFS) *Engine {
-				e, err := Open(Options{Dir: "store", MemCapacity: 256, SizeRatio: 2, MergePartitions: width, FS: fs})
+				e, err := Open(Options{Dir: "store", MemCapacity: 256, SizeRatio: 2, FS: fs})
 				if err != nil {
 					t.Fatal(err)
 				}
+				e.fixedMergeWidth = width
 				return e
 			}
 

@@ -193,32 +193,6 @@ func TestBloomFalsePositiveFallback(t *testing.T) {
 	}
 }
 
-// TestOptimalPLAEngineEquivalence runs the same workload with both PLA
-// builders: query results and Hstate must be identical except for index
-// internals (Hstate covers data and Merkle roots, not models — so even
-// Hstate matches).
-func TestOptimalPLAEngineEquivalence(t *testing.T) {
-	optsG := testOpts(t, false)
-	optsO := testOpts(t, false)
-	optsO.OptimalPLA = true
-	g := openEngine(t, optsG)
-	op := openEngine(t, optsO)
-	og, oo := newOracle(), newOracle()
-	rg := runWorkload(t, g, og, 67, 200, 5, 30)
-	ro := runWorkload(t, op, oo, 67, 200, 5, 30)
-	if rg != ro {
-		t.Fatal("Hstate must not depend on the PLA builder (models are unauthenticated)")
-	}
-	for a := 0; a < 30; a++ {
-		addr := types.AddressFromUint64(uint64(a))
-		v1, ok1, err1 := g.Get(addr)
-		v2, ok2, err2 := op.Get(addr)
-		if err1 != nil || err2 != nil || ok1 != ok2 || v1 != v2 {
-			t.Fatalf("builders disagree at addr %d: %v %v", a, err1, err2)
-		}
-	}
-}
-
 // TestDirIsFileFails covers a pathological environment.
 func TestDirIsFileFails(t *testing.T) {
 	f := filepath.Join(t.TempDir(), "notadir")

@@ -219,17 +219,18 @@ func TestBulkLevelPlacement(t *testing.T) {
 }
 
 // TestHistoricalRootRecordsAndPersists: every commit lands in the root
-// history, the ring trims to Options.RootHistory, and the persisted tail
+// history, the ring trims to rootHistoryDepth, and the persisted tail
 // survives a reopen.
 func TestHistoricalRootRecordsAndPersists(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Dir: dir, MemCapacity: 16, RootHistory: 8}
+	opts := Options{Dir: dir, MemCapacity: 16}
 	e, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	const blocks = rootHistoryDepth + 20
 	roots := map[uint64]types.Hash{}
-	for b := uint64(1); b <= 20; b++ {
+	for b := uint64(1); b <= blocks; b++ {
 		if err := e.BeginBlock(b); err != nil {
 			t.Fatal(err)
 		}
@@ -244,14 +245,15 @@ func TestHistoricalRootRecordsAndPersists(t *testing.T) {
 		}
 		roots[b] = root
 	}
-	for b := uint64(13); b <= 20; b++ {
+	const oldest = blocks - rootHistoryDepth + 1
+	for b := uint64(oldest); b <= blocks; b++ {
 		got, ok := e.HistoricalRoot(b)
 		if !ok || got != roots[b] {
 			t.Fatalf("HistoricalRoot(%d): ok=%v", b, ok)
 		}
 	}
-	if _, ok := e.HistoricalRoot(12); ok {
-		t.Fatal("height 12 should have aged out of an 8-deep history")
+	if _, ok := e.HistoricalRoot(oldest - 1); ok {
+		t.Fatalf("height %d should have aged out of a %d-deep history", oldest-1, rootHistoryDepth)
 	}
 	if err := e.FlushAll(); err != nil {
 		t.Fatal(err)
@@ -264,7 +266,7 @@ func TestHistoricalRootRecordsAndPersists(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e2.Close()
-	for b := uint64(13); b <= 20; b++ {
+	for b := uint64(oldest); b <= blocks; b++ {
 		got, ok := e2.HistoricalRoot(b)
 		if !ok || got != roots[b] {
 			t.Fatalf("HistoricalRoot(%d) after reopen: ok=%v", b, ok)

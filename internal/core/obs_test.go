@@ -73,13 +73,12 @@ func TestOpHistogramsRecorded(t *testing.T) {
 // TestTraceEventsMatchCounters drives a merge-heavy traced workload and
 // checks the structural invariants the CI smoke job also relies on: paired
 // start/end events, and trace event counts that equal the engine's own
-// counters for commits, pacing sleeps, and preemptions.
+// counters for commits and preemptions.
 func TestTraceEventsMatchCounters(t *testing.T) {
 	tr := obs.NewTracer(obs.DefaultTraceEvents)
 	opts := testOpts(t, true)
 	opts.MemCapacity = 16
 	opts.MergeChunk = 8
-	opts.PacingTarget = 1
 	opts.Trace = tr
 	e := openEngine(t, opts)
 	o := newOracle()
@@ -97,9 +96,6 @@ func TestTraceEventsMatchCounters(t *testing.T) {
 	}
 	if got := tr.CountType(obs.EvCommit); got != st.Commits {
 		t.Fatalf("commit events %d, Stats.Commits %d", got, st.Commits)
-	}
-	if got := tr.CountType(obs.EvPace); got != st.PaceSleeps {
-		t.Fatalf("pace events %d, Stats.PaceSleeps %d", got, st.PaceSleeps)
 	}
 	if got := tr.CountType(obs.EvMergePreempt); got != st.Preemptions {
 		t.Fatalf("preempt events %d, Stats.Preemptions %d", got, st.Preemptions)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"cole/internal/merge"
 	"cole/internal/types"
 )
 
@@ -41,9 +42,41 @@ func drivePartitionBlocks(t *testing.T, e *Engine, n int) []types.Hash {
 	return roots
 }
 
+// TestMergeWidth pins the width rule: one key-range span per
+// autoPartitionBytes of merged volume, at least one, and never more spans
+// than the merge pool has workers.
+func TestMergeWidth(t *testing.T) {
+	// span is the fewest entries whose volume reaches autoPartitionBytes.
+	const span = (autoPartitionBytes + types.EntrySize - 1) / types.EntrySize
+	for _, c := range []struct {
+		count   int64
+		workers int
+		want    int
+	}{
+		{0, 4, 1},
+		{1, 4, 1},
+		{span - 1, 4, 1}, // just below 8 MiB
+		{span, 4, 1},
+		{span + span/2, 4, 1},
+		{2 * span, 4, 2},
+		{3 * span, 4, 3},
+		{4 * span, 4, 4},
+		{5 * span, 4, 4}, // capped at the pool
+		{5 * span, 8, 5},
+		{64 * span, 8, 8},
+		{64 * span, 1, 1},
+	} {
+		e := &Engine{sched: merge.New(c.workers)}
+		if got := e.mergeWidth(c.count); got != c.want {
+			t.Errorf("mergeWidth(%d entries = %d B) on %d workers = %d, want %d",
+				c.count, c.count*types.EntrySize, c.workers, got, c.want)
+		}
+	}
+}
+
 // TestEnginePartitionedGoldenVsSequential runs identical block sequences
-// through engines that differ only in MergePartitions (sequential vs
-// explicit widths vs auto), across sync and async cascades: every
+// through engines that differ only in merge width (sequential vs fixed
+// widths vs the volume rule), across sync and async cascades: every
 // per-block Hstate and every on-disk run file must be byte-identical.
 // Partitioning a merge is a wall-time optimisation, never a format or
 // digest change.
@@ -54,8 +87,8 @@ func TestEnginePartitionedGoldenVsSequential(t *testing.T) {
 
 			seqOpts := testOpts(t, async)
 			seqOpts.MemCapacity = 256
-			seqOpts.MergePartitions = 1
 			seq := openEngine(t, seqOpts)
+			seq.fixedMergeWidth = 1
 			seqRoots := drivePartitionBlocks(t, seq, blocks)
 			seqFiles := runFileBytes(t, seqOpts.Dir)
 			if len(seqFiles) == 0 {
@@ -66,8 +99,8 @@ func TestEnginePartitionedGoldenVsSequential(t *testing.T) {
 				t.Run(fmt.Sprintf("w=%d", w), func(t *testing.T) {
 					parOpts := testOpts(t, async)
 					parOpts.MemCapacity = 256
-					parOpts.MergePartitions = w
 					par := openEngine(t, parOpts)
+					par.fixedMergeWidth = w
 					parRoots := drivePartitionBlocks(t, par, blocks)
 					for b := range seqRoots {
 						if seqRoots[b] != parRoots[b] {
@@ -106,8 +139,8 @@ func TestPartitionedMergeUnderConcurrentSnapshots(t *testing.T) {
 	}
 	opts := testOpts(t, true)
 	opts.MemCapacity = 256
-	opts.MergePartitions = 4
 	e := openEngine(t, opts)
+	e.fixedMergeWidth = 4
 
 	stop := make(chan struct{})
 	errs := make(chan error, 8)

@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
@@ -116,119 +114,6 @@ func TestFlushPreemptsChunkedDeepMerge(t *testing.T) {
 	<-deepDone
 	if st := e.Scheduler().Stats(); st.Preempted == 0 {
 		t.Fatal("no preemption recorded although a flush was queued behind a deep job")
-	}
-}
-
-// TestPaceDelayMonotone checks the pacing curve's contract: zero debt is
-// free, delay never decreases as debt grows, and the cap bounds it.
-func TestPaceDelayMonotone(t *testing.T) {
-	const target = int64(1 << 20)
-	if d := paceDelay(0, target); d != 0 {
-		t.Fatalf("paceDelay(0) = %v, want 0", d)
-	}
-	if d := paceDelay(123, 0); d != 0 {
-		t.Fatalf("paceDelay with pacing disabled = %v, want 0", d)
-	}
-	debts := make([]int64, 0, 1000)
-	r := rand.New(rand.NewSource(7))
-	for i := 0; i < 1000; i++ {
-		debts = append(debts, r.Int63n(64*target))
-	}
-	sort.Slice(debts, func(i, j int) bool { return debts[i] < debts[j] })
-	prev := time.Duration(-1)
-	for _, debt := range debts {
-		d := paceDelay(debt, target)
-		if d < prev {
-			t.Fatalf("paceDelay not monotone: debt %d -> %v after %v", debt, d, prev)
-		}
-		if d > paceMaxDelay {
-			t.Fatalf("paceDelay(%d) = %v exceeds cap %v", debt, d, paceMaxDelay)
-		}
-		prev = d
-	}
-	if d := paceDelay(target, target); d != paceFullDelay {
-		t.Fatalf("paceDelay(target) = %v, want full delay %v", d, paceFullDelay)
-	}
-	if d := paceDelay(1<<62, target); d != paceMaxDelay {
-		t.Fatalf("paceDelay(huge) = %v, want cap %v", d, paceMaxDelay)
-	}
-}
-
-// TestPacingBackpressure pins the merge pool's only slot so a cascade's
-// L0 flush provably stays in flight, then checks the debt is visible and
-// that a paced engine charges PaceNanos on the next writes — while an
-// idle (zero-debt) paced engine charges nothing.
-func TestPacingBackpressure(t *testing.T) {
-	opts := testOpts(t, true)
-	opts.MergeWorkers = 1
-	opts.PacingTarget = 1 // any debt is over target: max backpressure
-	e := openEngine(t, opts)
-
-	// Zero debt ⇒ zero delay: commits before any cascade pace nothing.
-	if err := e.BeginBlock(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.PutBatch([]Update{{Addr: types.AddressFromUint64(1), Value: types.ValueFromUint64(1)}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if st := e.Stats(); st.PaceNanos != 0 {
-		t.Fatalf("paced %dns with zero compaction debt", st.PaceNanos)
-	}
-
-	// Hold the pool's only slot so the upcoming flush cannot start. The
-	// gate must open even if an assertion below fails, or the engine's
-	// Close cleanup would wait on the pinned merge forever.
-	gate := make(chan struct{})
-	var gateOnce sync.Once
-	releaseGate := func() { gateOnce.Do(func() { close(gate) }) }
-	t.Cleanup(releaseGate)
-	started := make(chan struct{})
-	e.Scheduler().Submit(func() { close(started); <-gate }, merge.PriorityDeep, nil)
-	<-started
-
-	// Fill L0 to capacity; the commit cascades and hands the merging
-	// group to a flush that is now provably queued: debt is deterministic.
-	if err := e.BeginBlock(2); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < opts.MemCapacity; i++ {
-		if err := e.Put(types.AddressFromUint64(uint64(i)), types.ValueFromUint64(2)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := e.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	// Block 1's lone entry rode along into the merging group, so the
-	// in-flight flush carries MemCapacity+1 entries.
-	wantDebt := int64(opts.MemCapacity+1) * types.EntrySize
-	if debt := e.CompactionDebt(); debt != wantDebt {
-		t.Fatalf("compaction debt = %d, want the in-flight flush volume %d", debt, wantDebt)
-	}
-
-	// The next block's writes absorb backpressure.
-	if err := e.BeginBlock(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.PutBatch([]Update{{Addr: types.AddressFromUint64(1), Value: types.ValueFromUint64(3)}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if st := e.Stats(); st.PaceNanos == 0 {
-		t.Fatal("no pacing delay charged while compaction debt was outstanding")
-	}
-
-	releaseGate()
-	if err := e.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	if debt := e.CompactionDebt(); debt != 0 {
-		t.Fatalf("compaction debt %d after FlushAll, want 0", debt)
 	}
 }
 

@@ -64,13 +64,6 @@ func (e *Engine) PutBatch(updates []Update) error {
 	if len(updates) == 0 {
 		return nil
 	}
-	// Ingest pacing: a batch absorbs its share of the current compaction
-	// debt in proportion to how much of a block it represents, before
-	// taking the lock (the sleep must never block readers or merges).
-	e.pace(float64(len(updates)) / float64(e.opts.MemCapacity))
-	// The histogram measures the batch's real ingest work (lock + dedup
-	// + tree insert); the deliberate pacing sleep above is accounted in
-	// PaceNanos, exactly as CommitNanos excludes it.
 	start := time.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -139,10 +132,6 @@ func (e *Engine) PutBatch(updates []Update) error {
 // changed, publishes the new read view, and returns the block's state
 // root digest Hstate.
 func (e *Engine) Commit() (types.Hash, error) {
-	// Ingest pacing happens before the timed section: the deliberate
-	// backpressure sleep is accounted in PaceNanos, not CommitNanos, so
-	// MaxCommitNanos keeps measuring real commit work and stalls.
-	e.pace(1)
 	start := time.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -335,8 +324,9 @@ func (e *Engine) commitMerge(ms *mergeState, destLevel int) error {
 	default:
 		// Slow node: the interval between start and commit checkpoints was
 		// not enough; block until the merge finishes (Algorithm 5 line 9).
-		// The blocked time is the commit stall pacing exists to prevent —
-		// measured here so `-exp stalls` and `coledb stat` can report it.
+		// The blocked time is the commit stall preemption exists to
+		// shorten — measured here so `-exp stalls` and `coledb stat` can
+		// report it.
 		e.mergeWaits.Add(1)
 		stallStart := time.Now()
 		<-ms.done
@@ -521,11 +511,11 @@ func (e *Engine) chunked(it run.Iterator, pri merge.Priority, lvl int32) run.Ite
 const autoPartitionBytes = 8 << 20
 
 // mergeWidth picks how many key-range spans a merge of count entries is
-// cut into. An explicit Options.MergePartitions ≥ 1 is used as-is; 0
-// sizes by merged volume and caps at the pool's worker budget.
+// cut into: one per autoPartitionBytes of merged volume, capped at the
+// pool's worker budget.
 func (e *Engine) mergeWidth(count int64) int {
-	if w := e.opts.MergePartitions; w > 0 {
-		return w
+	if e.fixedMergeWidth > 0 {
+		return e.fixedMergeWidth
 	}
 	w := int(count * types.EntrySize / autoPartitionBytes)
 	if workers := e.sched.Workers(); w > workers {

@@ -122,13 +122,12 @@ func TestNoFSConstructorTwins(t *testing.T) {
 
 // optionsFieldCount is the size core.Options is held to: a new knob must
 // retire one, or argue its way past this number in review.
-const optionsFieldCount = 18
+const optionsFieldCount = 14
 
 // unsetOptions are the core.Options fields no non-test file outside
 // internal/core sets, each with the reason it stays a field anyway.
 var unsetOptions = map[string]string{
 	"VerifyReads": "safety check an operator opts into; the corruption-matrix tests turn it on",
-	"RootHistory": "replay-digest ring depth; tests shrink it to exercise the trim",
 	"SortedBatch": "the faster L0 insert path, a format bit until a version bump makes it the only one (ROADMAP item 4)",
 }
 

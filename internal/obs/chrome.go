@@ -15,8 +15,8 @@ import (
 // one per partition-span slot — so a stalls run shows flushes overtaking
 // preempted deep merges at a glance.
 //
-// Span-shaped events (flush/merge/span ends, commits, stalls, pacing
-// sleeps, manifest writes, preemption waits) are emitted as complete
+// Span-shaped events (flush/merge/span ends, commits, stalls, manifest
+// writes, preemption waits) are emitted as complete
 // ("ph":"X") slices reconstructed from their end timestamp and
 // duration; checkpoint and view events are instants ("ph":"i"). Start
 // markers are retained in the JSONL export but skipped here — their
@@ -33,7 +33,7 @@ const (
 // chromeLane maps an event to its thread lane within the shard process.
 func chromeLane(ev Event) int {
 	switch ev.Type {
-	case EvCommit, EvStall, EvPace, EvManifest, EvViewPublish, EvViewRetire:
+	case EvCommit, EvStall, EvManifest, EvViewPublish, EvViewRetire:
 		return laneCommit
 	case EvFlushStart, EvFlushEnd:
 		return laneFlush
@@ -72,8 +72,6 @@ func chromeName(ev Event) string {
 		return "chunk"
 	case EvMergePreempt:
 		return "preempt"
-	case EvPace:
-		return "pace"
 	case EvCommit:
 		return "commit"
 	case EvStall:
@@ -167,7 +165,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 // (rendered "X" even at zero measured duration).
 func spanShaped(t EventType) bool {
 	switch t {
-	case EvFlushEnd, EvMergeEnd, EvSpanEnd, EvCommit, EvStall, EvManifest, EvPace, EvMergePreempt:
+	case EvFlushEnd, EvMergeEnd, EvSpanEnd, EvCommit, EvStall, EvManifest, EvMergePreempt:
 		return true
 	}
 	return false

@@ -35,9 +35,6 @@ const (
 	// EvMergePreempt records a chunked merge handing its worker slot to
 	// a queued higher-priority job; Dur is the time spent re-queued.
 	EvMergePreempt
-	// EvPace records an ingest pacing sleep; Dur is the sleep, Bytes the
-	// compaction debt that triggered it.
-	EvPace
 	// EvCommit is the whole commit critical path (Dur from the caller's
 	// Commit() entry to durability).
 	EvCommit
@@ -68,7 +65,6 @@ var eventNames = [numEventTypes]string{
 	EvMergeEnd:     "merge_end",
 	EvMergeChunk:   "merge_chunk",
 	EvMergePreempt: "merge_preempt",
-	EvPace:         "pace",
 	EvCommit:       "commit",
 	EvStall:        "stall",
 	EvManifest:     "manifest",

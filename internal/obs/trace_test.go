@@ -42,7 +42,7 @@ func TestTracerRecordAndOrder(t *testing.T) {
 func TestTracerDropAccounting(t *testing.T) {
 	tr := NewTracer(4)
 	for i := 0; i < 10; i++ {
-		tr.Record(EvPace, 0, -1, int64(i), 0, time.Millisecond)
+		tr.Record(EvStall, 0, -1, int64(i), 0, time.Millisecond)
 	}
 	if tr.Len() != 4 {
 		t.Fatalf("retained %d, want 4", tr.Len())

@@ -103,18 +103,10 @@ type Builder struct {
 // NewBuilder creates a builder with error bound eps ≥ 1 that invokes emit
 // for each completed model, in key order.
 func NewBuilder(eps int, emit func(Model) error) (*Builder, error) {
-	if err := checkEpsilon(eps); err != nil {
-		return nil, err
+	if eps < 1 {
+		return nil, fmt.Errorf("pla: epsilon %d < 1", eps)
 	}
 	return &Builder{eps: float64(eps) - 0.75, emit: emit}, nil
-}
-
-// checkEpsilon is the error-bound validation both builders share.
-func checkEpsilon(eps int) error {
-	if eps < 1 {
-		return fmt.Errorf("pla: epsilon %d < 1", eps)
-	}
-	return nil
 }
 
 // Add feeds the next point. Keys must be strictly increasing; positions must

@@ -77,11 +77,6 @@ type Options struct {
 	// metadata; leave 0 (a mismatch with the on-disk runs fails the
 	// open).
 	PageSize int
-	// OptimalPLA rebuilds the destination learned indexes with the exact
-	// convex-hull segment construction instead of the default greedy
-	// cone (the on-disk format is identical; this only trades build time
-	// for fewer models, like core.Options.OptimalPLA).
-	OptimalPLA bool
 	// MemCapacity is the source store's B, used only to pick the on-disk
 	// level the bulk-built runs are installed at (0 = 4096).
 	MemCapacity int
@@ -421,7 +416,6 @@ func Reshard(dir string, shards int, opts Options) (*Report, error) {
 		PageSize:    opts.PageSize,
 		BloomFP:     opts.BloomFP,
 		AsyncMerge:  base.Async,
-		OptimalPLA:  opts.OptimalPLA,
 		FS:          fsys,
 	}
 	destWidth := 1

@@ -46,68 +46,66 @@ func (p plainIterator) Next() (types.Entry, bool) { return p.inner.Next() }
 // of the streaming build: the same merged entry stream built with every
 // leaf hash recomputed and 1-page IO (the reference) and with leaf-hash
 // passthrough, readahead and coalesced writes must produce byte-identical
-// .val/.idx/.mrk/.met files and equal run digests — for both PLA
-// builders — and the run's Bloom filter must equal one built with a full
-// Add per entry (no consecutive-version fast path).
+// .val/.idx/.mrk/.met files and equal run digests, and the run's Bloom
+// filter must equal one built with a full Add per entry (no
+// consecutive-version fast path).
 func TestBuildGoldenPassthroughVsRecompute(t *testing.T) {
 	entries := genEntries(7, 800, 8)
-	for _, optimal := range []bool{false, true} {
-		refParams := Params{Fanout: 4, OptimalPLA: optimal, MergeReadahead: 1, WriteBufferPages: 1}
-		streamParams := Params{Fanout: 4, OptimalPLA: optimal}
+	refParams := Params{Fanout: 4, MergeReadahead: 1, WriteBufferPages: 1}
+	streamParams := Params{Fanout: 4}
 
-		// Shared source runs (built once; the builders under test consume
-		// their merged stream).
-		srcDir := t.TempDir()
-		var sources []*Run
-		for i, part := range splitSorted(entries, 3) {
-			r, err := Build(srcDir, uint64(i), int64(len(part)), streamParams, NewSliceIterator(part))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			sources = append(sources, r)
-		}
-
-		refDir, streamDir := t.TempDir(), t.TempDir()
-		refRun, err := Build(refDir, 9, int64(len(entries)), refParams, plainIterator{MergeRuns(sources)})
+	// Shared source runs (built once; the builders under test consume
+	// their merged stream).
+	srcDir := t.TempDir()
+	var sources []*Run
+	for i, part := range splitSorted(entries, 3) {
+		r, err := Build(srcDir, uint64(i), int64(len(part)), streamParams, NewSliceIterator(part))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer refRun.Close()
-		streamRun, err := Build(streamDir, 9, int64(len(entries)), streamParams, MergeRuns(sources))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer streamRun.Close()
+		defer r.Close()
+		sources = append(sources, r)
+	}
 
-		if refRun.Digest() != streamRun.Digest() {
-			t.Fatalf("optimal=%v: run digests differ", optimal)
-		}
-		rf, sf := runFiles(t, refDir, 9), runFiles(t, streamDir, 9)
-		for ext, want := range rf {
-			if !bytes.Equal(sf[ext], want) {
-				t.Fatalf("optimal=%v: %s files differ (%d vs %d bytes)", optimal, ext, len(sf[ext]), len(want))
-			}
-		}
-		filter := bloom.New(len(entries), 0.01)
-		for _, e := range entries {
-			filter.Add(e.Key.Addr)
-		}
-		if !bytes.Equal(streamRun.BloomBytes(), filter.Marshal()) {
-			t.Fatalf("optimal=%v: Bloom filter differs from one Add per entry", optimal)
-		}
+	refDir, streamDir := t.TempDir(), t.TempDir()
+	refRun, err := Build(refDir, 9, int64(len(entries)), refParams, plainIterator{MergeRuns(sources)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer refRun.Close()
+	streamRun, err := Build(streamDir, 9, int64(len(entries)), streamParams, MergeRuns(sources))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer streamRun.Close()
 
-		// The merged output also answers every read identically.
-		it := streamRun.Iter()
-		for i, want := range entries {
-			got, ok := it.Next()
-			if !ok || got != want {
-				t.Fatalf("optimal=%v: merged entry %d: got %v ok=%v", optimal, i, got, ok)
-			}
+	if refRun.Digest() != streamRun.Digest() {
+		t.Fatal("run digests differ")
+	}
+	rf, sf := runFiles(t, refDir, 9), runFiles(t, streamDir, 9)
+	for ext, want := range rf {
+		if !bytes.Equal(sf[ext], want) {
+			t.Fatalf("%s files differ (%d vs %d bytes)", ext, len(sf[ext]), len(want))
 		}
-		if _, ok := it.Next(); ok || it.Err() != nil {
-			t.Fatalf("optimal=%v: iterator did not end cleanly: %v", optimal, it.Err())
+	}
+	filter := bloom.New(len(entries), 0.01)
+	for _, e := range entries {
+		filter.Add(e.Key.Addr)
+	}
+	if !bytes.Equal(streamRun.BloomBytes(), filter.Marshal()) {
+		t.Fatal("Bloom filter differs from one Add per entry")
+	}
+
+	// The merged output also answers every read identically.
+	it := streamRun.Iter()
+	for i, want := range entries {
+		got, ok := it.Next()
+		if !ok || got != want {
+			t.Fatalf("merged entry %d: got %v ok=%v", i, got, ok)
 		}
+	}
+	if _, ok := it.Next(); ok || it.Err() != nil {
+		t.Fatalf("iterator did not end cleanly: %v", it.Err())
 	}
 }
 

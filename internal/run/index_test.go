@@ -187,16 +187,14 @@ func (d *diskIndex) searchAt(addr types.Address, blk uint64) (types.Entry, int64
 	return e, pos, true, nil
 }
 
-// goldenRuns builds the golden entry set (golden_test.go) as one run per
-// PLA mode, at the default geometry and at a small page size that forces
-// a multi-layer index.
+// goldenRuns builds the golden entry set (golden_test.go) as one run at
+// the default geometry and one at a small page size that forces a
+// multi-layer index.
 func goldenRuns(t *testing.T) (entries []types.Entry, runs []*Run) {
 	t.Helper()
 	entries = genEntries(7, 800, 8)
-	for _, optimal := range []bool{false, true} {
-		for _, pageSize := range []int{0, 256} {
-			runs = append(runs, buildRun(t, entries, Params{Fanout: 4, OptimalPLA: optimal, PageSize: pageSize}))
-		}
+	for _, pageSize := range []int{0, 256} {
+		runs = append(runs, buildRun(t, entries, Params{Fanout: 4, PageSize: pageSize}))
 	}
 	return entries, runs
 }
@@ -219,8 +217,8 @@ func TestResidentIndexMatchesOnDiskDescent(t *testing.T) {
 				t.Fatalf("⟨%v,%d⟩: reference err %v, resident err %v", addr, blk, werr, gerr)
 			}
 			if ge != we || gpos != wpos || gok != wok {
-				t.Fatalf("⟨%v,%d⟩ (optimal=%v page=%d): resident (%v,%d,%v), on-disk (%v,%d,%v)",
-					addr, blk, r.params.OptimalPLA, r.params.PageSize, ge, gpos, gok, we, wpos, wok)
+				t.Fatalf("⟨%v,%d⟩ (page=%d): resident (%v,%d,%v), on-disk (%v,%d,%v)",
+					addr, blk, r.params.PageSize, ge, gpos, gok, we, wpos, wok)
 			}
 		}
 		for _, e := range entries {
@@ -291,7 +289,7 @@ func TestProbeMatchesAddressOnGoldenRuns(t *testing.T) {
 	}
 	for _, r := range runs {
 		if got := r.BloomBytes(); string(got) != string(want) {
-			t.Fatalf("run (optimal=%v page=%d): Bloom bytes differ from the per-entry reference", r.params.OptimalPLA, r.params.PageSize)
+			t.Fatalf("run (page=%d): Bloom bytes differ from the per-entry reference", r.params.PageSize)
 		}
 		admitted := 0
 		for _, a := range addrs {

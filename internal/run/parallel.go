@@ -198,7 +198,7 @@ func buildIndexFromValues(dir string, id uint64, count int64, params Params,
 	}()
 	ib := newIndexBuilder(idxW, params)
 	epsVal := pagefile.Epsilon(params.PageSize, types.EntrySize)
-	builder, err := newSegmentBuilder(params.OptimalPLA, epsVal, ib.writeModel)
+	builder, err := pla.NewBuilder(epsVal, ib.writeModel)
 	if err != nil {
 		return nil, err
 	}

@@ -31,49 +31,47 @@ func buildSources(t *testing.T, dir string, entries []types.Entry, k int, params
 // TestBuildPartitionedGolden is the byte-identity oracle of partitioned
 // merges: the same k-way merge built sequentially and partitioned at
 // W ∈ {1, 2, 4, 8} must produce byte-identical .val/.idx/.mrk/.met
-// files and equal digests — for both PLA builders, and regardless of
-// whether the spans run inline or on concurrent goroutines.
+// files and equal digests, regardless of whether the spans run inline
+// or on concurrent goroutines.
 func TestBuildPartitionedGolden(t *testing.T) {
 	entries := genEntries(7, 800, 8)
 	count := int64(len(entries))
-	for _, optimal := range []bool{false, true} {
-		params := Params{Fanout: 4, OptimalPLA: optimal}
-		srcDir := t.TempDir()
-		sources := buildSources(t, srcDir, entries, 3, params)
+	params := Params{Fanout: 4}
+	srcDir := t.TempDir()
+	sources := buildSources(t, srcDir, entries, 3, params)
 
-		seqDir := t.TempDir()
-		seq, err := Build(seqDir, 1, count, params, MergeRuns(sources))
+	seqDir := t.TempDir()
+	seq, err := Build(seqDir, 1, count, params, MergeRuns(sources))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq.Close()
+	want := runFiles(t, seqDir, 1)
+
+	for _, width := range []int{1, 2, 4, 8} {
+		spans, err := PlanRuns(sources, width, params.PageSize)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("width=%d: plan: %v", width, err)
 		}
-		seq.Close()
-		want := runFiles(t, seqDir, 1)
-
-		for _, width := range []int{1, 2, 4, 8} {
-			spans, err := PlanRuns(sources, width, params.PageSize)
-			if err != nil {
-				t.Fatalf("optimal=%v width=%d: plan: %v", optimal, width, err)
-			}
-			par := Parallel{}
-			if width > 1 {
-				par.Spawn = func(fn func()) { go fn() }
-			}
-			parDir := t.TempDir()
-			got, err := BuildPartitioned(parDir, 1, count, params, spans,
-				func(sp Span) (Iterator, error) { return MergeRunsRange(sources, sp), nil }, par)
-			if err != nil {
-				t.Fatalf("optimal=%v width=%d: %v", optimal, width, err)
-			}
-			if got.Digest() != runDigest(t, seqDir, params) {
-				t.Errorf("optimal=%v width=%d: digest mismatch", optimal, width)
-			}
-			got.Close()
-			gotFiles := runFiles(t, parDir, 1)
-			for ext, wantRaw := range want {
-				if !bytes.Equal(gotFiles[ext], wantRaw) {
-					t.Errorf("optimal=%v width=%d: %s differs (%d vs %d bytes)",
-						optimal, width, ext, len(gotFiles[ext]), len(wantRaw))
-				}
+		par := Parallel{}
+		if width > 1 {
+			par.Spawn = func(fn func()) { go fn() }
+		}
+		parDir := t.TempDir()
+		got, err := BuildPartitioned(parDir, 1, count, params, spans,
+			func(sp Span) (Iterator, error) { return MergeRunsRange(sources, sp), nil }, par)
+		if err != nil {
+			t.Fatalf("width=%d: %v", width, err)
+		}
+		if got.Digest() != runDigest(t, seqDir, params) {
+			t.Errorf("width=%d: digest mismatch", width)
+		}
+		got.Close()
+		gotFiles := runFiles(t, parDir, 1)
+		for ext, wantRaw := range want {
+			if !bytes.Equal(gotFiles[ext], wantRaw) {
+				t.Errorf("width=%d: %s differs (%d vs %d bytes)",
+					width, ext, len(gotFiles[ext]), len(wantRaw))
 			}
 		}
 	}

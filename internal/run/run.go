@@ -95,11 +95,6 @@ type Params struct {
 	// syscall. Default 256 (~1 MiB at 4 KiB pages). Any value produces
 	// byte-identical files.
 	WriteBufferPages int
-	// OptimalPLA selects the exact convex-hull segment construction
-	// (pla.OptimalBuilder) instead of the default greedy cone: fewer
-	// models per run at a higher build cost. Both produce identical
-	// on-disk formats, so the flag only matters at build time.
-	OptimalPLA bool
 	// VerifyReads makes every point lookup check the returned entry
 	// against its stored Merkle leaf hash, turning silent value-page
 	// bit rot into a typed ErrCorrupt at the cost of one hash read and
@@ -107,19 +102,6 @@ type Params struct {
 	VerifyReads bool
 	// FS is the filesystem the run's files live on (vfs.OS when nil).
 	FS vfs.FS
-}
-
-// segmentBuilder abstracts the two PLA constructions.
-type segmentBuilder interface {
-	Add(k types.CompoundKey, pos int64) error
-	Finish() error
-}
-
-func newSegmentBuilder(optimal bool, eps int, emit func(pla.Model) error) (segmentBuilder, error) {
-	if optimal {
-		return pla.NewOptimalBuilder(eps, emit)
-	}
-	return pla.NewBuilder(eps, emit)
 }
 
 func (p Params) withDefaults() Params {
@@ -232,7 +214,7 @@ func Build(dir string, id uint64, count int64, params Params, src Iterator) (r *
 	// drive the upper layers — O(#models) memory, a tiny fraction of the
 	// data.
 	ib := newIndexBuilder(idxW, params)
-	builder, err := newSegmentBuilder(params.OptimalPLA, pagefile.Epsilon(params.PageSize, types.EntrySize), ib.writeModel)
+	builder, err := pla.NewBuilder(pagefile.Epsilon(params.PageSize, types.EntrySize), ib.writeModel)
 	if err != nil {
 		return nil, err
 	}
@@ -294,7 +276,7 @@ type spanResult struct {
 // reported by its own error, not as the count mismatch it also causes.
 func writeEntries(src Iterator, want, count int64, params Params,
 	appendValue func([]byte) error, addLeaf func(types.Hash) error,
-	keys segmentBuilder) (res spanResult, err error) {
+	keys *pla.Builder) (res spanResult, err error) {
 	// Every span's filter gets the full run's geometry so the union of the
 	// spans marshals byte-identically to one sequential pass.
 	res.filter = bloom.New(int(count), params.BloomFP)
@@ -429,7 +411,7 @@ func (b *indexBuilder) finishLayers() ([]layerMeta, error) {
 		nextStart := layerStartPage + pages
 		prev := b.kmins
 		b.kmins = b.kmins[:0:0]
-		ub, err := newSegmentBuilder(b.params.OptimalPLA, epsIdx, b.writeModel)
+		ub, err := pla.NewBuilder(epsIdx, b.writeModel)
 		if err != nil {
 			return nil, err
 		}

@@ -147,60 +147,73 @@ func TestEngineDirLayout(t *testing.T) {
 	}
 }
 
-// TestHistoricalRootFallback: a skipped shard whose replayed height has
-// aged out of the retained history falls back to its current root (the
-// documented residual caveat) instead of failing.
+// TestHistoricalRootFallback: a skipped shard contributes its exact
+// historical root to every replayed height still inside its retained
+// history, and falls back to its current root (the documented residual
+// caveat) instead of failing once the height has aged out. The hot shard
+// commits more blocks than the history holds; the cold one never fills
+// its L0, so replay starts at height 1.
 func TestHistoricalRootFallback(t *testing.T) {
 	dir := t.TempDir()
-	// History of 4: anything older than the last 4 commits is gone.
-	s, err := Open(core.Options{Dir: dir, Shards: 2, MemCapacity: 16, RootHistory: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	const blocks = 600
+	opts := core.Options{Dir: dir, Shards: 2, MemCapacity: 16}
 	hot := addrsOwnedBy(2, 0, 6)
 	cold := addrsOwnedBy(2, 1, 1)
-	for h := uint64(1); h <= 30; h++ {
+	drive := func(s *Store, h uint64) types.Hash {
+		t.Helper()
 		if err := s.BeginBlock(h); err != nil {
-			t.Fatal(err)
+			t.Fatalf("begin %d: %v", h, err)
 		}
 		for w, a := range hot {
 			if err := s.Put(a, types.ValueFromUint64(h*100+uint64(w))); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if h%3 == 0 {
+		if h%50 == 0 {
 			if err := s.Put(cold[0], types.ValueFromUint64(h)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := s.Commit(); err != nil {
-			t.Fatal(err)
+		root, err := s.Commit()
+		if err != nil {
+			t.Fatalf("commit %d must not fail even when history has aged out: %v", h, err)
 		}
+		return root
+	}
+
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots := make(map[uint64]types.Hash, blocks)
+	for h := uint64(1); h <= blocks; h++ {
+		roots[h] = drive(s, h)
 	}
 	s.Close() // crash
 
-	s2, err := Open(core.Options{Dir: dir, Shards: 2, MemCapacity: 16, RootHistory: 4})
+	s2, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	ckpt := s2.CheckpointHeight()
-	for h := ckpt + 1; h <= 30; h++ {
-		if err := s2.BeginBlock(h); err != nil {
-			t.Fatalf("begin %d: %v", h, err)
-		}
-		for w, a := range hot {
-			if err := s2.Put(a, types.ValueFromUint64(h*100+uint64(w))); err != nil {
-				t.Fatal(err)
+	if ckpt := s2.CheckpointHeight(); ckpt != 0 {
+		t.Fatalf("checkpoint %d, want 0 (the cold shard never flushed)", ckpt)
+	}
+	var exact, fellBack int
+	for h := uint64(1); h <= blocks; h++ {
+		_, retained := s2.engines[0].HistoricalRoot(h)
+		got := drive(s2, h)
+		switch {
+		case h > s2.engines[0].CheckpointHeight() || retained:
+			if got != roots[h] {
+				t.Fatalf("block %d: replayed digest differs although the hot shard's root is known", h)
 			}
+			exact++
+		case got != roots[h]:
+			fellBack++
 		}
-		if h%3 == 0 {
-			if err := s2.Put(cold[0], types.ValueFromUint64(h)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := s2.Commit(); err != nil {
-			t.Fatalf("commit %d must not fail even when history has aged out: %v", h, err)
-		}
+	}
+	if fellBack == 0 || exact == 0 {
+		t.Fatalf("%d exact and %d fallback heights: the replay did not cross the history's depth", exact, fellBack)
 	}
 }

@@ -49,9 +49,8 @@ func TestStoreStatsMergesHistograms(t *testing.T) {
 	}
 }
 
-// TestStoreStatsTraceCounters checks the tracer-related roll-up rules: a
-// shared tracer's drop counter takes the cross-shard max (never the sum),
-// and pacing sleeps sum.
+// TestStoreStatsTraceCounters checks the tracer-related roll-up rule: a
+// shared tracer's drop counter takes the cross-shard max (never the sum).
 func TestStoreStatsTraceCounters(t *testing.T) {
 	// Capacity 1: the first event fills the ring, everything after drops,
 	// and every shard reports the same shared drop counter.
@@ -68,6 +67,11 @@ func TestStoreStatsTraceCounters(t *testing.T) {
 	}
 	defer s.Close()
 	runBlocks(t, s, 0, 6, 32, 64)
+	// Quiesce first: COLE* merges still running in the background would
+	// keep dropping events between the two samples below.
+	if err := s.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
 
 	dropped := tr.Dropped()
 	if dropped == 0 {

@@ -575,7 +575,7 @@ func (s *Store) PutBatch(updates []types.Update) error {
 // During post-crash replay a skipped shard (one whose checkpoint already
 // covers the block) contributes the exact root it committed at that
 // height, read back from its persisted root history
-// (Options.RootHistory, default 512 commits), so replayed digests
+// (the last 512 commits), so replayed digests
 // reproduce the originally published headers. Two residual windows
 // remain: a replayed height that has aged out of the retained history
 // falls back to the shard's current root, and with asynchronous merge an
@@ -1013,8 +1013,6 @@ func (s *Store) Stats() core.Stats {
 			st.MaxCommitNanos = es.MaxCommitNanos
 		}
 		st.StallNanos += es.StallNanos
-		st.PaceNanos += es.PaceNanos
-		st.PaceSleeps += es.PaceSleeps
 		st.Preemptions += es.Preemptions
 		st.FlushBytes += es.FlushBytes
 		st.MergeBytes += es.MergeBytes

@@ -9,7 +9,7 @@ import (
 // TestShardStatsTailCounters drives a cascading workload through a
 // sharded store and checks the new tail/stall counters aggregate the
 // way their doc comments promise: Commits/CommitNanos/StallNanos/
-// PaceNanos/Preemptions sum across shards, MaxCommitNanos takes the
+// Preemptions sum across shards, MaxCommitNanos takes the
 // worst shard (a sharded commit is as slow as its slowest engine), and
 // MergeWaits/PartitionWaits remain DISJOINT sums — neither counter
 // absorbs the other's events.
@@ -35,7 +35,6 @@ func TestShardStatsTailCounters(t *testing.T) {
 		sum.Commits += es.Commits
 		sum.CommitNanos += es.CommitNanos
 		sum.StallNanos += es.StallNanos
-		sum.PaceNanos += es.PaceNanos
 		sum.Preemptions += es.Preemptions
 		sum.MergeWaits += es.MergeWaits
 		sum.PartitionWaits += es.PartitionWaits
@@ -53,9 +52,9 @@ func TestShardStatsTailCounters(t *testing.T) {
 	if st.MaxCommitNanos != worst || worst <= 0 {
 		t.Fatalf("MaxCommitNanos = %d, want the worst shard's %d", st.MaxCommitNanos, worst)
 	}
-	if st.StallNanos != sum.StallNanos || st.PaceNanos != sum.PaceNanos || st.Preemptions != sum.Preemptions {
-		t.Fatalf("stall/pace/preempt sums diverge: got (%d,%d,%d), want (%d,%d,%d)",
-			st.StallNanos, st.PaceNanos, st.Preemptions, sum.StallNanos, sum.PaceNanos, sum.Preemptions)
+	if st.StallNanos != sum.StallNanos || st.Preemptions != sum.Preemptions {
+		t.Fatalf("stall/preempt sums diverge: got (%d,%d), want (%d,%d)",
+			st.StallNanos, st.Preemptions, sum.StallNanos, sum.Preemptions)
 	}
 	// Disjointness: the sums are independent — each store counter equals
 	// its own per-engine sum, with no cross-contamination between the
