@@ -141,9 +141,9 @@ var mergePartitionWidths = []int{1, 2, 4, 8}
 // isolatedPartitionSweep builds cfg.SizeRatio sorted source runs from the
 // workload's entry stream once and times their k-way merge into one run
 // at each partition width, with nothing else on the host's plate. W=1 is
-// the sequential build; wider rows plan page-aligned spans and fan them
-// across goroutines exactly like the engine's partitioned merges (which
-// route through the merge pool instead — same data path). The output is
+// the one-span (sequential) build; wider rows plan page-aligned spans and
+// fan them across goroutines exactly like the engine's partitioned merges
+// (which route through the merge pool instead — same data path). The output is
 // byte-identical at every width, so the sweep isolates pure wall-time
 // scaling of one big merge.
 func isolatedPartitionSweep(cfg Config, scratch string) ([]Result, error) {
@@ -210,18 +210,13 @@ func isolatedPartitionSweep(cfg Config, scratch string) ([]Result, error) {
 // width (the bench-side mirror of the engine's buildLevelRun, with plain
 // goroutine spawns instead of merge-pool slots).
 func partitionedMergeOnce(dir string, id uint64, runs []*run.Run, count int64, params run.Params, width int) (*run.Run, error) {
-	if width > 1 {
-		spans, err := run.PlanRuns(runs, width, params.PageSize)
-		if err != nil {
-			return nil, err
-		}
-		if len(spans) > 1 {
-			par := run.Parallel{Spawn: func(fn func()) { go fn() }}
-			return run.BuildPartitioned(dir, id, count, params, spans,
-				func(sp run.Span) (run.Iterator, error) { return run.MergeRunsRange(runs, sp), nil }, par)
-		}
+	spans, err := run.PlanRuns(runs, width, params.PageSize)
+	if err != nil {
+		return nil, err
 	}
-	return run.Build(dir, id, count, params, run.MergeRuns(runs))
+	par := run.Parallel{Spawn: func(fn func()) { go fn() }}
+	return run.BuildSpans(dir, id, count, params, spans,
+		func(sp run.Span) (run.Iterator, error) { return run.MergeRunsRange(runs, sp), nil }, par)
 }
 
 // compactionRun drives one engine through the sustained-write phase and

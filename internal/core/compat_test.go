@@ -70,14 +70,14 @@ func (p plainIterator) Next() (types.Entry, bool) { return p.inner.Next() }
 
 // TestEngineGoldenStreamingVsReference runs identical block sequences
 // through an engine with the default pipeline (auto-partitioned merges)
-// and a reference engine with sequential merges, across sync and async
+// and a reference engine with one-span merges, across sync and async
 // cascades: every per-block Hstate and every on-disk run file must be
 // byte-identical. Every surviving run — each the product of leaf-hash
-// passthrough along a chain of merges, read and written through ~1 MiB
-// buffers — is then rebuilt from its own entries at 1-page IO with every
-// leaf hash recomputed, and must again match byte for byte: passthrough,
-// readahead and write coalescing are pure restructuring, never a format
-// or digest change.
+// passthrough along a chain of merges — is then rebuilt from its own
+// entries with every leaf hash recomputed, and must again match byte for
+// byte: passthrough is pure restructuring, never a format or digest
+// change. (The buffer sizes are covered where the buffers live, by the
+// pagefile and mht byte tests.)
 func TestEngineGoldenStreamingVsReference(t *testing.T) {
 	for _, async := range []bool{false, true} {
 		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
@@ -116,7 +116,6 @@ func TestEngineGoldenStreamingVsReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			params := streamOpts.withDefaults().runParams()
-			params.MergeReadahead, params.WriteBufferPages = 1, 1
 			for _, id := range st.RunIDs {
 				r, err := run.Open(streamOpts.Dir, id, params)
 				if err != nil {

@@ -104,7 +104,7 @@ type BuildFunc func(dir string, id uint64, params run.Params) (*run.Run, error)
 // height `height` with an empty replay window (Replay = Height — the
 // installed state is fully durable). The run construction is the
 // caller's: reshard builds it partitioned by key range
-// (run.BuildPartitioned). The build must produce exactly count entries; a
+// (run.BuildSpans). The build must produce exactly count entries; a
 // zero count installs a valid empty engine without calling build. The
 // directory must not already hold an engine.
 //

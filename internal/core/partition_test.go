@@ -75,9 +75,11 @@ func TestMergeWidth(t *testing.T) {
 }
 
 // TestEnginePartitionedGoldenVsSequential runs identical block sequences
-// through engines that differ only in merge width (sequential vs fixed
-// widths vs the volume rule), across sync and async cascades: every
-// per-block Hstate and every on-disk run file must be byte-identical.
+// through engines that differ only in merge width (one span, whose
+// learned index is fed inline, vs fixed widths, whose index is read back
+// from the value file, vs the volume rule), across sync and async
+// cascades: every per-block Hstate and every on-disk run file must be
+// byte-identical.
 // Partitioning a merge is a wall-time optimisation, never a format or
 // digest change.
 func TestEnginePartitionedGoldenVsSequential(t *testing.T) {

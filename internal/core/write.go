@@ -527,47 +527,41 @@ func (e *Engine) mergeWidth(count int64) int {
 	return w
 }
 
-// buildLevelRun builds a level merge's destination run, partitioned by
-// key range when the width says so. The caller is a startMerge job and
-// already holds a merge-pool slot, so the spans go out via
-// SubmitPartition and the join runs inside Yield: the parent's released
-// slot is what feeds its own spans on a narrow pool.
-// The partitioned output is byte-identical to the sequential build, so
-// the choice never reaches digests or the manifest.
+// buildLevelRun builds a level merge's destination run over the key-range
+// spans the width plans (one span, unprobed, at width 1). The caller is a
+// startMerge job and already holds a merge-pool slot, so a wider build's
+// spans go out via SubmitPartition and the join runs inside Yield: the
+// parent's released slot is what feeds its own spans on a narrow pool.
+// The run files are the same at every width, so the choice never reaches
+// digests or the manifest.
 func (e *Engine) buildLevelRun(id uint64, count int64, runs []*run.Run, pri merge.Priority, lvl int32) (*run.Run, error) {
-	if width := e.mergeWidth(count); width > 1 {
-		spans, err := run.PlanRuns(runs, width, e.opts.PageSize)
-		if err != nil {
-			return nil, err
-		}
-		if len(spans) > 1 {
-			spawn := func(fn func()) { e.sched.SubmitPartition(fn, pri, e.notePartitionWait) }
-			if e.tr != nil {
-				// Bracket each span on its own trace lane; the ordinal
-				// is assigned in spawn order (the planner's span order).
-				var seq atomic.Uint64
-				spawn = func(fn func()) {
-					ord := seq.Add(1) - 1
-					e.sched.SubmitPartition(func() {
-						start := time.Now()
-						e.trace(obs.EvSpanStart, lvl, 0, ord, 0)
-						fn()
-						e.trace(obs.EvSpanEnd, lvl, 0, ord, time.Since(start))
-					}, pri, e.notePartitionWait)
-				}
-			}
-			par := run.Parallel{
-				Spawn: spawn,
-				Yield: func(wait func()) { e.sched.Yield(pri, wait, e.notePartitionWait) },
-			}
-			// Each span holds its own pool slot, so each preempts
-			// independently: one queued flush pauses one span, not the
-			// whole fan-out.
-			return run.BuildPartitioned(e.opts.Dir, id, count, e.runParams(), spans,
-				func(sp run.Span) (run.Iterator, error) { return e.chunked(run.MergeRunsRange(runs, sp), pri, lvl), nil }, par)
+	spans, err := run.PlanRuns(runs, e.mergeWidth(count), e.opts.PageSize)
+	if err != nil {
+		return nil, err
+	}
+	spawn := func(fn func()) { e.sched.SubmitPartition(fn, pri, e.notePartitionWait) }
+	if e.tr != nil {
+		// Bracket each span on its own trace lane; the ordinal is
+		// assigned in spawn order (the planner's span order).
+		var seq atomic.Uint64
+		spawn = func(fn func()) {
+			ord := seq.Add(1) - 1
+			e.sched.SubmitPartition(func() {
+				start := time.Now()
+				e.trace(obs.EvSpanStart, lvl, 0, ord, 0)
+				fn()
+				e.trace(obs.EvSpanEnd, lvl, 0, ord, time.Since(start))
+			}, pri, e.notePartitionWait)
 		}
 	}
-	return run.Build(e.opts.Dir, id, count, e.runParams(), e.chunked(run.MergeRuns(runs), pri, lvl))
+	par := run.Parallel{
+		Spawn: spawn,
+		Yield: func(wait func()) { e.sched.Yield(pri, wait, e.notePartitionWait) },
+	}
+	// Each span holds its own pool slot, so each preempts independently:
+	// one queued flush pauses one span, not the whole fan-out.
+	return run.BuildSpans(e.opts.Dir, id, count, e.runParams(), spans,
+		func(sp run.Span) (run.Iterator, error) { return e.chunked(run.MergeRunsRange(runs, sp), pri, lvl), nil }, par)
 }
 
 // FlushAll forces the L0 contents to disk and joins all merge threads,

@@ -4,9 +4,12 @@
 // h(K_i ‖ value_i) for every entry of the value file (same position), and
 // each upper layer hashes groups of m children, the last group possibly
 // shorter (Definition 2). Construction is streaming and layer-concurrent
-// (Algorithm 4): one buffer per layer, flushed to the file at precomputed
-// layer offsets, so a run's Merkle file is produced in a single pass over
-// the sorted entries with O(m·log_m n) memory.
+// (Algorithm 4) over a span of leaf positions: a SpanWriter keeps one
+// buffer per layer, flushed at precomputed layer offsets, and writes every
+// node whose children all lie in its span, with O(m·log_m n) memory.
+// Several spans build one file concurrently and Stitch fills the few
+// nodes that straddle their boundaries; the span [0, n) owns every node,
+// so the one-span case is the single streaming pass of the paper.
 //
 // Range proofs authenticate a contiguous span of positions [lo, hi]: per
 // layer, the proof carries the sibling hashes flanking the span inside its
@@ -29,7 +32,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 
@@ -82,213 +84,17 @@ func boundaryGroups(count int64, m, l, h int64) (start, end int64) {
 	return start, end
 }
 
-// DefaultWriteBufferBytes is the per-layer coalescing budget of a Writer
-// (~1 MiB of hashes per write syscall).
+// DefaultWriteBufferBytes is the per-layer coalescing budget of a
+// SpanWriter and the default LeafStream window (~1 MiB of hashes per
+// syscall).
 const DefaultWriteBufferBytes = 1 << 20
-
-// Writer streams an m-ary complete MHT to disk (Algorithm 4). The total
-// stream size n must be known up front (it is: a run's size is fixed by its
-// level). Nodes are held in per-layer buffers and flushed in coalesced
-// multi-node writes instead of one tiny WriteAt per completed group; the
-// file bytes are identical for every buffer size.
-type Writer struct {
-	fs      vfs.FS
-	f       vfs.File
-	path    string
-	m       int
-	counts  []int64
-	offsets []int64
-	flushed []int64 // records flushed per layer
-	bufs    [][]types.Hash
-	// ungrouped is the tail of bufs[i] not yet folded into a parent; the
-	// grouped prefix is final and flushable at any time.
-	ungrouped []int
-	// bufHashes is the coalescing threshold: a layer's grouped prefix is
-	// written once it holds at least this many nodes.
-	bufHashes int
-	added     int64
-	n         int64
-	root      types.Hash
-	done      bool
-}
-
-// CreateWriter is CreateWriterFS on the real filesystem with the default
-// write-coalescing buffer.
-func CreateWriter(path string, n int64, m int) (*Writer, error) {
-	return CreateWriterFS(nil, path, n, m, 0)
-}
-
-// CreateWriterFS creates a Merkle file on fsys (nil = the real
-// filesystem) for n leaves with fanout m ≥ 2, whose node writes are
-// coalesced into syscalls of roughly bufBytes (0 selects
-// DefaultWriteBufferBytes; small values give per-group write
-// granularity). The on-disk bytes and root are identical for every
-// buffer size.
-func CreateWriterFS(fsys vfs.FS, path string, n int64, m int, bufBytes int) (*Writer, error) {
-	fsys = vfs.OrOS(fsys)
-	if m < 2 {
-		return nil, fmt.Errorf("mht: fanout %d < 2", m)
-	}
-	if n < 1 {
-		return nil, fmt.Errorf("mht: need at least one leaf, got %d", n)
-	}
-	if bufBytes < 1 {
-		bufBytes = DefaultWriteBufferBytes
-	}
-	bufHashes := bufBytes / types.HashSize
-	if bufHashes < 1 {
-		bufHashes = 1
-	}
-	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	counts := LayerCounts(n, m)
-	w := &Writer{
-		fs:        fsys,
-		f:         f,
-		path:      path,
-		m:         m,
-		counts:    counts,
-		offsets:   LayerOffsets(counts),
-		flushed:   make([]int64, len(counts)),
-		bufs:      make([][]types.Hash, len(counts)),
-		ungrouped: make([]int, len(counts)),
-		bufHashes: bufHashes,
-		n:         n,
-	}
-	if err := f.Truncate(TotalNodes(counts) * types.HashSize); err != nil {
-		_ = f.Close()
-		return nil, err
-	}
-	return w, nil
-}
-
-// push appends a node to a layer buffer; the single node of the top
-// layer is the root.
-func (w *Writer) push(i int, h types.Hash) {
-	w.bufs[i] = append(w.bufs[i], h)
-	w.ungrouped[i]++
-	if i == len(w.counts)-1 {
-		w.root = h
-	}
-}
-
-// Add appends the next leaf hash (h(K‖value) of the entry at the current
-// position).
-func (w *Writer) Add(leaf types.Hash) error {
-	if w.done {
-		return fmt.Errorf("mht: add after Finish on %s", w.path)
-	}
-	if w.added >= w.n {
-		return fmt.Errorf("mht: more than %d leaves added to %s", w.n, w.path)
-	}
-	w.added++
-	w.push(0, leaf)
-	for i := 0; i < len(w.counts)-1; i++ {
-		if w.ungrouped[i] < w.m {
-			break
-		}
-		parent := types.HashConcat(w.bufs[i][len(w.bufs[i])-w.m:]...)
-		w.ungrouped[i] = 0
-		if err := w.maybeFlush(i); err != nil {
-			return err
-		}
-		w.push(i+1, parent)
-	}
-	return nil
-}
-
-// maybeFlush writes a layer's grouped prefix once it exceeds the
-// coalescing threshold (capped at the layer's total node count — small
-// upper layers flush once, at Finish).
-func (w *Writer) maybeFlush(i int) error {
-	grouped := len(w.bufs[i]) - w.ungrouped[i]
-	if int64(grouped) < min(int64(w.bufHashes), w.counts[i]) {
-		return nil
-	}
-	return w.flushLayer(i, grouped)
-}
-
-// flushLayer writes the first k buffered nodes of layer i at their file
-// offsets in one syscall and shifts the unflushed tail down.
-func (w *Writer) flushLayer(i, k int) error {
-	if k == 0 {
-		return nil
-	}
-	buf := make([]byte, 0, k*types.HashSize)
-	for _, h := range w.bufs[i][:k] {
-		buf = append(buf, h[:]...)
-	}
-	off := (w.offsets[i] + w.flushed[i]) * types.HashSize
-	if _, err := w.f.WriteAt(buf, off); err != nil {
-		return err
-	}
-	w.flushed[i] += int64(k)
-	rest := copy(w.bufs[i], w.bufs[i][k:])
-	w.bufs[i] = w.bufs[i][:rest]
-	return nil
-}
-
-// Finish drains the per-layer buffers (Lines 15–18 of Algorithm 4), syncs
-// and closes the file, and returns the root hash.
-func (w *Writer) Finish() (types.Hash, error) {
-	if w.done {
-		return w.root, nil
-	}
-	if w.added != w.n {
-		_ = w.f.Close()
-		return types.Hash{}, fmt.Errorf("mht: %d leaves added, expected %d", w.added, w.n)
-	}
-	d := len(w.counts)
-	for i := 0; i < d; i++ {
-		// Fold the short trailing group into its parent (Definition 2
-		// allows the last group of a layer to hold fewer than m nodes).
-		if i < d-1 && w.ungrouped[i] > 0 {
-			parent := types.HashConcat(w.bufs[i][len(w.bufs[i])-w.ungrouped[i]:]...)
-			w.ungrouped[i] = 0
-			w.push(i+1, parent)
-		}
-		if err := w.flushLayer(i, len(w.bufs[i])); err != nil {
-			_ = w.f.Close()
-			return types.Hash{}, err
-		}
-	}
-	// Sanity: every layer fully flushed.
-	for i, c := range w.counts {
-		if w.flushed[i] != c {
-			_ = w.f.Close()
-			return types.Hash{}, fmt.Errorf("mht: layer %d flushed %d of %d nodes", i, w.flushed[i], c)
-		}
-	}
-	// (push captured the root when the top layer's single node arrived —
-	// in Add's cascade, in the drain above, or, for a one-leaf tree, at
-	// the leaf itself.)
-	w.done = true
-	if err := w.f.Sync(); err != nil {
-		_ = w.f.Close()
-		return types.Hash{}, err
-	}
-	return w.root, w.f.Close()
-}
-
-// Abort closes and removes a partially written file; errors are
-// deliberately discarded (the caller is already failing and the file is
-// about to be deleted or orphan-swept).
-func (w *Writer) Abort() {
-	if !w.done {
-		w.done = true
-		_ = w.f.Close()
-	}
-	_ = w.fs.Remove(w.path)
-}
 
 // residentFrom is the lowest layer a File keeps in memory. Layer i holds
 // ⌈n/m^i⌉ nodes, so from layer 2 up the resident share is at most
 // n/(m(m−1)) + log_m n hashes; layer 1 alone would add n/m more.
 const residentFrom = 2
 
-// File reads a Merkle file produced by Writer.
+// File reads a Merkle file produced by a SharedWriter.
 type File struct {
 	f       vfs.File
 	path    string
@@ -344,9 +150,6 @@ func OpenFS(fsys vfs.FS, path string, n int64, m int, root types.Hash) (*File, e
 
 // Layers returns the number of MHT layers.
 func (r *File) Layers() int { return len(r.counts) }
-
-// Leaves returns n.
-func (r *File) Leaves() int64 { return r.n }
 
 // NodeHash reads the hash at (layer, idx).
 func (r *File) NodeHash(layer int, idx int64) (types.Hash, error) {

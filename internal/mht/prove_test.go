@@ -93,16 +93,7 @@ func memTree(t testing.TB, n int64, m int) (*vfs.MemFS, *File, []types.Hash, typ
 	t.Helper()
 	fs := vfs.NewMem()
 	leaves := leafHashes(n)
-	w, err := CreateWriterFS(fs, "tree.mrk", n, m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, h := range leaves {
-		if err := w.Add(h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	root, err := w.Finish()
+	root, err := writeSpans(fs, "tree.mrk", leaves, m, 0, nil, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,16 +8,16 @@ import (
 	"cole/internal/vfs"
 )
 
-// This file adds the partitioned counterpart of Writer: a Merkle file
-// built by several workers, each streaming the leaves of one contiguous
-// position span and cascading parents exactly as Algorithm 4 does — but
-// only for the nodes whose children fall entirely inside the span. The
-// handful of "straddler" nodes per layer whose children come from two
-// spans (at most two per span boundary) are computed afterwards by
-// Stitch, bottom-up, from the children already on disk. Because every
-// node lands at the same precomputed layer offset a sequential Writer
-// would use, the finished file and root are byte-identical for every
-// span partitioning.
+// This file is the one Merkle file writer: one or more workers, each
+// streaming the leaves of one contiguous position span and cascading
+// parents exactly as Algorithm 4 does — but only for the nodes whose
+// children fall entirely inside the span. The handful of "straddler"
+// nodes per layer whose children come from two spans (at most two per
+// span boundary) are computed afterwards by Stitch, bottom-up, from the
+// children already on disk. Every node lands at its precomputed layer
+// offset, so the finished file and root are byte-identical for every
+// span partitioning — the span [0, n) included, which owns every node and
+// leaves Stitch nothing to fill.
 
 // nodeRange is a half-open node-index range [lo, hi) at one MHT layer.
 type nodeRange struct{ lo, hi int64 }
@@ -26,7 +26,7 @@ type nodeRange struct{ lo, hi int64 }
 // layer fully owns. A parent is owned when all its children lie inside
 // the child layer's owned range; the last (possibly short) group of a
 // layer counts as complete only when the child range reaches the end of
-// its layer, mirroring the fold in Writer.Finish.
+// its layer (SpanWriter.Close folds it).
 func spanRanges(counts []int64, m int, lo, hi int64) []nodeRange {
 	rs := make([]nodeRange, len(counts))
 	rs[0] = nodeRange{lo, hi}
@@ -65,9 +65,10 @@ type SharedWriter struct {
 }
 
 // CreateShared creates a Merkle file on fsys (nil = the real filesystem)
-// for n leaves with fanout m ≥ 2, sized and laid out exactly as
-// CreateWriterFS would. bufBytes is the per-layer, per-span
-// write-coalescing budget (0 selects DefaultWriteBufferBytes).
+// for n leaves with fanout m ≥ 2, pre-sized for every layer. bufBytes is
+// the per-layer, per-span write-coalescing budget (0 selects
+// DefaultWriteBufferBytes; small values give per-node write granularity).
+// The file bytes and root are identical for every buffer size.
 func CreateShared(fsys vfs.FS, path string, n int64, m int, bufBytes int) (*SharedWriter, error) {
 	fsys = vfs.OrOS(fsys)
 	if m < 2 {
@@ -201,9 +202,10 @@ func (w *SpanWriter) flushLayer(i int) error {
 	return nil
 }
 
-// Close folds the short trailing groups (only the span that reaches a
-// layer's end owns them, mirroring Writer.Finish) and flushes every
-// layer. It verifies the span wrote exactly its owned node ranges.
+// Close folds the short trailing groups (Definition 2 allows a layer's
+// last group fewer than m nodes; only the span that reaches the layer's
+// end owns it) and flushes every layer. It verifies the span wrote
+// exactly its owned node ranges.
 func (w *SpanWriter) Close() error {
 	if w.closed {
 		return nil
@@ -314,11 +316,44 @@ func (s *SharedWriter) fillNode(layer int, p int64) error {
 }
 
 // Abort closes and removes a partially written file; errors are
-// deliberately discarded (see Writer.Abort).
+// deliberately discarded (the caller is already failing and the file is
+// about to be deleted or orphan-swept).
 func (s *SharedWriter) Abort() {
 	if !s.closed {
 		s.closed = true
 		_ = s.f.Close()
 	}
 	_ = s.fs.Remove(s.path)
+}
+
+// Writer writes a whole Merkle file as the one span [0, n).
+type Writer struct{ span *SpanWriter }
+
+// CreateWriter creates a Merkle file on the real filesystem for n leaves
+// with fanout m ≥ 2, written by one span through the default buffer.
+func CreateWriter(path string, n int64, m int) (*Writer, error) {
+	s, err := CreateShared(nil, path, n, m, 0)
+	if err != nil {
+		return nil, err
+	}
+	span, err := s.Span(0, n)
+	if err != nil {
+		s.Abort()
+		return nil, err
+	}
+	return &Writer{span}, nil
+}
+
+// Add appends the next leaf hash.
+func (w *Writer) Add(leaf types.Hash) error { return w.span.Add(leaf) }
+
+// Finish writes out the tree, syncs and closes the file, and returns the
+// root; a tree short of its n leaves is an error and its file is removed.
+func (w *Writer) Finish() (types.Hash, error) {
+	s := w.span.s
+	if err := w.span.Close(); err != nil {
+		s.Abort()
+		return types.Hash{}, err
+	}
+	return s.Stitch([][2]int64{{0, s.n}})
 }

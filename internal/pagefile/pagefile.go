@@ -9,19 +9,21 @@
 // record within one page of the predicted page, so a lookup touches at most
 // two pages.
 //
-// Writers stream append-only (runs are immutable once built) and coalesce
-// many pages per write syscall; point readers pin pages in a Cache shared
-// by every file of a store (File.Pin) and count disk reads vs cache hits
-// so benchmarks can report IO cost. Sequential consumers (level merges,
-// exports, reshard) instead use SequentialReader, which reads large
-// readahead windows into a private buffer and never touches the cache — a
-// background compaction cannot evict the working set of concurrent point
-// readers.
+// One Writer appends records page by page (runs are immutable once
+// built), coalescing many pages per positional write: it owns a file and
+// starts at page 0 (CreateWriter, the learned index), or fills one
+// page-aligned segment of a value file that key-range spans write
+// concurrently (SharedWriter.Segment). Point readers pin pages in a Cache
+// shared by every file of a store (File.Pin) and count disk reads vs
+// cache hits so benchmarks can report IO cost. Sequential consumers
+// (level merges, exports, reshard, the run builder's key read-back)
+// instead use SequentialReader, which reads large readahead windows into
+// a private buffer and never touches the cache — a background compaction
+// cannot evict the working set of concurrent point readers.
 package pagefile
 
 import (
 	"fmt"
-	"os"
 	"sync/atomic"
 
 	"cole/internal/vfs"
@@ -61,160 +63,6 @@ type IOStats struct {
 	// SeqReads counts pages fetched by SequentialReaders: streaming IO
 	// that never touched (or evicted from) the page cache.
 	SeqReads int64
-}
-
-// Writer appends fixed-size records to a page-padded file, coalescing
-// several pages into each write syscall.
-type Writer struct {
-	fs       vfs.FS
-	f        vfs.File
-	path     string
-	pageSize int
-	recSize  int
-	perPage  int
-	buf      []byte // bufPages × pageSize, written in one syscall when full
-	bufPages int
-	inBuf    int // complete pages buffered
-	inPage   int // records in the page currently being filled
-	count    int64
-	closed   bool
-}
-
-// CreateWriter is CreateWriterFS on the real filesystem with the default
-// write-coalescing buffer.
-func CreateWriter(path string, pageSize, recSize int) (*Writer, error) {
-	return CreateWriterFS(nil, path, pageSize, recSize, 0)
-}
-
-// CreateWriterFS creates (truncating) a record file on fsys (nil = the
-// real filesystem) whose writes are coalesced into bufPages-page
-// syscalls (0 selects DefaultWriteBufferPages; 1 is one syscall per
-// page). The on-disk bytes are identical for every buffer size.
-func CreateWriterFS(fsys vfs.FS, path string, pageSize, recSize, bufPages int) (*Writer, error) {
-	fsys = vfs.OrOS(fsys)
-	if PerPage(pageSize, recSize) < 1 {
-		return nil, fmt.Errorf("pagefile: record size %d does not fit page size %d", recSize, pageSize)
-	}
-	if bufPages < 1 {
-		bufPages = DefaultWriteBufferPages
-	}
-	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &Writer{
-		fs:       fsys,
-		f:        f,
-		path:     path,
-		pageSize: pageSize,
-		recSize:  recSize,
-		perPage:  PerPage(pageSize, recSize),
-		buf:      make([]byte, bufPages*pageSize),
-		bufPages: bufPages,
-	}, nil
-}
-
-// pageStart returns the offset of the in-progress page inside the buffer.
-func (w *Writer) pageStart() int { return w.inBuf * w.pageSize }
-
-// Append writes one record; rec must be exactly the record size.
-func (w *Writer) Append(rec []byte) error {
-	if w.closed {
-		return fmt.Errorf("pagefile: append to finished writer %s", w.path)
-	}
-	if len(rec) != w.recSize {
-		return fmt.Errorf("pagefile: record length %d, want %d", len(rec), w.recSize)
-	}
-	copy(w.buf[w.pageStart()+w.inPage*w.recSize:], rec)
-	w.inPage++
-	w.count++
-	if w.inPage == w.perPage {
-		return w.sealPage()
-	}
-	return nil
-}
-
-// sealPage zero-pads the in-progress page, marks it complete, and issues
-// the coalesced write when the buffer is full.
-func (w *Writer) sealPage() error {
-	if w.inPage == 0 {
-		return nil
-	}
-	// Zero the padding after the last record (the buffer is reused).
-	start := w.pageStart()
-	for i := start + w.inPage*w.recSize; i < start+w.pageSize; i++ {
-		w.buf[i] = 0
-	}
-	w.inPage = 0
-	w.inBuf++
-	if w.inBuf == w.bufPages {
-		return w.flush()
-	}
-	return nil
-}
-
-// flush writes the buffered complete pages in one syscall.
-func (w *Writer) flush() error {
-	if w.inBuf == 0 {
-		return nil
-	}
-	if _, err := w.f.Write(w.buf[:w.inBuf*w.pageSize]); err != nil {
-		return err
-	}
-	w.inBuf = 0
-	return nil
-}
-
-// Count returns the number of records appended so far (including padding
-// slots consumed by Pad).
-func (w *Writer) Count() int64 { return w.count }
-
-// Pad fills the remainder of the current page with zero records so the
-// next Append starts on a fresh page. COLE's index files pad each model
-// layer to a page boundary (Algorithm 3 builds the index layer by layer,
-// with the top layer occupying exactly the last page).
-func (w *Writer) Pad() error {
-	if w.closed {
-		return fmt.Errorf("pagefile: pad on finished writer %s", w.path)
-	}
-	if w.inPage == 0 {
-		return nil
-	}
-	w.count += int64(w.perPage - w.inPage)
-	return w.sealPage()
-}
-
-// Finish flushes the trailing partial page and buffered pages, syncs and
-// closes the file.
-func (w *Writer) Finish() error {
-	if w.closed {
-		return nil
-	}
-	w.closed = true
-	if err := w.sealPage(); err != nil {
-		_ = w.f.Close()
-		return err
-	}
-	if err := w.flush(); err != nil {
-		_ = w.f.Close()
-		return err
-	}
-	if err := w.f.Sync(); err != nil {
-		_ = w.f.Close()
-		return err
-	}
-	return w.f.Close()
-}
-
-// Abort closes and removes a partially written file. Errors are
-// deliberately discarded: Abort runs on paths already failing, and the
-// file is about to be deleted (or swept as an orphan on reopen).
-func (w *Writer) Abort() {
-	if !w.closed {
-		w.closed = true
-		_ = w.f.Close()
-	}
-	_ = w.fs.Remove(w.path)
 }
 
 // File reads records from a page-padded file through a page cache. It is

@@ -3,31 +3,113 @@ package pagefile
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
+
+	"cole/internal/vfs"
 )
 
-// TestWriterCoalescingByteIdentical proves the coalescing buffer is pure
-// batching: the same record stream (including mid-stream Pads) produces
-// byte-for-byte identical files at every buffer size.
+// pageImage is the file the format promises when record i (makeRec(i))
+// sits in record slot slots[i]: each record in its slot of its page, the
+// rest of every page zeros, the file ending with the last page that
+// holds a record.
+func pageImage(slots []int64) []byte {
+	perPage := int64(PerPage(DefaultPageSize, testRecSize))
+	img := make([]byte, (slots[len(slots)-1]/perPage+1)*DefaultPageSize)
+	for i, slot := range slots {
+		copy(img[slot/perPage*DefaultPageSize+slot%perPage*testRecSize:], makeRec(int64(i)))
+	}
+	return img
+}
+
+// TestWriterCoalescingByteIdentical checks the one page appender against
+// bytes computed here, at every buffer size: a sized file cut into 1, 2
+// or 3 page-aligned segments (the last ending on a page boundary or
+// mid-page) written in every order, and an unsized file grown by one
+// Writer that pads at irregular points, as the learned index does.
 func TestWriterCoalescingByteIdentical(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string, bufPages int) []byte {
+	fs := vfs.NewMem()
+	perPage := int64(PerPage(DefaultPageSize, testRecSize))
+	bufSizes := []int{1, 2, 3, 7, 0 /* default */}
+	read := func(path string) []byte {
 		t.Helper()
-		path := filepath.Join(dir, name)
-		w, err := CreateWriterFS(nil, path, DefaultPageSize, testRecSize, bufPages)
+		raw, err := fs.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := int64(0); i < 700; i++ {
+		return raw
+	}
+	orders := [][]int{{0}, {0, 1}, {1, 0}, {0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+	for _, n := range []int64{1, perPage - 1, 7 * perPage, 7*perPage + 20, 11*perPage + 1} {
+		slots := make([]int64, n)
+		for i := range slots {
+			slots[i] = int64(i)
+		}
+		want := pageImage(slots)
+		pages := (n + perPage - 1) / perPage
+		for _, order := range orders {
+			segs := int64(len(order))
+			if segs > pages {
+				continue
+			}
+			bounds := make([]int64, segs+1)
+			for i := int64(1); i < segs; i++ {
+				bounds[i] = i * pages / segs * perPage
+			}
+			bounds[segs] = n
+			for _, bufPages := range bufSizes {
+				s, err := CreateShared(fs, "segments.dat", DefaultPageSize, testRecSize, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, i := range order {
+					w, err := s.Segment(bounds[i], bufPages)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for r := bounds[i]; r < bounds[i+1]; r++ {
+						if err := w.Append(makeRec(r)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := w.Finish(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := s.Finish(); err != nil {
+					t.Fatal(err)
+				}
+				if got := read("segments.dat"); !bytes.Equal(got, want) {
+					t.Fatalf("n=%d order=%v bufPages=%d: %d bytes differ from the %d expected", n, order, bufPages, len(got), len(want))
+				}
+			}
+		}
+	}
+
+	const n = 700
+	pads := map[int64]bool{10: true, 299: true, 500: true, n - 1: true}
+	slots := make([]int64, n)
+	for i, slot := int64(0), int64(0); i < n; i++ {
+		slots[i] = slot
+		if slot++; pads[i] {
+			slot = (slot + perPage - 1) / perPage * perPage
+		}
+	}
+	want := pageImage(slots)
+	for _, bufPages := range bufSizes {
+		s, err := CreateShared(fs, "padded.dat", DefaultPageSize, testRecSize, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := s.Segment(0, bufPages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(0); i < n; i++ {
 			if err := w.Append(makeRec(i)); err != nil {
 				t.Fatal(err)
 			}
-			// Pad at irregular points to exercise page sealing inside and
-			// at the edges of the coalescing buffer.
-			if i == 10 || i == 299 || i == 500 {
+			if pads[i] {
 				if err := w.Pad(); err != nil {
 					t.Fatal(err)
 				}
@@ -36,18 +118,53 @@ func TestWriterCoalescingByteIdentical(t *testing.T) {
 		if err := w.Finish(); err != nil {
 			t.Fatal(err)
 		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
+		if err := s.Finish(); err != nil {
 			t.Fatal(err)
 		}
-		return raw
-	}
-	want := write("buf1.dat", 1)
-	for _, bufPages := range []int{2, 3, 7, 0 /* default */} {
-		got := write(fmt.Sprintf("buf%d.dat", bufPages), bufPages)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("bufPages=%d produced different bytes (%d vs %d)", bufPages, len(got), len(want))
+		if got := read("padded.dat"); !bytes.Equal(got, want) {
+			t.Fatalf("padded, bufPages=%d: %d bytes differ from the %d expected", bufPages, len(got), len(want))
 		}
+	}
+}
+
+// TestSegmentMisuse: segments start on page boundaries inside the file,
+// hold no more than the file was sized for, and end mid-page only at its
+// end.
+func TestSegmentMisuse(t *testing.T) {
+	fs := vfs.NewMem()
+	perPage := int64(PerPage(DefaultPageSize, testRecSize))
+	s, err := CreateShared(fs, "x", DefaultPageSize, testRecSize, 2*perPage+5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Abort()
+	if _, err := s.Segment(1, 0); err == nil {
+		t.Fatal("unaligned segment start must error")
+	}
+	if _, err := s.Segment(3*perPage, 0); err == nil {
+		t.Fatal("segment start past the file must error")
+	}
+	w, err := s.Segment(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(makeRec(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Finish(); err == nil {
+		t.Fatal("an interior segment ending mid-page must error")
+	}
+	last, err := s.Segment(2*perPage, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 5; i++ {
+		if err := last.Append(makeRec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := last.Append(makeRec(5)); err == nil {
+		t.Fatal("append past the sized end must error")
 	}
 }
 

@@ -48,10 +48,10 @@ func TestReshardGoldenPassthrough(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Rebuild of the same run from its own entries at 1-page IO,
-			// leaf hashes recomputed from scratch.
+			// Rebuild of the same run from its own entries, leaf hashes
+			// recomputed from scratch.
 			rebuildDir := t.TempDir()
-			params := run.Params{Fanout: 4, MergeReadahead: 1, WriteBufferPages: 1}
+			params := run.Params{Fanout: 4}
 			rebuilt, err := run.Build(rebuildDir, id, r.Count(), params, rehashIterator{r.Iter()})
 			if err != nil {
 				t.Fatal(err)

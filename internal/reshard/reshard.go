@@ -87,7 +87,7 @@ type Options struct {
 	// more workers than source (or destination) shards, the surplus goes
 	// to key-range partitioning inside each shard: source streams spool
 	// in parallel parts, and destination runs are built by parallel span
-	// workers (run.BuildPartitioned), so the wall time keeps dropping
+	// workers (run.BuildSpans), so the wall time keeps dropping
 	// even when the shard counts are small.
 	Workers int
 	// FailPoint, when set, is invoked before each install step with the
@@ -395,9 +395,8 @@ func Reshard(dir string, shards int, opts Options) (*Report, error) {
 	// complete engine directory (bottom-level run + manifest) in one
 	// streaming pass. Spare workers partition each destination's build by
 	// key range: the spool chains are positionally addressable, so the
-	// same planner cuts them into spans and run.BuildPartitioned writes
-	// the run's slices concurrently — byte-identical to the sequential
-	// build.
+	// same planner cuts them into spans and run.BuildSpans writes the
+	// run's slices concurrently — the same files as one span would write.
 	if err := opts.fail(StepBuild); err != nil {
 		return nil, err
 	}
@@ -454,7 +453,7 @@ func Reshard(dir string, shards int, opts Options) (*Report, error) {
 			// workers spawn plainly and the parent just blocks on the
 			// join — no Yield needed.
 			par := run.Parallel{Spawn: func(fn func()) { go fn() }}
-			return run.BuildPartitioned(rdir, id, perShard[j], params, spans, func(sp run.Span) (run.Iterator, error) {
+			return run.BuildSpans(rdir, id, perShard[j], params, spans, func(sp run.Span) (run.Iterator, error) {
 				var its []run.Iterator
 				for si, c := range chains {
 					if sp.SrcHi[si] > sp.SrcLo[si] {

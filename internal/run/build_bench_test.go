@@ -7,10 +7,11 @@ import (
 	"cole/internal/types"
 )
 
-// benchMergeBuild times a 4-way sort-merge rebuild of version-clustered
-// runs — the level-merge data path — under the given params
+// BenchmarkMergeBuild times a 4-way sort-merge rebuild of
+// version-clustered runs — the level-merge data path
 // (`go test -bench MergeBuild ./internal/run`).
-func benchMergeBuild(b *testing.B, params Params) {
+func BenchmarkMergeBuild(b *testing.B) {
+	params := Params{Fanout: 4}
 	dir := b.TempDir()
 	const nAddrs, versions, ways = 20000, 8, 4
 	addrs := make([]types.Address, nAddrs)
@@ -57,8 +58,4 @@ func benchMergeBuild(b *testing.B, params Params) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkMergeBuildStreaming(b *testing.B) {
-	benchMergeBuild(b, Params{Fanout: 4})
 }

@@ -44,22 +44,20 @@ func (p plainIterator) Next() (types.Entry, bool) { return p.inner.Next() }
 
 // TestBuildGoldenPassthroughVsRecompute is the byte-compatibility oracle
 // of the streaming build: the same merged entry stream built with every
-// leaf hash recomputed and 1-page IO (the reference) and with leaf-hash
-// passthrough, readahead and coalesced writes must produce byte-identical
-// .val/.idx/.mrk/.met files and equal run digests, and the run's Bloom
-// filter must equal one built with a full Add per entry (no
-// consecutive-version fast path).
+// leaf hash recomputed (the reference) and with leaf-hash passthrough
+// must produce byte-identical .val/.idx/.mrk/.met files and equal run
+// digests, and the run's Bloom filter must equal one built with a full
+// Add per entry (no consecutive-version fast path).
 func TestBuildGoldenPassthroughVsRecompute(t *testing.T) {
 	entries := genEntries(7, 800, 8)
-	refParams := Params{Fanout: 4, MergeReadahead: 1, WriteBufferPages: 1}
-	streamParams := Params{Fanout: 4}
+	params := Params{Fanout: 4}
 
 	// Shared source runs (built once; the builders under test consume
 	// their merged stream).
 	srcDir := t.TempDir()
 	var sources []*Run
 	for i, part := range splitSorted(entries, 3) {
-		r, err := Build(srcDir, uint64(i), int64(len(part)), streamParams, NewSliceIterator(part))
+		r, err := Build(srcDir, uint64(i), int64(len(part)), params, NewSliceIterator(part))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,12 +66,12 @@ func TestBuildGoldenPassthroughVsRecompute(t *testing.T) {
 	}
 
 	refDir, streamDir := t.TempDir(), t.TempDir()
-	refRun, err := Build(refDir, 9, int64(len(entries)), refParams, plainIterator{MergeRuns(sources)})
+	refRun, err := Build(refDir, 9, int64(len(entries)), params, plainIterator{MergeRuns(sources)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer refRun.Close()
-	streamRun, err := Build(streamDir, 9, int64(len(entries)), streamParams, MergeRuns(sources))
+	streamRun, err := Build(streamDir, 9, int64(len(entries)), params, MergeRuns(sources))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,10 +15,12 @@
 //     address Bloom filter. The run digest H(mht_root ‖ bloom_digest)
 //     participates in root_hash_list, authenticating both data and filter.
 //
-// All three files are written in a single streaming pass over a sorted
-// entry iterator (the L0 flush or a level sort-merge), then never modified:
-// "the index file remains valid from its construction until the next level
-// merge" (§4.1).
+// All three files are written by one builder, BuildSpans, then never
+// modified: "the index file remains valid from its construction until the
+// next level merge" (§4.1). It streams each planned key-range span of a
+// sorted input (the L0 flush or a level sort-merge) into its slices of
+// the value and Merkle files. Build is its one-span case: a single
+// streaming pass that also feeds the learned index inline.
 package run
 
 import (
@@ -86,15 +88,6 @@ type Params struct {
 	// run a private one of pagefile.DefaultCachePages pages, which is what
 	// standalone openers (fsck, reshard, probes) want.
 	Cache *pagefile.Cache
-	// MergeReadahead is the window, in pages, that streaming run readers
-	// (Iter: level merges, exports, reshard sources) fetch per syscall,
-	// bypassing the point-read page cache. Default 256 (~1 MiB at 4 KiB
-	// pages).
-	MergeReadahead int
-	// WriteBufferPages is how many pages run builders coalesce per write
-	// syscall. Default 256 (~1 MiB at 4 KiB pages). Any value produces
-	// byte-identical files.
-	WriteBufferPages int
 	// VerifyReads makes every point lookup check the returned entry
 	// against its stored Merkle leaf hash, turning silent value-page
 	// bit rot into a typed ErrCorrupt at the cost of one hash read and
@@ -110,12 +103,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.BloomFP == 0 {
 		p.BloomFP = 0.01
-	}
-	if p.MergeReadahead == 0 {
-		p.MergeReadahead = pagefile.DefaultReadaheadPages
-	}
-	if p.WriteBufferPages == 0 {
-		p.WriteBufferPages = pagefile.DefaultWriteBufferPages
 	}
 	p.FS = vfs.OrOS(p.FS)
 	return p
@@ -169,266 +156,6 @@ func Files(id uint64) []string {
 		baseName(id) + ".mrk",
 		baseName(id) + ".met",
 	}
-}
-
-// Build streams a sorted iterator into a new run. count must equal the
-// number of entries the iterator yields. It is the one-span case of the
-// per-entry loop (writeEntries) over ordinary append-only writers, with
-// the bottom PLA layer fed inline so a flush never reads its keys back.
-func Build(dir string, id uint64, count int64, params Params, src Iterator) (r *Run, err error) {
-	params = params.withDefaults()
-	if params.Fanout < 2 {
-		return nil, fmt.Errorf("run: MHT fanout %d < 2", params.Fanout)
-	}
-	if count < 1 {
-		return nil, fmt.Errorf("run: empty runs are not built (count=%d)", count)
-	}
-
-	wbufPages := writeBufferPages(count, params)
-	valW, err := pagefile.CreateWriterFS(params.FS, valuePath(dir, id), params.PageSize, types.EntrySize, wbufPages)
-	if err != nil {
-		return nil, err
-	}
-	idxW, err := pagefile.CreateWriterFS(params.FS, indexPath(dir, id), params.PageSize, pla.ModelSize, wbufPages)
-	if err != nil {
-		valW.Abort()
-		return nil, err
-	}
-	mrkW, err := mht.CreateWriterFS(params.FS, merklePath(dir, id), count, params.Fanout, wbufPages*params.PageSize)
-	if err != nil {
-		valW.Abort()
-		idxW.Abort()
-		return nil, err
-	}
-	defer func() {
-		if err != nil {
-			valW.Abort()
-			idxW.Abort()
-			mrkW.Abort()
-			_ = params.FS.Remove(metaPath(dir, id))
-		}
-	}()
-
-	// Bottom model layer: learn over (key, value-file position). The index
-	// builder collects each emitted model's (kmin, index-file position) to
-	// drive the upper layers — O(#models) memory, a tiny fraction of the
-	// data.
-	ib := newIndexBuilder(idxW, params)
-	builder, err := pla.NewBuilder(pagefile.Epsilon(params.PageSize, types.EntrySize), ib.writeModel)
-	if err != nil {
-		return nil, err
-	}
-	res, err := writeEntries(src, count, count, params, valW.Append, mrkW.Add, builder)
-	if err != nil {
-		return nil, err
-	}
-	if err := builder.Finish(); err != nil {
-		return nil, err
-	}
-	layers, err := ib.finishLayers()
-	if err != nil {
-		return nil, err
-	}
-	if err := idxW.Finish(); err != nil {
-		return nil, err
-	}
-	if err := valW.Finish(); err != nil {
-		return nil, err
-	}
-	root, err := mrkW.Finish()
-	if err != nil {
-		return nil, err
-	}
-	return finishRun(dir, id, count, params, layers, root, res)
-}
-
-// writeBufferPages caps the coalescing buffers at the value file's own
-// page count: a small run (an L0 flush, a shallow level) should not pay a
-// ~1 MiB allocation per file to save syscalls it will never issue. The
-// index and Merkle files are never larger than the value file.
-func writeBufferPages(count int64, params Params) int {
-	perPage := int64(pagefile.PerPage(params.PageSize, types.EntrySize))
-	if vp := (count + perPage - 1) / perPage; int64(params.WriteBufferPages) > vp {
-		return int(vp)
-	}
-	return params.WriteBufferPages
-}
-
-// spanResult is what one pass of writeEntries hands its caller: the
-// span's Bloom contribution and key bounds.
-type spanResult struct {
-	filter *bloom.Filter
-	minKey types.CompoundKey
-	maxKey types.CompoundKey
-}
-
-// writeEntries is the per-entry loop of every run build — a whole
-// sequential build is one call, a partitioned build one call per span:
-// encode the entry and append it to the value file, take its Merkle leaf
-// hash from the source when it can replay precomputed ones (a run's .mrk
-// file, a reshard spool, or a merge of such sources — a stored leaf hash
-// IS types.HashEntry of its entry) and compute it otherwise (L0 flushes
-// arrive as plain slices), add the leaf, and insert the address into a
-// Bloom filter with the full run's geometry. keys, when non-nil, receives
-// every key with its position in the span (the inline PLA feed).
-//
-// src must yield exactly want entries. A source that died mid-stream is
-// reported by its own error, not as the count mismatch it also causes.
-func writeEntries(src Iterator, want, count int64, params Params,
-	appendValue func([]byte) error, addLeaf func(types.Hash) error,
-	keys *pla.Builder) (res spanResult, err error) {
-	// Every span's filter gets the full run's geometry so the union of the
-	// spans marshals byte-identically to one sequential pass.
-	res.filter = bloom.New(int(count), params.BloomFP)
-	var hashSrc HashedIterator
-	if h, ok := src.(HashedIterator); ok && h.Hashed() {
-		hashSrc = h
-	}
-	var seen int64
-	entryBuf := make([]byte, types.EntrySize)
-	for {
-		e, ok := src.Next()
-		if !ok {
-			break
-		}
-		if seen >= want {
-			return res, fmt.Errorf("run: iterator yielded more than %d entries", want)
-		}
-		// Consecutive versions of one address are adjacent in compound-key
-		// order; the filter insert is idempotent, so only the first needs
-		// the SHA-256 base hashes. A span whose first entries continue the
-		// previous span's address re-Adds it: both paths count one entry,
-		// so the union stays byte-identical.
-		sameAddr := seen > 0 && e.Key.Addr == res.maxKey.Addr
-		if seen == 0 {
-			res.minKey = e.Key
-		}
-		res.maxKey = e.Key
-		types.EncodeEntry(entryBuf, e)
-		if err := appendValue(entryBuf); err != nil {
-			return res, err
-		}
-		if keys != nil {
-			if err := keys.Add(e.Key, seen); err != nil {
-				return res, err
-			}
-		}
-		var leaf types.Hash
-		if hashSrc != nil {
-			if leaf, err = hashSrc.LeafHash(); err != nil {
-				return res, err
-			}
-		} else {
-			leaf = types.HashEntry(e)
-		}
-		if err := addLeaf(leaf); err != nil {
-			return res, err
-		}
-		if sameAddr {
-			res.filter.AddRepeat()
-		} else {
-			res.filter.Add(e.Key.Addr)
-		}
-		seen++
-	}
-	if err := sourceErr(src); err != nil {
-		return res, err
-	}
-	if seen != want {
-		return res, fmt.Errorf("run: iterator yielded %d entries, expected %d", seen, want)
-	}
-	return res, nil
-}
-
-// finishRun writes the metadata file — the run's commit point — and opens
-// the finished run. res carries the whole run's filter and key bounds.
-func finishRun(dir string, id uint64, count int64, params Params, layers []layerMeta, root types.Hash, res spanResult) (*Run, error) {
-	meta := runMeta{
-		Count:  count,
-		Fanout: params.Fanout,
-		Layers: layers,
-		Root:   root,
-		Bloom:  res.filter.Marshal(),
-		MinKey: res.minKey,
-		MaxKey: res.maxKey,
-		PageSz: params.PageSize,
-	}
-	if err := writeMeta(params.FS, metaPath(dir, id), meta); err != nil {
-		return nil, err
-	}
-	return Open(dir, id, params)
-}
-
-// indexBuilder accumulates the bottom model layer of a learned index and
-// builds the page-aligned upper layers over it (Algorithm 3's recursion).
-// Shared by the sequential builder and the partitioned builder's stitch
-// phase — upper-layer construction is identical either way, so the index
-// file is byte-identical by construction.
-type indexBuilder struct {
-	idxW          *pagefile.Writer
-	params        Params
-	kmins         []types.CompoundKey
-	modelBuf      []byte
-	modelsPerPage int
-}
-
-func newIndexBuilder(idxW *pagefile.Writer, params Params) *indexBuilder {
-	return &indexBuilder{
-		idxW:          idxW,
-		params:        params,
-		modelBuf:      make([]byte, pla.ModelSize),
-		modelsPerPage: pagefile.PerPage(params.PageSize, pla.ModelSize),
-	}
-}
-
-// writeModel is the emit hook of the bottom-layer PLA construction: it
-// appends the model to the index file and records its kmin for the
-// upper layers.
-func (b *indexBuilder) writeModel(m pla.Model) error {
-	m.Encode(b.modelBuf)
-	b.kmins = append(b.kmins, m.KMin)
-	return b.idxW.Append(b.modelBuf)
-}
-
-// finishLayers pads out the bottom layer and recurses upward until a
-// layer fits in one page. Model positions are global index-file record
-// slots (page · modelsPerPage + slot), so predictions divide directly
-// into page numbers. The caller still owns idxW.Finish.
-func (b *indexBuilder) finishLayers() ([]layerMeta, error) {
-	epsIdx := pagefile.Epsilon(b.params.PageSize, pla.ModelSize)
-	var layers []layerMeta
-	layerStartPage := int64(0)
-	layerModels := int64(len(b.kmins))
-	for {
-		pages := (layerModels + int64(b.modelsPerPage) - 1) / int64(b.modelsPerPage)
-		layers = append(layers, layerMeta{StartPage: layerStartPage, Pages: pages, Models: layerModels})
-		if err := b.idxW.Pad(); err != nil {
-			return nil, err
-		}
-		if pages <= 1 {
-			break
-		}
-		nextStart := layerStartPage + pages
-		prev := b.kmins
-		b.kmins = b.kmins[:0:0]
-		ub, err := pla.NewBuilder(epsIdx, b.writeModel)
-		if err != nil {
-			return nil, err
-		}
-		for j, k := range prev {
-			// Global record slot of lower-layer model j.
-			pos := (layerStartPage+int64(j)/int64(b.modelsPerPage))*int64(b.modelsPerPage) + int64(j)%int64(b.modelsPerPage)
-			if err := ub.Add(k, pos); err != nil {
-				return nil, err
-			}
-		}
-		if err := ub.Finish(); err != nil {
-			return nil, err
-		}
-		layerStartPage = nextStart
-		layerModels = int64(len(b.kmins))
-	}
-	return layers, nil
 }
 
 // PageSizeOf reads the page size a run was built with from its metadata,
@@ -599,12 +326,12 @@ func (r *Run) Models() int64 {
 
 // Iter returns a sequential iterator over the run's entries in key order
 // (used by level sort-merges, exports, and reshard). It streams through
-// a private readahead buffer (Params.MergeReadahead pages per syscall)
+// a private readahead buffer (pagefile.DefaultReadaheadPages per syscall)
 // that bypasses the point-read page cache entirely: a background merge
 // scanning this run evicts nothing concurrent readers have cached and
 // takes no lock. Read errors surface through Err.
 func (r *Run) Iter() *RunIterator {
-	return &RunIterator{r: r, sr: r.values.SequentialReader(r.params.MergeReadahead)}
+	return &RunIterator{r: r, sr: r.values.SequentialReader(pagefile.DefaultReadaheadPages)}
 }
 
 // IterRange returns a sequential iterator over value-file positions
@@ -614,7 +341,7 @@ func (r *Run) Iter() *RunIterator {
 func (r *Run) IterRange(lo, hi int64) *RunIterator {
 	return &RunIterator{
 		r:   r,
-		sr:  r.values.SequentialReaderRange(r.params.MergeReadahead, lo, hi),
+		sr:  r.values.SequentialReaderRange(pagefile.DefaultReadaheadPages, lo, hi),
 		pos: lo,
 	}
 }
@@ -672,7 +399,7 @@ func (it *RunIterator) Hashed() bool { return true }
 // run's .mrk file.
 func (it *RunIterator) LeafHash() (types.Hash, error) {
 	if it.leaves == nil {
-		it.leaves = it.r.merkle.LeafStream(it.r.params.MergeReadahead * it.r.params.PageSize)
+		it.leaves = it.r.merkle.LeafStream(pagefile.DefaultReadaheadPages * it.r.params.PageSize)
 	}
 	return it.leaves.At(it.pos - 1)
 }

@@ -505,14 +505,14 @@ func TestDigestsComputedOnceAtOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := BuildPartitioned(t.TempDir(), 1, count, params, spans,
+	part, err := BuildSpans(t.TempDir(), 1, count, params, spans,
 		func(sp Span) (Iterator, error) { return MergeRunsRange(sources, sp), nil },
 		Parallel{Spawn: func(fn func()) { go fn() }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer part.Close()
-	check("BuildPartitioned", part)
+	check("BuildSpans", part)
 	if part.Digest() != want {
 		t.Fatal("partitioned build's digest differs from the sequential build's")
 	}
