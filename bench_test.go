@@ -15,20 +15,23 @@ import (
 
 	"cole"
 	"cole/internal/bench"
+	"cole/internal/workload"
 )
 
 // benchCfg returns the experiment scale; figures print once per process.
 func benchCfg() bench.Config {
 	if os.Getenv("COLE_BENCH_SCALE") == "lab" {
-		return bench.NewConfig(bench.Params{
-			Blocks: 400, TxPerBlock: 100, Accounts: 10_000, Records: 10_000,
-			MemCap: 16_384, MemBytes: 8 << 20, SizeRatio: 4, Fanout: 4, Seed: 42,
-		})
+		return bench.Config{
+			SystemSpec: bench.SystemSpec{MemCap: 16_384, MemBytes: 8 << 20, SizeRatio: 4, Fanout: 4},
+			Spec:       workload.Spec{TxPerBlock: 100, Seed: 42},
+			Blocks:     400, Accounts: 10_000, Records: 10_000,
+		}
 	}
-	return bench.NewConfig(bench.Params{
-		Blocks: 80, TxPerBlock: 50, Accounts: 1000, Records: 1000,
-		MemCap: 1024, MemBytes: 512 << 10, SizeRatio: 4, Fanout: 4, Seed: 42,
-	})
+	return bench.Config{
+		SystemSpec: bench.SystemSpec{MemCap: 1024, MemBytes: 512 << 10, SizeRatio: 4, Fanout: 4},
+		Spec:       workload.Spec{TxPerBlock: 50, Seed: 42},
+		Blocks:     80, Accounts: 1000, Records: 1000,
+	}
 }
 
 var printOnce sync.Map

@@ -15,17 +15,21 @@
 // Experiments: fig9 fig10 fig11 fig12 fig13 fig14 fig15 table1
 // mptbreakdown shardscale mergesched readscale reshard compaction
 // workloads stalls all.
-// -shards N
-// runs the COLE systems of any experiment over an N-shard store; for
-// shardscale (and the reshard target sweep) it sets the top of the
-// power-of-two sweep. -merge-workers W bounds the
-// shared background merge pool (for mergesched: the top of its sweep);
-// -readers R sets the top of readscale's reader-goroutine sweep; -batch
-// routes each block through the batched write pipeline (off by default
-// so the paper-replication figures keep the paper's per-Put methodology;
-// the shardscale/mergesched sweeps always batch); -json writes every
-// table (with raw measurements, including merge waits, per-shard write
-// counts, and read-scaling TPS) to a machine-readable report.
+//
+// The paper's experiments (fig9–fig15, table1, mptbreakdown) execute
+// SmallBank/KVStore transactions through the chain executor, one Put per
+// state update, as the paper does. The sweeps (shardscale, mergesched,
+// readscale, reshard, compaction) populate their stores with uniform
+// write-only blocks over the preset's record count, each block landing
+// as one PutBatch.
+//
+// -shards N runs the COLE systems of any experiment over an N-shard
+// store; for shardscale (and the reshard target sweep) it sets the top of
+// the power-of-two sweep. -merge-workers W bounds the shared background
+// merge pool (for mergesched: the top of its sweep); -readers R sets the
+// top of readscale's reader-goroutine sweep; -json writes every table
+// (with raw measurements, including merge waits, per-shard write counts,
+// and read-scaling TPS) to a machine-readable report.
 //
 // The workloads experiment drives the open-loop harness over the
 // pluggable workload matrix (uniform, zipfian, hotaccount × read mixes ×
@@ -39,9 +43,9 @@
 //
 // The stalls experiment measures commit tail latency under a sustained
 // open-loop write stream for both COLE systems on a one-worker merge
-// pool with a fine preemption quantum (-rate overrides the calibrated
-// arrival rate). A digest-identity pass first proves each cell's options
-// commit the per-block Hstate digests of default options.
+// pool, where merges checkpoint every B/4 entries (-rate overrides the
+// calibrated arrival rate). A digest-identity pass first proves each
+// cell's options commit the per-block Hstate digests of default options.
 package main
 
 import (
@@ -56,6 +60,7 @@ import (
 
 	"cole"
 	"cole/internal/bench"
+	"cole/internal/workload"
 )
 
 func main() {
@@ -70,7 +75,6 @@ func main() {
 		shards   = flag.Int("shards", 0, "COLE shard count (shardscale: top of the 1,2,4,... sweep)")
 		readers  = flag.Int("readers", 0, "readscale: top of the 1,2,4,... reader-goroutine sweep (default 8)")
 		workers  = flag.Int("merge-workers", 0, "shared merge worker budget, 0 = GOMAXPROCS (mergesched: top of the 1,2,4,... sweep)")
-		batch    = flag.Bool("batch", false, "apply each block's writes as one PutBatch (COLE systems only; shardscale/mergesched always batch)")
 		jsonOut  = flag.String("json", "", "also write a machine-readable report (tables + raw measurements) to this path")
 		scratch  = flag.String("scratch", "", "scratch directory (default: system temp)")
 		seed     = flag.Int64("seed", 42, "workload seed")
@@ -116,7 +120,6 @@ func main() {
 		cfg.Shards = *shards
 	}
 	cfg.MergeWorkers = *workers
-	cfg.Batched = *batch
 	cfg.Seed = *seed
 	if *duration > 0 {
 		cfg.Duration = *duration
@@ -234,10 +237,10 @@ func main() {
 		run("mptbreakdown", func() (*bench.Table, error) { return bench.MPTBreakdown(cfg, *scratch) })
 		any = true
 	}
-	// The write-pipeline sweeps measure block-batched ingestion, so they
-	// default to the paper's 100-tx blocks (an explicit -tx still wins):
-	// tiny preset blocks under-fill the batch and the per-block fixed
-	// costs drown the batching signal.
+	// The sweeps land each block as one PutBatch, so they default to the
+	// paper's 100-write blocks (an explicit -tx still wins): tiny preset
+	// blocks under-fill the batch and the per-block fixed costs drown the
+	// signal.
 	pipelineCfg := func() bench.Config {
 		c := cfg
 		if *tx == 0 {
@@ -251,7 +254,7 @@ func main() {
 		c := pipelineCfg()
 		c.Shards = 0
 		run("shardscale", func() (*bench.Table, error) {
-			return bench.ShardScaling(c, powerSweep(*shards, 8), *scratch)
+			return bench.WriteSweep(c, bench.AxisShards, powerSweep(*shards, 8), *scratch)
 		})
 		any = true
 	}
@@ -261,7 +264,7 @@ func main() {
 		c := pipelineCfg()
 		c.MergeWorkers = 0
 		run("mergesched", func() (*bench.Table, error) {
-			return bench.MergeSched(c, powerSweep(*workers, 8), *scratch)
+			return bench.WriteSweep(c, bench.AxisWorkers, powerSweep(*workers, 8), *scratch)
 		})
 		any = true
 	}
@@ -394,13 +397,13 @@ func powerSweep(max, def int) []int {
 func preset(scale string) (bench.Config, []int, bench.ProvOptions) {
 	switch scale {
 	case "paper":
-		cfg := bench.NewConfig(bench.Params{TxPerBlock: 100, Accounts: 100_000, Records: 100_000, MemCap: 262_144, MemBytes: 64 << 20})
+		cfg := bench.Config{SystemSpec: bench.SystemSpec{MemCap: 262_144, MemBytes: 64 << 20}, Spec: workload.Spec{TxPerBlock: 100}, Accounts: 100_000, Records: 100_000}
 		return cfg, []int{100, 1000, 10_000}, bench.ProvOptions{Blocks: 10_000, Queries: 50}
 	case "lab":
-		cfg := bench.NewConfig(bench.Params{TxPerBlock: 100, Accounts: 10_000, Records: 10_000, MemCap: 16_384, MemBytes: 8 << 20})
+		cfg := bench.Config{SystemSpec: bench.SystemSpec{MemCap: 16_384, MemBytes: 8 << 20}, Spec: workload.Spec{TxPerBlock: 100}, Accounts: 10_000, Records: 10_000}
 		return cfg, []int{50, 200, 1000}, bench.ProvOptions{Blocks: 1000, Queries: 30}
 	default: // quick
-		cfg := bench.NewConfig(bench.Params{TxPerBlock: 50, Accounts: 1000, Records: 1000, MemCap: 2048, MemBytes: 1 << 20})
+		cfg := bench.Config{SystemSpec: bench.SystemSpec{MemCap: 2048, MemBytes: 1 << 20}, Spec: workload.Spec{TxPerBlock: 50}, Accounts: 1000, Records: 1000}
 		return cfg, []int{25, 100, 300}, bench.ProvOptions{Blocks: 300, Queries: 15}
 	}
 }

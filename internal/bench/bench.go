@@ -13,8 +13,8 @@ import (
 	"strings"
 	"time"
 
+	"cole"
 	"cole/internal/chain"
-	"cole/internal/core"
 	"cole/internal/hist"
 	"cole/internal/kvstore"
 	"cole/internal/obs"
@@ -43,8 +43,8 @@ const (
 )
 
 // SystemSpec configures the storage engine under test, independent of
-// the traffic driven through it: partitioning, merge scheduling, the
-// write pipeline, and the structural parameters.
+// the traffic driven through it: partitioning, merge scheduling, and the
+// structural parameters.
 type SystemSpec struct {
 	MemCap    int     // COLE B (entries per L0 group)
 	MemBytes  int     // kvstore write buffer for baselines
@@ -56,10 +56,6 @@ type SystemSpec struct {
 	// systems (0 = GOMAXPROCS); the budget spans every level of every
 	// shard.
 	MergeWorkers int
-	// Batched routes each block's writes through the batched pipeline
-	// (chain.Batched → PutBatch) instead of per-update Put calls.
-	// Digests are identical either way.
-	Batched bool
 	// Trace, when set, records engine lifecycle events (flushes, merge
 	// chunks, preemptions, commit phases) into the given
 	// ring for post-run export; nil (the default) keeps the recording
@@ -72,9 +68,9 @@ type SystemSpec struct {
 // declarative workload (workload.Spec — key population, distribution,
 // mix, duration, concurrency, seed), and the paper experiments'
 // closed-loop knobs. Both parts are embedded, so experiment code reads
-// cfg.Shards or cfg.Seed directly; literal construction goes through
-// NewConfig. Paper-scale values are 100 tx/block and up to 10^5 blocks;
-// defaults are laptop-scale and every knob can be raised.
+// cfg.Shards or cfg.Seed directly. Paper-scale values are 100 tx/block
+// and up to 10^5 blocks; defaults are laptop-scale and every knob can be
+// raised.
 type Config struct {
 	SystemSpec
 	workload.Spec
@@ -85,46 +81,19 @@ type Config struct {
 	Mix      int // KVStore mix: 0 RW, 1 RO, 2 WO (workload.Mix)
 }
 
-// Params is the flat knob set Config grew from, kept as the compatibility
-// constructor input: the paper-replication experiments and their callers
-// keep building configurations from these names while the structured
-// Config feeds the workload matrix.
-type Params struct {
-	Blocks       int
-	TxPerBlock   int
-	Accounts     int
-	Records      int
-	Mix          int
-	MemCap       int
-	MemBytes     int
-	SizeRatio    int
-	Fanout       int
-	BloomFP      float64
-	Shards       int
-	MergeWorkers int
-	Batched      bool
-	Seed         int64
-}
-
-// NewConfig lifts the legacy flat parameter set into the structured
-// Config (system knobs into SystemSpec, traffic knobs into the embedded
-// workload.Spec).
-func NewConfig(p Params) Config {
-	return Config{
-		SystemSpec: SystemSpec{
-			MemCap: p.MemCap, MemBytes: p.MemBytes,
-			SizeRatio: p.SizeRatio, Fanout: p.Fanout, BloomFP: p.BloomFP,
-			Shards: p.Shards, MergeWorkers: p.MergeWorkers, Batched: p.Batched,
-		},
-		Spec: workload.Spec{
-			TxPerBlock: p.TxPerBlock,
-			Keys:       p.Records,
-			Seed:       p.Seed,
-		},
-		Blocks:   p.Blocks,
-		Accounts: p.Accounts,
-		Records:  p.Records,
-		Mix:      p.Mix,
+// options maps the config to the store options of a COLE system in dir:
+// the one place the harness builds cole.Options.
+func (c Config) options(sys System, dir string) cole.Options {
+	return cole.Options{
+		Dir:          dir,
+		MemCapacity:  c.MemCap,
+		SizeRatio:    c.SizeRatio,
+		Fanout:       c.Fanout,
+		BloomFP:      c.BloomFP,
+		AsyncMerge:   sys == SysCOLEAsync,
+		Shards:       c.Shards,
+		MergeWorkers: c.MergeWorkers,
+		Trace:        c.Trace,
 	}
 }
 
@@ -201,11 +170,8 @@ type Result struct {
 	// unfinished merge + jobs queued behind a full worker pool); COLE
 	// systems only.
 	MergeWaits int64
-	// ShardPuts is the per-shard write count (COLE systems only) and
+	// ShardPuts is the per-shard write count (the write sweeps only) and
 	// Imbalance its max/mean ratio — 1.0 is perfectly balanced routing.
-	// The counts are what reached the shards: a Batched run coalesces
-	// duplicate addresses inside each block before routing, so compare
-	// ShardPuts across runs with the same Batched setting.
 	ShardPuts []int64
 	Imbalance float64
 	// Read-scaling measurements (the readscale experiment): Readers is
@@ -261,7 +227,6 @@ type Result struct {
 	StallNanos     int64   `json:",omitempty"`
 	MaxCommitNanos int64   `json:",omitempty"`
 	Preemptions    int64   `json:",omitempty"`
-	blockLats      []time.Duration
 }
 
 // backendHandle couples a backend with its measurement hooks.
@@ -269,50 +234,24 @@ type backendHandle struct {
 	backend chain.StateBackend
 	// measure returns (total, data, index) storage bytes and level count.
 	measure func() (int64, int64, int64, int)
-	// stats returns merge-wait and per-shard put counters (zero/nil for
-	// the baselines).
-	stats func() (int64, []int64)
-	close func()
+	close   func()
 }
 
 func openSystem(sys System, dir string, cfg Config) (*backendHandle, error) {
 	switch sys {
 	case SysCOLE, SysCOLEAsync:
-		b, err := chain.OpenCole(core.Options{
-			Dir:          dir,
-			MemCapacity:  cfg.MemCap,
-			SizeRatio:    cfg.SizeRatio,
-			Fanout:       cfg.Fanout,
-			BloomFP:      cfg.BloomFP,
-			AsyncMerge:   sys == SysCOLEAsync,
-			Shards:       cfg.Shards,
-			MergeWorkers: cfg.MergeWorkers,
-			Trace:        cfg.Trace,
-		})
+		b, err := chain.OpenCole(cfg.options(sys, dir))
 		if err != nil {
 			return nil, err
 		}
-		// The batched pipeline buffers each block and lands it as one
-		// PutBatch; digests are unchanged, so it is purely a perf knob.
-		var backend chain.StateBackend = b
-		if cfg.Batched {
-			backend = chain.NewBatched(b)
-		}
 		return &backendHandle{
-			backend: backend,
+			backend: b,
 			measure: func() (int64, int64, int64, int) {
 				// Persist L0 so on-disk size reflects all data, as the
 				// paper measures storage after the run.
 				_ = b.Store.FlushAll()
 				sb := b.Store.Storage()
 				return sb.DataBytes + sb.IndexBytes, sb.DataBytes, sb.IndexBytes, sb.Levels
-			},
-			stats: func() (int64, []int64) {
-				puts := make([]int64, 0, b.Store.Shards())
-				for _, ss := range b.Store.ShardStats() {
-					puts = append(puts, ss.Puts)
-				}
-				return b.Store.Stats().MergeWaits, puts
 			},
 			close: func() { _ = b.Close() },
 		}, nil
@@ -384,65 +323,49 @@ func Run(sys System, wl Workload, cfg Config, dir string) (Result, error) {
 	c := chain.New(h.backend, 0)
 	// Loading phase (KVStore base data) executes before the clock starts,
 	// matching YCSB's load/run split.
-	for len(load) > 0 {
-		n := cfg.TxPerBlock
-		if n > len(load) {
-			n = len(load)
-		}
-		if _, err := c.ExecuteBlock(load[:n]); err != nil {
-			return Result{}, err
-		}
-		load = load[n:]
+	if err := executeLoad(c, load, cfg.TxPerBlock); err != nil {
+		return Result{}, err
 	}
 
 	res := Result{System: sys, Workload: wl, Blocks: cfg.Blocks, Txs: cfg.Blocks * cfg.TxPerBlock}
+	lats := make([]time.Duration, 0, cfg.Blocks)
 	start := time.Now()
 	for i := 0; i < cfg.Blocks; i++ {
 		bStart := time.Now()
 		if _, err := c.ExecuteBlock(gen.Block(cfg.TxPerBlock)); err != nil {
 			return Result{}, err
 		}
-		res.blockLats = append(res.blockLats, time.Since(bStart))
+		lats = append(lats, time.Since(bStart))
 	}
 	res.Elapsed = time.Since(start)
 	res.TPS = float64(res.Txs) / res.Elapsed.Seconds()
-	res.Latency = Summarize(res.blockLats)
-	if h.stats != nil {
-		res.MergeWaits, res.ShardPuts = h.stats()
-		res.Imbalance = imbalance(res.ShardPuts)
-	}
+	res.Latency = Summarize(lats)
 	res.StorageBytes, res.DataBytes, res.IndexBytes, res.Levels = h.measure()
 	return res, nil
 }
 
-// imbalance is max/mean of the per-shard write counts: 1.0 means the hash
-// partitioner routed perfectly evenly, 2.0 means the hottest shard took
-// twice its fair share (and is the commit straggler).
-func imbalance(counts []int64) float64 {
-	if len(counts) == 0 {
-		return 0
-	}
-	var total, max int64
-	for _, c := range counts {
-		total += c
-		if c > max {
-			max = c
+// executeLoad runs a workload's load phase through the chain in blocks of
+// per transactions.
+func executeLoad(c *chain.Chain, load []chain.Tx, per int) error {
+	for len(load) > 0 {
+		n := min(per, len(load))
+		if _, err := c.ExecuteBlock(load[:n]); err != nil {
+			return err
 		}
+		load = load[n:]
 	}
-	if total == 0 {
-		return 0
-	}
-	mean := float64(total) / float64(len(counts))
-	return float64(max) / mean
+	return nil
 }
 
+// makeWorkload returns the paper workload's block source and its load
+// phase (the KVStore base data; none for SmallBank).
 func makeWorkload(wl Workload, cfg Config) (blockSource, []chain.Tx, error) {
 	switch wl {
 	case WorkloadSmallBank:
-		return newSmallBankSource(cfg), nil, nil
+		return workload.NewSmallBank(cfg.Seed, cfg.Accounts), nil, nil
 	case WorkloadKVStore:
-		g, load := newKVStoreSource(cfg)
-		return g, load, nil
+		g := workload.NewKVStore(cfg.Seed, cfg.Records, workload.Mix(cfg.Mix))
+		return g, g.LoadPhase(), nil
 	}
 	return nil, nil, fmt.Errorf("bench: unknown workload %q", wl)
 }

@@ -7,21 +7,21 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"cole"
+	"cole/internal/types"
+	"cole/internal/workload"
 )
 
 // tiny returns a configuration small enough for unit testing the harness.
 func tiny() Config {
-	return NewConfig(Params{
+	return Config{
+		SystemSpec: SystemSpec{MemCap: 64, MemBytes: 32 << 10, SizeRatio: 2, Fanout: 4},
+		Spec:       workload.Spec{TxPerBlock: 10, Seed: 1},
 		Blocks:     12,
-		TxPerBlock: 10,
 		Accounts:   50,
 		Records:    50,
-		MemCap:     64,
-		MemBytes:   32 << 10,
-		SizeRatio:  2,
-		Fanout:     4,
-		Seed:       1,
-	})
+	}
 }
 
 func TestSummarize(t *testing.T) {
@@ -121,44 +121,98 @@ func TestFig15TinyRuns(t *testing.T) {
 	}
 }
 
-func TestBatchedRunMatchesUnbatched(t *testing.T) {
-	// Batched is a pure perf knob: the run must succeed and produce the
-	// same number of transactions, and a sharded batched run must record
-	// merge-tuning observability data.
-	cfg := tiny()
-	cfg.Batched = true
-	cfg.Shards = 2
-	res, err := Run(SysCOLEAsync, WorkloadKVStore, cfg, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Txs != cfg.Blocks*cfg.TxPerBlock || res.TPS <= 0 {
-		t.Fatalf("implausible batched result: %+v", res)
-	}
-	if len(res.ShardPuts) != 2 {
-		t.Fatalf("sharded run recorded %d shard put counts, want 2", len(res.ShardPuts))
-	}
-	if res.Imbalance < 1 {
-		t.Fatalf("imbalance %.2f below 1 (max/mean cannot be)", res.Imbalance)
-	}
-}
-
 func TestMergeSchedTiny(t *testing.T) {
 	cfg := tiny()
 	cfg.Shards = 2
-	tab, err := MergeSched(cfg, []int{1, 2}, t.TempDir())
+	tab, err := WriteSweep(cfg, AxisWorkers, []int{1, 2}, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tab.Rows) != 4 || len(tab.Results) != 4 { // 2 systems × 2 budgets
 		t.Fatalf("rows=%d results=%d, want 4 each", len(tab.Rows), len(tab.Results))
 	}
+	for i, row := range tab.Rows {
+		if len(row) != len(tab.Columns) {
+			t.Fatalf("row %d has %d cells for %d columns", i, len(row), len(tab.Columns))
+		}
+	}
+	for _, res := range tab.Results {
+		if res.Txs != cfg.Blocks*cfg.TxPerBlock || res.TPS <= 0 {
+			t.Fatalf("implausible sweep point: %+v", res)
+		}
+		// Every point is a 2-shard store: per-shard counts from ShardStats.
+		if len(res.ShardPuts) != 2 || res.Imbalance < 1 {
+			t.Fatalf("shard puts %v, imbalance %.2f", res.ShardPuts, res.Imbalance)
+		}
+	}
+	if _, err := WriteSweep(cfg, "nope", nil, t.TempDir()); err == nil {
+		t.Fatal("unknown sweep axis accepted")
+	}
+}
+
+// TestWriteBlocksDeterministic: the block writer's stream is a function
+// of the seed, so two runs commit identical per-block digests — the
+// property the stalls identity pass rests on.
+func TestWriteBlocksDeterministic(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		for _, sys := range []System{SysCOLE, SysCOLEAsync} {
+			cfg := tiny().Defaults()
+			cfg.Shards = shards
+			const blocks = 60 // 600 writes through B = 64: flushes and merges on every shard
+			var runs [2][]types.Hash
+			for i := range runs {
+				db, err := cole.Open(cfg.options(sys, t.TempDir()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				roots, lats, err := newBlockWriter(cfg).write(blocks, db)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(roots) != blocks || len(lats) != blocks {
+					t.Fatalf("%d roots, %d latencies for %d blocks", len(roots), len(lats), blocks)
+				}
+				if db.Height() != blocks {
+					t.Fatalf("height %d after %d blocks", db.Height(), blocks)
+				}
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+				runs[i] = roots
+			}
+			for b := range runs[0] {
+				if runs[0][b] != runs[1][b] {
+					t.Fatalf("%s, %d shards: block %d digest differs between two runs of one seed", sys, shards, b+1)
+				}
+			}
+		}
+	}
+}
+
+// TestWriteBlocksRejectsDivergentStores: a block applied to several
+// stores must commit one digest on all of them.
+func TestWriteBlocksRejectsDivergentStores(t *testing.T) {
+	cfg := tiny().Defaults()
+	a, err := cole.Open(cfg.options(SysCOLE, t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	cfg.Fanout = 8 // another Merkle fanout: another Hstate
+	b, err := cole.Open(cfg.options(SysCOLE, t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if _, _, err := newBlockWriter(cfg).write(20, a, b); err == nil || !strings.Contains(err.Error(), "digest") {
+		t.Fatalf("divergent stores: err = %v", err)
+	}
 }
 
 func TestReportJSONRoundTrip(t *testing.T) {
 	cfg := tiny()
 	cfg.Shards = 2
-	tab, err := ShardScaling(cfg, []int{1, 2}, t.TempDir())
+	tab, err := WriteSweep(cfg, AxisShards, []int{1, 2}, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,10 @@ import (
 	"sort"
 	"time"
 
-	"cole/internal/core"
+	"cole"
 	"cole/internal/run"
 	"cole/internal/types"
+	"cole/internal/workload"
 )
 
 // compactionReadsPerBlock is how many point reads follow each commit in
@@ -231,55 +232,31 @@ func compactionRun(sys System, cfg Config, scratch string) (Result, error) {
 	total := cfg.Blocks * cfg.TxPerBlock
 	// Keep the L0 small enough that the phase flushes and merges several
 	// times — the experiment measures compaction, not memtable inserts.
-	memCap := cfg.MemCap
-	if total >= 64 && memCap > total/8 {
-		memCap = total / 8
+	if total >= 64 && cfg.MemCap > total/8 {
+		cfg.MemCap = total / 8
 	}
-	opts := core.Options{
-		Dir:          dir,
-		MemCapacity:  memCap,
-		SizeRatio:    cfg.SizeRatio,
-		Fanout:       cfg.Fanout,
-		BloomFP:      cfg.BloomFP,
-		AsyncMerge:   sys == SysCOLEAsync,
-		MergeWorkers: cfg.MergeWorkers,
-	}
-	e, err := core.Open(opts)
+	cfg.Shards = 1
+	e, err := cole.Open(cfg.options(sys, dir))
 	if err != nil {
 		return Result{}, err
 	}
 	defer e.Close()
 
+	w := newBlockWriter(cfg)
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	addrs := make([]types.Address, cfg.Records)
-	for i := range addrs {
-		addrs[i] = types.AddressFromUint64(uint64(i))
-	}
 	res := Result{System: sys, Workload: "compaction", Blocks: cfg.Blocks, Txs: total}
-	upd := make([]types.Update, cfg.TxPerBlock)
+	lats := make([]time.Duration, 0, cfg.Blocks)
 	start := time.Now()
-	for b := 1; b <= cfg.Blocks; b++ {
-		bStart := time.Now()
-		if err := e.BeginBlock(uint64(b)); err != nil {
+	for b := 0; b < cfg.Blocks; b++ {
+		_, lat, err := w.write(1, e)
+		if err != nil {
 			return Result{}, err
 		}
-		for i := range upd {
-			upd[i] = types.Update{
-				Addr:  addrs[rng.Intn(len(addrs))],
-				Value: types.ValueFromUint64(rng.Uint64()),
-			}
-		}
-		if err := e.PutBatch(upd); err != nil {
-			return Result{}, err
-		}
-		if _, err := e.Commit(); err != nil {
-			return Result{}, err
-		}
-		res.blockLats = append(res.blockLats, time.Since(bStart))
+		lats = append(lats, lat...)
 		// Concurrent-workload stand-in: a few point reads per block keep
 		// the page cache busy while compactions run.
 		for i := 0; i < compactionReadsPerBlock; i++ {
-			if _, _, err := e.Get(addrs[rng.Intn(len(addrs))]); err != nil {
+			if _, _, err := e.Get(workload.Key(uint64(rng.Intn(cfg.Records)))); err != nil {
 				return Result{}, err
 			}
 		}
@@ -293,7 +270,7 @@ func compactionRun(sys System, cfg Config, scratch string) (Result, error) {
 
 	st := e.Stats()
 	res.TPS = float64(res.Txs) / res.Elapsed.Seconds()
-	res.Latency = Summarize(res.blockLats)
+	res.Latency = Summarize(lats)
 	res.MergeWaits = st.MergeWaits
 	res.MergeBytes = st.MergeBytes
 	if st.MergeNanos > 0 {

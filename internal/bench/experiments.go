@@ -236,18 +236,11 @@ func buildProvStore(sys System, cfg Config, opts ProvOptions, dir string) (*prov
 	if err != nil {
 		return nil, err
 	}
-	gen, load := newProvenanceSource(cfg, opts.BaseStates)
+	gen := workload.NewProvenance(cfg.Seed, opts.BaseStates)
 	c := chain.New(h.backend, 0)
-	for len(load) > 0 {
-		n := cfg.TxPerBlock
-		if n > len(load) {
-			n = len(load)
-		}
-		if _, err := c.ExecuteBlock(load[:n]); err != nil {
-			h.close()
-			return nil, err
-		}
-		load = load[n:]
+	if err := executeLoad(c, gen.LoadPhase(), cfg.TxPerBlock); err != nil {
+		h.close()
+		return nil, err
 	}
 	for i := 0; i < opts.Blocks; i++ {
 		if _, err := c.ExecuteBlock(gen.Block(cfg.TxPerBlock)); err != nil {
@@ -256,13 +249,7 @@ func buildProvStore(sys System, cfg Config, opts ProvOptions, dir string) (*prov
 		}
 	}
 	ps := &provStore{height: c.Height(), h: h}
-	// The batched pipeline wraps the COLE backends; provenance queries
-	// need the concrete store behind it.
-	backend := h.backend
-	if bb, ok := backend.(*chain.Batched); ok {
-		backend = bb.Inner()
-	}
-	switch b := backend.(type) {
+	switch b := h.backend.(type) {
 	case *chain.ColeBackend:
 		ps.cole = b.Store
 	case *chain.MPTBackend:

@@ -9,6 +9,7 @@ import (
 
 	"cole"
 	"cole/internal/types"
+	"cole/internal/workload"
 )
 
 // readWindow is how long each read-scaling measurement samples; long
@@ -70,18 +71,8 @@ func readScaleSystem(sys System, cfg Config, readers []int, scratch string) ([]R
 		return nil, err
 	}
 	defer cleanup(dir)
-	// The sweep drives the store purely through the cole.DB interface:
-	// the measurement only needs the surface every backend shares.
-	var e cole.DB
-	e, err = cole.Open(cole.Options{
-		Dir:          dir,
-		MemCapacity:  cfg.MemCap,
-		SizeRatio:    cfg.SizeRatio,
-		Fanout:       cfg.Fanout,
-		BloomFP:      cfg.BloomFP,
-		AsyncMerge:   sys == SysCOLEAsync,
-		MergeWorkers: cfg.MergeWorkers,
-	})
+	cfg.Shards = 1
+	e, err := cole.Open(cfg.options(sys, dir))
 	if err != nil {
 		return nil, err
 	}
@@ -89,34 +80,13 @@ func readScaleSystem(sys System, cfg Config, readers []int, scratch string) ([]R
 
 	// Populate: Blocks × TxPerBlock uniform updates over Records addresses,
 	// so lookups hit a multi-level structure with L0 + on-disk runs.
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	w := newBlockWriter(cfg)
+	if _, _, err := w.write(cfg.Blocks, e); err != nil {
+		return nil, err
+	}
 	addrs := make([]types.Address, cfg.Records)
 	for i := range addrs {
-		addrs[i] = types.AddressFromUint64(uint64(i))
-	}
-	height := uint64(0)
-	writeBlock := func() error {
-		height++
-		if err := e.BeginBlock(height); err != nil {
-			return err
-		}
-		upd := make([]types.Update, cfg.TxPerBlock)
-		for i := range upd {
-			upd[i] = types.Update{
-				Addr:  addrs[rng.Intn(len(addrs))],
-				Value: types.ValueFromUint64(rng.Uint64()),
-			}
-		}
-		if err := e.PutBatch(upd); err != nil {
-			return err
-		}
-		_, err := e.Commit()
-		return err
-	}
-	for b := 0; b < cfg.Blocks; b++ {
-		if err := writeBlock(); err != nil {
-			return nil, err
-		}
+		addrs[i] = workload.Key(uint64(i))
 	}
 
 	// Pure-read sweep first, with the write path idle: every reader count
@@ -154,7 +124,7 @@ func readScaleSystem(sys System, cfg Config, readers []int, scratch string) ([]R
 					return
 				default:
 				}
-				if err := writeBlock(); err != nil {
+				if _, _, err := w.write(1, e); err != nil {
 					writerErr = err
 					return
 				}

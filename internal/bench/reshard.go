@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"cole/internal/chain"
-	"cole/internal/core"
+	"cole"
 	"cole/internal/reshard"
-	"cole/internal/workload"
 )
 
 // reshardBase is the shard count every reshard run starts from; the
@@ -17,24 +15,22 @@ import (
 const reshardBase = 2
 
 // ReshardBench measures offline shard rebalancing: a store is built at
-// reshardBase shards on the write-only KVStore workload (the shardscale
-// methodology: batched blocks, shared merge pool), cleanly flushed, and
+// reshardBase shards by the block writer (the shardscale methodology:
+// uniform write-only blocks, shared merge pool), cleanly flushed, and
 // rewritten to each target shard count. Reported per target: rewrite
-// wall time and bandwidth (logical entry MB/s), plus write TPS on the
-// same workload before and after the rewrite — the "after" phase drives
-// the reopened store through the identical block pipeline, so the
-// speedup column shows what the new layout buys (or costs) at commit
-// time. The rewrite is a partitioned sort-merge of the immutable runs:
-// no replay, no per-key insertion, cost linear in live data volume.
+// wall time and bandwidth (logical entry MB/s), plus write TPS before
+// and after the rewrite — the "after" phase keeps the same block stream
+// going on the reopened store, so the speedup column shows what the new
+// layout buys (or costs) at commit time. The rewrite is a partitioned
+// sort-merge of the immutable runs: no replay, no per-key insertion,
+// cost linear in live data volume.
 func ReshardBench(cfg Config, counts []int, scratch string) (*Table, error) {
 	cfg = cfg.Defaults()
 	if len(counts) == 0 {
 		counts = []int{1, 2, 4, 8}
 	}
-	cfg.Mix = int(workload.WriteOnly)
-	cfg.Batched = true
 	t := &Table{
-		Title:   "Offline reshard: rewrite cost and write TPS vs target shard count (KVStore WO, batched writes)",
+		Title:   "Offline reshard: rewrite cost and write TPS vs target shard count (uniform write-only blocks)",
 		Columns: []string{"from", "to", "entries", "rewritten", "wall", "MB/s", "TPS(before)", "TPS(after)", "after/before", "imbalance"},
 		Notes: []string{
 			fmt.Sprintf("each run builds a fresh %d-shard store, FlushAlls, reshards offline, reopens, and keeps writing", reshardBase),
@@ -61,54 +57,31 @@ func reshardOnce(cfg Config, target int, scratch string) (Result, []string, erro
 	}
 	defer cleanup(dir)
 
-	opts := core.Options{
-		Dir:          dir,
-		MemCapacity:  cfg.MemCap,
-		SizeRatio:    cfg.SizeRatio,
-		Fanout:       cfg.Fanout,
-		BloomFP:      cfg.BloomFP,
-		Shards:       reshardBase,
-		MergeWorkers: cfg.MergeWorkers,
-	}
-
-	gen, load := newKVStoreSource(cfg)
-	drive := func(b *chain.ColeBackend, start uint64, load []chain.Tx) (float64, error) {
-		c := chain.New(chain.NewBatched(b), start)
-		for len(load) > 0 {
-			n := cfg.TxPerBlock
-			if n > len(load) {
-				n = len(load)
-			}
-			if _, err := c.ExecuteBlock(load[:n]); err != nil {
-				return 0, err
-			}
-			load = load[n:]
+	w := newBlockWriter(cfg)
+	// drive writes cfg.Blocks blocks to the store in dir and returns their
+	// write TPS; the store is flushed and closed either way.
+	drive := func(c Config) (float64, error) {
+		db, err := cole.Open(c.options(SysCOLE, dir))
+		if err != nil {
+			return 0, err
 		}
-		t0 := time.Now()
-		for i := 0; i < cfg.Blocks; i++ {
-			if _, err := c.ExecuteBlock(gen.Block(cfg.TxPerBlock)); err != nil {
-				return 0, err
-			}
+		start := time.Now()
+		_, _, err = w.write(cfg.Blocks, db)
+		tps := float64(cfg.Blocks*cfg.TxPerBlock) / time.Since(start).Seconds()
+		if err == nil {
+			err = db.FlushAll()
 		}
-		return float64(cfg.Blocks*cfg.TxPerBlock) / time.Since(t0).Seconds(), nil
+		if cerr := db.Close(); err == nil {
+			err = cerr
+		}
+		return tps, err
 	}
 
 	// Phase 1: build and measure the source layout.
-	b, err := chain.OpenCole(opts)
+	src := cfg
+	src.Shards = reshardBase
+	tpsBefore, err := drive(src)
 	if err != nil {
-		return Result{}, nil, err
-	}
-	tpsBefore, err := drive(b, 0, load)
-	if err != nil {
-		_ = b.Close()
-		return Result{}, nil, err
-	}
-	if err := b.Store.FlushAll(); err != nil {
-		_ = b.Close()
-		return Result{}, nil, err
-	}
-	height := b.Store.Height()
-	if err := b.Close(); err != nil {
 		return Result{}, nil, err
 	}
 
@@ -118,26 +91,17 @@ func reshardOnce(cfg Config, target int, scratch string) (Result, []string, erro
 		return Result{}, nil, err
 	}
 
-	// Phase 3: reopen (the directory pins the new count) and keep writing
-	// the same pipeline.
-	reopened := opts
-	reopened.Shards = 0
-	b2, err := chain.OpenCole(reopened)
+	// Phase 3: reopen (the directory pins the new count) and keep the
+	// same block stream going.
+	src.Shards = 0
+	tpsAfter, err := drive(src)
 	if err != nil {
-		return Result{}, nil, err
-	}
-	tpsAfter, err := drive(b2, height, nil)
-	if err != nil {
-		_ = b2.Close()
-		return Result{}, nil, err
-	}
-	if err := b2.Close(); err != nil {
 		return Result{}, nil, err
 	}
 
 	res := Result{
 		System:         SysCOLE,
-		Workload:       WorkloadKVStore,
+		Workload:       populateWorkload,
 		Blocks:         2 * cfg.Blocks,
 		Txs:            2 * cfg.Blocks * cfg.TxPerBlock,
 		TPS:            tpsAfter,

@@ -2,122 +2,42 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"cole"
+	"cole/internal/core"
 	"cole/internal/hist"
 	"cole/internal/obs"
-	"cole/internal/types"
 	"cole/internal/workload"
 )
 
-// stallChunk is the experiment's preemption quantum: a quarter of a flush
-// volume — fine enough that even a level-1 merge of these small stores
-// reaches several checkpoints, coarse enough that checkpoint overhead
-// stays in the noise.
-func stallChunk(memCap int) int {
-	if memCap < 4 {
-		return 1
-	}
-	return memCap / 4
-}
-
-// stallOptions builds the store options for one cell: the engine's
-// defaults apart from the store shape the harness was configured with,
-// the stallChunk quantum, and a narrow merge pool — the experiment's
-// point: commits must compete with compaction for the same workers.
-func stallOptions(dir string, cfg Config, sys System, memCap int) cole.Options {
-	o := cole.Options{
-		Dir:          dir,
-		MemCapacity:  memCap,
-		SizeRatio:    cfg.SizeRatio,
-		Fanout:       cfg.Fanout,
-		BloomFP:      cfg.BloomFP,
-		AsyncMerge:   sys == SysCOLEAsync,
-		MergeWorkers: cfg.MergeWorkers,
-		MergeChunk:   stallChunk(memCap),
-	}
-	if o.MergeWorkers == 0 {
-		o.MergeWorkers = 1
-	}
-	return o
-}
-
-// stallIdentity proves the cell's scheduling is digest-transparent: the
-// same deterministic block sequence driven through default Options and
-// through the cell's options (stallChunk quantum, narrow pool) must
-// commit byte-identical per-block Hstate digests — the quantum and the
-// preemptions it allows move merge scheduling, never a hash. A
-// deliberately tiny L0 (and with it a tiny chunk quantum) makes the
-// sequence cascade and checkpoint constantly.
+// stallIdentity proves the cell's scheduling is digest-transparent: every
+// block of one deterministic sequence is committed to a store on default
+// Options and to one on the cell's one-worker pool, and the two must
+// commit byte-identical per-block Hstate digests — the narrow pool and
+// the preemptions it forces move merge scheduling, never a hash. A
+// deliberately tiny L0 (and with it a tiny chunk quantum, B/4 = 16)
+// makes the sequence cascade and checkpoint constantly.
 func stallIdentity(cfg Config, sys System, scratch string) error {
-	const (
-		memCap   = 64
-		blocks   = 64
-		perBlock = 48
-		universe = 600
-	)
-	type cellRun struct {
-		db  cole.DB
-		dir string
-	}
-	var runs []cellRun // default options, then the cell's
-	defer func() {
-		for _, cr := range runs {
-			_ = cr.db.Close()
-			cleanup(cr.dir)
-		}
-	}()
-	for i := 0; i < 2; i++ {
+	cfg.MemCap, cfg.TxPerBlock, cfg.Records, cfg.Trace = 64, 48, 600, nil
+	var dbs []cole.DB // default options, then the cell's
+	for _, workers := range []int{0, cfg.MergeWorkers} {
 		dir, err := tempDir(scratch, "stalls-id")
 		if err != nil {
 			return err
 		}
-		o := stallOptions(dir, cfg, sys, memCap)
-		if i == 0 {
-			o.MergeWorkers, o.MergeChunk = 0, 0 // the engine's defaults
-		}
-		db, err := cole.Open(o)
+		defer cleanup(dir)
+		c := cfg
+		c.MergeWorkers = workers
+		db, err := cole.Open(c.options(sys, dir))
 		if err != nil {
-			cleanup(dir)
 			return err
 		}
-		runs = append(runs, cellRun{db: db, dir: dir})
+		defer db.Close()
+		dbs = append(dbs, db)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	for h := uint64(1); h <= blocks; h++ {
-		picked := map[int]bool{}
-		for len(picked) < perBlock {
-			picked[rng.Intn(universe)] = true
-		}
-		batch := make([]types.Update, 0, perBlock)
-		for i := 0; i < universe; i++ {
-			if picked[i] {
-				batch = append(batch, types.Update{
-					Addr:  types.AddressFromUint64(uint64(i)),
-					Value: types.ValueFromUint64(h<<20 | uint64(i)),
-				})
-			}
-		}
-		var ref types.Hash
-		for i, cr := range runs {
-			if err := cr.db.BeginBlock(h); err != nil {
-				return err
-			}
-			if err := cr.db.PutBatch(batch); err != nil {
-				return err
-			}
-			root, err := cr.db.Commit()
-			if err != nil {
-				return err
-			}
-			if i == 0 {
-				ref = root
-			} else if root != ref {
-				return fmt.Errorf("stalls: %s block %d: digest %s at quantum %d != %s at default options", sys, h, root, stallChunk(memCap), ref)
-			}
-		}
+	if _, _, err := newBlockWriter(cfg).write(64, dbs...); err != nil {
+		return fmt.Errorf("stalls: %s on a %d-worker pool vs default options: %w", sys, cfg.MergeWorkers, err)
 	}
 	return nil
 }
@@ -146,7 +66,8 @@ func stallRate(cfg Config, spec workload.Spec, scratch string) (float64, error) 
 		return 0, err
 	}
 	defer cleanup(dir)
-	db, err := cole.Open(stallOptions(dir, cfg, SysCOLEAsync, cfg.MemCap))
+	cfg.Trace = nil
+	db, err := cole.Open(cfg.options(SysCOLEAsync, dir))
 	if err != nil {
 		return 0, err
 	}
@@ -172,6 +93,14 @@ func stallRate(cfg Config, spec workload.Spec, scratch string) (float64, error) 
 // default Options on a shared deterministic block sequence.
 func StallBench(cfg Config, scratch string) (*Table, error) {
 	cfg = cfg.Defaults()
+	// A cell is one shard on the engine's defaults apart from the store
+	// shape the harness was configured with, and a narrow merge pool —
+	// the experiment's point: commits must compete with compaction for
+	// the same workers.
+	cfg.Shards = 1
+	if cfg.MergeWorkers == 0 {
+		cfg.MergeWorkers = 1
+	}
 
 	t := &Table{
 		Title: "Stalls: open-loop commit tail latency",
@@ -193,12 +122,8 @@ func StallBench(cfg Config, scratch string) (*Table, error) {
 	if minKeys := 32 * cfg.MemCap; spec.Keys < minKeys {
 		spec.Keys = minKeys
 	}
-	workers := cfg.MergeWorkers
-	if workers == 0 {
-		workers = 1
-	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("merge pool: %d worker(s); background merges checkpoint (and may be preempted) every %d entries", workers, stallChunk(cfg.MemCap)),
+		fmt.Sprintf("merge pool: %d worker(s); background merges checkpoint (and may be preempted) every %d entries (B/4)", cfg.MergeWorkers, core.MergeQuantum(cfg.MemCap)),
 		fmt.Sprintf("load phase seeds %d keys so the store starts deep enough for merges to contend with commits", spec.Keys))
 
 	systems := []System{SysCOLE, SysCOLEAsync}
@@ -258,14 +183,12 @@ func stallCell(cfg Config, sys System, spec workload.Spec, scratch string) (res 
 	defer cleanup(dir)
 	// Only the timed cells are traced: the identity pass and the rate
 	// probe would otherwise fill the ring with events no one exports.
-	o := stallOptions(dir, cfg, sys, cfg.MemCap)
-	o.Trace = cfg.Trace
 	var preemptBase, dropBase int64
 	if cfg.Trace != nil {
 		preemptBase = cfg.Trace.CountType(obs.EvMergePreempt)
 		dropBase = cfg.Trace.Dropped()
 	}
-	db, err := cole.Open(o)
+	db, err := cole.Open(cfg.options(sys, dir))
 	if err != nil {
 		return res, false, err
 	}

@@ -67,24 +67,9 @@ func runOpenLoop(db cole.DB, spec workload.Spec) (*openLoopResult, error) {
 
 	// Load phase: apply the base population in blocks before the clock
 	// starts (YCSB's load/run split).
-	height := db.Height()
-	commitBlock := func(ups []types.Update) error {
-		height++
-		if err := db.BeginBlock(height); err != nil {
-			return err
-		}
-		if err := db.PutBatch(ups); err != nil {
-			return err
-		}
-		_, err := db.Commit()
-		return err
-	}
 	for load := gen.Load(); len(load) > 0; {
-		n := spec.TxPerBlock
-		if n > len(load) {
-			n = len(load)
-		}
-		if err := commitBlock(load[:n]); err != nil {
+		n := min(spec.TxPerBlock, len(load))
+		if _, err := commitBlock(db, load[:n]); err != nil {
 			return nil, fmt.Errorf("load: %w", err)
 		}
 		load = load[n:]
@@ -177,7 +162,7 @@ func runOpenLoop(db cole.DB, spec workload.Spec) (*openLoopResult, error) {
 		}
 		if len(batch) >= spec.TxPerBlock {
 			cStart := time.Now()
-			if err := commitBlock(batch); err != nil {
+			if _, err := commitBlock(db, batch); err != nil {
 				fail(err)
 				break
 			}
@@ -191,7 +176,7 @@ func runOpenLoop(db cole.DB, spec workload.Spec) (*openLoopResult, error) {
 	// Land any partial tail block so the store's state covers every op
 	// counted as issued (unrecorded: it is not a full block).
 	if len(batch) > 0 && !failed.Load() {
-		if err := commitBlock(batch); err != nil {
+		if _, err := commitBlock(db, batch); err != nil {
 			fail(err)
 		}
 	}
@@ -272,18 +257,9 @@ func Workloads(cfg Config, specs []workload.Spec, shards []int, scratchDir strin
 				if err != nil {
 					return nil, err
 				}
-				opts := cole.Options{
-					Dir:          dir,
-					MemCapacity:  cfg.MemCap,
-					SizeRatio:    cfg.SizeRatio,
-					Fanout:       cfg.Fanout,
-					BloomFP:      cfg.BloomFP,
-					AsyncMerge:   sys == SysCOLEAsync,
-					Shards:       n,
-					MergeWorkers: cfg.MergeWorkers,
-					Trace:        cfg.Trace,
-				}
-				db, err := cole.Open(opts)
+				c := cfg
+				c.Shards = n
+				db, err := cole.Open(c.options(sys, dir))
 				if err != nil {
 					cleanup(dir)
 					return nil, err

@@ -101,7 +101,11 @@ func TestWorkloadsMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix smoke is a multi-run benchmark")
 	}
-	cfg := NewConfig(Params{Records: 200, TxPerBlock: 20, MemCap: 128, SizeRatio: 2, Seed: 7})
+	cfg := Config{
+		SystemSpec: SystemSpec{MemCap: 128, SizeRatio: 2},
+		Spec:       workload.Spec{TxPerBlock: 20, Seed: 7},
+		Records:    200,
+	}
 	cfg.Duration = 120 * time.Millisecond
 	cfg.WarmUp = 40 * time.Millisecond
 	cfg.Concurrency = 2

@@ -83,17 +83,6 @@ func (b *ColeBackend) Put(addr types.Address, v types.Value) error {
 	return nil
 }
 
-// PutBatch implements BatchBackend.
-func (b *ColeBackend) PutBatch(updates []types.Update) error {
-	if err := b.Store.PutBatch(updates); err != nil {
-		return err
-	}
-	for _, u := range updates {
-		b.overlay.put(u.Addr, u.Value)
-	}
-	return nil
-}
-
 // Get implements StateBackend: the open block's own writes win, then the
 // pinned pre-block snapshot (or the live store view between blocks).
 func (b *ColeBackend) Get(addr types.Address) (types.Value, bool, error) {

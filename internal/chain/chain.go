@@ -107,92 +107,6 @@ type StateBackend interface {
 	Close() error
 }
 
-// BatchBackend is a StateBackend that can apply a block's writes as one
-// batch (the COLE backends; the baselines stay per-Put).
-type BatchBackend interface {
-	StateBackend
-	// PutBatch applies the updates to the open block in order, collapsing
-	// duplicate addresses to the last write.
-	PutBatch(updates []types.Update) error
-}
-
-// Batched wraps a batch-capable backend so that every block's writes are
-// buffered in memory and applied as a single PutBatch at Commit — the
-// batched write pipeline: transactions execute against a block-local
-// overlay (reads see the block's own writes), and the store sees one
-// bulk call per block instead of one locked call per update. Because
-// PutBatch is byte-compatible with sequential Put, headers produced
-// through a Batched backend are identical to the unbatched ones.
-type Batched struct {
-	inner   BatchBackend
-	updates []types.Update
-	// overlay maps an address to its position in updates, giving
-	// read-your-writes within the open block and last-write-wins
-	// coalescing before the batch is even submitted.
-	overlay map[types.Address]int
-	open    bool
-}
-
-// NewBatched wraps backend in the block-buffering write pipeline.
-func NewBatched(backend BatchBackend) *Batched {
-	return &Batched{inner: backend, overlay: make(map[types.Address]int)}
-}
-
-// BeginBlock implements StateBackend.
-func (b *Batched) BeginBlock(h uint64) error {
-	if err := b.inner.BeginBlock(h); err != nil {
-		return err
-	}
-	b.updates = b.updates[:0]
-	clear(b.overlay)
-	b.open = true
-	return nil
-}
-
-// Put implements StateBackend: the write lands in the block buffer.
-func (b *Batched) Put(addr types.Address, v types.Value) error {
-	if !b.open {
-		return fmt.Errorf("chain: Put outside a block")
-	}
-	if i, ok := b.overlay[addr]; ok {
-		b.updates[i].Value = v
-		return nil
-	}
-	b.overlay[addr] = len(b.updates)
-	b.updates = append(b.updates, types.Update{Addr: addr, Value: v})
-	return nil
-}
-
-// Get implements StateBackend: the block's own writes win over the store.
-func (b *Batched) Get(addr types.Address) (types.Value, bool, error) {
-	if b.open {
-		if i, ok := b.overlay[addr]; ok {
-			return b.updates[i].Value, true, nil
-		}
-	}
-	return b.inner.Get(addr)
-}
-
-// Commit implements StateBackend: the buffered block lands as one batch,
-// then the inner backend seals it.
-func (b *Batched) Commit() (types.Hash, error) {
-	if !b.open {
-		return types.Hash{}, fmt.Errorf("chain: commit without block")
-	}
-	b.open = false
-	if err := b.inner.PutBatch(b.updates); err != nil {
-		return types.Hash{}, err
-	}
-	return b.inner.Commit()
-}
-
-// Close implements StateBackend.
-func (b *Batched) Close() error { return b.inner.Close() }
-
-// Inner exposes the wrapped backend, for callers that need the concrete
-// store behind the pipeline (e.g. to run provenance queries).
-func (b *Batched) Inner() BatchBackend { return b.inner }
-
 // Account state addresses: SmallBank keeps two states per account
 // (savings and checking), the KVStore contract one per key.
 func savingsAddr(acct string) types.Address  { return types.AddressFromString("sb/s/" + acct) }

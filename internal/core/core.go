@@ -119,17 +119,6 @@ type Options struct {
 	// `coledb -merge-workers`, `colebench -merge-workers` (the mergesched
 	// sweep), and `-exp stalls`, which pins a one-worker pool.
 	MergeWorkers int
-	// MergeChunk is the preemption quantum, in entries, of background
-	// level merges: between chunks a merge probes the scheduler for queued
-	// higher-priority work (an L0 flush a commit checkpoint is waiting on)
-	// and hands its worker slot over before pulling the next chunk. 0
-	// selects the default (16384 entries ≈ 1 MiB); negative values are
-	// rejected — merges are always preemptible. Chunking never changes
-	// merge output (byte-identical runs at any quantum), only when a
-	// commit can overtake a long merge on a narrow pool. Set by
-	// `-exp stalls` (B/4, so even an L1 merge reaches several
-	// checkpoints on its small stores).
-	MergeChunk int
 	// SortedBatch makes PutBatch bulk-load the L0 MB-tree: the deduped
 	// batch is sorted by address and inserted through the tree's sorted
 	// fast path (one descent per leaf instead of one per key). The tree's
@@ -183,9 +172,6 @@ func (o Options) withDefaults() Options {
 	if o.BloomFP == 0 {
 		o.BloomFP = 0.01
 	}
-	if o.MergeChunk == 0 {
-		o.MergeChunk = defaultMergeChunk
-	}
 	o.FS = vfs.OrOS(o.FS)
 	return o
 }
@@ -202,9 +188,6 @@ func (o Options) validate() error {
 	}
 	if o.Fanout < 2 {
 		return fmt.Errorf("core: Fanout %d < 2", o.Fanout)
-	}
-	if o.MergeChunk < 0 {
-		return fmt.Errorf("core: MergeChunk %d < 0 (merges are always chunked; 0 selects the default quantum)", o.MergeChunk)
 	}
 	return nil
 }
@@ -335,6 +318,9 @@ type Engine struct {
 	// Only tests set it, to pin the sequential and partitioned builds
 	// their golden comparisons need.
 	fixedMergeWidth int
+	// fixedMergeChunk, when nonzero, replaces MergeQuantum's rule. Only
+	// tests set it, to force maximal checkpoint interleaving.
+	fixedMergeChunk int
 
 	// PutBatch dedup scratch, reused across blocks so the hot batch path
 	// stays allocation-free (guarded by mu). entryBuf is the sorted
@@ -490,7 +476,8 @@ type Stats struct {
 	// (core.pace_ms), and goes when that harness next changes.
 	PaceNanos int64
 	// Preemptions counts chunked-merge checkpoints that handed their
-	// worker slot to queued higher-priority work (Options.MergeChunk).
+	// worker slot to queued higher-priority work (every MergeQuantum
+	// entries).
 	Preemptions int64
 	// PageReads / CacheHits aggregate the point-read page-cache counters
 	// across the store's runs: value pages read from disk vs found in the

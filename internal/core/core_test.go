@@ -163,7 +163,6 @@ func TestOptionsValidation(t *testing.T) {
 		{"MemCapacity", Options{Dir: t.TempDir(), MemCapacity: -1}},
 		{"SizeRatio", Options{Dir: t.TempDir(), SizeRatio: 1}},
 		{"Fanout", Options{Dir: t.TempDir(), Fanout: 1}},
-		{"MergeChunk", Options{Dir: t.TempDir(), MergeChunk: -1}}, // no monolithic merges
 	} {
 		e, err := Open(tc.opts)
 		if err == nil {
@@ -172,6 +171,18 @@ func TestOptionsValidation(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.field) {
 			t.Fatalf("invalid %s: error %q does not name the field", tc.field, err)
+		}
+	}
+}
+
+// TestMergeQuantumRule: the preemption quantum is a quarter of B, never
+// below one entry.
+func TestMergeQuantumRule(t *testing.T) {
+	for _, tc := range []struct{ memCap, want int }{
+		{1, 1}, {3, 1}, {4, 1}, {4096, 1024},
+	} {
+		if got := MergeQuantum(tc.memCap); got != tc.want {
+			t.Errorf("MergeQuantum(%d) = %d, want %d", tc.memCap, got, tc.want)
 		}
 	}
 }

@@ -78,9 +78,9 @@ func TestTraceEventsMatchCounters(t *testing.T) {
 	tr := obs.NewTracer(obs.DefaultTraceEvents)
 	opts := testOpts(t, true)
 	opts.MemCapacity = 16
-	opts.MergeChunk = 8
 	opts.Trace = tr
 	e := openEngine(t, opts)
+	e.fixedMergeChunk = 8
 	o := newOracle()
 	runWorkload(t, e, o, 2, 120, 8, 256)
 	if err := e.FlushAll(); err != nil {

@@ -12,7 +12,7 @@ import (
 
 // TestMergeChunkQuantumInvisible drives identical workloads through an
 // engine that checkpoints its merges every 8 entries and one at the
-// default quantum (which these small merges never reach) on ONE-worker
+// default quantum (MergeQuantum: B/4 = 32 at this B) on ONE-worker
 // pools, in both merge modes: with a single slot every flush the commit
 // path needs contends with every deep merge, so any preemption bug
 // surfaces as a deadlock or a digest divergence. The quantum must be
@@ -21,13 +21,14 @@ func TestMergeChunkQuantumInvisible(t *testing.T) {
 	for _, async := range []bool{false, true} {
 		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
 			optsFine := testOpts(t, async)
+			optsFine.MemCapacity = 128
 			optsFine.MergeWorkers = 1
-			optsFine.MergeChunk = 8 // checkpoint every 8 entries: maximal interleaving
-			optsDefault := testOpts(t, async)
-			optsDefault.MergeWorkers = 1
+			optsDefault := optsFine
+			optsDefault.Dir = t.TempDir()
 			ef := openEngine(t, optsFine)
+			ef.fixedMergeChunk = 8 // checkpoint every 8 entries: maximal interleaving
 			ed := openEngine(t, optsDefault)
-			const blocks, writes, accounts = 100, 12, 60
+			const blocks, writes, accounts = 400, 12, 60
 			for h := uint64(1); h <= blocks; h++ {
 				batch := batchFor(h, writes, accounts)
 				for _, e := range []*Engine{ef, ed} {

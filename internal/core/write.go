@@ -470,13 +470,28 @@ func (e *Engine) startLevelMerge(i int) {
 	lv.merge = e.startMerge(i, runsOf(lv.groups[lv.merging()]), pri, e.sched.Submit)
 }
 
-// defaultMergeChunk is the preemption quantum when Options.MergeChunk is
-// 0: 16384 entries ≈ 1 MiB of merged volume between scheduler probes —
-// frequent enough that a queued flush waits microseconds, rare enough
-// that the probe (two atomic loads) never shows up in merge bandwidth.
-const defaultMergeChunk = 16384
+// MergeQuantum is the preemption quantum, in entries, of background
+// level merges on an engine whose L0 holds memCapacity (B) entries: a
+// quarter of a flush, at least 1. Between quanta a merge probes the
+// scheduler (two atomic loads) for queued higher-priority work — an L0
+// flush a commit checkpoint is waiting on — and hands its worker slot
+// over. B/4 is the quantum `-exp stalls` measures preemptions at: even
+// an L1 merge reaches several checkpoints. Chunking never changes merge
+// output, only when a commit can overtake a long merge on a narrow pool.
+func MergeQuantum(memCapacity int) int {
+	return max(memCapacity/4, 1)
+}
 
-// chunked wraps a merge source so the job checkpoints every MergeChunk
+// mergeChunk is the engine's preemption quantum: MergeQuantum of its B
+// unless a test pinned another.
+func (e *Engine) mergeChunk() int {
+	if e.fixedMergeChunk > 0 {
+		return e.fixedMergeChunk
+	}
+	return MergeQuantum(e.opts.MemCapacity)
+}
+
+// chunked wraps a merge source so the job checkpoints every mergeChunk
 // entries and hands its worker slot to queued higher-priority work
 // (run.Chunked + Scheduler.Preempt). Flush-lane jobs are never wrapped —
 // nothing outranks them, so the probe would be dead weight on the
@@ -490,9 +505,9 @@ func (e *Engine) chunked(it run.Iterator, pri merge.Priority, lvl int32) run.Ite
 	// how long the merge sat re-queued — exactly one trace preempt event
 	// per counted preemption, the invariant the stalls benchmark
 	// cross-checks.
-	return run.Chunked(it, e.opts.MergeChunk, func() {
+	return run.Chunked(it, e.mergeChunk(), func() {
 		if e.tr != nil {
-			e.trace(obs.EvMergeChunk, lvl, 0, 0, 0)
+			e.trace(obs.EvMergeCheckpoint, lvl, 0, 0, 0)
 		}
 		start := time.Now()
 		if e.sched.Preempt(pri, nil) {

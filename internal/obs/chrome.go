@@ -68,7 +68,7 @@ func chromeName(ev Event) string {
 		return "flush"
 	case EvMergeEnd:
 		return fmt.Sprintf("merge L%d", ev.Level)
-	case EvMergeChunk:
+	case EvMergeCheckpoint:
 		return "chunk"
 	case EvMergePreempt:
 		return "preempt"

@@ -29,9 +29,9 @@ const (
 	// Level says which).
 	EvMergeStart
 	EvMergeEnd
-	// EvMergeChunk marks a preemption checkpoint reached by a chunked
-	// merge (every Options.MergeChunk entries).
-	EvMergeChunk
+	// EvMergeCheckpoint marks a preemption checkpoint reached by a chunked
+	// merge (every core.MergeQuantum entries).
+	EvMergeCheckpoint
 	// EvMergePreempt records a chunked merge handing its worker slot to
 	// a queued higher-priority job; Dur is the time spent re-queued.
 	EvMergePreempt
@@ -59,19 +59,19 @@ const (
 )
 
 var eventNames = [numEventTypes]string{
-	EvFlushStart:   "flush_start",
-	EvFlushEnd:     "flush_end",
-	EvMergeStart:   "merge_start",
-	EvMergeEnd:     "merge_end",
-	EvMergeChunk:   "merge_chunk",
-	EvMergePreempt: "merge_preempt",
-	EvCommit:       "commit",
-	EvStall:        "stall",
-	EvManifest:     "manifest",
-	EvViewPublish:  "view_publish",
-	EvViewRetire:   "view_retire",
-	EvSpanStart:    "span_start",
-	EvSpanEnd:      "span_end",
+	EvFlushStart:      "flush_start",
+	EvFlushEnd:        "flush_end",
+	EvMergeStart:      "merge_start",
+	EvMergeEnd:        "merge_end",
+	EvMergeCheckpoint: "merge_chunk",
+	EvMergePreempt:    "merge_preempt",
+	EvCommit:          "commit",
+	EvStall:           "stall",
+	EvManifest:        "manifest",
+	EvViewPublish:     "view_publish",
+	EvViewRetire:      "view_retire",
+	EvSpanStart:       "span_start",
+	EvSpanEnd:         "span_end",
 }
 
 // String returns the JSONL wire name of the event type.

@@ -72,7 +72,7 @@ func TestTracerConcurrentRecord(t *testing.T) {
 		go func(shard int32) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				tr.Record(EvMergeChunk, shard, 1, 0, uint64(i), 0)
+				tr.Record(EvMergeCheckpoint, shard, 1, 0, uint64(i), 0)
 			}
 		}(int32(w))
 	}
@@ -119,7 +119,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	tr := NewTracer(32)
 	tr.Record(EvFlushStart, 0, 1, 4096, 1, 0)
 	tr.Record(EvFlushEnd, 0, 1, 4096, 1, 2*time.Millisecond)
-	tr.Record(EvMergeChunk, 1, 2, 0, 3, 0)
+	tr.Record(EvMergeCheckpoint, 1, 2, 0, 3, 0)
 	tr.Record(EvMergePreempt, 1, 2, 0, 3, 100*time.Microsecond)
 	tr.Record(EvCommit, 0, -1, 0, 9, 5*time.Millisecond)
 	var buf bytes.Buffer

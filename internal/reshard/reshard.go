@@ -73,10 +73,6 @@ const (
 // page size) are inherited from the source store's manifests and run
 // metadata and cannot be changed here.
 type Options struct {
-	// PageSize overrides the page size adopted from the source runs'
-	// metadata; leave 0 (a mismatch with the on-disk runs fails the
-	// open).
-	PageSize int
 	// MemCapacity is the source store's B, used only to pick the on-disk
 	// level the bulk-built runs are installed at (0 = 4096).
 	MemCapacity int
@@ -245,24 +241,21 @@ func Reshard(dir string, shards int, opts Options) (*Report, error) {
 	// (the engine options are not persisted, and requiring the operator
 	// to recall them would make non-default stores unreshardable from
 	// the CLI).
-	if opts.PageSize == 0 {
-	adopt:
-		for i, st := range states {
-			for _, id := range st.RunIDs {
-				ps, err := run.PageSizeOf(fsys, srcDirs[i], id)
-				if err != nil {
-					return nil, fmt.Errorf("reshard: read run %d of source shard %d: %w", id, i, err)
-				}
-				opts.PageSize = ps
-				break adopt
+	pageSize := 0
+adopt:
+	for i, st := range states {
+		for _, id := range st.RunIDs {
+			if pageSize, err = run.PageSizeOf(fsys, srcDirs[i], id); err != nil {
+				return nil, fmt.Errorf("reshard: read run %d of source shard %d: %w", id, i, err)
 			}
+			break adopt
 		}
 	}
 
 	// Open every committed source run directly from the manifests — the
 	// engines are never opened, so the source directories are not
 	// mutated (no orphan sweep, no restarted background merges).
-	params := run.Params{PageSize: opts.PageSize, Fanout: base.Fanout, BloomFP: opts.BloomFP, FS: fsys}
+	params := run.Params{PageSize: pageSize, Fanout: base.Fanout, BloomFP: opts.BloomFP, FS: fsys}
 	srcRuns := make([][]*run.Run, n)
 	defer func() {
 		for _, runs := range srcRuns {
@@ -319,7 +312,7 @@ func Reshard(dir string, shards int, opts Options) (*Report, error) {
 		if len(srcRuns[i]) == 0 {
 			continue
 		}
-		spans, err := run.PlanRuns(srcRuns[i], parts, opts.PageSize)
+		spans, err := run.PlanRuns(srcRuns[i], parts, pageSize)
 		if err != nil {
 			return nil, fmt.Errorf("reshard: plan source shard %d: %w", i, err)
 		}
@@ -412,7 +405,7 @@ func Reshard(dir string, shards int, opts Options) (*Report, error) {
 		MemCapacity: opts.MemCapacity,
 		SizeRatio:   base.SizeRatio,
 		Fanout:      base.Fanout,
-		PageSize:    opts.PageSize,
+		PageSize:    pageSize,
 		BloomFP:     opts.BloomFP,
 		AsyncMerge:  base.Async,
 		FS:          fsys,

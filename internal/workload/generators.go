@@ -7,40 +7,6 @@ import (
 	"cole/internal/types"
 )
 
-// The built-in Spec-driven generators: a uniform baseline, the YCSB
-// zipfian request distribution, and a hot-account pattern (a small hot
-// set takes most of the traffic — the PoS/blockchain access shape where
-// a few contracts and exchange accounts dominate).
-func init() {
-	Register("uniform", func(spec Spec) (Generator, error) {
-		return newKVGen(spec, func(rng *rand.Rand) func() uint64 {
-			n := uint64(spec.Keys)
-			return func() uint64 { return rng.Uint64() % n }
-		}), nil
-	})
-	Register("zipfian", func(spec Spec) (Generator, error) {
-		return newKVGen(spec, func(rng *rand.Rand) func() uint64 {
-			z := rand.NewZipf(rng, spec.ZipfS, spec.ZipfV, uint64(spec.Keys-1))
-			return z.Uint64
-		}), nil
-	})
-	Register("hotaccount", func(spec Spec) (Generator, error) {
-		return newKVGen(spec, func(rng *rand.Rand) func() uint64 {
-			hot := uint64(float64(spec.Keys) * spec.HotKeys)
-			if hot < 1 {
-				hot = 1
-			}
-			cold := uint64(spec.Keys) - hot
-			return func() uint64 {
-				if cold == 0 || rng.Float64() < spec.HotOps {
-					return rng.Uint64() % hot
-				}
-				return hot + rng.Uint64()%cold
-			}
-		}), nil
-	})
-}
-
 // loadSeedSalt decouples the load phase's value stream from the running
 // phase's, so generating (or skipping) the load never shifts the run.
 const loadSeedSalt = 0x0c01e_10ad

@@ -2,8 +2,7 @@ package workload
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"math/rand"
 	"time"
 
 	"cole/internal/types"
@@ -12,12 +11,11 @@ import (
 // Spec declares a workload: the key population and its access
 // distribution, the read/write mix, the value payload size, and how the
 // open-loop harness should drive it (duration, warm-up, concurrency,
-// target rate, block size, seed). A Spec is pure data — New resolves it
-// against the generator registry — so workloads can be enumerated,
-// serialized into benchmark reports, and swept as a matrix.
+// target rate, block size, seed). A Spec is pure data — New builds the
+// generator it names — so workloads can be enumerated, serialized into
+// benchmark reports, and swept as a matrix.
 type Spec struct {
-	// Name selects a registered generator ("uniform", "zipfian",
-	// "hotaccount", …); Names() lists what is available.
+	// Name selects a generator: "uniform", "zipfian" or "hotaccount".
 	Name string
 	// Keys is the key population: the base records written by the load
 	// phase and the domain every operation draws from.
@@ -115,7 +113,7 @@ type Op struct {
 // run and fans the resulting operations out itself, so the generated
 // key/value stream is identical for every run with the same seed.
 type Generator interface {
-	// Name returns the registered generator name.
+	// Name returns the generator name.
 	Name() string
 	// Load returns the base-population writes applied (in blocks) before
 	// the clock starts, YCSB load/run style.
@@ -124,47 +122,37 @@ type Generator interface {
 	Next() Op
 }
 
-// Factory builds a Generator from a defaulted Spec.
-type Factory func(spec Spec) (Generator, error)
-
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]Factory{}
-)
-
-// Register adds a named generator factory. Registering a taken name
-// panics: workload names appear in reports and CLI flags, so a silent
-// override would corrupt cross-run comparisons.
-func Register(name string, f Factory) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("workload: generator %q registered twice", name))
-	}
-	registry[name] = f
-}
-
-// New resolves spec.Name against the registry and builds the generator
-// from the defaulted spec.
+// New builds the generator spec.Name names from the defaulted spec: a
+// uniform baseline, the YCSB zipfian request distribution, or a
+// hot-account pattern (a small hot set takes most of the traffic — the
+// PoS/blockchain access shape where a few contracts and exchange
+// accounts dominate).
 func New(spec Spec) (Generator, error) {
 	spec = spec.WithDefaults()
-	registryMu.RLock()
-	f, ok := registry[spec.Name]
-	registryMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("workload: unknown generator %q (have: %v)", spec.Name, Names())
+	var sampler func(rng *rand.Rand) func() uint64
+	switch spec.Name {
+	case "uniform":
+		sampler = func(rng *rand.Rand) func() uint64 {
+			n := uint64(spec.Keys)
+			return func() uint64 { return rng.Uint64() % n }
+		}
+	case "zipfian":
+		sampler = func(rng *rand.Rand) func() uint64 {
+			return rand.NewZipf(rng, spec.ZipfS, spec.ZipfV, uint64(spec.Keys-1)).Uint64
+		}
+	case "hotaccount":
+		sampler = func(rng *rand.Rand) func() uint64 {
+			hot := max(uint64(float64(spec.Keys)*spec.HotKeys), 1)
+			cold := uint64(spec.Keys) - hot
+			return func() uint64 {
+				if cold == 0 || rng.Float64() < spec.HotOps {
+					return rng.Uint64() % hot
+				}
+				return hot + rng.Uint64()%cold
+			}
+		}
+	default:
+		return nil, fmt.Errorf("workload: unknown generator %q (have: hotaccount uniform zipfian)", spec.Name)
 	}
-	return f(spec)
-}
-
-// Names lists the registered generator names, sorted.
-func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return newKVGen(spec, sampler), nil
 }

@@ -6,14 +6,13 @@
 // small base set updated continuously) — as chain.Tx streams for the
 // transaction executor.
 //
-// The pluggable Spec API (spec.go, generators.go) is the scenario
-// engine's substrate: a declarative Spec (key population, value size,
+// The Spec API (spec.go, generators.go) is the scenario engine's
+// substrate: a declarative Spec (key population, value size,
 // distribution, read/write mix, duration, warm-up, concurrency, seed)
-// resolved through a registry into a Generator that yields raw store
-// operations. Built-ins cover uniform, zipfian (YCSB request skew), and
-// hot-account (a small hot set takes most traffic) distributions; new
-// access patterns register a Factory under a name and every experiment
-// that sweeps workloads picks them up.
+// that New turns into a Generator yielding raw store operations. It
+// covers uniform, zipfian (YCSB request skew), and hot-account (a small
+// hot set takes most traffic) distributions; a new access pattern is one
+// more case in New's switch.
 //
 // All generators are deterministic given a seed, so identical workloads
 // can be replayed across engines and across recovering nodes.
