@@ -1,8 +1,10 @@
 package run
 
 import (
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"cole/internal/bloom"
 	"cole/internal/mht"
@@ -155,28 +157,27 @@ func BuildSpans(dir string, id uint64, count int64, params Params, spans []Span,
 			return nil, err
 		}
 	}
-	if err := keys.Finish(); err != nil {
-		return nil, err
-	}
-	layers, err := ib.finishLayers()
-	if err != nil {
-		return nil, err
-	}
-	if err := idxW.Finish(); err != nil {
-		return nil, err
-	}
-	if err := idxF.Finish(); err != nil {
-		return nil, err
-	}
-	if err := valF.Finish(); err != nil {
-		return nil, err
-	}
-
 	leafSpans := make([][2]int64, len(spans))
 	for i, sp := range spans {
 		leafSpans[i] = [2]int64{sp.Lo, sp.Hi}
 	}
-	root, err := mrkF.Stitch(leafSpans)
+	// The value file's fsync and the Merkle stitch with its fsync run
+	// beside the learned index's last layers and fsync. All three are
+	// joined before the metadata file, the run's commit point, is written.
+	var root types.Hash
+	waits := []func() error{
+		async(valF.Finish),
+		async(func() (err error) {
+			root, err = mrkF.Stitch(leafSpans)
+			return err
+		}),
+	}
+	layers, err := ib.finish(keys, idxF)
+	for _, wait := range waits {
+		if werr := wait(); err == nil {
+			err = werr
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -210,14 +211,7 @@ func buildSpan(valF *pagefile.SharedWriter, mrkF *mht.SharedWriter, count int64,
 	if err != nil {
 		return spanResult{}, err
 	}
-	res, err := writeEntries(src, sp.Hi-sp.Lo, count, params, seg.Append, mspan.Add, keys)
-	if err != nil {
-		return res, err
-	}
-	if err := seg.Finish(); err != nil {
-		return res, err
-	}
-	return res, mspan.Close()
+	return writeEntries(src, sp.Hi-sp.Lo, count, params, seg, mspan, keys)
 }
 
 // readKeys feeds every key of the written value file, read back in
@@ -264,19 +258,25 @@ type spanResult struct {
 }
 
 // writeEntries is the per-entry loop of every run build, one call per
-// span: encode the entry and append it to the value file, take its Merkle
-// leaf hash from the source when it can replay precomputed ones (a run's
-// .mrk file, a reshard spool, or a merge of such sources — a stored leaf
-// hash IS types.HashEntry of its entry) and compute it otherwise (L0
-// flushes arrive as plain slices), add the leaf, and insert the address
-// into a Bloom filter with the full run's geometry. keys, when non-nil,
-// receives every key with its position in the span (the inline PLA feed).
+// span, and it is a two-stage pipeline. The caller's goroutine iterates
+// src, encodes each entry and appends it to the value segment, feeds keys
+// (when non-nil, the inline PLA: every key with its position in the span)
+// and inserts the address into a Bloom filter with the full run's
+// geometry. One helper goroutine, a merkleStage, owns the span's Merkle
+// writer. It takes the entries in batches: a source that can replay
+// precomputed leaf hashes (a run's .mrk file, a reshard spool, or a
+// merge of such sources — a stored leaf hash IS types.HashEntry of its
+// entry) hands over its leaf hashes, and any other source (L0 flushes
+// arrive as plain slices) hands over its entries for the helper to hash.
+//
+// On success the segment is finished and the Merkle span closed, the
+// two in parallel. On every return the helper has exited.
 //
 // src must yield exactly want entries. A source that died mid-stream is
-// reported by its own error, not as the count mismatch it also causes.
+// reported by its own error, not as the count mismatch it also causes. A
+// Merkle write error is reported before any error of the entry loop.
 func writeEntries(src Iterator, want, count int64, params Params,
-	appendValue func([]byte) error, addLeaf func(types.Hash) error,
-	keys *pla.Builder) (res spanResult, err error) {
+	seg *pagefile.Writer, mspan *mht.SpanWriter, keys *pla.Builder) (res spanResult, err error) {
 	// Every span's filter gets the full run's geometry so the union of the
 	// spans marshals byte-identically to one sequential pass.
 	res.filter = bloom.New(int(count), params.BloomFP)
@@ -284,6 +284,13 @@ func writeEntries(src Iterator, want, count int64, params Params,
 	if h, ok := src.(HashedIterator); ok && h.Hashed() {
 		hashSrc = h
 	}
+	stage := startMerkleStage(mspan, int(min(want, pipeBatch)), hashSrc != nil)
+	defer func() {
+		if serr := stage.finish(err == nil, seg.Finish); serr != nil {
+			err = serr
+		}
+	}()
+	b := <-stage.free
 	var seen int64
 	entryBuf := make([]byte, types.EntrySize)
 	for {
@@ -305,7 +312,7 @@ func writeEntries(src Iterator, want, count int64, params Params,
 		}
 		res.maxKey = e.Key
 		types.EncodeEntry(entryBuf, e)
-		if err := appendValue(entryBuf); err != nil {
+		if err := seg.Append(entryBuf); err != nil {
 			return res, err
 		}
 		if keys != nil {
@@ -313,23 +320,25 @@ func writeEntries(src Iterator, want, count int64, params Params,
 				return res, err
 			}
 		}
-		var leaf types.Hash
 		if hashSrc != nil {
-			if leaf, err = hashSrc.LeafHash(); err != nil {
+			if b.leaves[b.n], err = hashSrc.LeafHash(); err != nil {
 				return res, err
 			}
 		} else {
-			leaf = types.HashEntry(e)
+			b.entries[b.n] = e
 		}
-		if err := addLeaf(leaf); err != nil {
-			return res, err
-		}
+		b.n++
 		if sameAddr {
 			res.filter.AddRepeat()
 		} else {
 			res.filter.Add(e.Key.Addr)
 		}
 		seen++
+		if b.n == b.size() {
+			if b, err = stage.handoff(b); err != nil {
+				return res, err
+			}
+		}
 	}
 	if err := sourceErr(src); err != nil {
 		return res, err
@@ -337,7 +346,136 @@ func writeEntries(src Iterator, want, count int64, params Params,
 	if seen != want {
 		return res, fmt.Errorf("run: iterator yielded %d entries, expected %d", seen, want)
 	}
+	if b.n > 0 {
+		stage.full <- b
+	}
 	return res, nil
+}
+
+// The Merkle stage's batching: pipeBatch entries per hand-off, pipeDepth
+// batches in circulation, so the entry loop can run up to two batches
+// ahead of the hashing before it waits.
+const (
+	pipeBatch = 256
+	pipeDepth = 3
+)
+
+// leafBatch is one hand-off from the entry loop to the Merkle stage:
+// the first n slots of leaves (stored leaf hashes) or of entries (to be
+// hashed), whichever the build's source supplies.
+type leafBatch struct {
+	leaves  []types.Hash
+	entries []types.Entry
+	n       int
+}
+
+func (b *leafBatch) size() int { return max(len(b.leaves), len(b.entries)) }
+
+// add feeds the batch's leaves to the span in order.
+func (b *leafBatch) add(mspan *mht.SpanWriter) error {
+	for i := 0; i < b.n; i++ {
+		var leaf types.Hash
+		if b.leaves != nil {
+			leaf = b.leaves[i]
+		} else {
+			leaf = types.HashEntry(b.entries[i])
+		}
+		if err := mspan.Add(leaf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// errMerkleStage stops the entry loop once the helper has failed; finish
+// replaces it with the helper's own error.
+var errMerkleStage = errors.New("run: Merkle stage failed")
+
+// merkleStage is writeEntries' helper goroutine. Batches circulate
+// through two channels, each with room for every batch, so neither side
+// blocks on a send; the loop owns a batch from a receive on free until
+// its send on full, the helper from a receive on full until its send on
+// free.
+type merkleStage struct {
+	free, full chan *leafBatch
+	// failed is set once the helper has met an error: it keeps recycling
+	// batches but adds nothing more, and the loop stops at its next
+	// hand-off.
+	failed atomic.Bool
+	// closeSpan, written before full is closed, tells the helper the loop
+	// completed and the span is to be closed.
+	closeSpan bool
+	done      chan error
+}
+
+func startMerkleStage(mspan *mht.SpanWriter, size int, hashed bool) *merkleStage {
+	s := &merkleStage{
+		free: make(chan *leafBatch, pipeDepth),
+		full: make(chan *leafBatch, pipeDepth),
+		done: make(chan error, 1),
+	}
+	for i := 0; i < pipeDepth; i++ {
+		b := &leafBatch{}
+		if hashed {
+			b.leaves = make([]types.Hash, size)
+		} else {
+			b.entries = make([]types.Entry, size)
+		}
+		s.free <- b
+	}
+	go s.run(mspan)
+	return s
+}
+
+func (s *merkleStage) run(mspan *mht.SpanWriter) {
+	var err error
+	for b := range s.full {
+		if err == nil {
+			if err = b.add(mspan); err != nil {
+				s.failed.Store(true)
+			}
+		}
+		b.n = 0
+		s.free <- b
+	}
+	if err == nil && s.closeSpan {
+		err = mspan.Close()
+	}
+	s.done <- err
+}
+
+// handoff passes a full batch to the helper and returns an empty one.
+func (s *merkleStage) handoff(b *leafBatch) (*leafBatch, error) {
+	s.full <- b
+	if s.failed.Load() {
+		return nil, errMerkleStage
+	}
+	return <-s.free, nil
+}
+
+// finish ends the stage and waits for the helper to exit. ok reports
+// that the entry loop completed: the helper then closes the Merkle span
+// while tail (the value segment's Finish) runs here. The helper's error
+// comes first, then tail's.
+func (s *merkleStage) finish(ok bool, tail func() error) error {
+	s.closeSpan = ok
+	close(s.full)
+	var err error
+	if ok {
+		err = tail()
+	}
+	if serr := <-s.done; serr != nil {
+		return serr
+	}
+	return err
+}
+
+// async runs fn on its own goroutine; the returned func waits for it and
+// returns fn's error.
+func async(fn func() error) func() error {
+	done := make(chan error, 1)
+	go func() { done <- fn() }()
+	return func() error { return <-done }
 }
 
 // finishRun writes the metadata file — the run's commit point — and opens
@@ -385,6 +523,22 @@ func (b *indexBuilder) writeModel(m pla.Model) error {
 	m.Encode(b.modelBuf)
 	b.kmins = append(b.kmins, m.KMin)
 	return b.idxW.Append(b.modelBuf)
+}
+
+// finish closes the bottom layer's last model, builds the upper layers,
+// and finishes (writes out and syncs) the index file.
+func (b *indexBuilder) finish(keys *pla.Builder, idxF *pagefile.SharedWriter) ([]layerMeta, error) {
+	if err := keys.Finish(); err != nil {
+		return nil, err
+	}
+	layers, err := b.finishLayers()
+	if err != nil {
+		return nil, err
+	}
+	if err := b.idxW.Finish(); err != nil {
+		return nil, err
+	}
+	return layers, idxF.Finish()
 }
 
 // finishLayers pads out the bottom layer and recurses upward until a

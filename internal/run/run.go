@@ -21,6 +21,16 @@
 // sorted input (the L0 flush or a level sort-merge) into its slices of
 // the value and Merkle files. Build is its one-span case: a single
 // streaming pass that also feeds the learned index inline.
+//
+// A span's pass runs on two goroutines. The caller's iterates the
+// source, encodes and appends values, feeds the learned index and fills
+// the Bloom filter; a helper takes the entries in recycled batches of 256
+// and does the Merkle work — hashing each leaf (flushes) or taking the
+// source's stored leaf hash (merges) — and closes the span's Merkle
+// writer while the caller writes out the value file's tail. The value,
+// Merkle and index fsyncs are then issued concurrently and all joined
+// before the metadata file is written, so the commit point still
+// follows every byte it names.
 package run
 
 import (

@@ -105,8 +105,20 @@ func (u U256) Big() *big.Int {
 
 // KeyDeltaFloat returns float64(K − kmin), the learned-model x coordinate
 // for key K in a segment anchored at kmin. K must satisfy K ≥ kmin.
+//
+// It is U256FromKey(k).Sub(U256FromKey(kmin)).Float64(), bit for bit, with
+// the limbs subtracted straight off the address bytes: limb 3 is
+// addr[0:4], limb 2 addr[4:12], limb 1 addr[12:20], limb 0 the height.
+// The conversion folds the limbs high to low exactly as Float64 does
+// (each multiply by 2^64 is exact), so the rounding is the same too. The
+// PLA builder calls it once per key and every search once per layer.
 func KeyDeltaFloat(k, kmin CompoundKey) float64 {
-	return U256FromKey(k).Sub(U256FromKey(kmin)).Float64()
+	d0, b := bits.Sub64(k.Blk, kmin.Blk, 0)
+	d1, b := bits.Sub64(binary.BigEndian.Uint64(k.Addr[12:20]), binary.BigEndian.Uint64(kmin.Addr[12:20]), b)
+	d2, b := bits.Sub64(binary.BigEndian.Uint64(k.Addr[4:12]), binary.BigEndian.Uint64(kmin.Addr[4:12]), b)
+	d3, _ := bits.Sub64(uint64(binary.BigEndian.Uint32(k.Addr[0:4])), uint64(binary.BigEndian.Uint32(kmin.Addr[0:4])), b)
+	const limb = 18446744073709551616.0
+	return ((float64(d3)*limb+float64(d2))*limb+float64(d1))*limb + float64(d0)
 }
 
 // Inf is the positive-infinity convenience used by model builders.

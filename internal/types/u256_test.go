@@ -1,6 +1,9 @@
 package types
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -145,4 +148,115 @@ func TestKeyDeltaFloatMonotone(t *testing.T) {
 			t.Fatalf("deltas not monotone: %g %g %g", d1, d2, d3)
 		}
 	}
+}
+
+// keyDeltaRef is the definition KeyDeltaFloat reproduces bit for bit.
+func keyDeltaRef(k, kmin CompoundKey) float64 {
+	return U256FromKey(k).Sub(U256FromKey(kmin)).Float64()
+}
+
+// keyFromU256 inverts U256FromKey on the low 224 bits.
+func keyFromU256(u U256) CompoundKey {
+	var pad [24]byte
+	binary.BigEndian.PutUint64(pad[0:8], u[3])
+	binary.BigEndian.PutUint64(pad[8:16], u[2])
+	binary.BigEndian.PutUint64(pad[16:24], u[1])
+	k := CompoundKey{Blk: u[0]}
+	copy(k.Addr[:], pad[4:])
+	return k
+}
+
+func checkKeyDelta(t *testing.T, k, kmin CompoundKey) {
+	t.Helper()
+	got, want := KeyDeltaFloat(k, kmin), keyDeltaRef(k, kmin)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("KeyDeltaFloat(%x‖%d, %x‖%d) = %v (%#x), U256 path %v (%#x)",
+			k.Addr[:], k.Blk, kmin.Addr[:], kmin.Blk, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// TestKeyDeltaFloatMatchesU256 compares the limb subtraction against the
+// U256 round trip by bit pattern on 2^20 random pairs, each checked in
+// both orders (a pair out of order wraps the same way on both paths).
+// The pairs rotate through five shapes: independent keys, keys sharing a
+// random-length prefix of their 28-byte encoding, keys whose difference
+// borrows across a chosen limb boundary (and every boundary below it),
+// keys of one address, equal keys included, and differences that sit on
+// a float64 rounding tie (tieDelta). Random keys alone almost never
+// separate two conversions that differ only in how they round.
+func TestKeyDeltaFloatMatchesU256(t *testing.T) {
+	r := rand.New(rand.NewSource(27))
+	for i := 0; i < 1<<20; i++ {
+		k, kmin := randKey(r), randKey(r)
+		switch i % 5 {
+		case 1:
+			var kb, mb [CompoundKeySize]byte
+			k.PutBytes(kb[:])
+			kmin.PutBytes(mb[:])
+			copy(mb[:], kb[:r.Intn(CompoundKeySize+1)])
+			kmin, _ = DecodeCompoundKey(mb[:])
+		case 2:
+			u := U256FromKey(k)
+			v := u
+			j := 1 + r.Intn(3)
+			for l := 0; l < j; l++ {
+				u[l] = uint64(r.Intn(1 << 16))
+				v[l] = ^uint64(r.Intn(1 << 16))
+			}
+			if u[j] == 0 {
+				u[j] = 1
+			}
+			v[j] = u[j] - 1
+			k, kmin = keyFromU256(u), keyFromU256(v)
+		case 3:
+			kmin.Addr = k.Addr
+			if r.Intn(2) == 0 {
+				kmin = k
+			}
+		case 4:
+			u := U256FromKey(kmin)
+			u[3] &= 1<<31 - 1 // room to add a delta below 2^223 without wrapping
+			kmin = keyFromU256(u)
+			k = keyFromU256(u.Add(tieDelta(r)))
+		}
+		checkKeyDelta(t, k, kmin)
+		checkKeyDelta(t, kmin, k)
+	}
+}
+
+// tieDelta returns a difference below 2^223 whose top 54 significant bits
+// end in a 1 that is exactly half a float64 ulp, followed by a random run
+// of zeros and then, half the time, random low bits. Rounding it to the
+// nearest even, with or without the low bits, is where conversions part.
+func tieDelta(r *rand.Rand) U256 {
+	bitLen := 54 + r.Intn(223-54+1)
+	d := new(big.Int).SetUint64(1<<52 | uint64(r.Int63n(1<<52)))
+	d.Lsh(d, 1).SetBit(d, 0, 1)
+	d.Lsh(d, uint(bitLen-54))
+	if gap := r.Intn(bitLen - 53); gap < bitLen-54 && r.Intn(2) == 0 {
+		low := new(big.Int).Rand(r, new(big.Int).Lsh(big.NewInt(1), uint(bitLen-54-gap)))
+		d.Or(d, low)
+	}
+	var u U256
+	for i := range u {
+		u[i] = new(big.Int).Rsh(d, uint(64*i)).Uint64()
+	}
+	return u
+}
+
+// FuzzKeyDeltaFloat holds KeyDeltaFloat to the U256 path on arbitrary
+// key pairs: go test -run '^$' -fuzz=FuzzKeyDeltaFloat ./internal/types
+func FuzzKeyDeltaFloat(f *testing.F) {
+	ones := bytes.Repeat([]byte{0xFF}, AddressSize)
+	f.Add(ones, uint64(7), ones, uint64(7))
+	f.Add([]byte{0, 0, 0, 1}, uint64(0), ones[:4], ^uint64(0))
+	f.Add(append(make([]byte, 12), 1), uint64(0), append(make([]byte, 12), 0, 0xFF), ^uint64(0))
+	// Limb 1 of the difference is 2^53 + 1, a rounding tie, and limb 0 is 1.
+	f.Add(append(make([]byte, 12), 0, 0x20, 0, 0, 0, 0, 0, 1), uint64(1), []byte{}, uint64(0))
+	f.Fuzz(func(t *testing.T, a []byte, blkA uint64, b []byte, blkB uint64) {
+		k, kmin := CompoundKey{Blk: blkA}, CompoundKey{Blk: blkB}
+		copy(k.Addr[:], a)
+		copy(kmin.Addr[:], b)
+		checkKeyDelta(t, k, kmin)
+	})
 }
