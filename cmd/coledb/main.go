@@ -33,8 +33,8 @@
 // /debug/pprof/) for the duration of any command.
 //
 // reshard rewrites the (closed, cleanly flushed) store to a new shard
-// count offline — a partitioned sort-merge of the immutable runs, never
-// a replay — and commits atomically; stat's per-shard balance table
+// count offline — one sort-merge of the immutable runs routed to every
+// destination shard, never a replay — and commits atomically; stat's per-shard balance table
 // shows when the rewrite is worth it. Resharding starts a new root
 // epoch: per-key answers are unchanged, but the combined digest changes
 // with the partition count.
@@ -300,8 +300,7 @@ func main() {
 		if st.MergeNanos > 0 {
 			mergeMBps = float64(st.MergeBytes) / (1 << 20) / (float64(st.MergeNanos) / 1e9)
 		}
-		fmt.Printf("merge rate:  %.1f MB/s inside level-merge builds, %d partition waits\n",
-			mergeMBps, st.PartitionWaits)
+		fmt.Printf("merge rate:  %.1f MB/s inside level-merge builds\n", mergeMBps)
 		hitRate := 0.0
 		if st.PageReads+st.CacheHits > 0 {
 			hitRate = 100 * float64(st.CacheHits) / float64(st.PageReads+st.CacheHits)

@@ -100,10 +100,10 @@ type OpHists = core.OpHists
 // Tracer is a fixed-size, lock-free ring of engine lifecycle events
 // (flush/merge/commit phases, preemptions, view publishes). Set one on
 // Options.Trace to record a run, then export it with WriteJSONL or
-// WriteChromeTrace (the latter opens in Perfetto / chrome://tracing). A single tracer may be shared by every shard of a
-// store; events carry the recording shard. When the ring fills, further
-// events are dropped and counted (Stats.TraceDropped), never
-// overwritten.
+// WriteChromeTrace (the latter opens in Perfetto / chrome://tracing). A
+// single tracer may be shared by every shard of a store; events carry
+// the recording shard. When the ring fills, further events are dropped
+// and counted (Stats.TraceDropped), never overwritten.
 type Tracer = obs.Tracer
 
 // TraceEvent is one recorded lifecycle event.

@@ -75,7 +75,6 @@ func statsDelta(base, now core.Stats) core.Stats {
 	now.Merges -= base.Merges
 	now.BloomSkips -= base.BloomSkips
 	now.MergeWaits -= base.MergeWaits
-	now.PartitionWaits -= base.PartitionWaits
 	now.FlushBytes -= base.FlushBytes
 	now.MergeBytes -= base.MergeBytes
 	now.MergeNanos -= base.MergeNanos

@@ -199,13 +199,11 @@ type Result struct {
 	// the level-merge volume, MergeMBps that volume per second spent
 	// inside merge builds, and PageReads / CacheHits the point-read
 	// page-cache totals (physical reads vs LRU hits), which merges bypass
-	// and so stay intact under heavy compaction. MergePartitions is the
-	// key-range fan-out of a partition-sweep row.
-	MergePartitions int     `json:",omitempty"`
-	MergeBytes      int64   `json:",omitempty"`
-	MergeMBps       float64 `json:",omitempty"`
-	PageReads       int64   `json:",omitempty"`
-	CacheHits       int64   `json:",omitempty"`
+	// and so stay intact under heavy compaction.
+	MergeBytes int64   `json:",omitempty"`
+	MergeMBps  float64 `json:",omitempty"`
+	PageReads  int64   `json:",omitempty"`
+	CacheHits  int64   `json:",omitempty"`
 	// Open-loop workload measurements (the workloads experiment): the
 	// shard count of the store under test, the per-class operation
 	// counts of the measured window, the per-op read and per-block

@@ -265,23 +265,17 @@ func TestCompactionBenchTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The partition-width sweep, then one row per system.
-	sweepRows := len(mergePartitionWidths)
-	want := sweepRows + 2
+	// The isolated merge, then one row per system.
+	const want = 3
 	if len(table.Rows) != want || len(table.Results) != want {
 		t.Fatalf("expected %d rows, got %d rows / %d results", want, len(table.Rows), len(table.Results))
 	}
-	// The isolated rows must carry a real bandwidth number; the engine
+	// The isolated row must carry a real bandwidth number; the engine
 	// rows must carry the sustained-write counters.
-	for i, res := range table.Results[:sweepRows] {
-		if res.MergePartitions != mergePartitionWidths[i] {
-			t.Fatalf("sweep row %d: partitions = %d, want %d", i, res.MergePartitions, mergePartitionWidths[i])
-		}
-		if res.MergeMBps <= 0 || res.MergeBytes <= 0 {
-			t.Fatalf("partition-sweep row lacks bandwidth: %+v", res)
-		}
+	if res := table.Results[0]; res.MergeMBps <= 0 || res.MergeBytes <= 0 {
+		t.Fatalf("isolated-merge row lacks bandwidth: %+v", res)
 	}
-	for _, res := range table.Results[sweepRows:] {
+	for _, res := range table.Results[1:] {
 		if res.TPS <= 0 || res.PageReads+res.CacheHits == 0 {
 			t.Fatalf("engine row lacks counters: %+v", res)
 		}

@@ -39,9 +39,9 @@ const compactionMergeReps = 3
 // Two phases:
 //
 //   - an isolated k-way merge of SizeRatio sorted runs built from the
-//     workload's entries, timed with nothing else running, at each
-//     partition width — the clean merge-bandwidth number (identical data
-//     path for COLE and COLE*; only scheduling differs);
+//     workload's entries, timed with nothing else running — the clean
+//     merge-bandwidth number (identical data path for COLE and COLE*;
+//     only scheduling differs);
 //   - a sustained-write engine phase per system (COLE, COLE*) reporting
 //     write TPS, merge waits, point-read page-cache hits/misses, and
 //     commit-latency tails while compactions run in the background.
@@ -49,18 +49,14 @@ func CompactionBench(cfg Config, scratch string) (*Table, error) {
 	cfg = cfg.Defaults()
 	t := &Table{
 		Title:   "Compaction pipeline: merge bandwidth and sustained-write behavior",
-		Columns: []string{"phase", "write(TPS)", "merge(MB/s)", "speedup", "mergewaits", "pagereads", "cachehits", "p99", "max(tail)"},
+		Columns: []string{"phase", "write(TPS)", "merge(MB/s)", "mergewaits", "pagereads", "cachehits", "p99", "max(tail)"},
 		Notes: []string{
-			fmt.Sprintf("merge-par: isolated %d-way sort-merge of the workload's entries fanned across W key-range partitions, best of %d reps (speedup vs the w=1 row; output runs byte-identical at every width)", cfg.SizeRatio, compactionMergeReps),
+			fmt.Sprintf("isolated-merge: one %d-way sort-merge of the workload's entries into one run, best of %d reps", cfg.SizeRatio, compactionMergeReps),
 			"engine rows: merge(MB/s) is level-merge volume over wall time inside level-merge builds (background merges time-slice with the foreground on small hosts)",
 			"pagereads/cachehits count the point-read page cache, which merges bypass",
 		},
 	}
-	addRow := func(phase string, res Result, base float64) {
-		speedup := "-"
-		if base > 0 {
-			speedup = fmt.Sprintf("%.2fx", res.MergeMBps/base)
-		}
+	addRow := func(phase string, res Result) {
 		tps := "-"
 		if res.TPS > 0 {
 			tps = fmt.Sprintf("%.0f", res.TPS)
@@ -73,32 +69,24 @@ func CompactionBench(cfg Config, scratch string) (*Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			phase, tps,
-			fmt.Sprintf("%.1f", res.MergeMBps), speedup,
+			fmt.Sprintf("%.1f", res.MergeMBps),
 			fmt.Sprint(res.MergeWaits), fmt.Sprint(res.PageReads), fmt.Sprint(res.CacheHits),
 			lat(res.Latency.P99), lat(res.Latency.Max),
 		})
 		t.Results = append(t.Results, res)
 	}
 
-	sweep, err := isolatedPartitionSweep(cfg, scratch)
+	iso, err := isolatedMerge(cfg, scratch)
 	if err != nil {
-		return nil, fmt.Errorf("merge partition sweep: %w", err)
+		return nil, fmt.Errorf("isolated merge: %w", err)
 	}
-	var wideBase float64
-	for _, res := range sweep {
-		base := wideBase
-		if res.MergePartitions == 1 {
-			wideBase = res.MergeMBps
-			base = 0 // the W=1 row is its own baseline
-		}
-		addRow(fmt.Sprintf("merge-par(w=%d)", res.MergePartitions), res, base)
-	}
+	addRow("isolated-merge", iso)
 	for _, sys := range []System{SysCOLE, SysCOLEAsync} {
 		res, err := compactionRun(sys, cfg, scratch)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", sys, err)
 		}
-		addRow(string(sys), res, 0)
+		addRow(string(sys), res)
 	}
 	return t, nil
 }
@@ -135,22 +123,14 @@ func compactionEntries(cfg Config, total int) []types.Entry {
 	return entries
 }
 
-// mergePartitionWidths is the compaction experiment's partition sweep:
-// the same isolated merge fanned across 1, 2, 4, and 8 key-range spans.
-var mergePartitionWidths = []int{1, 2, 4, 8}
-
-// isolatedPartitionSweep builds cfg.SizeRatio sorted source runs from the
-// workload's entry stream once and times their k-way merge into one run
-// at each partition width, with nothing else on the host's plate. W=1 is
-// the one-span (sequential) build; wider rows plan page-aligned spans and
-// fan them across goroutines exactly like the engine's partitioned merges
-// (which route through the merge pool instead — same data path). The output is
-// byte-identical at every width, so the sweep isolates pure wall-time
-// scaling of one big merge.
-func isolatedPartitionSweep(cfg Config, scratch string) ([]Result, error) {
-	dir, err := tempDir(scratch, "compaction-partitions")
+// isolatedMerge builds cfg.SizeRatio sorted source runs from the
+// workload's entry stream once and times their k-way merge into one run —
+// the engine's level-merge build, run.Build over run.MergeRuns — with
+// nothing else on the host's plate.
+func isolatedMerge(cfg Config, scratch string) (Result, error) {
+	dir, err := tempDir(scratch, "compaction-merge")
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	defer cleanup(dir)
 
@@ -169,7 +149,7 @@ func isolatedPartitionSweep(cfg Config, scratch string) ([]Result, error) {
 	for k := range runs {
 		r, err := run.Build(dir, uint64(k), int64(len(perRun[k])), params, run.NewSliceIterator(perRun[k]))
 		if err != nil {
-			return nil, err
+			return Result{}, err
 		}
 		runs[k] = r
 	}
@@ -181,43 +161,24 @@ func isolatedPartitionSweep(cfg Config, scratch string) ([]Result, error) {
 		}
 	}()
 
-	var out []Result
-	id := uint64(2000)
-	for _, w := range mergePartitionWidths {
-		res := Result{Workload: "compaction", MergePartitions: w, Txs: len(entries)}
-		res.MergeBytes = int64(len(entries)) * types.EntrySize
-		for rep := 0; rep < compactionMergeReps; rep++ {
-			start := time.Now()
-			built, err := partitionedMergeOnce(dir, id, runs, int64(len(entries)), params, w)
-			if err != nil {
-				return nil, err
-			}
-			id++
-			elapsed := time.Since(start)
-			if mbps := float64(res.MergeBytes) / (1 << 20) / elapsed.Seconds(); mbps > res.MergeMBps {
-				res.MergeMBps = mbps
-				res.Elapsed = elapsed
-			}
-			if err := built.Remove(); err != nil {
-				return nil, err
-			}
+	res := Result{Workload: "compaction", Txs: len(entries)}
+	res.MergeBytes = int64(len(entries)) * types.EntrySize
+	for rep := 0; rep < compactionMergeReps; rep++ {
+		start := time.Now()
+		built, err := run.Build(dir, uint64(2000+rep), int64(len(entries)), params, run.MergeRuns(runs))
+		if err != nil {
+			return Result{}, err
 		}
-		out = append(out, res)
+		elapsed := time.Since(start)
+		if mbps := float64(res.MergeBytes) / (1 << 20) / elapsed.Seconds(); mbps > res.MergeMBps {
+			res.MergeMBps = mbps
+			res.Elapsed = elapsed
+		}
+		if err := built.Remove(); err != nil {
+			return Result{}, err
+		}
 	}
-	return out, nil
-}
-
-// partitionedMergeOnce merges runs into one destination run at the given
-// width (the bench-side mirror of the engine's buildLevelRun, with plain
-// goroutine spawns instead of merge-pool slots).
-func partitionedMergeOnce(dir string, id uint64, runs []*run.Run, count int64, params run.Params, width int) (*run.Run, error) {
-	spans, err := run.PlanRuns(runs, width, params.PageSize)
-	if err != nil {
-		return nil, err
-	}
-	par := run.Parallel{Spawn: func(fn func()) { go fn() }}
-	return run.BuildSpans(dir, id, count, params, spans,
-		func(sp run.Span) (run.Iterator, error) { return run.MergeRunsRange(runs, sp), nil }, par)
+	return res, nil
 }
 
 // compactionRun drives one engine through the sustained-write phase and

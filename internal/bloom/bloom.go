@@ -102,26 +102,6 @@ func (f *Filter) Add(addr types.Address) {
 // workloads.
 func (f *Filter) AddRepeat() { f.addEntries(1) }
 
-// Union folds another filter into f: the bit arrays OR together and the
-// entry counters add. Both filters must share the exact geometry (they
-// were New'd with the same parameters). The partitioned run builder
-// gives every key-range span its own filter sized for the full expected
-// count and unions them afterwards; because Add's bit pattern is
-// position-independent and idempotent, the union marshals byte-for-byte
-// what one sequential pass over the same entry stream would produce.
-func (f *Filter) Union(o *Filter) error {
-	if f.nbits != o.nbits || f.hashes != o.hashes {
-		return fmt.Errorf("bloom: union of mismatched filters (nbits %d vs %d, hashes %d vs %d)",
-			f.nbits, o.nbits, f.hashes, o.hashes)
-	}
-	dst := f.data[headerSize:]
-	for i, b := range o.data[headerSize:] {
-		dst[i] |= b
-	}
-	f.addEntries(o.Entries())
-	return nil
-}
-
 // MayContain reports whether addr may be present (false means definitely
 // absent).
 func (f *Filter) MayContain(addr types.Address) bool { return f.MayContainProbe(NewProbe(addr)) }
@@ -166,7 +146,7 @@ func (f *Filter) Marshal() []byte { return append([]byte(nil), f.data...) }
 // header against the body length. The returned filter ALIASES b — no
 // bytes are decoded or copied — so it is for read-only use (MayContain,
 // Entries, Digest, Marshal, Clone) for as long as b is left unmodified;
-// Clone it before calling Add or Union.
+// Clone it before calling Add.
 func Unmarshal(b []byte) (*Filter, error) {
 	if len(b) < headerSize {
 		return nil, fmt.Errorf("bloom: truncated header: %d bytes", len(b))

@@ -68,47 +68,23 @@ type plainIterator struct{ inner run.Iterator }
 
 func (p plainIterator) Next() (types.Entry, bool) { return p.inner.Next() }
 
-// TestEngineGoldenStreamingVsReference runs identical block sequences
-// through an engine with the default pipeline (auto-partitioned merges)
-// and a reference engine with one-span merges, across sync and async
-// cascades: every per-block Hstate and every on-disk run file must be
-// byte-identical. Every surviving run — each the product of leaf-hash
-// passthrough along a chain of merges — is then rebuilt from its own
-// entries with every leaf hash recomputed, and must again match byte for
-// byte: passthrough is pure restructuring, never a format or digest
-// change. (The buffer sizes are covered where the buffers live, by the
-// pagefile and mht byte tests.)
+// TestEngineGoldenStreamingVsReference runs a block sequence through an
+// engine, across sync and async cascades, then rebuilds every surviving
+// run — each the product of leaf-hash passthrough along a chain of
+// merges — from its own entries with every leaf hash recomputed: the
+// rebuild must match byte for byte, so passthrough is pure restructuring,
+// never a format or digest change. (The buffer sizes are covered where
+// the buffers live, by the pagefile and mht byte tests.)
 func TestEngineGoldenStreamingVsReference(t *testing.T) {
 	for _, async := range []bool{false, true} {
 		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
 			const blocks = 60 // several cascades deep at MemCapacity 32, T 2
 
-			refOpts := testOpts(t, async)
-			ref := openEngine(t, refOpts)
-			ref.fixedMergeWidth = 1
-			refRoots := driveBlocks(t, ref, blocks)
-
 			streamOpts := testOpts(t, async)
-			stream := openEngine(t, streamOpts)
-			streamRoots := driveBlocks(t, stream, blocks)
-
-			for b := range refRoots {
-				if refRoots[b] != streamRoots[b] {
-					t.Fatalf("block %d: Hstate differs between reference and streaming pipelines", b+1)
-				}
-			}
-			rf, sf := runFileBytes(t, refOpts.Dir), runFileBytes(t, streamOpts.Dir)
-			if len(rf) == 0 || len(rf) != len(sf) {
-				t.Fatalf("run file sets differ: %d vs %d", len(rf), len(sf))
-			}
-			for name, want := range rf {
-				got, ok := sf[name]
-				if !ok {
-					t.Fatalf("streaming store is missing %s", name)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("%s differs between reference and streaming pipelines", name)
-				}
+			driveBlocks(t, openEngine(t, streamOpts), blocks)
+			sf := runFileBytes(t, streamOpts.Dir)
+			if len(sf) == 0 {
+				t.Fatal("no run files")
 			}
 
 			st, err := ReadStoreState(nil, streamOpts.Dir)

@@ -128,13 +128,12 @@ type Options struct {
 	// a different value fails. Off by default, and no caller outside the
 	// tests turns it on: it is the faster insert path
 	// (mbtree.insert_sorted_ns vs insert_ns in BENCH_11_layers.json), kept
-	// until a format bump can make it the only one (ROADMAP item 4).
+	// until a format bump can make it the only one (ROADMAP item 8c).
 	SortedBatch bool
-	// Trace attaches an opt-in lifecycle event tracer: every flush,
-	// merge (start/chunk/preempt/end), commit phase
-	// (stall, manifest write, view publish/retire), and partition span
-	// records a typed, timestamped event into the tracer's fixed ring
-	// (internal/obs). nil (the default) disables tracing; every
+	// Trace attaches an opt-in lifecycle event tracer: every flush, merge
+	// (start/chunk/preempt/end) and commit phase (stall, manifest write,
+	// view publish/retire) records a typed, timestamped event into the
+	// tracer's fixed ring (internal/obs). nil (the default) disables tracing; every
 	// recording site costs exactly one nil check when disabled. A
 	// sharded store shares one tracer across all its engines — events
 	// carry the shard that recorded them — and the ring's drop count
@@ -314,10 +313,6 @@ type Engine struct {
 	// cache holds the value pages point reads touch, for every run the
 	// engine opens; shared with the other engines of a store like sched.
 	cache *pagefile.Cache
-	// fixedMergeWidth, when nonzero, replaces mergeWidth's volume rule.
-	// Only tests set it, to pin the sequential and partitioned builds
-	// their golden comparisons need.
-	fixedMergeWidth int
 	// fixedMergeChunk, when nonzero, replaces MergeQuantum's rule. Only
 	// tests set it, to force maximal checkpoint interleaving.
 	fixedMergeChunk int
@@ -334,11 +329,10 @@ type Engine struct {
 	// acquire mu. mergeWaits is also atomic because it is incremented
 	// from job goroutines that may be queuing while the committing thread
 	// holds mu waiting on those very jobs.
-	gets           atomic.Int64
-	provQueries    atomic.Int64
-	bloomSkips     atomic.Int64
-	mergeWaits     atomic.Int64
-	partitionWaits atomic.Int64
+	gets        atomic.Int64
+	provQueries atomic.Int64
+	bloomSkips  atomic.Int64
+	mergeWaits  atomic.Int64
 	// preemptions counts chunked merges that handed their slot to
 	// higher-priority work, incremented from merge-job goroutines.
 	preemptions atomic.Int64
@@ -441,14 +435,12 @@ type Stats struct {
 	// MergeWaits counts back-pressure events on the merge pool: commit
 	// checkpoints that had to block on an unfinished merge job, plus jobs
 	// that found the shared worker pool saturated and queued before
-	// starting. Sibling partitions of one fanned-out merge queuing behind
-	// each other are NOT counted here — that contention is intentional
-	// and lands in PartitionWaits.
+	// starting.
 	MergeWaits int64
-	// PartitionWaits counts queue waits by the span sub-jobs of
-	// partitioned merges (including the parent job's slot re-entry after
-	// its join). High values with low MergeWaits mean the pool is busy
-	// fanning merges out, not that shards are starving each other.
+	// PartitionWaits is always 0: a merge is one build and no longer
+	// fans out. The field stays only because the benchmark harness still
+	// reads it (merge.partition_waits), and goes when that harness next
+	// changes.
 	PartitionWaits int64
 	// FlushBytes is the logical volume written by L0 flushes (entry bytes
 	// of every flushed run); MergeBytes the volume written by level
@@ -882,7 +874,6 @@ func (e *Engine) Stats() Stats {
 	st.ProvQueries = e.provQueries.Load()
 	st.BloomSkips = e.bloomSkips.Load()
 	st.MergeWaits = e.mergeWaits.Load()
-	st.PartitionWaits = e.partitionWaits.Load()
 	st.Preemptions = e.preemptions.Load()
 	st.CorruptReads = e.corruptReads.Load()
 	st.TraceDropped = e.tr.Dropped()
@@ -894,10 +885,6 @@ func (e *Engine) Stats() Stats {
 // it must not take e.mu (the committer may hold it while waiting on the
 // job that is reporting the wait).
 func (e *Engine) noteMergeWait() { e.mergeWaits.Add(1) }
-
-// notePartitionWait records one queue wait by a span sub-job of a
-// partitioned merge. Same locking contract as noteMergeWait.
-func (e *Engine) notePartitionWait() { e.partitionWaits.Add(1) }
 
 // Scheduler exposes the engine's merge pool (shared across shards when
 // the store is sharded), for introspection and tests.

@@ -106,7 +106,6 @@ func TestTraceEventsMatchCounters(t *testing.T) {
 	}{
 		{"flush", obs.EvFlushStart, obs.EvFlushEnd},
 		{"merge", obs.EvMergeStart, obs.EvMergeEnd},
-		{"span", obs.EvSpanStart, obs.EvSpanEnd},
 	} {
 		s, en := tr.CountType(pair.start), tr.CountType(pair.end)
 		if s != en {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"cole/internal/mbtree"
@@ -311,7 +310,7 @@ func (e *Engine) startMerge(levelIdx int, runs []*run.Run, pri merge.Priority, d
 	}
 	lvl := int32(levelIdx + 1)
 	return e.startJob(lvl, count*types.EntrySize, pri, dispatch, func(id uint64) (*run.Run, error) {
-		return e.buildLevelRun(id, count, runs, pri, lvl)
+		return run.Build(e.opts.Dir, id, count, e.runParams(), e.chunked(run.MergeRuns(runs), pri, lvl))
 	})
 }
 
@@ -391,9 +390,8 @@ func (e *Engine) flushNow(gi int) error {
 // pool (blocking until done): one engine sees no difference, but the
 // parallel per-shard commits of a sharded store stay within the store's
 // worker budget instead of each running a full cascade at once. The whole
-// cascade is the commit path, so its merges run — and fan their
-// partitions out — in the flush lane, unchunked: a commit must never
-// queue behind background maintenance.
+// cascade is the commit path, so its merges run in the flush lane,
+// unchunked: a commit must never queue behind background maintenance.
 func (e *Engine) cascadeSync() error {
 	if err := e.flushNow(e.memWriting); err != nil {
 		return err
@@ -517,66 +515,6 @@ func (e *Engine) chunked(it run.Iterator, pri merge.Priority, lvl int32) run.Ite
 			}
 		}
 	})
-}
-
-// autoPartitionBytes is the merged volume one key-range span should
-// carry before the automatic width adds another (~8 MiB of entry bytes
-// per span): below it, the planning probes and per-span setup cost more
-// than the parallelism recovers.
-const autoPartitionBytes = 8 << 20
-
-// mergeWidth picks how many key-range spans a merge of count entries is
-// cut into: one per autoPartitionBytes of merged volume, capped at the
-// pool's worker budget.
-func (e *Engine) mergeWidth(count int64) int {
-	if e.fixedMergeWidth > 0 {
-		return e.fixedMergeWidth
-	}
-	w := int(count * types.EntrySize / autoPartitionBytes)
-	if workers := e.sched.Workers(); w > workers {
-		w = workers
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// buildLevelRun builds a level merge's destination run over the key-range
-// spans the width plans (one span, unprobed, at width 1). The caller is a
-// startMerge job and already holds a merge-pool slot, so a wider build's
-// spans go out via SubmitPartition and the join runs inside Yield: the
-// parent's released slot is what feeds its own spans on a narrow pool.
-// The run files are the same at every width, so the choice never reaches
-// digests or the manifest.
-func (e *Engine) buildLevelRun(id uint64, count int64, runs []*run.Run, pri merge.Priority, lvl int32) (*run.Run, error) {
-	spans, err := run.PlanRuns(runs, e.mergeWidth(count), e.opts.PageSize)
-	if err != nil {
-		return nil, err
-	}
-	spawn := func(fn func()) { e.sched.SubmitPartition(fn, pri, e.notePartitionWait) }
-	if e.tr != nil {
-		// Bracket each span on its own trace lane; the ordinal is
-		// assigned in spawn order (the planner's span order).
-		var seq atomic.Uint64
-		spawn = func(fn func()) {
-			ord := seq.Add(1) - 1
-			e.sched.SubmitPartition(func() {
-				start := time.Now()
-				e.trace(obs.EvSpanStart, lvl, 0, ord, 0)
-				fn()
-				e.trace(obs.EvSpanEnd, lvl, 0, ord, time.Since(start))
-			}, pri, e.notePartitionWait)
-		}
-	}
-	par := run.Parallel{
-		Spawn: spawn,
-		Yield: func(wait func()) { e.sched.Yield(pri, wait, e.notePartitionWait) },
-	}
-	// Each span holds its own pool slot, so each preempts independently:
-	// one queued flush pauses one span, not the whole fan-out.
-	return run.BuildSpans(e.opts.Dir, id, count, e.runParams(), spans,
-		func(sp run.Span) (run.Iterator, error) { return e.chunked(run.MergeRunsRange(runs, sp), pri, lvl), nil }, par)
 }
 
 // FlushAll forces the L0 contents to disk and joins all merge threads,

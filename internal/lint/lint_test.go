@@ -128,7 +128,7 @@ const optionsFieldCount = 13
 // internal/core sets, each with the reason it stays a field anyway.
 var unsetOptions = map[string]string{
 	"VerifyReads": "safety check an operator opts into; the corruption-matrix tests turn it on",
-	"SortedBatch": "the faster L0 insert path, a format bit until a version bump makes it the only one (ROADMAP item 4)",
+	"SortedBatch": "the faster L0 insert path, a format bit until a version bump makes it the only one (ROADMAP item 8c)",
 }
 
 // isOptionsType reports whether expr spells core.Options or cole.Options

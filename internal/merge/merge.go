@@ -8,7 +8,9 @@
 // single engine. A Scheduler caps the number of *running* jobs at a fixed
 // worker budget (default GOMAXPROCS); every level of every shard submits
 // its jobs to the same pool, so aggregate merge work is bounded no matter
-// how many partitions the store has.
+// how many shards the store has. A job is one whole flush or level merge:
+// its run build runs on the job's goroutine (plus the build's own Merkle
+// helper) and never fans out into sub-jobs.
 //
 // Slots are handed out by priority lane: L0 flushes (what a commit
 // checkpoint blocks on) outrank L0-adjacent level merges, which outrank
@@ -69,11 +71,6 @@ type Scheduler struct {
 
 	submitted atomic.Int64
 	waited    atomic.Int64
-	// partitionWaited counts queue waits by sibling partitions of one
-	// fanned-out merge (SubmitPartition / Yield re-entry). Intentional
-	// fan-out saturates the pool by design; keeping its waits out of
-	// `waited` stops it polluting cross-shard back-pressure diagnosis.
-	partitionWaited atomic.Int64
 	// preempted counts chunked jobs that handed their slot to a queued
 	// higher-priority job at a Preempt checkpoint.
 	preempted atomic.Int64
@@ -153,7 +150,7 @@ func (s *Scheduler) PendingAbove(pri Priority) bool {
 // true once it holds a slot again. Returns false immediately (without
 // touching the pool mutex) when nothing more urgent waits. The re-entry
 // wait is intentional and therefore uncounted back-pressure. Only call
-// from inside a job started by Submit, Run, or SubmitPartition.
+// from inside a job started by Submit or Run.
 func (s *Scheduler) Preempt(pri Priority, onWait func()) bool {
 	if !s.PendingAbove(pri) {
 		return false
@@ -190,45 +187,13 @@ func (s *Scheduler) Run(job func(), pri Priority, onWait func()) {
 	job()
 }
 
-// SubmitPartition schedules one span of a partitioned merge on the pool
-// and returns immediately. It differs from Submit only in accounting:
-// a sibling partition queueing behind its own fan-out is expected, so
-// its waits land in Stats.PartitionWaited instead of Stats.Waited.
-// Spans run in their parent merge's lane. onWait follows the Submit
-// contract.
-func (s *Scheduler) SubmitPartition(job func(), pri Priority, onWait func()) {
-	s.submitted.Add(1)
-	go func() {
-		s.acquire(pri, &s.partitionWaited, onWait)
-		defer s.release()
-		job()
-	}()
-}
-
-// Yield releases the calling job's worker slot for the duration of
-// wait, then re-acquires one at priority pri. A merge job that fans its
-// spans out via SubmitPartition calls its join inside Yield: on a narrow
-// pool the parent's slot is what lets its own spans run, so holding it
-// across the join would deadlock. The re-acquisition wait is charged to
-// Stats.PartitionWaited — it is fan-out bookkeeping, not back-pressure.
-// Only call from inside a job started by Submit or Run.
-func (s *Scheduler) Yield(pri Priority, wait func(), onWait func()) {
-	s.release()
-	wait()
-	s.acquire(pri, &s.partitionWaited, onWait)
-}
-
 // Stats is a snapshot of scheduler counters.
 type Stats struct {
-	// Submitted counts jobs handed to the pool (Submit, Run, and
-	// SubmitPartition).
+	// Submitted counts jobs handed to the pool (Submit and Run).
 	Submitted int64
 	// Waited counts whole jobs that found the pool saturated and queued:
 	// genuine cross-shard contention.
 	Waited int64
-	// PartitionWaited counts queue waits by sibling partitions of a
-	// fanned-out merge (including the parent's Yield re-entry).
-	PartitionWaited int64
 	// Preempted counts slot handoffs at Preempt checkpoints: a chunked
 	// merge paused so a queued flush (or shallower merge) could run.
 	Preempted int64
@@ -237,9 +202,8 @@ type Stats struct {
 // Stats returns the scheduler counters.
 func (s *Scheduler) Stats() Stats {
 	return Stats{
-		Submitted:       s.submitted.Load(),
-		Waited:          s.waited.Load(),
-		PartitionWaited: s.partitionWaited.Load(),
-		Preempted:       s.preempted.Load(),
+		Submitted: s.submitted.Load(),
+		Waited:    s.waited.Load(),
+		Preempted: s.preempted.Load(),
 	}
 }

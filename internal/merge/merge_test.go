@@ -177,80 +177,6 @@ func TestPreemptNoopWhenIdle(t *testing.T) {
 	}
 }
 
-// TestPartitionFanOutOnNarrowPool is the deadlock regression test for
-// partitioned merges: a parent job on a ONE-worker pool fans four spans
-// out via SubmitPartition and joins them inside Yield. Without Yield
-// releasing the parent's slot, nothing could ever run. It also checks
-// the split accounting: the siblings' queue waits land in
-// PartitionWaited, leaving Waited at zero.
-func TestPartitionFanOutOnNarrowPool(t *testing.T) {
-	s := New(1)
-	const spans = 4
-	var ran atomic.Int64
-	done := make(chan struct{})
-	s.Submit(func() {
-		var wg sync.WaitGroup
-		for i := 0; i < spans; i++ {
-			wg.Add(1)
-			s.SubmitPartition(func() {
-				defer wg.Done()
-				time.Sleep(time.Millisecond)
-				ran.Add(1)
-			}, PriorityDeep, nil)
-		}
-		s.Yield(PriorityDeep, wg.Wait, nil)
-		close(done)
-	}, PriorityDeep, nil)
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("partitioned fan-out deadlocked on a 1-worker pool")
-	}
-	if got := ran.Load(); got != spans {
-		t.Fatalf("%d of %d spans ran", got, spans)
-	}
-	st := s.Stats()
-	if st.Submitted != 1+spans {
-		t.Fatalf("Submitted = %d, want %d", st.Submitted, 1+spans)
-	}
-	if st.Waited != 0 {
-		t.Fatalf("Waited = %d; sibling-partition waits leaked into the cross-shard counter", st.Waited)
-	}
-	// Four spans plus the parent's re-entry contended for one slot; at
-	// least the later spans must have queued.
-	if st.PartitionWaited == 0 {
-		t.Fatal("no partition wait recorded on a saturated 1-worker pool")
-	}
-}
-
-// TestYieldRestoresSlot checks a job still holds a slot after Yield
-// returns (the pool stays bounded afterwards).
-func TestYieldRestoresSlot(t *testing.T) {
-	s := New(1)
-	var inside atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(2)
-	s.Submit(func() {
-		defer wg.Done()
-		s.Yield(PriorityDeep, func() {}, nil)
-		// Back under the budget: nothing else may run concurrently.
-		if n := inside.Add(1); n != 1 {
-			t.Errorf("%d jobs inside a 1-worker pool after Yield", n)
-		}
-		time.Sleep(2 * time.Millisecond)
-		inside.Add(-1)
-	}, PriorityDeep, nil)
-	s.Submit(func() {
-		defer wg.Done()
-		if n := inside.Add(1); n != 1 {
-			t.Errorf("%d jobs inside a 1-worker pool", n)
-		}
-		time.Sleep(2 * time.Millisecond)
-		inside.Add(-1)
-	}, PriorityDeep, nil)
-	wg.Wait()
-}
-
 // TestDefaultWorkers checks workers <= 0 selects GOMAXPROCS.
 func TestDefaultWorkers(t *testing.T) {
 	if got, want := New(0).Workers(), runtime.GOMAXPROCS(0); got != want {

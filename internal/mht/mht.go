@@ -3,13 +3,11 @@
 // Each on-disk run stores a Merkle file: the bottom layer holds
 // h(K_i ‖ value_i) for every entry of the value file (same position), and
 // each upper layer hashes groups of m children, the last group possibly
-// shorter (Definition 2). Construction is streaming and layer-concurrent
-// (Algorithm 4) over a span of leaf positions: a SpanWriter keeps one
-// buffer per layer, flushed at precomputed layer offsets, and writes every
-// node whose children all lie in its span, with O(m·log_m n) memory.
-// Several spans build one file concurrently and Stitch fills the few
-// nodes that straddle their boundaries; the span [0, n) owns every node,
-// so the one-span case is the single streaming pass of the paper.
+// shorter (Definition 2). Construction is the single streaming,
+// layer-concurrent pass of Algorithm 4: a Writer takes the leaves in
+// position order, keeps one buffer per layer, flushed at precomputed
+// layer offsets, and cascades each parent as its group completes, with
+// O(m·log_m n) memory.
 //
 // Range proofs authenticate a contiguous span of positions [lo, hi]: per
 // layer, the proof carries the sibling hashes flanking the span inside its
@@ -85,7 +83,7 @@ func boundaryGroups(count int64, m, l, h int64) (start, end int64) {
 }
 
 // DefaultWriteBufferBytes is the per-layer coalescing budget of a
-// SpanWriter and the default LeafStream window (~1 MiB of hashes per
+// Writer and the default LeafStream window (~1 MiB of hashes per
 // syscall).
 const DefaultWriteBufferBytes = 1 << 20
 
@@ -94,7 +92,7 @@ const DefaultWriteBufferBytes = 1 << 20
 // n/(m(m−1)) + log_m n hashes; layer 1 alone would add n/m more.
 const residentFrom = 2
 
-// File reads a Merkle file produced by a SharedWriter.
+// File reads a Merkle file produced by a Writer.
 type File struct {
 	f       vfs.File
 	path    string

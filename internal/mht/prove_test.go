@@ -93,7 +93,7 @@ func memTree(t testing.TB, n int64, m int) (*vfs.MemFS, *File, []types.Hash, typ
 	t.Helper()
 	fs := vfs.NewMem()
 	leaves := leafHashes(n)
-	root, err := writeSpans(fs, "tree.mrk", leaves, m, 0, nil, rand.New(rand.NewSource(1)))
+	root, err := writeTree(fs, "tree.mrk", leaves, m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"cole/internal/types"
@@ -45,85 +44,56 @@ func layeredImage(t *testing.T, leaves []types.Hash, m int) []byte {
 	return img
 }
 
-// writeSpans writes a Merkle file over leaves with one SpanWriter per
-// span between the cuts: leaves go to the spans in a random interleaving,
-// each span closes when the draw finds it full, and Stitch completes the
-// file.
-func writeSpans(fs vfs.FS, path string, leaves []types.Hash, m, bufBytes int, cuts []int64, rng *rand.Rand) (types.Hash, error) {
-	n := int64(len(leaves))
-	s, err := CreateShared(fs, path, n, m, bufBytes)
+// writeTree streams leaves through one Writer into a Merkle file.
+func writeTree(fs vfs.FS, path string, leaves []types.Hash, m, bufBytes int) (types.Hash, error) {
+	w, err := Create(fs, path, int64(len(leaves)), m, bufBytes)
 	if err != nil {
 		return types.Hash{}, err
 	}
-	bounds := append(append([]int64{0}, cuts...), n)
-	spans := make([][2]int64, len(bounds)-1)
-	writers := make([]*SpanWriter, len(spans))
-	next := make([]int64, len(spans))
-	open := make([]int, len(spans))
-	for i := range spans {
-		spans[i] = [2]int64{bounds[i], bounds[i+1]}
-		if writers[i], err = s.Span(bounds[i], bounds[i+1]); err != nil {
+	for _, l := range leaves {
+		if err := w.Add(l); err != nil {
 			return types.Hash{}, err
 		}
-		next[i], open[i] = bounds[i], i
 	}
-	for len(open) > 0 {
-		k := rng.Intn(len(open))
-		i := open[k]
-		if next[i] == spans[i][1] {
-			if err := writers[i].Close(); err != nil {
-				return types.Hash{}, err
-			}
-			open = append(open[:k], open[k+1:]...)
-			continue
-		}
-		if err := writers[i].Add(leaves[next[i]]); err != nil {
-			return types.Hash{}, err
-		}
-		next[i]++
-	}
-	return s.Stitch(spans)
+	return w.Finish()
 }
 
-// TestSpanCutsMatchLayeredReference: a Merkle file written by 1–8 spans
-// cut at arbitrary leaves (not page-aligned), filled in random order at
-// every buffer size, is byte for byte the layer-by-layer reference, and
-// its root is RootOf's — for 3 000 random shapes (n ≤ 300, m ≤ 8; ≈ 2 s
-// under -race, so -short runs them all).
-func TestSpanCutsMatchLayeredReference(t *testing.T) {
-	const cases = 3000
+// TestWriterMatchesLayeredReference: a Merkle file streamed through one
+// Writer is byte for byte the layer-by-layer reference, and its root is
+// RootOf's, for every n × m × bufBytes in the table — short last groups
+// at every layer, single-node layers, and per-node to default write
+// coalescing.
+func TestWriterMatchesLayeredReference(t *testing.T) {
+	var ns []int64
+	for n := int64(1); n <= 40; n++ {
+		ns = append(ns, n)
+	}
+	ns = append(ns, 63, 64, 65, 255, 256, 257, 300, 1025)
 	rng := rand.New(rand.NewSource(24))
 	fs := vfs.NewMem()
-	for c := 0; c < cases; c++ {
-		n := 1 + rng.Int63n(300)
-		m := 2 + rng.Intn(7)
-		bufBytes := []int{1, 64, 0}[c%3]
-		cuts := make([]int64, min(int64(rng.Intn(8)), n-1))
-		for i, p := range rng.Perm(int(n - 1))[:len(cuts)] {
-			cuts[i] = int64(p) + 1
-		}
-		slices.Sort(cuts)
+	for _, n := range ns {
 		leaves := make([]types.Hash, n)
 		for i := range leaves {
 			rng.Read(leaves[i][:])
 		}
-		path := fmt.Sprintf("case-%d.mrk", c)
-		root, err := writeSpans(fs, path, leaves, m, bufBytes, cuts, rng)
-		if err != nil {
-			t.Fatalf("n=%d m=%d cuts=%v buf=%d: %v", n, m, cuts, bufBytes, err)
-		}
-		raw, err := fs.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(raw, layeredImage(t, leaves, m)) {
-			t.Fatalf("n=%d m=%d cuts=%v buf=%d: file differs from the layered reference", n, m, cuts, bufBytes)
-		}
-		if root != RootOf(leaves, m) {
-			t.Fatalf("n=%d m=%d cuts=%v buf=%d: root differs from RootOf", n, m, cuts, bufBytes)
-		}
-		if err := fs.Remove(path); err != nil {
-			t.Fatal(err)
+		for m := 2; m <= 8; m++ {
+			want := layeredImage(t, leaves, m)
+			for _, bufBytes := range []int{1, 64, 0} {
+				root, err := writeTree(fs, "tree.mrk", leaves, m, bufBytes)
+				if err != nil {
+					t.Fatalf("n=%d m=%d buf=%d: %v", n, m, bufBytes, err)
+				}
+				raw, err := fs.ReadFile("tree.mrk")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(raw, want) {
+					t.Fatalf("n=%d m=%d buf=%d: file differs from the layered reference", n, m, bufBytes)
+				}
+				if root != RootOf(leaves, m) {
+					t.Fatalf("n=%d m=%d buf=%d: root differs from RootOf", n, m, bufBytes)
+				}
+			}
 		}
 	}
 }

@@ -11,23 +11,22 @@ import (
 // object format Perfetto and chrome://tracing open directly. Each shard
 // becomes a process, and within it activities get stable lanes
 // (threads): the commit path (manifest writes and run retirements nest
-// inside their commit), the flush lane, one lane per merge level, and
-// one per partition-span slot — so a stalls run shows flushes overtaking
-// preempted deep merges at a glance.
+// inside their commit), the flush lane and one lane per merge level — so
+// a stalls run shows flushes overtaking preempted deep merges at a
+// glance. Processes and lanes are emitted in (shard, lane) order, so two
+// exports of one tracer are the same bytes.
 //
-// Span-shaped events (flush/merge/span ends, commits, stalls, manifest
-// writes, preemption waits) are emitted as complete
-// ("ph":"X") slices reconstructed from their end timestamp and
-// duration; checkpoint and view events are instants ("ph":"i"). Start
-// markers are retained in the JSONL export but skipped here — their
-// matching end event already carries the whole slice.
+// Duration events (flush and merge ends, commits, stalls, manifest
+// writes, preemption waits) are emitted as complete ("ph":"X") slices
+// reconstructed from their end timestamp and duration; checkpoint and
+// view events are instants ("ph":"i"). Start markers are retained in the
+// JSONL export but skipped here — their matching end event already
+// carries the whole slice.
 
 const (
-	laneCommit  = 0
-	laneFlush   = 1
-	laneMerge   = 10 // + level
-	laneSpan    = 100
-	laneSpanMod = 32 // span lanes cycle per level to bound lane count
+	laneCommit = 0
+	laneFlush  = 1
+	laneMerge  = 10 // + level
 )
 
 // chromeLane maps an event to its thread lane within the shard process.
@@ -37,8 +36,6 @@ func chromeLane(ev Event) int {
 		return laneCommit
 	case EvFlushStart, EvFlushEnd:
 		return laneFlush
-	case EvSpanStart, EvSpanEnd:
-		return laneSpan + int(ev.Level)*laneSpanMod + int(ev.ID%laneSpanMod)
 	default: // merge start/chunk/preempt/end
 		lvl := int(ev.Level)
 		if lvl < 0 {
@@ -54,8 +51,6 @@ func chromeLaneName(lane int) string {
 		return "commit"
 	case lane == laneFlush:
 		return "flush"
-	case lane >= laneSpan:
-		return fmt.Sprintf("span L%d.%d", (lane-laneSpan)/laneSpanMod, (lane-laneSpan)%laneSpanMod)
 	default:
 		return fmt.Sprintf("merge L%d", lane-laneMerge)
 	}
@@ -82,8 +77,6 @@ func chromeName(ev Event) string {
 		return "publish"
 	case EvViewRetire:
 		return "retire"
-	case EvSpanEnd:
-		return fmt.Sprintf("span %d", ev.ID)
 	default:
 		return ev.Type.String()
 	}
@@ -107,12 +100,10 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	// Perfetto shows activities, not bare tids.
 	type laneKey struct{ shard, lane int }
 	lanes := map[laneKey]bool{}
-	shards := map[int]bool{}
 	for _, ev := range t.Events() {
-		if ev.Type == EvFlushStart || ev.Type == EvMergeStart || ev.Type == EvSpanStart {
+		if ev.Type == EvFlushStart || ev.Type == EvMergeStart {
 			continue
 		}
-		shards[int(ev.Shard)] = true
 		lanes[laneKey{int(ev.Shard), chromeLane(ev)}] = true
 	}
 	sortedLanes := make([]laneKey, 0, len(lanes))
@@ -125,8 +116,10 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		}
 		return sortedLanes[i].lane < sortedLanes[j].lane
 	})
-	for s := range shards {
-		emit(`{"ph":"M","name":"process_name","pid":%d,"tid":0,"args":{"name":"shard %d"}}`, s, s)
+	for i, k := range sortedLanes {
+		if i == 0 || k.shard != sortedLanes[i-1].shard {
+			emit(`{"ph":"M","name":"process_name","pid":%d,"tid":0,"args":{"name":"shard %d"}}`, k.shard, k.shard)
+		}
 	}
 	for _, k := range sortedLanes {
 		emit(`{"ph":"M","name":"thread_name","pid":%d,"tid":%d,"args":{"name":%q}}`,
@@ -138,12 +131,12 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 
 	for _, ev := range t.Events() {
 		switch ev.Type {
-		case EvFlushStart, EvMergeStart, EvSpanStart:
+		case EvFlushStart, EvMergeStart:
 			continue // the end event carries the slice
 		}
 		lane := chromeLane(ev)
 		args := fmt.Sprintf(`{"bytes":%d,"id":%d,"level":%d}`, ev.Bytes, ev.ID, ev.Level)
-		if ev.Dur > 0 || spanShaped(ev.Type) {
+		if ev.Dur > 0 || hasDuration(ev.Type) {
 			// A span that began before the tracer's epoch (attached
 			// mid-operation) is clipped to the traced window.
 			start := ev.TS - ev.Dur
@@ -161,11 +154,11 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	return bw.Flush()
 }
 
-// spanShaped reports whether the event type describes a completed span
-// (rendered "X" even at zero measured duration).
-func spanShaped(t EventType) bool {
+// hasDuration reports whether the event type describes a completed
+// activity (rendered "X" even at zero measured duration).
+func hasDuration(t EventType) bool {
 	switch t {
-	case EvFlushEnd, EvMergeEnd, EvSpanEnd, EvCommit, EvStall, EvManifest, EvMergePreempt:
+	case EvFlushEnd, EvMergeEnd, EvCommit, EvStall, EvManifest, EvMergePreempt:
 		return true
 	}
 	return false

@@ -50,10 +50,6 @@ const (
 	// EvViewRetire marks a replaced run leaving the live set once its
 	// last reader drops (ID = run file id).
 	EvViewRetire
-	// EvSpanStart / EvSpanEnd bracket one span of a range-partitioned
-	// merge fanned out across the pool (ID = span ordinal).
-	EvSpanStart
-	EvSpanEnd
 
 	numEventTypes
 )
@@ -70,8 +66,6 @@ var eventNames = [numEventTypes]string{
 	EvManifest:        "manifest",
 	EvViewPublish:     "view_publish",
 	EvViewRetire:      "view_retire",
-	EvSpanStart:       "span_start",
-	EvSpanEnd:         "span_end",
 }
 
 // String returns the JSONL wire name of the event type.

@@ -170,4 +170,26 @@ func TestWriteChromeTrace(t *testing.T) {
 	if !strings.Contains(buf.String(), `"displayTimeUnit":"ms"`) {
 		t.Fatal("missing displayTimeUnit")
 	}
+
+	// A multi-shard tracer exports the same bytes every time: processes
+	// and lanes come out in shard order, whatever the map iteration order.
+	multi := NewTracer(64)
+	for _, shard := range []int32{2, 0, 1} {
+		multi.Record(EvFlushEnd, shard, 1, 4096, 1, time.Millisecond)
+		multi.Record(EvMergeEnd, shard, 2, 8192, 2, time.Millisecond)
+		multi.Record(EvCommit, shard, -1, 0, 9, time.Millisecond)
+	}
+	var first bytes.Buffer
+	if err := multi.WriteChromeTrace(&first); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		var again bytes.Buffer
+		if err := multi.WriteChromeTrace(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), first.Bytes()) {
+			t.Fatalf("export %d of a 3-shard tracer differs from the first:\n%s\n---\n%s", i, first.String(), again.String())
+		}
+	}
 }

@@ -9,16 +9,13 @@
 // record within one page of the predicted page, so a lookup touches at most
 // two pages.
 //
-// One Writer appends records page by page (runs are immutable once
-// built), coalescing many pages per positional write: it owns a file and
-// starts at page 0 (CreateWriter, the learned index), or fills one
-// page-aligned segment of a value file that key-range spans write
-// concurrently (SharedWriter.Segment). Point readers pin pages in a Cache
-// shared by every file of a store (File.Pin) and count disk reads vs
-// cache hits so benchmarks can report IO cost. Sequential consumers
-// (level merges, exports, reshard, the run builder's key read-back)
-// instead use SequentialReader, which reads large readahead windows into
-// a private buffer and never touches the cache — a background compaction
+// One Writer per file appends records page by page from page 0 (runs are
+// immutable once built), coalescing many pages per positional write.
+// Point readers pin pages in a Cache shared by every file of a store
+// (File.Pin) and count disk reads vs cache hits so benchmarks can report
+// IO cost. Sequential consumers (level merges, exports, reshard) instead
+// use SequentialReader, which reads large readahead windows into a
+// private buffer and never touches the cache — a background compaction
 // cannot evict the working set of concurrent point readers.
 package pagefile
 
@@ -214,11 +211,9 @@ func (r *File) readPage(dst []byte, page int64) error {
 }
 
 // RecordAt reads record i into dst (len == recSize) with one positional
-// syscall, bypassing — and never populating — the page cache. This
-// is the merge planner's probe path: planning a partitioned merge
-// touches a few hundred scattered records per source and must not evict
-// concurrent point readers' working set. Accounted under SeqReads with
-// the other cache-bypassing reads.
+// syscall, bypassing — and never populating — the page cache, so a probe
+// never evicts concurrent point readers' working set. Accounted under
+// SeqReads with the other cache-bypassing reads.
 func (r *File) RecordAt(i int64, dst []byte) error {
 	if i < 0 || i >= r.count {
 		return fmt.Errorf("pagefile: record %d out of range [0,%d) in %s", i, r.count, r.path)
@@ -258,44 +253,25 @@ type SequentialReader struct {
 	startPage int64 // first page currently buffered
 	pages     int   // valid pages in buf
 	pos       int64 // next record index
-	limit     int64 // first record index beyond the readable range
-	endPage   int64 // first page beyond the readable range
 }
 
 // SequentialReader returns a streaming reader over all records, reading
-// readaheadPages pages per syscall (0 selects DefaultReadaheadPages).
+// readaheadPages pages per syscall (0 selects DefaultReadaheadPages; the
+// window never exceeds the file).
 func (r *File) SequentialReader(readaheadPages int) *SequentialReader {
-	return r.SequentialReaderRange(readaheadPages, 0, r.count)
-}
-
-// SequentialReaderRange returns a streaming reader over records
-// [lo, hi), with the readahead window clipped to the span's pages: the
-// sub-iterator of a partitioned merge never fetches pages beyond its
-// cut. readaheadPages 0 selects DefaultReadaheadPages.
-func (r *File) SequentialReaderRange(readaheadPages int, lo, hi int64) *SequentialReader {
 	if readaheadPages < 1 {
 		readaheadPages = DefaultReadaheadPages
 	}
-	if lo < 0 {
-		lo = 0
+	if n := r.NumPages(); int64(readaheadPages) > n {
+		readaheadPages = int(max(n, 1))
 	}
-	if hi > r.count {
-		hi = r.count
-	}
-	if lo >= hi {
-		return &SequentialReader{f: r, window: 1}
-	}
-	endPage := r.PageOf(hi-1) + 1
-	if spanPages := endPage - r.PageOf(lo); int64(readaheadPages) > spanPages {
-		readaheadPages = int(spanPages)
-	}
-	return &SequentialReader{f: r, window: readaheadPages, pos: lo, limit: hi, endPage: endPage}
+	return &SequentialReader{f: r, window: readaheadPages}
 }
 
 // Next returns a view of the next record (valid until the following Next
 // call refills the buffer); ok is false after the last record.
 func (s *SequentialReader) Next() (rec []byte, ok bool, err error) {
-	if s.pos >= s.limit {
+	if s.pos >= s.f.count {
 		return nil, false, nil
 	}
 	page := s.pos / int64(s.f.perPage)
@@ -315,7 +291,7 @@ func (s *SequentialReader) refill(page int64) error {
 		s.buf = make([]byte, s.window*s.f.pageSize)
 	}
 	n := int64(s.window)
-	if rest := s.endPage - page; rest < n {
+	if rest := s.f.NumPages() - page; rest < n {
 		n = rest
 	}
 	if _, err := s.f.f.ReadAt(s.buf[:n*int64(s.f.pageSize)], page*int64(s.f.pageSize)); err != nil {

@@ -264,16 +264,12 @@ func TestWriterMisuse(t *testing.T) {
 func TestAbortRemovesFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "aborted")
-	s, err := CreateShared(nil, path, DefaultPageSize, testRecSize, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := s.Segment(0, 0)
+	w, err := CreateWriter(path, DefaultPageSize, testRecSize)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = w.Append(makeRec(1))
-	s.Abort()
+	w.Abort()
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatal("abort must remove the file")
 	}

@@ -23,85 +23,18 @@ func pageImage(slots []int64) []byte {
 }
 
 // TestWriterCoalescingByteIdentical checks the one page appender against
-// bytes computed here, at every buffer size: a sized file cut into 1, 2
-// or 3 page-aligned segments (the last ending on a page boundary or
-// mid-page) written in every order, and an unsized file grown by one
-// Writer that pads at irregular points, as the learned index does.
+// bytes computed here, at every buffer size: files ending on a page
+// boundary or mid-page, and a file padded at irregular points, as the
+// learned index does.
 func TestWriterCoalescingByteIdentical(t *testing.T) {
 	fs := vfs.NewMem()
 	perPage := int64(PerPage(DefaultPageSize, testRecSize))
 	bufSizes := []int{1, 2, 3, 7, 0 /* default */}
-	read := func(path string) []byte {
+	// write appends n records through one Writer, padding after every
+	// record pads names, and returns the finished file.
+	write := func(path string, n int64, bufPages int, pads map[int64]bool) []byte {
 		t.Helper()
-		raw, err := fs.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
-	}
-	orders := [][]int{{0}, {0, 1}, {1, 0}, {0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
-	for _, n := range []int64{1, perPage - 1, 7 * perPage, 7*perPage + 20, 11*perPage + 1} {
-		slots := make([]int64, n)
-		for i := range slots {
-			slots[i] = int64(i)
-		}
-		want := pageImage(slots)
-		pages := (n + perPage - 1) / perPage
-		for _, order := range orders {
-			segs := int64(len(order))
-			if segs > pages {
-				continue
-			}
-			bounds := make([]int64, segs+1)
-			for i := int64(1); i < segs; i++ {
-				bounds[i] = i * pages / segs * perPage
-			}
-			bounds[segs] = n
-			for _, bufPages := range bufSizes {
-				s, err := CreateShared(fs, "segments.dat", DefaultPageSize, testRecSize, n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, i := range order {
-					w, err := s.Segment(bounds[i], bufPages)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for r := bounds[i]; r < bounds[i+1]; r++ {
-						if err := w.Append(makeRec(r)); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if err := w.Finish(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := s.Finish(); err != nil {
-					t.Fatal(err)
-				}
-				if got := read("segments.dat"); !bytes.Equal(got, want) {
-					t.Fatalf("n=%d order=%v bufPages=%d: %d bytes differ from the %d expected", n, order, bufPages, len(got), len(want))
-				}
-			}
-		}
-	}
-
-	const n = 700
-	pads := map[int64]bool{10: true, 299: true, 500: true, n - 1: true}
-	slots := make([]int64, n)
-	for i, slot := int64(0), int64(0); i < n; i++ {
-		slots[i] = slot
-		if slot++; pads[i] {
-			slot = (slot + perPage - 1) / perPage * perPage
-		}
-	}
-	want := pageImage(slots)
-	for _, bufPages := range bufSizes {
-		s, err := CreateShared(fs, "padded.dat", DefaultPageSize, testRecSize, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := s.Segment(0, bufPages)
+		w, err := Create(fs, path, DefaultPageSize, testRecSize, bufPages)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,53 +51,39 @@ func TestWriterCoalescingByteIdentical(t *testing.T) {
 		if err := w.Finish(); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Finish(); err != nil {
+		raw, err := fs.ReadFile(path)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got := read("padded.dat"); !bytes.Equal(got, want) {
+		return raw
+	}
+	for _, n := range []int64{1, perPage - 1, 7 * perPage, 7*perPage + 20, 11*perPage + 1} {
+		slots := make([]int64, n)
+		for i := range slots {
+			slots[i] = int64(i)
+		}
+		want := pageImage(slots)
+		for _, bufPages := range bufSizes {
+			if got := write("plain.dat", n, bufPages, nil); !bytes.Equal(got, want) {
+				t.Fatalf("n=%d bufPages=%d: %d bytes differ from the %d expected", n, bufPages, len(got), len(want))
+			}
+		}
+	}
+
+	const n = 700
+	pads := map[int64]bool{10: true, 299: true, 500: true, n - 1: true}
+	slots := make([]int64, n)
+	for i, slot := int64(0), int64(0); i < n; i++ {
+		slots[i] = slot
+		if slot++; pads[i] {
+			slot = (slot + perPage - 1) / perPage * perPage
+		}
+	}
+	want := pageImage(slots)
+	for _, bufPages := range bufSizes {
+		if got := write("padded.dat", n, bufPages, pads); !bytes.Equal(got, want) {
 			t.Fatalf("padded, bufPages=%d: %d bytes differ from the %d expected", bufPages, len(got), len(want))
 		}
-	}
-}
-
-// TestSegmentMisuse: segments start on page boundaries inside the file,
-// hold no more than the file was sized for, and end mid-page only at its
-// end.
-func TestSegmentMisuse(t *testing.T) {
-	fs := vfs.NewMem()
-	perPage := int64(PerPage(DefaultPageSize, testRecSize))
-	s, err := CreateShared(fs, "x", DefaultPageSize, testRecSize, 2*perPage+5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Abort()
-	if _, err := s.Segment(1, 0); err == nil {
-		t.Fatal("unaligned segment start must error")
-	}
-	if _, err := s.Segment(3*perPage, 0); err == nil {
-		t.Fatal("segment start past the file must error")
-	}
-	w, err := s.Segment(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(makeRec(0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Finish(); err == nil {
-		t.Fatal("an interior segment ending mid-page must error")
-	}
-	last, err := s.Segment(2*perPage, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 5; i++ {
-		if err := last.Append(makeRec(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := last.Append(makeRec(5)); err == nil {
-		t.Fatal("append past the sized end must error")
 	}
 }
 

@@ -3,7 +3,6 @@ package run
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"cole/internal/bloom"
@@ -13,60 +12,15 @@ import (
 	"cole/internal/types"
 )
 
-// Parallel supplies the scheduling hooks of a multi-span build. Both
-// funcs are optional: a nil Spawn runs span builds inline (sequentially)
-// and a nil Yield blocks the caller directly.
-type Parallel struct {
-	// Spawn schedules one span build; implementations must run fn exactly
-	// once (typically on a merge-pool worker).
-	Spawn func(fn func())
-	// Yield is called around the join that waits for every spawned span.
-	// A caller that itself occupies a merge-pool slot releases it here so
-	// its own spans can run on a single-worker pool without deadlock.
-	Yield func(wait func())
-}
-
-func (p Parallel) spawn(fn func()) {
-	if p.Spawn == nil {
-		fn()
-		return
-	}
-	p.Spawn(fn)
-}
-
-func (p Parallel) yield(wait func()) {
-	if p.Yield == nil {
-		wait()
-		return
-	}
-	p.Yield(wait)
-}
-
-// Build streams a sorted iterator into a new run: BuildSpans with the one
-// span [0, count). count must equal the number of entries src yields.
-func Build(dir string, id uint64, count int64, params Params, src Iterator) (*Run, error) {
-	return BuildSpans(dir, id, count, params, []Span{{Lo: 0, Hi: count}},
-		func(Span) (Iterator, error) { return src, nil }, Parallel{})
-}
-
-// BuildSpans builds a run from a planned set of key-range spans (Plan),
-// fanning the span builds across the Parallel hooks. openSpan returns
-// the sorted entry iterator of one span (its bounded k-way merge). The
-// files are the same for every planning of the same entries:
-//
-//   - value file: spans cut on page boundaries, each writes its pages at
-//     final offsets in a pre-sized shared file;
-//   - Merkle file: span writers produce every node their leaf range
-//     owns at its final layer offset; the boundary straddlers are
-//     stitched bottom-up afterwards;
-//   - Bloom filter: per-span filters with the full-count geometry,
-//     unioned (bit OR is order-independent and idempotent);
-//   - learned index: PLA segmentation depends on every preceding key, so
-//     it is built in one sequential pass over the keys — fed inline by
-//     the one span of a sequential build, read back from the value file
-//     (page-cache warm) once every span of a wider build has landed.
-func BuildSpans(dir string, id uint64, count int64, params Params, spans []Span,
-	openSpan func(Span) (Iterator, error), par Parallel) (r *Run, err error) {
+// Build streams a sorted iterator into a new run; count must equal the
+// number of entries src yields. One pass over src writes the value file,
+// feeds the learned index's bottom PLA layer inline and fills the Bloom
+// filter, while a helper goroutine does the Merkle work (writeEntries).
+// Once the source is drained the helper finishes the Merkle file as this
+// goroutine finishes the learned index and, on a third, the value file,
+// so the three fsyncs overlap; all are joined before the metadata file,
+// the run's commit point, is written. On failure every file is removed.
+func Build(dir string, id uint64, count int64, params Params, src Iterator) (r *Run, err error) {
 	params = params.withDefaults()
 	if params.Fanout < 2 {
 		return nil, fmt.Errorf("run: MHT fanout %d < 2", params.Fanout)
@@ -74,38 +28,28 @@ func BuildSpans(dir string, id uint64, count int64, params Params, spans []Span,
 	if count < 1 {
 		return nil, fmt.Errorf("run: empty runs are not built (count=%d)", count)
 	}
-	if len(spans) == 0 {
-		return nil, fmt.Errorf("run: build with no spans")
-	}
-	var spanned int64
-	for _, sp := range spans {
-		spanned += sp.Hi - sp.Lo
-	}
-	if spanned != count {
-		return nil, fmt.Errorf("run: spans cover %d entries, expected %d", spanned, count)
-	}
 
 	wbufPages := writeBufferPages(count, params)
-	valF, err := pagefile.CreateShared(params.FS, valuePath(dir, id), params.PageSize, types.EntrySize, count)
+	val, err := pagefile.Create(params.FS, valuePath(dir, id), params.PageSize, types.EntrySize, wbufPages)
 	if err != nil {
 		return nil, err
 	}
-	idxF, err := pagefile.CreateShared(params.FS, indexPath(dir, id), params.PageSize, pla.ModelSize, 0)
+	idx, err := pagefile.Create(params.FS, indexPath(dir, id), params.PageSize, pla.ModelSize, wbufPages)
 	if err != nil {
-		valF.Abort()
+		val.Abort()
 		return nil, err
 	}
-	mrkF, err := mht.CreateShared(params.FS, merklePath(dir, id), count, params.Fanout, wbufPages*params.PageSize)
+	mrk, err := mht.Create(params.FS, merklePath(dir, id), count, params.Fanout, wbufPages*params.PageSize)
 	if err != nil {
-		valF.Abort()
-		idxF.Abort()
+		val.Abort()
+		idx.Abort()
 		return nil, err
 	}
 	defer func() {
 		if err != nil {
-			valF.Abort()
-			idxF.Abort()
-			mrkF.Abort()
+			val.Abort()
+			idx.Abort()
+			mrk.Abort()
 			_ = params.FS.Remove(metaPath(dir, id))
 		}
 	}()
@@ -114,127 +58,25 @@ func BuildSpans(dir string, id uint64, count int64, params Params, spans []Span,
 	// builder collects each emitted model's (kmin, index-file position) to
 	// drive the upper layers — O(#models) memory, a tiny fraction of the
 	// data.
-	idxW, err := idxF.Segment(0, wbufPages)
-	if err != nil {
-		return nil, err
-	}
-	ib := newIndexBuilder(idxW, params)
+	ib := newIndexBuilder(idx, params)
 	keys, err := pla.NewBuilder(pagefile.Epsilon(params.PageSize, types.EntrySize), ib.writeModel)
 	if err != nil {
 		return nil, err
 	}
-	// One span is the sequential build: it runs on the caller's goroutine
-	// and feeds the PLA inline, so a flush never reads its keys back.
-	var inline *pla.Builder
-	if len(spans) == 1 {
-		inline, par = keys, Parallel{}
-	}
-
-	results := make([]spanResult, len(spans))
-	errs := make([]error, len(spans))
-	var wg sync.WaitGroup
-	for i := range spans {
-		wg.Add(1)
-		par.spawn(func() {
-			defer wg.Done()
-			results[i], errs[i] = buildSpan(valF, mrkF, count, params, wbufPages, spans[i], openSpan, inline)
-		})
-	}
-	par.yield(wg.Wait)
-
-	for i, res := range results {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("span %d [%d,%d): %w", i, spans[i].Lo, spans[i].Hi, errs[i])
+	var layers []layerMeta
+	sum, root, err := writeEntries(src, count, params, val, mrk, keys, func() error {
+		waitVal := async(val.Finish)
+		var err error
+		layers, err = ib.finish(keys)
+		if verr := waitVal(); err == nil {
+			err = verr
 		}
-		if i > 0 && !results[i-1].maxKey.Less(res.minKey) {
-			return nil, fmt.Errorf("run: span %d starts at %v, not above previous max %v",
-				i, res.minKey, results[i-1].maxKey)
-		}
-	}
-
-	if inline == nil {
-		if err := readKeys(valF, count, keys); err != nil {
-			return nil, err
-		}
-	}
-	leafSpans := make([][2]int64, len(spans))
-	for i, sp := range spans {
-		leafSpans[i] = [2]int64{sp.Lo, sp.Hi}
-	}
-	// The value file's fsync and the Merkle stitch with its fsync run
-	// beside the learned index's last layers and fsync. All three are
-	// joined before the metadata file, the run's commit point, is written.
-	var root types.Hash
-	waits := []func() error{
-		async(valF.Finish),
-		async(func() (err error) {
-			root, err = mrkF.Stitch(leafSpans)
-			return err
-		}),
-	}
-	layers, err := ib.finish(keys, idxF)
-	for _, wait := range waits {
-		if werr := wait(); err == nil {
-			err = werr
-		}
-	}
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-
-	whole := spanResult{filter: results[0].filter, minKey: results[0].minKey, maxKey: results[len(results)-1].maxKey}
-	for _, res := range results[1:] {
-		if err := whole.filter.Union(res.filter); err != nil {
-			return nil, err
-		}
-	}
-	if whole.filter.Entries() != uint64(count) {
-		return nil, fmt.Errorf("run: unioned filter holds %d entries, expected %d", whole.filter.Entries(), count)
-	}
-	return finishRun(dir, id, count, params, layers, root, whole)
-}
-
-// buildSpan runs the per-entry loop over one span's merged entries,
-// writing into its slices of the shared value and Merkle files; keys,
-// when non-nil, is the inline PLA feed.
-func buildSpan(valF *pagefile.SharedWriter, mrkF *mht.SharedWriter, count int64, params Params,
-	wbufPages int, sp Span, openSpan func(Span) (Iterator, error), keys *pla.Builder) (spanResult, error) {
-	seg, err := valF.Segment(sp.Lo, wbufPages)
-	if err != nil {
-		return spanResult{}, err
-	}
-	mspan, err := mrkF.Span(sp.Lo, sp.Hi)
-	if err != nil {
-		return spanResult{}, err
-	}
-	src, err := openSpan(sp)
-	if err != nil {
-		return spanResult{}, err
-	}
-	return writeEntries(src, sp.Hi-sp.Lo, count, params, seg, mspan, keys)
-}
-
-// readKeys feeds every key of the written value file, read back in
-// position order, to the bottom PLA layer.
-func readKeys(valF *pagefile.SharedWriter, count int64, keys *pla.Builder) error {
-	reader := valF.Reader(pagefile.DefaultReadaheadPages)
-	for pos := int64(0); pos < count; pos++ {
-		rec, ok, err := reader.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("run: value read-back ended at %d of %d entries", pos, count)
-		}
-		k, err := types.DecodeCompoundKey(rec[:types.CompoundKeySize])
-		if err != nil {
-			return err
-		}
-		if err := keys.Add(k, pos); err != nil {
-			return err
-		}
-	}
-	return nil
+	return finishRun(dir, id, count, params, layers, root, sum)
 }
 
 // writeBufferPages caps the coalescing buffers at the value file's own
@@ -249,20 +91,19 @@ func writeBufferPages(count int64, params Params) int {
 	return pagefile.DefaultWriteBufferPages
 }
 
-// spanResult is what one pass of writeEntries hands its caller: the
-// span's Bloom contribution and key bounds.
-type spanResult struct {
+// summary is what writeEntries hands its caller besides the Merkle root:
+// the run's Bloom filter and key bounds.
+type summary struct {
 	filter *bloom.Filter
 	minKey types.CompoundKey
 	maxKey types.CompoundKey
 }
 
-// writeEntries is the per-entry loop of every run build, one call per
-// span, and it is a two-stage pipeline. The caller's goroutine iterates
-// src, encodes each entry and appends it to the value segment, feeds keys
-// (when non-nil, the inline PLA: every key with its position in the span)
-// and inserts the address into a Bloom filter with the full run's
-// geometry. One helper goroutine, a merkleStage, owns the span's Merkle
+// writeEntries is the per-entry loop of every run build, and it is a
+// two-stage pipeline. The caller's goroutine iterates src, encodes each
+// entry and appends it to the value file, feeds keys (the bottom PLA
+// layer: every key with its position) and inserts the address into the
+// Bloom filter. One helper goroutine, a merkleStage, owns the Merkle
 // writer. It takes the entries in batches: a source that can replay
 // precomputed leaf hashes (a run's .mrk file, a merge of such sources,
 // or a reshard destination's share of one — a stored leaf hash IS
@@ -270,26 +111,27 @@ type spanResult struct {
 // source (L0 flushes arrive as plain slices) hands over its entries for
 // the helper to hash.
 //
-// On success the segment is finished and the Merkle span closed, the
-// two in parallel. On every return the helper has exited.
+// Once src is drained the helper finishes the Merkle file and takes its
+// root while tail (the value file's and learned index's finish) runs
+// here. On every return the helper has exited.
 //
-// src must yield exactly want entries. A source that died mid-stream is
+// src must yield exactly count entries. A source that died mid-stream is
 // reported by its own error, not as the count mismatch it also causes. A
-// Merkle write error is reported before any error of the entry loop.
-func writeEntries(src Iterator, want, count int64, params Params,
-	seg *pagefile.Writer, mspan *mht.SpanWriter, keys *pla.Builder) (res spanResult, err error) {
-	// Every span's filter gets the full run's geometry so the union of the
-	// spans marshals byte-identically to one sequential pass.
-	res.filter = bloom.New(int(count), params.BloomFP)
+// Merkle write error is reported before any error of the entry loop or
+// of tail.
+func writeEntries(src Iterator, count int64, params Params, val *pagefile.Writer, mrk *mht.Writer,
+	keys *pla.Builder, tail func() error) (sum summary, root types.Hash, err error) {
+	sum.filter = bloom.New(int(count), params.BloomFP)
 	var hashSrc HashedIterator
 	if h, ok := src.(HashedIterator); ok && h.Hashed() {
 		hashSrc = h
 	}
-	stage := startMerkleStage(mspan, int(min(want, pipeBatch)), hashSrc != nil)
+	stage := startMerkleStage(mrk, int(min(count, pipeBatch)), hashSrc != nil)
 	defer func() {
-		if serr := stage.finish(err == nil, seg.Finish); serr != nil {
+		if serr := stage.finish(err == nil, tail); serr != nil {
 			err = serr
 		}
+		root = stage.root
 	}()
 	b := <-stage.free
 	var seen int64
@@ -299,58 +141,54 @@ func writeEntries(src Iterator, want, count int64, params Params,
 		if !ok {
 			break
 		}
-		if seen >= want {
-			return res, fmt.Errorf("run: iterator yielded more than %d entries", want)
+		if seen >= count {
+			return sum, root, fmt.Errorf("run: iterator yielded more than %d entries", count)
 		}
 		// Consecutive versions of one address are adjacent in compound-key
 		// order; the filter insert is idempotent, so only the first needs
-		// the SHA-256 base hashes. A span whose first entries continue the
-		// previous span's address re-Adds it: both paths count one entry,
-		// so the union stays byte-identical.
-		sameAddr := seen > 0 && e.Key.Addr == res.maxKey.Addr
+		// the SHA-256 base hashes.
+		sameAddr := seen > 0 && e.Key.Addr == sum.maxKey.Addr
 		if seen == 0 {
-			res.minKey = e.Key
+			sum.minKey = e.Key
 		}
-		res.maxKey = e.Key
+		sum.maxKey = e.Key
 		types.EncodeEntry(entryBuf, e)
-		if err := seg.Append(entryBuf); err != nil {
-			return res, err
+		if err := val.Append(entryBuf); err != nil {
+			return sum, root, err
 		}
-		if keys != nil {
-			if err := keys.Add(e.Key, seen); err != nil {
-				return res, err
-			}
+		if err := keys.Add(e.Key, seen); err != nil {
+			return sum, root, err
 		}
 		if hashSrc != nil {
 			if b.leaves[b.n], err = hashSrc.LeafHash(); err != nil {
-				return res, err
+				return sum, root, err
 			}
 		} else {
 			b.entries[b.n] = e
 		}
 		b.n++
 		if sameAddr {
-			res.filter.AddRepeat()
+			sum.filter.AddRepeat()
 		} else {
-			res.filter.Add(e.Key.Addr)
+			sum.filter.Add(e.Key.Addr)
 		}
 		seen++
 		if b.n == b.size() {
 			if b, err = stage.handoff(b); err != nil {
-				return res, err
+				return sum, root, err
 			}
 		}
 	}
 	if err := sourceErr(src); err != nil {
-		return res, err
+		return sum, root, err
 	}
-	if seen != want {
-		return res, fmt.Errorf("run: iterator yielded %d entries, expected %d", seen, want)
+	if seen != count {
+		return sum, root, fmt.Errorf("run: iterator yielded %d entries, expected %d", seen, count)
 	}
 	if b.n > 0 {
 		stage.full <- b
 	}
-	return res, nil
+	return sum, root, nil
 }
 
 // The Merkle stage's batching: pipeBatch entries per hand-off, pipeDepth
@@ -372,8 +210,8 @@ type leafBatch struct {
 
 func (b *leafBatch) size() int { return max(len(b.leaves), len(b.entries)) }
 
-// add feeds the batch's leaves to the span in order.
-func (b *leafBatch) add(mspan *mht.SpanWriter) error {
+// add feeds the batch's leaves to the Merkle writer in order.
+func (b *leafBatch) add(mrk *mht.Writer) error {
 	for i := 0; i < b.n; i++ {
 		var leaf types.Hash
 		if b.leaves != nil {
@@ -381,7 +219,7 @@ func (b *leafBatch) add(mspan *mht.SpanWriter) error {
 		} else {
 			leaf = types.HashEntry(b.entries[i])
 		}
-		if err := mspan.Add(leaf); err != nil {
+		if err := mrk.Add(leaf); err != nil {
 			return err
 		}
 	}
@@ -403,13 +241,16 @@ type merkleStage struct {
 	// batches but adds nothing more, and the loop stops at its next
 	// hand-off.
 	failed atomic.Bool
-	// closeSpan, written before full is closed, tells the helper the loop
-	// completed and the span is to be closed.
-	closeSpan bool
-	done      chan error
+	// complete, written before full is closed, tells the helper the loop
+	// completed and the Merkle file is to be finished.
+	complete bool
+	// root is the finished file's root, written by the helper before it
+	// sends on done.
+	root types.Hash
+	done chan error
 }
 
-func startMerkleStage(mspan *mht.SpanWriter, size int, hashed bool) *merkleStage {
+func startMerkleStage(mrk *mht.Writer, size int, hashed bool) *merkleStage {
 	s := &merkleStage{
 		free: make(chan *leafBatch, pipeDepth),
 		full: make(chan *leafBatch, pipeDepth),
@@ -424,23 +265,23 @@ func startMerkleStage(mspan *mht.SpanWriter, size int, hashed bool) *merkleStage
 		}
 		s.free <- b
 	}
-	go s.run(mspan)
+	go s.run(mrk)
 	return s
 }
 
-func (s *merkleStage) run(mspan *mht.SpanWriter) {
+func (s *merkleStage) run(mrk *mht.Writer) {
 	var err error
 	for b := range s.full {
 		if err == nil {
-			if err = b.add(mspan); err != nil {
+			if err = b.add(mrk); err != nil {
 				s.failed.Store(true)
 			}
 		}
 		b.n = 0
 		s.free <- b
 	}
-	if err == nil && s.closeSpan {
-		err = mspan.Close()
+	if err == nil && s.complete {
+		s.root, err = mrk.Finish()
 	}
 	s.done <- err
 }
@@ -455,11 +296,10 @@ func (s *merkleStage) handoff(b *leafBatch) (*leafBatch, error) {
 }
 
 // finish ends the stage and waits for the helper to exit. ok reports
-// that the entry loop completed: the helper then closes the Merkle span
-// while tail (the value segment's Finish) runs here. The helper's error
-// comes first, then tail's.
+// that the entry loop completed: the helper then finishes the Merkle file
+// while tail runs here. The helper's error comes first, then tail's.
 func (s *merkleStage) finish(ok bool, tail func() error) error {
-	s.closeSpan = ok
+	s.complete = ok
 	close(s.full)
 	var err error
 	if ok {
@@ -480,16 +320,16 @@ func async(fn func() error) func() error {
 }
 
 // finishRun writes the metadata file — the run's commit point — and opens
-// the finished run. res carries the whole run's filter and key bounds.
-func finishRun(dir string, id uint64, count int64, params Params, layers []layerMeta, root types.Hash, res spanResult) (*Run, error) {
+// the finished run.
+func finishRun(dir string, id uint64, count int64, params Params, layers []layerMeta, root types.Hash, sum summary) (*Run, error) {
 	meta := runMeta{
 		Count:  count,
 		Fanout: params.Fanout,
 		Layers: layers,
 		Root:   root,
-		Bloom:  res.filter.Marshal(),
-		MinKey: res.minKey,
-		MaxKey: res.maxKey,
+		Bloom:  sum.filter.Marshal(),
+		MinKey: sum.minKey,
+		MaxKey: sum.maxKey,
 		PageSz: params.PageSize,
 	}
 	if err := writeMeta(params.FS, metaPath(dir, id), meta); err != nil {
@@ -527,8 +367,8 @@ func (b *indexBuilder) writeModel(m pla.Model) error {
 }
 
 // finish closes the bottom layer's last model, builds the upper layers,
-// and finishes (writes out and syncs) the index file.
-func (b *indexBuilder) finish(keys *pla.Builder, idxF *pagefile.SharedWriter) ([]layerMeta, error) {
+// and finishes (writes out, syncs and closes) the index file.
+func (b *indexBuilder) finish(keys *pla.Builder) ([]layerMeta, error) {
 	if err := keys.Finish(); err != nil {
 		return nil, err
 	}
@@ -536,10 +376,7 @@ func (b *indexBuilder) finish(keys *pla.Builder, idxF *pagefile.SharedWriter) ([
 	if err != nil {
 		return nil, err
 	}
-	if err := b.idxW.Finish(); err != nil {
-		return nil, err
-	}
-	return layers, idxF.Finish()
+	return layers, b.idxW.Finish()
 }
 
 // finishLayers pads out the bottom layer and recurses upward until a

@@ -75,7 +75,7 @@ func (f *failingIterator) Err() error {
 // TestBuildFailAtEveryOp injects an I/O error (MemFS.FailAt) at every
 // filesystem operation of a flush-shaped build: every value, index and
 // Merkle write and fsync, the metadata commit and the open behind it.
-// With 256-byte pages the Merkle span writer flushes mid-stream, so its
+// With 256-byte pages the Merkle writer flushes mid-stream, so its
 // write errors meet the entry loop still running. Each build must return
 // the injected error, remove every file it created and stop its helper
 // goroutines.

@@ -15,22 +15,20 @@
 //     address Bloom filter. The run digest H(mht_root ‖ bloom_digest)
 //     participates in root_hash_list, authenticating both data and filter.
 //
-// All three files are written by one builder, BuildSpans, then never
+// All three files are written by one builder, Build, then never
 // modified: "the index file remains valid from its construction until the
-// next level merge" (§4.1). It streams each planned key-range span of a
-// sorted input (the L0 flush or a level sort-merge) into its slices of
-// the value and Merkle files. Build is its one-span case: a single
-// streaming pass that also feeds the learned index inline.
-//
-// A span's pass runs on two goroutines. The caller's iterates the
-// source, encodes and appends values, feeds the learned index and fills
-// the Bloom filter; a helper takes the entries in recycled batches of 256
-// and does the Merkle work — hashing each leaf (flushes) or taking the
-// source's stored leaf hash (merges) — and closes the span's Merkle
-// writer while the caller writes out the value file's tail. The value,
-// Merkle and index fsyncs are then issued concurrently and all joined
-// before the metadata file is written, so the commit point still
-// follows every byte it names.
+// next level merge" (§4.1). It makes one streaming pass over a sorted
+// input — an L0 flush, a level sort-merge (MergeRuns, Algorithm 1's and
+// Algorithm 5's merge) or a reshard destination's share — and that pass
+// runs on two goroutines. The caller's iterates the source, encodes and
+// appends values, feeds the learned index and fills the Bloom filter; a
+// helper takes the entries in recycled batches of 256 and does the
+// Merkle work — hashing each leaf (flushes) or taking the source's stored
+// leaf hash (merges) — and finishes the Merkle file while the caller
+// finishes the value file and the learned index. The value, Merkle and
+// index fsyncs run concurrently and are all joined before the metadata
+// file is written, so the commit point still follows every byte it
+// names.
 package run
 
 import (
@@ -342,29 +340,6 @@ func (r *Run) Models() int64 {
 // takes no lock. Read errors surface through Err.
 func (r *Run) Iter() *RunIterator {
 	return &RunIterator{r: r, sr: r.values.SequentialReader(pagefile.DefaultReadaheadPages)}
-}
-
-// IterRange returns a sequential iterator over value-file positions
-// [lo, hi): the bounded sub-iterator a partitioned merge drives over one
-// key-range span. Its readahead window is clipped to the span's pages,
-// and LeafHash stays position-aligned with the full-run iterator.
-func (r *Run) IterRange(lo, hi int64) *RunIterator {
-	return &RunIterator{
-		r:   r,
-		sr:  r.values.SequentialReaderRange(pagefile.DefaultReadaheadPages, lo, hi),
-		pos: lo,
-	}
-}
-
-// KeyAt reads just the compound key of the entry at a value-file
-// position with one uncached positional read — the merge range planner's
-// probe, which must not evict concurrent readers' cached pages.
-func (r *Run) KeyAt(pos int64) (types.CompoundKey, error) {
-	var buf [types.EntrySize]byte
-	if err := r.values.RecordAt(pos, buf[:]); err != nil {
-		return types.CompoundKey{}, err
-	}
-	return types.DecodeCompoundKey(buf[:types.CompoundKeySize])
 }
 
 // RunIterator streams a run's entries, and — on demand — the Merkle leaf

@@ -458,7 +458,7 @@ func TestDigestBindsBloomAndRoot(t *testing.T) {
 // Digest and BloomDigest are field reads (no allocation, hence no
 // re-marshal or re-hash of the filter), and they equal what a verifier
 // recomputes from the disclosed parts — after Build, after a reopen, and
-// for a partitioned build.
+// for a merge of runs holding the same entries.
 func TestDigestsComputedOnceAtOpen(t *testing.T) {
 	entries := genEntries(13, 400, 4)
 	count := int64(len(entries))
@@ -501,21 +501,31 @@ func TestDigestsComputedOnceAtOpen(t *testing.T) {
 	}
 
 	sources := buildSources(t, t.TempDir(), entries, 3, params)
-	spans, err := PlanRuns(sources, 4, params.PageSize)
+	merged, err := Build(t.TempDir(), 1, count, params, MergeRuns(sources))
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := BuildSpans(t.TempDir(), 1, count, params, spans,
-		func(sp Span) (Iterator, error) { return MergeRunsRange(sources, sp), nil },
-		Parallel{Spawn: func(fn func()) { go fn() }})
-	if err != nil {
-		t.Fatal(err)
+	defer merged.Close()
+	check("merge", merged)
+	if merged.Digest() != want {
+		t.Fatal("merge build's digest differs from the slice build's")
 	}
-	defer part.Close()
-	check("BuildSpans", part)
-	if part.Digest() != want {
-		t.Fatal("partitioned build's digest differs from the sequential build's")
+}
+
+// buildSources materializes k disjoint runs from round-robin slices of
+// the entry set, returning them sorted by slot (the level-merge shape).
+func buildSources(t *testing.T, dir string, entries []types.Entry, k int, params Params) []*Run {
+	t.Helper()
+	runs := make([]*Run, k)
+	for i, part := range splitSorted(entries, k) {
+		r, err := Build(dir, uint64(100+i), int64(len(part)), params, NewSliceIterator(part))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { r.Close() })
+		runs[i] = r
 	}
+	return runs
 }
 
 func TestSingleEntryRun(t *testing.T) {

@@ -984,14 +984,10 @@ func (s *Store) Storage() core.StorageBreakdown {
 	return sb
 }
 
-// Stats sums engine counters across shards. MergeWaits and
-// PartitionWaits stay DISJOINT in the sum, exactly as they are per
-// engine: MergeWaits is cross-shard back-pressure (whole jobs queuing,
-// commits blocking on unfinished merges), PartitionWaits is the
-// intentional sibling-span queueing of fanned-out merges — adding one
-// into the other would make a busy-but-healthy pool look starved. The
-// tail/stall counters sum too, except MaxCommitNanos, which takes the
-// worst shard: a sharded commit is as slow as its slowest engine.
+// Stats sums engine counters across shards. The tail/stall counters sum
+// too, except MaxCommitNanos, which takes the worst shard: a sharded
+// commit is as slow as its slowest engine. PartitionWaits, always 0 per
+// engine, is left 0.
 func (s *Store) Stats() core.Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -1006,7 +1002,6 @@ func (s *Store) Stats() core.Stats {
 		st.Merges += es.Merges
 		st.BloomSkips += es.BloomSkips
 		st.MergeWaits += es.MergeWaits
-		st.PartitionWaits += es.PartitionWaits
 		st.Commits += es.Commits
 		st.CommitNanos += es.CommitNanos
 		if es.MaxCommitNanos > st.MaxCommitNanos {
