@@ -317,11 +317,10 @@ type Engine struct {
 	// tests set it, to force maximal checkpoint interleaving.
 	fixedMergeChunk int
 
-	// PutBatch dedup scratch, reused across blocks so the hot batch path
-	// stays allocation-free (guarded by mu). entryBuf is the sorted
-	// bulk-load staging slice of the SortedBatch path.
+	// SortedBatch PutBatch scratch, reused across blocks so the batch
+	// path stays allocation-free (guarded by mu): batchIndex is the dedup
+	// index into entryBuf, the bulk-load staging slice.
 	batchIndex map[types.Address]int
-	batchBuf   []Update
 	entryBuf   []types.Entry
 
 	stats Stats // write-path counters, guarded by mu
@@ -370,8 +369,8 @@ type OpHists struct {
 	// Commit is in-engine commit latency (lock to published view — the
 	// same quantity CommitNanos totals).
 	Commit hist.Hist
-	// PutBatch is the in-lock latency of batched ingest (dedup + tree
-	// insert).
+	// PutBatch is the in-lock latency of batched ingest (tree inserts,
+	// after the dedup and sort with SortedBatch).
 	PutBatch hist.Hist
 	// Get covers single point lookups (Get/GetAt, engine or snapshot).
 	Get hist.Hist

@@ -48,17 +48,18 @@ func (e *Engine) Put(addr types.Address, value types.Value) error {
 // Update is one pending state write of a batch (alias of types.Update).
 type Update = types.Update
 
-// PutBatch applies a block's updates under a single lock acquisition:
-// duplicates of an address collapse to the last write before touching the
-// tree (within a block only the final value of an address matters — the
-// compound key ⟨addr, height⟩ is the same for every one of them).
+// PutBatch applies a block's updates under a single lock acquisition.
 //
-// Updates are applied in first-occurrence order, NOT sorted: the L0
-// MB-tree's shape (and therefore its root hash) depends on insertion
-// order, and Insert overwrites an existing compound key in place, so
-// first-occurrence order with last-write-wins values reproduces the tree
-// a sequential Put loop builds — PutBatch and looped Put yield
+// Without SortedBatch it is the Put loop under one lock: every update is
+// inserted in order, and Insert overwrites an existing compound key in
+// place, so a repeated address keeps its first-occurrence position and
+// its last value — PutBatch and looped Put build the same tree and yield
 // byte-identical digests.
+//
+// With SortedBatch, duplicates of an address first collapse to their
+// last write (within a block only the final value of an address matters
+// — the compound key ⟨addr, height⟩ is the same for every one of them),
+// because the sort that follows must not see equal keys.
 func (e *Engine) PutBatch(updates []Update) error {
 	if len(updates) == 0 {
 		return nil
@@ -70,51 +71,10 @@ func (e *Engine) PutBatch(updates []Update) error {
 		return fmt.Errorf("core: PutBatch outside a block; call BeginBlock first")
 	}
 	g := e.mem[e.memWriting]
-	if len(updates) == 1 {
-		g.tree.Insert(types.CompoundKey{Addr: updates[0].Addr, Blk: e.height}, updates[0].Value)
-		g.filter.Add(updates[0].Addr)
-		e.stats.Puts++
-		e.hists.PutBatch.Record(time.Since(start))
-		return nil
-	}
-	// Dedup into the engine's scratch (the caller's batch is not
-	// mutated; the scratch is reused across calls to keep the hot path
-	// allocation-free once warm).
-	if e.batchIndex == nil {
-		e.batchIndex = make(map[types.Address]int, len(updates))
+	if e.opts.SortedBatch && len(updates) > 1 {
+		e.putSortedLocked(g, updates)
 	} else {
-		clear(e.batchIndex)
-	}
-	deduped := e.batchBuf[:0]
-	for _, u := range updates {
-		if i, ok := e.batchIndex[u.Addr]; ok {
-			deduped[i].Value = u.Value
-			continue
-		}
-		e.batchIndex[u.Addr] = len(deduped)
-		deduped = append(deduped, u)
-	}
-	e.batchBuf = deduped
-	if e.opts.SortedBatch {
-		// Format-versioned fast path: stage the deduped updates as entries,
-		// sort by compound key, and bulk-load the L0 tree through its
-		// sorted-insert path (one descent per leaf run instead of one per
-		// key). Identical to a sequential Insert loop over the same sorted
-		// slice — but NOT to first-occurrence order, which is why the
-		// manifest records the setting.
-		entries := e.entryBuf[:0]
-		for _, u := range deduped {
-			entries = append(entries, types.Entry{
-				Key:   types.CompoundKey{Addr: u.Addr, Blk: e.height},
-				Value: u.Value,
-			})
-			g.filter.Add(u.Addr)
-		}
-		e.entryBuf = entries
-		sort.Slice(entries, func(i, j int) bool { return entries[i].Key.Less(entries[j].Key) })
-		g.tree.InsertSorted(entries)
-	} else {
-		for _, u := range deduped {
+		for _, u := range updates {
 			g.tree.Insert(types.CompoundKey{Addr: u.Addr, Blk: e.height}, u.Value)
 			g.filter.Add(u.Addr)
 		}
@@ -124,6 +84,38 @@ func (e *Engine) PutBatch(updates []Update) error {
 	e.stats.Puts += int64(len(updates))
 	e.hists.PutBatch.Record(time.Since(start))
 	return nil
+}
+
+// putSortedLocked is the SortedBatch path, a format-versioned fast path:
+// dedup the updates into the engine's scratch (the caller's batch is not
+// mutated; the scratch is reused across calls to keep the hot path
+// allocation-free once warm), stage them as entries, sort by compound
+// key, and bulk-load the L0 tree through its sorted-insert path (one
+// descent per leaf run instead of one per key). Identical to a
+// sequential Insert loop over the same sorted slice — but NOT to
+// first-occurrence order, which is why the manifest records the setting.
+func (e *Engine) putSortedLocked(g *memGroup, updates []Update) {
+	if e.batchIndex == nil {
+		e.batchIndex = make(map[types.Address]int, len(updates))
+	} else {
+		clear(e.batchIndex)
+	}
+	entries := e.entryBuf[:0]
+	for _, u := range updates {
+		if i, ok := e.batchIndex[u.Addr]; ok {
+			entries[i].Value = u.Value
+			continue
+		}
+		e.batchIndex[u.Addr] = len(entries)
+		entries = append(entries, types.Entry{
+			Key:   types.CompoundKey{Addr: u.Addr, Blk: e.height},
+			Value: u.Value,
+		})
+		g.filter.Add(u.Addr)
+	}
+	e.entryBuf = entries
+	sort.Slice(entries, func(i, j int) bool { return entries[i].Key.Less(entries[j].Key) })
+	g.tree.InsertSorted(entries)
 }
 
 // Commit finalizes the current block: it runs the flush/merge cascade if

@@ -92,6 +92,21 @@ func (t *Tree) Snapshot() *Tree {
 	return snap
 }
 
+// leafEntries returns a copy of src at full node capacity, fanout+1. Every
+// node slice is allocated that way: a node holds at most fanout items,
+// and fanout+1 just before it splits, so an insert never grows a slice it
+// owns. In particular the insert that follows a copy-on-write copy does
+// not copy the node a second time.
+func (t *Tree) leafEntries(src []types.Entry) []types.Entry {
+	return append(make([]types.Entry, 0, t.fanout+1), src...)
+}
+
+// internalSlots is leafEntries for an internal node's mins and children.
+func (t *Tree) internalSlots(mins []types.CompoundKey, children []node) ([]types.CompoundKey, []node) {
+	return append(make([]types.CompoundKey, 0, t.fanout+1), mins...),
+		append(make([]node, 0, t.fanout+1), children...)
+}
+
 // ownedLeaf returns n if it is exclusively owned by the live tree, or a
 // copy stamped with the current generation otherwise.
 func (t *Tree) ownedLeaf(n *leafNode) *leafNode {
@@ -99,7 +114,7 @@ func (t *Tree) ownedLeaf(n *leafNode) *leafNode {
 		return n
 	}
 	return &leafNode{
-		entries: append([]types.Entry(nil), n.entries...),
+		entries: t.leafEntries(n.entries),
 		hash:    n.hash,
 		dirty:   n.dirty,
 		gen:     t.gen,
@@ -112,13 +127,9 @@ func (t *Tree) ownedInternal(n *internalNode) *internalNode {
 	if n.gen == t.gen {
 		return n
 	}
-	return &internalNode{
-		mins:     append([]types.CompoundKey(nil), n.mins...),
-		children: append([]node(nil), n.children...),
-		hash:     n.hash,
-		dirty:    n.dirty,
-		gen:      t.gen,
-	}
+	nd := &internalNode{hash: n.hash, dirty: n.dirty, gen: t.gen}
+	nd.mins, nd.children = t.internalSlots(n.mins, n.children)
+	return nd
 }
 
 // Insert adds an entry, overwriting the value if the compound key exists
@@ -126,7 +137,7 @@ func (t *Tree) ownedInternal(n *internalNode) *internalNode {
 func (t *Tree) Insert(key types.CompoundKey, value types.Value) {
 	e := types.Entry{Key: key, Value: value}
 	if t.root == nil {
-		t.root = &leafNode{entries: []types.Entry{e}, dirty: true, gen: t.gen}
+		t.root = &leafNode{entries: t.leafEntries([]types.Entry{e}), dirty: true, gen: t.gen}
 		t.size = 1
 		return
 	}
@@ -136,12 +147,10 @@ func (t *Tree) Insert(key types.CompoundKey, value types.Value) {
 		t.size++
 	}
 	if right != nil {
-		t.root = &internalNode{
-			mins:     []types.CompoundKey{self.minKey(), right.minKey()},
-			children: []node{self, right},
-			dirty:    true,
-			gen:      t.gen,
-		}
+		root := &internalNode{dirty: true, gen: t.gen}
+		root.mins, root.children = t.internalSlots(
+			[]types.CompoundKey{self.minKey(), right.minKey()}, []node{self, right})
+		t.root = root
 	}
 }
 
@@ -166,7 +175,7 @@ func (t *Tree) insert(n node, e types.Entry) (self node, replaced bool, right no
 			return nd, false, nil
 		}
 		mid := len(nd.entries) / 2
-		sib := &leafNode{entries: append([]types.Entry(nil), nd.entries[mid:]...), dirty: true, gen: t.gen}
+		sib := &leafNode{entries: t.leafEntries(nd.entries[mid:]), dirty: true, gen: t.gen}
 		nd.entries = nd.entries[:mid]
 		return nd, false, sib
 	case *internalNode:
@@ -188,12 +197,8 @@ func (t *Tree) insert(n node, e types.Entry) (self node, replaced bool, right no
 			return nd, replaced, nil
 		}
 		mid := len(nd.children) / 2
-		sib := &internalNode{
-			mins:     append([]types.CompoundKey(nil), nd.mins[mid:]...),
-			children: append([]node(nil), nd.children[mid:]...),
-			dirty:    true,
-			gen:      t.gen,
-		}
+		sib := &internalNode{dirty: true, gen: t.gen}
+		sib.mins, sib.children = t.internalSlots(nd.mins[mid:], nd.children[mid:])
 		nd.mins = nd.mins[:mid]
 		nd.children = nd.children[:mid]
 		return nd, replaced, sib
@@ -377,18 +382,6 @@ func maxEntry(n node) (types.Entry, bool) {
 			n = nd.children[len(nd.children)-1]
 		}
 	}
-}
-
-// Range returns all entries with lo ≤ key ≤ hi, in order.
-func (t *Tree) Range(lo, hi types.CompoundKey) []types.Entry {
-	var out []types.Entry
-	t.ForEach(func(e types.Entry) error {
-		if e.Key.Cmp(lo) >= 0 && e.Key.Cmp(hi) <= 0 {
-			out = append(out, e)
-		}
-		return nil
-	})
-	return out
 }
 
 // ForEach visits every entry in key order (used to flush L0 as a sorted

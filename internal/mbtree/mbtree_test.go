@@ -255,7 +255,10 @@ func TestRangeQuery(t *testing.T) {
 	for blk := uint64(0); blk < 100; blk += 10 {
 		tr.Insert(types.CompoundKey{Addr: a, Blk: blk}, val(blk))
 	}
-	got := tr.Range(types.CompoundKey{Addr: a, Blk: 25}, types.CompoundKey{Addr: a, Blk: 65})
+	got, _, err := tr.ProveRange(types.CompoundKey{Addr: a, Blk: 25}, types.CompoundKey{Addr: a, Blk: 65})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != 4 { // 30, 40, 50, 60
 		t.Fatalf("range returned %d entries, want 4", len(got))
 	}

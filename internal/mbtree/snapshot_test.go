@@ -2,6 +2,7 @@ package mbtree
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -142,4 +143,107 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// pathTo returns how many internal nodes lie on the path from the root to
+// the leaf covering k, and that leaf.
+func pathTo(tr *Tree, k types.CompoundKey) (int, *leafNode) {
+	internals := 0
+	n := tr.root
+	for {
+		switch nd := n.(type) {
+		case *internalNode:
+			internals++
+			n = nd.children[childIndex(nd.mins, k)]
+		case *leafNode:
+			return internals, nd
+		}
+	}
+}
+
+// mallocs counts the heap allocations f makes.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestInsertAfterSnapshotCopiesOnce: the first insert into a leaf shared
+// with a snapshot copies each node on its path once, at a capacity the
+// insert then fits in, and the next insert into that leaf allocates
+// nothing. A copy sized to its node's length would be grown (copied
+// again) by the very insert that made it.
+func TestInsertAfterSnapshotCopiesOnce(t *testing.T) {
+	tr, _ := New(DefaultFanout)
+	r := rand.New(rand.NewSource(7))
+	for tr.Size() < 2048 {
+		tr.Insert(key(r.Uint64(), 1), val(1))
+	}
+	tr.RootHash()
+	// Two new keys of one address: nothing lies between them, so they
+	// share a leaf; pick one with room for both, so neither insert splits.
+	var k1, k2 types.CompoundKey
+	internals := 0
+	for {
+		k1 = key(r.Uint64(), 2)
+		k2 = types.CompoundKey{Addr: k1.Addr, Blk: 3}
+		n, l1 := pathTo(tr, k1)
+		_, l2 := pathTo(tr, k2)
+		if l1 == l2 && len(l1.entries)+2 <= tr.fanout {
+			internals = n
+			break
+		}
+	}
+	if internals < 2 {
+		t.Fatalf("path has %d internal nodes, want a tree at least three deep", internals)
+	}
+	tr.Snapshot()
+	// A copied leaf is its struct and its entries; a copied internal node
+	// is its struct, its mins and its children.
+	want := uint64(2 + 3*internals)
+	if got := mallocs(func() { tr.Insert(k1, val(2)) }); got != want {
+		t.Fatalf("first insert after Snapshot: %d allocations, want %d (copies of %d internal nodes and 1 leaf)", got, want, internals)
+	}
+	if got := mallocs(func() { tr.Insert(k2, val(3)) }); got != 0 {
+		t.Fatalf("second insert into the copied leaf: %d allocations, want 0", got)
+	}
+	if v, ok := tr.Get(k2); !ok || v != val(3) {
+		t.Fatal("second insert lost")
+	}
+}
+
+// BenchmarkBlockAfterSnapshot times one L0 block the way the engine pays
+// for it: Snapshot a half-full 4 096-entry tree whose digests are clean,
+// insert 100 random keys, and RootHash. Every op starts from the same
+// frozen tree, so each insert path-copies the shared nodes it reaches,
+// a cost insert benchmarks that never snapshot do not see.
+func BenchmarkBlockAfterSnapshot(b *testing.B) {
+	const blockSize, blocks = 100, 64
+	tr, _ := New(DefaultFanout)
+	r := rand.New(rand.NewSource(1))
+	for tr.Size() < 4096/2 {
+		tr.Insert(key(r.Uint64(), 1), val(1))
+	}
+	tr.RootHash()
+	frozen := tr.Snapshot()
+	keys := make([]types.CompoundKey, blockSize*blocks)
+	for i := range keys {
+		keys[i] = key(r.Uint64(), 2)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// A copy of a frozen tree is a live tree at the frozen generation;
+		// its own Snapshot marks every node shared, as a commit does.
+		live := *frozen
+		live.Snapshot()
+		off := (i % blocks) * blockSize
+		for j, k := range keys[off : off+blockSize] {
+			live.Insert(k, val(uint64(j)))
+		}
+		live.RootHash()
+	}
 }

@@ -10,7 +10,7 @@
 package types
 
 import (
-	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -157,19 +157,22 @@ func DecodeCompoundKey(b []byte) (CompoundKey, error) {
 	return k, nil
 }
 
-// Cmp orders compound keys by (addr, blk), i.e. by their big-integer form.
-// It returns -1, 0, or +1.
+// Cmp orders compound keys by (addr, blk), i.e. by their big-integer form
+// and by the byte order of Bytes. It returns -1, 0, or +1. The address is
+// compared as the big-endian words of bytes 0–7, 8–15 and 16–19, then
+// blk: the order of bytes.Compare on the encodings, without its call, on
+// the hot paths of the L0 tree, the merge heap and run searches.
 func (k CompoundKey) Cmp(o CompoundKey) int {
-	if c := bytes.Compare(k.Addr[:], o.Addr[:]); c != 0 {
+	if c := cmp.Compare(binary.BigEndian.Uint64(k.Addr[0:8]), binary.BigEndian.Uint64(o.Addr[0:8])); c != 0 {
 		return c
 	}
-	switch {
-	case k.Blk < o.Blk:
-		return -1
-	case k.Blk > o.Blk:
-		return 1
+	if c := cmp.Compare(binary.BigEndian.Uint64(k.Addr[8:16]), binary.BigEndian.Uint64(o.Addr[8:16])); c != 0 {
+		return c
 	}
-	return 0
+	if c := cmp.Compare(binary.BigEndian.Uint32(k.Addr[16:20]), binary.BigEndian.Uint32(o.Addr[16:20])); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.Blk, o.Blk)
 }
 
 // Less reports k < o.

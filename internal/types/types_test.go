@@ -83,6 +83,74 @@ func TestCompoundKeyBytesOrderMatchesCmp(t *testing.T) {
 	}
 }
 
+// cmpShapes returns key pairs (lo, hi), lo < hi, that differ only where a
+// word-wise Cmp splits the key. Random addresses almost always differ in
+// their first 8 bytes and never reach the later words.
+//   - One address byte at the first and last position of each word
+//     (bytes 0, 7, 8, 15, 16, 19), with the blocks ordered the other way.
+//   - Two address bytes in neighbouring words pulling opposite ways,
+//     which only comparing the words in order gets right.
+//   - Equal addresses whose blocks differ, including 0 and MaxBlock.
+//
+// The base bytes are 0x7f, so a raised byte crosses the sign bit.
+func cmpShapes() [][2]CompoundKey {
+	var base Address
+	for i := range base {
+		base[i] = 0x7f
+	}
+	var shapes [][2]CompoundKey
+	for _, pos := range []int{0, 7, 8, 15, 16, 19} {
+		hi := base
+		hi[pos]++
+		shapes = append(shapes, [2]CompoundKey{{Addr: base, Blk: MaxBlock}, {Addr: hi, Blk: 0}})
+	}
+	for _, pair := range [][2]int{{7, 8}, {15, 16}, {8, 16}, {0, 19}, {15, 19}} {
+		hi := base
+		hi[pair[0]]++
+		hi[pair[1]]--
+		shapes = append(shapes, [2]CompoundKey{{Addr: base, Blk: 1}, {Addr: hi, Blk: 1}})
+	}
+	for _, blks := range [][2]uint64{{0, 1}, {0, MaxBlock}, {MaxBlock - 1, MaxBlock}, {1<<32 - 1, 1 << 32}, {1<<63 - 1, 1 << 63}} {
+		shapes = append(shapes, [2]CompoundKey{{Addr: base, Blk: blks[0]}, {Addr: base, Blk: blks[1]}})
+	}
+	return shapes
+}
+
+func TestCompoundKeyCmpWords(t *testing.T) {
+	for _, s := range cmpShapes() {
+		lo, hi := s[0], s[1]
+		if bytes.Compare(lo.Bytes(), hi.Bytes()) >= 0 {
+			t.Fatalf("bad shape %x/%d vs %x/%d", lo.Addr, lo.Blk, hi.Addr, hi.Blk)
+		}
+		if lo.Cmp(hi) != -1 || hi.Cmp(lo) != 1 || lo.Cmp(lo) != 0 || hi.Cmp(hi) != 0 {
+			t.Errorf("Cmp(%x/%d, %x/%d) = %d, reverse %d; want -1, 1",
+				lo.Addr, lo.Blk, hi.Addr, hi.Blk, lo.Cmp(hi), hi.Cmp(lo))
+		}
+		if !lo.Less(hi) || hi.Less(lo) {
+			t.Errorf("Less disagrees with Cmp for %x/%d vs %x/%d", lo.Addr, lo.Blk, hi.Addr, hi.Blk)
+		}
+	}
+}
+
+// FuzzCompoundKeyCmp: Cmp is the byte order of the key encodings.
+func FuzzCompoundKeyCmp(f *testing.F) {
+	for _, s := range cmpShapes() {
+		f.Add(s[0].Addr[:], s[0].Blk, s[1].Addr[:], s[1].Blk)
+	}
+	f.Fuzz(func(t *testing.T, a []byte, blkA uint64, b []byte, blkB uint64) {
+		k1, k2 := CompoundKey{Blk: blkA}, CompoundKey{Blk: blkB}
+		copy(k1.Addr[:], a)
+		copy(k2.Addr[:], b)
+		want := bytes.Compare(k1.Bytes(), k2.Bytes())
+		if got := k1.Cmp(k2); got != want {
+			t.Fatalf("Cmp(%x/%d, %x/%d) = %d, bytes.Compare = %d", k1.Addr, k1.Blk, k2.Addr, k2.Blk, got, want)
+		}
+		if got := k2.Cmp(k1); got != -want {
+			t.Fatalf("reverse Cmp = %d, want %d", got, -want)
+		}
+	})
+}
+
 func TestCompoundKeyCmpSameAddrOrdersByBlock(t *testing.T) {
 	a := AddressFromString("x")
 	lo := CompoundKey{Addr: a, Blk: 5}
