@@ -74,7 +74,8 @@ type Value = types.Value
 type Hash = types.Hash
 
 // Options configures a Store; zero values select the paper's defaults
-// (T = 4, m = 4, 4 KiB pages).
+// (B = 4096, T = 4, m = 4). Pages are 4 KiB and Bloom filters target
+// 1 % false positives, as constants.
 type Options = core.Options
 
 // Update is one pending state write of a batch: Addr receives Value at
@@ -284,8 +285,10 @@ type Snapshot = shard.Snapshot
 type ShardStat = shard.ShardStat
 
 // ReshardOptions tunes an offline Reshard; the zero value uses the store
-// defaults. Structural parameters (size ratio, MHT fanout, merge mode)
-// are always inherited from the source store.
+// defaults. It has two fields: the source store's B (MemCapacity), which
+// places the rebuilt runs, and the filesystem (FS). Structural parameters
+// (size ratio, MHT fanout, merge mode) are always inherited from the
+// source store.
 type ReshardOptions = reshard.Options
 
 // ReshardReport summarizes a completed Reshard: entry and byte volume,

@@ -46,12 +46,11 @@ const (
 // the traffic driven through it: partitioning, merge scheduling, and the
 // structural parameters.
 type SystemSpec struct {
-	MemCap    int     // COLE B (entries per L0 group)
-	MemBytes  int     // kvstore write buffer for baselines
-	SizeRatio int     // T
-	Fanout    int     // m
-	BloomFP   float64 // bloom false-positive target
-	Shards    int     // COLE shard count (0/1 = one engine)
+	MemCap    int // COLE B (entries per L0 group)
+	MemBytes  int // kvstore write buffer for baselines
+	SizeRatio int // T
+	Fanout    int // m
+	Shards    int // COLE shard count (0/1 = one engine)
 	// MergeWorkers bounds the shared background merge pool for the COLE
 	// systems (0 = GOMAXPROCS); the budget spans every level of every
 	// shard.
@@ -89,7 +88,6 @@ func (c Config) options(sys System, dir string) cole.Options {
 		MemCapacity:  c.MemCap,
 		SizeRatio:    c.SizeRatio,
 		Fanout:       c.Fanout,
-		BloomFP:      c.BloomFP,
 		AsyncMerge:   sys == SysCOLEAsync,
 		Shards:       c.Shards,
 		MergeWorkers: c.MergeWorkers,

@@ -139,7 +139,7 @@ func isolatedMerge(cfg Config, scratch string) (Result, error) {
 		total = compactionMergeFloor
 	}
 	entries := compactionEntries(cfg, total)
-	params := run.Params{PageSize: 0, Fanout: cfg.Fanout, BloomFP: cfg.BloomFP}
+	params := run.Params{Fanout: cfg.Fanout}
 	ways := cfg.SizeRatio
 	perRun := make([][]types.Entry, ways)
 	for i, e := range entries {

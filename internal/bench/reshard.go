@@ -87,7 +87,7 @@ func reshardOnce(cfg Config, target int, scratch string) (Result, []string, erro
 	}
 
 	// Phase 2: the offline rewrite.
-	rep, err := reshard.Reshard(dir, target, reshard.Options{MemCapacity: cfg.MemCap, BloomFP: cfg.BloomFP})
+	rep, err := reshard.Reshard(dir, target, reshard.Options{MemCapacity: cfg.MemCap})
 	if err != nil {
 		return Result{}, nil, err
 	}

@@ -82,7 +82,10 @@ type Options struct {
 	// MemCapacity is B: the number of entries an in-memory group holds
 	// before it is flushed at the next block commit. Default 4096.
 	// Set by `coledb -memcap`, colebench's scale presets / `-memcap`, and
-	// the examples (small B so a demo cascades).
+	// the examples (small B so a demo cascades). B sets where flushes
+	// fall, and so Hstate: a store must be reopened with the B it was
+	// created with. The manifest does not record B, so nothing checks
+	// this until the format bump of ROADMAP item 8.
 	MemCapacity int
 	// SizeRatio is T: runs per level group before a merge. Default 4
 	// (the paper's default). Set by `coledb -ratio` and colebench's fig13
@@ -91,14 +94,6 @@ type Options struct {
 	// Fanout is m: the Merkle file fanout. Default 4 (the paper's best).
 	// Set by `coledb -fanout` and colebench's fig15 sweep / `-fanout`.
 	Fanout int
-	// PageSize is the disk page size. Default 4096. Only reshard sets it:
-	// a rewrite adopts the page size recorded in the source runs'
-	// metadata for the engines it installs.
-	PageSize int
-	// BloomFP is the per-run Bloom filter false-positive target.
-	// Default 0.01. Set by internal/bench from its Config (one value for
-	// COLE and the baselines' filters).
-	BloomFP float64
 	// AsyncMerge selects COLE* (checkpoint-based asynchronous merge, §5)
 	// over COLE (Algorithm 1) — the paper's comparison. Set by
 	// `coledb -async`, every colebench experiment's COLE* rows, and the
@@ -165,12 +160,6 @@ func (o Options) withDefaults() Options {
 	if o.Fanout == 0 {
 		o.Fanout = 4
 	}
-	if o.PageSize == 0 {
-		o.PageSize = pagefile.DefaultPageSize
-	}
-	if o.BloomFP == 0 {
-		o.BloomFP = 0.01
-	}
 	o.FS = vfs.OrOS(o.FS)
 	return o
 }
@@ -196,9 +185,7 @@ func (o Options) validate() error {
 // (Engine.runParams).
 func (o Options) runParams() run.Params {
 	return run.Params{
-		PageSize:    o.PageSize,
 		Fanout:      o.Fanout,
-		BloomFP:     o.BloomFP,
 		VerifyReads: o.VerifyReads,
 		FS:          o.FS,
 	}
@@ -218,13 +205,9 @@ func (e *Engine) runParams() run.Params {
 // different ones.
 const PageCacheBytes = 1 << 20
 
-// NewPageCache returns a store's page cache for the given page size
-// (0 = the default).
-func NewPageCache(pageSize int) *pagefile.Cache {
-	if pageSize == 0 {
-		pageSize = pagefile.DefaultPageSize
-	}
-	return pagefile.NewCache(pageSize, PageCacheBytes/pageSize)
+// NewPageCache returns a store's page cache.
+func NewPageCache() *pagefile.Cache {
+	return pagefile.NewCache(pagefile.DefaultPageSize, PageCacheBytes/pagefile.DefaultPageSize)
 }
 
 // memGroup is one in-memory L0 group: an MB-tree plus an address Bloom
@@ -240,7 +223,7 @@ func newMemGroup(o Options) *memGroup {
 	if err != nil {
 		panic(err) // the constant fanout is valid by construction
 	}
-	return &memGroup{tree: t, filter: bloom.New(o.MemCapacity, o.BloomFP)}
+	return &memGroup{tree: t, filter: bloom.New(o.MemCapacity, run.BloomFP)}
 }
 
 // mergeState tracks one level's in-flight asynchronous merge.
@@ -524,7 +507,7 @@ func OpenShared(opts Options, sched *merge.Scheduler, cache *pagefile.Cache, sha
 		sched = merge.New(opts.MergeWorkers)
 	}
 	if cache == nil {
-		cache = NewPageCache(opts.PageSize)
+		cache = NewPageCache()
 	}
 	e := &Engine{opts: opts, sched: sched, cache: cache, tr: opts.Trace, shardID: int32(shardIndex)}
 	for i := range e.mem {

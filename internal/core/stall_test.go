@@ -70,15 +70,14 @@ func TestFlushPreemptsChunkedDeepMerge(t *testing.T) {
 
 	// Occupy the only slot with a stand-in for a long deep merge: it
 	// checkpoints (Preempt) in a loop, exactly like a chunked merge's
-	// iterator does between chunks, and exits once a handoff happened.
+	// iterator does between chunks, and exits once a handoff happened —
+	// or, if none ever does, after 10 s, which fails the test below.
 	deepDone := make(chan struct{})
 	deepStarted := make(chan struct{})
 	e.Scheduler().Submit(func() {
 		defer close(deepDone)
 		close(deepStarted)
-		// Bounded spin: the stats assertion below fails the test if the
-		// valve ever runs out without a preemption.
-		for i := 0; i < 200000; i++ {
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
 			if e.Scheduler().Preempt(merge.PriorityDeep, nil) {
 				return
 			}
@@ -114,7 +113,7 @@ func TestFlushPreemptsChunkedDeepMerge(t *testing.T) {
 	}
 	<-deepDone
 	if st := e.Scheduler().Stats(); st.Preempted == 0 {
-		t.Fatal("no preemption recorded although a flush was queued behind a deep job")
+		t.Fatal("no preemption in 10 s although a flush was queued behind the deep job")
 	}
 }
 

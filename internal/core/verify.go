@@ -71,14 +71,7 @@ func VerifyStore(fsys vfs.FS, dir string, fast bool) (findings []run.Finding, no
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
 	for _, id := range ids {
-		params := run.Params{Fanout: m.Fanout, FS: fsys}
-		// The page size is recorded per run, not in the manifest; a
-		// metadata failure here resurfaces from run.Verify with full
-		// attribution, so the probe error itself is dropped.
-		if ps, perr := run.PageSizeOf(fsys, dir, id); perr == nil {
-			params.PageSize = ps
-		}
-		findings = append(findings, run.Verify(dir, id, params, fast)...)
+		findings = append(findings, run.Verify(dir, id, run.Params{Fanout: m.Fanout, FS: fsys}, fast)...)
 	}
 
 	entries, rderr := fsys.ReadDir(dir)

@@ -2,6 +2,7 @@ package crash
 
 import (
 	"errors"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"cole/internal/core"
 	"cole/internal/reshard"
 	"cole/internal/shard"
+	"cole/internal/types"
 	"cole/internal/vfs"
 )
 
@@ -52,7 +54,9 @@ func buildSource(t *testing.T, fs *vfs.MemFS) {
 // provenance proofs, and scrubs clean. An I/O error must also come back
 // from Reshard (only the best-effort cleanup and the closing of source
 // runs may swallow it), and every goroutine the reshard started must
-// have stopped.
+// have stopped. While the old layout is live its digest must be the
+// source store's, and after an I/O error a retried reshard with no
+// fault must succeed and leave nothing but the live layout behind.
 func TestReshardCrashSweep(t *testing.T) {
 	for _, kind := range []string{"CrashAt", "FailAt"} {
 		t.Run(kind, func(t *testing.T) { reshardFaultSweep(t, kind == "FailAt") })
@@ -61,6 +65,16 @@ func TestReshardCrashSweep(t *testing.T) {
 
 func reshardFaultSweep(t *testing.T, ioError bool) {
 	want := finalState()
+	srcRoot := func() types.Hash {
+		fs := vfs.NewMem()
+		buildSource(t, fs)
+		s, err := shard.Open(core.Options{Dir: storeDir, MemCapacity: 8, FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		return s.RootDigest()
+	}()
 
 	// Golden pass: fix the operation index where the reshard starts and
 	// where it ends; the sweep faults at every index in between.
@@ -119,6 +133,9 @@ func reshardFaultSweep(t *testing.T, ioError bool) {
 			if rerr == nil {
 				t.Fatalf("fault at op %d: reshard reported success but the old layout is live", n)
 			}
+			if got := s.RootDigest(); got != srcRoot {
+				t.Fatalf("fault at op %d: the old layout is live with digest %s, want the source's %s", n, got, srcRoot)
+			}
 		case 4:
 			// The flip committed; a post-flip fault only loses cleanup.
 		default:
@@ -161,8 +178,64 @@ func reshardFaultSweep(t *testing.T, ioError bool) {
 		if t.Failed() {
 			t.FailNow()
 		}
+		if ioError {
+			retryAfterFault(t, n, want)
+		}
 	}
 	if ioError && failed == 0 {
 		t.Fatal("no injected fault failed the reshard")
+	}
+}
+
+// retryAfterFault fails a fresh source's 1→4 reshard at operation n, then
+// retries it on the same filesystem with no fault and no reopen in
+// between: the retry must succeed, serve every account, and leave no
+// stale generation directory in the store root. Only if the faulted
+// attempt had already committed may files of the root engine remain:
+// its cleanup is best-effort, and the next open sweeps them. (The
+// reshard's goroutines may interleave differently from the sweep's own
+// attempt, so op n need not be the same operation; it is a fault all the
+// same.)
+func retryAfterFault(t *testing.T, n int64, want map[types.Address]types.Value) {
+	t.Helper()
+	fs := vfs.NewMem()
+	buildSource(t, fs)
+	fs.FailAt(n, nil)
+	_, _ = reshard.Reshard(storeDir, 4, reshard.Options{FS: fs})
+	fs.FailAt(0, nil)
+	_, faultedGen, _, err := shard.PersistedLayout(fs, storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reshard.Reshard(storeDir, 4, reshard.Options{FS: fs}); err != nil {
+		t.Fatalf("fault at op %d: retried reshard: %v", n, err)
+	}
+	_, gen, _, err := shard.PersistedLayout(fs, storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ents, err := fs.ReadDir(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, de := range ents {
+		name := de.Name()
+		if name == "SHARDS" || name == filepath.Base(shard.GenDir(storeDir, gen)) || (faultedGen > 0 && !de.IsDir()) {
+			continue
+		}
+		t.Errorf("fault at op %d: retried reshard left stale entry %q in the store root", n, name)
+	}
+	s, err := shard.Open(core.Options{Dir: storeDir, MemCapacity: 8, FS: fs})
+	if err != nil {
+		t.Fatalf("fault at op %d: reopen after the retry: %v", n, err)
+	}
+	defer s.Close()
+	if s.Shards() != 4 {
+		t.Fatalf("fault at op %d: %d shards after the retry, want 4", n, s.Shards())
+	}
+	for i := 0; i < accounts; i++ {
+		if v, ok, err := s.Get(acct(i)); err != nil || !ok || v != want[acct(i)] {
+			t.Fatalf("fault at op %d: after the retry account %d serves ok=%v err=%v or a wrong value", n, i, ok, err)
+		}
 	}
 }

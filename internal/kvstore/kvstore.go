@@ -27,8 +27,6 @@ type Options struct {
 	MemBytes int
 	// SizeRatio is the tiering factor T (default 4).
 	SizeRatio int
-	// BloomFP is the per-table Bloom false-positive target (default 0.01).
-	BloomFP float64
 }
 
 func (o Options) withDefaults() Options {
@@ -37,9 +35,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SizeRatio == 0 {
 		o.SizeRatio = 4
-	}
-	if o.BloomFP == 0 {
-		o.BloomFP = 0.01
 	}
 	return o
 }
@@ -201,7 +196,7 @@ func (db *DB) flushLocked() error {
 	}
 	id := db.nextID
 	db.nextID++
-	t, err := writeTable(db.opts.Dir, id, recs, db.opts.BloomFP)
+	t, err := writeTable(db.opts.Dir, id, recs)
 	if err != nil {
 		return err
 	}
@@ -303,7 +298,7 @@ func (db *DB) mergeTables(tables []*sstable, dropTombs bool) (*sstable, error) {
 	}
 	id := db.nextID
 	db.nextID++
-	t, err := writeTable(db.opts.Dir, id, out, db.opts.BloomFP)
+	t, err := writeTable(db.opts.Dir, id, out)
 	if err != nil {
 		return nil, err
 	}

@@ -57,12 +57,11 @@ type tableBloom struct {
 	hashes int
 }
 
-func newTableBloom(n int, fp float64) *tableBloom {
+func newTableBloom(n int) *tableBloom {
 	if n < 1 {
 		n = 1
 	}
 	m := uint64(float64(n) * 10) // ~10 bits/key ≈ 1% fp
-	_ = fp
 	if m < 64 {
 		m = 64
 	}
@@ -121,7 +120,7 @@ func unmarshalTableBloom(raw []byte) (*tableBloom, error) {
 }
 
 // writeTable persists sorted records as a new sstable and opens it.
-func writeTable(dir string, id uint64, recs []record, fp float64) (*sstable, error) {
+func writeTable(dir string, id uint64, recs []record) (*sstable, error) {
 	path := tablePath(dir, id)
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -129,7 +128,7 @@ func writeTable(dir string, id uint64, recs []record, fp float64) (*sstable, err
 		return nil, err
 	}
 	w := bufio.NewWriterSize(f, 1<<16)
-	filter := newTableBloom(len(recs), fp)
+	filter := newTableBloom(len(recs))
 
 	var (
 		dataLen int64

@@ -122,7 +122,43 @@ func TestNoFSConstructorTwins(t *testing.T) {
 
 // optionsFieldCount is the size core.Options is held to: a new knob must
 // retire one, or argue its way past this number in review.
-const optionsFieldCount = 13
+const optionsFieldCount = 11
+
+// reshardOptionsFieldCount is the size reshard.Options is held to: the
+// source store's B and the filesystem. Fault injection goes through the
+// filesystem, so a test hook has no place on the public struct.
+const reshardOptionsFieldCount = 2
+
+// optionsFields returns the field names of the Options struct declared
+// in the file at rel (relative to the repository root).
+func optionsFields(t *testing.T, rel string) []string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("..", "..", rel), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		ts, ok := n.(*ast.TypeSpec)
+		if !ok || ts.Name.Name != "Options" {
+			return true
+		}
+		for _, fld := range ts.Type.(*ast.StructType).Fields.List {
+			for _, name := range fld.Names {
+				fields = append(fields, name.Name)
+			}
+		}
+		return false
+	})
+	return fields
+}
+
+// TestReshardOptionsFieldCount pins reshard.Options at its size.
+func TestReshardOptionsFieldCount(t *testing.T) {
+	if fields := optionsFields(t, "internal/reshard/reshard.go"); len(fields) != reshardOptionsFieldCount {
+		t.Errorf("reshard.Options has %d fields, want %d: %v", len(fields), reshardOptionsFieldCount, fields)
+	}
+}
 
 // unsetOptions are the core.Options fields no non-test file outside
 // internal/core sets, each with the reason it stays a field anyway.
@@ -165,23 +201,9 @@ func optionsLiteral(expr ast.Expr) *ast.CompositeLit {
 // entry there that has gained a setter (or lost its field) is stale and
 // fails too.
 func TestOptionsFieldsHaveCallers(t *testing.T) {
-	var fields []string
+	fields := optionsFields(t, "internal/core/core.go")
 	set := map[string]string{} // field → first setter (file:line)
 	walkSources(t, func(rel string, fset *token.FileSet, f *ast.File) {
-		if rel == "internal/core/core.go" {
-			ast.Inspect(f, func(n ast.Node) bool {
-				ts, ok := n.(*ast.TypeSpec)
-				if !ok || ts.Name.Name != "Options" {
-					return true
-				}
-				for _, fld := range ts.Type.(*ast.StructType).Fields.List {
-					for _, name := range fld.Names {
-						fields = append(fields, name.Name)
-					}
-				}
-				return false
-			})
-		}
 		if strings.HasPrefix(rel, "internal/core/") {
 			return
 		}

@@ -28,6 +28,26 @@
 // are checkpoint-based and independent of merge timing by construction
 // (§5), so delaying (or preempting) a job only ever delays its commit
 // checkpoint.
+//
+// # Why the lanes and preemption stay
+//
+// Both were measured against simpler pools on 2 vCPUs. With chunking
+// disabled (lanes kept), 10 alternating pairs of the benchmark's
+// node_mixed workload at seed 42 kept every end-to-end median inside its
+// bound, but commit_p99_us rose 7509 → 8044 µs (+7 %; the pool without
+// preemption was ahead in 4 of 10 pairs, and the IQR with preemption was
+// 1580 µs). One traced run per side showed core.stall_ms 0 → 30.4 and
+// merge.waits 7 → 10, where the pool with preemption had preempted twice. On `colebench -exp stalls
+// -duration 3s` (3 runs per side, COLE* on the one-worker pool), two
+// designs without preemption were worse:
+//   - a slot budget reserved for flushes: p99 4.1–5.0 → 6.3–7.1 ms,
+//     p99.9 7.7–13.1 → 14.0–15.3 ms, stall 36–43 → 52–119 ms;
+//   - one budget per lane: p99.9 10.2–20.4 → 18.6–30.9 ms, stall
+//     26–72 → 65–97 ms.
+//
+// Cooperative preemption is what holds COLE*'s commit tail on a narrow
+// pool, and a narrow pool is the default on a one-core host, where the
+// pool is GOMAXPROCS = 1 wide.
 package merge
 
 import (

@@ -60,7 +60,12 @@ func TestOnWaitReporting(t *testing.T) {
 	var waits atomic.Int64
 	s.Submit(func() { defer wg.Done() }, PriorityFlush, func() { waits.Add(1) })
 	// The queued job reports its wait before blocking on the slot.
+	deadline := time.Now().Add(10 * time.Second)
 	for waits.Load() == 0 {
+		if time.Now().After(deadline) {
+			close(block)
+			t.Fatal("no wait reported after 10 s: the flush job did not queue behind the pool's only (held) slot")
+		}
 		time.Sleep(time.Millisecond)
 	}
 	close(block)

@@ -49,45 +49,22 @@ import (
 	"cole/internal/vfs"
 )
 
-// Install steps, in execution order, as reported to Options.FailPoint.
-const (
-	// StepBuild bulk-builds the destination shard directories from the
-	// routed source runs (entirely inside the build directory; nothing
-	// outside it is touched yet).
-	StepBuild = "build"
-	// StepCommit atomically rewrites the SHARDS file — the point of no
-	// return. Failing before it leaves the original store untouched.
-	StepCommit = "commit"
-	// StepCleanup removes the superseded generation's engine files.
-	// Failing here leaves a fully functional new store plus garbage that
-	// the next open sweeps.
-	StepCleanup = "cleanup"
-)
-
 // Options tunes an offline reshard. The zero value is right for any
-// store: structural parameters (size ratio, MHT fanout, merge mode,
-// page size) are inherited from the source store's manifests and run
-// metadata and cannot be changed here, and concurrency is not a knob: the
-// counting pass walks up to GOMAXPROCS source runs at once, then every
-// destination builds at once while the sources are read through one
-// merge. Memory grows with the target shard count, not the entry count:
-// each destination build holds its Bloom filter and up to about 4 MiB of
-// write buffers, so a reshard to 256 shards of a large store needs about
-// 1 GiB of heap (and the Go GC's headroom on top).
+// store: structural parameters (size ratio, MHT fanout, merge mode) are
+// inherited from the source store's manifests and cannot be changed here,
+// and concurrency is not a knob: the counting pass walks up to GOMAXPROCS
+// source runs at once, then every destination builds at once while the
+// sources are read through one merge. Memory grows with the target shard
+// count, not the entry count: each destination build holds its Bloom
+// filter and up to about 4 MiB of write buffers, so a reshard to 256
+// shards of a large store needs about 1 GiB of heap (and the Go GC's
+// headroom on top).
 type Options struct {
 	// MemCapacity is the source store's B, used only to pick the on-disk
-	// level the bulk-built runs are installed at (0 = 4096).
+	// level the bulk-built runs are installed at (0 = 4096). The manifest
+	// does not record B, so `coledb reshard` always places runs as if
+	// B = 4096 (ROADMAP item 8).
 	MemCapacity int
-	// BloomFP is the Bloom false-positive target for the rebuilt runs
-	// (0 = 0.01).
-	BloomFP float64
-	// FailPoint, when set, is invoked before each install step with the
-	// step name; returning an error aborts the reshard at exactly that
-	// point with no cleanup, simulating a crash. Tests use it to verify
-	// torn reshards leave the store consistent. Nil in production. For
-	// finer-grained crashes (any syscall, torn writes, dropped fsyncs)
-	// inject a fault-carrying FS instead.
-	FailPoint func(step string) error
 	// FS is the filesystem the rewrite runs on. nil (the default) selects
 	// the real filesystem; tests inject fault-carrying implementations
 	// (internal/vfs) to exercise crash consistency at every syscall.
@@ -121,16 +98,6 @@ func (r *Report) MBPerSec() float64 {
 		return 0
 	}
 	return float64(r.Bytes) / (1 << 20) / r.Elapsed.Seconds()
-}
-
-func (o Options) fail(step string) error {
-	if o.FailPoint == nil {
-		return nil
-	}
-	if err := o.FailPoint(step); err != nil {
-		return fmt.Errorf("reshard: aborted at step %q: %w", step, err)
-	}
-	return nil
 }
 
 // Reshard rewrites the store in dir to the given shard count. The store
@@ -225,26 +192,11 @@ func Reshard(dir string, shards int, opts Options) (*Report, error) {
 		return nil, err
 	}
 
-	// Adopt the store's real page geometry from the first run's metadata
-	// (the engine options are not persisted, and requiring the operator
-	// to recall them would make non-default stores unreshardable from
-	// the CLI).
-	pageSize := 0
-adopt:
-	for i, st := range states {
-		for _, id := range st.RunIDs {
-			if pageSize, err = run.PageSizeOf(fsys, srcDirs[i], id); err != nil {
-				return nil, fmt.Errorf("reshard: read run %d of source shard %d: %w", id, i, err)
-			}
-			break adopt
-		}
-	}
-
 	// Open every committed run of every source shard into one list,
 	// directly from the manifests — the engines are never opened, so the
 	// source directories are not mutated (no orphan sweep, no restarted
 	// background merges).
-	params := run.Params{PageSize: pageSize, Fanout: base.Fanout, BloomFP: opts.BloomFP, FS: fsys}
+	params := run.Params{Fanout: base.Fanout, FS: fsys}
 	var runs []*run.Run
 	defer func() {
 		for _, r := range runs {
@@ -289,15 +241,10 @@ adopt:
 	// entry to the destinations, each of which streams its share into one
 	// bottom-level run plus manifest, with the source runs' stored leaf
 	// hashes passed through to the new Merkle files.
-	if err := opts.fail(StepBuild); err != nil {
-		return nil, err
-	}
 	destOpts := core.Options{
 		MemCapacity: opts.MemCapacity,
 		SizeRatio:   base.SizeRatio,
 		Fanout:      base.Fanout,
-		PageSize:    pageSize,
-		BloomFP:     opts.BloomFP,
 		AsyncMerge:  base.Async,
 		FS:          fsys,
 	}
@@ -321,9 +268,6 @@ adopt:
 	}
 
 	// Commit: one atomic (and fsynced) rename flips the live layout.
-	if err := opts.fail(StepCommit); err != nil {
-		return nil, err
-	}
 	if err := shard.InstallManifest(fsys, dir, shards, newGen); err != nil {
 		return nil, fmt.Errorf("reshard: commit: %w", err)
 	}
@@ -331,9 +275,6 @@ adopt:
 	// Cleanup: the superseded generation is garbage now. Best-effort —
 	// the SHARDS file already names the live layout, and the next open
 	// sweeps whatever remains.
-	if err := opts.fail(StepCleanup); err != nil {
-		return nil, err
-	}
 	shard.RemoveGeneration(fsys, dir, gen, n)
 
 	return &Report{

@@ -121,7 +121,7 @@ type summary struct {
 // of tail.
 func writeEntries(src Iterator, count int64, params Params, val *pagefile.Writer, mrk *mht.Writer,
 	keys *pla.Builder, tail func() error) (sum summary, root types.Hash, err error) {
-	sum.filter = bloom.New(int(count), params.BloomFP)
+	sum.filter = bloom.New(int(count), BloomFP)
 	var hashSrc HashedIterator
 	if h, ok := src.(HashedIterator); ok && h.Hashed() {
 		hashSrc = h

@@ -86,11 +86,19 @@ func (s *SliceIterator) Next() (types.Entry, bool) {
 	return e, true
 }
 
+// BloomFP is the false-positive target every run's Bloom filter is sized
+// for, and the engine's L0 group filters too. It is a constant: a run's
+// digest covers its filter bytes, and no manifest records a target.
+const BloomFP = 0.01
+
 // Params configures run construction and opening.
 type Params struct {
-	PageSize int     // disk page size (pagefile.DefaultPageSize if 0)
-	Fanout   int     // MHT fanout m (must be ≥ 2)
-	BloomFP  float64 // bloom false-positive target (0.01 if 0)
+	// PageSize is the disk page size (pagefile.DefaultPageSize if 0).
+	// Stores always use the default; run tests set smaller pages to get
+	// multi-layer indexes at small sizes, and the page-size ablation
+	// sweeps it.
+	PageSize int
+	Fanout   int // MHT fanout m (must be ≥ 2)
 	// Cache is the page cache point reads of the value file go through: a
 	// store hands every run of every engine its one cache. nil gives the
 	// run a private one of pagefile.DefaultCachePages pages, which is what
@@ -108,9 +116,6 @@ type Params struct {
 func (p Params) withDefaults() Params {
 	if p.PageSize == 0 {
 		p.PageSize = pagefile.DefaultPageSize
-	}
-	if p.BloomFP == 0 {
-		p.BloomFP = 0.01
 	}
 	p.FS = vfs.OrOS(p.FS)
 	return p
@@ -164,18 +169,6 @@ func Files(id uint64) []string {
 		baseName(id) + ".mrk",
 		baseName(id) + ".met",
 	}
-}
-
-// PageSizeOf reads the page size a run was built with from its metadata,
-// so offline tools (reshard) can adopt the store's real geometry instead
-// of requiring the operator to recall its creation options. A nil fsys is
-// the real filesystem.
-func PageSizeOf(fsys vfs.FS, dir string, id uint64) (int, error) {
-	m, err := readMeta(vfs.OrOS(fsys), metaPath(dir, id))
-	if err != nil {
-		return 0, err
-	}
-	return m.PageSz, nil
 }
 
 // Open maps an existing run. Failures to read or cross-check any of

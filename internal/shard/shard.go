@@ -244,7 +244,7 @@ func open(opts core.Options, cache *pagefile.Cache) (*Store, error) {
 		sweepStaleGenerations(fsys, opts.Dir, gen)
 	}
 	if cache == nil {
-		cache = core.NewPageCache(opts.PageSize)
+		cache = core.NewPageCache()
 	}
 	s := &Store{opts: opts, n: n, gen: gen, sched: merge.New(opts.MergeWorkers), cache: cache, active: make([]bool, n)}
 	for i := 0; i < n; i++ {

@@ -25,6 +25,12 @@ func TestShardStatsTailCounters(t *testing.T) {
 	defer s.Close()
 	const blocks = 40
 	runBlocks(t, s, 0, blocks, 24, 60)
+	// Join the background merges first: a merge still running between
+	// the store-wide read and the per-engine reads below can preempt in
+	// that gap and make the two disagree.
+	if err := s.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
 
 	st := s.Stats()
 	var sum core.Stats

@@ -350,7 +350,9 @@ func (m *MemFS) mkdirAllLocked(p string) error {
 		return nil
 	}
 	parent := filepath.Dir(p)
-	if _, ok := m.dirs[parent]; !ok {
+	// A parent RemoveAll unlinked keeps its m.dirs node, so reachability,
+	// not presence, decides whether it must be created again.
+	if _, ok := m.dirs[parent]; !ok || !m.entryLiveLocked(parent) {
 		if err := m.mkdirAllLocked(parent); err != nil {
 			return err
 		}

@@ -205,6 +205,15 @@ func TestMemFSRemoveAllAndRecreate(t *testing.T) {
 	if err != nil || len(ents) != 0 {
 		t.Fatalf("recreated dir = %v %v, want empty", ents, err)
 	}
+	// MkdirAll re-links a removed ancestor too, not only the leaf.
+	mustMkdir(t, m, "db/build/shard-00")
+	if err := m.RemoveAll("db/build"); err != nil {
+		t.Fatal(err)
+	}
+	mustMkdir(t, m, "db/build/shard-00")
+	if ents, err := m.ReadDir("db/build"); err != nil || len(ents) != 1 {
+		t.Fatalf("ancestor of a recreated dir = %v %v, want one entry", ents, err)
+	}
 }
 
 func TestWriteFileAtomicDurable(t *testing.T) {
