@@ -75,7 +75,9 @@ type Hash = types.Hash
 
 // Options configures a Store; zero values select the paper's defaults
 // (B = 4096, T = 4, m = 4). Pages are 4 KiB and Bloom filters target
-// 1 % false positives, as constants.
+// 1 % false positives, as constants. L0 has one insert path, the paper's:
+// every update goes into the MB-tree in arrival order (Algorithm 1
+// lines 2–3), through Put or PutBatch alike.
 type Options = core.Options
 
 // Update is one pending state write of a batch: Addr receives Value at

@@ -51,7 +51,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
+	iofs "io/fs"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -114,17 +114,6 @@ type Options struct {
 	// `coledb -merge-workers`, `colebench -merge-workers` (the mergesched
 	// sweep), and `-exp stalls`, which pins a one-worker pool.
 	MergeWorkers int
-	// SortedBatch makes PutBatch bulk-load the L0 MB-tree: the deduped
-	// batch is sorted by address and inserted through the tree's sorted
-	// fast path (one descent per leaf instead of one per key). The tree's
-	// shape — and therefore Hstate — depends on insertion order, so this
-	// is a FORMAT-LEVEL choice: digests differ from first-occurrence
-	// order, the setting is recorded in the manifest, and reopening with
-	// a different value fails. Off by default, and no caller outside the
-	// tests turns it on: it is the faster insert path
-	// (mbtree.insert_sorted_ns vs insert_ns in BENCH_11_layers.json), kept
-	// until a format bump can make it the only one (ROADMAP item 8c).
-	SortedBatch bool
 	// Trace attaches an opt-in lifecycle event tracer: every flush, merge
 	// (start/chunk/preempt/end) and commit phase (stall, manifest write,
 	// view publish/retire) records a typed, timestamped event into the
@@ -300,12 +289,6 @@ type Engine struct {
 	// tests set it, to force maximal checkpoint interleaving.
 	fixedMergeChunk int
 
-	// SortedBatch PutBatch scratch, reused across blocks so the batch
-	// path stays allocation-free (guarded by mu): batchIndex is the dedup
-	// index into entryBuf, the bulk-load staging slice.
-	batchIndex map[types.Address]int
-	entryBuf   []types.Entry
-
 	stats Stats // write-path counters, guarded by mu
 	// Read-path counters are atomics: the lock-free read path must never
 	// acquire mu. mergeWaits is also atomic because it is incremented
@@ -352,8 +335,8 @@ type OpHists struct {
 	// Commit is in-engine commit latency (lock to published view — the
 	// same quantity CommitNanos totals).
 	Commit hist.Hist
-	// PutBatch is the in-lock latency of batched ingest (tree inserts,
-	// after the dedup and sort with SortedBatch).
+	// PutBatch is the in-lock latency of batched ingest (the tree
+	// inserts of one batch).
 	PutBatch hist.Hist
 	// Get covers single point lookups (Get/GetAt, engine or snapshot).
 	Get hist.Hist
@@ -555,11 +538,11 @@ type manifest struct {
 	NextRunID  uint64 `json:"next_run_id"`
 	MemWriting int    `json:"mem_writing"`
 	Async      bool   `json:"async"`
-	// SortedBatch records whether the store's L0 trees were built through
-	// the sorted bulk-load path (Options.SortedBatch). The tree shape —
-	// and so every published Hstate — depends on insertion order, which
-	// makes this a format bit: reopening with the other setting would
-	// replay blocks into digests that no longer match published headers.
+	// SortedBatch is only ever read: older versions set it on stores
+	// whose L0 trees were bulk-loaded in sorted order, a shape this
+	// version no longer builds, so Open refuses such a store (see
+	// loadManifest). Runs never depended on it, so reshard accepts it
+	// and writes a manifest without it.
 	SortedBatch bool         `json:"sorted_batch,omitempty"`
 	SizeRatio   int          `json:"size_ratio"`
 	Fanout      int          `json:"fanout"`
@@ -604,25 +587,82 @@ type levelState struct {
 	Groups  [2][]uint64 `json:"groups"`
 }
 
-func (e *Engine) manifestPath() string { return filepath.Join(e.opts.Dir, "MANIFEST") }
+// manifestPath is the MANIFEST file of the engine directory dir.
+func manifestPath(dir string) string { return filepath.Join(dir, "MANIFEST") }
 
-func (e *Engine) loadManifest() error {
-	raw, err := e.opts.FS.ReadFile(e.manifestPath())
-	if os.IsNotExist(err) {
-		return nil // fresh store
+// readManifest is the one MANIFEST parser: Open, ReadStoreState
+// (reshard) and VerifyStore (fsck) all read through it, so they apply
+// the same checks. A directory without a MANIFEST is a fresh (never
+// cascaded) engine and yields nil, nil. A file that does not parse, or
+// that records T < 2, m < 2 or the same run id twice, fails closed with
+// a *types.ErrCorrupt pinned to the MANIFEST.
+func readManifest(fsys vfs.FS, dir string) (*manifest, error) {
+	path := manifestPath(dir)
+	raw, err := fsys.ReadFile(path)
+	if errors.Is(err, iofs.ErrNotExist) {
+		return nil, nil
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var m manifest
 	if err := json.Unmarshal(raw, &m); err != nil {
-		return fmt.Errorf("core: corrupt manifest: %w", err)
+		ec := types.NewCorrupt(path, -1, fmt.Sprintf("manifest does not parse: %v", err))
+		ec.Err = err
+		return nil, ec
+	}
+	if m.SizeRatio < 2 || m.Fanout < 2 {
+		return nil, types.NewCorrupt(path, -1, fmt.Sprintf("manifest parameters T=%d m=%d out of range", m.SizeRatio, m.Fanout))
+	}
+	seen := make(map[uint64]bool)
+	for li, ls := range m.Levels {
+		for _, ids := range ls.Groups {
+			for _, id := range ids {
+				if seen[id] {
+					return nil, types.NewCorrupt(path, -1, fmt.Sprintf("run %d referenced twice (level %d)", id, li+1))
+				}
+				seen[id] = true
+			}
+		}
+	}
+	return &m, nil
+}
+
+// runIDs lists every run the manifest records, level by level, group 0
+// before group 1.
+func (m *manifest) runIDs() []uint64 {
+	var ids []uint64
+	for _, ls := range m.Levels {
+		ids = append(ids, ls.Groups[0]...)
+		ids = append(ids, ls.Groups[1]...)
+	}
+	return ids
+}
+
+// writeManifestFile is the one MANIFEST writer: it replaces dir's
+// MANIFEST with m atomically and durably (temp fsync + rename + parent
+// directory fsync) and returns the number of bytes written.
+func writeManifestFile(fsys vfs.FS, dir string, m *manifest) (int, error) {
+	raw, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return 0, err
+	}
+	return len(raw), vfs.WriteFileAtomic(fsys, manifestPath(dir), raw, 0o644)
+}
+
+func (e *Engine) loadManifest() error {
+	m, err := readManifest(e.opts.FS, e.opts.Dir)
+	if err != nil {
+		return e.decorateCorrupt(err, 0)
+	}
+	if m == nil {
+		return nil // fresh store
+	}
+	if m.SortedBatch {
+		return fmt.Errorf("core: %s records sorted_batch=true, an L0 insert order this version no longer builds; migrate the store offline with `coledb reshard <current shard count>`", manifestPath(e.opts.Dir))
 	}
 	if m.Async != e.opts.AsyncMerge {
 		return fmt.Errorf("core: store was created with async=%v, reopened with async=%v", m.Async, e.opts.AsyncMerge)
-	}
-	if m.SortedBatch != e.opts.SortedBatch {
-		return fmt.Errorf("core: store was created with sorted_batch=%v, reopened with sorted_batch=%v (L0 digests depend on insertion order)", m.SortedBatch, e.opts.SortedBatch)
 	}
 	if m.SizeRatio != e.opts.SizeRatio || m.Fanout != e.opts.Fanout {
 		return fmt.Errorf("core: store parameters T=%d m=%d do not match requested T=%d m=%d",
@@ -660,21 +700,19 @@ func (e *Engine) loadManifest() error {
 	return nil
 }
 
-// writeManifest persists the current structure atomically and durably
-// (temp fsync + rename + parent directory fsync): the manifest is the
-// store's commit point, so a checkpoint the engine reports is on disk
-// before Commit returns it.
+// writeManifest persists the current structure through writeManifestFile:
+// the manifest is the store's commit point, so a checkpoint the engine
+// reports is on disk before Commit returns it.
 func (e *Engine) writeManifest() error {
 	m := manifest{
-		Height:      e.committed,
-		Replay:      e.checkpoint,
-		NextRunID:   e.nextRunID,
-		MemWriting:  e.memWriting,
-		Async:       e.opts.AsyncMerge,
-		SortedBatch: e.opts.SortedBatch,
-		SizeRatio:   e.opts.SizeRatio,
-		Fanout:      e.opts.Fanout,
-		Roots:       e.rootHistory,
+		Height:     e.committed,
+		Replay:     e.checkpoint,
+		NextRunID:  e.nextRunID,
+		MemWriting: e.memWriting,
+		Async:      e.opts.AsyncMerge,
+		SizeRatio:  e.opts.SizeRatio,
+		Fanout:     e.opts.Fanout,
+		Roots:      e.rootHistory,
 	}
 	for _, lv := range e.levels {
 		ls := levelState{Writing: lv.writing}
@@ -687,14 +725,10 @@ func (e *Engine) writeManifest() error {
 		}
 		m.Levels = append(m.Levels, ls)
 	}
-	raw, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
 	start := time.Now()
-	err = vfs.WriteFileAtomic(e.opts.FS, e.manifestPath(), raw, 0o644)
+	n, err := writeManifestFile(e.opts.FS, e.opts.Dir, &m)
 	if e.tr != nil {
-		e.trace(obs.EvManifest, -1, int64(len(raw)), 0, time.Since(start))
+		e.trace(obs.EvManifest, -1, int64(n), 0, time.Since(start))
 	}
 	return err
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/json"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -591,17 +593,78 @@ func TestOrphanCleanupOnOpen(t *testing.T) {
 	}
 }
 
+// TestCorruptManifestRejected damages a MANIFEST two ways — bytes that
+// do not parse, and a run listed twice — and holds the three readers to
+// one verdict: Open and ReadStoreState (reshard's source read) fail with
+// a typed ErrCorrupt pinned to the MANIFEST, and VerifyStore reports it.
 func TestCorruptManifestRejected(t *testing.T) {
-	opts := testOpts(t, false)
-	e := openEngine(t, opts)
-	o := newOracle()
-	runWorkload(t, e, o, 23, 80, 5, 20)
-	e.Close()
-	if err := os.WriteFile(filepath.Join(opts.Dir, "MANIFEST"), []byte("{broken"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(opts); err == nil {
-		t.Fatal("corrupt manifest must be rejected")
+	for _, c := range []struct {
+		name    string
+		corrupt func(t *testing.T, raw []byte) []byte
+	}{
+		{"unparsable", func(*testing.T, []byte) []byte { return []byte("{broken") }},
+		{"run-listed-twice", func(t *testing.T, raw []byte) []byte {
+			var m manifest
+			if err := json.Unmarshal(raw, &m); err != nil {
+				t.Fatal(err)
+			}
+			for li := range m.Levels {
+				for g, ids := range m.Levels[li].Groups {
+					if len(ids) > 0 {
+						m.Levels[li].Groups[g] = append(ids, ids[0])
+						out, err := json.MarshalIndent(m, "", "  ")
+						if err != nil {
+							t.Fatal(err)
+						}
+						return out
+					}
+				}
+			}
+			t.Fatal("manifest lists no run to repeat")
+			return nil
+		}},
+	} {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			opts := testOpts(t, false)
+			e := openEngine(t, opts)
+			o := newOracle()
+			runWorkload(t, e, o, 23, 80, 5, 20)
+			e.Close()
+			path := filepath.Join(opts.Dir, "MANIFEST")
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, c.corrupt(t, raw), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			pinned := func(op string, err error) {
+				t.Helper()
+				var ec *types.ErrCorrupt
+				if !errors.As(err, &ec) {
+					t.Fatalf("%s: error is not a typed ErrCorrupt: %v", op, err)
+				}
+				if ec.File != path {
+					t.Fatalf("%s: ErrCorrupt names %q, want %q", op, ec.File, path)
+				}
+			}
+			if e2, err := Open(opts); err == nil {
+				e2.Close()
+				t.Fatal("corrupt manifest must be rejected")
+			} else {
+				pinned("Open", err)
+			}
+			_, err = ReadStoreState(nil, opts.Dir)
+			pinned("ReadStoreState", err)
+			findings, _, err := VerifyStore(nil, opts.Dir, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(findings) == 0 || findings[0].File != path {
+				t.Fatalf("VerifyStore findings %v do not name %s", findings, path)
+			}
+		})
 	}
 }
 

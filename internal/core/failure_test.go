@@ -310,7 +310,7 @@ func TestStrayNonRunFilesIgnored(t *testing.T) {
 			t.Fatalf("unrelated file %s was deleted", name)
 		}
 	}
-	if !strings.HasPrefix(filepath.Base(e2.manifestPath()), "MANIFEST") {
+	if !strings.HasPrefix(filepath.Base(manifestPath(e2.opts.Dir)), "MANIFEST") {
 		t.Fatal("sanity")
 	}
 }

@@ -1,11 +1,7 @@
 package core
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	iofs "io/fs"
-	"path/filepath"
 
 	"cole/internal/run"
 	"cole/internal/vfs"
@@ -46,36 +42,28 @@ type StoreState struct {
 }
 
 // ReadStoreState loads an engine directory's manifest from fsys (nil = the
-// real filesystem) without opening the engine. A directory with no
-// manifest (a fresh or never-cascaded engine) yields a zero state with no
-// runs, which is a valid empty source.
+// real filesystem) without opening the engine, through the same reader
+// and checks as Open: a damaged manifest is a *types.ErrCorrupt. A
+// directory with no manifest (a fresh or never-cascaded engine) yields a
+// zero state with no runs, which is a valid empty source.
 func ReadStoreState(fsys vfs.FS, dir string) (*StoreState, error) {
-	raw, err := vfs.OrOS(fsys).ReadFile(filepath.Join(dir, "MANIFEST"))
-	if errors.Is(err, iofs.ErrNotExist) {
-		return &StoreState{}, nil
-	}
+	m, err := readManifest(vfs.OrOS(fsys), dir)
 	if err != nil {
 		return nil, err
 	}
-	var m manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, fmt.Errorf("core: corrupt manifest in %s: %w", dir, err)
+	if m == nil {
+		return &StoreState{}, nil
 	}
-	st := &StoreState{
+	return &StoreState{
 		Exists:    true,
 		Height:    m.Height,
 		Replay:    m.Replay,
 		Async:     m.Async,
 		SizeRatio: m.SizeRatio,
 		Fanout:    m.Fanout,
+		RunIDs:    m.runIDs(),
 		NextRunID: m.NextRunID,
-	}
-	for _, ls := range m.Levels {
-		for g := 0; g < 2; g++ {
-			st.RunIDs = append(st.RunIDs, ls.Groups[g]...)
-		}
-	}
-	return st, nil
+	}, nil
 }
 
 // bulkLevel places a bulk-built run of `count` entries at the on-disk
@@ -122,7 +110,7 @@ func InstallBulkFrom(opts Options, height uint64, count int64, build BuildFunc) 
 	if err := opts.FS.MkdirAll(opts.Dir, 0o755); err != nil {
 		return err
 	}
-	if _, err := opts.FS.Stat(filepath.Join(opts.Dir, "MANIFEST")); err == nil {
+	if _, err := opts.FS.Stat(manifestPath(opts.Dir)); err == nil {
 		return fmt.Errorf("core: %s already holds an engine", opts.Dir)
 	}
 	m := manifest{
@@ -156,13 +144,10 @@ func InstallBulkFrom(opts Options, height uint64, count int64, build BuildFunc) 
 			m.Levels = append(m.Levels, ls)
 		}
 	}
-	raw, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	// Durable replace: a bulk install's manifest is its commit point
-	// (reshard renames the whole tree into place right after this).
-	return vfs.WriteFileAtomic(opts.FS, filepath.Join(opts.Dir, "MANIFEST"), raw, 0o644)
+	// A bulk install's manifest is its commit point (reshard renames the
+	// whole tree into place right after this).
+	_, err := writeManifestFile(opts.FS, opts.Dir, &m)
+	return err
 }
 
 // Entries streams every live entry of the pinned view — the frozen L0

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 	"time"
 
@@ -115,82 +114,4 @@ func TestFlushPreemptsChunkedDeepMerge(t *testing.T) {
 	if st := e.Scheduler().Stats(); st.Preempted == 0 {
 		t.Fatal("no preemption in 10 s although a flush was queued behind the deep job")
 	}
-}
-
-// TestSortedBatchIdentityAndFormat checks the two sides of the sorted
-// bulk-load contract: (1) a SortedBatch engine's digests equal those of
-// an engine fed the same deduped updates through a sequential Put loop
-// in sorted order — the bulk path is a pure speedup over sorted
-// insertion; (2) the setting is a format bit — reopening the store with
-// the other value must fail.
-func TestSortedBatchIdentityAndFormat(t *testing.T) {
-	optsS := testOpts(t, true)
-	optsS.SortedBatch = true
-	es, err := Open(optsS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eo := openEngine(t, testOpts(t, true)) // oracle: sequential sorted Puts
-	const blocks, writes, accounts = 80, 12, 40
-	for h := uint64(1); h <= blocks; h++ {
-		batch := batchFor(h, writes, accounts)
-		// The oracle applies the batch the way the fast path promises to:
-		// last-write-wins dedup, then ascending address order.
-		dedup := map[types.Address]types.Value{}
-		var order []types.Address
-		for _, u := range batch {
-			if _, seen := dedup[u.Addr]; !seen {
-				order = append(order, u.Addr)
-			}
-			dedup[u.Addr] = u.Value
-		}
-		sort.Slice(order, func(i, j int) bool {
-			ki := types.CompoundKey{Addr: order[i], Blk: h}
-			kj := types.CompoundKey{Addr: order[j], Blk: h}
-			return ki.Less(kj)
-		})
-		if err := es.BeginBlock(h); err != nil {
-			t.Fatal(err)
-		}
-		if err := es.PutBatch(batch); err != nil {
-			t.Fatal(err)
-		}
-		if err := eo.BeginBlock(h); err != nil {
-			t.Fatal(err)
-		}
-		for _, a := range order {
-			if err := eo.Put(a, dedup[a]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		rs, err := es.Commit()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ro, err := eo.Commit()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rs != ro {
-			t.Fatalf("block %d: SortedBatch digest %s != sorted sequential-Put digest %s", h, rs, ro)
-		}
-	}
-	if err := es.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	if err := es.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Format check: the manifest records sorted_batch and rejects a
-	// mismatched reopen in either direction.
-	optsMismatch := optsS
-	optsMismatch.SortedBatch = false
-	if _, err := Open(optsMismatch); err == nil {
-		t.Fatal("reopening a sorted_batch store with SortedBatch=false succeeded")
-	}
-	es2, err := Open(optsS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	es2.Close()
 }

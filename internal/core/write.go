@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"cole/internal/mbtree"
@@ -48,18 +47,12 @@ func (e *Engine) Put(addr types.Address, value types.Value) error {
 // Update is one pending state write of a batch (alias of types.Update).
 type Update = types.Update
 
-// PutBatch applies a block's updates under a single lock acquisition.
-//
-// Without SortedBatch it is the Put loop under one lock: every update is
-// inserted in order, and Insert overwrites an existing compound key in
-// place, so a repeated address keeps its first-occurrence position and
-// its last value — PutBatch and looped Put build the same tree and yield
-// byte-identical digests.
-//
-// With SortedBatch, duplicates of an address first collapse to their
-// last write (within a block only the final value of an address matters
-// — the compound key ⟨addr, height⟩ is the same for every one of them),
-// because the sort that follows must not see equal keys.
+// PutBatch applies a block's updates under a single lock acquisition:
+// it is the Put loop under one lock. Every update is inserted in order,
+// and Insert overwrites an existing compound key in place, so a repeated
+// address keeps its first-occurrence position and its last value —
+// PutBatch and looped Put build the same tree and yield byte-identical
+// digests.
 func (e *Engine) PutBatch(updates []Update) error {
 	if len(updates) == 0 {
 		return nil
@@ -71,51 +64,15 @@ func (e *Engine) PutBatch(updates []Update) error {
 		return fmt.Errorf("core: PutBatch outside a block; call BeginBlock first")
 	}
 	g := e.mem[e.memWriting]
-	if e.opts.SortedBatch && len(updates) > 1 {
-		e.putSortedLocked(g, updates)
-	} else {
-		for _, u := range updates {
-			g.tree.Insert(types.CompoundKey{Addr: u.Addr, Blk: e.height}, u.Value)
-			g.filter.Add(u.Addr)
-		}
+	for _, u := range updates {
+		g.tree.Insert(types.CompoundKey{Addr: u.Addr, Blk: e.height}, u.Value)
+		g.filter.Add(u.Addr)
 	}
 	// Puts counts submitted updates (what the workload issued), matching
 	// the sequential-Put accounting.
 	e.stats.Puts += int64(len(updates))
 	e.hists.PutBatch.Record(time.Since(start))
 	return nil
-}
-
-// putSortedLocked is the SortedBatch path, a format-versioned fast path:
-// dedup the updates into the engine's scratch (the caller's batch is not
-// mutated; the scratch is reused across calls to keep the hot path
-// allocation-free once warm), stage them as entries, sort by compound
-// key, and bulk-load the L0 tree through its sorted-insert path (one
-// descent per leaf run instead of one per key). Identical to a
-// sequential Insert loop over the same sorted slice — but NOT to
-// first-occurrence order, which is why the manifest records the setting.
-func (e *Engine) putSortedLocked(g *memGroup, updates []Update) {
-	if e.batchIndex == nil {
-		e.batchIndex = make(map[types.Address]int, len(updates))
-	} else {
-		clear(e.batchIndex)
-	}
-	entries := e.entryBuf[:0]
-	for _, u := range updates {
-		if i, ok := e.batchIndex[u.Addr]; ok {
-			entries[i].Value = u.Value
-			continue
-		}
-		e.batchIndex[u.Addr] = len(entries)
-		entries = append(entries, types.Entry{
-			Key:   types.CompoundKey{Addr: u.Addr, Blk: e.height},
-			Value: u.Value,
-		})
-		g.filter.Add(u.Addr)
-	}
-	e.entryBuf = entries
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Key.Less(entries[j].Key) })
-	g.tree.InsertSorted(entries)
 }
 
 // Commit finalizes the current block: it runs the flush/merge cascade if

@@ -143,7 +143,7 @@ func TestCorruptionMatrix(t *testing.T) {
 					_ = s2.Close()
 					t.Fatalf("reopen succeeded with corrupt %s", k.name)
 				}
-				if k.suffix == ".met" || k.suffix == ".idx" {
+				if k.suffix == ".met" || k.suffix == ".idx" || k.suffix == "MANIFEST" {
 					var ec *types.ErrCorrupt
 					if !errors.As(err, &ec) {
 						t.Fatalf("reopen error for corrupt %s is not typed ErrCorrupt: %v", k.name, err)

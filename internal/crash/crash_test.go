@@ -5,9 +5,9 @@
 // recovers — the reopen succeeds, the durable checkpoint never runs
 // ahead of the chain, replay from the checkpoint reproduces the
 // published digests, proofs verify, and a full integrity scrub comes
-// back clean. The sweep covers {sync, async merge, sorted batch} ×
-// {1, 4 shards}, the reshard generation flip, and the
-// dropped-directory-fsync ("buggy fsync") failure mode.
+// back clean. The sweep covers {sync, async merge} × {1, 4 shards},
+// the reshard generation flip, and the dropped-directory-fsync ("buggy
+// fsync") failure mode.
 package crash
 
 import (
@@ -54,46 +54,29 @@ func finalState() map[types.Address]types.Value {
 	return want
 }
 
-// config is one cell of the sweep matrix. async marks modes whose
-// replayed digests only converge back to the published headers at the
-// reopened manifest height (see shard.TestReplayReproducesHistoricalDigests);
-// for those the sweep asserts the final digest, for the rest every
-// replayed digest.
+// config is one cell of the sweep matrix. async opens the store with
+// AsyncMerge; its replayed digests only converge back to the published
+// headers at the reopened manifest height (see
+// shard.TestReplayReproducesHistoricalDigests), so for it the sweep
+// asserts the final digest, for sync every replayed digest.
 type config struct {
 	name   string
 	shards int
 	async  bool
-	set    func(o *core.Options)
 }
 
 func sweepConfigs() []config {
-	modes := []struct {
-		name  string
-		async bool
-		set   func(o *core.Options)
-	}{
-		{"sync", false, func(o *core.Options) {}},
-		{"async", true, func(o *core.Options) { o.AsyncMerge = true }},
-		{"sorted", false, func(o *core.Options) { o.SortedBatch = true }},
-	}
 	var out []config
-	for _, m := range modes {
+	for _, mode := range []string{"sync", "async"} {
 		for _, n := range []int{1, 4} {
-			out = append(out, config{
-				name:   fmt.Sprintf("%s-shards%d", m.name, n),
-				shards: n,
-				async:  m.async,
-				set:    m.set,
-			})
+			out = append(out, config{name: fmt.Sprintf("%s-shards%d", mode, n), shards: n, async: mode == "async"})
 		}
 	}
 	return out
 }
 
 func openStore(fs *vfs.MemFS, c config) (*shard.Store, error) {
-	o := core.Options{Dir: storeDir, Shards: c.shards, MemCapacity: 8, FS: fs}
-	c.set(&o)
-	return shard.Open(o)
+	return shard.Open(core.Options{Dir: storeDir, Shards: c.shards, MemCapacity: 8, AsyncMerge: c.async, FS: fs})
 }
 
 // goldenRun drives the full workload on a pristine filesystem and
@@ -261,12 +244,10 @@ func TestCheckpointIsDurable(t *testing.T) {
 	var configs []config
 	for _, async := range []bool{false, true} {
 		for _, n := range []int{1, 4} {
-			async := async
 			configs = append(configs, config{
 				name:   fmt.Sprintf("async=%v-shards%d", async, n),
 				shards: n,
 				async:  async,
-				set:    func(o *core.Options) { o.AsyncMerge = async },
 			})
 		}
 	}
@@ -326,8 +307,8 @@ func TestCheckpointIsDurable(t *testing.T) {
 // to the chain tip — lost progress is acceptable, corruption is not.
 func TestDroppedDirSyncRecovery(t *testing.T) {
 	for _, c := range []config{
-		{name: "sync-shards1", shards: 1, set: func(o *core.Options) {}},
-		{name: "async-shards4", shards: 4, async: true, set: func(o *core.Options) { o.AsyncMerge = true }},
+		{name: "sync-shards1", shards: 1},
+		{name: "async-shards4", shards: 4, async: true},
 	} {
 		c := c
 		t.Run(c.name, func(t *testing.T) {

@@ -122,7 +122,7 @@ func TestNoFSConstructorTwins(t *testing.T) {
 
 // optionsFieldCount is the size core.Options is held to: a new knob must
 // retire one, or argue its way past this number in review.
-const optionsFieldCount = 11
+const optionsFieldCount = 10
 
 // reshardOptionsFieldCount is the size reshard.Options is held to: the
 // source store's B and the filesystem. Fault injection goes through the
@@ -164,7 +164,6 @@ func TestReshardOptionsFieldCount(t *testing.T) {
 // internal/core sets, each with the reason it stays a field anyway.
 var unsetOptions = map[string]string{
 	"VerifyReads": "safety check an operator opts into; the corruption-matrix tests turn it on",
-	"SortedBatch": "the faster L0 insert path, a format bit until a version bump makes it the only one (ROADMAP item 8c)",
 }
 
 // isOptionsType reports whether expr spells core.Options or cole.Options

@@ -32,8 +32,7 @@ func sortedBatch(r *rand.Rand, blk uint64, n, universe int) []types.Entry {
 // one tree and replays them entry by entry into another: structure is
 // hash-visible (internal digests commit separator keys), so equal root
 // hashes at every step mean the bulk path built EXACTLY the tree the
-// sequential loop builds — the identity the engine's SortedBatch fast
-// path rests on.
+// sequential loop builds.
 func TestInsertSortedMatchesSequentialInsert(t *testing.T) {
 	for _, fanout := range []int{3, 4, 16} {
 		r := rand.New(rand.NewSource(int64(fanout)))

@@ -216,7 +216,9 @@ func (t *Tree) insert(n node, e types.Entry) (self node, replaced bool, right no
 // appended without splitting (key below the leaf's subtree upper bound,
 // leaf below fanout, key above the leaf's current tail); everything
 // else falls back to Insert and re-descends, so the equivalence holds
-// by construction rather than by re-implementation.
+// by construction rather than by re-implementation. The engine never
+// calls it (every L0 write goes through Insert); outside its own tests,
+// its only caller is the benchmark's mbtree.insert_sorted_ns probe.
 func (t *Tree) InsertSorted(entries []types.Entry) {
 	var leaf *leafNode
 	var upper types.CompoundKey

@@ -1,10 +1,14 @@
 package reshard_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cole/internal/core"
@@ -399,6 +403,59 @@ func TestReshardRefusesBadInput(t *testing.T) {
 	if _, err := reshard.Reshard(dir, shard.MaxShards+1, reshard.Options{}); err == nil {
 		t.Fatal("reshard accepted an oversized shard count")
 	}
+	// A source MANIFEST that lists a run twice fails the one manifest
+	// reader, as it fails Open: typed, before any run is merged.
+	editManifest(t, filepath.Join(dir, "shard-00"), func(m map[string]any) {
+		for _, lv := range m["levels"].([]any) {
+			groups := lv.(map[string]any)["groups"].([]any)
+			if ids := groups[0].([]any); len(ids) > 0 {
+				groups[0] = append(ids, ids[0])
+				return
+			}
+		}
+		t.Fatal("shard-00 lists no run in a writing group")
+	})
+	_, err := reshard.Reshard(dir, 4, reshard.Options{})
+	var ec *types.ErrCorrupt
+	if !errors.As(err, &ec) {
+		t.Fatalf("reshard of a store whose MANIFEST lists a run twice: want a typed ErrCorrupt, got %v", err)
+	}
+}
+
+// editManifest rewrites the engine MANIFEST in dir through edit, as
+// generic JSON.
+func editManifest(t *testing.T, dir string, edit func(m map[string]any)) {
+	t.Helper()
+	path := filepath.Join(dir, "MANIFEST")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	edit(m)
+	if raw, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// exportOf is the store's full export, one "addr blk value" line per
+// entry.
+func exportOf(t *testing.T, s *shard.Store) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if _, err := s.Export(func(a types.Address, blk uint64, v types.Value) error {
+		_, err := fmt.Fprintf(&b, "%s %d %s\n", a, blk, v)
+		return err
+	}); err != nil {
+		t.Fatalf("export: %v", err)
+	}
+	return b.Bytes()
 }
 
 // copyDir clones a store directory (each pinned reshard consumes one).
@@ -437,22 +494,46 @@ func copyDir(t *testing.T, src, dst string) {
 }
 
 // TestReshardCompaction: resharding to the current count is a full
-// compaction — same answers, one run per shard.
+// compaction — same answers and the same export, one run per shard. It
+// is also the migration for a store whose manifests still carry the
+// sorted_batch flag of the removed sorted L0 insert path: Open refuses
+// such a store, and reshard, which reads only runs, rewrites it without
+// the flag.
 func TestReshardCompaction(t *testing.T) {
-	const accounts = 13
-	dir := t.TempDir()
-	buildStore(t, dir, 2, 60, accounts, false)
-	want := snapshotAnswers(t, dir, accounts, false)
-	if _, err := reshard.Reshard(dir, 2, reshard.Options{}); err != nil {
-		t.Fatalf("reshard: %v", err)
+	for _, sortedFlag := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sorted_batch=%v", sortedFlag), func(t *testing.T) {
+			const accounts = 13
+			dir := t.TempDir()
+			buildStore(t, dir, 2, 60, accounts, false)
+			want := snapshotAnswers(t, dir, accounts, false)
+			s := openStore(t, dir, false)
+			wantExport := exportOf(t, s)
+			s.Close()
+			if sortedFlag {
+				for i := 0; i < 2; i++ {
+					editManifest(t, filepath.Join(dir, fmt.Sprintf("shard-%02d", i)), func(m map[string]any) { m["sorted_batch"] = true })
+				}
+				if s, err := shard.Open(buildOpts(dir, 2, false)); err == nil {
+					s.Close()
+					t.Fatal("opened a store whose manifests carry sorted_batch")
+				} else if !strings.Contains(err.Error(), "sorted_batch") {
+					t.Fatalf("open error does not name the sorted_batch flag: %v", err)
+				}
+			}
+			if _, err := reshard.Reshard(dir, 2, reshard.Options{}); err != nil {
+				t.Fatalf("reshard: %v", err)
+			}
+			s = openStore(t, dir, false)
+			defer s.Close()
+			if runs := s.Storage().Runs; runs != 2 {
+				t.Fatalf("compaction left %d runs, want 2 (one per shard)", runs)
+			}
+			diffAnswers(t, "compaction", want, collectAnswers(t, s, accounts))
+			if got := exportOf(t, s); !bytes.Equal(got, wantExport) {
+				t.Fatalf("export changed by the compaction: %d bytes, want %d", len(got), len(wantExport))
+			}
+		})
 	}
-	s := openStore(t, dir, false)
-	defer s.Close()
-	if runs := s.Storage().Runs; runs != 2 {
-		t.Fatalf("compaction left %d runs, want 2 (one per shard)", runs)
-	}
-	got := collectAnswers(t, s, accounts)
-	diffAnswers(t, "compaction", want, got)
 }
 
 // TestReshardRefusesLiveStore: resharding a directory a live store
