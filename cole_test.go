@@ -432,13 +432,12 @@ func TestDBInterface(t *testing.T) {
 				t.Fatal("proof verified against a wrong digest")
 			}
 			// Tamper with the engine proof inside whichever kind came back:
-			// an unsearched component digest, else an L0 tree root.
+			// an unsearched component digest, else a run's Bloom digest.
 			inner := engineProof(t, proof, shards)
 			switch {
 			case len(inner.Unsearched) > 0:
 				inner.Unsearched[0][0] ^= 1
 			case len(inner.Runs) > 0:
-				inner.Runs[0].MHTRoot[0] ^= 1
 				inner.Runs[0].BloomDigest[0] ^= 1
 			default:
 				t.Fatal("proof has no disk component to tamper with")

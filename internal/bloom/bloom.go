@@ -4,8 +4,8 @@
 // membership probe answers "does this run contain any version of addr?"
 // (the paper's first design consideration). False positives are tolerated:
 // a hit falls through to the normal run search. The filter's digest is
-// folded into the run's root hash so that non-membership can be proven
-// during provenance queries (§4, Bloom-filter discussion).
+// folded into the run digest (§4), so Hstate binds it; provenance proofs
+// carry that digest but never the filter, and prove absence with spans.
 package bloom
 
 import (
@@ -132,14 +132,12 @@ func (f *Filter) Entries() uint64 { return binary.BigEndian.Uint64(f.data[entrie
 func (f *Filter) Bits() uint64 { return f.nbits }
 
 // Digest hashes the filter contents; it is combined with the run's Merkle
-// root when computing the state root digest so verifiers can authenticate
-// non-membership answers.
+// root into the run digest that Hstate binds.
 func (f *Filter) Digest() types.Hash { return types.HashData(f.data) }
 
-// Marshal serializes the filter (stored in the run's metadata file, and
-// disclosed whole in Bloom non-membership proofs). The result is a
-// caller-owned copy: it never aliases the live filter, so a caller may
-// keep or mutate it freely.
+// Marshal serializes the filter (stored in the run's metadata file). The
+// result is a caller-owned copy: it never aliases the live filter, so a
+// caller may keep or mutate it freely.
 func (f *Filter) Marshal() []byte { return append([]byte(nil), f.data...) }
 
 // Unmarshal wraps a filter serialized by Marshal after validating its

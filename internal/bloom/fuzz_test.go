@@ -14,7 +14,7 @@ import (
 
 // builtRunFilter returns the Bloom bytes of a run built the way the
 // engine builds one (several versions per address, so the AddRepeat path
-// contributes) — the bytes a Bloom non-membership proof discloses.
+// contributes) — the bytes run.Open decodes from a run's .met file.
 func builtRunFilter(f *testing.F) []byte {
 	var entries []types.Entry
 	for a := uint64(0); a < 300; a++ {
@@ -34,9 +34,10 @@ func builtRunFilter(f *testing.F) []byte {
 	return r.BloomBytes()
 }
 
-// FuzzUnmarshal feeds arbitrary bytes to the decoder a provenance
-// verifier runs on attacker-supplied input. Whatever it accepts must be
-// canonical (Marshal returns the input) and safe to probe and clone.
+// FuzzUnmarshal feeds arbitrary bytes to the decoder run.Open runs on
+// the filter bytes of a .met file read from disk, which damage may have
+// changed. Whatever it accepts must be canonical (Marshal returns the
+// input) and safe to probe and clone.
 func FuzzUnmarshal(f *testing.F) {
 	overflow := make([]byte, 24) // nbits=2^64-1: the word count wraps to 0
 	binary.BigEndian.PutUint64(overflow[0:8], math.MaxUint64)

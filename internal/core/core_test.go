@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"cole/internal/run"
 	"cole/internal/types"
 )
 
@@ -390,20 +391,22 @@ func TestProvEarlyStopProducesUnsearched(t *testing.T) {
 		}
 	}
 	if !hasEvidence {
-		// Construct a lying proof: claim everything after L0 unsearched.
+		// Construct a lying proof: claim everything after L0 unsearched,
+		// under each run's true digest, so the digests still chain to
+		// Hstate and only the missing early-stop evidence can reject it.
 		var digests []types.Hash
-		for _, rp := range proof2.Runs {
-			if rp.BloomMiss {
-				bd := types.HashData(rp.BloomBytes)
-				digests = append(digests, types.HashData(rp.MHTRoot[:], bd[:]))
-			} else if rp.Prov != nil && rp.Prov.Proof != nil {
-				digests = append(digests, types.Hash{}) // placeholder; digest chain will fail anyway
+		for i, rp := range proof2.Runs {
+			mhtRoot, _, err := run.ReconstructProv(types.AddressFromUint64(1), 2, 3, rp.Prov)
+			if err != nil {
+				t.Fatalf("run part %d: %v", i, err)
 			}
+			digests = append(digests, types.HashData(mhtRoot[:], rp.BloomDigest[:]))
 		}
 		proof2.Runs = nil
 		proof2.Unsearched = append(digests, proof2.Unsearched...)
-		if _, err := VerifyProv(root, types.AddressFromUint64(1), 2, 3, proof2); err == nil {
-			t.Fatal("skipping components without evidence must fail")
+		_, err := VerifyProv(root, types.AddressFromUint64(1), 2, 3, proof2)
+		if err == nil || !strings.Contains(err.Error(), "early-stop evidence") {
+			t.Fatalf("skipping components without evidence must fail for that reason, got %v", err)
 		}
 	}
 }

@@ -25,9 +25,9 @@ type provCase struct {
 }
 
 // provCases builds a small sync store and a small async one and records
-// proofs whose shapes cover the verifier's branches: searched spans, a
-// Bloom non-membership part, early-stop Unsearched digests, and one and
-// two L0 parts.
+// proofs whose shapes cover the verifier's branches: spans with results,
+// spans proving an absent address absent, early-stop Unsearched digests,
+// and one and two L0 parts.
 func provCases(f *testing.F) []provCase {
 	f.Helper()
 	hot := types.AddressFromUint64(999)
@@ -81,8 +81,10 @@ func provCases(f *testing.F) []provCase {
 	searched := func(p *Proof) bool {
 		return slices.ContainsFunc(p.Runs, func(rp RunPart) bool { return rp.Prov != nil && len(rp.Prov.Results) > 0 })
 	}
-	bloomMiss := func(p *Proof) bool {
-		return slices.ContainsFunc(p.Runs, func(rp RunPart) bool { return rp.BloomMiss })
+	absent := func(p *Proof) bool {
+		return len(p.Runs) > 0 && !slices.ContainsFunc(p.Runs, func(rp RunPart) bool {
+			return rp.Prov == nil || len(rp.Prov.Span) == 0 || len(rp.Prov.Results) > 0
+		})
 	}
 
 	e, o := build(false)
@@ -90,7 +92,7 @@ func provCases(f *testing.F) []provCase {
 		f.Fatal(err)
 	}
 	add("sync-span", e, o, types.AddressFromUint64(3), 1, 150, func(p *Proof) bool { return len(p.Mem) == 1 && searched(p) })
-	add("sync-bloom-miss", e, o, types.AddressFromUint64(1<<40), 1, 150, func(p *Proof) bool { return bloomMiss(p) })
+	add("sync-absent", e, o, types.AddressFromUint64(1<<40), 1, 150, absent)
 	add("sync-early-stop", e, o, hot, 120, 130, func(p *Proof) bool { return len(p.Unsearched) > 0 && searched(p) })
 
 	e, o = build(true)
@@ -199,7 +201,7 @@ func (mu *mutator) step() bool {
 	if i := mu.pick(len(parts)); i >= 0 {
 		part = parts[i]
 	}
-	switch mu.byte() % 11 {
+	switch mu.byte() % 10 {
 	case 0: // a span entry
 		if part != nil {
 			if i := mu.pick(len(part.Prov.Span)); i >= 0 {
@@ -216,29 +218,14 @@ func (mu *mutator) step() bool {
 				}
 			}
 		}
-	case 2: // a Bloom filter byte
-		var misses []*RunPart
-		for i := range p.Runs {
-			if p.Runs[i].BloomMiss {
-				misses = append(misses, &p.Runs[i])
-			}
-		}
-		if i := mu.pick(len(misses)); i >= 0 {
-			mu.flip(misses[i].BloomBytes)
-		}
-	case 3: // a run's MHT root or Bloom digest, or an Unsearched digest
+	case 2: // a run's Bloom digest, or an Unsearched digest
 		switch {
 		case mu.byte()%2 == 0 && len(p.Unsearched) > 0:
 			mu.flip(p.Unsearched[mu.pick(len(p.Unsearched))][:])
 		case len(p.Runs) > 0:
-			rp := &p.Runs[mu.pick(len(p.Runs))]
-			if rp.BloomMiss {
-				mu.flip(rp.MHTRoot[:])
-			} else {
-				mu.flip(rp.BloomDigest[:])
-			}
+			mu.flip(p.Runs[mu.pick(len(p.Runs))].BloomDigest[:])
 		}
-	case 4: // an L0 node: a pruned digest, a leaf entry or a separator
+	case 3: // an L0 node: a pruned digest, a leaf entry or a separator
 		nodes := mu.l0Nodes()
 		if i := mu.pick(len(nodes)); i >= 0 {
 			n := nodes[i]
@@ -255,7 +242,7 @@ func (mu *mutator) step() bool {
 				c.MinKey, _ = types.DecodeCompoundKey(raw[:])
 			}
 		}
-	case 5: // a number: the query's heights, or a part's geometry
+	case 4: // a number: the query's heights, or a part's geometry
 		switch field := mu.byte() % 8; {
 		case field == 0:
 			p.BlkLo = uint64(mu.value(int64(p.BlkLo)))
@@ -275,7 +262,7 @@ func (mu *mutator) step() bool {
 		default:
 			part.Prov.SpanHi = mu.value(part.Prov.SpanHi)
 		}
-	case 6: // drop a part
+	case 5: // drop a part
 		switch mu.byte() % 3 {
 		case 0:
 			if i := mu.pick(len(p.Mem)); i >= 0 {
@@ -290,7 +277,7 @@ func (mu *mutator) step() bool {
 				p.Unsearched = slices.Delete(p.Unsearched, i, i+1)
 			}
 		}
-	case 7: // duplicate a part
+	case 6: // duplicate a part
 		switch mu.byte() % 3 {
 		case 0:
 			if i := mu.pick(len(p.Mem)); i >= 0 {
@@ -305,7 +292,7 @@ func (mu *mutator) step() bool {
 				p.Unsearched = slices.Insert(p.Unsearched, i, p.Unsearched[i])
 			}
 		}
-	case 8: // swap two parts
+	case 7: // swap two parts
 		switch mu.byte() % 3 {
 		case 0:
 			if i, j := mu.pick(len(p.Mem)), mu.pick(len(p.Mem)); i >= 0 {
@@ -320,7 +307,7 @@ func (mu *mutator) step() bool {
 				p.Unsearched[i], p.Unsearched[j] = p.Unsearched[j], p.Unsearched[i]
 			}
 		}
-	case 10: // drop a span's end entry and fold its leaf into the siblings
+	case 9: // drop a span's end entry and fold its leaf into the siblings
 		if part != nil {
 			mu.shrink(part.Prov)
 		}
@@ -384,7 +371,7 @@ func (mu *mutator) shrink(res *run.ProvResult) {
 }
 
 // FuzzVerifyProv mutates honest provenance proofs — span entries, sibling
-// hashes, Bloom bytes, MHT roots, L0 nodes, heights and span geometry,
+// hashes, Bloom and Unsearched digests, L0 nodes, heights and span geometry,
 // the order and multiplicity of parts and sibling layers, and spans cut
 // short under a still-valid Merkle proof — and holds
 // the verifier to fail closed: it never panics, and whenever it accepts,
@@ -393,9 +380,12 @@ func FuzzVerifyProv(f *testing.F) {
 	cases := provCases(f)
 	for c := range cases {
 		f.Add([]byte{byte(c)}) // the honest proof itself
-		for op := byte(0); op < 11; op++ {
+		for op := byte(0); op < 10; op++ {
 			f.Add([]byte{byte(c), 0, op, 1, 2, 3, 4, 5})
 		}
+		// The op 9 seed above cuts a span's right end; cut its left end
+		// too, since an absent address's span is its two flanks alone.
+		f.Add([]byte{byte(c), 0, 9, 0})
 	}
 	var seed [8]byte
 	binary.BigEndian.PutUint64(seed[:], 0x0102030405060708)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-	"math"
 	"runtime"
 	"testing"
 
@@ -85,10 +83,10 @@ func flipAll(b []byte) {
 }
 
 // TestProofDoesNotAliasEngineState: a proof is the caller's to keep or
-// mutate. Inverting every byte of every slice it carries — above all the
-// Bloom bytes of a non-membership part, which are a copy of the filter
-// the read path probes — must leave the engine answering and proving
-// exactly as before.
+// mutate. Inverting every byte of every slice it carries — spans, range
+// proof siblings, L0 nodes — must leave the engine answering and proving
+// exactly as before. The absent address's proof has a span in every run
+// part: absence is proven by flanking entries, never by a filter.
 func TestProofDoesNotAliasEngineState(t *testing.T) {
 	for _, async := range []bool{false, true} {
 		e := openEngine(t, testOpts(t, async))
@@ -109,10 +107,17 @@ func TestProofDoesNotAliasEngineState(t *testing.T) {
 			if _, err := VerifyProv(root, addr, 1, 200, proof); err != nil {
 				t.Fatalf("async=%v: honest proof must verify: %v", async, err)
 			}
-			bloomParts := scribble(proof)
-			if addr == absent && bloomParts == 0 {
-				t.Fatalf("async=%v: absent address produced no Bloom non-membership part", async)
+			if addr == absent {
+				if len(proof.Runs) == 0 {
+					t.Fatalf("async=%v: absent address's proof searched no run", async)
+				}
+				for i, rp := range proof.Runs {
+					if rp.Prov == nil || len(rp.Prov.Span) == 0 || len(rp.Prov.Results) != 0 {
+						t.Fatalf("async=%v: absent address's run part %d is not an empty-handed span", async, i)
+					}
+				}
 			}
+			scribble(proof)
 
 			got, fresh, err := e.ProvQuery(addr, 1, 200)
 			if err != nil {
@@ -135,9 +140,8 @@ func TestProofDoesNotAliasEngineState(t *testing.T) {
 	}
 }
 
-// scribble inverts every byte of every slice the proof carries and
-// returns how many Bloom non-membership parts it held.
-func scribble(proof *Proof) (bloomParts int) {
+// scribble inverts every byte of every slice the proof carries.
+func scribble(proof *Proof) {
 	flipEntries := func(es []types.Entry) {
 		for i := range es {
 			flipAll(es[i].Key.Addr[:])
@@ -168,10 +172,6 @@ func scribble(proof *Proof) (bloomParts int) {
 	}
 	for i := range proof.Runs {
 		rp := &proof.Runs[i]
-		if rp.BloomMiss {
-			bloomParts++
-		}
-		flipAll(rp.BloomBytes)
 		if rp.Prov == nil {
 			continue
 		}
@@ -185,38 +185,62 @@ func scribble(proof *Proof) (bloomParts int) {
 		}
 	}
 	flipHashes(proof.Unsearched)
-	return bloomParts
 }
 
-// TestVerifyProvRejectsOverflowingBloomHeader: a Bloom non-membership
-// part whose 24-byte header claims nbits = 2^64-1 used to be accepted
-// with an empty bit array (the word count wrapped to 0) and the probe
-// then indexed out of range. The verifier runs on untrusted input: it
-// must return an error.
-func TestVerifyProvRejectsOverflowingBloomHeader(t *testing.T) {
+// TestVerifyProvRejectsAbsenceWithoutSpan: every searched run must prove
+// an absent address absent with a span whose flanking entries leave no
+// room for a version. A run part with no span, or with its span cut to
+// one entry under a recomputed (still valid) Merkle proof, must fail.
+func TestVerifyProvRejectsAbsenceWithoutSpan(t *testing.T) {
 	e := openEngine(t, testOpts(t, false))
 	o := newOracle()
 	root := runWorkload(t, e, o, 22, 100, 5, 20)
-	addr := types.AddressFromUint64(1 << 41) // absent: every run answers with its filter
-	_, proof, err := e.ProvQuery(addr, 1, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crafted := make([]byte, 24)
-	binary.BigEndian.PutUint64(crafted[0:8], math.MaxUint64)
-	binary.BigEndian.PutUint64(crafted[8:16], 3)
-	replaced := false
-	for i := range proof.Runs {
-		if proof.Runs[i].BloomMiss {
-			proof.Runs[i].BloomBytes = crafted
-			replaced = true
-			break
+	addr := types.AddressFromUint64(1 << 41)
+	query := func() *Proof {
+		t.Helper()
+		got, proof, err := e.ProvQuery(addr, 1, 100)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if len(got) != 0 || len(proof.Runs) == 0 {
+			t.Fatalf("absent address: %d versions over %d run parts", len(got), len(proof.Runs))
+		}
+		if v, err := VerifyProv(root, addr, 1, 100, proof); err != nil || len(v) != 0 {
+			t.Fatalf("honest absence proof: %d versions, %v", len(v), err)
+		}
+		return proof
 	}
-	if !replaced {
-		t.Fatal("query produced no Bloom non-membership part to tamper with")
-	}
-	if _, err := VerifyProv(root, addr, 1, 100, proof); err == nil {
-		t.Fatal("crafted Bloom header must be rejected")
+
+	// Nothing commits from here on, so every query sees this view, and
+	// with no early stop its run i is run part i.
+	v := e.acquireView()
+	defer v.release()
+	for i := range query().Runs {
+		proof := query()
+		proof.Runs[i].Prov = nil
+		if _, err := VerifyProv(root, addr, 1, 100, proof); err == nil {
+			t.Fatalf("run part %d without a span verified", i)
+		}
+		// Keep either flank alone under its own, well-formed proof.
+		for _, side := range []string{"left", "right"} {
+			proof = query()
+			res := proof.Runs[i].Prov
+			if len(res.Span) < 2 {
+				break // the address sorts before or after the whole run
+			}
+			keep := res.SpanLo
+			if side == "right" {
+				keep = res.SpanHi
+			}
+			cut, err := v.runs[i].r.ProveRange(keep, keep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.Span = res.Span[keep-res.SpanLo : keep-res.SpanLo+1]
+			res.SpanLo, res.SpanHi, res.Proof = keep, keep, cut
+			if _, err := VerifyProv(root, addr, 1, 100, proof); err == nil {
+				t.Fatalf("run part %d with its span cut to its %s flank verified", i, side)
+			}
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"cole/internal/bloom"
 	"cole/internal/mbtree"
 	"cole/internal/run"
 	"cole/internal/types"
@@ -42,17 +41,19 @@ type MemPart struct {
 	Proof *mbtree.Proof
 }
 
-// RunPart authenticates one on-disk run's contribution: either a searched
-// span, or a Bloom-filter non-membership disclosure.
+// RunPart authenticates one searched on-disk run's contribution: a span
+// of the run's entries with its Merkle range proof, which proves the
+// run's versions in range and, through its flanking entries, that there
+// are no others — also when the run holds none. The run's Bloom filter
+// is never disclosed (a departure from the paper's footnote 1).
 type RunPart struct {
-	// BloomMiss: the address is provably absent. BloomBytes is the
-	// serialized filter and MHTRoot the run's Merkle root; together they
-	// reconstruct the run digest while MayContain(addr) = false proves
-	// absence (the paper's footnote 1).
-	BloomMiss  bool
-	BloomBytes []byte
-	MHTRoot    types.Hash
-	// Searched span: Prov carries entries + MHT range proof; BloomDigest
+	// Deprecated: nothing sets or reads BloomMiss or MHTRoot, and the
+	// verifier ignores them. They go in the next harness change (ROADMAP
+	// item 6e), with the second loop of the benchmark's tamper, which
+	// still names them.
+	BloomMiss bool
+	MHTRoot   types.Hash
+	// Prov carries the span and its MHT range proof; BloomDigest
 	// completes the run digest H(mht_root ‖ bloom_digest).
 	BloomDigest types.Hash
 	Prov        *run.ProvResult
@@ -76,10 +77,6 @@ func (p *Proof) Size() int {
 		}
 	}
 	for _, rp := range p.Runs {
-		if rp.BloomMiss {
-			s += len(rp.BloomBytes) + types.HashSize
-			continue
-		}
 		s += types.HashSize // bloom digest
 		if rp.Prov != nil {
 			s += len(rp.Prov.Span)*types.EntrySize + 24
@@ -108,8 +105,8 @@ func (e *Engine) ProvQuery(addr types.Address, blkLo, blkHi uint64) ([]Version, 
 // resulting proof reconstructs exactly the view's root digest: frozen L0
 // snapshots yield the MB-tree parts, and the view's run list (pinned by
 // reference counts, so a concurrent merge cannot delete the files) yields
-// the searched spans, Bloom non-membership disclosures, and early-stop
-// digests.
+// one searched span per run until an early stop, then the digests of the
+// runs left unsearched.
 func (e *Engine) provInView(v *view, addr types.Address, blkLo, blkHi uint64) ([]Version, *Proof, error) {
 	if blkHi < blkLo {
 		return nil, nil, fmt.Errorf("core: inverted block range [%d,%d]", blkLo, blkHi)
@@ -127,7 +124,6 @@ func (e *Engine) provInView(v *view, addr types.Address, blkLo, blkHi uint64) ([
 	}
 	var versions []Version
 	stopped := false
-	probe := bloom.NewProbe(addr)
 
 	for _, m := range v.mems {
 		entries, p, err := m.tree.ProveRange(kl, ku)
@@ -154,17 +150,9 @@ func (e *Engine) provInView(v *view, addr types.Address, blkLo, blkHi uint64) ([
 			proof.Unsearched = append(proof.Unsearched, r.Digest())
 			continue
 		}
-		res, err := r.ProvSearchProbe(probe, addr, blkLo, blkHi)
+		res, err := r.ProvSearch(addr, blkLo, blkHi)
 		if err != nil {
 			return nil, nil, e.noteCorrupt(err)
-		}
-		if res.BloomMiss {
-			proof.Runs = append(proof.Runs, RunPart{
-				BloomMiss:  true,
-				BloomBytes: r.BloomBytes(),
-				MHTRoot:    r.MHTRoot(),
-			})
-			continue
 		}
 		proof.Runs = append(proof.Runs, RunPart{BloomDigest: r.BloomDigest(), Prov: res})
 		for _, ent := range res.Results {
@@ -233,17 +221,6 @@ func VerifyProv(hstate types.Hash, addr types.Address, blkLo, blkHi uint64, proo
 		}
 	}
 	for i, rp := range proof.Runs {
-		if rp.BloomMiss {
-			f, err := bloom.Unmarshal(rp.BloomBytes)
-			if err != nil {
-				return nil, fmt.Errorf("core: run part %d: %w", i, err)
-			}
-			if f.MayContain(addr) {
-				return nil, fmt.Errorf("core: run part %d claims a bloom miss but the filter admits the address", i)
-			}
-			digests = append(digests, run.Digest(rp.MHTRoot, rp.BloomBytes))
-			continue
-		}
 		if rp.Prov == nil {
 			return nil, fmt.Errorf("core: run part %d missing provenance result", i)
 		}

@@ -439,7 +439,14 @@ func VerifyRange(proof *RangeProof, leaves []types.Hash) (types.Hash, error) {
 	for i := range leaves {
 		cur = append(cur, leaves[i][:]...)
 	}
-	var span []byte
+	// A layer's covered nodes are its siblings plus at most the leaves
+	// (cur only shrinks going up), so span is sized once from what the
+	// proof carries — never from its untrusted N or M.
+	widest := 0
+	for layer := range layers {
+		widest = max(widest, len(proof.Left[layer])+len(proof.Right[layer]))
+	}
+	span := make([]byte, 0, len(cur)+widest*types.HashSize)
 	count, l, h := proof.N, proof.Lo, proof.Hi
 	for layer := 0; layer < layers; layer++ {
 		start, end := boundaryGroups(count, m, l, h)

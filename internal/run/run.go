@@ -291,9 +291,9 @@ func (r *Run) MayContain(addr types.Address) bool { return r.filter.MayContain(a
 // for the whole run list.
 func (r *Run) MayContainProbe(p bloom.Probe) bool { return r.filter.MayContainProbe(p) }
 
-// BloomBytes returns the serialized Bloom filter (for non-membership
-// proofs). The result is a caller-owned copy of the resident bytes: a
-// proof never aliases the filter the read path probes.
+// BloomBytes returns the serialized Bloom filter, the bytes BloomDigest
+// hashes; tests use it as the reference for the run digest. The result
+// is a caller-owned copy of the resident bytes.
 func (r *Run) BloomBytes() []byte { return r.filter.Marshal() }
 
 // Digest returns the run's contribution to root_hash_list:
@@ -301,7 +301,8 @@ func (r *Run) BloomBytes() []byte { return r.filter.Marshal() }
 // Computed once when the run was opened.
 func (r *Run) Digest() types.Hash { return r.digest }
 
-// Digest recomputes a run digest from its components (verifier side).
+// Digest recomputes a run digest from its components, the reference
+// Run.Digest is checked against.
 func Digest(mhtRoot types.Hash, bloomBytes []byte) types.Hash {
 	bd := types.HashData(bloomBytes)
 	return types.HashData(mhtRoot[:], bd[:])

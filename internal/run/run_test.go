@@ -1,6 +1,7 @@
 package run
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"os"
@@ -299,9 +300,6 @@ func TestProvSearchBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.BloomMiss {
-		t.Fatal("address is present; bloom must not miss")
-	}
 	if len(res.Results) != 3 { // blocks 10, 15, 20
 		t.Fatalf("got %d results, want 3", len(res.Results))
 	}
@@ -318,6 +316,50 @@ func TestProvSearchBasic(t *testing.T) {
 	for i, blk := range []uint64{10, 15, 20} {
 		if verified[i].Key.Blk != blk {
 			t.Fatalf("result %d blk %d, want %d", i, verified[i].Key.Blk, blk)
+		}
+	}
+
+	// An address the run does not hold is proven absent by the span of
+	// its two flanking entries: the lower address's newest version and
+	// the higher one's oldest.
+	lower, higher := addr, other
+	if bytes.Compare(higher[:], lower[:]) < 0 {
+		lower, higher = higher, lower
+	}
+	var absent types.Address
+	for a := uint64(100); bytes.Compare(absent[:], lower[:]) <= 0 || bytes.Compare(absent[:], higher[:]) >= 0; a++ {
+		absent = types.AddressFromUint64(a)
+	}
+	fresh := func() *ProvResult {
+		res, err := r.ProvSearch(absent, 10, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	res = fresh()
+	if len(res.Span) != 2 || res.Span[0].Key != (types.CompoundKey{Addr: lower, Blk: 25}) || res.Span[1].Key != (types.CompoundKey{Addr: higher, Blk: 5}) {
+		t.Fatalf("absent address: span %v, want its two flanking entries", res.Span)
+	}
+	if len(res.Results) != 0 || res.StopEarly {
+		t.Fatalf("absent address: %d results, StopEarly %v", len(res.Results), res.StopEarly)
+	}
+	if verified, err := VerifyProv(r.MHTRoot(), absent, 10, 20, res); err != nil || len(verified) != 0 {
+		t.Fatalf("absent address: verified %d versions, %v", len(verified), err)
+	}
+	// Dropping either flank under a recomputed, valid Merkle proof leaves
+	// room for a hidden version and must fail.
+	for _, keep := range []int{0, 1} {
+		res = fresh()
+		pos := res.SpanLo + int64(keep)
+		proof, err := r.ProveRange(pos, pos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Span = res.Span[keep : keep+1]
+		res.SpanLo, res.SpanHi, res.Proof = pos, pos, proof
+		if _, err := VerifyProv(r.MHTRoot(), absent, 10, 20, res); err == nil {
+			t.Fatalf("absence span cut to entry %d verified", keep)
 		}
 	}
 }
@@ -344,24 +386,36 @@ func TestProvSearchNoOlderVersion(t *testing.T) {
 	}
 }
 
+// TestProvSearchBloomMiss: an address the run's Bloom filter excludes
+// gets the same evidence as any other absent address. ProvSearch does
+// not consult the filter, so a miss still yields a Merkle-proven span
+// that verifies to no versions.
 func TestProvSearchBloomMiss(t *testing.T) {
 	entries := genEntries(10, 50, 2)
 	r := buildRun(t, entries, Params{Fanout: 4})
 	// Find an address the bloom filter genuinely excludes.
 	for i := uint64(10_000); ; i++ {
-		res, err := r.ProvSearch(types.AddressFromUint64(i), 0, 100)
+		addr := types.AddressFromUint64(i)
+		if r.MayContain(addr) {
+			if i > 11_000 {
+				t.Fatal("could not find a bloom-missed address")
+			}
+			continue
+		}
+		res, err := r.ProvSearch(addr, 0, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.BloomMiss {
-			if res.Proof != nil || len(res.Results) != 0 {
-				t.Fatal("bloom miss must carry no span or results")
-			}
-			break
+		if res.Proof == nil || len(res.Span) == 0 {
+			t.Fatal("bloom miss must still carry a proven span")
 		}
-		if i > 11_000 {
-			t.Fatal("could not find a bloom-missed address")
+		if len(res.Results) != 0 {
+			t.Fatalf("bloom miss: %d results", len(res.Results))
 		}
+		if verified, err := VerifyProv(r.MHTRoot(), addr, 0, 100, res); err != nil || len(verified) != 0 {
+			t.Fatalf("bloom miss: verified %d versions, %v", len(verified), err)
+		}
+		break
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"cole/internal/bloom"
 	"cole/internal/mht"
 	"cole/internal/pagefile"
 	"cole/internal/pla"
@@ -228,10 +227,6 @@ type ProvResult struct {
 	SpanLo, SpanHi int64
 	// Proof authenticates Span against the run's MHT root.
 	Proof *mht.RangeProof
-	// BloomMiss is set when the Bloom filter excludes the address: the
-	// serialized filter (BloomBytes) stands in for the span as the
-	// non-membership proof.
-	BloomMiss bool
 	// StopEarly is set when the run holds a version of the address older
 	// than blkLo: deeper levels hold only older data and need not be
 	// searched (Algorithm 8 lines 19–21).
@@ -239,19 +234,13 @@ type ProvResult struct {
 }
 
 // ProvSearch finds the versions of addr within block heights
-// [blkLo, blkHi] and builds the Merkle evidence for them.
+// [blkLo, blkHi] and builds the Merkle evidence for them. The Bloom
+// filter is not consulted: the span proves absence as well as presence,
+// so an address the run does not hold yields its two flanking entries
+// and no results.
 func (r *Run) ProvSearch(addr types.Address, blkLo, blkHi uint64) (*ProvResult, error) {
-	return r.ProvSearchProbe(bloom.NewProbe(addr), addr, blkLo, blkHi)
-}
-
-// ProvSearchProbe is ProvSearch for a caller that walks a run list and
-// hashed addr once (p must be bloom.NewProbe(addr)).
-func (r *Run) ProvSearchProbe(p bloom.Probe, addr types.Address, blkLo, blkHi uint64) (*ProvResult, error) {
 	if blkHi < blkLo {
 		return nil, fmt.Errorf("run: inverted block range [%d,%d]", blkLo, blkHi)
-	}
-	if !r.filter.MayContainProbe(p) {
-		return &ProvResult{BloomMiss: true}, nil
 	}
 	// Anchor at K_l = ⟨addr, blk_l − 1⟩ (the paper's boundary key): the
 	// span then starts at the newest version *older* than blk_l when one
@@ -321,10 +310,8 @@ func (r *Run) ProvSearchProbe(p bloom.Probe, addr types.Address, blkLo, blkHi ui
 // consistency and the completeness boundaries, and returns the
 // reconstructed root plus the verified in-range entries. The caller folds
 // the root into the run digest and matches it against root_hash_list.
-//
-// For a BloomMiss the caller instead verifies the disclosed filter bytes
-// against the digest and checks MayContain(addr) is false; see
-// core.VerifyProv.
+// An absent address is proven the same way: the span's flanking entries
+// leave no room for a version.
 func ReconstructProv(addr types.Address, blkLo, blkHi uint64, res *ProvResult) (types.Hash, []types.Entry, error) {
 	if res.Proof == nil || len(res.Span) == 0 {
 		return types.Hash{}, nil, fmt.Errorf("run: provenance result missing span")
