@@ -1,8 +1,12 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out:
+// Ablation benchmarks for the run-layer design choices that README's
+// "Read path" and "Provenance path" sections describe, and ROADMAP
+// items 3 (the cost of a run build) and 9 (the Merkle file) measure:
 //
 //   - Bloom filters: read cost with and without run filters;
 //   - Page size: the ε = records/page/2 trade-off between prediction
-//     slack and page fan-in;
+//     slack and page fan-in. This is a run-layer ablation only: stores
+//     always use 4 KiB pages (a constant, not an option), so only
+//     run.Params.PageSize varies it;
 //   - Merkle fanout m: run-construction cost.
 //
 // Run with: go test -bench 'Ablation' -benchmem
@@ -110,7 +114,8 @@ func BenchmarkAblationBloom(b *testing.B) {
 
 // BenchmarkAblationPageSize sweeps the page size, which sets ε on both
 // value and index files: bigger pages → looser models but fewer, larger
-// reads.
+// reads. It builds runs directly; a store cannot be opened with another
+// page size.
 func BenchmarkAblationPageSize(b *testing.B) {
 	entries := ablationEntries(50_000)
 	for _, ps := range []int{512, 2048, 4096, 16384} {

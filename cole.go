@@ -28,8 +28,11 @@
 // (Options.AsyncMerge), which removes write stalls while keeping the
 // state root digest deterministic across nodes. That is the write
 // path's only fork: either way a commit that restructures the store
-// writes its manifest before it returns, so CheckpointHeight never
-// names a height that is not yet durable, and background merges are
+// hands its manifest to one background writer per shard and returns
+// without waiting for the disk. CheckpointHeight advances only once that
+// manifest has landed, so it never names a height that is not yet
+// durable; FlushAll and Close wait for the writer, and a failed manifest
+// write fails the next Commit, FlushAll or Close. Background merges are
 // always chunked and preemptible by a waiting flush.
 //
 // There is one store type: Open serves Options.Shards ≥ 1 hash-partitioned

@@ -17,11 +17,11 @@
 //     deterministic checkpoints (start/commit), so Hstate remains identical
 //     across nodes regardless of merge timing while write stalls disappear.
 //
-// Deviation from Algorithm 1/5 (documented in DESIGN.md): flush cascades
-// trigger at block commit rather than inside Put. This guarantees compound
-// keys are globally unique (a block that updates an address twice after a
-// mid-block flush would otherwise place duplicate ⟨addr, blk⟩ keys in two
-// runs) and aligns recovery checkpoints with block heights.
+// Deviation from Algorithm 1/5: flush cascades trigger at block commit
+// rather than inside Put. This guarantees compound keys are globally
+// unique (a block that updates an address twice after a mid-block flush
+// would otherwise place duplicate ⟨addr, blk⟩ keys in two runs) and
+// aligns recovery checkpoints with block heights.
 //
 // # Read path: published views
 //
@@ -35,9 +35,20 @@
 // a view across many reads (consistent multi-key queries at one height).
 // Reads therefore observe the state of the last *committed* block, never
 // the writes of a block still being built. Runs retired by a merge are
-// reference-counted: their files are unlinked only after the manifest no
-// longer names them AND the last view that could see them is released, so
-// an in-flight reader can never touch a deleted file (see view.go).
+// reference-counted: their files are unlinked only after a durable
+// manifest no longer names them AND the last view that could see them is
+// released, so an in-flight reader can never touch a deleted file (see
+// view.go).
+//
+// # Durability: the manifest writer
+//
+// A cascade's MANIFEST is the store's commit point (§4.3), but Commit
+// does not wait for it: it snapshots the manifest under the engine lock
+// and hands it to the engine's one manifest writer (manifest.go), for
+// COLE and COLE* alike. CheckpointHeight advances only when that write has
+// landed, so it never names a height that is not on disk; FlushAll and
+// Close wait for the writer, and a failed write fails the next Commit,
+// FlushAll or Close.
 //
 // A lookup hashes its address once (bloom.Probe) for every filter of the
 // view, searches runs whose learned indexes are resident, and pins value
@@ -47,13 +58,10 @@
 package core
 
 import (
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	iofs "io/fs"
+	"math"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -244,15 +252,23 @@ type Engine struct {
 	height    uint64 // height of the block currently being built
 	committed uint64 // last committed height
 	inBlock   bool
-	// checkpoint is the replay point: every block above it must be
-	// re-executed after a crash. In sync mode it equals the last cascade
-	// height (the flush is inline, so everything at that height is
-	// durable). In async mode it is the *previous* cascade height: the
-	// newest cascade handed the L0 merging group to a background flush
-	// whose output commits only at the next checkpoint, so blocks between
-	// the two cascades still live exclusively in memory.
+	// checkpoint is the replay point of the current structure, which the
+	// next manifest records: every block above it must be re-executed
+	// after a crash. In sync mode it equals the last cascade height (the
+	// flush is inline, so its runs are on disk). In async mode it is the
+	// *previous* cascade height: the newest cascade handed the L0 merging
+	// group to a background flush whose output commits only at the next
+	// checkpoint, so blocks between the two cascades still live
+	// exclusively in memory. CheckpointHeight reports durable instead.
 	checkpoint  uint64
 	lastCascade uint64 // height of the most recent flush cascade
+	// durable is the replay point of the newest manifest on disk: it
+	// trails checkpoint until the manifest writer lands that manifest.
+	durable atomic.Uint64
+	// peerCheckpoint is the lowest durable checkpoint among the other
+	// shards of the store (SetPeerCheckpoint); MaxUint64 when there are
+	// none.
+	peerCheckpoint atomic.Uint64
 
 	// L0.
 	mem        [2]*memGroup
@@ -264,15 +280,18 @@ type Engine struct {
 	nextRunID uint64
 
 	// Deferred retirements: runs removed from the structure by a cascade
-	// are marked retired (and their files reclaimed by the last view
-	// holding them) only after the manifest no longer references them.
+	// travel with the next manifest snapshot, and are marked retired (and
+	// their files reclaimed by the last view holding them) only after a
+	// durable manifest no longer references them.
 	retiring []*runRef
+	// mw lands manifests off the commit path (manifest.go).
+	mw manifestWriter
 
-	// rootHistory is the ring of the most recent (height → Hstate) pairs,
-	// oldest first, capped at rootHistoryDepth. Persisted with the
-	// manifest so replay can reproduce the exact combined digests of
-	// blocks this engine's checkpoint already covers (see HistoricalRoot).
-	rootHistory []RootRecord
+	// rootHistory holds the most recent (height → Hstate) pairs. A
+	// manifest persists the window of them replay can read, so replay can
+	// reproduce the exact combined digests of blocks this engine's
+	// checkpoint already covers (see HistoricalRoot).
+	rootHistory rootRing
 
 	// viewPtr is the currently-published read view. Readers pin it with
 	// acquireView and never touch mu; Commit/FlushAll swap in a fresh
@@ -493,6 +512,8 @@ func OpenShared(opts Options, sched *merge.Scheduler, cache *pagefile.Cache, sha
 		cache = NewPageCache()
 	}
 	e := &Engine{opts: opts, sched: sched, cache: cache, tr: opts.Trace, shardID: int32(shardIndex)}
+	e.mw.idle.L = &e.mw.mu
+	e.peerCheckpoint.Store(math.MaxUint64)
 	for i := range e.mem {
 		e.mem[i] = newMemGroup(opts)
 	}
@@ -524,213 +545,6 @@ func OpenShared(opts Options, sched *merge.Scheduler, cache *pagefile.Cache, sha
 		e.unregister = unregStats
 	}
 	return e, nil
-}
-
-// manifest is the durable structural snapshot (root_hash_list's backing
-// state). It is written atomically (temp + rename) before any obsolete run
-// file is deleted, which is COLE's atomicity argument (§4.3).
-type manifest struct {
-	// Height is the block height whose commit produced this structure.
-	Height uint64 `json:"height"`
-	// Replay is the recovery point: blocks above it must be re-executed
-	// after reopening (see Engine.checkpoint).
-	Replay     uint64 `json:"replay"`
-	NextRunID  uint64 `json:"next_run_id"`
-	MemWriting int    `json:"mem_writing"`
-	Async      bool   `json:"async"`
-	// SortedBatch is only ever read: older versions set it on stores
-	// whose L0 trees were bulk-loaded in sorted order, a shape this
-	// version no longer builds, so Open refuses such a store (see
-	// loadManifest). Runs never depended on it, so reshard accepts it
-	// and writes a manifest without it.
-	SortedBatch bool         `json:"sorted_batch,omitempty"`
-	SizeRatio   int          `json:"size_ratio"`
-	Fanout      int          `json:"fanout"`
-	Levels      []levelState `json:"levels"`
-	// Roots is the persisted tail of the engine's root history (oldest
-	// first): the Hstate digests of recent commits, used during replay to
-	// reconstruct historical combined digests for shards that skip
-	// already-covered blocks.
-	Roots []RootRecord `json:"roots,omitempty"`
-}
-
-// RootRecord is one retained (height → Hstate) pair of the root history.
-type RootRecord struct {
-	Height uint64 `json:"h"`
-	// Root is the hex-encoded Hstate digest of the commit at Height.
-	Root hexHash `json:"r"`
-}
-
-// hexHash JSON-encodes a digest as a hex string (the manifest would
-// otherwise serialize [32]byte as an integer array).
-type hexHash types.Hash
-
-func (h hexHash) MarshalJSON() ([]byte, error) {
-	return json.Marshal(types.Hash(h).String())
-}
-
-func (h *hexHash) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return err
-	}
-	raw, err := hex.DecodeString(s)
-	if err != nil || len(raw) != types.HashSize {
-		return fmt.Errorf("core: bad root digest %q", s)
-	}
-	copy(h[:], raw)
-	return nil
-}
-
-type levelState struct {
-	Writing int         `json:"writing"`
-	Groups  [2][]uint64 `json:"groups"`
-}
-
-// manifestPath is the MANIFEST file of the engine directory dir.
-func manifestPath(dir string) string { return filepath.Join(dir, "MANIFEST") }
-
-// readManifest is the one MANIFEST parser: Open, ReadStoreState
-// (reshard) and VerifyStore (fsck) all read through it, so they apply
-// the same checks. A directory without a MANIFEST is a fresh (never
-// cascaded) engine and yields nil, nil. A file that does not parse, or
-// that records T < 2, m < 2 or the same run id twice, fails closed with
-// a *types.ErrCorrupt pinned to the MANIFEST.
-func readManifest(fsys vfs.FS, dir string) (*manifest, error) {
-	path := manifestPath(dir)
-	raw, err := fsys.ReadFile(path)
-	if errors.Is(err, iofs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var m manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		ec := types.NewCorrupt(path, -1, fmt.Sprintf("manifest does not parse: %v", err))
-		ec.Err = err
-		return nil, ec
-	}
-	if m.SizeRatio < 2 || m.Fanout < 2 {
-		return nil, types.NewCorrupt(path, -1, fmt.Sprintf("manifest parameters T=%d m=%d out of range", m.SizeRatio, m.Fanout))
-	}
-	seen := make(map[uint64]bool)
-	for li, ls := range m.Levels {
-		for _, ids := range ls.Groups {
-			for _, id := range ids {
-				if seen[id] {
-					return nil, types.NewCorrupt(path, -1, fmt.Sprintf("run %d referenced twice (level %d)", id, li+1))
-				}
-				seen[id] = true
-			}
-		}
-	}
-	return &m, nil
-}
-
-// runIDs lists every run the manifest records, level by level, group 0
-// before group 1.
-func (m *manifest) runIDs() []uint64 {
-	var ids []uint64
-	for _, ls := range m.Levels {
-		ids = append(ids, ls.Groups[0]...)
-		ids = append(ids, ls.Groups[1]...)
-	}
-	return ids
-}
-
-// writeManifestFile is the one MANIFEST writer: it replaces dir's
-// MANIFEST with m atomically and durably (temp fsync + rename + parent
-// directory fsync) and returns the number of bytes written.
-func writeManifestFile(fsys vfs.FS, dir string, m *manifest) (int, error) {
-	raw, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return 0, err
-	}
-	return len(raw), vfs.WriteFileAtomic(fsys, manifestPath(dir), raw, 0o644)
-}
-
-func (e *Engine) loadManifest() error {
-	m, err := readManifest(e.opts.FS, e.opts.Dir)
-	if err != nil {
-		return e.decorateCorrupt(err, 0)
-	}
-	if m == nil {
-		return nil // fresh store
-	}
-	if m.SortedBatch {
-		return fmt.Errorf("core: %s records sorted_batch=true, an L0 insert order this version no longer builds; migrate the store offline with `coledb reshard <current shard count>`", manifestPath(e.opts.Dir))
-	}
-	if m.Async != e.opts.AsyncMerge {
-		return fmt.Errorf("core: store was created with async=%v, reopened with async=%v", m.Async, e.opts.AsyncMerge)
-	}
-	if m.SizeRatio != e.opts.SizeRatio || m.Fanout != e.opts.Fanout {
-		return fmt.Errorf("core: store parameters T=%d m=%d do not match requested T=%d m=%d",
-			m.SizeRatio, m.Fanout, e.opts.SizeRatio, e.opts.Fanout)
-	}
-	// Resume from the replay point: the on-disk structure is newer (it
-	// reflects the cascade at m.Height), but re-executing blocks in
-	// (Replay, crash] reconstructs the lost in-memory groups; the cascade
-	// at m.Height re-triggers as a pure L0 switch without re-committing
-	// level merges (their writing groups are all below the size ratio
-	// after a completed cascade).
-	e.height = m.Replay
-	e.committed = m.Replay
-	e.checkpoint = m.Replay
-	e.lastCascade = m.Replay
-	e.nextRunID = m.NextRunID
-	e.memWriting = m.MemWriting
-	// The persisted history may extend above Replay (async manifests are
-	// written at cascade heights beyond the checkpoint); replayed blocks
-	// re-record identical digests over those entries, so keep them all.
-	e.rootHistory = m.Roots
-	for li, ls := range m.Levels {
-		lv := &level{writing: ls.Writing}
-		for g := 0; g < 2; g++ {
-			for _, id := range ls.Groups[g] {
-				r, err := run.Open(e.opts.Dir, id, e.runParams())
-				if err != nil {
-					return fmt.Errorf("core: open run %d of level %d: %w", id, li+1, e.decorateCorrupt(err, li+1))
-				}
-				lv.groups[g] = append(lv.groups[g], newRunRef(r))
-			}
-		}
-		e.levels = append(e.levels, lv)
-	}
-	return nil
-}
-
-// writeManifest persists the current structure through writeManifestFile:
-// the manifest is the store's commit point, so a checkpoint the engine
-// reports is on disk before Commit returns it.
-func (e *Engine) writeManifest() error {
-	m := manifest{
-		Height:     e.committed,
-		Replay:     e.checkpoint,
-		NextRunID:  e.nextRunID,
-		MemWriting: e.memWriting,
-		Async:      e.opts.AsyncMerge,
-		SizeRatio:  e.opts.SizeRatio,
-		Fanout:     e.opts.Fanout,
-		Roots:      e.rootHistory,
-	}
-	for _, lv := range e.levels {
-		ls := levelState{Writing: lv.writing}
-		for g := 0; g < 2; g++ {
-			ids := []uint64{}
-			for _, rr := range lv.groups[g] {
-				ids = append(ids, rr.r.ID)
-			}
-			ls.Groups[g] = ids
-		}
-		m.Levels = append(m.Levels, ls)
-	}
-	start := time.Now()
-	n, err := writeManifestFile(e.opts.FS, e.opts.Dir, &m)
-	if e.tr != nil {
-		e.trace(obs.EvManifest, -1, int64(n), 0, time.Since(start))
-	}
-	return err
 }
 
 // decorateCorrupt stamps the engine's identity onto a typed corruption
@@ -816,62 +630,12 @@ func (e *Engine) Height() uint64 {
 	return e.committed
 }
 
-// CheckpointHeight returns the height of the last durable checkpoint:
-// after a crash, blocks above this height must be replayed (§4.3).
-func (e *Engine) CheckpointHeight() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.checkpoint
-}
-
-// rootHistoryDepth is how many recent (height → Hstate) pairs an engine
-// retains and persists in its manifest. The shard layer reads them back
-// during post-crash replay so a shard whose checkpoint already covers a
-// replayed block can contribute its exact historical root to the
-// combined digest instead of its current one. A replayed height older
-// than this falls back to the shard's current root.
-const rootHistoryDepth = 512
-
-// recordRootLocked appends the committed (height, root) pair to the root
-// history. Replay re-commits heights already recorded: entries at or
-// above the new height are dropped first, so the history stays strictly
-// increasing and the replayed digests (which are deterministic) land in
-// the same slots. The ring is trimmed to rootHistoryDepth.
-func (e *Engine) recordRootLocked(height uint64, root types.Hash) {
-	h := e.rootHistory
-	for len(h) > 0 && h[len(h)-1].Height >= height {
-		h = h[:len(h)-1]
-	}
-	h = append(h, RootRecord{Height: height, Root: hexHash(root)})
-	if excess := len(h) - rootHistoryDepth; excess > 0 {
-		h = append(h[:0], h[excess:]...)
-	}
-	e.rootHistory = h
-}
-
-// HistoricalRoot returns the Hstate digest the engine committed at the
-// given block height, if the height is still inside the retained root
-// history (rootHistoryDepth commits deep, persisted with the
-// manifest). The shard layer uses it during post-crash replay: a shard
-// whose checkpoint already covers a replayed block contributes this
-// exact historical root to the combined digest, so replayed headers
-// match the originally published ones.
-func (e *Engine) HistoricalRoot(height uint64) (types.Hash, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	h := e.rootHistory
-	i := sort.Search(len(h), func(i int) bool { return h[i].Height >= height })
-	if i < len(h) && h[i].Height == height {
-		return types.Hash(h[i].Root), true
-	}
-	return types.Hash{}, false
-}
-
 // Stats returns a snapshot of the engine counters. Read counters are
 // atomics fed by the lock-free read path; write counters are gathered
 // under the engine lock. PageReads/CacheHits sum the live runs' current
-// value-page counters plus the totals of runs already retired by merges
-// (accumulated into e.stats at retirement).
+// value-page counters plus the totals of runs already merged away
+// (accumulated into e.stats when the manifest that drops them is
+// snapshotted).
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	st := e.stats
@@ -967,12 +731,13 @@ func (e *Engine) closeRuns() {
 	}
 }
 
-// Close joins background merges and releases file handles. In-memory L0
-// contents are *not* flushed: like the paper's crash model, they are
-// recovered by replaying blocks above CheckpointHeight. Use FlushAll first
-// for a clean shutdown that persists everything. Readers (and pinned
-// Snapshots) must quiesce before Close: reads racing a Close fail with a
-// closed-file error.
+// Close waits for the manifest writer, joins background merges and
+// releases file handles. In-memory L0 contents are *not* flushed: like
+// the paper's crash model, they are recovered by replaying blocks above
+// CheckpointHeight. Use FlushAll first for a clean shutdown that persists
+// everything. Readers (and pinned Snapshots) must quiesce before Close:
+// reads racing a Close fail with a closed-file error. Close returns the
+// manifest writer's sticky error, if a write failed.
 func (e *Engine) Close() error {
 	// Leave the metrics registry first so new scrapes stop observing the
 	// engine. A scrape already in flight may still call Stats(), which
@@ -983,6 +748,7 @@ func (e *Engine) Close() error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	err := e.drainManifests()
 	// Join the in-flight jobs and discard their uncommitted outputs; the
 	// files become orphans that the next Open cleans up.
 	discard := func(ms *mergeState) {
@@ -999,5 +765,5 @@ func (e *Engine) Close() error {
 		discard(lv.merge)
 	}
 	e.closeRuns()
-	return nil
+	return err
 }

@@ -501,11 +501,13 @@ func TestReopenAndReplayRestoresState(t *testing.T) {
 		o := newOracle()
 		finalRoot := runWorkload(t, e, o, 17, 150, 5, 25)
 		finalHeight := e.Height()
+		// Close lands the last cascade's manifest, so the checkpoint it
+		// leaves behind is the one the reopen resumes from.
+		e.Close()
 		cp := e.CheckpointHeight()
 		if cp == 0 {
 			t.Fatalf("async=%v: no checkpoint was taken", async)
 		}
-		e.Close()
 
 		// Crash model: reopen loses L0; blocks above the checkpoint must be
 		// replayed, after which the state root matches.

@@ -33,12 +33,16 @@ func sweepCommit(e *Engine, h uint64) (types.Hash, error) {
 
 // TestMergeIOErrorSweep injects a non-crash I/O error (MemFS.FailAt) at
 // every filesystem operation of the first commit whose cascade runs a
-// level merge (one build, one partition of the key space). A failing
-// Commit must report the injected error itself — a read error from a
-// source run is not to be masked as the count mismatch it also causes —
-// and must publish nothing; after Close and reopen, replay from the
-// checkpoint reproduces the golden digests of every block up to and
-// including the merging one.
+// level merge (one build, one partition of the key space), including the
+// operations of the manifest write that lands after Commit returns. A
+// failing Commit must report the injected error itself — a read error
+// from a source run is not to be masked as the count mismatch it also
+// causes — and must publish nothing. A fault that hits the manifest
+// writer leaves the commit whole (it returned the golden digest) but
+// undurable: the checkpoint does not advance, and the next Commit,
+// FlushAll and Close each return the injected error. Either way, after
+// Close and reopen, replay from the checkpoint reproduces the golden
+// digests of every block up to and including the merging one.
 func TestMergeIOErrorSweep(t *testing.T) {
 	t.Run("partitions=1", func(t *testing.T) {
 		open := func(fs *vfs.MemFS) *Engine {
@@ -47,6 +51,14 @@ func TestMergeIOErrorSweep(t *testing.T) {
 				t.Fatal(err)
 			}
 			return e
+		}
+		// drain lands every handed-over manifest, so that OpCount covers
+		// the writer's operations and an armed fault hits the merging
+		// block's operations only.
+		drain := func(e *Engine) {
+			if err := e.drainManifests(); err != nil {
+				t.Fatal(err)
+			}
 		}
 
 		// Golden run: find the merging block and its operation window.
@@ -58,6 +70,7 @@ func TestMergeIOErrorSweep(t *testing.T) {
 			if h > 100 {
 				t.Fatal("no level merge within 100 blocks")
 			}
+			drain(e)
 			opsBefore = fs.OpCount()
 			root, err := sweepCommit(e, h)
 			if err != nil {
@@ -65,13 +78,14 @@ func TestMergeIOErrorSweep(t *testing.T) {
 			}
 			roots = append(roots, root)
 		}
+		drain(e)
 		opsAfter := fs.OpCount()
 		mergeBlock := uint64(len(roots))
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}
 
-		failed := 0
+		failed, writerFailed := 0, 0
 		for n := opsBefore + 1; n <= opsAfter; n++ {
 			fs := vfs.NewMem()
 			e := open(fs)
@@ -80,15 +94,41 @@ func TestMergeIOErrorSweep(t *testing.T) {
 					t.Fatalf("op %d: block %d: %v", n, h, err)
 				}
 			}
+			drain(e)
+			ckptBefore := e.CheckpointHeight()
 			fs.FailAt(n, nil)
 			root, err := sweepCommit(e, mergeBlock)
-			fs.FailAt(0, nil) // disarm if the commit took fewer operations this time
+			werr := e.drainManifests()
+			fs.FailAt(0, nil) // disarm if the block took fewer operations this time
 			switch {
-			case err == nil:
+			case err == nil && werr == nil:
 				// The fault hit an operation whose failure is tolerated
 				// (an unlink of a retired run): the commit must be whole.
 				if root != roots[mergeBlock-1] {
 					t.Fatalf("op %d: commit succeeded with a wrong digest", n)
+				}
+			case err == nil:
+				writerFailed++
+				if !errors.Is(werr, vfs.ErrInjected) {
+					t.Fatalf("op %d: manifest write failed with %v, want the injected I/O error", n, werr)
+				}
+				if root != roots[mergeBlock-1] {
+					t.Fatalf("op %d: commit returned a wrong digest", n)
+				}
+				if got := e.CheckpointHeight(); got != ckptBefore {
+					t.Fatalf("op %d: checkpoint advanced %d -> %d although its manifest failed", n, ckptBefore, got)
+				}
+				if _, err := sweepCommit(e, mergeBlock+1); !errors.Is(err, vfs.ErrInjected) {
+					t.Fatalf("op %d: the next Commit returned %v, want the injected I/O error", n, err)
+				}
+				if err := e.FlushAll(); !errors.Is(err, vfs.ErrInjected) {
+					t.Fatalf("op %d: FlushAll returned %v, want the injected I/O error", n, err)
+				}
+				if err := e.Close(); !errors.Is(err, vfs.ErrInjected) {
+					t.Fatalf("op %d: Close returned %v, want the injected I/O error", n, err)
+				}
+				if got := e.CheckpointHeight(); got != ckptBefore {
+					t.Fatalf("op %d: checkpoint advanced %d -> %d after the failed manifest", n, ckptBefore, got)
 				}
 			case !errors.Is(err, vfs.ErrInjected):
 				t.Fatalf("op %d: commit failed with %v, want the injected I/O error", n, err)
@@ -124,6 +164,9 @@ func TestMergeIOErrorSweep(t *testing.T) {
 		if failed == 0 {
 			t.Fatal("no injected fault failed a commit")
 		}
-		t.Logf("block %d: %d operations swept, %d failed the commit", mergeBlock, opsAfter-opsBefore, failed)
+		if writerFailed == 0 {
+			t.Fatal("no injected fault failed the manifest writer")
+		}
+		t.Logf("block %d: %d operations swept, %d failed the commit, %d the manifest writer", mergeBlock, opsAfter-opsBefore, failed, writerFailed)
 	})
 }

@@ -40,6 +40,11 @@ func commitAllocBytes(t *testing.T, blocks int) (worst uint64, levels int) {
 	for h := uint64(blocks) + 1; measured < 20; h++ {
 		block(h)
 		flushes := e.Stats().Flushes
+		// TotalAlloc counts every goroutine: let the previous cascade's
+		// manifest write finish first, so only this Commit is measured.
+		if err := e.drainManifests(); err != nil {
+			t.Fatal(err)
+		}
 		runtime.ReadMemStats(&before)
 		if _, err := e.Commit(); err != nil {
 			t.Fatal(err)

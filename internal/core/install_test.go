@@ -220,7 +220,9 @@ func TestBulkLevelPlacement(t *testing.T) {
 
 // TestHistoricalRootRecordsAndPersists: every commit lands in the root
 // history, the ring trims to rootHistoryDepth, and the persisted tail
-// survives a reopen.
+// survives a reopen. The engine plays a shard whose peers never
+// checkpointed, so its manifest persists every retained root up to its
+// checkpoint.
 func TestHistoricalRootRecordsAndPersists(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Dir: dir, MemCapacity: 16}
@@ -228,6 +230,7 @@ func TestHistoricalRootRecordsAndPersists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.SetPeerCheckpoint(0)
 	const blocks = rootHistoryDepth + 20
 	roots := map[uint64]types.Hash{}
 	for b := uint64(1); b <= blocks; b++ {

@@ -139,28 +139,6 @@ func (e *Engine) publishLocked(hl hashList) {
 	}
 }
 
-// retireLocked drops the structure references of runs removed by the
-// cascade that just committed (called after the manifest no longer names
-// them and the freshly published view excludes them). Views still holding
-// them keep the files alive; the last release unlinks them.
-func (e *Engine) retireLocked() {
-	for _, rr := range e.retiring {
-		// Fold the run's point-read cache counters into the engine totals
-		// before the files can be reclaimed, so Stats stays cumulative
-		// across merges.
-		v, _ := rr.r.IOStats()
-		e.stats.PageReads += v.PageReads
-		e.stats.CacheHits += v.CacheHits
-		e.stats.SeqReads += v.SeqReads
-		rr.retired.Store(true)
-		rr.release()
-		if e.tr != nil {
-			e.trace(obs.EvViewRetire, -1, rr.r.Count()*types.EntrySize, rr.r.ID, 0)
-		}
-	}
-	e.retiring = nil
-}
-
 // runsOf unwraps a ref slice for the merge iterators and builders.
 func runsOf(refs []*runRef) []*run.Run {
 	out := make([]*run.Run, len(refs))

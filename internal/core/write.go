@@ -76,9 +76,11 @@ func (e *Engine) PutBatch(updates []Update) error {
 }
 
 // Commit finalizes the current block: it runs the flush/merge cascade if
-// the L0 writing group is full, persists the manifest when the structure
-// changed, publishes the new read view, and returns the block's state
-// root digest Hstate.
+// the L0 writing group is full, publishes the new read view, hands the
+// manifest of a changed structure to the manifest writer, and returns the
+// block's state root digest Hstate. It does not wait for that manifest:
+// CheckpointHeight advances, and the merged-away runs are retired, once
+// it has landed. A manifest write that failed fails this Commit.
 func (e *Engine) Commit() (types.Hash, error) {
 	start := time.Now()
 	e.mu.Lock()
@@ -87,6 +89,9 @@ func (e *Engine) Commit() (types.Hash, error) {
 		return types.Hash{}, fmt.Errorf("core: Commit without BeginBlock")
 	}
 	e.inBlock = false
+	if err := e.manifestErr(); err != nil {
+		return types.Hash{}, err
+	}
 	e.committed = e.height
 
 	cascaded := e.mem[e.memWriting].tree.Size() >= e.opts.MemCapacity
@@ -107,26 +112,18 @@ func (e *Engine) Commit() (types.Hash, error) {
 			return types.Hash{}, err
 		}
 	}
-	// The digest is computed (and recorded in the root history) before the
-	// manifest write so that a cascade checkpoint persists its own height's
-	// root: every height at or below the durable checkpoint has its digest
-	// in the durable history.
+	// The digest is recorded in the root history before the manifest
+	// snapshot so that a cascade checkpoint persists its own height's root.
 	hl := e.hashListLocked()
-	e.recordRootLocked(e.committed, hl.root)
-	if cascaded {
-		// Inline, before Commit returns: CheckpointHeight promises a
-		// durable checkpoint, and a caller may trim its block log to it.
-		if err := e.writeManifest(); err != nil {
-			return types.Hash{}, err
-		}
-	}
-	// Publish after the hash list warmed every L0 hash (the frozen snapshots
-	// must be clean for concurrent readers) and after the manifest write,
-	// then retire the runs the cascade removed: the manifest no longer
-	// names them, the fresh view excludes them, and views still pinning
-	// them keep their files alive.
+	e.rootHistory.record(e.committed, hl.root)
+	// Publish after the hash list warmed every L0 hash (the frozen
+	// snapshots must be clean for concurrent readers). The fresh view
+	// excludes the runs the cascade removed; the writer retires them once
+	// a durable manifest no longer names them.
 	e.publishLocked(hl)
-	e.retireLocked()
+	if cascaded {
+		e.submitManifestLocked()
+	}
 	d := int64(time.Since(start))
 	e.stats.Commits++
 	e.stats.CommitNanos += d
@@ -468,14 +465,18 @@ func (e *Engine) chunked(it run.Iterator, pri merge.Priority, lvl int32) run.Ite
 
 // FlushAll forces the L0 contents to disk and joins all merge threads,
 // committing their outputs: a clean shutdown helper (the paper's crash
-// model instead replays blocks above the checkpoint). The resulting run
-// sizes may be smaller than B, which only affects level occupancy, never
-// correctness.
+// model instead replays blocks above the checkpoint). It is a durability
+// barrier: it returns once its manifest has landed, with CheckpointHeight
+// at the committed height. The resulting run sizes may be smaller than B,
+// which only affects level occupancy, never correctness.
 func (e *Engine) FlushAll() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.inBlock {
 		return fmt.Errorf("core: FlushAll inside an open block")
+	}
+	if err := e.drainManifests(); err != nil {
+		return err
 	}
 	// Join and commit async threads first so groups are quiescent.
 	if e.memMerge != nil {
@@ -501,10 +502,7 @@ func (e *Engine) FlushAll() error {
 	}
 	e.checkpoint = e.committed
 	e.lastCascade = e.committed
-	if err := e.writeManifest(); err != nil {
-		return err
-	}
 	e.publishLocked(e.hashListLocked())
-	e.retireLocked()
-	return nil
+	e.submitManifestLocked()
+	return e.drainManifests()
 }

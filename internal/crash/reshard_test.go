@@ -16,9 +16,12 @@ import (
 
 // buildSource lays down the deterministic workload as a flushed,
 // cleanly-closed 1-shard store — the reshard sweep's fixed starting
-// point. Sync mode keeps the operation count identical across rebuilds,
-// so a fault index recorded against the golden rebuild lands on the
-// same reshard-phase operation in every sweep iteration.
+// point. The directory it leaves is identical across rebuilds, but its
+// operation count is not: the manifest writer skips a snapshot that a
+// newer one replaced while it waited. So the sweep counts each fault
+// from the operation at which the reshard starts; the reshard, an
+// offline rewrite of an identical directory, takes the same operations
+// every time.
 func buildSource(t *testing.T, fs *vfs.MemFS) {
 	t.Helper()
 	s, err := shard.Open(core.Options{Dir: storeDir, Shards: 1, MemCapacity: 8, FS: fs})
@@ -76,27 +79,25 @@ func reshardFaultSweep(t *testing.T, ioError bool) {
 		return s.RootDigest()
 	}()
 
-	// Golden pass: fix the operation index where the reshard starts and
-	// where it ends; the sweep faults at every index in between.
+	// Golden pass: count the reshard's operations; the sweep faults at
+	// every one of them.
 	golden := vfs.NewMem()
 	buildSource(t, golden)
 	base := golden.OpCount()
 	if _, err := reshard.Reshard(storeDir, 4, reshard.Options{FS: golden}); err != nil {
 		t.Fatalf("golden reshard: %v", err)
 	}
-	total := golden.OpCount()
-	if total-base < 50 {
-		t.Fatalf("reshard spans only %d operations; the sweep needs a real rewrite", total-base)
+	span := golden.OpCount() - base
+	if span < 50 {
+		t.Fatalf("reshard spans only %d operations; the sweep needs a real rewrite", span)
 	}
 
-	stride := sweepStride(total - base)
+	stride := sweepStride(span)
 	failed := 0
-	for n := base + 1; n <= total; n += stride {
+	for k := int64(1); k <= span; k += stride {
 		fs := vfs.NewMem()
 		buildSource(t, fs)
-		if got := fs.OpCount(); got != base {
-			t.Fatalf("source rebuild is not deterministic: %d ops vs golden %d", got, base)
-		}
+		n := fs.OpCount() + k       // the reshard's k-th operation
 		g := runtime.NumGoroutine() // the source store is closed
 		var rerr error
 		if ioError {
@@ -179,7 +180,7 @@ func reshardFaultSweep(t *testing.T, ioError bool) {
 			t.FailNow()
 		}
 		if ioError {
-			retryAfterFault(t, n, want)
+			retryAfterFault(t, k, want)
 		}
 	}
 	if ioError && failed == 0 {
@@ -187,19 +188,20 @@ func reshardFaultSweep(t *testing.T, ioError bool) {
 	}
 }
 
-// retryAfterFault fails a fresh source's 1→4 reshard at operation n, then
-// retries it on the same filesystem with no fault and no reopen in
-// between: the retry must succeed, serve every account, and leave no
-// stale generation directory in the store root. Only if the faulted
-// attempt had already committed may files of the root engine remain:
-// its cleanup is best-effort, and the next open sweeps them. (The
+// retryAfterFault fails a fresh source's 1→4 reshard at its k-th
+// operation, then retries it on the same filesystem with no fault and no
+// reopen in between: the retry must succeed, serve every account, and
+// leave no stale generation directory in the store root. Only if the
+// faulted attempt had already committed may files of the root engine
+// remain: its cleanup is best-effort, and the next open sweeps them. (The
 // reshard's goroutines may interleave differently from the sweep's own
-// attempt, so op n need not be the same operation; it is a fault all the
-// same.)
-func retryAfterFault(t *testing.T, n int64, want map[types.Address]types.Value) {
+// attempt, so operation k need not be the same operation; it is a fault
+// all the same.)
+func retryAfterFault(t *testing.T, k int64, want map[types.Address]types.Value) {
 	t.Helper()
 	fs := vfs.NewMem()
 	buildSource(t, fs)
+	n := fs.OpCount() + k
 	fs.FailAt(n, nil)
 	_, _ = reshard.Reshard(storeDir, 4, reshard.Options{FS: fs})
 	fs.FailAt(0, nil)

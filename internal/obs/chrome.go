@@ -10,8 +10,9 @@ import (
 // Chrome trace-event export: the retained timeline rendered as the JSON
 // object format Perfetto and chrome://tracing open directly. Each shard
 // becomes a process, and within it activities get stable lanes
-// (threads): the commit path (manifest writes and run retirements nest
-// inside their commit), the flush lane and one lane per merge level — so
+// (threads): the commit path, the manifest writer (manifest writes and
+// the run retirements that follow them land after their commit has
+// returned), the flush lane and one lane per merge level — so
 // a stalls run shows flushes overtaking preempted deep merges at a
 // glance. Processes and lanes are emitted in (shard, lane) order, so two
 // exports of one tracer are the same bytes.
@@ -24,16 +25,19 @@ import (
 // carries the whole slice.
 
 const (
-	laneCommit = 0
-	laneFlush  = 1
-	laneMerge  = 10 // + level
+	laneCommit   = 0
+	laneFlush    = 1
+	laneManifest = 2
+	laneMerge    = 10 // + level
 )
 
 // chromeLane maps an event to its thread lane within the shard process.
 func chromeLane(ev Event) int {
 	switch ev.Type {
-	case EvCommit, EvStall, EvManifest, EvViewPublish, EvViewRetire:
+	case EvCommit, EvStall, EvViewPublish:
 		return laneCommit
+	case EvManifest, EvViewRetire:
+		return laneManifest
 	case EvFlushStart, EvFlushEnd:
 		return laneFlush
 	default: // merge start/chunk/preempt/end
@@ -51,6 +55,8 @@ func chromeLaneName(lane int) string {
 		return "commit"
 	case lane == laneFlush:
 		return "flush"
+	case lane == laneManifest:
+		return "manifest"
 	default:
 		return fmt.Sprintf("merge L%d", lane-laneMerge)
 	}

@@ -41,14 +41,16 @@ const (
 	// EvStall records a commit blocking on an unfinished async merge
 	// (the write stall COLE⁺ identifies); Dur is the wait.
 	EvStall
-	// EvManifest is one manifest write, inline on the commit path (a
-	// cascade commit or FlushAll).
+	// EvManifest is one manifest write by the engine's manifest writer,
+	// which lands it after the cascade commit (or inside the FlushAll)
+	// that handed it over; Bytes is the file size.
 	EvManifest
 	// EvViewPublish marks a new read view becoming visible (ID = block
 	// height).
 	EvViewPublish
-	// EvViewRetire marks a replaced run leaving the live set once its
-	// last reader drops (ID = run file id).
+	// EvViewRetire marks a replaced run leaving the live set once the
+	// manifest that drops it has landed; its files go when its last
+	// reader drops (ID = run file id).
 	EvViewRetire
 
 	numEventTypes

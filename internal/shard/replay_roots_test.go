@@ -1,7 +1,10 @@
 package shard
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"cole/internal/core"
@@ -161,6 +164,93 @@ func TestReplayHeadersMatchFullChain(t *testing.T) {
 		h := int(ckpt) + i + 1
 		if got != roots[h-1] {
 			t.Fatalf("replayed header at height %d diverges from the original", h)
+		}
+	}
+}
+
+// TestShardManifestPersistsRootWindow: a shard's MANIFEST carries exactly
+// the roots replay can ask it for — the heights above the lowest durable
+// checkpoint of its peers, up to its own replay height — with the
+// digests the shard committed there.
+func TestShardManifestPersistsRootWindow(t *testing.T) {
+	const n = 2
+	dir := t.TempDir()
+	opts := core.Options{Dir: dir, Shards: n, MemCapacity: 16}
+	hot := addrsOwnedBy(n, 0, 6)
+	cold := addrsOwnedBy(n, 1, 1)
+	drive := func(s *Store, from, to uint64, coldWrites bool) {
+		t.Helper()
+		for h := from; h <= to; h++ {
+			if err := s.BeginBlock(h); err != nil {
+				t.Fatal(err)
+			}
+			for w, a := range hot {
+				if err := s.Put(a, types.ValueFromUint64(h*100+uint64(w))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if coldWrites {
+				if err := s.Put(cold[0], types.ValueFromUint64(h)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := s.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Both shards checkpoint at 20, durably; then only the hot one moves.
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive(s, 1, 20, true)
+	if err := s.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive(s, 21, 80, false)
+	committed := make(map[uint64]types.Hash)
+	for h := uint64(21); h <= 80; h++ {
+		r, ok := s.engines[0].HistoricalRoot(h)
+		if !ok {
+			t.Fatalf("hot shard has no root for height %d", h)
+		}
+		committed[h] = r
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var m struct {
+		Replay uint64 `json:"replay"`
+		Roots  []struct {
+			H uint64 `json:"h"`
+			R string `json:"r"`
+		} `json:"roots"`
+	}
+	raw, err := os.ReadFile(filepath.Join(EngineDir(dir, 0, n, 0), "MANIFEST"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Replay <= 40 {
+		t.Fatalf("hot shard checkpoint %d; the workload should have cascaded well past 40", m.Replay)
+	}
+	if uint64(len(m.Roots)) != m.Replay-20 {
+		t.Fatalf("hot shard persisted %d roots, want the %d of heights (20, %d]", len(m.Roots), m.Replay-20, m.Replay)
+	}
+	for i, r := range m.Roots {
+		if h := 21 + uint64(i); r.H != h || r.R != committed[h].String() {
+			t.Fatalf("root %d is height %d %s, want height %d %s", i, r.H, r.R, h, committed[h])
 		}
 	}
 }

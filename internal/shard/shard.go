@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	iofs "io/fs"
+	"math"
 	"path/filepath"
 	"regexp"
 	"runtime"
@@ -574,13 +575,14 @@ func (s *Store) PutBatch(updates []types.Update) error {
 //
 // During post-crash replay a skipped shard (one whose checkpoint already
 // covers the block) contributes the exact root it committed at that
-// height, read back from its persisted root history
-// (the last 512 commits), so replayed digests
-// reproduce the originally published headers. Two residual windows
-// remain: a replayed height that has aged out of the retained history
-// falls back to the shard's current root, and with asynchronous merge an
-// *actively replaying* shard's own digests only converge from its
-// re-triggered cascade onward (the reopened structure is ahead of the
+// height, read back from its persisted root history, so replayed digests
+// reproduce the originally published headers. Each shard persists the
+// roots above the store's lowest durable checkpoint, which Commit passes
+// down (passPeerCheckpoints), within its last 512 commits. Two residual
+// windows remain: a replayed height that has aged out of the retained
+// history falls back to the shard's current root, and with asynchronous
+// merge an *actively replaying* shard's own digests only converge from
+// its re-triggered cascade onward (the reopened structure is ahead of the
 // lost L0 — skipped shards are exact throughout).
 func (s *Store) Commit() (types.Hash, error) {
 	s.mu.Lock()
@@ -589,6 +591,7 @@ func (s *Store) Commit() (types.Hash, error) {
 		return types.Hash{}, fmt.Errorf("shard: Commit without BeginBlock")
 	}
 	s.inBlock = false
+	s.passPeerCheckpoints()
 
 	roots := make([]types.Hash, s.n)
 	err := s.runShards(func(i int) error {
@@ -608,6 +611,30 @@ func (s *Store) Commit() (types.Hash, error) {
 		return types.Hash{}, err
 	}
 	return CombineRoots(roots), nil
+}
+
+// passPeerCheckpoints tells every engine the lowest durable checkpoint
+// among the store's other shards (core.Engine.SetPeerCheckpoint): replay
+// never starts below the lowest checkpoint, so a shard's manifest need
+// only carry the roots above it. The only shard of a store has no peers
+// and is told MaxUint64, so it persists no roots.
+func (s *Store) passPeerCheckpoints() {
+	lo, next, at := uint64(math.MaxUint64), uint64(math.MaxUint64), -1
+	for i, e := range s.engines {
+		switch c := e.CheckpointHeight(); {
+		case c < lo:
+			lo, next, at = c, lo, i
+		case c < next:
+			next = c
+		}
+	}
+	for i, e := range s.engines {
+		if i == at {
+			e.SetPeerCheckpoint(next)
+		} else {
+			e.SetPeerCheckpoint(lo)
+		}
+	}
 }
 
 // Get returns the latest committed value of addr from its owning shard.
@@ -1075,18 +1102,20 @@ func (s *Store) Scheduler() *merge.Scheduler { return s.sched }
 func (s *Store) PageCacheBytes() (resident, budget int64) { return s.cache.Bytes() }
 
 // FlushAll persists every shard's in-memory level in parallel, for a
-// clean shutdown.
+// clean shutdown. It returns once every shard's manifest has landed.
 func (s *Store) FlushAll() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.inBlock {
 		return fmt.Errorf("shard: FlushAll inside an open block")
 	}
+	s.passPeerCheckpoints()
 	return s.runShards(func(i int) error { return s.engines[i].FlushAll() })
 }
 
-// Close joins background merges and releases file handles on every shard.
-// Unflushed L0 data is recovered by block replay above CheckpointHeight.
+// Close waits for every shard's manifest writer, joins background merges
+// and releases file handles on every shard. Unflushed L0 data is
+// recovered by block replay above CheckpointHeight.
 func (s *Store) Close() error {
 	if s.unregister != nil {
 		s.unregister()
