@@ -45,13 +45,11 @@ func BenchmarkFlushBuild(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(es)), "ns/entry")
 }
 
-// BenchmarkMergeBuild times a 4-way sort-merge rebuild of
-// version-clustered runs — the level-merge data path
-// (`go test -bench MergeBuild ./internal/run`).
-func BenchmarkMergeBuild(b *testing.B) {
-	params := run.Params{Fanout: 4}
-	dir := b.TempDir()
-	const nAddrs, versions, ways = 20000, 8, 4
+// versionedSources is the level-merge input shape: versions entries per
+// address for nAddrs addresses, striped round-robin across ways sources,
+// so each source is sorted and their merge is globally unique — the shape
+// a full level group presents.
+func versionedSources(nAddrs, versions, ways int) [][]types.Entry {
 	addrs := make([]types.Address, nAddrs)
 	for i := range addrs {
 		addrs[i] = types.AddressFromUint64(uint64(i))
@@ -59,9 +57,6 @@ func BenchmarkMergeBuild(b *testing.B) {
 	sort.Slice(addrs, func(i, j int) bool {
 		return types.CompoundKey{Addr: addrs[i]}.Less(types.CompoundKey{Addr: addrs[j]})
 	})
-	// Eight versions per address, striped round-robin across the source
-	// runs: each source is sorted and the merged stream is globally
-	// unique, the shape a full level group presents.
 	perRun := make([][]types.Entry, ways)
 	g := 0
 	for _, a := range addrs {
@@ -71,6 +66,17 @@ func BenchmarkMergeBuild(b *testing.B) {
 			g++
 		}
 	}
+	return perRun
+}
+
+// BenchmarkMergeBuild times a 4-way sort-merge rebuild of
+// version-clustered runs — the level-merge data path
+// (`go test -bench MergeBuild ./internal/run`).
+func BenchmarkMergeBuild(b *testing.B) {
+	params := run.Params{Fanout: 4}
+	dir := b.TempDir()
+	const nAddrs, versions, ways = 20000, 8, 4
+	perRun := versionedSources(nAddrs, versions, ways)
 	runs := make([]*run.Run, ways)
 	for k := range runs {
 		r, err := run.Build(dir, uint64(k), int64(len(perRun[k])), params, run.NewSliceIterator(perRun[k]))

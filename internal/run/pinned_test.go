@@ -89,6 +89,35 @@ func TestRunFilesPinned(t *testing.T) {
 		})
 	})
 
+	// merge-versions is a merge whose sources repeat addresses, so most
+	// of its filter inserts are AddRepeat, and whose same-address groups
+	// (7 versions, against 256-entry hand-offs to the Merkle helper)
+	// straddle every hand-off boundary but the multiples of 7·256.
+	t.Run("merge-versions", func(t *testing.T) {
+		dir := t.TempDir()
+		const nAddrs, versions, ways = 1000, 7, 4
+		var sources []*run.Run
+		for k, es := range versionedSources(nAddrs, versions, ways) {
+			r, err := run.Build(dir, uint64(k+1), int64(len(es)), params, run.NewSliceIterator(es))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			sources = append(sources, r)
+		}
+		r, err := run.Build(dir, 9, nAddrs*versions, params, run.MergeRuns(sources))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		checkSums(t, fileSums(t, dir, 9), map[string]string{
+			".val": "87fb41292423eba30e488f39770cf63f94e3e457560c58ba49956c85126202b2",
+			".idx": "f06591897290855c5e0ef158155453ac502da73fb5fe3241e3c029fd658daf59",
+			".mrk": "f3bab7d38ce2bde0dfee18d0feeec83f10c3ffc35bb97a39a589c8d4f35b98fe",
+			".met": "25a1523e7babc48878aa180f309efa5c472791d26b9db894ada087c72d6f241b",
+		})
+	})
+
 	t.Run("engine", func(t *testing.T) {
 		e, err := core.Open(core.Options{Dir: t.TempDir(), MemCapacity: 128})
 		if err != nil {
