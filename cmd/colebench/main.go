@@ -1,6 +1,7 @@
 // Command colebench regenerates the tables and figures of the COLE paper's
 // evaluation (§8). Each experiment prints the series the corresponding
-// figure plots; see EXPERIMENTS.md for paper-vs-measured notes.
+// figure plots: absolute numbers depend on the host, the shapes (who wins,
+// by what factor) are what reproduces the paper.
 //
 // Usage:
 //

@@ -1,9 +1,9 @@
 // Package bench is the experiment harness that regenerates every table
-// and figure of the paper's evaluation (§8) — see DESIGN.md §3 for the
-// experiment index. Each experiment returns a Table whose rows mirror the
-// series the paper plots; absolute numbers depend on the host, but the
-// shapes (who wins, by what factor, where crossovers fall) are the
-// reproduction target.
+// and figure of the paper's evaluation (§8); the README's "Benchmarks"
+// section lists the experiments and their flags. Each experiment returns a
+// Table whose rows mirror the series the paper plots; absolute numbers
+// depend on the host, but the shapes (who wins, by what factor, where
+// crossovers fall) are the reproduction target.
 package bench
 
 import (

@@ -1,11 +1,17 @@
-// Package bloom implements the per-run Bloom filters of COLE (§4).
+// Package bloom implements the address Bloom filters of COLE (§4): one per
+// run, and one per in-memory L0 group.
 //
 // Filters are built over state *addresses*, not compound keys, so a single
 // membership probe answers "does this run contain any version of addr?"
 // (the paper's first design consideration). False positives are tolerated:
-// a hit falls through to the normal run search. The filter's digest is
-// folded into the run digest (§4), so Hstate binds it; provenance proofs
-// carry that digest but never the filter, and prove absence with spans.
+// a hit falls through to the normal run search. A run filter's digest is
+// folded into the run digest (§4), so Hstate binds its bytes, and its bit
+// positions come from SHA-256 of the address (NewProbe). An L0 filter is a
+// read accelerator that never leaves memory and no digest binds, so its
+// positions come from a cheap 64-bit mix instead (MixProbe). A filter is
+// only ever probed with the Probe constructor it was filled with.
+// Provenance proofs carry a run filter's digest but never the filter, and
+// prove absence with spans.
 package bloom
 
 import (
@@ -13,6 +19,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"cole/internal/types"
 )
@@ -65,16 +72,46 @@ func New(n int, fpRate float64) *Filter {
 }
 
 // Probe is an address reduced to the two base hashes every filter's
-// double hashing starts from: the first 16 bytes of SHA-256(addr). A point
-// lookup probes every L0 group and run of the store for the same address,
-// so it computes the Probe once and hands it down; the digest lives on the
-// caller's stack and nothing is allocated.
+// double hashing starts from. A point lookup probes every L0 group and run
+// of the store for the same address, so it computes each kind of Probe
+// once and hands it down; it lives on the caller's stack and nothing is
+// allocated.
 type Probe struct{ h1, h2 uint64 }
 
-// NewProbe hashes addr for any number of MayContainProbe calls.
+// NewProbe hashes addr for a run filter: the base hashes are the first 16
+// bytes of SHA-256(addr).
 func NewProbe(addr types.Address) Probe {
 	h := sha256.Sum256(addr[:])
 	return Probe{binary.BigEndian.Uint64(h[0:8]), binary.BigEndian.Uint64(h[8:16])}
+}
+
+// MixProbe hashes addr for an L0 filter with a fixed-constant,
+// non-cryptographic 64-bit mix of the address's three words (8 + 8 + 4
+// bytes): each word in turn is xored into the state, which is multiplied
+// by a constant into 128 bits and folded back to 64. h2 is one more fold
+// of h1, forced odd so the double-hashing stride is never zero. It is
+// deterministic across processes and a small fraction of NewProbe's cost;
+// nothing it produces is persisted or digested.
+func MixProbe(addr types.Address) Probe {
+	h := mix(binary.LittleEndian.Uint64(addr[0:8])^mixK0, mixK1)
+	h = mix(h^binary.LittleEndian.Uint64(addr[8:16]), mixK2)
+	h = mix(h^uint64(binary.LittleEndian.Uint32(addr[16:20])), mixK3)
+	return Probe{h, mix(h^mixK0, mixK2) | 1}
+}
+
+// The mix's constants: odd 64-bit words with well-spread bits (the
+// wyhash secrets).
+const (
+	mixK0 = 0xa0761d6478bd642f
+	mixK1 = 0xe7037ed1a0b428db
+	mixK2 = 0x8ebc6af09c88c6e3
+	mixK3 = 0x589965cc75374cc3
+)
+
+// mix multiplies a and b into 128 bits and folds the halves together.
+func mix(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
 }
 
 func (f *Filter) addEntries(n uint64) {
@@ -82,9 +119,12 @@ func (f *Filter) addEntries(n uint64) {
 	binary.BigEndian.PutUint64(hdr, binary.BigEndian.Uint64(hdr)+n)
 }
 
-// Add inserts an address.
-func (f *Filter) Add(addr types.Address) {
-	p := NewProbe(addr)
+// Add inserts an address into a run filter (NewProbe).
+func (f *Filter) Add(addr types.Address) { f.AddProbe(NewProbe(addr)) }
+
+// AddProbe inserts an address hashed by NewProbe or MixProbe; the filter
+// must then be probed with the same constructor.
+func (f *Filter) AddProbe(p Probe) {
 	body := f.data[headerSize:]
 	for i := 0; i < f.hashes; i++ {
 		pos := (p.h1 + uint64(i)*p.h2) % f.nbits
@@ -94,19 +134,20 @@ func (f *Filter) Add(addr types.Address) {
 }
 
 // AddRepeat records another insertion of the address most recently passed
-// to Add, without re-hashing it: the bit pattern is idempotent, so only
-// the entry counter advances and the marshaled filter stays byte-for-byte
-// what repeated Add calls would produce. Run builders streaming sorted
+// to Add or AddProbe, without re-hashing it: the bit pattern is
+// idempotent, so only the entry counter advances and the marshaled filter
+// stays byte-for-byte what repeated Add calls would produce. Run builders streaming sorted
 // compound keys use it for the consecutive versions of one address —
 // which is most of a merge's entries under COLE's multi-version
 // workloads.
 func (f *Filter) AddRepeat() { f.addEntries(1) }
 
-// MayContain reports whether addr may be present (false means definitely
-// absent).
+// MayContain reports whether addr may be present in a run filter (false
+// means definitely absent).
 func (f *Filter) MayContain(addr types.Address) bool { return f.MayContainProbe(NewProbe(addr)) }
 
-// MayContainProbe is MayContain for an address hashed once by NewProbe.
+// MayContainProbe is MayContain for an address hashed once by the
+// filter's Probe constructor.
 func (f *Filter) MayContainProbe(p Probe) bool {
 	body := f.data[headerSize:]
 	for i := 0; i < f.hashes; i++ {

@@ -147,3 +147,16 @@ func TestEstimatedFPRate(t *testing.T) {
 		t.Fatalf("estimate %.4f implausible for design point 1%%", est)
 	}
 }
+
+// TestMixProbeStrideIsOdd: MixProbe never hands double hashing a zero
+// (or any even) stride.
+func TestMixProbeStrideIsOdd(t *testing.T) {
+	for i := uint64(0); i < 10000; i++ {
+		if p := MixProbe(types.AddressFromUint64(i)); p.h2&1 == 0 {
+			t.Fatalf("address %d: even h2 %#x", i, p.h2)
+		}
+	}
+	if p := MixProbe(types.Address{}); p.h2&1 == 0 {
+		t.Fatalf("zero address: even h2 %#x", p.h2)
+	}
+}

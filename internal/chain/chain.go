@@ -1,7 +1,7 @@
 // Package chain is the blockchain substrate: blocks, transactions, and a
 // deterministic transaction executor over pluggable state backends.
 //
-// It replaces the paper's Rust-EVM harness (DESIGN.md §4): the evaluation's
+// It replaces the paper's Rust-EVM harness: the evaluation's
 // smart contracts (SmallBank, YCSB KVStore from Blockbench) only read and
 // update fixed-size states, so the storage layer observes exactly the same
 // access patterns from this interpreter as from an EVM. Transactions are

@@ -15,7 +15,7 @@
 //     read+write IO churn the paper blames for CMI being 7–22× slower
 //     than MPT. (The paper uses an MB-tree [29] for the lower level; an
 //     append-only m-ary Merkle array is the same structure specialized to
-//     COLE's append-only version streams — DESIGN.md §4.)
+//     COLE's append-only version streams.)
 package cmi
 
 import (

@@ -50,11 +50,11 @@
 // Close wait for the writer, and a failed write fails the next Commit,
 // FlushAll or Close.
 //
-// A lookup hashes its address once (bloom.Probe) for every filter of the
-// view, searches runs whose learned indexes are resident, and pins value
-// pages in the one page cache the store's engines share (pagefile.Cache);
-// a set of that cache is the only lock it can touch, and it allocates
-// nothing.
+// A lookup hashes its address once per kind of filter (a bloom.MixProbe
+// for the L0 groups, a SHA-256 bloom.NewProbe for the runs), searches
+// runs whose learned indexes are resident, and pins value pages in the
+// one page cache the store's engines share (pagefile.Cache); a set of
+// that cache is the only lock it can touch, and it allocates nothing.
 package core
 
 import (
@@ -208,11 +208,20 @@ func NewPageCache() *pagefile.Cache {
 }
 
 // memGroup is one in-memory L0 group: an MB-tree plus an address Bloom
-// filter used as a read accelerator (the filter is not part of Hstate;
-// L0 proofs come from the tree itself).
+// filter used as a read accelerator. The filter is not part of Hstate (L0
+// proofs come from the tree itself) and never leaves memory, so its bit
+// positions come from bloom.MixProbe, not the SHA-256 of bloom.NewProbe
+// that run filters need: a block's inserts pay one 64-bit mix per
+// address, and readers probe it with a MixProbe too (searchView).
 type memGroup struct {
 	tree   *mbtree.Tree
 	filter *bloom.Filter
+}
+
+// put inserts one state update at height blk.
+func (g *memGroup) put(addr types.Address, blk uint64, value types.Value) {
+	g.tree.Insert(types.CompoundKey{Addr: addr, Blk: blk}, value)
+	g.filter.AddProbe(bloom.MixProbe(addr))
 }
 
 func newMemGroup(o Options) *memGroup {

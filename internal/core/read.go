@@ -125,18 +125,20 @@ func (e *Engine) lookupInView(v *view, addr types.Address, blk uint64) (versionH
 // predecessor), then every run newest-to-oldest, probing each run's Bloom
 // filter before descending its learned index — a filter miss skips the
 // run without any page read and is counted in skips. The address is
-// hashed once, for every filter of the view.
+// hashed once per kind of filter: one 64-bit mix for the L0 groups, one
+// SHA-256 for the runs.
 func searchView(v *view, addr types.Address, blk uint64) (hit versionHit, ok bool, skips int64, err error) {
 	key := types.CompoundKey{Addr: addr, Blk: blk}
-	probe := bloom.NewProbe(addr)
+	mix := bloom.MixProbe(addr)
 	for _, m := range v.mems {
-		if !m.filter.MayContainProbe(probe) {
+		if !m.filter.MayContainProbe(mix) {
 			continue
 		}
 		if ent, ok := m.tree.Predecessor(key); ok && ent.Key.Addr == addr {
 			return versionHit{Value: ent.Value, Blk: ent.Key.Blk}, true, skips, nil
 		}
 	}
+	probe := bloom.NewProbe(addr)
 	for _, rr := range v.runs {
 		if !rr.r.MayContainProbe(probe) {
 			skips++

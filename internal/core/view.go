@@ -52,7 +52,8 @@ func (rr *runRef) release() {
 
 // memView is one frozen L0 group as seen by a view: a copy-on-write
 // snapshot of the MB-tree (hashes warmed, so every read on it — including
-// ProveRange — is pure) and an immutable Bloom filter.
+// ProveRange — is pure) and an immutable Bloom filter, filled and probed
+// through bloom.MixProbe like the group's own.
 type memView struct {
 	tree   *mbtree.Tree
 	filter *bloom.Filter

@@ -37,9 +37,7 @@ func (e *Engine) Put(addr types.Address, value types.Value) error {
 	if !e.inBlock {
 		return fmt.Errorf("core: Put outside a block; call BeginBlock first")
 	}
-	g := e.mem[e.memWriting]
-	g.tree.Insert(types.CompoundKey{Addr: addr, Blk: e.height}, value)
-	g.filter.Add(addr)
+	e.mem[e.memWriting].put(addr, e.height, value)
 	e.stats.Puts++
 	return nil
 }
@@ -65,8 +63,7 @@ func (e *Engine) PutBatch(updates []Update) error {
 	}
 	g := e.mem[e.memWriting]
 	for _, u := range updates {
-		g.tree.Insert(types.CompoundKey{Addr: u.Addr, Blk: e.height}, u.Value)
-		g.filter.Add(u.Addr)
+		g.put(u.Addr, e.height, u.Value)
 	}
 	// Puts counts submitted updates (what the workload issued), matching
 	// the sequential-Put accounting.

@@ -12,7 +12,7 @@
 // it cannot scale past ~10^2–10^3 blocks. This module reproduces that
 // pathology honestly rather than optimizing it away.
 //
-// Simplifications vs. full LIPP (DESIGN.md §4): the conflict-resolution
+// Simplifications vs. full LIPP: the conflict-resolution
 // and node-rebuild policies are reduced to (a) child creation on collision
 // and (b) whole-tree rebuild when occupancy exceeds one half — neither
 // changes the two properties the evaluation depends on (big persisted

@@ -8,7 +8,7 @@
 // converted to float64 by the *same* conversion at build and query time, so
 // the bound verified during construction holds on disk.
 //
-// Substitution note (DESIGN.md §4): the paper computes segments with
+// Substitution note: the paper computes segments with
 // O'Rourke's online parallelogram/convex-hull algorithm (optimal PLA). We
 // use the greedy shrinking-cone method (FITing-tree): also streaming with
 // O(1) state, also ε-bounded, and at most 2× the optimal segment count.
