@@ -134,9 +134,9 @@ func (f *Filter) AddProbe(p Probe) {
 }
 
 // AddRepeat records another insertion of the address most recently passed
-// to Add or AddProbe, without re-hashing it: the bit pattern is
-// idempotent, so only the entry counter advances and the marshaled filter
-// stays byte-for-byte what repeated Add calls would produce. Run builders streaming sorted
+// to Add, without re-hashing it: the bit pattern is idempotent, so only
+// the entry counter advances and the marshaled filter stays byte-for-byte
+// what repeated Add calls would produce. Run builders streaming sorted
 // compound keys use it for the consecutive versions of one address —
 // which is most of a merge's entries under COLE's multi-version
 // workloads.

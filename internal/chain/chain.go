@@ -1,13 +1,13 @@
 // Package chain is the blockchain substrate: blocks, transactions, and a
 // deterministic transaction executor over pluggable state backends.
 //
-// It replaces the paper's Rust-EVM harness: the evaluation's
-// smart contracts (SmallBank, YCSB KVStore from Blockbench) only read and
-// update fixed-size states, so the storage layer observes exactly the same
-// access patterns from this interpreter as from an EVM. Transactions are
-// packed into blocks (100/block in the paper); each block header carries
-// the previous block hash, a timestamp surrogate, the transaction Merkle
-// root Htx, and the state root Hstate (Figure 2).
+// It replaces the paper's Rust-EVM harness: the evaluation's smart
+// contracts (SmallBank, YCSB KVStore from Blockbench) only read and update
+// fixed-size states, so the storage layer observes exactly the same access
+// patterns from this interpreter as from an EVM. Transactions are packed
+// into blocks (100/block in the paper); each block header carries the
+// previous block hash, a timestamp surrogate, the transaction Merkle root
+// Htx, and the state root Hstate (Figure 2).
 package chain
 
 import (

@@ -1,8 +1,8 @@
 // Package kvstore is a from-scratch log-structured merge key-value store.
 //
 // It stands in for RocksDB, which the paper uses as the storage backend of
-// every baseline (MPT, LIPP, CMI); the baselines need only its shape, not
-// RocksDB's tuning. The shape matches what those baselines exercise: an in-memory write buffer, immutable
+// every baseline (MPT, LIPP, CMI). The baselines need only RocksDB's
+// shape, not its tuning: an in-memory write buffer, immutable
 // sorted-string tables with sparse indexes and Bloom filters, and
 // size-tiered compaction with exponentially growing levels. Durability of
 // unflushed writes follows the blockchain model (transaction replay), so

@@ -1,14 +1,12 @@
 package lint
 
 import (
-	"go/parser"
+	"go/ast"
 	"go/token"
-	iofs "io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
 	"slices"
-	"strings"
 	"testing"
 )
 
@@ -26,46 +24,17 @@ func TestCommentsCiteExistingDocs(t *testing.T) {
 	}
 	root := filepath.Join("..", "..")
 	exists := func(p string) bool { _, err := os.Stat(p); return err == nil }
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d iofs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			switch d.Name() {
-			case ".git", ".bench_build", "testdata":
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		src, rerr := os.ReadFile(path)
-		if rerr != nil {
-			return rerr
-		}
-		if !mdCitation.Match(src) {
-			return nil
-		}
-		f, perr := parser.ParseFile(fset, path, src, parser.ParseComments)
-		if perr != nil {
-			return perr
-		}
-		rel, _ := filepath.Rel(root, path)
+	walkSources(t, true, func(rel string, fset *token.FileSet, f *ast.File) {
+		dir := filepath.Join(root, filepath.Dir(filepath.FromSlash(rel)))
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				for _, doc := range mdCitation.FindAllString(c.Text, -1) {
-					if !exists(filepath.Join(root, doc)) && !exists(filepath.Join(filepath.Dir(path), doc)) {
+					if !exists(filepath.Join(root, doc)) && !exists(filepath.Join(dir, doc)) {
 						t.Errorf("%s:%d: comment cites %s, which is not in the repository",
-							filepath.ToSlash(rel), fset.Position(c.Pos()).Line, doc)
+							rel, fset.Position(c.Pos()).Line, doc)
 					}
 				}
 			}
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }

@@ -13,9 +13,10 @@ import (
 	"testing"
 )
 
-// walkSources parses every non-test Go source file of the repository and
-// hands it to fn with its path relative to the repository root.
-func walkSources(t *testing.T, fn func(rel string, fset *token.FileSet, f *ast.File)) {
+// walkSources parses every Go source file of the repository, with its
+// comments, and hands it to fn with its path relative to the repository
+// root. Test files are included only when tests is set.
+func walkSources(t *testing.T, tests bool, fn func(rel string, fset *token.FileSet, f *ast.File)) {
 	t.Helper()
 	root := filepath.Join("..", "..")
 	fset := token.NewFileSet()
@@ -25,15 +26,15 @@ func walkSources(t *testing.T, fn func(rel string, fset *token.FileSet, f *ast.F
 		}
 		if d.IsDir() {
 			switch d.Name() {
-			case ".git", ".github", "testdata":
+			case ".git", ".github", ".bench_build", "testdata":
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") || (!tests && strings.HasSuffix(path, "_test.go")) {
 			return nil
 		}
-		f, perr := parser.ParseFile(fset, path, nil, 0)
+		f, perr := parser.ParseFile(fset, path, nil, parser.ParseComments)
 		if perr != nil {
 			return perr
 		}
@@ -53,7 +54,7 @@ func walkSources(t *testing.T, fn func(rel string, fset *token.FileSet, f *ast.F
 // `defer x.Close()` stays idiomatic) — the point is that dropping the
 // error is visible in the code, never an accident.
 func TestNoDroppedCloseOrSyncErrors(t *testing.T) {
-	walkSources(t, func(rel string, fset *token.FileSet, f *ast.File) {
+	walkSources(t, false, func(rel string, fset *token.FileSet, f *ast.File) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			es, ok := n.(*ast.ExprStmt)
 			if !ok {
@@ -91,7 +92,7 @@ var pathOnlyConstructors = map[string]bool{
 // the surviving function takes a vfs.FS (nil = the real filesystem).
 func TestNoFSConstructorTwins(t *testing.T) {
 	funcs := map[string]map[string]bool{} // package dir → exported top-level funcs
-	walkSources(t, func(rel string, _ *token.FileSet, f *ast.File) {
+	walkSources(t, false, func(rel string, _ *token.FileSet, f *ast.File) {
 		dir := filepath.ToSlash(filepath.Dir(rel))
 		if funcs[dir] == nil {
 			funcs[dir] = map[string]bool{}
@@ -202,7 +203,7 @@ func optionsLiteral(expr ast.Expr) *ast.CompositeLit {
 func TestOptionsFieldsHaveCallers(t *testing.T) {
 	fields := optionsFields(t, "internal/core/core.go")
 	set := map[string]string{} // field → first setter (file:line)
-	walkSources(t, func(rel string, fset *token.FileSet, f *ast.File) {
+	walkSources(t, false, func(rel string, fset *token.FileSet, f *ast.File) {
 		if strings.HasPrefix(rel, "internal/core/") {
 			return
 		}

@@ -12,11 +12,11 @@
 // it cannot scale past ~10^2–10^3 blocks. This module reproduces that
 // pathology honestly rather than optimizing it away.
 //
-// Simplifications vs. full LIPP: the conflict-resolution
-// and node-rebuild policies are reduced to (a) child creation on collision
-// and (b) whole-tree rebuild when occupancy exceeds one half — neither
-// changes the two properties the evaluation depends on (big persisted
-// nodes, per-update path copies).
+// Simplifications vs. full LIPP: the conflict-resolution and node-rebuild
+// policies are reduced to (a) child creation on collision and (b)
+// whole-tree rebuild when occupancy exceeds one half — neither changes the
+// two properties the evaluation depends on (big persisted nodes, per-update
+// path copies).
 package lipp
 
 import (

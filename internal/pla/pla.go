@@ -8,12 +8,12 @@
 // converted to float64 by the *same* conversion at build and query time, so
 // the bound verified during construction holds on disk.
 //
-// Substitution note: the paper computes segments with
-// O'Rourke's online parallelogram/convex-hull algorithm (optimal PLA). We
-// use the greedy shrinking-cone method (FITing-tree): also streaming with
-// O(1) state, also ε-bounded, and at most 2× the optimal segment count.
-// The builder applies a 0.75-position safety margin so that float64
-// rounding plus final round-to-nearest can never exceed ε.
+// Substitution note: the paper computes segments with O'Rourke's online
+// parallelogram/convex-hull algorithm (optimal PLA). We use the greedy
+// shrinking-cone method (FITing-tree): also streaming with O(1) state, also
+// ε-bounded, and at most 2× the optimal segment count. The builder applies
+// a 0.75-position safety margin so that float64 rounding plus final
+// round-to-nearest can never exceed ε.
 package pla
 
 import (

@@ -13,10 +13,9 @@ import (
 )
 
 // Build streams a sorted iterator into a new run; count must equal the
-// number of entries src yields. One pass over src writes the value file
-// and feeds the learned index's bottom PLA layer inline, while a helper
-// goroutine does the Merkle work; the Bloom filter is filled by whichever
-// of the two has room for it (writeEntries).
+// number of entries src yields. One pass over src writes the value file,
+// feeds the learned index's bottom PLA layer inline and fills the Bloom
+// filter, while a helper goroutine does the Merkle work (writeEntries).
 // Once the source is drained the helper finishes the Merkle file as this
 // goroutine finishes the learned index and, on a third, the value file,
 // so the three fsyncs overlap; all are joined before the metadata file,
@@ -102,21 +101,15 @@ type summary struct {
 
 // writeEntries is the per-entry loop of every run build, and it is a
 // two-stage pipeline. The caller's goroutine iterates src, encodes each
-// entry and appends it to the value file and feeds keys (the bottom PLA
-// layer: every key with its position). One helper goroutine, a
-// merkleStage, owns the Merkle writer. It takes the entries in batches: a
-// source that can replay precomputed leaf hashes (a run's .mrk file, a
-// merge of such sources, or a reshard destination's share of one — a
-// stored leaf hash IS types.HashEntry of its entry) hands over its leaf
-// hashes, and any other source (L0 flushes arrive as plain slices) hands
-// over its entries for the helper to hash.
-//
-// The Bloom filter's SHA-256 goes to the side with room for it. A flush's
-// helper is busy hashing leaves, so the loop inserts each address itself;
-// a merge's helper only passes stored hashes through, so the loop hands it
-// each address with its same-address flag and the helper inserts them
-// before its Merkle adds. Either way the filter is read only after the
-// helper has exited, and its bytes do not depend on which side filled it.
+// entry and appends it to the value file, feeds keys (the bottom PLA
+// layer: every key with its position) and inserts the address into the
+// Bloom filter. One helper goroutine, a merkleStage, owns the Merkle
+// writer. It takes the entries in batches: a source that can replay
+// precomputed leaf hashes (a run's .mrk file, a merge of such sources,
+// or a reshard destination's share of one — a stored leaf hash IS
+// types.HashEntry of its entry) hands over its leaf hashes, and any other
+// source (L0 flushes arrive as plain slices) hands over its entries for
+// the helper to hash.
 //
 // Once src is drained the helper finishes the Merkle file and takes its
 // root while tail (the value file's and learned index's finish) runs
@@ -133,11 +126,7 @@ func writeEntries(src Iterator, count int64, params Params, val *pagefile.Writer
 	if h, ok := src.(HashedIterator); ok && h.Hashed() {
 		hashSrc = h
 	}
-	var helperFilter *bloom.Filter
-	if hashSrc != nil {
-		helperFilter = sum.filter
-	}
-	stage := startMerkleStage(mrk, int(min(count, pipeBatch)), helperFilter)
+	stage := startMerkleStage(mrk, int(min(count, pipeBatch)), hashSrc != nil)
 	defer func() {
 		if serr := stage.finish(err == nil, tail); serr != nil {
 			err = serr
@@ -157,7 +146,7 @@ func writeEntries(src Iterator, count int64, params Params, val *pagefile.Writer
 		}
 		// Consecutive versions of one address are adjacent in compound-key
 		// order; the filter insert is idempotent, so only the first needs
-		// the SHA-256 base hashes (AddRepeat for the rest).
+		// the SHA-256 base hashes.
 		sameAddr := seen > 0 && e.Key.Addr == sum.maxKey.Addr
 		if seen == 0 {
 			sum.minKey = e.Key
@@ -174,12 +163,15 @@ func writeEntries(src Iterator, count int64, params Params, val *pagefile.Writer
 			if b.leaves[b.n], err = hashSrc.LeafHash(); err != nil {
 				return sum, root, err
 			}
-			b.addrs[b.n], b.repeat[b.n] = e.Key.Addr, sameAddr
 		} else {
 			b.entries[b.n] = e
-			addToFilter(sum.filter, e.Key.Addr, sameAddr)
 		}
 		b.n++
+		if sameAddr {
+			sum.filter.AddRepeat()
+		} else {
+			sum.filter.Add(e.Key.Addr)
+		}
 		seen++
 		if b.n == b.size() {
 			if b, err = stage.handoff(b); err != nil {
@@ -208,37 +200,18 @@ const (
 )
 
 // leafBatch is one hand-off from the entry loop to the Merkle stage:
-// the first n slots of leaves (stored leaf hashes, with each entry's
-// address and same-address flag for the run filter) or of entries (to be
+// the first n slots of leaves (stored leaf hashes) or of entries (to be
 // hashed), whichever the build's source supplies.
 type leafBatch struct {
 	leaves  []types.Hash
-	addrs   []types.Address
-	repeat  []bool
 	entries []types.Entry
 	n       int
 }
 
 func (b *leafBatch) size() int { return max(len(b.leaves), len(b.entries)) }
 
-// addToFilter inserts one entry's address into a run filter; repeat says
-// the previous entry had the same address.
-func addToFilter(f *bloom.Filter, addr types.Address, repeat bool) {
-	if repeat {
-		f.AddRepeat()
-	} else {
-		f.Add(addr)
-	}
-}
-
-// add feeds the batch's addresses to filter (a batch of stored leaf
-// hashes; nil otherwise), then its leaves to the Merkle writer in order.
-func (b *leafBatch) add(mrk *mht.Writer, filter *bloom.Filter) error {
-	if filter != nil {
-		for i := 0; i < b.n; i++ {
-			addToFilter(filter, b.addrs[i], b.repeat[i])
-		}
-	}
+// add feeds the batch's leaves to the Merkle writer in order.
+func (b *leafBatch) add(mrk *mht.Writer) error {
 	for i := 0; i < b.n; i++ {
 		var leaf types.Hash
 		if b.leaves != nil {
@@ -264,9 +237,6 @@ var errMerkleStage = errors.New("run: Merkle stage failed")
 // free.
 type merkleStage struct {
 	free, full chan *leafBatch
-	// filter is the run filter the helper fills from the batches' addrs
-	// when they carry stored leaf hashes; nil when the loop fills it.
-	filter *bloom.Filter
 	// failed is set once the helper has met an error: it keeps recycling
 	// batches but adds nothing more, and the loop stops at its next
 	// hand-off.
@@ -280,22 +250,16 @@ type merkleStage struct {
 	done chan error
 }
 
-// startMerkleStage starts the helper for batches of size entries. A
-// non-nil filter means the source hands over stored leaf hashes and the
-// helper fills filter from the batches' addresses.
-func startMerkleStage(mrk *mht.Writer, size int, filter *bloom.Filter) *merkleStage {
+func startMerkleStage(mrk *mht.Writer, size int, hashed bool) *merkleStage {
 	s := &merkleStage{
-		free:   make(chan *leafBatch, pipeDepth),
-		full:   make(chan *leafBatch, pipeDepth),
-		filter: filter,
-		done:   make(chan error, 1),
+		free: make(chan *leafBatch, pipeDepth),
+		full: make(chan *leafBatch, pipeDepth),
+		done: make(chan error, 1),
 	}
 	for i := 0; i < pipeDepth; i++ {
 		b := &leafBatch{}
-		if filter != nil {
+		if hashed {
 			b.leaves = make([]types.Hash, size)
-			b.addrs = make([]types.Address, size)
-			b.repeat = make([]bool, size)
 		} else {
 			b.entries = make([]types.Entry, size)
 		}
@@ -309,7 +273,7 @@ func (s *merkleStage) run(mrk *mht.Writer) {
 	var err error
 	for b := range s.full {
 		if err == nil {
-			if err = b.add(mrk, s.filter); err != nil {
+			if err = b.add(mrk); err != nil {
 				s.failed.Store(true)
 			}
 		}
