@@ -8,45 +8,36 @@
 //	colebench -exp fig9 [-blocks N] [-tx N] [-scale paper|lab|quick]
 //	colebench -exp shardscale -shards 8
 //	colebench -exp mergesched -merge-workers 8
-//	colebench -exp readscale -readers 8
-//	colebench -exp workloads -duration 5s -conc 8 -shards 4
 //	colebench -exp stalls -duration 5s
 //	colebench -exp all -json results.json
 //
 // Experiments: fig9 fig10 fig11 fig12 fig13 fig14 fig15 table1
-// mptbreakdown shardscale mergesched readscale reshard compaction
-// workloads stalls all.
+// mptbreakdown shardscale mergesched reshard stalls all.
 //
 // The paper's experiments (fig9–fig15, table1, mptbreakdown) execute
 // SmallBank/KVStore transactions through the chain executor, one Put per
 // state update, as the paper does. The sweeps (shardscale, mergesched,
-// readscale, reshard, compaction) populate their stores with uniform
-// write-only blocks over the preset's record count, each block landing
-// as one PutBatch.
+// reshard) populate their stores with uniform write-only blocks over the
+// preset's record count, each block landing as one PutBatch. The
+// engine's read, provenance and write-amplification numbers come from
+// the repository's benchmark (benchmark/README.md), not from here.
 //
 // -shards N runs the COLE systems of any experiment over an N-shard
 // store; for shardscale (and the reshard target sweep) it sets the top of
 // the power-of-two sweep. -merge-workers W bounds the shared background
-// merge pool (for mergesched: the top of its sweep); -readers R sets the
-// top of readscale's reader-goroutine sweep; -json writes every table
-// (with raw measurements, including merge waits, per-shard write counts,
-// and read-scaling TPS) to a machine-readable report.
-//
-// The workloads experiment drives the open-loop harness over the
-// pluggable workload matrix (uniform, zipfian, hotaccount × read mixes ×
-// COLE/COLE* × shard counts, every variant behind the cole.DB interface)
-// and reports per-op latency percentiles plus write/read/space
-// amplification. Its traffic knobs: -duration and -warmup set the
-// measured and unrecorded window lengths, -conc the concurrent reader
-// count, -keys the key population (default: the scale preset's record
-// count), -rate a target ops/s arrival rate (0 = closed loop), and
-// -shards adds a sharded column next to the single-store one.
+// merge pool (for mergesched: the top of its sweep); -json writes every
+// table (with raw measurements, including merge waits and per-shard
+// write counts) to a machine-readable report.
 //
 // The stalls experiment measures commit tail latency under a sustained
 // open-loop write stream for both COLE systems on a one-worker merge
-// pool, where merges checkpoint every B/4 entries (-rate overrides the
-// calibrated arrival rate). A digest-identity pass first proves each
+// pool, where merges checkpoint every B/4 entries. -duration and -warmup
+// set the measured and unrecorded window lengths, and -rate overrides
+// the calibrated arrival rate. A digest-identity pass first proves each
 // cell's options commit the per-block Hstate digests of default options.
+// -trace-out attaches the lifecycle tracer to every store an experiment
+// opens and writes its timeline as a Chrome trace (open in Perfetto or
+// chrome://tracing) plus a JSONL event log.
 package main
 
 import (
@@ -66,7 +57,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id: fig9..fig15, table1, mptbreakdown, shardscale, mergesched, readscale, reshard, compaction, workloads, stalls, all")
+		exp      = flag.String("exp", "all", "experiment id: fig9..fig15, table1, mptbreakdown, shardscale, mergesched, reshard, stalls, all")
 		scale    = flag.String("scale", "quick", "preset scale: quick | lab | paper")
 		blocks   = flag.Int("blocks", 0, "override block count")
 		tx       = flag.Int("tx", 0, "override transactions per block (paper: 100)")
@@ -74,16 +65,13 @@ func main() {
 		ratio    = flag.Int("ratio", 0, "override size ratio T")
 		fanout   = flag.Int("fanout", 0, "override MHT fanout m")
 		shards   = flag.Int("shards", 0, "COLE shard count (shardscale: top of the 1,2,4,... sweep)")
-		readers  = flag.Int("readers", 0, "readscale: top of the 1,2,4,... reader-goroutine sweep (default 8)")
 		workers  = flag.Int("merge-workers", 0, "shared merge worker budget, 0 = GOMAXPROCS (mergesched: top of the 1,2,4,... sweep)")
 		jsonOut  = flag.String("json", "", "also write a machine-readable report (tables + raw measurements) to this path")
 		scratch  = flag.String("scratch", "", "scratch directory (default: system temp)")
 		seed     = flag.Int64("seed", 42, "workload seed")
-		duration = flag.Duration("duration", 0, "workloads: measured open-loop window per cell (default 2s)")
-		warmup   = flag.Duration("warmup", 0, "workloads: unrecorded warm-up before the window (default 200ms)")
-		conc     = flag.Int("conc", 0, "workloads: concurrent reader goroutines (default 4)")
-		keys     = flag.Int("keys", 0, "workloads: key population (default: the scale preset's record count)")
-		rate     = flag.Float64("rate", 0, "workloads/stalls: target arrival rate in ops/s (0 = closed loop; stalls calibrates its own)")
+		duration = flag.Duration("duration", 0, "stalls: measured open-loop window per cell (default 2s)")
+		warmup   = flag.Duration("warmup", 0, "stalls: unrecorded warm-up before the window (default 200ms)")
+		rate     = flag.Float64("rate", 0, "stalls: target arrival rate in ops/s (0 = calibrate to 60% of measured write capacity)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile per experiment to <path>-<exp><ext>")
 		memProf  = flag.String("memprofile", "", "write a post-experiment heap profile per experiment to <path>-<exp><ext>")
 		traceOut = flag.String("trace-out", "", "attach the lifecycle tracer to every store and write per-experiment Chrome traces to <path>-<exp><ext> (+ JSONL next to each)")
@@ -127,12 +115,6 @@ func main() {
 	}
 	if *warmup > 0 {
 		cfg.WarmUp = *warmup
-	}
-	if *conc > 0 {
-		cfg.Concurrency = *conc
-	}
-	if *keys > 0 {
-		cfg.Keys = *keys
 	}
 	cfg.Rate = *rate
 	prov.ScratchDir = *scratch
@@ -279,24 +261,6 @@ func main() {
 		})
 		any = true
 	}
-	if all || *exp == "compaction" {
-		// Single-shard by design: the experiment isolates the merge data
-		// path from shard parallelism.
-		c := pipelineCfg()
-		c.Shards = 0
-		run("compaction", func() (*bench.Table, error) {
-			return bench.CompactionBench(c, *scratch)
-		})
-		any = true
-	}
-	if all || *exp == "workloads" {
-		// The matrix sweeps its own shard axis ({1} plus -shards when
-		// set); the distribution × mix axis is the default spec set.
-		run("workloads", func() (*bench.Table, error) {
-			return bench.Workloads(cfg, nil, nil, *scratch)
-		})
-		any = true
-	}
 	if all || *exp == "stalls" {
 		// Single-shard by design: the matrix isolates the commit path's
 		// interaction with the merge pool from shard parallelism, and the
@@ -305,16 +269,6 @@ func main() {
 		c.Shards = 0
 		run("stalls", func() (*bench.Table, error) {
 			return bench.StallBench(c, *scratch)
-		})
-		any = true
-	}
-	if all || *exp == "readscale" {
-		// Single-shard by design: the sweep isolates read-path scaling
-		// from shard parallelism.
-		c := pipelineCfg()
-		c.Shards = 0
-		run("readscale", func() (*bench.Table, error) {
-			return bench.ReadScaling(c, powerSweep(*readers, 8), *scratch)
 		})
 		any = true
 	}

@@ -11,7 +11,6 @@
 //	coledb -dir ledger prov <addr> <blkLo> <blkHi>
 //	coledb -dir ledger stat [-json]
 //	coledb -dir ledger dump
-//	coledb -dir ledger trace <out.json> [<blocks> [<tx-per-block>]]
 //	coledb -dir ledger reshard <shards>
 //	coledb -dir ledger fsck [-fast]
 //
@@ -21,16 +20,16 @@
 // reopening adopts it automatically, and existing unsharded directories
 // keep working as single-shard stores.
 //
-// stat -json emits the machine-readable form of stat, including the
-// per-operation latency histograms the engine records continuously.
-//
-// trace drives a synthetic write workload through the store with the
-// lifecycle tracer attached and writes two artifacts: a Chrome
-// trace-event file at <out.json> (open in Perfetto or chrome://tracing
-// — one lane per shard commit/flush/merge worker) and a JSONL event log
-// next to it at <out.json>l. -metrics-addr serves live Prometheus
-// metrics for every open store at /metrics (plus pprof under
-// /debug/pprof/) for the duration of any command.
+// stat prints what an open store knows about itself: height and
+// checkpoint, shard layout, entries, runs and levels, disk bytes, the
+// page-cache budget, Hstate, and on a multi-shard store the per-shard
+// balance. Operation counters and latency histograms count from the
+// moment a process opens the store, so each coledb command would see
+// them empty; read them from Store.Stats() or /metrics in the process
+// that does the work. stat -json emits the same facts machine-readably.
+// -metrics-addr serves live Prometheus metrics for every open store at
+// /metrics (plus pprof under /debug/pprof/) for the duration of any
+// command.
 //
 // reshard rewrites the (closed, cleanly flushed) store to a new shard
 // count offline — one sort-merge of the immutable runs routed to every
@@ -73,7 +72,7 @@ func main() {
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
-		failCode(2, "missing command: put | get | getbatch | getat | prov | dump | stat | trace | reshard | fsck")
+		failCode(2, "missing command: put | get | getbatch | getat | prov | dump | stat | reshard | fsck")
 	}
 
 	if *metrics != "" {
@@ -146,15 +145,6 @@ func main() {
 	opts := cole.Options{
 		Dir: *dir, AsyncMerge: *async, MemCapacity: *memB, SizeRatio: *ratio, Fanout: *m,
 		Shards: *shards, MergeWorkers: *workers,
-	}
-
-	// trace owns its store's whole open/run/close cycle: the tracer must
-	// be attached at open time, and export requires the store closed.
-	if args[0] == "trace" {
-		if err := runTrace(opts, args[1:]); err != nil {
-			fail("trace: %v", err)
-		}
-		return
 	}
 
 	store, err := cole.Open(opts)
@@ -284,60 +274,32 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%d entries\n", n)
 	case "stat":
 		sb := store.Storage()
-		st := store.Stats()
+		_, budget := store.PageCacheBytes()
 		if len(args) > 1 && args[1] == "-json" {
-			printStatJSON(store, st, sb)
+			printStatJSON(store, sb, budget)
 			return
 		}
 		fmt.Printf("height:      %d (checkpoint %d)\n", store.Height(), store.CheckpointHeight())
 		fmt.Printf("shards:      %d (reshard generation %d)\n", store.Shards(), store.Generation())
 		fmt.Printf("entries:     %d in %d runs across %d levels\n", sb.Entries, sb.Runs, sb.Levels)
 		fmt.Printf("disk:        %d data bytes + %d index bytes\n", sb.DataBytes, sb.IndexBytes)
-		fmt.Printf("ops:         %d puts, %d gets (%d bloom skips), %d prov queries\n", st.Puts, st.Gets, st.BloomSkips, st.ProvQueries)
-		fmt.Printf("maintenance: %d flushes (%.1f MB), %d merges (%.1f MB rewritten), %d merge waits\n",
-			st.Flushes, float64(st.FlushBytes)/(1<<20), st.Merges, float64(st.MergeBytes)/(1<<20), st.MergeWaits)
-		mergeMBps := 0.0
-		if st.MergeNanos > 0 {
-			mergeMBps = float64(st.MergeBytes) / (1 << 20) / (float64(st.MergeNanos) / 1e9)
-		}
-		fmt.Printf("merge rate:  %.1f MB/s inside level-merge builds\n", mergeMBps)
-		hitRate := 0.0
-		if st.PageReads+st.CacheHits > 0 {
-			hitRate = 100 * float64(st.CacheHits) / float64(st.PageReads+st.CacheHits)
-		}
-		resident, budget := store.PageCacheBytes()
-		fmt.Printf("page cache:  %d of %d KiB resident; %d value pages read, %d hits (%.1f%% hit rate; indexes are resident, merges bypass the cache)\n",
-			resident>>10, budget>>10, st.PageReads, st.CacheHits, hitRate)
-		// Commit-tail health: mean vs worst commit shows whether checkpoint
-		// stalls ever formed.
-		meanCommit := time.Duration(0)
-		if st.Commits > 0 {
-			meanCommit = time.Duration(st.CommitNanos / st.Commits)
-		}
-		fmt.Printf("commit tail: %d commits, mean %s, worst %s; stalled %s, %d merge preemptions\n",
-			st.Commits, meanCommit, time.Duration(st.MaxCommitNanos),
-			time.Duration(st.StallNanos), st.Preemptions)
+		fmt.Printf("page cache:  %d KiB budget (value pages; indexes are resident)\n", budget>>10)
 		fmt.Printf("Hstate:      %s\n", store.RootDigest())
 		if shards := store.ShardStats(); len(shards) > 1 {
 			var totalE, totalB, maxE, maxB int64
 			for _, ss := range shards {
 				totalE += ss.Entries
 				totalB += ss.Bytes
-				if ss.Entries > maxE {
-					maxE = ss.Entries
-				}
-				if ss.Bytes > maxB {
-					maxB = ss.Bytes
-				}
+				maxE = max(maxE, ss.Entries)
+				maxB = max(maxB, ss.Bytes)
 			}
-			fmt.Printf("balance:     per-shard entries / disk bytes / puts / merge waits / worst commit\n")
+			fmt.Printf("balance:     per-shard entries / disk bytes\n")
 			for i, ss := range shards {
 				share := 0.0
 				if totalE > 0 {
 					share = 100 * float64(ss.Entries) / float64(totalE)
 				}
-				fmt.Printf("  shard %02d:  %8d (%5.1f%%)  %10d  %8d  %d  %s\n",
-					i, ss.Entries, share, ss.Bytes, ss.Puts, ss.MergeWaits, time.Duration(ss.MaxCommitNanos))
+				fmt.Printf("  shard %02d:  %8d (%5.1f%%)  %10d\n", i, ss.Entries, share, ss.Bytes)
 			}
 			n := int64(len(shards))
 			imbE, imbB := 0.0, 0.0
@@ -357,137 +319,37 @@ func main() {
 	}
 }
 
-// runTrace drives a synthetic write burst through the store with the
-// lifecycle tracer attached, then exports the recorded timeline. It
-// owns the store's full open/run/close cycle because the tracer must be
-// present at open time and the ring may only be read once the store is
-// closed (export assumes recording has quiesced).
-func runTrace(opts cole.Options, args []string) error {
-	if len(args) < 1 || len(args) > 3 {
-		return fmt.Errorf("usage: trace <out.json> [<blocks> [<tx-per-block>]]")
-	}
-	out := args[0]
-	blocks, perBlock := uint64(64), uint64(256)
-	if len(args) >= 2 {
-		blocks = parseU64(args[1])
-	}
-	if len(args) == 3 {
-		perBlock = parseU64(args[2])
-	}
-	tracer := cole.NewTracer(0)
-	opts.Trace = tracer
-	store, err := cole.Open(opts)
-	if err != nil {
-		return fmt.Errorf("open: %w", err)
-	}
-	// Reuse a bounded keyspace so flushed runs overlap and cascade into
-	// level merges — the lifecycle transitions the trace exists to show.
-	keys := blocks * perBlock / 4
-	if keys < 1 {
-		keys = 1
-	}
-	base := store.Height()
-	for b := uint64(1); b <= blocks; b++ {
-		if err := store.BeginBlock(base + b); err != nil {
-			_ = store.Close()
-			return err
-		}
-		ups := make([]cole.Update, perBlock)
-		for i := range ups {
-			k := (uint64(i)*2654435761 + b*97) % keys
-			ups[i] = cole.Update{
-				Addr:  cole.AddressFromString(fmt.Sprintf("trace-%d", k)),
-				Value: cole.ValueFromBytes([]byte(fmt.Sprintf("b%d-%d", base+b, i))),
-			}
-		}
-		if err := store.PutBatch(ups); err != nil {
-			_ = store.Close()
-			return err
-		}
-		if _, err := store.Commit(); err != nil {
-			_ = store.Close()
-			return err
-		}
-	}
-	// Quiesce, then close: FlushAll joins every in-flight flush and
-	// merge, and Close stops the goroutines that record events.
-	if err := store.FlushAll(); err != nil {
-		_ = store.Close()
-		return err
-	}
-	st := store.Stats()
-	if err := store.Close(); err != nil {
-		return err
-	}
-	if err := writeTraceArtifacts(tracer, out); err != nil {
-		return err
-	}
-	fmt.Printf("traced %d blocks x %d tx: %d events (%d dropped), %d commits, %d flushes, %d merges, %d preemptions\n",
-		blocks, perBlock, tracer.Len(), tracer.Dropped(), st.Commits, st.Flushes, st.Merges, st.Preemptions)
-	fmt.Printf("chrome trace: %s (open in Perfetto or chrome://tracing)\n", out)
-	fmt.Printf("jsonl events: %sl\n", out)
-	return nil
+// shardShape is one shard's line of stat -json: what an open store
+// knows about the shard without having served any traffic.
+type shardShape struct {
+	Entries int64
+	Bytes   int64
 }
 
-// writeTraceArtifacts writes the Chrome trace-event file at out and the
-// raw JSONL event log next to it at out+"l".
-func writeTraceArtifacts(tr *cole.Tracer, out string) error {
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChromeTrace(f); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("chrome trace: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	g, err := os.Create(out + "l")
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteJSONL(g); err != nil {
-		_ = g.Close()
-		return fmt.Errorf("jsonl: %w", err)
-	}
-	return g.Close()
-}
-
-// printStatJSON is the machine-readable form of stat. Stats.Hist is a
-// live histogram handle excluded from the struct's own JSON encoding,
-// so the percentile summaries are attached as an explicit section.
-func printStatJSON(store *cole.Store, st cole.Stats, sb cole.StorageBreakdown) {
-	lat := map[string]interface{}{}
-	if st.Hist != nil {
-		lat["commit"] = st.Hist.Commit.Summary()
-		lat["put_batch"] = st.Hist.PutBatch.Summary()
-		lat["get"] = st.Hist.Get.Summary()
-		lat["get_batch"] = st.Hist.GetBatch.Summary()
-		lat["prov"] = st.Hist.Prov.Summary()
-	}
+// printStatJSON is the machine-readable form of stat.
+func printStatJSON(store *cole.Store, sb cole.StorageBreakdown, cacheBudget int64) {
 	outDoc := struct {
-		Height     uint64                 `json:"height"`
-		Checkpoint uint64                 `json:"checkpoint"`
-		Shards     int                    `json:"shards"`
-		Generation uint64                 `json:"generation"`
-		Hstate     string                 `json:"hstate"`
-		Storage    cole.StorageBreakdown  `json:"storage"`
-		Stats      cole.Stats             `json:"stats"`
-		Latency    map[string]interface{} `json:"latency"`
-		PerShard   []cole.ShardStat       `json:"per_shard,omitempty"`
+		Height      uint64                `json:"height"`
+		Checkpoint  uint64                `json:"checkpoint"`
+		Shards      int                   `json:"shards"`
+		Generation  uint64                `json:"generation"`
+		Hstate      string                `json:"hstate"`
+		Storage     cole.StorageBreakdown `json:"storage"`
+		CacheBudget int64                 `json:"page_cache_budget_bytes"`
+		PerShard    []shardShape          `json:"per_shard,omitempty"`
 	}{
-		Height:     store.Height(),
-		Checkpoint: store.CheckpointHeight(),
-		Shards:     store.Shards(),
-		Generation: store.Generation(),
-		Hstate:     fmt.Sprint(store.RootDigest()),
-		Storage:    sb,
-		Stats:      st,
-		Latency:    lat,
+		Height:      store.Height(),
+		Checkpoint:  store.CheckpointHeight(),
+		Shards:      store.Shards(),
+		Generation:  store.Generation(),
+		Hstate:      fmt.Sprint(store.RootDigest()),
+		Storage:     sb,
+		CacheBudget: cacheBudget,
 	}
 	if ss := store.ShardStats(); len(ss) > 1 {
-		outDoc.PerShard = ss
+		for _, s := range ss {
+			outDoc.PerShard = append(outDoc.PerShard, shardShape{Entries: s.Entries, Bytes: s.Bytes})
+		}
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")

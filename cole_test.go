@@ -175,7 +175,7 @@ func TestShardedFacade(t *testing.T) {
 func TestOpenLegacyDirectory(t *testing.T) {
 	dir := t.TempDir()
 	opts := cole.Options{Dir: dir, MemCapacity: 16, SizeRatio: 2}
-	e, err := core.Open(opts)
+	e, err := core.OpenShared(opts, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,9 +64,9 @@ type SystemSpec struct {
 }
 
 // Config scales an experiment: the engine under test (SystemSpec), the
-// declarative workload (workload.Spec — key population, distribution,
-// mix, duration, concurrency, seed), and the paper experiments'
-// closed-loop knobs. Both parts are embedded, so experiment code reads
+// declarative workload (workload.Spec — key population, duration,
+// warm-up, arrival rate, seed), and the paper experiments' closed-loop
+// knobs. Both parts are embedded, so experiment code reads
 // cfg.Shards or cfg.Seed directly. Paper-scale values are 100 tx/block
 // and up to 10^5 blocks; defaults are laptop-scale and every knob can be
 // raised.
@@ -172,16 +172,6 @@ type Result struct {
 	// Imbalance its max/mean ratio — 1.0 is perfectly balanced routing.
 	ShardPuts []int64
 	Imbalance float64
-	// Read-scaling measurements (the readscale experiment): Readers is
-	// the reader-goroutine count, ReadTPS the point-read throughput with
-	// an idle write path, MixedReadTPS/MixedWriteTPS the throughputs
-	// while a writer commits blocks concurrently, and BloomSkips the
-	// runs skipped by per-run Bloom filters during the reads.
-	Readers       int     `json:",omitempty"`
-	ReadTPS       float64 `json:",omitempty"`
-	MixedReadTPS  float64 `json:",omitempty"`
-	MixedWriteTPS float64 `json:",omitempty"`
-	BloomSkips    int64   `json:",omitempty"`
 	// Reshard measurements (the reshard experiment): the source and
 	// target shard counts, the offline rewrite's wall time and logical
 	// bandwidth, and write TPS on the identical block pipeline before and
@@ -193,36 +183,18 @@ type Result struct {
 	ReshardMBps    float64 `json:",omitempty"`
 	TPSBefore      float64 `json:",omitempty"`
 	TPSAfter       float64 `json:",omitempty"`
-	// Compaction measurements (the compaction experiment): MergeBytes is
-	// the level-merge volume, MergeMBps that volume per second spent
-	// inside merge builds, and PageReads / CacheHits the point-read
-	// page-cache totals (physical reads vs LRU hits), which merges bypass
-	// and so stay intact under heavy compaction.
-	MergeBytes int64   `json:",omitempty"`
-	MergeMBps  float64 `json:",omitempty"`
-	PageReads  int64   `json:",omitempty"`
-	CacheHits  int64   `json:",omitempty"`
-	// Open-loop workload measurements (the workloads experiment): the
-	// shard count of the store under test, the per-class operation
-	// counts of the measured window, the per-op read and per-block
-	// commit latency ladders, and the amplification report derived from
-	// the engine's own counters.
-	Shards    int            `json:",omitempty"`
-	ReadOps   int64          `json:",omitempty"`
-	WriteOps  int64          `json:",omitempty"`
-	ReadLat   *hist.Summary  `json:",omitempty"`
-	CommitLat *hist.Summary  `json:",omitempty"`
-	Amp       *Amplification `json:",omitempty"`
 	// Stall measurements (the stalls experiment): Rate is the open-loop
-	// arrival rate in ops/s, and the counters are the engine's own
-	// session totals — time commits spent blocked on unfinished merges
-	// (StallNanos), the worst single commit (MaxCommitNanos), and how
-	// often chunked merges handed their worker slot to more urgent work
-	// (Preemptions).
-	Rate           float64 `json:",omitempty"`
-	StallNanos     int64   `json:",omitempty"`
-	MaxCommitNanos int64   `json:",omitempty"`
-	Preemptions    int64   `json:",omitempty"`
+	// arrival rate in ops/s, CommitLat the per-block commit latency
+	// ladder of the measured window, and the counters are the engine's
+	// own session totals — time commits spent blocked on unfinished
+	// merges (StallNanos), the worst single commit (MaxCommitNanos), and
+	// how often chunked merges handed their worker slot to more urgent
+	// work (Preemptions).
+	Rate           float64       `json:",omitempty"`
+	CommitLat      *hist.Summary `json:",omitempty"`
+	StallNanos     int64         `json:",omitempty"`
+	MaxCommitNanos int64         `json:",omitempty"`
+	Preemptions    int64         `json:",omitempty"`
 }
 
 // backendHandle couples a backend with its measurement hooks.

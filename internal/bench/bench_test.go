@@ -121,15 +121,12 @@ func TestFig15TinyRuns(t *testing.T) {
 	}
 }
 
-func TestMergeSchedTiny(t *testing.T) {
-	cfg := tiny()
-	cfg.Shards = 2
-	tab, err := WriteSweep(cfg, AxisWorkers, []int{1, 2}, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 4 || len(tab.Results) != 4 { // 2 systems × 2 budgets
-		t.Fatalf("rows=%d results=%d, want 4 each", len(tab.Rows), len(tab.Results))
+// checkRows fails unless tab has want rows, each with one cell per
+// column, and every result measured a positive TPS.
+func checkRows(t *testing.T, tab *Table, want int) {
+	t.Helper()
+	if len(tab.Rows) != want || len(tab.Results) != want {
+		t.Fatalf("rows=%d results=%d, want %d each", len(tab.Rows), len(tab.Results), want)
 	}
 	for i, row := range tab.Rows {
 		if len(row) != len(tab.Columns) {
@@ -137,7 +134,22 @@ func TestMergeSchedTiny(t *testing.T) {
 		}
 	}
 	for _, res := range tab.Results {
-		if res.Txs != cfg.Blocks*cfg.TxPerBlock || res.TPS <= 0 {
+		if res.TPS <= 0 {
+			t.Fatalf("implausible result: %+v", res)
+		}
+	}
+}
+
+func TestMergeSchedTiny(t *testing.T) {
+	cfg := tiny()
+	cfg.Shards = 2
+	tab, err := WriteSweep(cfg, AxisWorkers, []int{1, 2}, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRows(t, tab, 4) // 2 systems × 2 budgets
+	for _, res := range tab.Results {
+		if res.Txs != cfg.Blocks*cfg.TxPerBlock {
 			t.Fatalf("implausible sweep point: %+v", res)
 		}
 		// Every point is a 2-shard store: per-shard counts from ShardStats.
@@ -209,6 +221,8 @@ func TestWriteBlocksRejectsDivergentStores(t *testing.T) {
 	}
 }
 
+// TestReportJSONRoundTrip runs the shard-scaling sweep (the
+// shardscale experiment) and round-trips its report.
 func TestReportJSONRoundTrip(t *testing.T) {
 	cfg := tiny()
 	cfg.Shards = 2
@@ -216,6 +230,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRows(t, tab, 4) // 2 systems × 2 shard counts
 	path := filepath.Join(t.TempDir(), "report.json")
 	if err := NewReport([]*Table{tab}).WriteJSON(path); err != nil {
 		t.Fatal(err)
@@ -254,30 +269,5 @@ func TestMPTBreakdownTiny(t *testing.T) {
 	}
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows: %d", len(tab.Rows))
-	}
-}
-
-func TestCompactionBenchTiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("the isolated merge phase is sized for a meaningful bandwidth number")
-	}
-	table, err := CompactionBench(tiny(), t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The isolated merge, then one row per system.
-	const want = 3
-	if len(table.Rows) != want || len(table.Results) != want {
-		t.Fatalf("expected %d rows, got %d rows / %d results", want, len(table.Rows), len(table.Results))
-	}
-	// The isolated row must carry a real bandwidth number; the engine
-	// rows must carry the sustained-write counters.
-	if res := table.Results[0]; res.MergeMBps <= 0 || res.MergeBytes <= 0 {
-		t.Fatalf("isolated-merge row lacks bandwidth: %+v", res)
-	}
-	for _, res := range table.Results[1:] {
-		if res.TPS <= 0 || res.PageReads+res.CacheHits == 0 {
-			t.Fatalf("engine row lacks counters: %+v", res)
-		}
 	}
 }

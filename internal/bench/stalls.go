@@ -8,8 +8,112 @@ import (
 	"cole/internal/core"
 	"cole/internal/hist"
 	"cole/internal/obs"
+	"cole/internal/types"
 	"cole/internal/workload"
 )
+
+// openLoopResult is one measured window of runOpenLoop.
+type openLoopResult struct {
+	elapsed   time.Duration
+	writeOps  int64
+	blocks    int64
+	commitLat hist.Hist
+	// stats is the engine counter snapshot taken right before the final
+	// FlushAll, so stall/commit counters describe the driven run,
+	// not the shutdown join of whatever merges were still in flight.
+	stats cole.Stats
+}
+
+// runOpenLoop drives db with spec's write stream for a fixed duration:
+// blocks of TxPerBlock writes land as PutBatch + Commit, each commit
+// timed into the commit histogram. The first WarmUp of the run executes
+// identically but unrecorded. spec.Rate > 0 schedules every write's
+// arrival up front, so a store that falls behind receives its backlog at
+// once instead of the loop slowing down to match (no coordinated
+// omission); 0 runs closed-loop. The run ends with FlushAll, which joins
+// every in-flight merge.
+func runOpenLoop(db cole.DB, spec workload.Spec) (*openLoopResult, error) {
+	spec = spec.WithDefaults()
+	if spec.ReadFraction != 0 {
+		return nil, fmt.Errorf("open loop: writes only, got read fraction %v", spec.ReadFraction)
+	}
+	gen, err := workload.New(spec)
+	if err != nil {
+		return nil, err
+	}
+
+	// Load phase: apply the base population in blocks before the clock
+	// starts (YCSB's load/run split).
+	for load := gen.Load(); len(load) > 0; {
+		n := min(spec.TxPerBlock, len(load))
+		if _, err := commitBlock(db, load[:n]); err != nil {
+			return nil, fmt.Errorf("load: %w", err)
+		}
+		load = load[n:]
+	}
+
+	var (
+		res        openLoopResult
+		start      = time.Now()
+		warmEnd    = start.Add(spec.WarmUp)
+		deadline   = warmEnd.Add(spec.Duration)
+		measuredAt time.Time // actual start of the recorded window
+		batch      = make([]types.Update, 0, spec.TxPerBlock)
+		issued     int64
+	)
+	for {
+		now := time.Now()
+		if spec.Rate > 0 {
+			// The i-th write arrives at its scheduled instant regardless
+			// of how the store is keeping up.
+			at := start.Add(time.Duration(float64(issued) / spec.Rate * float64(time.Second)))
+			if wait := at.Sub(now); wait > 0 {
+				time.Sleep(wait)
+			}
+			now = at
+		}
+		if !time.Now().Before(deadline) {
+			break
+		}
+		recording := !now.Before(warmEnd)
+		if recording && measuredAt.IsZero() {
+			measuredAt = time.Now()
+		}
+		op := gen.Next()
+		issued++
+		batch = append(batch, types.Update{Addr: op.Addr, Value: op.Value})
+		if recording {
+			res.writeOps++
+		}
+		if len(batch) >= spec.TxPerBlock {
+			cStart := time.Now()
+			if _, err := commitBlock(db, batch); err != nil {
+				return nil, err
+			}
+			if recording {
+				res.commitLat.Record(time.Since(cStart))
+				res.blocks++
+			}
+			batch = batch[:0]
+		}
+	}
+	// Land any partial tail block so the store's state covers every
+	// write counted as issued (unrecorded: it is not a full block).
+	if len(batch) > 0 {
+		if _, err := commitBlock(db, batch); err != nil {
+			return nil, err
+		}
+	}
+	if measuredAt.IsZero() {
+		measuredAt = time.Now()
+	}
+	res.elapsed = time.Since(measuredAt)
+	res.stats = db.Stats()
+	if err := db.FlushAll(); err != nil {
+		return nil, err
+	}
+	return &res, nil
+}
 
 // stallIdentity proves the cell's scheduling is digest-transparent: every
 // block of one deterministic sequence is committed to a store on default
@@ -114,7 +218,6 @@ func StallBench(cfg Config, scratch string) (*Table, error) {
 	spec := cfg.Spec
 	spec.Name = "uniform"
 	spec.ReadFraction = 0
-	spec.Concurrency = 1
 	// A shallow store never stalls: commits only block on merges when the
 	// narrow pool is busy with a deep level. Grow the load phase until the
 	// store starts several levels deep, so the measured window sees deep
@@ -156,10 +259,8 @@ func StallBench(cfg Config, scratch string) (*Table, error) {
 		t.Rows = append(t.Rows, []string{
 			string(sys),
 			fmt.Sprint(res.Blocks), fmt.Sprintf("%.0f", res.TPS),
-			latCell(res.CommitLat, func(s *hist.Summary) time.Duration { return s.P50 }),
-			latCell(res.CommitLat, func(s *hist.Summary) time.Duration { return s.P99 }),
-			latCell(res.CommitLat, func(s *hist.Summary) time.Duration { return s.P999 }),
-			latCell(res.CommitLat, func(s *hist.Summary) time.Duration { return s.Max }),
+			fmtDur(res.CommitLat.P50), fmtDur(res.CommitLat.P99),
+			fmtDur(res.CommitLat.P999), fmtDur(res.CommitLat.Max),
 			fmtDur(time.Duration(res.StallNanos)),
 			fmt.Sprint(res.Preemptions),
 		})
@@ -209,6 +310,9 @@ func stallCell(cfg Config, sys System, spec workload.Spec, scratch string) (res 
 		}
 		checked = true
 	}
+	if r.blocks == 0 {
+		return res, false, fmt.Errorf("no full block committed in the measured window")
+	}
 	st := r.stats
 	res = Result{
 		System:         sys,
@@ -217,7 +321,6 @@ func stallCell(cfg Config, sys System, spec workload.Spec, scratch string) (res 
 		Blocks:         int(r.blocks),
 		Txs:            int(r.writeOps),
 		Elapsed:        r.elapsed,
-		WriteOps:       r.writeOps,
 		CommitLat:      r.commitLat.Summary(),
 		StallNanos:     st.StallNanos,
 		MaxCommitNanos: st.MaxCommitNanos,

@@ -169,9 +169,6 @@ func (f *Filter) Clone() *Filter {
 // Entries returns the number of insertions.
 func (f *Filter) Entries() uint64 { return binary.BigEndian.Uint64(f.data[entriesOff:headerSize]) }
 
-// Bits returns the filter size in bits.
-func (f *Filter) Bits() uint64 { return f.nbits }
-
 // Digest hashes the filter contents; it is combined with the run's Merkle
 // root into the run digest that Hstate binds.
 func (f *Filter) Digest() types.Hash { return types.HashData(f.data) }
@@ -203,15 +200,4 @@ func Unmarshal(b []byte) (*Filter, error) {
 		return nil, fmt.Errorf("bloom: body length %d, want %d words for nbits=%d", body, words, nbits)
 	}
 	return &Filter{data: b, nbits: nbits, hashes: int(hashes)}, nil
-}
-
-// EstimatedFPRate returns the expected false-positive rate given the number
-// of entries inserted so far.
-func (f *Filter) EstimatedFPRate() float64 {
-	entries := f.Entries()
-	if entries == 0 {
-		return 0
-	}
-	k := float64(f.hashes)
-	return math.Pow(1-math.Exp(-k*float64(entries)/float64(f.nbits)), k)
 }

@@ -34,9 +34,6 @@ const (
 	TxKVWrite
 )
 
-// IsWrite reports whether the transaction updates state.
-func (k TxKind) IsWrite() bool { return k != TxQuery && k != TxKVRead }
-
 // String names the operation.
 func (k TxKind) String() string {
 	switch k {
@@ -114,13 +111,6 @@ func checkingAddr(acct string) types.Address { return types.AddressFromString("s
 
 // KVAddr is the state address of a YCSB KVStore record.
 func KVAddr(key string) types.Address { return types.AddressFromString("kv/" + key) }
-
-// SavingsAddr exposes the savings state address of an account (used by
-// provenance examples and tests).
-func SavingsAddr(acct string) types.Address { return savingsAddr(acct) }
-
-// CheckingAddr exposes the checking state address of an account.
-func CheckingAddr(acct string) types.Address { return checkingAddr(acct) }
 
 func balance(b StateBackend, addr types.Address) (uint64, error) {
 	v, ok, err := b.Get(addr)
@@ -232,17 +222,6 @@ func New(backend StateBackend, startHeight uint64) *Chain {
 // Height returns the last executed block height.
 func (c *Chain) Height() uint64 { return c.height }
 
-// Headers returns the executed block headers.
-func (c *Chain) Headers() []Header { return c.headers }
-
-// LastHeader returns the newest header.
-func (c *Chain) LastHeader() (Header, bool) {
-	if len(c.headers) == 0 {
-		return Header{}, false
-	}
-	return c.headers[len(c.headers)-1], true
-}
-
 // ExecuteBlock packs the transactions into the next block, applies them,
 // and seals the header with Htx and Hstate.
 func (c *Chain) ExecuteBlock(txs []Tx) (Header, error) {
@@ -272,18 +251,4 @@ func (c *Chain) ExecuteBlock(txs []Tx) (Header, error) {
 	c.lastHash = hdr.Hash()
 	c.headers = append(c.headers, hdr)
 	return hdr, nil
-}
-
-// VerifyHeaderChain checks the hash chaining of a header sequence
-// (integrity of the simulated ledger).
-func VerifyHeaderChain(headers []Header) error {
-	for i := 1; i < len(headers); i++ {
-		if headers[i].PrevHash != headers[i-1].Hash() {
-			return fmt.Errorf("chain: header %d does not link to %d", headers[i].Height, headers[i-1].Height)
-		}
-		if headers[i].Height != headers[i-1].Height+1 {
-			return fmt.Errorf("chain: non-monotone heights %d → %d", headers[i-1].Height, headers[i].Height)
-		}
-	}
-	return nil
 }

@@ -125,12 +125,12 @@ type Options struct {
 	// Trace attaches an opt-in lifecycle event tracer: every flush, merge
 	// (start/chunk/preempt/end) and commit phase (stall, manifest write,
 	// view publish/retire) records a typed, timestamped event into the
-	// tracer's fixed ring (internal/obs). nil (the default) disables tracing; every
-	// recording site costs exactly one nil check when disabled. A
-	// sharded store shares one tracer across all its engines — events
-	// carry the shard that recorded them — and the ring's drop count
-	// surfaces as Stats.TraceDropped. Set by `coledb trace`,
-	// `colebench -trace-out`, and the benchmark's traced round.
+	// tracer's fixed ring (internal/obs). nil (the default) disables
+	// tracing; every recording site costs exactly one nil check when
+	// disabled. A sharded store shares one tracer across all its
+	// engines — events carry the shard that recorded them — and the
+	// ring's drop count surfaces as Stats.TraceDropped. Set by
+	// `colebench -trace-out` and the benchmark's traced round.
 	Trace *obs.Tracer
 	// VerifyReads makes every point lookup check the returned entry
 	// against its stored Merkle leaf hash before serving it: silent
@@ -399,21 +399,6 @@ func (h *OpHists) Merge(o *OpHists) {
 	h.Prov.Merge(&o.Prov)
 }
 
-// Delta returns the histograms of operations recorded since base — the
-// per-window distribution the bench harness reports (see statsDelta).
-func (h *OpHists) Delta(base *OpHists) *OpHists {
-	if base == nil {
-		return h.Snapshot()
-	}
-	return &OpHists{
-		Commit:   h.Commit.Sub(&base.Commit),
-		PutBatch: h.PutBatch.Sub(&base.PutBatch),
-		Get:      h.Get.Sub(&base.Get),
-		GetBatch: h.GetBatch.Sub(&base.GetBatch),
-		Prov:     h.Prov.Sub(&base.Prov),
-	}
-}
-
 // Stats aggregates engine counters for the benchmark harness.
 type Stats struct {
 	Puts        int64
@@ -489,12 +474,6 @@ type Stats struct {
 	// and inlined by the metrics walker (cole_commit_latency_seconds,
 	// not cole_hist_commit_latency_seconds).
 	Hist *OpHists `json:"-" obs:"inline"`
-}
-
-// Open creates or reopens a COLE store in opts.Dir with its own merge
-// pool of opts.MergeWorkers workers and its own page cache.
-func Open(opts Options) (*Engine, error) {
-	return OpenShared(opts, nil, nil, 0)
 }
 
 // OpenShared creates or reopens a COLE store whose background flush/merge
@@ -678,18 +657,6 @@ func (e *Engine) noteMergeWait() { e.mergeWaits.Add(1) }
 // Scheduler exposes the engine's merge pool (shared across shards when
 // the store is sharded), for introspection and tests.
 func (e *Engine) Scheduler() *merge.Scheduler { return e.sched }
-
-// LevelRunCounts returns, per on-disk level, the number of committed runs
-// (both groups), for introspection and tests.
-func (e *Engine) LevelRunCounts() []int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]int, len(e.levels))
-	for i, lv := range e.levels {
-		out[i] = len(lv.groups[0]) + len(lv.groups[1])
-	}
-	return out
-}
 
 // MemEntries returns the entry counts of the two L0 groups
 // (writing, merging).

@@ -7,22 +7,13 @@ import (
 )
 
 // Marshal serializes the proof for transmission to a verifying client.
-// The verifier decodes with UnmarshalProof and runs VerifyProv against the
-// block header's Hstate; nothing in the encoding is trusted — every field
-// is re-checked during verification.
+// A verifier gob-decodes it (the package's tests keep that decoder) and
+// runs VerifyProv against the block header's Hstate; nothing in the
+// encoding is trusted — every field is re-checked during verification.
 func (p *Proof) Marshal() ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
 		return nil, fmt.Errorf("core: encode proof: %w", err)
 	}
 	return buf.Bytes(), nil
-}
-
-// UnmarshalProof parses a proof produced by Marshal.
-func UnmarshalProof(raw []byte) (*Proof, error) {
-	var p Proof
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&p); err != nil {
-		return nil, fmt.Errorf("core: decode proof: %w", err)
-	}
-	return &p, nil
 }

@@ -64,8 +64,8 @@ func (e *Engine) GetBatch(addrs []types.Address) ([]ReadResult, error) {
 }
 
 func (e *Engine) getBatchInView(v *view, addrs []types.Address) ([]ReadResult, error) {
-	// The batch histogram records whole batches (one sample per call,
-	// not per address) — the unit the open-loop harness dispatches.
+	// The batch histogram records whole batches: one sample per call,
+	// not per address.
 	start := time.Now()
 	e.gets.Add(int64(len(addrs)))
 	out := make([]ReadResult, len(addrs))

@@ -164,12 +164,6 @@ func (db *DB) Get(key []byte) ([]byte, bool, error) {
 	return nil, false, nil
 }
 
-// Has reports key existence without copying the value.
-func (db *DB) Has(key []byte) (bool, error) {
-	_, ok, err := db.Get(key)
-	return ok, err
-}
-
 // Flush forces the write buffer to disk.
 func (db *DB) Flush() error {
 	db.mu.Lock()

@@ -129,19 +129,6 @@ func ReconstructRange(p *Proof) (types.Hash, []types.Entry, error) {
 	return h, results, nil
 }
 
-// VerifyRange checks a proof against a known root hash and returns the
-// authenticated in-range entries.
-func VerifyRange(rootHash types.Hash, p *Proof) ([]types.Entry, error) {
-	h, results, err := ReconstructRange(p)
-	if err != nil {
-		return nil, err
-	}
-	if h != rootHash {
-		return nil, fmt.Errorf("mbtree: reconstructed root %v does not match %v", h, rootHash)
-	}
-	return results, nil
-}
-
 // maxProofDepth bounds the levels of a proof ReconstructRange walks. A
 // B+-tree of fanout ≥ 3 splits full nodes in half, so a tree of n entries
 // is at most log2(n) + 1 levels deep: 64 levels is more than any tree

@@ -67,10 +67,6 @@ func New(db *kvstore.DB, persistent bool) *Trie {
 // Root returns the current root hash (types.ZeroHash when empty).
 func (t *Trie) Root() types.Hash { return t.root }
 
-// SetRoot points the trie at a historical root (persistent mode): reads
-// then observe that block's state.
-func (t *Trie) SetRoot(h types.Hash) { t.root = h }
-
 // nibbles expands an address into 40 half-bytes.
 func nibbles(addr types.Address) []byte {
 	out := make([]byte, types.AddressSize*2)

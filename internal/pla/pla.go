@@ -200,9 +200,6 @@ func (b *Builder) Finish() error {
 	return b.emitSegment()
 }
 
-// Total returns the number of points consumed.
-func (b *Builder) Total() int64 { return b.total }
-
 // Models returns the number of models emitted so far (excluding any open
 // segment).
 func (b *Builder) Models() int64 { return b.models }

@@ -318,7 +318,7 @@ func TestReshardSparseDestinations(t *testing.T) {
 // directory root, no SHARDS file) straight into a multi-shard layout.
 func TestReshardLegacyUnsharded(t *testing.T) {
 	dir := t.TempDir()
-	e, err := core.Open(core.Options{Dir: dir, MemCapacity: 16})
+	e, err := core.OpenShared(core.Options{Dir: dir, MemCapacity: 16}, nil, nil, 0)
 	if err != nil {
 		t.Fatalf("open engine: %v", err)
 	}
@@ -367,7 +367,7 @@ func TestReshardRefusesUnevenCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	buildStore(t, dir, 2, 40, 11, false)
 	// Advance shard-01 alone through its engine directory.
-	e, err := core.Open(core.Options{Dir: filepath.Join(dir, "shard-01"), MemCapacity: testMemCap})
+	e, err := core.OpenShared(core.Options{Dir: filepath.Join(dir, "shard-01"), MemCapacity: testMemCap}, nil, nil, 0)
 	if err != nil {
 		t.Fatalf("open shard-01: %v", err)
 	}

@@ -119,7 +119,7 @@ func TestRunFilesPinned(t *testing.T) {
 	})
 
 	t.Run("engine", func(t *testing.T) {
-		e, err := core.Open(core.Options{Dir: t.TempDir(), MemCapacity: 128})
+		e, err := core.OpenShared(core.Options{Dir: t.TempDir(), MemCapacity: 128}, nil, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

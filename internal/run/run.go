@@ -301,13 +301,6 @@ func (r *Run) BloomBytes() []byte { return r.filter.Marshal() }
 // Computed once when the run was opened.
 func (r *Run) Digest() types.Hash { return r.digest }
 
-// Digest recomputes a run digest from its components, the reference
-// Run.Digest is checked against.
-func Digest(mhtRoot types.Hash, bloomBytes []byte) types.Hash {
-	bd := types.HashData(bloomBytes)
-	return types.HashData(mhtRoot[:], bd[:])
-}
-
 // MinKey returns the smallest stored key.
 func (r *Run) MinKey() types.CompoundKey { return r.minKey }
 

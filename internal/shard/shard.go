@@ -1094,9 +1094,6 @@ func (s *Store) ShardStats() []ShardStat {
 	return out
 }
 
-// Scheduler exposes the store's shared merge pool.
-func (s *Store) Scheduler() *merge.Scheduler { return s.sched }
-
 // PageCacheBytes reports the memory the store's page cache holds now and
 // the most it will ever hold.
 func (s *Store) PageCacheBytes() (resident, budget int64) { return s.cache.Bytes() }

@@ -86,7 +86,7 @@ func TestShards1Compat(t *testing.T) {
 	dirS, dirE := t.TempDir(), t.TempDir()
 	s := openTest(t, dirS, 1, false)
 	defer s.Close()
-	e, err := core.Open(core.Options{Dir: dirE, MemCapacity: 64})
+	e, err := core.OpenShared(core.Options{Dir: dirE, MemCapacity: 64}, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestShards1Compat(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	plain, err := core.Open(core.Options{Dir: dirS, MemCapacity: 64})
+	plain, err := core.OpenShared(core.Options{Dir: dirS, MemCapacity: 64}, nil, nil, 0)
 	if err != nil {
 		t.Fatalf("plain engine cannot reopen a 1-shard store dir: %v", err)
 	}
@@ -323,7 +323,7 @@ func TestShardManifestPinsCount(t *testing.T) {
 
 	// Legacy layout: a bare engine in the directory, no SHARDS file.
 	legacy := t.TempDir()
-	e, err := core.Open(core.Options{Dir: legacy, MemCapacity: 64})
+	e, err := core.OpenShared(core.Options{Dir: legacy, MemCapacity: 64}, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

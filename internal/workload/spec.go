@@ -10,12 +10,12 @@ import (
 
 // Spec declares a workload: the key population and its access
 // distribution, the read/write mix, the value payload size, and how the
-// open-loop harness should drive it (duration, warm-up, concurrency,
-// target rate, block size, seed). A Spec is pure data — New builds the
+// open loop should run it (duration, warm-up, target rate,
+// block size, seed). A Spec is pure data — New builds the
 // generator it names — so workloads can be enumerated, serialized into
 // benchmark reports, and swept as a matrix.
 type Spec struct {
-	// Name selects a generator: "uniform", "zipfian" or "hotaccount".
+	// Name selects a generator: "uniform" or "zipfian".
 	Name string
 	// Keys is the key population: the base records written by the load
 	// phase and the domain every operation draws from.
@@ -31,18 +31,12 @@ type Spec struct {
 	// ZipfS and ZipfV shape the zipfian distribution (defaults match
 	// YCSB's request distribution: s = 1.01, v = 1).
 	ZipfS, ZipfV float64
-	// HotKeys is the fraction of the population forming the hot set and
-	// HotOps the fraction of operations routed to it (hotaccount only).
-	// Defaults: 1% of the keys take 90% of the traffic.
-	HotKeys, HotOps float64
 	// TxPerBlock is how many write operations fill one committed block.
 	TxPerBlock int
 	// Duration is the measured open-loop run length; WarmUp runs the
 	// identical loop first without recording.
 	Duration time.Duration
 	WarmUp   time.Duration
-	// Concurrency is the number of concurrent read workers.
-	Concurrency int
 	// Rate is the target operation arrival rate in ops/second. 0 runs
 	// closed-loop (as fast as the store allows); > 0 schedules issue
 	// times up front so recorded latency includes queueing delay — the
@@ -70,12 +64,6 @@ func (s Spec) WithDefaults() Spec {
 	if s.ZipfV == 0 {
 		s.ZipfV = 1
 	}
-	if s.HotKeys == 0 {
-		s.HotKeys = 0.01
-	}
-	if s.HotOps == 0 {
-		s.HotOps = 0.9
-	}
 	if s.TxPerBlock == 0 {
 		s.TxPerBlock = 100
 	}
@@ -84,9 +72,6 @@ func (s Spec) WithDefaults() Spec {
 	}
 	if s.WarmUp == 0 {
 		s.WarmUp = 200 * time.Millisecond
-	}
-	if s.Concurrency == 0 {
-		s.Concurrency = 4
 	}
 	if s.Seed == 0 {
 		s.Seed = 42
@@ -123,10 +108,7 @@ type Generator interface {
 }
 
 // New builds the generator spec.Name names from the defaulted spec: a
-// uniform baseline, the YCSB zipfian request distribution, or a
-// hot-account pattern (a small hot set takes most of the traffic — the
-// PoS/blockchain access shape where a few contracts and exchange
-// accounts dominate).
+// uniform baseline or the YCSB zipfian request distribution.
 func New(spec Spec) (Generator, error) {
 	spec = spec.WithDefaults()
 	var sampler func(rng *rand.Rand) func() uint64
@@ -140,19 +122,8 @@ func New(spec Spec) (Generator, error) {
 		sampler = func(rng *rand.Rand) func() uint64 {
 			return rand.NewZipf(rng, spec.ZipfS, spec.ZipfV, uint64(spec.Keys-1)).Uint64
 		}
-	case "hotaccount":
-		sampler = func(rng *rand.Rand) func() uint64 {
-			hot := max(uint64(float64(spec.Keys)*spec.HotKeys), 1)
-			cold := uint64(spec.Keys) - hot
-			return func() uint64 {
-				if cold == 0 || rng.Float64() < spec.HotOps {
-					return rng.Uint64() % hot
-				}
-				return hot + rng.Uint64()%cold
-			}
-		}
 	default:
-		return nil, fmt.Errorf("workload: unknown generator %q (have: hotaccount uniform zipfian)", spec.Name)
+		return nil, fmt.Errorf("workload: unknown generator %q (have: uniform zipfian)", spec.Name)
 	}
 	return newKVGen(spec, sampler), nil
 }

@@ -12,19 +12,19 @@ func TestSpecDefaultsAndLabel(t *testing.T) {
 	if s.Name != "uniform" || s.Keys != 1000 || s.ValueSize != types.ValueSize {
 		t.Fatalf("defaults: %+v", s)
 	}
-	if s.TxPerBlock == 0 || s.Duration == 0 || s.Concurrency == 0 || s.Seed == 0 {
+	if s.TxPerBlock == 0 || s.Duration == 0 || s.Seed == 0 {
 		t.Fatalf("harness defaults unset: %+v", s)
 	}
 	if got := (Spec{Name: "zipfian", ReadFraction: 0.5}).Label(); got != "zipfian/r50" {
 		t.Fatalf("label %q", got)
 	}
-	if got := (Spec{Name: "hotaccount", ReadFraction: 0.95}).Label(); got != "hotaccount/r95" {
+	if got := (Spec{Name: "uniform", ReadFraction: 0.95}).Label(); got != "uniform/r95" {
 		t.Fatalf("label %q", got)
 	}
 }
 
 // names are the generators New knows.
-var names = []string{"hotaccount", "uniform", "zipfian"}
+var names = []string{"uniform", "zipfian"}
 
 func TestRegistryNamesAndUnknown(t *testing.T) {
 	_, err := New(Spec{Name: "no-such-distribution"})
@@ -181,21 +181,6 @@ func TestZipfianSkewTop1Percent(t *testing.T) {
 	}
 	if again := topShare(t, h, spec.Keys, 0.01, 200_000); again != share {
 		t.Fatalf("same seed, different skew: %.6f vs %.6f", again, share)
-	}
-}
-
-func TestHotAccountShareMatchesSpec(t *testing.T) {
-	// The hot set (HotKeys of the population) must take ≈HotOps of the
-	// traffic — that is the distribution's defining contract.
-	spec := Spec{Name: "hotaccount", Keys: 1000, HotKeys: 0.01, HotOps: 0.9, Seed: 5}
-	g, err := New(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	share := topShare(t, g, spec.Keys, spec.HotKeys, 100_000)
-	// Binomial(100k, 0.9) is tight; ±0.01 is ~10 sigma.
-	if share < 0.89 || share > 0.91 {
-		t.Fatalf("hot-set share %.4f, want ≈0.90", share)
 	}
 }
 

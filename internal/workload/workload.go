@@ -6,12 +6,11 @@
 // small base set updated continuously) — as chain.Tx streams for the
 // transaction executor.
 //
-// The Spec API (spec.go, generators.go) is the scenario engine's
-// substrate: a declarative Spec (key population, value size,
-// distribution, read/write mix, duration, warm-up, concurrency, seed)
-// that New turns into a Generator yielding raw store operations. It
-// covers uniform, zipfian (YCSB request skew), and hot-account (a small
-// hot set takes most traffic) distributions; a new access pattern is one
+// The Spec API (spec.go, generators.go) drives the stores outside the
+// paper's figures: a declarative Spec (key population, value size,
+// distribution, read/write mix, duration, warm-up, seed) that New turns
+// into a Generator yielding raw store operations. It covers uniform and
+// zipfian (YCSB request skew) distributions; a new access pattern is one
 // more case in New's switch.
 //
 // All generators are deterministic given a seed, so identical workloads
