@@ -124,7 +124,7 @@ func main() {
 			fail("reshard <shards>")
 		}
 		target := int(parseU64(args[1]))
-		rep, err := cole.Reshard(*dir, target, cole.ReshardOptions{})
+		rep, err := cole.Reshard(*dir, target, cole.ReshardOptions{MemCapacity: *memB})
 		if err != nil {
 			fail("reshard: %v", err)
 		}

@@ -37,10 +37,12 @@
 //
 // There is one store type: Open serves Options.Shards ≥ 1 hash-partitioned
 // engines (one engine lives at the directory root, exactly as an
-// unsharded store always has). Block-oriented ingestion should use
-// PutBatch, which applies a block's updates under one lock acquisition
-// per shard, routed in one pass; background merges across all levels and
-// shards run on one bounded worker pool sized by Options.MergeWorkers.
+// unsharded store always has). The store owns the open block: Put and
+// PutBatch route its updates into per-shard buffers (PutBatch in one
+// pass), and Commit hands each engine its buffer in one call that
+// inserts and commits under the engine's one lock, the shards in
+// parallel. Background merges across all levels and shards run on one
+// bounded worker pool sized by Options.MergeWorkers.
 //
 // Reads are lock-free over published views and cost what the paper's
 // Algorithms 6 and 7 say: the address is hashed once for every Bloom
@@ -98,9 +100,10 @@ type Proof = core.Proof
 type Stats = core.Stats
 
 // OpHists is the set of always-on operation latency histograms carried
-// by Stats.Hist: Commit, PutBatch, Get, GetBatch, and Prov, one HDR
-// histogram each (~1.6% relative error), recorded in-engine on every
-// operation and summed across shards by a sharded store's Stats.
+// by Stats.Hist: Commit (a block's whole engine step), PutBatch (that
+// step's L0 inserts), Get, GetBatch, and Prov, one HDR histogram each
+// (~1.6% relative error), recorded in-engine on every operation and
+// summed across shards by a sharded store's Stats.
 type OpHists = core.OpHists
 
 // Tracer is a fixed-size, lock-free ring of engine lifecycle events
@@ -194,11 +197,13 @@ func ValueFromBytes(b []byte) Value { return types.ValueFromBytes(b) }
 type DB interface {
 	// BeginBlock starts block `height` (monotone; COLE does not fork).
 	BeginBlock(height uint64) error
-	// Put writes a state update into the open block.
+	// Put adds a state update to the open block.
 	Put(addr Address, v Value) error
-	// PutBatch applies a block's updates under one lock acquisition.
+	// PutBatch adds a block's updates to the open block in one routing
+	// pass, copying them (the caller may reuse the slice).
 	PutBatch(updates []Update) error
-	// Commit seals the open block and returns the state root digest.
+	// Commit applies and seals the open block and returns the state root
+	// digest.
 	Commit() (Hash, error)
 	// Get returns the latest committed value of addr (lock-free).
 	Get(addr Address) (Value, bool, error)
@@ -212,7 +217,8 @@ type DB interface {
 	Prov(addr Address, blkLo, blkHi uint64) ([]Version, ProvProof, error)
 	// Export streams every live entry, sorted by ⟨address, height⟩.
 	Export(fn func(addr Address, blk uint64, v Value) error) (int64, error)
-	// RootDigest returns the current state root digest.
+	// RootDigest returns the state root digest of the last committed
+	// block.
 	RootDigest() Hash
 	// Height returns the last committed block height.
 	Height() uint64

@@ -184,22 +184,18 @@ func TestOpenLegacyDirectory(t *testing.T) {
 		addrs[i] = cole.AddressFromString(fmt.Sprintf("legacy-%d", i))
 	}
 	for h := uint64(1); h <= 40; h++ {
-		if err := e.BeginBlock(h); err != nil {
-			t.Fatal(err)
-		}
+		batch := make([]cole.Update, len(addrs))
 		for i, a := range addrs {
-			if err := e.Put(a, cole.ValueFromUint64(h*10+uint64(i))); err != nil {
-				t.Fatal(err)
-			}
+			batch[i] = cole.Update{Addr: a, Value: cole.ValueFromUint64(h*10 + uint64(i))}
 		}
-		if _, err := e.Commit(); err != nil {
+		if _, err := e.CommitBlock(h, batch); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := e.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	root := e.RootDigest()
+	root := e.ViewRoot()
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,9 @@ const (
 )
 
 // putBlock applies block h's deterministic updates as one batch:
-// PutBatch pre-buckets them per shard and applies each bucket with a
-// single engine call (digests are byte-identical to looped Put). Keyed
+// PutBatch routes them into per-shard buffers in one pass, and Commit
+// hands each shard's engine its buffer in a single call (digests are
+// byte-identical to looped Put). Keyed
 // to the height so the crash-recovery replay below regenerates
 // identical blocks.
 func putBlock(store *cole.Store, h uint64) (cole.Hash, error) {

@@ -17,9 +17,9 @@ const (
 // engine knob: the shard count (AxisShards) or the shared merge-worker
 // budget at a fixed shard count (AxisWorkers). Every point populates a
 // fresh store through the block writer — uniform write-only blocks, each
-// one PutBatch pre-bucketed per shard and applied concurrently, with
-// every shard's flush/merge jobs on one bounded pool — and reports its
-// best of 2 runs. speedup is relative to the first value of the same
+// one PutBatch routed into per-shard buffers that Commit applies
+// concurrently, with every shard's flush/merge jobs on one bounded pool
+// — and reports its best of 2 runs. speedup is relative to the first value of the same
 // system, mergewaits counts merge back-pressure events, and on the shard
 // axis imbalance is the hottest shard's write share (max/mean). A budget
 // of 1 worker serializes every merge in the store; the knee where TPS
@@ -31,7 +31,7 @@ func WriteSweep(cfg Config, axis string, values []int, scratch string) (*Table, 
 		values = []int{1, 2, 4, 8}
 	}
 	t := &Table{Notes: []string{
-		"each block is one PutBatch of uniform writes: updates pre-bucketed per shard, buckets applied concurrently",
+		"each block is one PutBatch of uniform writes: updates routed into per-shard buffers, which Commit applies concurrently",
 		"mergewaits: commits blocked on unfinished merges + jobs queued behind a full pool",
 		"each configuration reports its best of 2 runs (guards against co-tenant noise)",
 	}}

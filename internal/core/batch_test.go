@@ -11,77 +11,27 @@ import (
 // batchFor deterministically generates block h's updates, with every
 // fourth update duplicating an earlier address in the batch (stale value
 // first, final value last) to exercise last-write-wins coalescing.
-func batchFor(h uint64, writes, accounts int) []Update {
+func batchFor(h uint64, writes, accounts int) []types.Update {
 	r := rand.New(rand.NewSource(int64(h)))
-	batch := make([]Update, 0, writes+writes/4)
+	batch := make([]types.Update, 0, writes+writes/4)
 	for w := 0; w < writes; w++ {
 		addr := types.AddressFromUint64(uint64(r.Intn(accounts)))
 		if w%4 == 3 {
-			batch = append(batch, Update{Addr: addr, Value: types.ValueFromUint64(0xdead)})
+			batch = append(batch, types.Update{Addr: addr, Value: types.ValueFromUint64(0xdead)})
 		}
-		batch = append(batch, Update{Addr: addr, Value: types.ValueFromUint64(h*1000 + uint64(w))})
+		batch = append(batch, types.Update{Addr: addr, Value: types.ValueFromUint64(h*1000 + uint64(w))})
 	}
 	return batch
 }
 
-// TestPutBatchMatchesSequentialPut drives the identical update stream
-// through one engine via PutBatch and another via a sequential Put loop,
-// across enough blocks to trigger flush cascades and level merges, in
-// both merge modes. Every block's digest must be byte-identical — the
-// acceptance bar that makes the batched pipeline a pure performance knob.
-func TestPutBatchMatchesSequentialPut(t *testing.T) {
-	for _, async := range []bool{false, true} {
-		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
-			eb := openEngine(t, testOpts(t, async))
-			es := openEngine(t, testOpts(t, async))
-			const blocks, writes, accounts = 80, 12, 40
-			for h := uint64(1); h <= blocks; h++ {
-				batch := batchFor(h, writes, accounts)
-				if err := eb.BeginBlock(h); err != nil {
-					t.Fatal(err)
-				}
-				if err := eb.PutBatch(batch); err != nil {
-					t.Fatal(err)
-				}
-				if err := es.BeginBlock(h); err != nil {
-					t.Fatal(err)
-				}
-				for _, u := range batch {
-					if err := es.Put(u.Addr, u.Value); err != nil {
-						t.Fatal(err)
-					}
-				}
-				rb, err := eb.Commit()
-				if err != nil {
-					t.Fatal(err)
-				}
-				rs, err := es.Commit()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rb != rs {
-					t.Fatalf("block %d: PutBatch digest %s != sequential Put digest %s", h, rb, rs)
-				}
-			}
-			// The structures must agree too, not just the digests.
-			if lb, ls := fmt.Sprint(eb.LevelRunCounts()), fmt.Sprint(es.LevelRunCounts()); lb != ls {
-				t.Fatalf("level run counts diverge: %s vs %s", lb, ls)
-			}
-		})
-	}
-}
-
-// TestPutBatchDedupLastWriteWins writes one batch with duplicate
+// TestPutBatchDedupLastWriteWins commits one block with duplicate
 // addresses and checks the engine keeps exactly one entry per address,
-// holding the batch's final value.
+// holding the block's final value.
 func TestPutBatchDedupLastWriteWins(t *testing.T) {
 	e := openEngine(t, testOpts(t, false))
 	a := types.AddressFromUint64(1)
 	b := types.AddressFromUint64(2)
-	if err := e.BeginBlock(1); err != nil {
-		t.Fatal(err)
-	}
-	err := e.PutBatch([]Update{
+	_, err := e.CommitBlock(1, []types.Update{
 		{Addr: a, Value: types.ValueFromUint64(10)},
 		{Addr: b, Value: types.ValueFromUint64(20)},
 		{Addr: a, Value: types.ValueFromUint64(11)},
@@ -91,17 +41,14 @@ func TestPutBatchDedupLastWriteWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	if w, _ := e.MemEntries(); w != 2 {
-		t.Fatalf("L0 holds %d entries after a 4-update batch over 2 addresses", w)
-	}
-	if _, err := e.Commit(); err != nil {
-		t.Fatal(err)
+		t.Fatalf("L0 holds %d entries after a 4-update block over 2 addresses", w)
 	}
 	v, ok, err := e.Get(a)
 	if err != nil || !ok {
 		t.Fatalf("get a: ok=%v err=%v", ok, err)
 	}
 	if v != types.ValueFromUint64(12) {
-		t.Fatalf("a = %v, want the batch's last write 12", v.Uint64())
+		t.Fatalf("a = %v, want the block's last write 12", v.Uint64())
 	}
 	// The provenance view must show ONE version for the block, not three.
 	versions, _, err := e.ProvQuery(a, 1, 1)
@@ -110,18 +57,6 @@ func TestPutBatchDedupLastWriteWins(t *testing.T) {
 	}
 	if len(versions) != 1 || versions[0].Value != types.ValueFromUint64(12) {
 		t.Fatalf("prov versions = %+v, want exactly one with value 12", versions)
-	}
-}
-
-// TestPutBatchOutsideBlock checks the lifecycle guard.
-func TestPutBatchOutsideBlock(t *testing.T) {
-	e := openEngine(t, testOpts(t, false))
-	if err := e.PutBatch([]Update{{Addr: types.AddressFromUint64(1)}}); err == nil {
-		t.Fatal("PutBatch outside a block succeeded")
-	}
-	// An empty batch is a no-op even outside a block.
-	if err := e.PutBatch(nil); err != nil {
-		t.Fatalf("empty batch: %v", err)
 	}
 }
 
@@ -142,13 +77,7 @@ func TestPutBatchCrashReplay(t *testing.T) {
 			const blocks, writes, accounts = 61, 10, 30
 			var pre types.Hash
 			for h := uint64(1); h <= blocks; h++ {
-				if err := e.BeginBlock(h); err != nil {
-					t.Fatal(err)
-				}
-				if err := e.PutBatch(batchFor(h, writes, accounts)); err != nil {
-					t.Fatal(err)
-				}
-				if pre, err = e.Commit(); err != nil {
+				if pre, err = e.CommitBlock(h, batchFor(h, writes, accounts)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -165,18 +94,13 @@ func TestPutBatchCrashReplay(t *testing.T) {
 			if ckpt >= blocks {
 				t.Fatalf("checkpoint %d leaves nothing to replay", ckpt)
 			}
+			var got types.Hash
 			for h := ckpt + 1; h <= blocks; h++ {
-				if err := e2.BeginBlock(h); err != nil {
-					t.Fatal(err)
-				}
-				if err := e2.PutBatch(batchFor(h, writes, accounts)); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := e2.Commit(); err != nil {
+				if got, err = e2.CommitBlock(h, batchFor(h, writes, accounts)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if got := e2.RootDigest(); got != pre {
+			if got != pre {
 				t.Fatalf("replayed digest %s != pre-crash digest %s", got, pre)
 			}
 		})

@@ -20,16 +20,12 @@ func driveBlocks(t *testing.T, e *Engine, n int) []types.Hash {
 	var roots []types.Hash
 	start := int(e.Height())
 	for b := start + 1; b <= start+n; b++ {
-		if err := e.BeginBlock(uint64(b)); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 8; i++ {
+		batch := make([]types.Update, 8)
+		for i := range batch {
 			addr := types.AddressFromUint64(uint64((b*7 + i*13) % 40))
-			if err := e.Put(addr, types.ValueFromUint64(uint64(b*100+i))); err != nil {
-				t.Fatal(err)
-			}
+			batch[i] = types.Update{Addr: addr, Value: types.ValueFromUint64(uint64(b*100 + i))}
 		}
-		root, err := e.Commit()
+		root, err := e.CommitBlock(uint64(b), batch)
 		if err != nil {
 			t.Fatal(err)
 		}

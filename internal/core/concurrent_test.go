@@ -143,18 +143,14 @@ func concurrentReadSoak(t *testing.T, async bool) {
 	// Writer: 300 blocks of 5 puts.
 	r := rand.New(rand.NewSource(0))
 	for b := uint64(1); b <= 300; b++ {
-		if err := e.BeginBlock(b); err != nil {
-			t.Fatal(err)
-		}
+		batch := make([]types.Update, 0, 5)
 		for p := 0; p < 5; p++ {
 			a := types.AddressFromUint64(uint64(r.Intn(addrSpace)))
 			v := types.ValueFromUint64(r.Uint64())
-			record(a, v) // record before Put: readers may see it instantly
-			if err := e.Put(a, v); err != nil {
-				t.Fatal(err)
-			}
+			record(a, v) // record before the commit: readers may see it instantly
+			batch = append(batch, types.Update{Addr: a, Value: v})
 		}
-		if _, err := e.Commit(); err != nil {
+		if _, err := e.CommitBlock(b, batch); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -17,6 +17,11 @@
 //     deterministic checkpoints (start/commit), so Hstate remains identical
 //     across nodes regardless of merge timing while write stalls disappear.
 //
+// A block is one engine step, CommitBlock: under the engine lock its
+// updates go into the L0 writing group in arrival order, then the commit
+// runs the cascade and returns Hstate. The engine keeps no open block;
+// the store (package shard) buffers a block's writes until its commit.
+//
 // Deviation from Algorithm 1/5: flush cascades trigger at block commit
 // rather than inside Put. This guarantees compound keys are globally
 // unique (a block that updates an address twice after a mid-block flush
@@ -25,7 +30,7 @@
 //
 // # Read path: published views
 //
-// Reads are snapshot-isolated and lock-free. Every Commit (and FlushAll)
+// Reads are snapshot-isolated and lock-free. Every commit (and FlushAll)
 // builds an immutable `view` of the whole structure — copy-on-write
 // snapshots of the L0 MB-trees plus the committed run list in canonical
 // search order — and publishes it through an atomic pointer.
@@ -33,22 +38,21 @@
 // operations and search it without acquiring the engine mutex, concurrently
 // with each other, with commits, and with background merges; Snapshot pins
 // a view across many reads (consistent multi-key queries at one height).
-// Reads therefore observe the state of the last *committed* block, never
-// the writes of a block still being built. Runs retired by a merge are
-// reference-counted: their files are unlinked only after a durable
-// manifest no longer names them AND the last view that could see them is
-// released, so an in-flight reader can never touch a deleted file (see
-// view.go).
+// Reads therefore observe the state of the last committed block. Runs
+// retired by a merge are reference-counted: their files are unlinked only
+// after a durable manifest no longer names them AND the last view that
+// could see them is released, so an in-flight reader can never touch a
+// deleted file (see view.go).
 //
 // # Durability: the manifest writer
 //
-// A cascade's MANIFEST is the store's commit point (§4.3), but Commit
+// A cascade's MANIFEST is the store's commit point (§4.3), but CommitBlock
 // does not wait for it: it snapshots the manifest under the engine lock
 // and hands it to the engine's one manifest writer (manifest.go), for
 // COLE and COLE* alike. CheckpointHeight advances only when that write has
 // landed, so it never names a height that is not on disk; FlushAll and
-// Close wait for the writer, and a failed write fails the next Commit,
-// FlushAll or Close.
+// Close wait for the writer, and a failed write fails the next
+// CommitBlock, FlushAll or Close.
 //
 // A lookup hashes its address once per kind of filter (a bloom.MixProbe
 // for the L0 groups, a SHA-256 bloom.NewProbe for the runs), searches
@@ -256,11 +260,8 @@ func (l *level) merging() int { return 1 - l.writing }
 type Engine struct {
 	opts Options
 
-	mu sync.Mutex
-	// Block state.
-	height    uint64 // height of the block currently being built
+	mu        sync.Mutex
 	committed uint64 // last committed height
-	inBlock   bool
 	// checkpoint is the replay point of the current structure, which the
 	// next manifest records: every block above it must be re-executed
 	// after a crash. In sync mode it equals the last cascade height (the
@@ -303,7 +304,7 @@ type Engine struct {
 	rootHistory rootRing
 
 	// viewPtr is the currently-published read view. Readers pin it with
-	// acquireView and never touch mu; Commit/FlushAll swap in a fresh
+	// acquireView and never touch mu; CommitBlock/FlushAll swap in a fresh
 	// view after every structural or L0 change.
 	viewPtr atomic.Pointer[view]
 
@@ -360,11 +361,12 @@ func (e *Engine) trace(typ obs.EventType, level int32, bytes int64, id uint64, d
 // unconditionally; Stats carries a snapshot, and the shard layer merges
 // the per-shard snapshots so store-level quantiles reflect every shard.
 type OpHists struct {
-	// Commit is in-engine commit latency (lock to published view — the
-	// same quantity CommitNanos totals).
+	// Commit is in-engine block latency: CommitBlock's call to published
+	// view, L0 inserts included — the same quantity CommitNanos totals.
 	Commit hist.Hist
-	// PutBatch is the in-lock latency of batched ingest (the tree
-	// inserts of one batch).
+	// PutBatch is the insert phase of CommitBlock (the lock and the
+	// tree inserts of one block's updates); a block without updates
+	// records none.
 	PutBatch hist.Hist
 	// Get covers single point lookups (Get/GetAt, engine or snapshot).
 	Get hist.Hist
@@ -431,7 +433,8 @@ type Stats struct {
 	MergeBytes int64
 	MergeNanos int64
 	// Commits counts committed blocks; CommitNanos their total in-engine
-	// latency (lock acquisition to published view) and
+	// latency (CommitBlock's call to published view, L0 inserts
+	// included) and
 	// MaxCommitNanos the single worst commit — the tail the stall
 	// benchmark and `coledb stat` bound.
 	Commits        int64

@@ -89,19 +89,15 @@ func runWorkload(t *testing.T, e *Engine, o *oracle, seed int64, nBlocks, putsPe
 	var root types.Hash
 	for b := 0; b < nBlocks; b++ {
 		h := start + uint64(b)
-		if err := e.BeginBlock(h); err != nil {
-			t.Fatal(err)
-		}
+		batch := make([]types.Update, 0, putsPerBlock)
 		for p := 0; p < putsPerBlock; p++ {
 			addr := types.AddressFromUint64(uint64(r.Intn(addrSpace)))
 			v := types.ValueFromUint64(r.Uint64())
-			if err := e.Put(addr, v); err != nil {
-				t.Fatal(err)
-			}
+			batch = append(batch, types.Update{Addr: addr, Value: v})
 			o.put(addr, h, v)
 		}
 		var err error
-		root, err = e.Commit()
+		root, err = e.CommitBlock(h, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,13 +108,7 @@ func runWorkload(t *testing.T, e *Engine, o *oracle, seed int64, nBlocks, putsPe
 func TestPutGetSingleBlock(t *testing.T) {
 	e := openEngine(t, testOpts(t, false))
 	addr := types.AddressFromUint64(1)
-	if err := e.BeginBlock(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Put(addr, types.ValueFromUint64(42)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Commit(); err != nil {
+	if _, err := e.CommitBlock(1, []types.Update{{Addr: addr, Value: types.ValueFromUint64(42)}}); err != nil {
 		t.Fatal(err)
 	}
 	v, ok, err := e.Get(addr)
@@ -130,28 +120,26 @@ func TestPutGetSingleBlock(t *testing.T) {
 	}
 }
 
+// TestBlockDiscipline checks the one block rule an engine keeps itself:
+// CommitBlock's height must be above the last committed one (COLE does
+// not fork, §4.3), and a rejected block leaves nothing behind. The
+// store's block lifecycle is checked in shard.TestBlockDiscipline.
 func TestBlockDiscipline(t *testing.T) {
 	e := openEngine(t, testOpts(t, false))
-	if err := e.Put(types.AddressFromUint64(1), types.Value{}); err == nil {
-		t.Fatal("Put outside block must fail")
-	}
-	if _, err := e.Commit(); err == nil {
-		t.Fatal("Commit without block must fail")
-	}
-	if err := e.BeginBlock(0); err == nil {
+	one := []types.Update{{Addr: types.AddressFromUint64(1), Value: types.ValueFromUint64(1)}}
+	if _, err := e.CommitBlock(0, one); err == nil {
 		t.Fatal("height 0 must be rejected on a fresh store")
 	}
-	if err := e.BeginBlock(5); err != nil {
+	if _, err := e.CommitBlock(5, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.BeginBlock(6); err == nil {
-		t.Fatal("nested BeginBlock must fail")
+	for _, h := range []uint64{5, 4} {
+		if _, err := e.CommitBlock(h, one); err == nil {
+			t.Fatalf("height %d after 5 must fail (no forks)", h)
+		}
 	}
-	if _, err := e.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.BeginBlock(5); err == nil {
-		t.Fatal("non-monotone height must fail (no forks)")
+	if w, _ := e.MemEntries(); w != 0 || e.Height() != 5 {
+		t.Fatalf("rejected blocks left %d L0 entries, height %d", w, e.Height())
 	}
 }
 
@@ -339,27 +327,21 @@ func TestProvEarlyStopProducesUnsearched(t *testing.T) {
 	// query range, triggering early stops.
 	r := rand.New(rand.NewSource(7))
 	hot := types.AddressFromUint64(999)
+	var root types.Hash
 	for b := 1; b <= 300; b++ {
-		if err := e.BeginBlock(uint64(b)); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Put(hot, types.ValueFromUint64(uint64(b))); err != nil {
-			t.Fatal(err)
-		}
+		batch := []types.Update{{Addr: hot, Value: types.ValueFromUint64(uint64(b))}}
 		o.put(hot, uint64(b), types.ValueFromUint64(uint64(b)))
 		for p := 0; p < 4; p++ {
 			a := types.AddressFromUint64(uint64(r.Intn(50)))
 			v := types.ValueFromUint64(r.Uint64())
-			if err := e.Put(a, v); err != nil {
-				t.Fatal(err)
-			}
+			batch = append(batch, types.Update{Addr: a, Value: v})
 			o.put(a, uint64(b), v)
 		}
-		if _, err := e.Commit(); err != nil {
+		var err error
+		if root, err = e.CommitBlock(uint64(b), batch); err != nil {
 			t.Fatal(err)
 		}
 	}
-	root := e.RootDigest()
 	got, proof, err := e.ProvQuery(hot, 290, 295)
 	if err != nil {
 		t.Fatal(err)
@@ -458,30 +440,16 @@ func TestAsyncHstateDeterministicAcrossNodes(t *testing.T) {
 	a := openEngine(t, optsA)
 	b := openEngine(t, optsB)
 	r := rand.New(rand.NewSource(13))
-	type putOp struct {
-		addr types.Address
-		v    types.Value
-	}
 	for blk := uint64(1); blk <= 400; blk++ {
-		var ops []putOp
+		var ops []types.Update
 		for p := 0; p < 5; p++ {
-			ops = append(ops, putOp{types.AddressFromUint64(uint64(r.Intn(50))), types.ValueFromUint64(r.Uint64())})
+			ops = append(ops, types.Update{Addr: types.AddressFromUint64(uint64(r.Intn(50))), Value: types.ValueFromUint64(r.Uint64())})
 		}
-		for _, e := range []*Engine{a, b} {
-			if err := e.BeginBlock(blk); err != nil {
-				t.Fatal(err)
-			}
-			for _, op := range ops {
-				if err := e.Put(op.addr, op.v); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		ra, err := a.Commit()
+		ra, err := a.CommitBlock(blk, ops)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := b.Commit()
+		rb, err := b.CommitBlock(blk, ops)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -523,26 +491,14 @@ func TestReopenAndReplayRestoresState(t *testing.T) {
 		// whole workload, skipping blocks at or below the checkpoint.
 		r := rand.New(rand.NewSource(17))
 		for b := uint64(1); b <= finalHeight; b++ {
-			type op struct {
-				addr types.Address
-				v    types.Value
-			}
-			var ops []op
+			var ops []types.Update
 			for p := 0; p < 5; p++ {
-				ops = append(ops, op{types.AddressFromUint64(uint64(r.Intn(25))), types.ValueFromUint64(r.Uint64())})
+				ops = append(ops, types.Update{Addr: types.AddressFromUint64(uint64(r.Intn(25))), Value: types.ValueFromUint64(r.Uint64())})
 			}
 			if b <= cp {
 				continue
 			}
-			if err := e2.BeginBlock(b); err != nil {
-				t.Fatal(err)
-			}
-			for _, x := range ops {
-				if err := e2.Put(x.addr, x.v); err != nil {
-					t.Fatal(err)
-				}
-			}
-			root, err := e2.Commit()
+			root, err := e2.CommitBlock(b, ops)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -747,21 +703,17 @@ func TestHotColdWorkloadDeepLevels(t *testing.T) {
 	e := openEngine(t, testOpts(t, true))
 	hot := types.AddressFromUint64(0)
 	nBlocks := 500
+	var root types.Hash
 	for b := 1; b <= nBlocks; b++ {
-		if err := e.BeginBlock(uint64(b)); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Put(hot, types.ValueFromUint64(uint64(b))); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Put(types.AddressFromUint64(uint64(b)), types.ValueFromUint64(1)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.Commit(); err != nil {
+		var err error
+		root, err = e.CommitBlock(uint64(b), []types.Update{
+			{Addr: hot, Value: types.ValueFromUint64(uint64(b))},
+			{Addr: types.AddressFromUint64(uint64(b)), Value: types.ValueFromUint64(1)},
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	root := e.RootDigest()
 	// Full history of the hot address.
 	got, proof, err := e.ProvQuery(hot, 1, uint64(nBlocks))
 	if err != nil {

@@ -21,16 +21,6 @@ func sweepBatch(h uint64) []types.Update {
 	return ups
 }
 
-func sweepCommit(e *Engine, h uint64) (types.Hash, error) {
-	if err := e.BeginBlock(h); err != nil {
-		return types.Hash{}, err
-	}
-	if err := e.PutBatch(sweepBatch(h)); err != nil {
-		return types.Hash{}, err
-	}
-	return e.Commit()
-}
-
 // TestMergeIOErrorSweep injects a non-crash I/O error (MemFS.FailAt) at
 // every filesystem operation of the first commit whose cascade runs a
 // level merge (one build, one partition of the key space), including the
@@ -72,7 +62,7 @@ func TestMergeIOErrorSweep(t *testing.T) {
 			}
 			drain(e)
 			opsBefore = fs.OpCount()
-			root, err := sweepCommit(e, h)
+			root, err := e.CommitBlock(h, sweepBatch(h))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,14 +80,14 @@ func TestMergeIOErrorSweep(t *testing.T) {
 			fs := vfs.NewMem()
 			e := open(fs)
 			for h := uint64(1); h < mergeBlock; h++ {
-				if _, err := sweepCommit(e, h); err != nil {
+				if _, err := e.CommitBlock(h, sweepBatch(h)); err != nil {
 					t.Fatalf("op %d: block %d: %v", n, h, err)
 				}
 			}
 			drain(e)
 			ckptBefore := e.CheckpointHeight()
 			fs.FailAt(n, nil)
-			root, err := sweepCommit(e, mergeBlock)
+			root, err := e.CommitBlock(mergeBlock, sweepBatch(mergeBlock))
 			werr := e.drainManifests()
 			fs.FailAt(0, nil) // disarm if the block took fewer operations this time
 			switch {
@@ -118,7 +108,7 @@ func TestMergeIOErrorSweep(t *testing.T) {
 				if got := e.CheckpointHeight(); got != ckptBefore {
 					t.Fatalf("op %d: checkpoint advanced %d -> %d although its manifest failed", n, ckptBefore, got)
 				}
-				if _, err := sweepCommit(e, mergeBlock+1); !errors.Is(err, vfs.ErrInjected) {
+				if _, err := e.CommitBlock(mergeBlock+1, sweepBatch(mergeBlock+1)); !errors.Is(err, vfs.ErrInjected) {
 					t.Fatalf("op %d: the next Commit returned %v, want the injected I/O error", n, err)
 				}
 				if err := e.FlushAll(); !errors.Is(err, vfs.ErrInjected) {
@@ -146,7 +136,7 @@ func TestMergeIOErrorSweep(t *testing.T) {
 				t.Fatalf("op %d: checkpoint %d beyond the chain", n, ckpt)
 			}
 			for h := ckpt + 1; h <= mergeBlock; h++ {
-				root, err := sweepCommit(e, h)
+				root, err := e.CommitBlock(h, sweepBatch(h))
 				if err != nil {
 					t.Fatalf("op %d: replay block %d: %v", n, h, err)
 				}
@@ -154,7 +144,7 @@ func TestMergeIOErrorSweep(t *testing.T) {
 					t.Fatalf("op %d: replayed block %d diverges from the golden digest", n, h)
 				}
 			}
-			if e.RootDigest() != roots[mergeBlock-1] {
+			if e.ViewRoot() != roots[mergeBlock-1] {
 				t.Fatalf("op %d: recovered digest differs from the golden one", n)
 			}
 			if err := e.Close(); err != nil {

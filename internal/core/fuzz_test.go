@@ -40,20 +40,16 @@ func provCases(f *testing.F) []provCase {
 		o := newOracle()
 		r := rand.New(rand.NewSource(11))
 		for b := uint64(1); b <= 150; b++ {
-			if err := e.BeginBlock(b); err != nil {
-				f.Fatal(err)
-			}
+			var batch []types.Update
 			put := func(a types.Address, v types.Value) {
-				if err := e.Put(a, v); err != nil {
-					f.Fatal(err)
-				}
+				batch = append(batch, types.Update{Addr: a, Value: v})
 				o.put(a, b, v)
 			}
 			put(hot, types.ValueFromUint64(b))
 			for p := 0; p < 4; p++ {
 				put(types.AddressFromUint64(uint64(r.Intn(30))), types.ValueFromUint64(r.Uint64()))
 			}
-			if _, err := e.Commit(); err != nil {
+			if _, err := e.CommitBlock(b, batch); err != nil {
 				f.Fatal(err)
 			}
 		}
@@ -61,7 +57,7 @@ func provCases(f *testing.F) []provCase {
 	}
 	var cases []provCase
 	add := func(name string, e *Engine, o *oracle, addr types.Address, lo, hi uint64, shape func(*Proof) bool) {
-		root := e.RootDigest()
+		root := e.ViewRoot()
 		got, proof, err := e.ProvQuery(addr, lo, hi)
 		if err != nil {
 			f.Fatal(err)

@@ -9,8 +9,9 @@ import (
 )
 
 // commitAllocBytes grows a sync-merge engine to the given number of
-// blocks, then reports the most bytes any single no-cascade Commit
-// allocated (TotalAlloc delta around the call) and the level count.
+// blocks, then reports the most bytes the commit part of any single
+// no-cascade CommitBlock allocated (TotalAlloc delta around the call,
+// less insertAllocBytes of its updates) and the level count.
 func commitAllocBytes(t *testing.T, blocks int) (worst uint64, levels int) {
 	t.Helper()
 	const putsPerBlock = 8
@@ -18,35 +19,32 @@ func commitAllocBytes(t *testing.T, blocks int) (worst uint64, levels int) {
 	opts.MemCapacity = 256
 	e := openEngine(t, opts)
 	next := uint64(0)
-	block := func(h uint64) {
-		if err := e.BeginBlock(h); err != nil {
-			t.Fatal(err)
-		}
-		for p := 0; p < putsPerBlock; p++ {
+	block := func() []types.Update {
+		batch := make([]types.Update, putsPerBlock)
+		for p := range batch {
 			next++
-			if err := e.Put(types.AddressFromUint64(next), types.ValueFromUint64(next)); err != nil {
-				t.Fatal(err)
-			}
+			batch[p] = types.Update{Addr: types.AddressFromUint64(next), Value: types.ValueFromUint64(next)}
 		}
+		return batch
 	}
 	for h := uint64(1); h <= uint64(blocks); h++ {
-		block(h)
-		if _, err := e.Commit(); err != nil {
+		if _, err := e.CommitBlock(h, block()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var before, after runtime.MemStats
 	measured := 0
 	for h := uint64(blocks) + 1; measured < 20; h++ {
-		block(h)
+		batch := block()
 		flushes := e.Stats().Flushes
 		// TotalAlloc counts every goroutine: let the previous cascade's
 		// manifest write finish first, so only this Commit is measured.
 		if err := e.drainManifests(); err != nil {
 			t.Fatal(err)
 		}
+		inserts := insertAllocBytes(e, h, batch)
 		runtime.ReadMemStats(&before)
-		if _, err := e.Commit(); err != nil {
+		if _, err := e.CommitBlock(h, batch); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
@@ -54,11 +52,28 @@ func commitAllocBytes(t *testing.T, blocks int) (worst uint64, levels int) {
 			continue // this commit cascaded: its cost is the flush, not the hash list
 		}
 		measured++
-		if d := after.TotalAlloc - before.TotalAlloc; d > worst {
-			worst = d
-		}
+		d := after.TotalAlloc - before.TotalAlloc
+		worst = max(worst, d-min(inserts, d))
 	}
 	return worst, len(e.levels)
+}
+
+// insertAllocBytes is what inserting batch at height h into the L0
+// writing group allocates: the copy-on-write of the nodes the published
+// view shares, and any splits. It inserts into a throwaway snapshot of
+// that tree, whose nodes are shared exactly as the live tree's are, so
+// the block's own inserts then copy the same nodes.
+func insertAllocBytes(e *Engine, h uint64, batch []types.Update) uint64 {
+	e.mu.Lock()
+	scratch := e.mem[e.memWriting].tree.Snapshot()
+	e.mu.Unlock()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, u := range batch {
+		scratch.Insert(types.CompoundKey{Addr: u.Addr, Blk: h}, u.Value)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // TestCommitAllocationIndependentOfStoreSize pins the cost model of the
@@ -100,7 +115,7 @@ func TestProofDoesNotAliasEngineState(t *testing.T) {
 		if err := e.FlushAll(); err != nil {
 			t.Fatal(err)
 		}
-		root := e.RootDigest()
+		root := e.ViewRoot()
 
 		present := types.AddressFromUint64(3)
 		absent := types.AddressFromUint64(1 << 40)

@@ -28,18 +28,14 @@ func TestSnapshotEntriesStreamsEverything(t *testing.T) {
 			oracle := map[types.CompoundKey]types.Value{}
 			const blocks, writes, accounts = 40, 7, 13
 			for b := 1; b <= blocks; b++ {
-				if err := e.BeginBlock(uint64(b)); err != nil {
-					t.Fatal(err)
-				}
+				batch := make([]types.Update, 0, writes)
 				for w := 0; w < writes; w++ {
 					a := installAddr((b*writes + w) % accounts)
 					v := types.ValueFromUint64(uint64(b*1000 + w))
-					if err := e.Put(a, v); err != nil {
-						t.Fatal(err)
-					}
+					batch = append(batch, types.Update{Addr: a, Value: v})
 					oracle[types.CompoundKey{Addr: a, Blk: uint64(b)}] = v
 				}
-				if _, err := e.Commit(); err != nil {
+				if _, err := e.CommitBlock(uint64(b), batch); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -135,15 +131,11 @@ func TestInstallBulkRoundTrip(t *testing.T) {
 	// Continued operation: new blocks commit and cascade above the
 	// installed bottom run.
 	for b := uint64(11); b <= 40; b++ {
-		if err := e.BeginBlock(b); err != nil {
-			t.Fatal(err)
+		batch := make([]types.Update, 10)
+		for w := range batch {
+			batch[w] = types.Update{Addr: installAddr(w), Value: types.ValueFromUint64(b)}
 		}
-		for w := 0; w < 10; w++ {
-			if err := e.Put(installAddr(w), types.ValueFromUint64(b)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := e.Commit(); err != nil {
+		if _, err := e.CommitBlock(b, batch); err != nil {
 			t.Fatalf("commit %d: %v", b, err)
 		}
 	}
@@ -172,13 +164,7 @@ func TestInstallBulkEmpty(t *testing.T) {
 	if _, ok, err := e.Get(installAddr(0)); err != nil || ok {
 		t.Fatalf("empty engine returned a value: ok=%v err=%v", ok, err)
 	}
-	if err := e.BeginBlock(8); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Put(installAddr(0), types.ValueFromUint64(8)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Commit(); err != nil {
+	if _, err := e.CommitBlock(8, []types.Update{{Addr: installAddr(0), Value: types.ValueFromUint64(8)}}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -234,15 +220,11 @@ func TestHistoricalRootRecordsAndPersists(t *testing.T) {
 	const blocks = rootHistoryDepth + 20
 	roots := map[uint64]types.Hash{}
 	for b := uint64(1); b <= blocks; b++ {
-		if err := e.BeginBlock(b); err != nil {
-			t.Fatal(err)
+		batch := make([]types.Update, 5)
+		for w := range batch {
+			batch[w] = types.Update{Addr: installAddr(w), Value: types.ValueFromUint64(b*10 + uint64(w))}
 		}
-		for w := 0; w < 5; w++ {
-			if err := e.Put(installAddr(w), types.ValueFromUint64(b*10+uint64(w))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		root, err := e.Commit()
+		root, err := e.CommitBlock(b, batch)
 		if err != nil {
 			t.Fatal(err)
 		}

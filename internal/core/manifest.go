@@ -19,7 +19,7 @@ import (
 
 // This file is the engine's durable structure: the MANIFEST format, its
 // one reader and one writer, the writer that lands a cascade's manifest
-// after Commit has returned, and the root history a manifest persists a
+// after CommitBlock has returned, and the root history a manifest persists a
 // window of.
 
 // manifest is the durable structural snapshot (root_hash_list's backing
@@ -170,7 +170,6 @@ func (e *Engine) loadManifest() error {
 	// at m.Height re-triggers as a pure L0 switch without re-committing
 	// level merges (their writing groups are all below the size ratio
 	// after a completed cascade).
-	e.height = m.Replay
 	e.committed = m.Replay
 	e.checkpoint = m.Replay
 	e.durable.Store(m.Replay)
@@ -209,7 +208,7 @@ func (e *Engine) CheckpointHeight() uint64 { return e.durable.Load() }
 
 // SetPeerCheckpoint tells a shard engine the lowest durable checkpoint
 // among the other shards of its store. The shard layer passes it down
-// before every Commit and FlushAll; it bounds the root window the
+// before every commit and FlushAll; it bounds the root window the
 // engine's next manifest persists. A stale value is lower than the true
 // one, so it only widens that window. An engine that is not told any
 // (a standalone engine, or the only shard of a store) has no peer that
@@ -273,15 +272,15 @@ type manifestJob struct {
 
 // manifestWriter lands an engine's manifests off the commit path. A
 // cascade snapshots the manifest under the engine lock and hands it over,
-// and Commit returns without waiting for the disk. Writes land in
+// and CommitBlock returns without waiting for the disk. Writes land in
 // snapshot order with at most one in flight: a snapshot handed over while
 // another is queued replaces it and inherits its retirements, because its
 // structure supersedes the queued one. Only a landed manifest advances
 // the durable checkpoint and retires runs, so no run a durable manifest
 // still names is deleted. A failed write is sticky: the writer stops, and
-// the engine's next Commit, FlushAll and Close return the error.
+// the engine's next CommitBlock, FlushAll and Close return the error.
 //
-// The writer never takes the engine lock, so Commit, FlushAll and Close
+// The writer never takes the engine lock, so CommitBlock, FlushAll and Close
 // can wait for it while holding that lock.
 type manifestWriter struct {
 	mu     sync.Mutex

@@ -15,7 +15,7 @@ import (
 // regenerates it).
 func mustCommit(t *testing.T, e *Engine, h uint64) types.Hash {
 	t.Helper()
-	root, err := sweepCommit(e, h)
+	root, err := e.CommitBlock(h, sweepBatch(h))
 	if err != nil {
 		t.Fatalf("block %d: %v", h, err)
 	}

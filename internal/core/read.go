@@ -33,17 +33,19 @@ func (e *Engine) forEachRunLocked(fn func(*runRef) bool) {
 // (Algorithm 6). Lock-free: it runs against the published read view,
 // concurrently with commits and merges.
 func (e *Engine) Get(addr types.Address) (types.Value, bool, error) {
-	return e.getAt(addr, types.MaxBlock)
+	v := e.acquireView()
+	defer v.release()
+	hit, ok, err := e.lookup(v, addr, types.MaxBlock)
+	return hit.Value, ok, err
 }
 
 // GetAt returns the value of addr active at block height blk (the newest
 // version with write height ≤ blk) along with that write height.
 func (e *Engine) GetAt(addr types.Address, blk uint64) (types.Value, uint64, bool, error) {
-	hit, ok, err := e.lookup(addr, blk)
-	if err != nil || !ok {
-		return types.Value{}, 0, false, err
-	}
-	return hit.Value, hit.Blk, true, nil
+	v := e.acquireView()
+	defer v.release()
+	hit, ok, err := e.lookup(v, addr, blk)
+	return hit.Value, hit.Blk, ok, err
 }
 
 // ReadResult is one point-lookup outcome of a batched read.
@@ -88,36 +90,23 @@ type versionHit struct {
 	Blk   uint64
 }
 
-func (e *Engine) getAt(addr types.Address, blk uint64) (types.Value, bool, error) {
-	hit, ok, err := e.lookup(addr, blk)
-	if err != nil || !ok {
-		return types.Value{}, false, err
-	}
-	return hit.Value, true, nil
-}
-
-func (e *Engine) lookup(addr types.Address, blk uint64) (versionHit, bool, error) {
+// lookup is one timed point lookup over a published view, the one that
+// Engine.Get/GetAt and Snapshot.Get/GetAt share: it counts the lookup in
+// Stats.Gets, the runs its Bloom probes skipped in Stats.BloomSkips (one
+// add), a corruption error in Stats.CorruptReads, and its latency in
+// OpHists.Get. A miss or an error returns the zero hit.
+func (e *Engine) lookup(v *view, addr types.Address, blk uint64) (versionHit, bool, error) {
 	start := time.Now()
-	v := e.acquireView()
-	defer v.release()
 	e.gets.Add(1)
-	hit, ok, err := e.lookupInView(v, addr, blk)
-	e.hists.Get.Record(time.Since(start))
-	return hit, ok, err
-}
-
-// lookupInView is one point lookup over a published view, with its
-// counters: the runs its Bloom probes skipped land in Stats.BloomSkips in
-// one add, a corruption error in Stats.CorruptReads.
-func (e *Engine) lookupInView(v *view, addr types.Address, blk uint64) (versionHit, bool, error) {
 	hit, ok, skips, err := searchView(v, addr, blk)
 	if skips > 0 {
 		e.bloomSkips.Add(skips)
 	}
 	if err != nil {
-		return versionHit{}, false, e.noteCorrupt(err)
+		err = e.noteCorrupt(err)
 	}
-	return hit, ok, nil
+	e.hists.Get.Record(time.Since(start))
+	return hit, ok, err
 }
 
 // searchView is the zero-lock, zero-allocation point lookup (Algorithm 6)

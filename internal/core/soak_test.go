@@ -16,16 +16,12 @@ func driveHeavyBlocks(t *testing.T, e *Engine, n int) {
 	t.Helper()
 	start := int(e.Height())
 	for b := start + 1; b <= start+n; b++ {
-		if err := e.BeginBlock(uint64(b)); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 32; i++ {
+		batch := make([]types.Update, 32)
+		for i := range batch {
 			addr := types.AddressFromUint64(uint64((b*31 + i*17) % 200))
-			if err := e.Put(addr, types.ValueFromUint64(uint64(b*1000+i))); err != nil {
-				t.Fatal(err)
-			}
+			batch[i] = types.Update{Addr: addr, Value: types.ValueFromUint64(uint64(b*1000 + i))}
 		}
-		if _, err := e.Commit(); err != nil {
+		if _, err := e.CommitBlock(uint64(b), batch); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -30,19 +30,11 @@ func TestMergeChunkQuantumInvisible(t *testing.T) {
 			const blocks, writes, accounts = 400, 12, 60
 			for h := uint64(1); h <= blocks; h++ {
 				batch := batchFor(h, writes, accounts)
-				for _, e := range []*Engine{ef, ed} {
-					if err := e.BeginBlock(h); err != nil {
-						t.Fatal(err)
-					}
-					if err := e.PutBatch(batch); err != nil {
-						t.Fatal(err)
-					}
-				}
-				rf, err := ef.Commit()
+				rf, err := ef.CommitBlock(h, batch)
 				if err != nil {
 					t.Fatal(err)
 				}
-				rd, err := ed.Commit()
+				rd, err := ed.CommitBlock(h, batch)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -87,15 +79,11 @@ func TestFlushPreemptsChunkedDeepMerge(t *testing.T) {
 
 	// Fill L0 exactly to capacity and commit: the cascade submits a
 	// flush (PriorityFlush) that must overtake the running deep job.
-	if err := e.BeginBlock(1); err != nil {
-		t.Fatal(err)
+	batch := make([]types.Update, opts.MemCapacity)
+	for i := range batch {
+		batch[i] = types.Update{Addr: types.AddressFromUint64(uint64(i)), Value: types.ValueFromUint64(1)}
 	}
-	for i := 0; i < opts.MemCapacity; i++ {
-		if err := e.Put(types.AddressFromUint64(uint64(i)), types.ValueFromUint64(1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := e.Commit(); err != nil {
+	if _, err := e.CommitBlock(1, batch); err != nil {
 		t.Fatal(err)
 	}
 	// The cascade started the flush in the background (async mode); it

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync/atomic"
-	"time"
 
 	"cole/internal/bloom"
 	"cole/internal/mbtree"
@@ -111,7 +110,7 @@ func (e *Engine) acquireView() *view {
 // publishLocked turns the hash list of the current structure into a view
 // and swaps it in, releasing the publisher reference of the previous
 // view. Caller holds e.mu and passes a list assembled since the last
-// structural change or Put: assembling it warmed the L0 root hashes, so
+// structural change or insert: assembling it warmed the L0 root hashes, so
 // the frozen snapshots are clean and reader operations on them never
 // write a hash cache.
 func (e *Engine) publishLocked(hl hashList) {
@@ -120,12 +119,12 @@ func (e *Engine) publishLocked(hl hashList) {
 	for _, rr := range v.runs {
 		rr.acquire()
 	}
-	// The writing group keeps absorbing Puts after publication: snapshot
-	// its tree (O(1), copy-on-write) and clone its filter. The merging
-	// group is shared as-is: it stays frozen for its whole lifetime —
-	// cascadeAsync installs a fresh group into the slot before promoting
-	// it back to the writing role, so a group object published here never
-	// absorbs Puts while views still hold it.
+	// The writing group absorbs the next blocks' inserts after
+	// publication: snapshot its tree (O(1), copy-on-write) and clone its
+	// filter. The merging group is shared as-is: it stays frozen for its
+	// whole lifetime — cascadeAsync installs a fresh group into the slot
+	// before promoting it back to the writing role, so a group object
+	// published here never absorbs inserts while views still hold it.
 	wg := e.mem[e.memWriting]
 	v.mems = append(v.mems, &memView{tree: wg.tree.Snapshot(), filter: wg.filter.Clone()})
 	if e.opts.AsyncMerge {
@@ -182,20 +181,14 @@ func (s *Snapshot) Root() types.Hash { return s.v.root }
 
 // Get returns the latest value of addr as of the snapshot's height.
 func (s *Snapshot) Get(addr types.Address) (types.Value, bool, error) {
-	start := time.Now()
-	s.e.gets.Add(1)
-	hit, ok, err := s.e.lookupInView(s.v, addr, types.MaxBlock)
-	s.e.hists.Get.Record(time.Since(start))
+	hit, ok, err := s.e.lookup(s.v, addr, types.MaxBlock)
 	return hit.Value, ok, err
 }
 
 // GetAt returns the value of addr active at block height blk (≤ the
 // snapshot height) and the height it was written at.
 func (s *Snapshot) GetAt(addr types.Address, blk uint64) (types.Value, uint64, bool, error) {
-	start := time.Now()
-	s.e.gets.Add(1)
-	hit, ok, err := s.e.lookupInView(s.v, addr, blk)
-	s.e.hists.Get.Record(time.Since(start))
+	hit, ok, err := s.e.lookup(s.v, addr, blk)
 	return hit.Value, hit.Blk, ok, err
 }
 

@@ -26,26 +26,30 @@ func runFilesOnDisk(t *testing.T, dir string) map[string]bool {
 	return out
 }
 
+// liveRoot is the digest of the engine's current structure, computed
+// afresh under its lock rather than read from the published view.
+func liveRoot(e *Engine) types.Hash {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.hashListLocked().root
+}
+
 func commitBlocks(t *testing.T, e *Engine, from, to uint64, addrs int) {
 	t.Helper()
 	for h := from; h <= to; h++ {
-		if err := e.BeginBlock(h); err != nil {
-			t.Fatal(err)
+		batch := make([]types.Update, addrs)
+		for a := range batch {
+			batch[a] = types.Update{Addr: types.AddressFromUint64(uint64(a)), Value: types.ValueFromUint64(h*1000 + uint64(a))}
 		}
-		for a := 0; a < addrs; a++ {
-			if err := e.Put(types.AddressFromUint64(uint64(a)), types.ValueFromUint64(h*1000+uint64(a))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := e.Commit(); err != nil {
+		if _, err := e.CommitBlock(h, batch); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// TestSnapshotIsolation: reads observe the last committed block, never
-// the writes of the block still being built, and a pinned Snapshot keeps
-// observing its height while newer blocks commit.
+// TestSnapshotIsolation: a pinned Snapshot keeps observing its height
+// while newer blocks commit. (An engine holds no open block; that reads
+// never see one is checked in shard.TestBlockDiscipline.)
 func TestSnapshotIsolation(t *testing.T) {
 	for _, async := range []bool{false, true} {
 		opts := testOpts(t, async)
@@ -54,32 +58,11 @@ func TestSnapshotIsolation(t *testing.T) {
 		addr := types.AddressFromUint64(1)
 
 		commitBlocks(t, e, 1, 5, 4)
-		// Open block 6: its writes must be invisible until Commit.
-		if err := e.BeginBlock(6); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Put(addr, types.ValueFromUint64(9999)); err != nil {
-			t.Fatal(err)
-		}
-		v, ok, err := e.Get(addr)
-		if err != nil || !ok {
-			t.Fatalf("async=%v get: %v %v", async, ok, err)
-		}
-		if v.Uint64() == 9999 {
-			t.Fatalf("async=%v read observed an uncommitted write", async)
-		}
-		if v.Uint64() != 5001 {
-			t.Fatalf("async=%v read %d, want last committed 5001", async, v.Uint64())
-		}
-
 		snap := e.Snapshot()
 		if snap.Height() != 5 {
 			t.Fatalf("async=%v snapshot height %d, want 5", async, snap.Height())
 		}
-		if _, err := e.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		commitBlocks(t, e, 7, 12, 4)
+		commitBlocks(t, e, 6, 12, 4)
 
 		// The live view moved on; the pinned snapshot did not.
 		if v, _, _ := e.Get(addr); v.Uint64() != 12001 {
@@ -184,7 +167,8 @@ func TestSnapshotPinnedAcrossFirstCascade(t *testing.T) {
 // TestCommitDigestMatchesViewRoot: the digest Commit returns is exactly
 // the published view's root (and the root a fresh Snapshot reports);
 // FlushAll, which restructures the store between commits, publishes a
-// view whose root is the live RootDigest and which proofs verify against.
+// view whose root is the live structure's digest and which proofs verify
+// against.
 // Both publish from the one hash list they computed the digest from.
 func TestCommitDigestMatchesViewRoot(t *testing.T) {
 	for _, async := range []bool{false, true} {
@@ -192,13 +176,7 @@ func TestCommitDigestMatchesViewRoot(t *testing.T) {
 		opts.MemCapacity = 8
 		e := openEngine(t, opts)
 		for h := uint64(1); h <= 30; h++ {
-			if err := e.BeginBlock(h); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.Put(types.AddressFromUint64(h%5), types.ValueFromUint64(h)); err != nil {
-				t.Fatal(err)
-			}
-			root, err := e.Commit()
+			root, err := e.CommitBlock(h, []types.Update{{Addr: types.AddressFromUint64(h % 5), Value: types.ValueFromUint64(h)}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -210,8 +188,8 @@ func TestCommitDigestMatchesViewRoot(t *testing.T) {
 				t.Fatalf("async=%v h=%d: snapshot root/height mismatch", async, h)
 			}
 			snap.Release()
-			if rd := e.RootDigest(); rd != root {
-				t.Fatalf("async=%v h=%d: live RootDigest drifted from commit digest", async, h)
+			if rd := liveRoot(e); rd != root {
+				t.Fatalf("async=%v h=%d: live structure's digest drifted from commit digest", async, h)
 			}
 			if h%7 != 0 {
 				continue
@@ -219,9 +197,9 @@ func TestCommitDigestMatchesViewRoot(t *testing.T) {
 			if err := e.FlushAll(); err != nil {
 				t.Fatal(err)
 			}
-			flushed := e.RootDigest()
+			flushed := liveRoot(e)
 			if vr := e.ViewRoot(); vr != flushed {
-				t.Fatalf("async=%v h=%d: view root %x != RootDigest %x after FlushAll", async, h, vr, flushed)
+				t.Fatalf("async=%v h=%d: view root %x != live digest %x after FlushAll", async, h, vr, flushed)
 			}
 			addr := types.AddressFromUint64(h % 5)
 			_, proof, err := e.ProvQuery(addr, 1, h)

@@ -11,85 +11,41 @@ import (
 	"cole/internal/types"
 )
 
-// BeginBlock starts building a block at the given height, which must
-// exceed the last committed height. COLE does not support forks/rewind
-// (§4.3), so heights are monotone.
-func (e *Engine) BeginBlock(height uint64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.inBlock {
-		return fmt.Errorf("core: block %d still open", e.height)
-	}
-	if height <= e.committed && e.committed != 0 || (e.committed == 0 && height == 0) {
-		return fmt.Errorf("core: height %d not above committed %d (no fork support)", height, e.committed)
-	}
-	e.height = height
-	e.inBlock = true
-	return nil
-}
-
-// Put inserts a state update into the current block: the compound key
-// ⟨addr, current height⟩ is written into the L0 writing group
-// (Algorithm 1 lines 2–3 / Algorithm 5 lines 2–4).
-func (e *Engine) Put(addr types.Address, value types.Value) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.inBlock {
-		return fmt.Errorf("core: Put outside a block; call BeginBlock first")
-	}
-	e.mem[e.memWriting].put(addr, e.height, value)
-	e.stats.Puts++
-	return nil
-}
-
-// Update is one pending state write of a batch (alias of types.Update).
-type Update = types.Update
-
-// PutBatch applies a block's updates under a single lock acquisition:
-// it is the Put loop under one lock. Every update is inserted in order,
-// and Insert overwrites an existing compound key in place, so a repeated
-// address keeps its first-occurrence position and its last value —
-// PutBatch and looped Put build the same tree and yield byte-identical
-// digests.
-func (e *Engine) PutBatch(updates []Update) error {
-	if len(updates) == 0 {
-		return nil
-	}
-	start := time.Now()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.inBlock {
-		return fmt.Errorf("core: PutBatch outside a block; call BeginBlock first")
-	}
-	g := e.mem[e.memWriting]
-	for _, u := range updates {
-		g.put(u.Addr, e.height, u.Value)
-	}
-	// Puts counts submitted updates (what the workload issued), matching
-	// the sequential-Put accounting.
-	e.stats.Puts += int64(len(updates))
-	e.hists.PutBatch.Record(time.Since(start))
-	return nil
-}
-
-// Commit finalizes the current block: it runs the flush/merge cascade if
-// the L0 writing group is full, publishes the new read view, hands the
+// CommitBlock applies block `height` as one engine step (Algorithm 1
+// lines 2–3 / Algorithm 5 lines 2–4, then the commit): under one lock it
+// checks the height is above the last committed one — COLE does not
+// support forks/rewind (§4.3) — inserts every update into the L0 writing
+// group in order as the compound key ⟨addr, height⟩, runs the flush/merge
+// cascade if that group is full, publishes the new read view, hands the
 // manifest of a changed structure to the manifest writer, and returns the
-// block's state root digest Hstate. It does not wait for that manifest:
-// CheckpointHeight advances, and the merged-away runs are retired, once
-// it has landed. A manifest write that failed fails this Commit.
-func (e *Engine) Commit() (types.Hash, error) {
+// block's state root digest Hstate. Insert overwrites an existing
+// compound key in place, so a repeated address keeps its first-occurrence
+// position and its last value.
+//
+// CommitBlock does not wait for the manifest: CheckpointHeight advances,
+// and the merged-away runs are retired, once it has landed. A manifest
+// write that failed fails this call before any update is inserted.
+func (e *Engine) CommitBlock(height uint64, updates []types.Update) (types.Hash, error) {
 	start := time.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.inBlock {
-		return types.Hash{}, fmt.Errorf("core: Commit without BeginBlock")
+	if height <= e.committed {
+		return types.Hash{}, fmt.Errorf("core: height %d not above committed %d (no fork support)", height, e.committed)
 	}
-	e.inBlock = false
 	if err := e.manifestErr(); err != nil {
 		return types.Hash{}, err
 	}
-	e.committed = e.height
+	if len(updates) > 0 {
+		g := e.mem[e.memWriting]
+		for _, u := range updates {
+			g.put(u.Addr, height, u.Value)
+		}
+		// Puts counts submitted updates (what the workload issued), not
+		// distinct keys.
+		e.stats.Puts += int64(len(updates))
+		e.hists.PutBatch.Record(time.Since(start))
+	}
+	e.committed = height
 
 	cascaded := e.mem[e.memWriting].tree.Size() >= e.opts.MemCapacity
 	if cascaded {
@@ -134,15 +90,8 @@ func (e *Engine) Commit() (types.Hash, error) {
 	return hl.root, nil
 }
 
-// RootDigest returns the current Hstate without committing.
-func (e *Engine) RootDigest() types.Hash {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.hashListLocked().root
-}
-
 // hashList is root_hash_list (§4) materialised once for the current
-// structure: what Commit returns as Hstate and what publishLocked turns
+// structure: what CommitBlock returns as Hstate and what publishLocked turns
 // into the read view, so the two cannot disagree.
 type hashList struct {
 	// runs is the committed run list in canonical search order.
@@ -469,9 +418,6 @@ func (e *Engine) chunked(it run.Iterator, pri merge.Priority, lvl int32) run.Ite
 func (e *Engine) FlushAll() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.inBlock {
-		return fmt.Errorf("core: FlushAll inside an open block")
-	}
 	if err := e.drainManifests(); err != nil {
 		return err
 	}

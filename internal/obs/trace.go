@@ -35,8 +35,9 @@ const (
 	// EvMergePreempt records a chunked merge handing its worker slot to
 	// a queued higher-priority job; Dur is the time spent re-queued.
 	EvMergePreempt
-	// EvCommit is the whole commit critical path (Dur from the caller's
-	// Commit() entry to durability).
+	// EvCommit is one block's whole engine step (Dur from the entry of
+	// core.Engine.CommitBlock, its L0 inserts included, to the published
+	// view).
 	EvCommit
 	// EvStall records a commit blocking on an unfinished async merge
 	// (the write stall COLE⁺ identifies); Dur is the wait.

@@ -62,8 +62,9 @@ import (
 type Options struct {
 	// MemCapacity is the source store's B, used only to pick the on-disk
 	// level the bulk-built runs are installed at (0 = 4096). The manifest
-	// does not record B, so `coledb reshard` always places runs as if
-	// B = 4096 (ROADMAP item 8).
+	// does not record B (ROADMAP item 8), so the caller must pass the B
+	// the store was written with: `coledb reshard` passes its -memcap
+	// flag, like every other coledb command.
 	MemCapacity int
 	// FS is the filesystem the rewrite runs on. nil (the default) selects
 	// the real filesystem; tests inject fault-carrying implementations

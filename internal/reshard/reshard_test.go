@@ -323,15 +323,11 @@ func TestReshardLegacyUnsharded(t *testing.T) {
 		t.Fatalf("open engine: %v", err)
 	}
 	for b := 1; b <= 20; b++ {
-		if err := e.BeginBlock(uint64(b)); err != nil {
-			t.Fatal(err)
+		batch := make([]types.Update, 5)
+		for k := range batch {
+			batch[k] = types.Update{Addr: addr(k), Value: val(k, b)}
 		}
-		for k := 0; k < 5; k++ {
-			if err := e.Put(addr(k), val(k, b)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := e.Commit(); err != nil {
+		if _, err := e.CommitBlock(uint64(b), batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -371,13 +367,7 @@ func TestReshardRefusesUnevenCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open shard-01: %v", err)
 	}
-	if err := e.BeginBlock(41); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Put(addr(1), val(1, 41)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Commit(); err != nil {
+	if _, err := e.CommitBlock(41, []types.Update{{Addr: addr(1), Value: val(1, 41)}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.FlushAll(); err != nil {

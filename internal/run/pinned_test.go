@@ -127,9 +127,6 @@ func TestRunFilesPinned(t *testing.T) {
 		rng := rand.New(rand.NewSource(60))
 		var root types.Hash
 		for h := uint64(1); h <= 60; h++ {
-			if err := e.BeginBlock(h); err != nil {
-				t.Fatal(err)
-			}
 			ups := make([]types.Update, 40)
 			for i := range ups {
 				ups[i] = types.Update{
@@ -137,10 +134,7 @@ func TestRunFilesPinned(t *testing.T) {
 					Value: types.ValueFromUint64(rng.Uint64()),
 				}
 			}
-			if err := e.PutBatch(ups); err != nil {
-				t.Fatal(err)
-			}
-			if root, err = e.Commit(); err != nil {
+			if root, err = e.CommitBlock(h, ups); err != nil {
 				t.Fatal(err)
 			}
 		}

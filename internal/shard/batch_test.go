@@ -25,42 +25,48 @@ func batchFor(h uint64, writes, accounts int) []types.Update {
 }
 
 // TestPutBatchMatchesPut drives identical update streams through a
-// batched and a per-Put 4-shard store: block digests must be identical
-// (the batch is pure routing, not semantics), in both merge modes.
+// batched and a per-Put store, at 1 and 4 shards: block digests and the
+// stores' shapes must be identical (the batch is pure routing, not
+// semantics), in both merge modes.
 func TestPutBatchMatchesPut(t *testing.T) {
 	for _, async := range []bool{false, true} {
 		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
-			sb := openTest(t, t.TempDir(), 4, async)
-			defer sb.Close()
-			sp := openTest(t, t.TempDir(), 4, async)
-			defer sp.Close()
-			const blocks, writes, accounts = 50, 20, 40
-			for h := uint64(1); h <= blocks; h++ {
-				batch := batchFor(h, writes, accounts)
-				if err := sb.BeginBlock(h); err != nil {
-					t.Fatal(err)
-				}
-				if err := sb.PutBatch(batch); err != nil {
-					t.Fatal(err)
-				}
-				if err := sp.BeginBlock(h); err != nil {
-					t.Fatal(err)
-				}
-				for _, u := range batch {
-					if err := sp.Put(u.Addr, u.Value); err != nil {
+			for _, shards := range []int{1, 4} {
+				sb := openTest(t, t.TempDir(), shards, async)
+				defer sb.Close()
+				sp := openTest(t, t.TempDir(), shards, async)
+				defer sp.Close()
+				const blocks, writes, accounts = 50, 20, 40
+				for h := uint64(1); h <= blocks; h++ {
+					batch := batchFor(h, writes, accounts)
+					if err := sb.BeginBlock(h); err != nil {
 						t.Fatal(err)
 					}
+					if err := sb.PutBatch(batch); err != nil {
+						t.Fatal(err)
+					}
+					if err := sp.BeginBlock(h); err != nil {
+						t.Fatal(err)
+					}
+					for _, u := range batch {
+						if err := sp.Put(u.Addr, u.Value); err != nil {
+							t.Fatal(err)
+						}
+					}
+					rb, err := sb.Commit()
+					if err != nil {
+						t.Fatal(err)
+					}
+					rp, err := sp.Commit()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if rb != rp {
+						t.Fatalf("%d shards, block %d: batched digest %s != per-Put digest %s", shards, h, rb, rp)
+					}
 				}
-				rb, err := sb.Commit()
-				if err != nil {
-					t.Fatal(err)
-				}
-				rp, err := sp.Commit()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rb != rp {
-					t.Fatalf("block %d: batched digest %s != per-Put digest %s", h, rb, rp)
+				if gb, gp := sb.Storage(), sp.Storage(); gb != gp {
+					t.Fatalf("%d shards: storage diverges: %+v vs %+v", shards, gb, gp)
 				}
 			}
 		})

@@ -5,11 +5,14 @@
 // A single engine serializes its whole write path behind one mutex, so at
 // commit time the flush/merge cascade of a busy block runs alone on one
 // core. Sharding hash-splits the 20-byte address space into N partitions,
-// each backed by its own engine in its own subdirectory; BeginBlock/Put
-// route to the owning partition and Commit runs all per-shard commits in
-// parallel goroutines. The block header digest becomes a deterministic
-// combination of the per-shard Hstate roots, gathered in shard-index
-// order so goroutine completion order never changes the result.
+// each backed by its own engine in its own subdirectory. The store is
+// the only owner of the open block: BeginBlock checks its height, Put and
+// PutBatch route each update into the owning partition's buffer, and
+// Commit runs every partition's core.Engine.CommitBlock (insert the
+// buffer, commit) in parallel goroutines. The block header digest becomes
+// a deterministic combination of the per-shard Hstate roots, gathered in
+// shard-index order so goroutine completion order never changes the
+// result.
 //
 // Provenance proofs stay per-shard: a query is answered by the owning
 // engine's Proof plus the full list of shard roots, and verification
@@ -110,12 +113,15 @@ type Store struct {
 	// registry (each engine registers — and unregisters — itself).
 	unregister func()
 
-	// mu serializes block lifecycle against reads: BeginBlock, Commit,
-	// FlushAll and Close take the write lock; Put and queries take the
-	// read lock (each engine still has its own internal mutex).
+	// mu guards the open block: BeginBlock, Put, PutBatch, Commit,
+	// FlushAll and Close take the write lock; queries that read more than
+	// one engine take the read lock.
 	mu      sync.RWMutex
 	engines []*core.Engine
 	allIdx  []int // 0..n-1, the runShards fan-out list
+	// The open block: the store is its only owner (an engine holds no
+	// block state, and sees a block only in Commit's one CommitBlock
+	// call).
 	inBlock bool
 	height  uint64
 	// active flags which shards participate in the open block. During
@@ -124,6 +130,11 @@ type Store struct {
 	// between the minimum and maximum shard checkpoints can be re-executed
 	// without double-applying writes.
 	active []bool
+	// pending holds each shard's updates of the open block in arrival
+	// order. Put and PutBatch copy into it (a caller may reuse its
+	// slice); Commit hands every bucket to its engine and truncates it
+	// for the next block, keeping the capacity.
+	pending [][]types.Update
 }
 
 // shardManifest pins the partition layout of a store directory: the
@@ -247,7 +258,7 @@ func open(opts core.Options, cache *pagefile.Cache) (*Store, error) {
 	if cache == nil {
 		cache = core.NewPageCache()
 	}
-	s := &Store{opts: opts, n: n, gen: gen, sched: merge.New(opts.MergeWorkers), cache: cache, active: make([]bool, n)}
+	s := &Store{opts: opts, n: n, gen: gen, sched: merge.New(opts.MergeWorkers), cache: cache, active: make([]bool, n), pending: make([][]types.Update, n)}
 	for i := 0; i < n; i++ {
 		s.allIdx = append(s.allIdx, i)
 		eo := opts
@@ -493,84 +504,46 @@ func (s *Store) BeginBlock(height uint64) error {
 	if !any {
 		return fmt.Errorf("shard: height %d not above committed %d (no fork support)", height, maxCommitted)
 	}
-	for i, e := range s.engines {
-		if !s.active[i] {
-			continue
-		}
-		if err := e.BeginBlock(height); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
 	s.height = height
 	s.inBlock = true
 	return nil
 }
 
-// Put routes a state update to the owning shard. Writes routed to a shard
-// skipped for this block (replay of an already-covered height) are
-// dropped: the shard's durable state already contains them.
+// Put adds a state update to the open block, routed to the owning
+// shard's bucket. Writes routed to a shard skipped for this block (replay
+// of an already-covered height) are dropped: the shard's durable state
+// already contains them.
 func (s *Store) Put(addr types.Address, v types.Value) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if !s.inBlock {
-		return fmt.Errorf("shard: Put outside a block; call BeginBlock first")
-	}
-	i := ShardOf(addr, s.n)
-	if !s.active[i] {
-		return nil
-	}
-	return s.engines[i].Put(addr, v)
+	return s.PutBatch([]types.Update{{Addr: addr, Value: v}})
 }
 
-// PutBatch routes a block's updates in one pass: updates are pre-bucketed
-// per shard, then every non-empty bucket is applied with a single engine
-// call — one lock acquisition per shard instead of one per update — and
-// the buckets run in parallel goroutines. Bucket order preserves the
-// batch's first-occurrence order, so each engine sees exactly the
-// sub-sequence of updates it owns and digests match a sequential Put
-// loop byte for byte. Buckets of shards skipped for this block (replay
-// of an already-covered height) are dropped, like Put.
+// PutBatch adds a block's updates to the open block in one routing pass,
+// copying each into its owning shard's bucket in arrival order, so each
+// engine later sees exactly the sub-sequence of updates it owns and
+// digests match a sequential Put loop byte for byte. Updates of shards
+// skipped for this block are dropped, like Put. An empty batch is a
+// no-op, even outside a block.
 func (s *Store) PutBatch(updates []types.Update) error {
 	if len(updates) == 0 {
 		return nil
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if !s.inBlock {
-		return fmt.Errorf("shard: PutBatch outside a block; call BeginBlock first")
+		return fmt.Errorf("shard: write outside a block; call BeginBlock first")
 	}
-	if s.n == 1 {
-		if !s.active[0] {
-			return nil
-		}
-		return s.engines[0].PutBatch(updates)
-	}
-	buckets := make([][]types.Update, s.n)
-	var nonEmpty []int
 	for _, u := range updates {
-		i := ShardOf(u.Addr, s.n)
-		if !s.active[i] {
-			continue
+		if i := ShardOf(u.Addr, s.n); s.active[i] {
+			s.pending[i] = append(s.pending[i], u)
 		}
-		if len(buckets[i]) == 0 {
-			nonEmpty = append(nonEmpty, i)
-		}
-		buckets[i] = append(buckets[i], u)
 	}
-	if len(nonEmpty) == 0 {
-		return nil
-	}
-	// Fan out only over shards that actually received updates: a small
-	// block on a wide store would otherwise spawn a goroutine per empty
-	// bucket.
-	return runOn(nonEmpty, func(i int) error {
-		return s.engines[i].PutBatch(buckets[i])
-	})
+	return nil
 }
 
-// Commit seals the open block on every participating shard in parallel
-// goroutines and combines the per-shard Hstate roots — gathered in
-// shard-index order, never completion order — into the deterministic
+// Commit seals the open block: every participating shard's engine
+// applies its bucket and commits it in one CommitBlock call, in parallel
+// goroutines, and the per-shard Hstate roots — gathered in shard-index
+// order, never completion order — combine into the deterministic
 // block-header digest.
 //
 // During post-crash replay a skipped shard (one whose checkpoint already
@@ -599,12 +572,13 @@ func (s *Store) Commit() (types.Hash, error) {
 			if r, ok := s.engines[i].HistoricalRoot(s.height); ok {
 				roots[i] = r
 			} else {
-				roots[i] = s.engines[i].RootDigest()
+				roots[i] = s.engines[i].ViewRoot()
 			}
 			return nil
 		}
 		var cerr error
-		roots[i], cerr = s.engines[i].Commit()
+		roots[i], cerr = s.engines[i].CommitBlock(s.height, s.pending[i])
+		s.pending[i] = s.pending[i][:0]
 		return cerr
 	})
 	if err != nil {
@@ -951,13 +925,15 @@ func (p *Proof) Verify(hstate types.Hash, addr types.Address, blkLo, blkHi uint6
 	return core.VerifyProv(p.Root, addr, blkLo, blkHi, p.Inner)
 }
 
-// RootDigest returns the current combined digest without committing.
+// RootDigest returns the combined digest of the last committed block:
+// the engines' published view roots, gathered under the read lock (which
+// excludes commits). The writes of a block still open are not in it.
 func (s *Store) RootDigest() types.Hash {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	roots := make([]types.Hash, s.n)
 	for i, e := range s.engines {
-		roots[i] = e.RootDigest()
+		roots[i] = e.ViewRoot()
 	}
 	return CombineRoots(roots)
 }
@@ -1060,7 +1036,7 @@ type ShardStat struct {
 	Entries int64
 	// Bytes is the shard's on-disk footprint (data + index files).
 	Bytes int64
-	// Puts counts the writes routed to the shard since open.
+	// Puts counts the writes the shard has committed since open.
 	Puts int64
 	// MergeWaits counts the shard's merge back-pressure events.
 	MergeWaits int64

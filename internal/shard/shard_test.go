@@ -98,24 +98,20 @@ func TestShards1Compat(t *testing.T) {
 		if err := s.BeginBlock(h); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.BeginBlock(h); err != nil {
-			t.Fatal(err)
-		}
-		for w := 0; w < writes; w++ {
+		batch := make([]types.Update, writes)
+		for w := range batch {
 			addr := testAddr((b*writes + w) % accounts)
 			v := types.ValueFromUint64(h*1000 + uint64(w))
 			if err := s.Put(addr, v); err != nil {
 				t.Fatal(err)
 			}
-			if err := e.Put(addr, v); err != nil {
-				t.Fatal(err)
-			}
+			batch[w] = types.Update{Addr: addr, Value: v}
 		}
 		rootS, err := s.Commit()
 		if err != nil {
 			t.Fatal(err)
 		}
-		rootE, err := e.Commit()
+		rootE, err := e.CommitBlock(h, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,13 +323,7 @@ func TestShardManifestPinsCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.BeginBlock(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Put(testAddr(1), types.ValueFromUint64(1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Commit(); err != nil {
+	if _, err := e.CommitBlock(1, []types.Update{{Addr: testAddr(1), Value: types.ValueFromUint64(1)}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.FlushAll(); err != nil {
@@ -370,6 +360,108 @@ func TestShardManifestPinsCount(t *testing.T) {
 			t.Fatalf("legacy data unreadable through 1-shard store: ok=%v err=%v", ok, err)
 		}
 		s3.Close()
+	}
+}
+
+// TestBlockDiscipline checks the block lifecycle, which the store alone
+// keeps (an engine sees a block only as one CommitBlock call): Put,
+// PutBatch and Commit fail outside a block, height 0, a nested BeginBlock
+// and a non-monotone height fail, FlushAll fails inside a block, and
+// reads and RootDigest see only the last committed block.
+func TestBlockDiscipline(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s := openTest(t, t.TempDir(), shards, false)
+			defer s.Close()
+			a := testAddr(1)
+			if err := s.Put(a, types.Value{}); err == nil {
+				t.Fatal("Put outside a block must fail")
+			}
+			if _, err := s.Commit(); err == nil {
+				t.Fatal("Commit without a block must fail")
+			}
+			if err := s.BeginBlock(0); err == nil {
+				t.Fatal("height 0 must be rejected on a fresh store")
+			}
+			before := s.RootDigest()
+			if err := s.BeginBlock(5); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.BeginBlock(6); err == nil {
+				t.Fatal("nested BeginBlock must fail")
+			}
+			if err := s.FlushAll(); err == nil {
+				t.Fatal("FlushAll inside an open block must fail")
+			}
+			if err := s.Put(a, types.ValueFromUint64(5)); err != nil {
+				t.Fatal(err)
+			}
+			// The open block's writes are invisible until Commit.
+			if _, ok, err := s.Get(a); err != nil || ok {
+				t.Fatalf("read observed an uncommitted write: ok=%v err=%v", ok, err)
+			}
+			if s.RootDigest() != before {
+				t.Fatal("RootDigest moved inside an open block")
+			}
+			root, err := s.Commit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if root == before || s.RootDigest() != root || s.Height() != 5 {
+				t.Fatalf("after commit: height %d, RootDigest matches the commit: %v", s.Height(), s.RootDigest() == root)
+			}
+			if v, ok, err := s.Get(a); err != nil || !ok || v.Uint64() != 5 {
+				t.Fatalf("get after commit: %d %v %v", v.Uint64(), ok, err)
+			}
+			for _, h := range []uint64{5, 4} {
+				if err := s.BeginBlock(h); err == nil {
+					t.Fatalf("height %d after 5 must fail (no forks)", h)
+				}
+			}
+			// The rejections left the store at block 5, ready for 6.
+			if err := s.BeginBlock(6); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestPutBatchOutsideBlock checks PutBatch's lifecycle guard: a batch
+// outside a block fails and an empty one is a no-op, open block or not.
+func TestPutBatchOutsideBlock(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s := openTest(t, t.TempDir(), shards, false)
+			defer s.Close()
+			one := []types.Update{{Addr: testAddr(1), Value: types.ValueFromUint64(1)}}
+			if err := s.PutBatch(one); err == nil {
+				t.Fatal("PutBatch outside a block succeeded")
+			}
+			if err := s.PutBatch(nil); err != nil {
+				t.Fatalf("empty batch outside a block: %v", err)
+			}
+			if err := s.BeginBlock(1); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.PutBatch(nil); err != nil {
+				t.Fatalf("empty batch: %v", err)
+			}
+			if _, err := s.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.PutBatch(one); err == nil {
+				t.Fatal("PutBatch after Commit succeeded")
+			}
+			if st := s.Stats(); st.Puts != 0 {
+				t.Fatalf("rejected batches reached an engine: %d puts", st.Puts)
+			}
+		})
 	}
 }
 
