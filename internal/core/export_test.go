@@ -32,3 +32,7 @@ func UnmarshalProof(raw []byte) (*Proof, error) {
 	}
 	return &p, nil
 }
+
+// BatchFor exposes the deterministic block generator to the external
+// test package.
+var BatchFor = batchFor
